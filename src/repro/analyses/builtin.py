@@ -35,6 +35,8 @@ from repro.core.tracer import AlchemistTracer
 from repro.ir.cfg import ProgramIR
 from repro.runtime.memory import Memory
 
+_RAW, _WAR, _WAW = DepKind.RAW, DepKind.WAR, DepKind.WAW
+
 
 def profile_summary(report: ProfileReport) -> dict[str, Any]:
     """Compact, JSON-able, order-stable digest of a ProfileReport.
@@ -138,10 +140,13 @@ class DependenceAnalysis(Analysis):
         tracer = AlchemistTracer(self.table, self.pool_size,
                                  self.track_war_waw)
         tracer.on_start(program, memory)
+        self._bind(tracer)
+
+    def _bind(self, tracer: AlchemistTracer) -> None:
+        """Rebind the hooks straight to the inner tracer: both the
+        interpreter and the replay engine look methods up after
+        ``on_start``/``begin_segment``, so dispatch skips this shim."""
         self.tracer = tracer
-        # Rebind the hot hooks straight to the inner tracer: both the
-        # interpreter and the replay engine look methods up after
-        # on_start, so dispatch skips this shim entirely.
         self.on_enter_function = tracer.on_enter_function
         self.on_exit_function = tracer.on_exit_function
         self.on_block_enter = tracer.on_block_enter
@@ -152,23 +157,52 @@ class DependenceAnalysis(Analysis):
         self.on_finish = tracer.on_finish
 
     def consume_batch(self, batch) -> None:
-        """Span fast path: replay the interior events of one
-        memory-quiet span through whichever hooks are currently bound
-        (the inner tracer after ``on_start``, the deferring segment
-        wrapper after ``begin_segment``)."""
-        on_read = self.on_read
-        on_write = self.on_write
-        on_block = self.on_block_enter
-        on_branch = self.on_branch
+        """Span kernel: the interior events of one memory-quiet span in
+        one loop. READ/WRITE do the shadow step inline, BLOCK/BRANCH go
+        straight to the indexing stack, and each dependence goes to the
+        shared Table II walk (which also defers boundary heads in a
+        parallel segment) — exactly ``AlchemistTracer``'s hooks, minus
+        the per-event calls."""
+        tracer = self.tracer
+        stack = tracer.stack
+        nodes = stack.stack
+        on_block = stack.on_block_enter
+        on_branch = stack.on_branch
+        shadow = tracer.shadow
+        entries = shadow._entries
+        insert = shadow.insert
+        edge = tracer.profiler.profile_edge
+        war_waw = self.track_war_waw
+        node = nodes[-1] if nodes else None
         for etype, a, b, t in batch.rows():
             if etype == EV_READ:
-                on_read(a, b, t)
+                entry = entries.get(a)
+                if entry is None:
+                    insert(a, None, {b: (node, t)})
+                    continue
+                entry[1][b] = (node, t)
+                write = entry[0]
+                if write is not None:
+                    edge(write[0], write[1], write[2], b, t, _RAW, a)
             elif etype == EV_WRITE:
-                on_write(a, b, t)
+                entry = entries.get(a)
+                if entry is None:
+                    insert(a, (b, node, t), {})
+                    continue
+                old, reads = entry
+                entry[0] = (b, node, t)
+                entry[1] = {}
+                if war_waw:
+                    for read_pc, (read_node, read_t) in reads.items():
+                        edge(read_pc, read_node, read_t, b, t, _WAR, a)
+                    if old is not None:
+                        edge(old[0], old[1], old[2], b, t, _WAW, a)
             elif etype == EV_BLOCK:
                 on_block(a, t)
+                node = nodes[-1] if nodes else None
             elif etype == EV_BRANCH:
                 on_branch(a, b, t)
+                node = nodes[-1] if nodes else None
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
         tracer = self.tracer
@@ -202,19 +236,8 @@ class DependenceAnalysis(Analysis):
         inner = AlchemistTracer(self.table, self.pool_size,
                                 self.track_war_waw)
         inner.on_start(program, memory)
-        self.tracer = inner
-        segment = SegmentAlchemistTracer(inner, seed)
-        self._segment = segment
-        # Structural hooks go straight to the inner tracer; the memory
-        # hooks route through the deferring wrapper.
-        self.on_enter_function = inner.on_enter_function
-        self.on_exit_function = inner.on_exit_function
-        self.on_block_enter = inner.on_block_enter
-        self.on_branch = inner.on_branch
-        self.on_read = segment.on_read
-        self.on_write = segment.on_write
-        self.on_frame_free = inner.on_frame_free
-        self.on_finish = inner.on_finish
+        self._segment = SegmentAlchemistTracer(inner, seed)
+        self._bind(inner)
 
     def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
         inner = self.tracer

@@ -46,11 +46,7 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from repro.analyses.base import AnalysisError
-
-#: Sentinel standing in for the unknown construct node / context of a
-#: checkpointed (pre-segment) access. Segment tracers test identity
-#: against it and defer instead of attributing.
-BOUNDARY = type("_Boundary", (), {"__repr__": lambda s: "<boundary>"})()
+from repro.core.profiler import BOUNDARY
 
 
 # ---------------------------------------------------------------------------
@@ -395,78 +391,28 @@ def fold_locality(acc: dict, part: dict) -> None:
 # ---------------------------------------------------------------------------
 
 class SegmentAlchemistTracer:
-    """The Alchemist tracer of one parallel worker.
+    """The Alchemist tracer state of one parallel worker.
 
-    Wraps an unmodified :class:`~repro.core.tracer.AlchemistTracer`
-    whose indexing stack is seeded from the checkpoint and whose
-    shadow is seeded with boundary-sentinel accesses; the only changed
-    behaviour is on the memory hooks, which defer any pair whose head
-    is a sentinel instead of walking an index chain that lives in an
-    earlier segment.
+    Seeds an unmodified :class:`~repro.core.tracer.AlchemistTracer`:
+    its indexing stack from the checkpoint, its shadow with
+    boundary-sentinel accesses, and its profiler's ``deferred`` list,
+    so the shared dependence walk defers any pair whose head is a
+    sentinel instead of walking an index chain that lives in an
+    earlier segment. Events go straight to the inner tracer; this
+    object only exports the segment's nodes and frontier.
     """
 
     def __init__(self, inner, seed):
-        from repro.core.profile_data import DepKind
-
         self.inner = inner
-        self._raw = DepKind.RAW
-        self._war = DepKind.WAR
-        self._waw = DepKind.WAW
         self.deferred: list = []
+        inner.profiler.deferred = self.deferred
         inner.stack.seed(seed.construct_stack)
         self.seeded_nodes = list(inner.stack.stack)
         for addr, write, reads in seed.shadow:
-            inner.shadow.seed_entry(
+            inner.shadow.insert(
                 addr,
                 None if write is None else (write[0], BOUNDARY, write[1]),
                 {pc: (BOUNDARY, t) for pc, t in reads.items()})
-
-    def on_read(self, addr: int, pc: int, timestamp: int) -> None:
-        inner = self.inner
-        node = inner.stack.stack[-1]
-        write = inner.shadow.on_read(addr, pc, node, timestamp)
-        if write is None:
-            return
-        if write[1] is BOUNDARY:
-            self.deferred.append(
-                (self._raw, addr, write[0], write[2], pc, timestamp,
-                 inner.memory.addr_to_name(addr)))
-            return
-        inner.raw_events += 1
-        memory = inner.memory
-        inner.profiler.profile_edge(
-            write[0], write[1], write[2], pc, timestamp, self._raw,
-            lambda: memory.addr_to_name(addr))
-
-    def on_write(self, addr: int, pc: int, timestamp: int) -> None:
-        inner = self.inner
-        node = inner.stack.stack[-1]
-        waw_head, war_heads = inner.shadow.on_write(addr, pc, node,
-                                                    timestamp)
-        if not inner.track_war_waw:
-            return
-        memory = inner.memory
-        if war_heads:
-            for read_pc, (read_node, read_time) in war_heads.items():
-                if read_node is BOUNDARY:
-                    self.deferred.append(
-                        (self._war, addr, read_pc, read_time, pc,
-                         timestamp, memory.addr_to_name(addr)))
-                    continue
-                inner.war_events += 1
-                inner.profiler.profile_edge(
-                    read_pc, read_node, read_time, pc, timestamp,
-                    self._war, lambda: memory.addr_to_name(addr))
-        if waw_head is not None:
-            if waw_head[1] is BOUNDARY:
-                self.deferred.append(
-                    (self._waw, addr, waw_head[0], waw_head[2], pc,
-                     timestamp, memory.addr_to_name(addr)))
-                return
-            inner.waw_events += 1
-            inner.profiler.profile_edge(
-                waw_head[0], waw_head[1], waw_head[2], pc, timestamp,
-                self._waw, lambda: memory.addr_to_name(addr))
 
     def export_nodes(self):
         """Serialize every construct instance the merge must know:

@@ -222,7 +222,6 @@ class Session:
                        max_steps=self.options.max_steps,
                        version=self.options.trace_format,
                        sampling=self.options.sample,
-                       checkpoint_interval=self.options.checkpoints,
                        telemetry=self.telemetry)
         self._traces[key] = path
         self.stats.records += 1
@@ -380,6 +379,7 @@ class Session:
                     trace_path, names, jobs=jobs,
                     options={name: dict(merged_options.get(name, {}))
                              for name in names},
+                    interval=self.options.checkpoints or None,
                     telemetry=self.telemetry)
                 # The driver ran its own instances (workers, or the
                 # serial fallback); stash results on the session's so
@@ -461,8 +461,7 @@ class Session:
         policy = as_policy(self.options.sample)
         writer = TraceWriter(path, source, filename,
                              version=self.options.trace_format,
-                             sampling=policy.spec,
-                             checkpoint_interval=self.options.checkpoints)
+                             sampling=policy.spec)
         recorder = (writer if policy.is_full
                     else SampledTracer(policy, writer,
                                        telemetry=self.telemetry))
@@ -473,8 +472,6 @@ class Session:
             tm.count("session.trace_cache_misses")
             tm.count("trace.events_written", writer.events)
             tm.count("trace.bytes_written", os.path.getsize(writer.path))
-            tm.count("trace.checkpoint_seams_written",
-                     len(writer._checkpoints))
             if not policy.is_full:
                 tm.count("sampling.memory_events_kept", recorder.kept)
                 tm.count("sampling.memory_events_dropped",

@@ -526,7 +526,7 @@ def parallel_bench(names: list[str] | None = None, scale: float = 2.0,
                    out_path: str | None = "BENCH_parallel.json") -> dict:
     """Measure sharded parallel replay against one serial pass.
 
-    Per workload: record once (checkpointed), time the serial replay
+    Per workload: record once, prebuild its seams, time the serial replay
     and the ``jobs``-worker parallel replay (minimum over ``repeats``),
     verify the merged results equal serial bit-for-bit, and report two
     speedups:
@@ -545,6 +545,7 @@ def parallel_bench(names: list[str] | None = None, scale: float = 2.0,
 
     from repro.trace.parallel import parallel_replay
     from repro.trace.replay import replay_trace
+    from repro.trace.shards import load_or_build_checkpoints
     from repro.trace.writer import record_source
 
     from repro.workloads import names as workload_names
@@ -555,12 +556,10 @@ def parallel_bench(names: list[str] | None = None, scale: float = 2.0,
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, f"{name}.trace")
             recorded = record_source(workload.source, path)
-            if recorded.checkpoints < jobs * 3:
-                # Too few seams for a balanced split: re-record with an
-                # interval sized to the now-known event count.
-                interval = max(1000, recorded.events // (jobs * 4))
-                recorded = record_source(workload.source, path,
-                                         checkpoint_interval=interval)
+            # Seams sized to the now-known event count, about four
+            # per worker, prebuilt into the trace's sidecar.
+            checkpoints = load_or_build_checkpoints(
+                path, max(1000, recorded.events // (jobs * 4)))
 
             serial_best = float("inf")
             serial_outcome = None
@@ -590,7 +589,7 @@ def parallel_bench(names: list[str] | None = None, scale: float = 2.0,
                 "name": name,
                 "events": recorded.events,
                 "trace_bytes": recorded.trace_bytes,
-                "checkpoints": recorded.checkpoints,
+                "checkpoints": len(checkpoints),
                 "segments": len(outcome.plan.segments),
                 "mode": outcome.mode,
                 "results_identical_to_serial": identical,

@@ -38,7 +38,7 @@ Subcommands
 ``info x.trace``
     Inspect a trace without replaying it: format version, header
     provenance (digest, sampling policy), event counts by type,
-    checkpoint seams (embedded, sidecar-cached, or none), and
+    checkpoint seams (from the ``.ckpt`` sidecar, or none yet), and
     compressed vs. uncompressed sizes.
 ``stats m.json``
     Render a ``--metrics`` artifact: the hierarchical span tree with
@@ -402,7 +402,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
     out = args.out or (args.file + ".trace")
     policy = _parse_sample(args.sample)
-    if args.checkpoints is not None and args.checkpoints < 0:
+    if args.checkpoints < 0:
         raise CliError(f"--checkpoints must be >= 0, "
                        f"got {args.checkpoints}")
     result = record_source(_read(args.file), out, filename=args.file,
@@ -411,8 +411,8 @@ def _cmd_record(args: argparse.Namespace) -> int:
                            telemetry=args.telemetry)
     sampled = ("" if policy.is_full
                else f", sampled {policy.spec}")
-    seams = (f", {result.checkpoints} checkpoint(s)"
-             if result.checkpoints else "")
+    seams = (f", {result.checkpoints} checkpoint(s) prebuilt"
+             if args.checkpoints else "")
     # The "recorded ... -> path" line is the verb's result: stdout.
     print(f"recorded {result.events} events ({result.trace_bytes} bytes, "
           f"{result.final_time} instructions, format v{result.version}"
@@ -455,27 +455,17 @@ def _cmd_info(args: argparse.Namespace) -> int:
         f"{EVENT_NAMES.get(etype, f'type{etype}')}={counts[etype]}"
         for etype in sorted(counts))
     print(f"events:     {total} ({by_name})")
-    # Seam reporting is uniform across formats and origins: v2 traces
-    # embed checkpoints in the footer, v1 (or --checkpoints 0) traces
-    # may carry a scan-built .ckpt sidecar, and a trace can have
-    # neither — info always says which case it found.
+    # Shard seams live only in the scan-built .ckpt sidecar (built by
+    # record --checkpoints N or by the first parallel replay).
     from repro.trace.shards import SIDECAR_SUFFIX, probe_sidecar
 
-    if footer.checkpoints:
-        count = len(footer.checkpoints)
-        origin = "embedded in the trace footer"
+    side = probe_sidecar(args.trace)
+    if side is not None:
+        print(f"checkpoints:{side['checkpoints']} shard seam(s), "
+              f"{side['interval']} events apart, cached in the "
+              f"{SIDECAR_SUFFIX} sidecar (parallel replay ready)")
     else:
-        side = probe_sidecar(args.trace)
-        count = side["checkpoints"] if side else 0
-        origin = f"cached in the {SIDECAR_SUFFIX} sidecar"
-    if count:
-        stride = total // (count + 1)
-        print(f"checkpoints:{count} shard seam(s), ~{stride} events "
-              f"apart, {origin} (parallel replay ready)")
-    else:
-        print(f"checkpoints:none (no embedded seams, no valid "
-              f"{SIDECAR_SUFFIX} sidecar; parallel replay scans and "
-              f"caches one on first use)")
+        print("checkpoints:none yet — built on first parallel replay")
     print(f"time:       {footer.final_time} instructions")
     print(f"exit:       {footer.exit_value}; "
           f"{len(footer.output)} output line(s)")
@@ -965,11 +955,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--format", type=int, choices=(1, 2), default=2,
                        help="trace schema version to write (default 2, "
                             "block-compressed)")
-    p_rec.add_argument("--checkpoints", type=int, default=None,
+    p_rec.add_argument("--checkpoints", type=int, default=0,
                        metavar="N",
-                       help="events between checkpoint shard seams for "
-                            "parallel replay (v2 only; 0 disables; "
-                            "default ~50k)")
+                       help="prebuild the .ckpt shard-seam sidecar for "
+                            "parallel replay, one seam every N events "
+                            "(default 0: built on first parallel replay)")
     _add_observability(p_rec)
     p_rec.set_defaults(func=_cmd_record)
 

@@ -54,8 +54,10 @@ class ProfileOptions:
     #: pass with results identical to serial (live runs are never
     #: parallelized — there is only one execution).
     jobs: int | None = None
-    #: Events between checkpoint shard seams in new recordings
-    #: (v2 only). ``None`` = the writer default, 0 = no checkpoints.
+    #: Events between the shard seams a parallel replay plans with
+    #: (built into the trace's ``.ckpt`` sidecar on first use).
+    #: ``None``/0 = an existing sidecar at any interval, else the
+    #: default interval.
     checkpoints: int | None = None
 
     def __post_init__(self) -> None:

@@ -32,6 +32,10 @@ class DepKind(enum.Enum):
     WAR = "WAR"
     WAW = "WAW"
 
+    # Every edge key holds a kind, and Enum's own __hash__ is Python
+    # code; members are singletons, so the C identity hash is exact.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class EdgeStats:
@@ -50,11 +54,6 @@ class EdgeStats:
     #: timestamps are unique per edge, so "smallest first_t" is exactly
     #: "observed first").
     first_t: int = 0
-
-    def observe(self, tdep: int) -> None:
-        self.count += 1
-        if tdep < self.min_tdep:
-            self.min_tdep = tdep
 
 
 @dataclass

@@ -29,51 +29,84 @@ duration.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.core.node import ConstructNode
 from repro.core.profile_data import DepKind, EdgeStats, ProfileStore
 
+#: Sentinel standing in for the unknown construct node (or calling
+#: context) of a checkpointed, pre-segment access in parallel segment
+#: replay. A pair whose head is the sentinel cannot be attributed in
+#: the segment, so it is deferred to the merge
+#: (``repro.analyses.merging``).
+BOUNDARY = type("_Boundary", (), {"__repr__": lambda s: "<boundary>"})()
+
+
+def _unnamed(addr: int) -> str:
+    return ""
+
 
 class DependenceProfiler:
-    """Applies Table II to each detected dependence."""
+    """Applies Table II to each detected dependence.
 
-    __slots__ = ("store", "edges_profiled", "updates")
+    ``names`` resolves a conflicting address to its symbol (the
+    tracer binds ``Memory.addr_to_name``); it runs only when a static
+    edge is seen for the first time. ``deferred`` is None in a serial
+    run; a parallel segment sets it to a list that collects the pairs
+    whose head is :data:`BOUNDARY`.
+    """
 
-    def __init__(self, store: ProfileStore):
+    __slots__ = ("store", "names", "deferred", "events", "updates")
+
+    def __init__(self, store: ProfileStore, names=_unnamed):
         self.store = store
-        #: Dependence events processed (dynamic edges).
-        self.edges_profiled = 0
+        self.names = names
+        self.deferred: list | None = None
+        #: Dependence events processed (dynamic edges), by kind.
+        self.events = {kind: 0 for kind in DepKind}
         #: Construct profiles touched (tree-walk steps that updated).
         self.updates = 0
 
+    @property
+    def edges_profiled(self) -> int:
+        """Dynamic edges processed (deferred pairs excluded)."""
+        return sum(self.events.values())
+
     def profile_edge(self, head_pc: int, head_node: ConstructNode,
                      head_time: int, tail_pc: int, tail_time: int,
-                     kind: DepKind,
-                     name_of: Callable[[], str]) -> int:
-        """Record one dynamic dependence; returns #profiles updated.
-
-        ``name_of`` lazily resolves the conflicting address to a symbol —
-        it is only called when a static edge is seen for the first time.
-        """
-        self.edges_profiled += 1
+                     kind: DepKind, addr: int) -> int:
+        """Record one dynamic dependence on ``addr``; returns #profiles
+        updated (0 for a deferred pair)."""
+        if head_node is BOUNDARY:
+            self.deferred.append((kind, addr, head_pc, head_time, tail_pc,
+                                  tail_time, self.names(addr)))
+            return 0
+        self.events[kind] += 1
+        node = head_node
+        if node is None or not node.t_enter <= head_time <= node.t_exit:
+            return 0  # the head's construct is still active
+        key = (head_pc, tail_pc, kind)
         tdep = tail_time - head_time
         profiles = self.store.profiles
+        name = None
         updated = 0
-        node = head_node
-        while node is not None and node.t_enter <= head_time <= node.t_exit:
-            profile = profiles.get(node.static.pc)
+        while True:
+            static = node.static
+            profile = profiles.get(static.pc)
             if profile is None:
-                profile = self.store.get_or_create(node.static)
-            key = (head_pc, tail_pc, kind)
-            stats = profile.edges.get(key)
+                profile = self.store.get_or_create(static)
+            edges = profile.edges
+            stats = edges.get(key)
             if stats is None:
-                profile.edges[key] = EdgeStats(head_pc, tail_pc, kind,
-                                               tdep, 1, name_of(),
-                                               first_t=tail_time)
+                if name is None:
+                    name = self.names(addr)
+                edges[key] = EdgeStats(head_pc, tail_pc, kind, tdep, 1,
+                                       name, first_t=tail_time)
             else:
-                stats.observe(tdep)
+                stats.count += 1
+                if tdep < stats.min_tdep:
+                    stats.min_tdep = tdep
             updated += 1
             node = node.parent
+            if node is None or not node.t_enter <= head_time <= node.t_exit:
+                break
         self.updates += updated
         return updated

@@ -55,12 +55,7 @@ class ShadowMemory:
         """Record a read; returns the RAW head (the last write), if any."""
         entry = self._entries.get(addr)
         if entry is None:
-            self._entries[addr] = [None, {pc: (node, timestamp)}]
-            bucket = self._buckets.get(addr >> _BUCKET_BITS)
-            if bucket is None:
-                self._buckets[addr >> _BUCKET_BITS] = {addr}
-            else:
-                bucket.add(addr)
+            self.insert(addr, None, {pc: (node, timestamp)})
             return None
         entry[1][pc] = (node, timestamp)
         return entry[0]
@@ -71,28 +66,19 @@ class ShadowMemory:
         """Record a write; returns (WAW head, WAR heads by reader pc)."""
         entry = self._entries.get(addr)
         if entry is None:
-            self._entries[addr] = [(pc, node, timestamp), {}]
-            bucket = self._buckets.get(addr >> _BUCKET_BITS)
-            if bucket is None:
-                self._buckets[addr >> _BUCKET_BITS] = {addr}
-            else:
-                bucket.add(addr)
+            self.insert(addr, (pc, node, timestamp), {})
             return None, {}
         old_write, reads = entry
         entry[0] = (pc, node, timestamp)
         entry[1] = {}
         return old_write, reads
 
-    def seed_entry(self, addr: int, write: Access | None,
-                   reads: dict[int, tuple]) -> None:
-        """Install checkpointed pre-segment state for ``addr``.
-
-        Parallel segment replay seeds each tracked address with its
-        last write and per-pc reads (nodes replaced by a boundary
-        sentinel the segment tracer defers on); from then on the
-        ordinary ``on_read``/``on_write``/``clear_range`` discipline
-        applies unchanged.
-        """
+    def insert(self, addr: int, write: Access | None,
+               reads: dict[int, tuple]) -> None:
+        """Start tracking ``addr`` with the given last write and per-pc
+        reads — a first access, or checkpointed pre-segment state in
+        parallel segment replay (nodes replaced by the boundary
+        sentinel the dependence walk defers on)."""
         self._entries[addr] = [write, reads]
         bucket = self._buckets.get(addr >> _BUCKET_BITS)
         if bucket is None:

@@ -17,6 +17,8 @@ from repro.core.shadow import ShadowMemory
 from repro.runtime.memory import Memory
 from repro.runtime.tracing import Tracer
 
+_RAW, _WAR, _WAW = DepKind.RAW, DepKind.WAR, DepKind.WAW
+
 
 class AlchemistTracer(Tracer):
     """Profiles one execution; single use."""
@@ -36,15 +38,25 @@ class AlchemistTracer(Tracer):
         self.profiler = DependenceProfiler(self.store)
         self.track_war_waw = track_war_waw
         self.memory: Memory | None = None
-        self.raw_events = 0
-        self.war_events = 0
-        self.waw_events = 0
         self.final_time = 0
+
+    @property
+    def raw_events(self) -> int:
+        return self.profiler.events[DepKind.RAW]
+
+    @property
+    def war_events(self) -> int:
+        return self.profiler.events[DepKind.WAR]
+
+    @property
+    def waw_events(self) -> int:
+        return self.profiler.events[DepKind.WAW]
 
     # -- lifecycle ---------------------------------------------------------
 
     def on_start(self, program, memory: Memory) -> None:
         self.memory = memory
+        self.profiler.names = memory.addr_to_name
 
     def on_finish(self, timestamp: int) -> None:
         self.final_time = timestamp
@@ -67,32 +79,23 @@ class AlchemistTracer(Tracer):
     # -- memory events ----------------------------------------------------------
 
     def on_read(self, addr: int, pc: int, timestamp: int) -> None:
-        node = self.stack.stack[-1]
-        write = self.shadow.on_read(addr, pc, node, timestamp)
+        write = self.shadow.on_read(addr, pc, self.stack.stack[-1],
+                                    timestamp)
         if write is not None:
-            self.raw_events += 1
-            memory = self.memory
-            self.profiler.profile_edge(
-                write[0], write[1], write[2], pc, timestamp, DepKind.RAW,
-                lambda: memory.addr_to_name(addr))
+            self.profiler.profile_edge(write[0], write[1], write[2], pc,
+                                       timestamp, _RAW, addr)
 
     def on_write(self, addr: int, pc: int, timestamp: int) -> None:
-        node = self.stack.stack[-1]
-        waw_head, war_heads = self.shadow.on_write(addr, pc, node, timestamp)
+        waw_head, war_heads = self.shadow.on_write(
+            addr, pc, self.stack.stack[-1], timestamp)
         if not self.track_war_waw:
             return
-        memory = self.memory
-        if war_heads:
-            for read_pc, (read_node, read_time) in war_heads.items():
-                self.war_events += 1
-                self.profiler.profile_edge(
-                    read_pc, read_node, read_time, pc, timestamp,
-                    DepKind.WAR, lambda: memory.addr_to_name(addr))
+        edge = self.profiler.profile_edge
+        for read_pc, (read_node, read_time) in war_heads.items():
+            edge(read_pc, read_node, read_time, pc, timestamp, _WAR, addr)
         if waw_head is not None:
-            self.waw_events += 1
-            self.profiler.profile_edge(
-                waw_head[0], waw_head[1], waw_head[2], pc, timestamp,
-                DepKind.WAW, lambda: memory.addr_to_name(addr))
+            edge(waw_head[0], waw_head[1], waw_head[2], pc, timestamp,
+                 _WAW, addr)
 
     def on_frame_free(self, lo: int, hi: int) -> None:
         self.shadow.clear_range(lo, hi)

@@ -20,7 +20,6 @@ mis-pairing across a sampling gap)?
 
 from __future__ import annotations
 
-import weakref
 from typing import TYPE_CHECKING
 
 from repro.analysis.callgraph import recursive_functions
@@ -248,18 +247,16 @@ def analyze_program(program: ProgramIR,
     return report
 
 
-_CACHE: "weakref.WeakKeyDictionary[ProgramIR, StaticDepReport]" = \
-    weakref.WeakKeyDictionary()
-
-
 def report_for(program: ProgramIR,
                telemetry: "Telemetry | NullTelemetry | None" = None,
                ) -> StaticDepReport:
-    """Memoized :func:`analyze_program`, keyed by program identity —
-    every analysis pass over the same compiled program shares one
-    static report."""
-    report = _CACHE.get(program)
-    if report is None:
+    """Memoized :func:`analyze_program` — every analysis pass over the
+    same compiled program shares one static report. The memo lives on
+    the program (``ProgramIR.memo``), so the report is freed with it; a
+    weak-keyed table would pin both, since the report refers back to
+    its program."""
+    report = program.memo.get("static_report")
+    if not isinstance(report, StaticDepReport):
         report = analyze_program(program, telemetry)
-        _CACHE[program] = report
+        program.memo["static_report"] = report
     return report

@@ -305,9 +305,8 @@ class V2Decoder:
     start at a mid-file block boundary (parallel segment replay).
     ``block_hook``, if set, is called right before each block header is
     read as ``hook(offset, records, time, prev_a, prev_b)`` — the exact
-    state a checkpoint at that boundary must capture; the shard scanner
-    uses it to checkpoint traces that were recorded without embedded
-    checkpoints.
+    state a checkpoint in that block must capture; the shard scanner
+    uses it to build checkpoints.
     """
 
     def __init__(self, handle: BinaryIO, path: str,

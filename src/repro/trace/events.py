@@ -80,13 +80,11 @@ EV_WRITE = 6    #: a = address, b = pc
 EV_ALLOC = 7    #: a = block base, b = size
 EV_FREE = 8     #: a = range lo, b = range length (hi - lo); no timestamp
 EV_FINISH = 9   #: end of event stream
-#: Shard seam marker (v2 only): a = checkpoint ordinal. The marker is
-#: the last record of its compressed block; the matching snapshot —
-#: frame stack, construct stack, shadow memory, heap layout, codec
-#: deltas, and the absolute file offset of the next block — rides in
-#: the footer's ``checkpoints`` table so parallel replay can seek
-#: straight to the seam and resume decoding mid-file. Replay dispatch
-#: ignores the marker; it carries no analysis-visible information.
+#: Shard seam marker (v2, a = checkpoint ordinal) written by older
+#: recorders, which also embedded the matching snapshot in the footer.
+#: Still read — replay dispatch ignores it and the seam scan counts it
+#: as an ordinary event — but never written: seams now live only in
+#: the scan-built ``.ckpt`` sidecar (:mod:`repro.trace.shards`).
 EV_CHECKPOINT = 10
 
 EVENT_NAMES = {
@@ -161,11 +159,6 @@ class TraceFooter:
     output: list[list[int]] = field(default_factory=list)
     events: int = 0
     final_time: int = 0
-    #: Checkpoint snapshots (JSON payloads, one per CHECKPOINT marker
-    #: in the event stream, in stream order) — see
-    #: :mod:`repro.trace.shards` for the payload schema. Empty for
-    #: traces recorded without checkpointing and for v1 traces.
-    checkpoints: list[dict] = field(default_factory=list)
 
     def to_bytes(self) -> bytes:
         payload = json.dumps(self.__dict__, separators=(",", ":"))
@@ -175,6 +168,9 @@ class TraceFooter:
     def from_bytes(cls, blob: bytes) -> "TraceFooter":
         try:
             data = json.loads(zlib.decompress(blob))
+            # Older recorders embedded a shard-seam table here; seams
+            # now come only from the .ckpt sidecar scan.
+            data.pop("checkpoints", None)
             return cls(**data)
         except (zlib.error, ValueError, TypeError) as exc:
             raise TraceError(f"corrupt trace footer: {exc}") from exc

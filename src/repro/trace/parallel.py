@@ -307,8 +307,9 @@ def parallel_replay(path: str | os.PathLike,
     workers; falls back to one serial pass when sharding cannot help
     (and says so in the outcome).
 
-    ``interval`` overrides the scan checkpoint interval for traces
-    recorded without embedded seams; ``plugin_modules`` are imported
+    ``interval`` asks for seams that many events apart (default: the
+    trace's existing ``.ckpt`` sidecar at any interval, else a scan at
+    the default interval); ``plugin_modules`` are imported
     in each worker before analyses resolve (the registry of a spawned
     process only knows the builtins). With an enabled ``telemetry``
     the coordinator opens a ``replay.parallel`` span and stitches each
@@ -317,7 +318,6 @@ def parallel_replay(path: str | os.PathLike,
     (default: auto, see :func:`repro.trace.columnar.columnar_enabled`).
     """
     from repro.telemetry import as_telemetry
-    from repro.trace.shards import DEFAULT_CHECKPOINT_INTERVAL
 
     path = os.fspath(path)
     names = parse_spec(analyses)
@@ -341,9 +341,7 @@ def parallel_replay(path: str | os.PathLike,
                 "analysis without segment support: "
                 + ", ".join(unsupported), tm, columnar)
         with tm.span("replay.plan"):
-            plan = plan_shards(path, jobs,
-                               interval=(interval if interval
-                                         else DEFAULT_CHECKPOINT_INTERVAL),
+            plan = plan_shards(path, jobs, interval=interval,
                                allow_scan=allow_scan)
         coord.set(segments=len(plan.segments), seams=plan.source)
         if not plan.is_parallel:

@@ -22,6 +22,7 @@ Error handling contract (exercised by the format tests):
 
 from __future__ import annotations
 
+import itertools
 import os
 from typing import BinaryIO, Iterator
 
@@ -156,7 +157,8 @@ class TraceReader:
 
         ``offset`` must be a block boundary (v2) or a record boundary
         (v1) and ``codec_state`` the decoder state a checkpoint
-        captured there ({"time": ..., "prev": {...}}); anything else
+        captured there ({"time": ..., "prev": {...}}, plus ``"skip"``
+        records to drop for a seam inside the v2 block); anything else
         desynchronizes the delta decoding. The caller owns termination
         — this iterator neither stops at the next checkpoint nor reads
         the footer (segment drivers consume exactly their slice; the
@@ -168,7 +170,8 @@ class TraceReader:
                                columnar=(self.version != TRACE_VERSION_V1
                                          and columnar_enabled(columnar)))
         self.decoder = decoder
-        return decoder.events()
+        skip = (codec_state or {}).get("skip", 0)
+        return itertools.islice(decoder.events(), skip, None)
 
     def batches_from(self, offset: int,
                      codec_state: dict | None = None
@@ -183,11 +186,8 @@ class TraceReader:
         decoder = make_decoder(self.version, self._handle, self.path,
                                state=codec_state, columnar=True)
         self.decoder = decoder
-        return decoder.batches()
-
-    def checkpoints(self) -> list[dict]:
-        """Checkpoint payloads embedded in the footer (may be empty)."""
-        return list(self.read_footer().checkpoints)
+        return _skip_rows(decoder.batches(),
+                          (codec_state or {}).get("skip", 0))
 
     def read_footer(self) -> TraceFooter:
         """Footer without streaming events (located from the file end)."""
@@ -222,3 +222,17 @@ class TraceReader:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _skip_rows(batches: Iterator[EventBatch],
+               skip: int) -> Iterator[EventBatch]:
+    """Drop the first ``skip`` rows of a batch stream (a seam inside
+    the first block)."""
+    for batch in batches:
+        if skip:
+            if skip >= len(batch):
+                skip -= len(batch)
+                continue
+            batch = batch.slice(skip, len(batch))
+            skip = 0
+        yield batch

@@ -18,18 +18,23 @@ streamed every earlier event:
   pc since that write, per tracked address, so dependence analyses
   pair cross-seam accesses exactly (attribution of those pairs is
   deferred to the merge — see ``repro.analyses.merging``);
-* **codec state** — the v2 per-type deltas and the clock at the block
-  boundary, plus the absolute file offset of the next block, so a
-  reader seeks straight to the seam (`TraceReader.events_from`).
+* **codec state** — the absolute file offset of the v2 block holding
+  the seam (of the next record for v1), that block's starting per-type
+  deltas and — for a seam inside the block — its starting clock and
+  the count of records before the seam, so a reader seeks straight to
+  the seam (`TraceReader.events_from`). Seams therefore land at any
+  event, not only where the recorder happened to cut a block.
 
-The writer embeds checkpoints while recording (every
-``checkpoint_interval`` events it emits an ``EV_CHECKPOINT`` marker,
-flushes the current block and snapshots its mirror; payloads ride in
-the footer's ``checkpoints`` table). Traces recorded without them — v1
-traces, or v2 with ``--checkpoints 0`` — are checkpointed after the
-fact by :func:`build_checkpoints`, one serial scan that drives the
-same :class:`CheckpointBuilder` from the decoded stream (cached in a
-``.ckpt`` sidecar so repeated parallel replays pay it once).
+There is one seam source: :func:`build_checkpoints`, a serial scan of
+the finished trace that drives a :class:`CheckpointBuilder` from the
+decoded stream, cached in an atomic ``.ckpt`` sidecar by
+:func:`load_or_build_checkpoints` so repeated parallel replays pay it
+once. The recorder keeps no seam state (every record would pay for a
+mirror that only parallel replay reads); the first parallel plan
+builds the sidecar, or ``record --checkpoints N`` prebuilds it. Traces
+from older recorders may still carry ``EV_CHECKPOINT`` markers and a
+footer seam table: the markers scan as ordinary events and the table
+is ignored.
 
 :func:`plan_shards` turns a trace plus a worker count into a list of
 :class:`Segment`\\ s — (checkpoint, end index) pairs that partition the
@@ -49,14 +54,16 @@ from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH,
                                 RECORD_SIZE, TRACE_VERSION_V2, TraceError)
 from repro.trace.reader import TraceReader
 
-#: Events between writer-embedded checkpoints (and the scan default).
+#: Events between scan-built checkpoints unless the caller asks for
+#: another interval.
 DEFAULT_CHECKPOINT_INTERVAL = 50_000
 
 #: Sidecar filename suffix for scan-built checkpoints.
 SIDECAR_SUFFIX = ".ckpt"
 
-#: Schema tag inside sidecar files (bump when the payload changes).
-_SIDECAR_SCHEMA = 1
+#: Schema tag inside sidecar files (bump when the payload changes;
+#: 2 added mid-block v2 seams).
+_SIDECAR_SCHEMA = 2
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +102,9 @@ class Checkpoint:
             raise TraceError(f"corrupt checkpoint payload: {exc}") from exc
 
     def decoder_state(self) -> dict:
-        """What ``TraceReader.events_from`` needs at this seam."""
+        """What ``TraceReader.events_from`` needs at this seam (a
+        mid-block seam's codec carries the block's own ``time`` and
+        the ``skip`` count, which override the seam clock)."""
         return {"time": self.time, **self.codec}
 
     def shadow_entries(self):
@@ -119,7 +128,7 @@ def genesis_checkpoint(events_start: int) -> Checkpoint:
 class MemoryMirror:
     """Frame and heap bookkeeping of :class:`Memory`, minus the cells.
 
-    The writer cannot afford a full Memory (push_frame zeroes cells),
+    The scan cannot afford a full Memory (push_frame zeroes cells),
     and a checkpoint never needs values — only layout. The allocation
     decisions here must match ``Memory.heap_alloc``/``heap_free``
     *bit-for-bit* (same-size recycling pops the most recent free, else
@@ -194,8 +203,7 @@ class MemoryMirror:
 class CheckpointBuilder:
     """Replays the event stream into checkpointable state.
 
-    Fed one event at a time — by the :class:`TraceWriter` as it
-    records, or by :func:`build_checkpoints` as it scans — and mirrors
+    Fed one event at a time by :func:`build_checkpoints`, it mirrors
     exactly what :class:`repro.trace.replay.ReplayEngine` would do with
     the same events: frames push before / pop after their events, heap
     blocks allocate and recycle deterministically, the execution index
@@ -348,7 +356,7 @@ def snapshot_memory(memory, header) -> Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# Scan-building checkpoints for traces recorded without them
+# Scan-building checkpoints (the one seam source)
 # ---------------------------------------------------------------------------
 
 def _sparse_prev(prev_a: list[int], prev_b: list[int]) -> dict:
@@ -359,9 +367,9 @@ def _sparse_prev(prev_a: list[int], prev_b: list[int]) -> dict:
 def build_checkpoints(path: str | os.PathLike,
                       interval: int = DEFAULT_CHECKPOINT_INTERVAL
                       ) -> list[Checkpoint]:
-    """One serial scan producing checkpoints roughly every ``interval``
-    events: at block boundaries for v2, at exact record boundaries for
-    v1 (fixed records make every index seekable)."""
+    """One serial scan producing a checkpoint every ``interval``
+    events. v1 seams are record offsets; a v2 seam is the offset of
+    the block holding it plus the records to skip inside that block."""
     from repro.ir.lowering import compile_source
 
     if interval <= 0:
@@ -375,25 +383,30 @@ def build_checkpoints(path: str | os.PathLike,
                                     header.heap_base)
         last_index = 0
         if reader.version == TRACE_VERSION_V2:
-            pending: dict = {}
+            block: dict = {}
 
             def hook(offset, records, time, prev_a, prev_b):
-                pending["offset"] = offset
-                pending["records"] = records
-                pending["prev"] = _sparse_prev(prev_a, prev_b)
+                block.update(offset=offset, records=records, time=time,
+                             prev=_sparse_prev(prev_a, prev_b))
 
-            # The scan rides the batch decoder: a checkpoint is only
-            # ever eligible at a block boundary (``pending["records"]``
-            # can equal ``builder.index`` nowhere else), so checking
-            # once per batch is exactly the per-event check.
+            # The scan rides the batch decoder and cuts each block at
+            # its seams, so the per-event work stays ``apply`` alone.
             apply = builder.apply
             for batch in reader.batches(block_hook=hook):
-                if (pending and pending["records"] == builder.index
-                        and builder.index - last_index >= interval):
-                    checkpoints.append(builder.snapshot(
-                        pending["offset"], {"prev": pending["prev"]}))
+                start = block["records"]
+                pos = 0
+                while last_index + interval < start + len(batch):
+                    cut = last_index + interval - start
+                    for etype, a, b, t in batch.slice(pos, cut).rows():
+                        apply(etype, a, b, t)
+                    pos = cut
+                    codec = {"prev": block["prev"]}
+                    if cut:
+                        codec.update(time=block["time"], skip=cut)
+                    checkpoints.append(builder.snapshot(block["offset"],
+                                                        codec))
                     last_index = builder.index
-                for etype, a, b, t in batch.rows():
+                for etype, a, b, t in batch.slice(pos, len(batch)).rows():
                     apply(etype, a, b, t)
         else:
             start = reader.events_start
@@ -410,67 +423,77 @@ def _sidecar_path(path: str) -> str:
     return path + SIDECAR_SUFFIX
 
 
-def probe_sidecar(path: str | os.PathLike) -> dict | None:
-    """Non-destructively inspect the ``.ckpt`` sidecar of ``path``.
-
-    Returns ``{"checkpoints": N, "interval": I}`` when a sidecar exists
-    and still matches the trace (same schema, size, digest and sampling
-    — any ``interval`` is accepted, since ``info`` reports what is
-    cached rather than demanding a particular stride), else ``None``:
-    missing, stale or torn sidecars all read as "no cached seams",
-    exactly as the loader would treat them.
-    """
-    path = os.fspath(path)
-    side = _sidecar_path(path)
-    if not os.path.exists(side):
-        return None
+def _read_sidecar(path: str, interval: int | None) -> dict | None:
+    """The sidecar's JSON if it still matches the trace (same schema,
+    size, header digest and sampling) and, when ``interval`` is given,
+    was built at that interval; missing, stale or torn sidecars all
+    read as ``None``."""
     try:
         size = os.path.getsize(path)
         with TraceReader(path) as reader:
-            digest = reader.header.digest
-            sampling = reader.header.sampling
-        with open(side) as handle:
+            key = {"schema": _SIDECAR_SCHEMA, "size": size,
+                   "digest": reader.header.digest,
+                   "sampling": reader.header.sampling}
+        with open(_sidecar_path(path)) as handle:
             data = json.load(handle)
-        key = {"schema": _SIDECAR_SCHEMA, "size": size,
-               "digest": digest, "sampling": sampling}
-        if not all(data.get(k) == v for k, v in key.items()):
+        if not (isinstance(data, dict)
+                and isinstance(data.get("checkpoints"), list)):
             return None
-        return {"checkpoints": len(data["checkpoints"]),
-                "interval": data.get("interval")}
-    except (OSError, ValueError, KeyError, TraceError):
+    except (OSError, ValueError, TraceError):
         return None
+    if interval is not None:
+        key["interval"] = interval
+    if all(data.get(k) == v for k, v in key.items()):
+        return data
+    return None
+
+
+def probe_sidecar(path: str | os.PathLike) -> dict | None:
+    """Non-destructively inspect the ``.ckpt`` sidecar of ``path``.
+
+    Returns ``{"checkpoints": N, "interval": I}`` when a valid sidecar
+    exists (at any interval), else ``None`` — exactly what the loader
+    would find.
+    """
+    data = _read_sidecar(os.fspath(path), None)
+    if data is None:
+        return None
+    return {"checkpoints": len(data["checkpoints"]),
+            "interval": data.get("interval")}
 
 
 def load_or_build_checkpoints(path: str | os.PathLike,
-                              interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-                              sidecar: bool = True) -> list[Checkpoint]:
+                              interval: int | None = None,
+                              build: bool = True) -> list[Checkpoint]:
     """Scan-built checkpoints with a ``.ckpt`` sidecar cache.
 
-    The cache is keyed on the trace's size and header digest (plus the
-    interval), so a re-recorded file never resurrects stale seams.
-    Sidecar I/O failures degrade to scanning — never to an error.
+    A valid sidecar is used as is when ``interval`` is None (whatever
+    interval built it) or equals its interval. Otherwise, unless
+    ``build`` is off, the trace is scanned at ``interval`` (default
+    :data:`DEFAULT_CHECKPOINT_INTERVAL`) and the sidecar replaced. The
+    cache is keyed on the trace's size and header digest, so a
+    re-recorded file never resurrects stale seams; sidecar I/O
+    failures degrade to scanning, never to an error.
     """
     path = os.fspath(path)
-    size = os.path.getsize(path)
-    with TraceReader(path) as reader:
-        digest = reader.header.digest
-        sampling = reader.header.sampling
-    key = {"schema": _SIDECAR_SCHEMA, "size": size, "digest": digest,
-           "sampling": sampling, "interval": interval}
-    side = _sidecar_path(path)
-    if sidecar and os.path.exists(side):
+    data = _read_sidecar(path, interval)
+    if data is not None:
         try:
-            with open(side) as handle:
-                data = json.load(handle)
-            if all(data.get(k) == v for k, v in key.items()):
-                return [Checkpoint.from_payload(p)
-                        for p in data["checkpoints"]]
-        except (OSError, ValueError, KeyError, TraceError):
+            return [Checkpoint.from_payload(p) for p in data["checkpoints"]]
+        except TraceError:
             pass
+    if not build:
+        return []
+    if interval is None:
+        interval = DEFAULT_CHECKPOINT_INTERVAL
     checkpoints = build_checkpoints(path, interval)
-    if sidecar:
-        _write_sidecar(side, dict(key, checkpoints=[c.to_payload()
-                                                    for c in checkpoints]))
+    with TraceReader(path) as reader:
+        header = reader.header
+    _write_sidecar(_sidecar_path(path), {
+        "schema": _SIDECAR_SCHEMA, "size": os.path.getsize(path),
+        "digest": header.digest, "sampling": header.sampling,
+        "interval": interval,
+        "checkpoints": [c.to_payload() for c in checkpoints]})
     return checkpoints
 
 
@@ -515,8 +538,8 @@ class ShardPlan:
     path: str
     version: int
     segments: list[Segment]
-    #: Where the seams came from: "embedded" (written by the recorder),
-    #: "scan" (built after the fact), or "serial" (no seams usable).
+    #: Where the seams came from: "scan" (the ``.ckpt`` sidecar, cached
+    #: or freshly built) or "serial" (no seams usable).
     source: str
     total_events: int = 0
 
@@ -526,14 +549,15 @@ class ShardPlan:
 
 
 def plan_shards(path: str | os.PathLike, jobs: int,
-                interval: int = DEFAULT_CHECKPOINT_INTERVAL,
+                interval: int | None = None,
                 allow_scan: bool = True,
                 oversubscribe: int = 2) -> ShardPlan:
     """Choose the seams for a ``jobs``-worker replay of ``path``.
 
-    Prefers checkpoints embedded at record time; otherwise scans (and
-    sidecar-caches) unless ``allow_scan`` is off. With more seams than
-    needed, every ``stride``-th one is kept, targeting about
+    Seams come from :func:`load_or_build_checkpoints`: an existing
+    sidecar at any interval unless ``interval`` asks for a specific
+    one, else a scan (skipped when ``allow_scan`` is off). With more
+    seams than needed, every ``stride``-th one is kept, targeting about
     ``jobs * oversubscribe`` segments so the pool stays busy when
     segments finish unevenly; fewer seams than workers degrades
     gracefully to fewer (possibly one) segments.
@@ -542,17 +566,13 @@ def plan_shards(path: str | os.PathLike, jobs: int,
     with TraceReader(path) as reader:
         version = reader.version
         events_start = reader.events_start
-        payloads = reader.checkpoints()
         total = reader.read_footer().events
-    source = "embedded"
-    checkpoints = [Checkpoint.from_payload(p) for p in payloads]
-    if not checkpoints and allow_scan and jobs > 1:
-        checkpoints = load_or_build_checkpoints(path, interval)
-        source = "scan"
-    if not checkpoints or jobs <= 1:
+    checkpoints = (load_or_build_checkpoints(path, interval,
+                                             build=allow_scan)
+                   if jobs > 1 else [])
+    if not checkpoints:
         return ShardPlan(
-            path=path, version=version, source=(source if checkpoints
-                                                else "serial"),
+            path=path, version=version, source="serial",
             total_events=total,
             segments=[Segment(0, genesis_checkpoint(events_start), None)])
     target = max(2, jobs * max(1, oversubscribe))
@@ -565,4 +585,4 @@ def plan_shards(path: str | os.PathLike, jobs: int,
                if ordinal + 1 < len(starts) else None)
         segments.append(Segment(ordinal, start, end))
     return ShardPlan(path=path, version=version, segments=segments,
-                     source=source, total_events=total)
+                     source="scan", total_events=total)

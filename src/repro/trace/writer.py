@@ -23,12 +23,16 @@ The header is written from :meth:`TraceWriter.on_start` (which is the
 first moment the program — and with it the function-name table and
 memory geometry — is known); the footer is written by :meth:`close`,
 which the record helpers call with the run's exit value and output.
+
+The writer keeps no shard-seam state: parallel replay's checkpoints
+come from one scan of the finished trace, cached in a ``.ckpt``
+sidecar (:mod:`repro.trace.shards`). ``record_program`` can prebuild
+that sidecar right after recording (``checkpoint_interval=N``).
 """
 
 from __future__ import annotations
 
 import os
-import time as _time
 from dataclasses import dataclass
 
 from repro.ir.cfg import ProgramIR
@@ -38,13 +42,11 @@ from repro.runtime.memory import Memory
 from repro.runtime.tracing import Tracer
 from repro.trace.codec import DEFAULT_BLOCK_BYTES, make_encoder
 from repro.trace.events import (DEFAULT_TRACE_VERSION, EV_ALLOC, EV_BLOCK,
-                                EV_BRANCH, EV_CHECKPOINT, EV_ENTER,
-                                EV_EXIT, EV_FINISH, EV_FREE, EV_READ,
-                                EV_WRITE, MAGIC, TRACE_VERSION_V2, TRAILER,
-                                TraceFooter, TraceHeader, check_u32,
-                                pack_length, pack_version, source_digest)
-from repro.trace.shards import (DEFAULT_CHECKPOINT_INTERVAL,
-                                CheckpointBuilder)
+                                EV_BRANCH, EV_ENTER, EV_EXIT, EV_FINISH,
+                                EV_FREE, EV_READ, EV_WRITE, MAGIC,
+                                TRAILER, TraceFooter, TraceHeader,
+                                check_u32, pack_length, pack_version,
+                                source_digest)
 
 
 class TraceWriter(Tracer):
@@ -67,21 +69,13 @@ class TraceWriter(Tracer):
         policy's job, via :class:`repro.sampling.SampledTracer`).
     block_bytes:
         v2 only: uncompressed bytes buffered per compressed block.
-    checkpoint_interval:
-        v2 only: emit a CHECKPOINT shard seam roughly every this many
-        events (``repro.trace.shards``). 0 disables checkpointing;
-        ``None`` uses :data:`DEFAULT_CHECKPOINT_INTERVAL`. Maintaining
-        the snapshot mirror costs roughly one extra dict operation per
-        event; v1 recordings never checkpoint (the scan builder covers
-        them after the fact).
     """
 
     def __init__(self, path: str | os.PathLike, source: str,
                  filename: str = "<input>", *,
                  version: int = DEFAULT_TRACE_VERSION,
                  sampling: str = "full",
-                 block_bytes: int = DEFAULT_BLOCK_BYTES,
-                 checkpoint_interval: int | None = None):
+                 block_bytes: int = DEFAULT_BLOCK_BYTES):
         self.path = os.fspath(path)
         self.source = source
         self.filename = filename
@@ -90,16 +84,6 @@ class TraceWriter(Tracer):
         self.events = 0
         self.final_time = 0
         self.closed = False
-        if checkpoint_interval is None:
-            checkpoint_interval = DEFAULT_CHECKPOINT_INTERVAL
-        if checkpoint_interval < 0:
-            raise ValueError(f"checkpoint_interval must be >= 0, "
-                             f"got {checkpoint_interval}")
-        self.checkpoint_interval = (checkpoint_interval
-                                    if version == TRACE_VERSION_V2 else 0)
-        self._builder: CheckpointBuilder | None = None
-        self._checkpoints: list[dict] = []
-        self._last_checkpoint_index = 0
         self._encoder = make_encoder(version, block_bytes)
         self._handle = open(self.path, "wb")
         self._last_time = 0
@@ -125,9 +109,6 @@ class TraceWriter(Tracer):
         self._handle.write(pack_version(self.version))
         self._handle.write(pack_length(len(blob)))
         self._handle.write(blob)
-        if self.checkpoint_interval:
-            self._builder = CheckpointBuilder(program, functions,
-                                              memory.heap_base)
 
     def on_finish(self, timestamp: int) -> None:
         self.final_time = timestamp
@@ -146,7 +127,6 @@ class TraceWriter(Tracer):
             output=[list(values) for values in (output or [])],
             events=self.events,
             final_time=self.final_time,
-            checkpoints=self._checkpoints,
         )
         blob = footer.to_bytes()
         handle.write(blob)
@@ -201,33 +181,8 @@ class TraceWriter(Tracer):
         encoder = self._encoder
         encoder.add(etype, a, b, delta)
         self.events += 1
-        builder = self._builder
-        if builder is not None:
-            builder.apply(etype, a, b, timestamp)
-            if (builder.index - self._last_checkpoint_index
-                    >= self.checkpoint_interval and etype != EV_FINISH):
-                self._take_checkpoint()
-                return
         if encoder.pending() >= encoder.flush_bytes:
             self._handle.write(encoder.take())
-
-    def _take_checkpoint(self) -> None:
-        """Emit a CHECKPOINT marker, seal the block, snapshot the seam.
-
-        The marker is the last record of the flushed block, so the
-        stored offset (taken after the flush) is exactly where the
-        next block — the first record of the next segment — begins.
-        """
-        builder = self._builder
-        encoder = self._encoder
-        ordinal = len(self._checkpoints)
-        encoder.add(EV_CHECKPOINT, ordinal, 0, 0)
-        self.events += 1
-        builder.apply(EV_CHECKPOINT, ordinal, 0, self._last_time)
-        self._handle.write(encoder.take())
-        checkpoint = builder.snapshot(self._handle.tell(), encoder.state())
-        self._checkpoints.append(checkpoint.to_payload())
-        self._last_checkpoint_index = builder.index
 
 
 @dataclass
@@ -244,7 +199,8 @@ class RecordResult:
     #: under ("full" = unsampled).
     version: int = DEFAULT_TRACE_VERSION
     sampling: str = "full"
-    #: Checkpoint shard seams embedded in the trace.
+    #: Shard seams prebuilt into the ``.ckpt`` sidecar
+    #: (``checkpoint_interval > 0``); 0 = built on first parallel plan.
     checkpoints: int = 0
 
 
@@ -253,7 +209,7 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
                    max_steps: int = DEFAULT_MAX_STEPS,
                    version: int = DEFAULT_TRACE_VERSION,
                    sampling=None,
-                   checkpoint_interval: int | None = None,
+                   checkpoint_interval: int = 0,
                    telemetry=None) -> RecordResult:
     """Run ``program`` under a :class:`TraceWriter`; returns the summary.
 
@@ -261,20 +217,23 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
     embedded in the trace and recompiled at replay time. ``sampling``
     accepts a spec string (``"interval:100"``) or an instantiated
     :class:`repro.sampling.SamplingPolicy`; memory events the policy
-    drops never reach the file. ``checkpoint_interval`` embeds shard
-    seams for parallel replay (v2; 0 disables, None = default).
-    ``telemetry`` wraps the run in a ``record`` span with writer and
-    sampling-gate counters (tallies the stage keeps anyway — nothing
-    is added per event).
+    drops never reach the file. ``checkpoint_interval > 0`` scans the
+    finished trace into its ``.ckpt`` shard-seam sidecar, one seam
+    every that many events (0: parallel replay builds it on
+    first use). ``telemetry`` wraps the run in a ``record`` span with
+    writer and sampling-gate counters (tallies the stage keeps anyway
+    — nothing is added per event).
     """
     from repro.sampling import SampledTracer, as_policy
     from repro.telemetry import as_telemetry, get_logger
 
+    if checkpoint_interval < 0:
+        raise ValueError(f"checkpoint_interval must be >= 0, "
+                         f"got {checkpoint_interval}")
     tm = as_telemetry(telemetry)
     policy = as_policy(sampling)
     writer = TraceWriter(path, source, filename, version=version,
-                         sampling=policy.spec,
-                         checkpoint_interval=checkpoint_interval)
+                         sampling=policy.spec)
     tracer = (writer if policy.is_full
               else SampledTracer(policy, writer, telemetry=tm))
     with tm.span("record", file=filename, version=version,
@@ -287,10 +246,16 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
             raise
         writer.close(exit_value, interp.output)
     trace_bytes = os.path.getsize(writer.path)
-    span.set(events=writer.events, checkpoints=len(writer._checkpoints))
+    checkpoints = 0
+    if checkpoint_interval:
+        from repro.trace.shards import load_or_build_checkpoints
+
+        with tm.span("record.seams", interval=checkpoint_interval):
+            checkpoints = len(load_or_build_checkpoints(
+                writer.path, checkpoint_interval))
+    span.set(events=writer.events, checkpoints=checkpoints)
     tm.count("trace.events_written", writer.events)
     tm.count("trace.bytes_written", trace_bytes)
-    tm.count("trace.checkpoint_seams_written", len(writer._checkpoints))
     if not policy.is_full and tm.enabled:
         tm.count("sampling.memory_events_kept", tracer.kept)
         tm.count("sampling.memory_events_dropped", tracer.dropped)
@@ -309,7 +274,7 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
         wall_seconds=span.wall_seconds,
         version=version,
         sampling=policy.spec,
-        checkpoints=len(writer._checkpoints),
+        checkpoints=checkpoints,
     )
 
 
@@ -318,7 +283,7 @@ def record_source(source: str, path: str | os.PathLike, *,
                   max_steps: int = DEFAULT_MAX_STEPS,
                   version: int = DEFAULT_TRACE_VERSION,
                   sampling=None,
-                  checkpoint_interval: int | None = None,
+                  checkpoint_interval: int = 0,
                   telemetry=None) -> RecordResult:
     """Compile and record MiniC ``source`` into a trace at ``path``."""
     from repro.telemetry import as_telemetry

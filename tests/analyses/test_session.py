@@ -283,6 +283,26 @@ class TestSessionParallelReplay:
             assert parallel.modes[name] == "parallel"
             assert parallel[name].to_dict() == serial[name].to_dict()
 
+    def test_checkpoints_option_sets_the_seam_interval(self):
+        """The session's checkpoint interval reaches the shard planner
+        (it used to be dropped, so every session planned at the 50k
+        default — one or two segments on a small trace)."""
+        from repro.core.alchemist import ProfileOptions
+        from repro.telemetry import Telemetry
+        from repro.workloads import get
+
+        source = get("gzip", 0.2).source
+        with Session() as serial_session:
+            serial = serial_session.analyze(source, ["dep"])
+        tm = Telemetry()
+        options = ProfileOptions(trace_format=1, jobs=2, checkpoints=800)
+        with Session(options, telemetry=tm) as session:
+            report = session.analyze(source, ["dep"])
+        (coordinator,) = tm.find_spans("replay.parallel")
+        assert coordinator.attrs["segments"] > 2
+        assert report.modes["dep"] == "parallel"
+        assert report["dep"].to_dict() == serial["dep"].to_dict()
+
     def test_jobs_zero_means_auto(self):
         from repro.core.alchemist import ProfileOptions
 

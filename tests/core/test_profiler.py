@@ -36,7 +36,7 @@ class TestTableIIWalkthrough:
         b_4r = completed(4, 6, 7, parent=b_2)
         updated = profiler.profile_edge(
             head_pc=5, head_node=b_4r, head_time=6,
-            tail_pc=2, tail_time=8, kind=DepKind.RAW, name_of=lambda: "x")
+            tail_pc=2, tail_time=8, kind=DepKind.RAW, addr=0)
         assert updated == 2
         assert (5, 2, DepKind.RAW) in store.profiles[4].edges
         assert (5, 2, DepKind.RAW) in store.profiles[2].edges
@@ -48,7 +48,7 @@ class TestTableIIWalkthrough:
         profiler = DependenceProfiler(store)
         inner = active(4, 6, parent=active(1, 1))
         updated = profiler.profile_edge(5, inner, 7, 2, 9, DepKind.RAW,
-                                        lambda: "x")
+                                        0)
         assert updated == 0
         assert store.profiles == {}
 
@@ -58,9 +58,9 @@ class TestMinTdep:
         store = ProfileStore()
         profiler = DependenceProfiler(store)
         node = completed(4, 0, 100)
-        profiler.profile_edge(5, node, 10, 2, 60, DepKind.RAW, lambda: "x")
-        profiler.profile_edge(5, node, 50, 2, 55, DepKind.RAW, lambda: "x")
-        profiler.profile_edge(5, node, 20, 2, 90, DepKind.RAW, lambda: "x")
+        profiler.profile_edge(5, node, 10, 2, 60, DepKind.RAW, 0)
+        profiler.profile_edge(5, node, 50, 2, 55, DepKind.RAW, 0)
+        profiler.profile_edge(5, node, 20, 2, 90, DepKind.RAW, 0)
         edge = store.profiles[4].edges[(5, 2, DepKind.RAW)]
         assert edge.min_tdep == 5
         assert edge.count == 3
@@ -69,23 +69,23 @@ class TestMinTdep:
         store = ProfileStore()
         profiler = DependenceProfiler(store)
         node = completed(4, 0, 100)
-        profiler.profile_edge(5, node, 10, 2, 60, DepKind.RAW, lambda: "x")
-        profiler.profile_edge(5, node, 10, 2, 70, DepKind.WAW, lambda: "x")
+        profiler.profile_edge(5, node, 10, 2, 60, DepKind.RAW, 0)
+        profiler.profile_edge(5, node, 10, 2, 70, DepKind.WAW, 0)
         assert len(store.profiles[4].edges) == 2
 
     def test_name_resolved_once(self):
         store = ProfileStore()
-        profiler = DependenceProfiler(store)
         node = completed(4, 0, 100)
         calls = []
 
-        def resolver():
-            calls.append(1)
+        def resolver(addr):
+            calls.append(addr)
             return "y"
 
-        profiler.profile_edge(5, node, 10, 2, 60, DepKind.RAW, resolver)
-        profiler.profile_edge(5, node, 20, 2, 80, DepKind.RAW, resolver)
-        assert len(calls) == 1
+        profiler = DependenceProfiler(store, names=resolver)
+        profiler.profile_edge(5, node, 10, 2, 60, DepKind.RAW, 42)
+        profiler.profile_edge(5, node, 20, 2, 80, DepKind.RAW, 42)
+        assert calls == [42]
         assert store.profiles[4].edges[(5, 2, DepKind.RAW)].var_hint == "y"
 
 
@@ -101,7 +101,7 @@ class TestRecycledNodes:
         node.static = static(9)
         node.t_enter, node.t_exit = 50, 0
         updated = profiler.profile_edge(5, node, 8, 2, 60, DepKind.RAW,
-                                        lambda: "x")
+                                        0)
         assert updated == 0
 
     def test_recycled_parent_stops_walk_midway(self):
@@ -110,7 +110,7 @@ class TestRecycledNodes:
         stale_parent = completed(2, 100, 0)  # reused: entered after Th
         child = completed(4, 5, 9, parent=stale_parent)
         updated = profiler.profile_edge(5, child, 6, 2, 12, DepKind.RAW,
-                                        lambda: "x")
+                                        0)
         assert updated == 1
         assert 4 in store.profiles
         assert 2 not in store.profiles

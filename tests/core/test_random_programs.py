@@ -8,17 +8,32 @@ and any program that runs to completion — wild pointer dereferences
 and infinite loops are legitimate runtime outcomes, not failures —
 must leave the profiler in a consistent state: balanced indexing
 stack, zeroed nesting counters, allocator fully drained.
+
+The same generators also pin the dep span kernel: fused span replay,
+per-event replay, live profiling and parallel segments (kernel plus
+cross-seam deferral) must all produce the same dep profile.
 """
 
-from hypothesis import given, settings
+import os
+import tempfile
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analyses import make_analyses
+from repro.analyses.builtin import profile_summary
 from repro.analysis.constructs import ConstructTable
+from repro.core.alchemist import Alchemist, ProfileOptions
 from repro.core.tracer import AlchemistTracer
-from repro.ir.lowering import lower_program
+from repro.ir.lowering import compile_source, lower_program
 from repro.lang.errors import SemanticError
 from repro.lang.pretty import pretty_print
 from repro.runtime.errors import MiniCRuntimeError, StepLimitExceeded
 from repro.runtime.interpreter import Interpreter
+from repro.trace.parallel import parallel_replay
+from repro.trace.replay import replay_with
+from repro.trace.writer import record_program
+from repro.workloads import get
 from tests.lang.test_pretty import _programs
 
 #: Generated programs may loop forever; cap them tightly.
@@ -89,3 +104,119 @@ class TestRandomPrograms:
             return ("ok", value, interp.time, tuple(interp.output))
 
         assert run_once() == run_once()
+
+
+def _dep_digest(report) -> tuple:
+    """What every dep path must agree on: the profile summary plus the
+    dependence counters."""
+    stats = report.stats
+    return (profile_summary(report), stats.raw_events, stats.war_events,
+            stats.waw_events, stats.edges_profiled)
+
+
+def _replayed(path, program, war_waw: bool, columnar: bool):
+    """``(digest, Table II updates)`` of one serial dep replay."""
+    analyses = make_analyses(["dep"], {"dep": {"track_war_waw": war_waw}})
+    outcome = replay_with(path, analyses, program, columnar=columnar)
+    return (_dep_digest(outcome.reports["dep"].payload),
+            analyses[0].tracer.profiler.updates)
+
+
+def _parallel_digests(path, war_waw: bool, interval: int) -> list:
+    digests = []
+    for jobs in (2, 7):
+        outcome = parallel_replay(
+            path, ["dep"], jobs=jobs, interval=interval, columnar=True,
+            options={"dep": {"track_war_waw": war_waw}})
+        assert outcome.mode == "parallel", outcome.fallback_reason
+        digests.append(_dep_digest(outcome.reports["dep"].payload))
+    return digests
+
+
+#: Loop-body statement templates for :func:`_loop_programs`: global
+#: and heap array traffic at varied strides, a call that writes
+#: globals, a conditional store and a nested loop, so RAW/WAR/WAW pairs
+#: of every distance reach the dep walk (the AST fuzzer's programs that
+#: run to completion are mostly a handful of events).
+_STATEMENTS = (
+    "g{a}[(i + {c}) % 16] = g{b}[(i + {d}) % 16] + s;",
+    "s = s + g{a}[(i * {c}) % 16];",
+    "if (i % {m} == 0) {{ g{a}[(i + {c}) % 16] = s; }}",
+    "s = s + f(i + {c});",
+    "for (int j = 0; j < {m}; j++) {{ "
+    "g{a}[(i + j) % 16] = g{b}[(j + {c}) % 16] + 1; }}",
+    "h[(i + {c}) % 8] = g{a}[i % 16] + h[(i + {d}) % 8];",
+)
+
+
+@st.composite
+def _loop_programs(draw) -> str:
+    body = []
+    for template in draw(st.lists(st.sampled_from(_STATEMENTS),
+                                  min_size=1, max_size=6)):
+        body.append(template.format(
+            a=draw(st.integers(0, 1)), b=draw(st.integers(0, 1)),
+            c=draw(st.integers(0, 20)), d=draw(st.integers(0, 20)),
+            m=draw(st.integers(1, 5))))
+    trips = draw(st.integers(1, 30))
+    return (
+        "int g0[16];\nint g1[16];\n"
+        "int f(int x) {\n"
+        "    g0[x % 16] = g1[(x + 3) % 16] + x;\n"
+        "    return g0[(x + 1) % 16];\n}\n"
+        "int main() {\n    int s = 0;\n"
+        f"    for (int i = 0; i < {trips}; i++) {{\n"
+        "        int *h = malloc(8);\n"
+        + "".join(f"        {line}\n" for line in body)
+        + "        free(h);\n    }\n    print(s);\n    return 0;\n}\n")
+
+
+class TestDepKernelEquivalence:
+    """Span-kernel replay == per-event replay == live == parallel at 2
+    and 7 jobs, on random programs, with and without WAR/WAW."""
+
+    @given(st.one_of(_programs.map(pretty_print), _loop_programs()),
+           st.booleans())
+    @settings(max_examples=16, deadline=None)
+    def test_every_dep_path_agrees(self, source, war_waw):
+        try:
+            program = compile_source(source)
+        except SemanticError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.trace")
+            try:
+                recorded = record_program(program, path, source=source,
+                                          max_steps=STEP_CAP)
+            except (MiniCRuntimeError, StepLimitExceeded):
+                return
+            kernel = _replayed(path, program, war_waw, columnar=True)
+            assert _replayed(path, program, war_waw,
+                             columnar=False) == kernel
+
+            live = AlchemistTracer(ConstructTable(program),
+                                   track_war_waw=war_waw)
+            Interpreter(program, live, max_steps=STEP_CAP).run()
+            assert live.profiler.updates == kernel[1]
+            report = Alchemist(ProfileOptions(
+                track_war_waw=war_waw, max_steps=STEP_CAP)).profile(
+                    program=program)
+            assert _dep_digest(report) == kernel[0]
+
+            interval = max(1, recorded.events // 6)
+            for digest in _parallel_digests(path, war_waw, interval):
+                assert digest == kernel[0]
+
+    def test_sampled_trace_agrees(self, tmp_path):
+        """A sampled stream re-pairs accesses with stale writers; every
+        replay path must still re-pair them identically."""
+        workload = get("wordcount", 0.3)
+        program = compile_source(workload.source)
+        path = str(tmp_path / "sampled.trace")
+        recorded = record_program(program, path, source=workload.source,
+                                  sampling="burst:40/100")
+        kernel = _replayed(path, program, True, columnar=True)
+        assert _replayed(path, program, True, columnar=False) == kernel
+        for digest in _parallel_digests(path, True,
+                                        recorded.events // 10):
+            assert digest == kernel[0]

@@ -280,3 +280,17 @@ class TestAdvisorConfidence:
         for entry in result.data["candidates"] + result.data["skipped"]:
             assert entry["confidence"] in ("must", "may")
         assert "confidence]" in result.text
+
+
+def test_memoized_report_does_not_pin_its_program():
+    """The memo must not outlive the program: every profiled run
+    compiles a fresh program, so a pinned one leaks per run."""
+    import gc
+    import weakref
+
+    program = compile_source(ACC_LOOP)
+    assert report_for(program) is report_for(program)
+    alive = weakref.ref(program)
+    del program
+    gc.collect()
+    assert alive() is None

@@ -63,6 +63,29 @@ class TestInfoVerb:
         assert main(["info", out_path]) == 0
         assert "sampling:   interval:5" in capsys.readouterr().out
 
+    def test_info_before_any_seams(self, trace_file, capsys):
+        capsys.readouterr()
+        assert main(["info", trace_file]) == 0
+        out = capsys.readouterr().out
+        assert "checkpoints:none yet — built on first parallel replay" \
+            in out
+        assert "checkpoint=" not in out
+
+    def test_info_after_prebuilt_seams(self, prog_file, tmp_path, capsys):
+        out_path = str(tmp_path / "seamed.trace")
+        assert main(["record", prog_file, "-o", out_path,
+                     "--checkpoints", "50"]) == 0
+        recorded = capsys.readouterr().out
+        from repro.trace.shards import probe_sidecar
+
+        seams = probe_sidecar(out_path)["checkpoints"]
+        assert seams > 0
+        assert f"{seams} checkpoint(s) prebuilt" in recorded
+        assert main(["info", out_path]) == 0
+        out = capsys.readouterr().out
+        assert (f"checkpoints:{seams} shard seam(s), 50 events apart, "
+                "cached in the .ckpt sidecar") in out
+
     def test_info_missing_file_exit2(self, capsys):
         assert main(["info", "/nonexistent/x.trace"]) == 2
         err = capsys.readouterr().err

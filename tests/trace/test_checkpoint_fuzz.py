@@ -1,19 +1,21 @@
 """Randomized fuzz for checkpoint placement and reconstruction.
 
-Two independent oracles, checked at *every* checkpoint of randomly
-checkpointed traces:
+Two independent oracles, checked at *every* scan-built checkpoint (the
+``.ckpt`` sidecar, the only seam source) of randomly checkpointed
+traces:
 
 * **stream resumption** — decoding from the checkpoint's offset with
-  its codec state must reproduce, record for record, the tail of a
-  serial decode paused at the same event index (this pins the v2
-  delta/clock seeding and the v1 offset arithmetic);
+  its codec state must reproduce, record for record and in both the
+  scalar and the batch flavour, the tail of a serial decode paused at
+  the same event index (this pins the v2 delta/clock seeding, the
+  in-block skip of mid-block seams, and the v1 offset arithmetic);
 * **state reconstruction** — memory rebuilt via
   :func:`restore_memory` must equal a reference built by replaying
   the event prefix through the *real* :class:`Memory` (frames, stack
   top, heap blocks and free lists, allocation registry, popped-frame
   marker), and the checkpointed shadow/construct stacks must equal
   reference copies built with the real ShadowMemory/IndexingStack —
-  catching any drift between the writer's lightweight mirror and the
+  catching any drift between the scan's lightweight mirror and the
   semantics replay actually applies.
 
 Sources of randomness: bundled workloads under random checkpoint
@@ -40,7 +42,8 @@ from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH,
                                 EV_CHECKPOINT, EV_ENTER, EV_EXIT,
                                 EV_FINISH, EV_FREE, EV_READ, EV_WRITE)
 from repro.trace.reader import TraceReader
-from repro.trace.shards import Checkpoint, restore_memory
+from repro.trace.events import TRACE_VERSION_V2
+from repro.trace.shards import load_or_build_checkpoints, restore_memory
 from repro.trace.writer import record_source
 from repro.workloads import get
 from tests.lang.test_pretty import _programs
@@ -112,19 +115,17 @@ def _shadow_fingerprint(shadow: ShadowMemory):
 
 
 def _verify_trace(path):
-    """Assert both oracles at every embedded or scan-built checkpoint."""
+    """Assert both oracles at every checkpoint of the trace's sidecar
+    (prebuilt by ``record_source(checkpoint_interval=...)``, else
+    scanned here at a fifth of the trace)."""
     with TraceReader(path) as reader:
         header = reader.header
         program = compile_source(header.source, header.filename)
         serial_events = list(reader.events())
-        payloads = reader.checkpoints()
-        if not payloads:
-            from repro.trace.shards import build_checkpoints
-
-            checkpoints = build_checkpoints(
+        checkpoints = load_or_build_checkpoints(path)
+        if len(checkpoints) < 2:
+            checkpoints = load_or_build_checkpoints(
                 path, interval=max(1, len(serial_events) // 5))
-        else:
-            checkpoints = [Checkpoint.from_payload(p) for p in payloads]
         assert checkpoints, "fuzz case produced no checkpoints"
 
         reference = _Reference(program, header)
@@ -139,6 +140,12 @@ def _verify_trace(path):
                 checkpoint.offset, checkpoint.decoder_state()))
             assert resumed == serial_events[checkpoint.index:], \
                 f"stream diverges at checkpoint {checkpoint.index}"
+            if reader.version == TRACE_VERSION_V2:
+                rows = [row for batch in reader.batches_from(
+                            checkpoint.offset, checkpoint.decoder_state())
+                        for row in batch.rows()]
+                assert rows == serial_events[checkpoint.index:], \
+                    f"batches diverge at checkpoint {checkpoint.index}"
 
             # Oracle 2a: reconstructed memory equals the reference.
             restored = restore_memory(program, header, checkpoint)

@@ -178,16 +178,14 @@ class TestParallelReplayCli:
         capsys.readouterr()
         assert main(["info", seamed_trace]) == 0
         out = capsys.readouterr().out
-        assert "shard seam(s)" in out
-        assert "embedded in the trace footer" in out
-        assert "checkpoint=" in out  # marker records in the event counts
+        assert "shard seam(s), 40 events apart" in out
+        assert ".ckpt sidecar" in out
+        assert "checkpoint=" not in out  # no marker records are written
 
     def test_info_reports_sidecar_seams(self, minic_file, tmp_path,
                                         capsys):
-        """v1 traces have no embedded seams; once a parallel replay (or
-        direct scan) caches a .ckpt sidecar, info reports it uniformly
-        with the embedded case — same "shard seam(s)" line, different
-        origin."""
+        """Once a parallel replay (or a direct scan) caches a .ckpt
+        sidecar, info reports it the same way as a prebuilt one."""
         from repro.trace.shards import load_or_build_checkpoints
 
         out = str(tmp_path / "v1.trace")

@@ -30,7 +30,7 @@ FORMATS = (1, 2)
 #: (the hard cases for checkpointed memory reconstruction).
 WORKLOADS = {"gzip": 0.25, "wordcount": 0.6}
 
-#: Events between embedded checkpoints — small enough that every
+#: Events between prebuilt checkpoints — small enough that every
 #: bundled trace yields well over 7 segments.
 INTERVAL = 1200
 

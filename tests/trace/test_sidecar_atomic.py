@@ -29,9 +29,7 @@ int main() {
 @pytest.fixture
 def trace(tmp_path):
     path = str(tmp_path / "scan.trace")
-    # v1, no embedded seams: the scan path can cut at any record, so a
-    # small trace still yields checkpoints (v2 scans only cut at block
-    # seams, and this trace fits one block).
+    # v1 without a prebuilt sidecar: each test builds its own.
     record_source(SOURCE, path, version=1, checkpoint_interval=0)
     return path
 

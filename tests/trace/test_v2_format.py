@@ -86,24 +86,25 @@ class TestParity:
     def test_v2_is_much_smaller(self, tmp_path):
         v1 = tmp_path / "v1.trace"
         v2 = tmp_path / "v2.trace"
-        # checkpoint_interval=0: compare the bare wire formats (default
-        # checkpointing would add marker records + footer snapshots).
         r1 = record_source(LOOPY, v1, version=1)
-        r2 = record_source(LOOPY, v2, version=2, checkpoint_interval=0)
+        r2 = record_source(LOOPY, v2, version=2)
         assert r1.events == r2.events
         assert r1.trace_bytes > 5 * r2.trace_bytes
 
     def test_checkpointed_trace_still_much_smaller_than_v1(self, tmp_path):
-        """Default checkpointing (markers + footer snapshots) must not
-        eat the v2 size win."""
+        """Prebuilt seams live in the .ckpt sidecar: the trace itself
+        is byte-identical to an unseamed recording."""
         v1 = tmp_path / "v1.trace"
         v2 = tmp_path / "v2.trace"
+        bare = tmp_path / "bare.trace"
         r1 = record_source(LOOPY, v1, version=1)
         r2 = record_source(LOOPY, v2, version=2,
                            checkpoint_interval=10_000)
-        with TraceReader(str(v2)) as reader:
-            assert reader.checkpoints()
-        assert r1.trace_bytes > 3 * r2.trace_bytes
+        record_source(LOOPY, bare, version=2)
+        assert r2.checkpoints > 0
+        assert (tmp_path / "v2.trace.ckpt").exists()
+        assert v2.read_bytes() == bare.read_bytes()
+        assert r1.trace_bytes > 5 * r2.trace_bytes
 
     def test_multiple_blocks_roundtrip(self, tmp_path):
         """A tiny block size forces many blocks; decoding still matches
