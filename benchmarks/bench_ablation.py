@@ -2,15 +2,11 @@
 
 * privatization (the paper's WAR/WAW transformations) on/off in the
   futures simulation;
-* construct-pool sizing (the paper fixes 1M entries; lazy retirement
-  keeps durations and within-instance violations invariant, while a
-  larger pool observes monotonically more dependence occurrences);
 * WAR/WAW tracking on/off in the profiler (event volume).
 """
 
 from repro.bench import table5_rows
 from repro.core.alchemist import Alchemist, ProfileOptions
-from repro.core.profile_data import DepKind
 from repro.ir import compile_source
 from repro.workloads import get
 
@@ -39,75 +35,6 @@ def test_privatization_ablation(benchmark):
     # At least the stream-state-heavy benchmarks must collapse.
     assert without["bzip2"] < with_priv["bzip2"] / 1.5
     emit("ablation_privatization", "\n".join(lines))
-
-
-def test_pool_size_ablation(benchmark):
-    """Lazy retirement preserves the *profiling result* across pool
-    sizes — the paper's Theorem 1 argument. What is invariant is every
-    violation decision (an edge with ``Tdep <= Tdur`` always finds its
-    construct node alive) plus all durations and instance counts. What
-    may legitimately differ is the set of *safe* edges recorded: a
-    larger pool keeps nodes alive past their retirement horizon, so
-    dependences with ``Tdep > Tdur`` — which can never violate — are
-    sometimes additionally observed."""
-    workload = get("gzip", 0.5)
-    program = compile_source(workload.source)
-
-    def profile_with(pool_size):
-        alch = Alchemist(ProfileOptions(pool_size=pool_size))
-        return alch.profile(program=program)
-
-    def run():
-        return {size: profile_with(size) for size in (16, 512, 16384)}
-
-    reports = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    def violations(report):
-        found = {}
-        for pc, profile in report.store.profiles.items():
-            for kind in (DepKind.RAW, DepKind.WAW, DepKind.WAR):
-                for e in profile.violating_edges(kind,
-                                                 include_induction=True):
-                    found[(pc, e.head_pc, e.tail_pc, kind)] = e.min_tdep
-        return found
-
-    def durations(report):
-        return {pc: (p.total_duration, p.instances, p.max_duration)
-                for pc, p in report.store.profiles.items()}
-
-    prev_viol = None
-    baseline_dur = None
-    lines = ["Ablation: construct pool initial size (gzip)",
-             "(durations are pool-size invariant; observed dependences",
-             " grow monotonically with pool size, never losing a",
-             " violation — Theorem 1's retirement-safety argument)",
-             f"{'size':>8s} {'capacity':>9s} {'grows':>7s} "
-             f"{'reuses':>8s} {'max_scan':>9s} {'violations':>11s}"]
-    for size in sorted(reports):
-        report = reports[size]
-        pool = report.stats.pool
-        viol = violations(report)
-        lines.append(f"{size:8d} {pool.capacity:9d} {pool.grows:7d} "
-                     f"{pool.reuses:8d} {pool.max_scan:9d} "
-                     f"{len(viol):11d}")
-        if baseline_dur is None:
-            baseline_dur = durations(report)
-        else:
-            # Durations and instance counts never depend on the pool.
-            assert durations(report) == baseline_dur
-        if prev_viol is not None:
-            # A larger pool keeps nodes alive longer, so it observes a
-            # superset of dependence occurrences: every violation seen
-            # with the smaller pool is still seen, at an equal or
-            # smaller min Tdep. (An occurrence whose Tdep is within its
-            # *instance's* duration is caught at every size — the
-            # paper's guarantee; the monotone part covers occurrences
-            # landing in shorter sibling instances.)
-            assert set(prev_viol) <= set(viol)
-            for key, tdep in prev_viol.items():
-                assert viol[key] <= tdep, key
-        prev_viol = viol
-    emit("ablation_pool_size", "\n".join(lines))
 
 
 def test_war_waw_tracking_ablation(benchmark):

@@ -21,7 +21,8 @@ precision costs over the cheaper attributions, on the same workload.
 
 import time
 
-from repro.baselines import profile_flat, profile_with_contexts
+from repro.analyses.builtin import (ContextDependenceAnalysis,
+                                    FlatDependenceAnalysis)
 from repro.core.alchemist import Alchemist
 from repro.core.profile_data import DepKind
 from repro.ir import compile_source
@@ -30,6 +31,13 @@ from repro.runtime.tracing import NullTracer
 from repro.workloads import get
 
 from conftest import emit
+
+
+def live_profile(analysis_cls, program):
+    """Run a baseline analysis live over ``program``; its profile."""
+    analysis = analysis_cls()
+    Interpreter(program, analysis).run()
+    return analysis.profile
 
 
 def four_case_source(body_a: str, body_b: str) -> str:
@@ -105,11 +113,12 @@ def test_context_inadequacy(benchmark):
         ctx_signatures = []
         for name, body_a, body_b, meaning in CASES:
             source = four_case_source(body_a, body_b)
+            program = compile_source(source)
             flat_signatures.append(
-                frozenset(profile_flat(source)
+                frozenset(live_profile(FlatDependenceAnalysis, program)
                           .attribution_signature("A", "B")))
             ctx_signatures.append(
-                frozenset(profile_with_contexts(source)
+                frozenset(live_profile(ContextDependenceAnalysis, program)
                           .attribution_signature("A", "B")))
             rows.append((name, meaning, alchemist_attribution(source)))
         return rows, flat_signatures, ctx_signatures
@@ -150,9 +159,10 @@ def test_profiler_cost_comparison(benchmark):
     def run():
         return {
             "null": timed(lambda: Interpreter(program, NullTracer()).run()),
-            "flat": timed(lambda: profile_flat(program=program)),
+            "flat": timed(
+                lambda: live_profile(FlatDependenceAnalysis, program)),
             "context": timed(
-                lambda: profile_with_contexts(program=program)),
+                lambda: live_profile(ContextDependenceAnalysis, program)),
             "alchemist": timed(
                 lambda: Alchemist().profile(program=program)),
         }

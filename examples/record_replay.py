@@ -59,7 +59,7 @@ def main() -> None:
 
     # 2. Two more analyses for free — no re-execution.
     print()
-    print(outcome.consumers[1].describe(outcome.results["locality"]))
+    print(outcome.reports["locality"].text)
     print()
     for row in outcome.results["hot"][:5]:
         print(f"  hot: {row.name:20s} {row.total} accesses")

@@ -183,16 +183,6 @@ class AnalysisSegment:
 
 
 @dataclass
-class _FooterView:
-    """Duck-type of the old ``TraceFooter`` for ``ctx.footer`` readers."""
-
-    exit_value: int
-    output: list
-    events: int
-    final_time: int
-
-
-@dataclass
 class AnalysisContext:
     """What an analysis receives in :meth:`Analysis.finish`.
 
@@ -237,15 +227,6 @@ class AnalysisContext:
             from repro.telemetry import NULL_TELEMETRY
 
             self.telemetry = NULL_TELEMETRY
-
-    @property
-    def footer(self) -> _FooterView:
-        """Deprecated: the old ``ReplayContext`` exposed exit/output
-        through the trace footer; read the fields directly instead."""
-        return _FooterView(exit_value=self.exit_value,
-                           output=[list(v) for v in self.output],
-                           events=self.events or 0,
-                           final_time=self.final_time)
 
 
 class Analysis(Tracer):
@@ -302,30 +283,10 @@ class Analysis(Tracer):
     #: Overridden (as a method) by analyses that set ``batch_kind``.
     consume_batch = None
 
-    #: Last ``finish`` output, stashed by the engines so the deprecated
-    #: ``describe`` surface can still render after a run.
-    last_result: AnalysisResult | None = None
-
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
-        """Turn accumulated state into the structured result.
-
-        The default adapts pre-registry consumers that implement only
-        the legacy ``result()``/``describe()`` protocol; new analyses
-        override ``finish`` directly.
-        """
-        cls = type(self)
-        if cls.result is not Analysis.result:  # legacy consumer
-            payload = self.result(ctx)
-            if cls.describe is not Analysis.describe:
-                text = self.describe(payload)
-            else:
-                text = repr(payload)
-            data = (payload if isinstance(payload, dict)
-                    and "analysis" not in payload else {})
-            return AnalysisResult(analysis=self.name, data=data,
-                                  text=text, payload=payload)
+        """Turn accumulated state into the structured result."""
         raise NotImplementedError(
-            f"{cls.__qualname__} must implement finish()")
+            f"{type(self).__qualname__} must implement finish()")
 
     # -- segment/merge protocol (parallel replay) -------------------------
 
@@ -370,22 +331,6 @@ class Analysis(Tracer):
         raise NotImplementedError(
             f"{cls.__qualname__} does not implement the segment "
             "protocol")
-
-    # -- deprecated TraceConsumer surface --------------------------------
-
-    def result(self, ctx: AnalysisContext) -> Any:
-        """Deprecated: pre-registry consumers returned a raw payload."""
-        outcome = self.finish(ctx)
-        self.last_result = outcome
-        return outcome.payload if outcome.payload is not None \
-            else outcome.data
-
-    def describe(self, outcome: Any = None) -> str:
-        """Deprecated: pre-registry consumers rendered raw payloads;
-        the rendering now lives on :class:`AnalysisResult`."""
-        if self.last_result is not None:
-            return self.last_result.text
-        return repr(outcome)
 
     @classmethod
     def option_names(cls) -> list[str]:

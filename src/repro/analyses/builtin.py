@@ -1,12 +1,9 @@
 """The bundled analyses, all registered on the unified protocol.
 
-Each class here used to live behind a different front door — the
-dependence profiler behind ``Alchemist.profile``, the locality /
-hot-address / counting consumers behind ``ReplayEngine``'s private
-``CONSUMERS`` table, the flat and context baselines behind free
-functions in ``repro.baselines``. They are now uniform plugins: every
-one runs live, from a recorded trace, and in batch through the same
-registry, and every one is covered by the registry-parametrized
+Every class here is a uniform plugin — the dependence profiler, the
+locality / hot-address / counting analyses, and the flat and context
+baselines: each runs live, from a recorded trace, and in batch through
+the same registry, and each is covered by the registry-parametrized
 live-vs-replay parity test.
 
 Every bundled analysis also implements the segment/merge protocol
@@ -119,26 +116,18 @@ class DependenceAnalysis(Analysis):
     supports_segments = True
     batch_kind = "span"
     options = (
-        OptionSpec("pool_size", int, 4096,
-                   "compatibility no-op: node allocation is GC-backed "
-                   "and unbounded"),
         OptionSpec("track_war_waw", bool, True,
                    "also profile WAR/WAW dependences"),
     )
 
-    def __init__(self, pool_size: int = 4096, track_war_waw: bool = True):
-        if pool_size <= 0:
-            raise ValueError(
-                f"pool_size must be positive, got {pool_size}")
-        self.pool_size = pool_size
+    def __init__(self, track_war_waw: bool = True):
         self.track_war_waw = track_war_waw
         self.table: ConstructTable | None = None
         self.tracer: AlchemistTracer | None = None
 
     def on_start(self, program: ProgramIR, memory: Memory) -> None:
         self.table = ConstructTable(program)
-        tracer = AlchemistTracer(self.table, self.pool_size,
-                                 self.track_war_waw)
+        tracer = AlchemistTracer(self.table, self.track_war_waw)
         tracer.on_start(program, memory)
         self._bind(tracer)
 
@@ -233,8 +222,7 @@ class DependenceAnalysis(Analysis):
         from repro.analyses.merging import SegmentAlchemistTracer
 
         self.table = ConstructTable(program)
-        inner = AlchemistTracer(self.table, self.pool_size,
-                                self.track_war_waw)
+        inner = AlchemistTracer(self.table, self.track_war_waw)
         inner.on_start(program, memory)
         self._segment = SegmentAlchemistTracer(inner, seed)
         self._bind(inner)

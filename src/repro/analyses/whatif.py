@@ -32,7 +32,6 @@ like every other plugin.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from typing import Any
 
 from repro.analyses.base import (AnalysisContext, AnalysisResult,
@@ -44,6 +43,7 @@ from repro.ir.cfg import ProgramIR
 from repro.parallel.simulator import FutureSimulator
 from repro.parallel.taskgraph import (LiveSource, TaskGraph, TraceSource,
                                       extract_task_graphs)
+from repro.util import effective_cpus
 
 #: Worker counts swept when the caller does not choose (Table V runs
 #: on 4 workers; the sweep shows where scaling saturates).
@@ -186,7 +186,7 @@ def _extract(ctx: AnalysisContext,
     """One more pass over the same event stream: replay the recording
     when there is one, execute the program otherwise."""
     if ctx.trace_path is not None:
-        jobs = jobs if jobs else (os.cpu_count() or 1)
+        jobs = jobs if jobs else effective_cpus()
         if jobs > 1 and len(targets) > 1 \
                 and not multiprocessing.current_process().daemon:
             # Daemonic workers (e.g. a batch-driver replay job) cannot

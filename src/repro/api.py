@@ -192,19 +192,18 @@ class Session:
         self._static[digest] = report
         return report
 
-    def _trace_key(self, digest: str) -> tuple[str, str, int]:
+    def _trace_key(self, digest: str) -> tuple[str, str]:
         """Cache key of a recording under the session's options: one
-        slot per (program, sampling policy, trace format)."""
-        return (digest, self.options.sample or "full",
-                self.options.trace_format)
+        slot per (program, sampling policy)."""
+        return (digest, self.options.sample or "full")
 
     def record(self, source: str, filename: str = "<input>") -> str:
         """Record one execution into the trace cache; returns the path.
 
         Repeated calls for the same source (any filename) under the
-        same sampling/format configuration return the cached trace
-        without re-running the program; changing ``options.sample`` or
-        ``options.trace_format`` records a distinct trace.
+        same sampling configuration return the cached trace without
+        re-running the program; changing ``options.sample`` records a
+        distinct trace.
         """
         from repro.trace.writer import record_program
 
@@ -220,7 +219,6 @@ class Session:
         path = os.path.join(self._trace_dir(), self._trace_name(key))
         record_program(program, path, source=source, filename=filename,
                        max_steps=self.options.max_steps,
-                       version=self.options.trace_format,
                        sampling=self.options.sample,
                        telemetry=self.telemetry)
         self._traces[key] = path
@@ -228,11 +226,11 @@ class Session:
         return path
 
     @staticmethod
-    def _trace_name(key: tuple[str, str, int]) -> str:
-        digest, spec, version = key
+    def _trace_name(key: tuple[str, str]) -> str:
+        digest, spec = key
         safe_spec = spec.replace(":", "-").replace("/", "-") \
                         .replace("@", "-")
-        return f"{digest[:16]}-{safe_spec}-v{version}.trace"
+        return f"{digest[:16]}-{safe_spec}.trace"
 
     # -- the one entry point ------------------------------------------------
 
@@ -311,7 +309,6 @@ class Session:
                     with self.telemetry.span("analysis.finish",
                                              analysis=analysis.name):
                         report = analysis.finish(live_ctx)
-                    analysis.last_result = report
                     results[analysis.name] = report
                     modes[analysis.name] = "live"
                 self._attach_baseline(results, live)
@@ -381,11 +378,6 @@ class Session:
                              for name in names},
                     interval=self.options.checkpoints or None,
                     telemetry=self.telemetry)
-                # The driver ran its own instances (workers, or the
-                # serial fallback); stash results on the session's so
-                # the deprecated describe() surface works either way.
-                for analysis in replayed:
-                    analysis.last_result = outcome.reports[analysis.name]
                 if outcome.mode == "parallel":
                     self.stats.parallel_passes += 1
                     return outcome.reports, "parallel"
@@ -401,8 +393,7 @@ class Session:
         """Session-level ProfileOptions become 'dep' defaults; explicit
         per-analysis options win."""
         merged: dict[str, dict[str, Any]] = {
-            "dep": {"pool_size": self.options.pool_size,
-                    "track_war_waw": self.options.track_war_waw},
+            "dep": {"track_war_waw": self.options.track_war_waw},
         }
         for name, opts in (options or {}).items():
             merged.setdefault(name, {}).update(opts)
@@ -459,9 +450,7 @@ class Session:
         key = self._trace_key(source_digest(source))
         path = os.path.join(self._trace_dir(), self._trace_name(key))
         policy = as_policy(self.options.sample)
-        writer = TraceWriter(path, source, filename,
-                             version=self.options.trace_format,
-                             sampling=policy.spec)
+        writer = TraceWriter(path, source, filename, sampling=policy.spec)
         recorder = (writer if policy.is_full
                     else SampledTracer(policy, writer,
                                        telemetry=self.telemetry))

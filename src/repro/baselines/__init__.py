@@ -16,10 +16,8 @@
 """
 
 from repro.baselines.context_profiler import (ContextProfile,
-                                              ContextSensitiveTracer,
-                                              profile_with_contexts)
-from repro.baselines.flat_profiler import (FlatProfile, FlatTracer,
-                                           profile_flat)
+                                              ContextSensitiveTracer)
+from repro.baselines.flat_profiler import FlatProfile, FlatTracer
 from repro.baselines.min_distance import (LoopDistanceProfile,
                                           MinDistanceTracer,
                                           profile_loop_distances)
@@ -27,10 +25,8 @@ from repro.baselines.min_distance import (LoopDistanceProfile,
 __all__ = [
     "ContextProfile",
     "ContextSensitiveTracer",
-    "profile_with_contexts",
     "FlatProfile",
     "FlatTracer",
-    "profile_flat",
     "LoopDistanceProfile",
     "MinDistanceTracer",
     "profile_loop_distances",

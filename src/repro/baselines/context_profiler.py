@@ -24,9 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.profile_data import DepKind
-from repro.ir.cfg import ProgramIR
-from repro.ir.lowering import compile_source
-from repro.runtime.interpreter import Interpreter
 from repro.runtime.tracing import Tracer
 
 Context = tuple[str, ...]
@@ -148,22 +145,3 @@ class ContextSensitiveTracer(Tracer):
 
     def on_finish(self, timestamp: int) -> None:
         self.profile.instructions = timestamp
-
-
-def profile_with_contexts(source: str | None = None, *,
-                          program: ProgramIR | None = None
-                          ) -> ContextProfile:
-    """Deprecated shim: run the registered ``context`` analysis live.
-
-    Prefer ``Session.analyze(source, ["context"])`` (:mod:`repro.api`),
-    which shares one recording with every other analysis.
-    """
-    from repro.analyses.builtin import ContextDependenceAnalysis
-
-    if program is None:
-        if source is None:
-            raise ValueError("need source or program")
-        program = compile_source(source)
-    analysis = ContextDependenceAnalysis()
-    Interpreter(program, analysis).run()
-    return analysis.profile

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 
 from repro.core.profile_data import DepKind
 from repro.ir.cfg import ProgramIR
-from repro.ir.lowering import compile_source
-from repro.runtime.interpreter import Interpreter
 from repro.runtime.tracing import Tracer
 
 
@@ -122,21 +120,3 @@ class FlatTracer(Tracer):
 
     def on_finish(self, timestamp: int) -> None:
         self.profile.instructions = timestamp
-
-
-def profile_flat(source: str | None = None, *,
-                 program: ProgramIR | None = None) -> FlatProfile:
-    """Deprecated shim: run the registered ``flat`` analysis live.
-
-    Prefer ``Session.analyze(source, ["flat"])`` (:mod:`repro.api`),
-    which shares one recording with every other analysis.
-    """
-    from repro.analyses.builtin import FlatDependenceAnalysis
-
-    if program is None:
-        if source is None:
-            raise ValueError("need source or program")
-        program = compile_source(source)
-    analysis = FlatDependenceAnalysis()
-    Interpreter(program, analysis).run()
-    return analysis.profile

@@ -70,8 +70,8 @@ class MinDistanceTracer(AlchemistTracer):
     iteration-distance shadow.
     """
 
-    def __init__(self, table: ConstructTable, pool_size: int = 4096):
-        super().__init__(table, pool_size)
+    def __init__(self, table: ConstructTable):
+        super().__init__(table)
         self.result = LoopDistanceProfile()
         #: Stack of [loop_pc, activation serial, iteration index].
         self._loops: list[list[int]] = []

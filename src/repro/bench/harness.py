@@ -10,7 +10,7 @@ from repro.core.profile_data import DepKind
 from repro.core.report import ConflictCounts, Fig6Row, ProfileReport
 from repro.ir.lowering import compile_source
 from repro.parallel.estimator import SpeedupResult, estimate_speedup
-from repro.util import atomic_write_json
+from repro.util import atomic_write_json, effective_cpus
 from repro.workloads import all_workloads, get
 from repro.workloads.base import Workload
 
@@ -28,11 +28,9 @@ class WorkloadRun:
 
 
 def profile_workload(workload: Workload, *, measure_baseline: bool = True,
-                     pool_size: int = 4096,
                      track_war_waw: bool = True) -> WorkloadRun:
     """Profile one workload (optionally timing the uninstrumented run)."""
-    options = ProfileOptions(pool_size=pool_size,
-                             track_war_waw=track_war_waw,
+    options = ProfileOptions(track_war_waw=track_war_waw,
                              measure_baseline=measure_baseline)
     report = Alchemist(options).profile(workload.source)
     return WorkloadRun(workload, report)
@@ -293,29 +291,22 @@ class TraceBenchRow:
 
 def trace_bench_rows(names: list[str] | None = None, scale: float = 0.5,
                      analyses: tuple[str, ...] = ("dep", "locality", "hot"),
-                     repeats: int = 1,
-                     version: int | None = None) -> list[TraceBenchRow]:
+                     repeats: int = 1) -> list[TraceBenchRow]:
     """Measure record+replay vs. N live instrumented runs per workload.
 
     ``repeats`` > 1 keeps the minimum of several timings per side,
-    damping scheduler noise on small workloads. ``version`` pins the
-    trace format (default: the writer's default, currently v2 — its
-    compact decode costs ~10% replay time vs v1; pass ``version=1`` to
-    bench the fixed-record format).
+    damping scheduler noise on small workloads.
     """
     import os
     import tempfile
 
     from repro.analyses import make_analyses
     from repro.runtime.interpreter import run_source
-    from repro.trace.events import DEFAULT_TRACE_VERSION
     from repro.trace.replay import replay_trace
     from repro.trace.writer import record_source
 
     from repro.workloads import names as workload_names
 
-    if version is None:
-        version = DEFAULT_TRACE_VERSION
     rows = []
     for name in (names if names is not None else workload_names()):
         workload = get(name, scale)
@@ -326,7 +317,7 @@ def trace_bench_rows(names: list[str] | None = None, scale: float = 0.5,
         # land on whichever side happens to run first.
         with tempfile.TemporaryDirectory() as tmp:
             warm = os.path.join(tmp, "warm.trace")
-            record_source(source, warm, version=version)
+            record_source(source, warm)
             replay_trace(warm, analyses)
         Alchemist().profile(source)
 
@@ -348,7 +339,7 @@ def trace_bench_rows(names: list[str] | None = None, scale: float = 0.5,
             path = os.path.join(tmp, f"{name}.trace")
             for _ in range(repeats):
                 start = time.perf_counter()
-                recorded = record_source(source, path, version=version)
+                recorded = record_source(source, path)
                 record_best = min(record_best,
                                   time.perf_counter() - start)
                 events, trace_bytes = recorded.events, recorded.trace_bytes
@@ -366,13 +357,9 @@ def trace_bench_rows(names: list[str] | None = None, scale: float = 0.5,
 def trace_bench(names: list[str] | None = None, scale: float = 0.5,
                 analyses: tuple[str, ...] = ("dep", "locality", "hot"),
                 out_path: str | None = "BENCH_trace.json",
-                repeats: int = 2, version: int | None = None) -> dict:
+                repeats: int = 2) -> dict:
     """The BENCH_trace.json artifact: per-workload rows plus totals."""
-    from repro.trace.events import DEFAULT_TRACE_VERSION
-
-    if version is None:
-        version = DEFAULT_TRACE_VERSION
-    rows = trace_bench_rows(names, scale, analyses, repeats, version)
+    rows = trace_bench_rows(names, scale, analyses, repeats)
     live = sum(r.live_seconds for r in rows)
     rec = sum(r.record_seconds for r in rows)
     rep = sum(r.replay_seconds for r in rows)
@@ -381,7 +368,6 @@ def trace_bench(names: list[str] | None = None, scale: float = 0.5,
         "scale": scale,
         "analyses": list(analyses),
         "repeats": repeats,
-        "trace_version": version,
         "rows": [dict(asdict(r), speedup=r.speedup) for r in rows],
         "total": {
             "live_seconds": live,
@@ -406,11 +392,11 @@ def trace_bench(names: list[str] | None = None, scale: float = 0.5,
 class DecodeBenchRow:
     """One workload's serial replay core, scalar vs columnar decode.
 
-    Both sides replay the same pre-recorded v2 trace through the same
+    Both sides replay the same pre-recorded trace through the same
     consumer with the program pre-compiled, so the only difference is
-    the decode + dispatch machinery: per-event generator dispatch
-    (``columnar=False``) against whole-block columnar batches
-    (``columnar=True``).
+    the decode + dispatch path: the scalar reference (``columnar=False``:
+    per-record decode, per-event hooks) against vectorized decode and
+    batch dispatch (``columnar=True``).
     """
 
     name: str
@@ -436,7 +422,7 @@ def trace_decode_bench_rows(names: list[str] | None = None,
                             scale: float = 1.0,
                             analyses: tuple[str, ...] = ("counts",),
                             repeats: int = 3) -> list[DecodeBenchRow]:
-    """Time serial v2 replay with the columnar path off, then on.
+    """Time serial replay with the columnar path off, then on.
 
     The trace is recorded once per workload and the program compiled
     outside the timed region; each side keeps the minimum of
@@ -457,7 +443,7 @@ def trace_decode_bench_rows(names: list[str] | None = None,
         workload = get(name, scale)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, f"{name}.trace")
-            recorded = record_source(workload.source, path, version=2)
+            recorded = record_source(workload.source, path)
             program = compile_source(workload.source)
             # Warm both paths before timing either.
             replay_trace(path, analyses, program, columnar=True)
@@ -612,7 +598,7 @@ def parallel_bench(names: list[str] | None = None, scale: float = 2.0,
         "analyses": list(analyses),
         "jobs": jobs,
         "repeats": repeats,
-        "bench_cpus": os.cpu_count(),
+        "bench_cpus": effective_cpus(),
         "note": ("'speedup' schedules the measured per-segment worker "
                  "CPU times over the requested jobs (LPT makespan) "
                  "plus the measured merge — the wall clock of a box "

@@ -1,19 +1,14 @@
 """The sampling trade-off benchmark behind ``BENCH_sampling.json``.
 
-For every workload it records three families of traces —
-
-* full fidelity, format v1 (the pre-v2 baseline every reduction is
-  measured against),
-* full fidelity, format v2 (what the format alone buys, at zero
-  accuracy cost),
-* format v2 under each requested sampling policy —
-
-then replays each sampled trace against the full one through the
-accuracy module (:mod:`repro.sampling.accuracy`) and reports, per
-workload and policy: trace bytes, size reduction vs. the v1 baseline,
-record-time speedup vs. a full v1 recording, and the per-analysis
-error metrics (hot count error, locality hit-rate error, dep
-missed-edge fraction — the dep numbers are always flagged as hints).
+For every workload it records one full-fidelity trace (the baseline
+every reduction is measured against) and one trace under each
+requested sampling policy, then replays each sampled trace against the
+full one through the accuracy module (:mod:`repro.sampling.accuracy`)
+and reports, per workload and policy: trace bytes, size reduction vs.
+the full recording, record-time speedup vs. the full recording, and
+the per-analysis error metrics (hot count error, locality hit-rate
+error, dep missed-edge fraction — the dep numbers are always flagged
+as hints).
 
 The artifact's ``summary`` section scores every policy against the
 headline target — at least ``min_reduction``x smaller traces at no
@@ -45,7 +40,7 @@ TARGET_MIN_REDUCTION = 5.0
 TARGET_MAX_ERROR = 0.05
 
 
-def _timed_record(source: str, path: str, *, version: int,
+def _timed_record(source: str, path: str, *,
                   sampling: str | None, repeats: int) -> tuple[Any, float]:
     """Record ``repeats`` times; returns (last result, best seconds)."""
     from repro.trace.writer import record_source
@@ -54,8 +49,7 @@ def _timed_record(source: str, path: str, *, version: int,
     result = None
     for _ in range(max(1, repeats)):
         start = _time.perf_counter()
-        result = record_source(source, path, version=version,
-                               sampling=sampling)
+        result = record_source(source, path, sampling=sampling)
         best = min(best, _time.perf_counter() - start)
     return result, best
 
@@ -74,27 +68,17 @@ def sampling_bench_rows(names: list[str] | None = None,
         workload = get(name, scale)
         source = workload.source
         with tempfile.TemporaryDirectory() as tmp:
-            v1_path = os.path.join(tmp, "full-v1.trace")
-            v2_path = os.path.join(tmp, "full-v2.trace")
+            full_path = os.path.join(tmp, "full.trace")
             # Untimed warmup so first-touch costs (imports, allocator
-            # growth) don't land on the v1 baseline measurement.
-            _timed_record(source, v1_path, version=1, sampling=None,
-                          repeats=1)
-            v1_result, v1_seconds = _timed_record(
-                source, v1_path, version=1, sampling=None,
-                repeats=repeats)
-            v2_result, v2_seconds = _timed_record(
-                source, v2_path, version=2, sampling=None,
-                repeats=repeats)
+            # growth) don't land on the baseline measurement.
+            _timed_record(source, full_path, sampling=None, repeats=1)
+            full, full_seconds = _timed_record(
+                source, full_path, sampling=None, repeats=repeats)
             row: dict[str, Any] = {
                 "name": name,
-                "events": v1_result.events,
-                "v1_bytes": v1_result.trace_bytes,
-                "v1_record_seconds": v1_seconds,
-                "v2_bytes": v2_result.trace_bytes,
-                "v2_record_seconds": v2_seconds,
-                "format_reduction": (v1_result.trace_bytes
-                                     / v2_result.trace_bytes),
+                "events": full.events,
+                "full_bytes": full.trace_bytes,
+                "full_record_seconds": full_seconds,
                 "policies": {},
             }
             for spec in policies:
@@ -103,9 +87,9 @@ def sampling_bench_rows(names: list[str] | None = None,
                     "sampled-" + spec.replace(":", "-").replace("/", "-")
                     + ".trace")
                 sampled_result, sampled_seconds = _timed_record(
-                    source, sampled_path, version=2, sampling=spec,
+                    source, sampled_path, sampling=spec,
                     repeats=repeats)
-                accuracy = compare_traces(v2_path, sampled_path,
+                accuracy = compare_traces(full_path, sampled_path,
                                           analyses=analyses)
                 metrics = {acc.analysis: acc.metrics
                            for acc in accuracy.rows.values()}
@@ -115,9 +99,9 @@ def sampling_bench_rows(names: list[str] | None = None,
                     "trace_bytes": sampled_result.trace_bytes,
                     "events": sampled_result.events,
                     "record_seconds": sampled_seconds,
-                    "reduction_vs_v1": (v1_result.trace_bytes
-                                        / sampled_result.trace_bytes),
-                    "record_speedup": v1_seconds / sampled_seconds
+                    "reduction_vs_full": (full.trace_bytes
+                                          / sampled_result.trace_bytes),
+                    "record_speedup": full_seconds / sampled_seconds
                     if sampled_seconds > 0 else float("nan"),
                     "replay_speedup":
                         accuracy.full_replay_seconds
@@ -153,7 +137,7 @@ def _summarize(rows: list[dict[str, Any]],
             cell = row["policies"][spec]
             hot = cell["hot_count_error"]
             loc = cell["locality_hit_rate_error"]
-            if (cell["reduction_vs_v1"] >= TARGET_MIN_REDUCTION
+            if (cell["reduction_vs_full"] >= TARGET_MIN_REDUCTION
                     and hot is not None and hot <= TARGET_MAX_ERROR
                     and loc is not None and loc <= TARGET_MAX_ERROR):
                 met.append(row["name"])
@@ -161,14 +145,6 @@ def _summarize(rows: list[dict[str, Any]],
             "workloads_meeting_target": met,
             "meets_target_on_3": len(met) >= 3,
         }
-    # The v2 format alone is lossless; score it against the size half
-    # of the target too (error is 0 by construction).
-    format_met = [row["name"] for row in rows
-                  if row["format_reduction"] >= TARGET_MIN_REDUCTION]
-    summary["format_v2_full_fidelity"] = {
-        "workloads_meeting_target": format_met,
-        "meets_target_on_3": len(format_met) >= 3,
-    }
     return summary
 
 

@@ -27,14 +27,14 @@ Subcommands
 ``annotate FILE --line N``
     Render the transformation guidance for the construct at line N as
     an annotated source listing (spawn/join/privatize markers).
-``record FILE -o x.trace [--sample interval:100] [--format 2]``
+``record FILE -o x.trace [--sample interval:100]``
     Execute once under the trace recorder; every interpreter event is
-    streamed into a compact self-contained trace file (v2
-    block-compressed by default). ``--sample`` gates the memory-event
+    streamed into a compact self-contained trace file (format v2,
+    block-compressed). ``--sample`` gates the memory-event
     stream through a sampling policy for much smaller traces.
 ``replay x.trace --analysis dep,locality,hot``
     Thin alias for replaying an existing trace file through registered
-    analyses — no re-execution. v1 and v2 traces replay alike.
+    analyses — no re-execution.
 ``info x.trace``
     Inspect a trace without replaying it: format version, header
     provenance (digest, sampling policy), event counts by type,
@@ -49,8 +49,8 @@ Subcommands
     analyses resolve through the registry; ``--bench`` also writes the
     BENCH_trace.json replay-vs-rerun speedup artifact.
 ``bench-sampling``
-    Measure the sampling/format trade-off across workloads — trace
-    size reduction and record speedup vs per-analysis accuracy — and
+    Measure the sampling trade-off across workloads — trace size
+    reduction and record speedup vs per-analysis accuracy — and
     write the BENCH_sampling.json artifact.
 ``bench-advise``
     Run the what-if advisor over the Table III workloads, verify the
@@ -168,8 +168,7 @@ def _publish_metrics(args: argparse.Namespace,
 
 def _profile_options(args: argparse.Namespace) -> ProfileOptions:
     try:
-        return ProfileOptions(pool_size=args.pool_size,
-                              track_war_waw=not args.raw_only)
+        return ProfileOptions(track_war_waw=not args.raw_only)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -186,12 +185,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     # dep-only flags ride as per-analysis options so Session's central
     # stray-options check rejects them when 'dep' was not requested.
     options = None
-    if args.pool_size is not None or args.raw_only:
-        options = {"dep": {
-            "pool_size": (args.pool_size if args.pool_size is not None
-                          else 4096),
-            "track_war_waw": not args.raw_only,
-        }}
+    if args.raw_only:
+        options = {"dep": {"track_war_waw": False}}
     try:
         session_options = ProfileOptions(sample=args.sample,
                                          jobs=args.jobs)
@@ -406,7 +401,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         raise CliError(f"--checkpoints must be >= 0, "
                        f"got {args.checkpoints}")
     result = record_source(_read(args.file), out, filename=args.file,
-                           version=args.format, sampling=policy,
+                           sampling=policy,
                            checkpoint_interval=args.checkpoints,
                            telemetry=args.telemetry)
     sampled = ("" if policy.is_full
@@ -415,7 +410,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
              if args.checkpoints else "")
     # The "recorded ... -> path" line is the verb's result: stdout.
     print(f"recorded {result.events} events ({result.trace_bytes} bytes, "
-          f"{result.final_time} instructions, format v{result.version}"
+          f"{result.final_time} instructions, format v2"
           f"{sampled}{seams}) -> {result.path}")
     _progress(args, f"[exit {result.exit_value}; "
                     f"{result.wall_seconds:.3f}s]")
@@ -425,24 +420,21 @@ def _cmd_record(args: argparse.Namespace) -> int:
 def _cmd_info(args: argparse.Namespace) -> int:
     import os
 
-    from repro.trace.events import (EVENT_NAMES, RECORD_SIZE,
-                                    TRACE_VERSION_V1)
+    from repro.trace.events import EVENT_NAMES
     from repro.trace.reader import TraceReader
 
     with TraceReader(args.trace) as reader:
         header = reader.header
-        counts: dict[int, int] = {}
-        for etype, _a, _b, _t in reader.events():
-            counts[etype] = counts.get(etype, 0) + 1
+        counts = [0] * 256
+        for batch in reader.batches():
+            for etype, n in enumerate(batch.etype_counts()):
+                counts[etype] += n
         footer = reader.footer
         decoder = reader.decoder
-    total = sum(counts.values())
+    total = sum(counts)
     file_bytes = os.path.getsize(args.trace)
-    v1_equivalent = total * RECORD_SIZE
-    formats = {1: "v1 (fixed 13-byte records)",
-               2: "v2 (delta/varint records, zlib blocks)"}
     print(f"trace:      {args.trace}")
-    print(f"format:     {formats.get(reader.version, reader.version)}")
+    print("format:     v2 (delta/varint records, zlib blocks)")
     print(f"program:    {header.filename}")
     print(f"digest:     sha256:{header.digest}")
     print(f"sampling:   {header.sampling}")
@@ -452,8 +444,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     # .get: a corrupt type byte still prints (replay would reject it,
     # but info's job is to show what is in the file, without crashing).
     by_name = ", ".join(
-        f"{EVENT_NAMES.get(etype, f'type{etype}')}={counts[etype]}"
-        for etype in sorted(counts))
+        f"{EVENT_NAMES.get(etype, f'type{etype}')}={n}"
+        for etype, n in enumerate(counts) if n)
     print(f"events:     {total} ({by_name})")
     # Shard seams live only in the scan-built .ckpt sidecar (built by
     # record --checkpoints N or by the first parallel replay).
@@ -469,17 +461,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"time:       {footer.final_time} instructions")
     print(f"exit:       {footer.exit_value}; "
           f"{len(footer.output)} output line(s)")
-    if reader.version == TRACE_VERSION_V1:
-        print(f"size:       {file_bytes} B on disk; event records "
-              f"{v1_equivalent} B uncompressed")
-    else:
-        ratio = (v1_equivalent / decoder.compressed_bytes
-                 if decoder.compressed_bytes else float("nan"))
-        print(f"size:       {file_bytes} B on disk; events "
-              f"{decoder.compressed_bytes} B compressed in "
-              f"{decoder.blocks} block(s), {decoder.raw_bytes} B "
-              f"unpacked, {v1_equivalent} B v1-equivalent "
-              f"({ratio:.1f}x smaller)")
+    print(f"size:       {file_bytes} B on disk; events "
+          f"{decoder.compressed_bytes} B compressed in "
+          f"{decoder.blocks} block(s), {decoder.raw_bytes} B unpacked")
     return 0
 
 
@@ -533,7 +517,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     report = record_replay_many(names, args.out_dir, analyses=analyses,
                                 workers=args.workers, scale=args.scale,
                                 sampling=policy.spec,
-                                version=args.format,
                                 telemetry=args.telemetry)
     print(report.describe())
     failed = report.failures()
@@ -546,8 +529,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         if recorded:
             data = trace_bench(recorded, scale=args.scale,
                                analyses=analyses,
-                               out_path=args.bench_out,
-                               version=args.format)
+                               out_path=args.bench_out)
             total = data["total"]
             _progress(
                 args,
@@ -596,15 +578,13 @@ def _cmd_bench_sampling(args: argparse.Namespace) -> int:
                           policies=policies, out_path=args.out,
                           repeats=args.repeats)
     for row in data["rows"]:
-        print(f"{row['name']:12s} v1={row['v1_bytes']:>9} B  "
-              f"v2={row['v2_bytes']:>9} B "
-              f"({row['format_reduction']:.1f}x)")
+        print(f"{row['name']:12s} full={row['full_bytes']:>9} B")
         def fmt(value: float | None, spec: str = ".3f") -> str:
             return "n/a" if value is None else format(value, spec)
 
         for spec, pol in row["policies"].items():
             print(f"{'':12s}   {spec:18s} {pol['trace_bytes']:>9} B "
-                  f"({pol['reduction_vs_v1']:.1f}x vs v1, "
+                  f"({pol['reduction_vs_full']:.1f}x vs full, "
                   f"record {pol['record_speedup']:.2f}x, "
                   f"replay {pol['replay_speedup']:.2f}x) "
                   f"hot_err={fmt(pol['hot_count_error'])} "
@@ -714,7 +694,7 @@ def _trace_parity_check(names: list[str], scale: float) -> list[str]:
         workload = get(name, scale)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, f"{name}.trace")
-            record_source(workload.source, path, version=2)
+            record_source(workload.source, path)
             scalar = replay_trace(path, every, columnar=False)
             batch = replay_trace(path, every, columnar=True)
         if any(batch.reports[a].to_dict() != scalar.reports[a].to_dict()
@@ -845,9 +825,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--live", action="store_true",
                        help="execute the program instead of replaying "
                             "a recording")
-    p_ana.add_argument("--pool-size", type=int, default=None,
-                       help="compatibility no-op (dep analysis; node "
-                            "allocation is GC-backed and unbounded)")
     p_ana.add_argument("--raw-only", action="store_true",
                        help="skip WAR/WAW tracking (dep analysis)")
     p_ana.add_argument("--sample", default=None, metavar="SPEC",
@@ -872,7 +849,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="constructs to list")
     p_prof.add_argument("--edges", type=int, default=8,
                         help="dependence edges per construct")
-    p_prof.add_argument("--pool-size", type=int, default=4096)
     p_prof.add_argument("--raw-only", action="store_true",
                         help="skip WAR/WAW tracking")
     p_prof.add_argument("--no-advice", action="store_true")
@@ -952,9 +928,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sampling policy for memory events: "
                             "interval:N, burst:K/N, reservoir:K[@SEED] "
                             "(default: full fidelity)")
-    p_rec.add_argument("--format", type=int, choices=(1, 2), default=2,
-                       help="trace schema version to write (default 2, "
-                            "block-compressed)")
     p_rec.add_argument("--checkpoints", type=int, default=0,
                        metavar="N",
                        help="prebuild the .ckpt shard-seam sidecar for "
@@ -1004,7 +977,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--out-dir", default="traces",
                          help="directory for the recorded traces")
     p_batch.add_argument("--workers", type=int, default=None,
-                         help="process-pool size (default: cpu count; "
+                         help="process-pool size (default: usable CPUs; "
                               "1 = serial)")
     p_batch.add_argument("--scale", type=float, default=0.5)
     p_batch.add_argument("--json", action="store_true",
@@ -1016,8 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--sample", default=None, metavar="SPEC",
                          help="sampling policy for the record phase "
                               "(default: full fidelity)")
-    p_batch.add_argument("--format", type=int, choices=(1, 2), default=2,
-                         help="trace schema version to write (default 2)")
     _add_observability(p_batch)
     p_batch.set_defaults(func=_cmd_batch)
 

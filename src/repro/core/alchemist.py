@@ -27,12 +27,6 @@ from repro.runtime.tracing import NullTracer
 class ProfileOptions:
     """Tuning knobs for a profiling run."""
 
-    #: Accepted for compatibility; since the tracer moved to
-    #: GC-backed node allocation (``repro.core.pool.NodeAllocator``,
-    #: unbounded, reclaimed by the runtime) this no longer bounds
-    #: anything — profiles always get the paper's infinite-pool
-    #: semantics.
-    pool_size: int = 4096
     #: Also profile WAR/WAW dependences (paper default). Disabling gives
     #: the RAW-only ablation used in the benchmarks.
     track_war_waw: bool = True
@@ -46,8 +40,6 @@ class ProfileOptions:
     #: "reservoir:256"). Applies to trace recording only — live
     #: analyses always see the complete stream.
     sample: str | None = None
-    #: Trace schema version new recordings are written as (1 or 2).
-    trace_format: int | None = None
     #: Parallel replay worker count. ``None``/1 = serial; 0 = one per
     #: CPU; N > 1 = that many processes. Replayed analyses that
     #: implement the segment protocol then run as a sharded parallel
@@ -61,18 +53,12 @@ class ProfileOptions:
     checkpoints: int | None = None
 
     def __post_init__(self) -> None:
-        # Fail at construction: a non-positive pool size used to surface
-        # as an opaque failure deep inside the construct pool, and a
-        # non-positive step budget as a run that executes nothing.
-        if self.pool_size <= 0:
-            raise ValueError(
-                f"pool_size must be positive, got {self.pool_size}")
+        # Fail at construction: a non-positive step budget would
+        # surface as a run that executes nothing.
         if self.max_steps <= 0:
             raise ValueError(
                 f"max_steps must be positive, got {self.max_steps}")
         from repro.sampling.policies import parse_sample_spec
-        from repro.trace.events import (DEFAULT_TRACE_VERSION,
-                                        SUPPORTED_TRACE_VERSIONS)
 
         if self.jobs is not None and self.jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {self.jobs}")
@@ -82,13 +68,6 @@ class ProfileOptions:
         # Normalize the spec early so equal configs cache-key equally
         # ("INTERVAL:100 " and "interval:100" are one policy).
         self.sample = parse_sample_spec(self.sample).spec
-        if self.trace_format is None:
-            self.trace_format = DEFAULT_TRACE_VERSION
-        elif self.trace_format not in SUPPORTED_TRACE_VERSIONS:
-            known = ", ".join(str(v) for v in SUPPORTED_TRACE_VERSIONS)
-            raise ValueError(
-                f"trace_format must be one of {known}, "
-                f"got {self.trace_format}")
 
 
 class Alchemist:
@@ -115,8 +94,7 @@ class Alchemist:
                 raise ValueError("need source or program")
             program = self.compile(source, filename)
         table = ConstructTable(program)
-        tracer = AlchemistTracer(table, self.options.pool_size,
-                                 self.options.track_war_waw)
+        tracer = AlchemistTracer(table, self.options.track_war_waw)
         interp = Interpreter(program, tracer, self.options.max_steps)
         start = time.perf_counter()
         exit_value = interp.run()

@@ -154,9 +154,7 @@ class NodeAllocator:
     construction.
     """
 
-    def __init__(self, initial_size: int = 4096):
-        if initial_size < 1:
-            raise ValueError("pool needs at least one node")
+    def __init__(self):
         self.stats = PoolStats()
         self._live = 0
 

@@ -23,15 +23,12 @@ _RAW, _WAR, _WAW = DepKind.RAW, DepKind.WAR, DepKind.WAW
 class AlchemistTracer(Tracer):
     """Profiles one execution; single use."""
 
-    def __init__(self, table: ConstructTable, pool_size: int = 4096,
-                 track_war_waw: bool = True):
+    def __init__(self, table: ConstructTable, track_war_waw: bool = True):
         self.table = table
         # GC-backed allocation: nodes stay addressable while referenced,
         # so profiles equal the infinite-pool semantics and are a pure
         # function of the event stream (see repro.core.pool docstring).
-        # ``pool_size`` is accepted for compatibility; the allocator is
-        # unbounded and the runtime reclaims unreferenced instances.
-        self.pool = NodeAllocator(pool_size)
+        self.pool = NodeAllocator()
         self.store = ProfileStore()
         self.stack = IndexingStack(table, self.pool, self.store)
         self.shadow = ShadowMemory()

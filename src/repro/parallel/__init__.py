@@ -19,8 +19,7 @@ from repro.parallel.estimator import (EstimatorError, SpeedupResult,
 from repro.parallel.simulator import FutureSimulator, ScheduleResult
 from repro.parallel.taskgraph import (LiveSource, TaskGraph,
                                       TaskGraphTracer, TaskNode,
-                                      TraceSource, extract_task_graph,
-                                      extract_task_graphs)
+                                      TraceSource, extract_task_graphs)
 
 __all__ = [
     "TaskGraph",
@@ -28,7 +27,6 @@ __all__ = [
     "TaskNode",
     "LiveSource",
     "TraceSource",
-    "extract_task_graph",
     "extract_task_graphs",
     "FutureSimulator",
     "ScheduleResult",

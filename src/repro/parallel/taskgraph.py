@@ -99,10 +99,9 @@ class TaskGraphTracer(AlchemistTracer):
     profiling is replaced by the cheaper tag shadow."""
 
     def __init__(self, table: ConstructTable, target_pc: int,
-                 pool_size: int = 4096,
                  skip_global_addrs: frozenset[int] = frozenset(),
                  induction_offsets: frozenset[int] = frozenset()):
-        super().__init__(table, pool_size)
+        super().__init__(table)
         if target_pc not in table.by_pc:
             raise KeyError(f"pc {target_pc} is not a construct head")
         self.target_pc = target_pc
@@ -331,7 +330,6 @@ class TraceSource:
 def extract_task_graphs(source: "LiveSource | TraceSource",
                         targets: Mapping[int, tuple[str, ...]]
                                  | Iterable[int],
-                        pool_size: int = 4096,
                         auto_induction: bool = True
                         ) -> dict[int, TaskGraph]:
     """Extract task graphs for several candidate constructs in ONE pass.
@@ -351,26 +349,7 @@ def extract_task_graphs(source: "LiveSource | TraceSource",
         skip = resolve_private_globals(program, tuple(private_vars))
         induction = (induction_offsets_of(program, pc)
                      if auto_induction else frozenset())
-        tracers[pc] = TaskGraphTracer(table, pc, pool_size, skip,
-                                      induction)
+        tracers[pc] = TaskGraphTracer(table, pc, skip, induction)
     if tracers:
         source.drive(list(tracers.values()))
     return {pc: tracer.graph() for pc, tracer in tracers.items()}
-
-
-def extract_task_graph(program: ProgramIR, target_pc: int,
-                       pool_size: int = 4096,
-                       private_vars: tuple[str, ...] = (),
-                       auto_induction: bool = True) -> TaskGraph:
-    """Run ``program`` once and extract the task graph for ``target_pc``.
-
-    Compatibility shim over :func:`extract_task_graphs` with a
-    :class:`LiveSource`; ``private_vars`` names globals the (simulated)
-    transformation gives each thread a private copy of;
-    ``auto_induction`` additionally skips the loop's own control
-    variables.
-    """
-    graphs = extract_task_graphs(
-        LiveSource(program), {target_pc: tuple(private_vars)},
-        pool_size=pool_size, auto_induction=auto_induction)
-    return graphs[target_pc]

@@ -237,7 +237,8 @@ def compare_traces(full_path: str, sampled_path: str,
     # the writer, so a module-level import would be circular.
     from repro.trace.events import TraceError
     from repro.trace.reader import TraceReader
-    from repro.trace.replay import make_consumers, replay_with
+    from repro.analyses import make_analyses
+    from repro.trace.replay import replay_with
 
     with TraceReader(full_path) as full_reader, \
             TraceReader(sampled_path) as sampled_reader:
@@ -258,8 +259,8 @@ def compare_traces(full_path: str, sampled_path: str,
     policy = as_policy(spec)
     rate = policy.expected_rate()
     names = list(analyses)
-    full_instances = make_consumers(names)
-    sampled_instances = make_consumers(names)
+    full_instances = make_analyses(names)
+    sampled_instances = make_analyses(names)
     full_outcome = replay_with(full_path, full_instances)
     sampled_outcome = replay_with(sampled_path, sampled_instances)
 

@@ -6,18 +6,17 @@ costs a full re-execution. This package decouples the two:
 
 ``repro.trace.writer``
     :class:`TraceWriter`, a :class:`~repro.runtime.tracing.Tracer` that
-    streams every interpreter event into a compact, versioned binary
-    trace file, plus :func:`record_source` / :func:`record_program`.
+    streams every interpreter event into a compact binary trace file,
+    plus :func:`record_source` / :func:`record_program`.
     Recording optionally runs under a sampling policy
     (:mod:`repro.sampling`) that thins the memory-event stream.
 ``repro.trace.codec``
-    The version-specific event encodings: v1 fixed 13-byte records,
-    v2 delta/varint records in zlib-compressed blocks (the default;
-    18-78x smaller on the bundled workloads).
+    The event encoding (trace format v2): delta/varint records in
+    zlib-compressed blocks, and the one decoder that turns each block
+    into a columnar batch.
 ``repro.trace.reader``
     :class:`TraceReader`, a lazy streaming reader — traces larger than
-    memory replay fine because events are decoded chunk by chunk. The
-    schema version is auto-detected, so v1 and v2 files read alike.
+    memory replay fine because events are decoded block by block.
 ``repro.trace.replay``
     :class:`ReplayEngine` drives :class:`repro.analyses.Analysis`
     plugins over a recorded trace without re-running the interpreter.
@@ -38,24 +37,14 @@ Typical use::
     print(report.to_text())
 """
 
-from repro.trace.events import (DEFAULT_TRACE_VERSION,
-                                SUPPORTED_TRACE_VERSIONS, TRACE_VERSION,
-                                TRACE_VERSION_V1, TRACE_VERSION_V2,
-                                TraceError, TraceHeader,
+from repro.trace.events import (TRACE_VERSION_V2, TraceError, TraceHeader,
                                 TraceTruncatedError, TraceVersionError)
 from repro.trace.reader import TraceReader
-from repro.trace.replay import (CONSUMERS, DependenceConsumer,
-                                HotAddressConsumer, LocalityConsumer,
-                                ReplayEngine, TraceConsumer, make_consumers,
-                                replay_trace, replay_with)
+from repro.trace.replay import ReplayEngine, replay_trace, replay_with
 from repro.trace.writer import TraceWriter, record_program, record_source
 
 __all__ = [
-    "TRACE_VERSION",
-    "TRACE_VERSION_V1",
     "TRACE_VERSION_V2",
-    "SUPPORTED_TRACE_VERSIONS",
-    "DEFAULT_TRACE_VERSION",
     "TraceError",
     "TraceHeader",
     "TraceTruncatedError",
@@ -65,12 +54,6 @@ __all__ = [
     "record_program",
     "record_source",
     "ReplayEngine",
-    "TraceConsumer",
-    "DependenceConsumer",
-    "LocalityConsumer",
-    "HotAddressConsumer",
-    "CONSUMERS",
-    "make_consumers",
     "replay_trace",
     "replay_with",
 ]

@@ -25,6 +25,7 @@ from typing import Any
 from repro.analyses import profile_summary  # noqa: F401  (re-export)
 from repro.trace.replay import replay_trace
 from repro.trace.writer import record_source
+from repro.util import effective_cpus
 
 #: Default analyses a batch replay runs.
 DEFAULT_ANALYSES = ("dep", "locality", "hot")
@@ -44,11 +45,9 @@ class BatchJob:
     workload: str = ""
     scale: float = 1.0
     analyses: tuple[str, ...] = DEFAULT_ANALYSES
-    #: Sampling spec the record phase runs under ("full" = unsampled)
-    #: and the trace schema version it writes. Replay jobs ignore both
-    #: (the reader auto-detects).
+    #: Sampling spec the record phase runs under ("full" = unsampled);
+    #: replay jobs ignore it.
     sampling: str = "full"
-    version: int | None = None
     #: Modules imported in the worker before resolving ``analyses`` —
     #: how user plugins reach the registry of a freshly *spawned*
     #: process (fork-start platforms inherit the parent registry, spawn
@@ -94,14 +93,11 @@ def run_job(job: BatchJob) -> BatchResult:
             for module in job.plugin_modules:
                 importlib.import_module(module)
         if job.kind == "record":
-            from repro.trace.events import DEFAULT_TRACE_VERSION
             from repro.workloads import get
 
             workload = get(job.workload or job.name, job.scale)
             result = record_source(
                 workload.source, job.trace_path, filename=workload.name,
-                version=(job.version if job.version is not None
-                         else DEFAULT_TRACE_VERSION),
                 sampling=job.sampling, telemetry=tm)
             payload = {
                 "trace": result.path,
@@ -109,14 +105,12 @@ def run_job(job: BatchJob) -> BatchResult:
                 "trace_bytes": result.trace_bytes,
                 "final_time": result.final_time,
                 "exit_value": result.exit_value,
-                "version": result.version,
                 "sampling": result.sampling,
             }
         elif job.kind == "replay":
             # Analyses resolve through the shared registry; every
-            # AnalysisResult.data is JSON-able, hence picklable. Legacy
-            # result()-protocol consumers may produce no data dict —
-            # fall back to their raw payload (pre-registry behaviour).
+            # AnalysisResult.data is JSON-able, hence picklable. A
+            # result with no data dict falls back to its raw payload.
             if job.options:
                 from repro.analyses import make_analyses
                 from repro.trace.replay import replay_with
@@ -156,11 +150,12 @@ def run_batch(jobs: list[BatchJob],
               workers: int | None = None) -> list[BatchResult]:
     """Run ``jobs`` over a process pool; results in submission order.
 
-    ``workers=None`` sizes the pool to ``min(len(jobs), cpu_count)``;
+    ``workers=None`` sizes the pool to ``min(len(jobs),
+    effective_cpus())``;
     ``workers<=1`` runs serially in-process.
     """
     if workers is None:
-        workers = min(len(jobs), os.cpu_count() or 1)
+        workers = min(len(jobs), effective_cpus())
     if workers <= 1 or len(jobs) <= 1:
         return [run_job(job) for job in jobs]
     with multiprocessing.Pool(processes=min(workers, len(jobs))) as pool:
@@ -244,7 +239,6 @@ def record_replay_many(workload_names: list[str], out_dir: str,
                        scale: float = 1.0,
                        plugin_modules: tuple[str, ...] = (),
                        sampling: str = "full",
-                       version: int | None = None,
                        options: dict | None = None,
                        telemetry=None) -> BatchReport:
     """Record every workload, then replay every trace, both in parallel.
@@ -252,8 +246,8 @@ def record_replay_many(workload_names: list[str], out_dir: str,
     The two phases are separated by a barrier (a replay needs its trace
     on disk); within each phase jobs run concurrently. Pass the modules
     that ``@register`` your custom analyses via ``plugin_modules`` so
-    spawned workers can resolve them too. ``sampling``/``version``
-    configure the record phase (see :func:`repro.trace.record_source`);
+    spawned workers can resolve them too. ``sampling`` configures
+    the record phase (see :func:`repro.trace.record_source`);
     ``options`` carries per-analysis options into every replay job
     (``{"whatif": {"workers": "2,4"}}``). With an enabled ``telemetry``
     every worker collects its own spans, stitched back under the
@@ -268,8 +262,7 @@ def record_replay_many(workload_names: list[str], out_dir: str,
     record_jobs = [
         BatchJob(kind="record", name=name, workload=name, scale=scale,
                  trace_path=os.path.join(out_dir, f"{name}.trace"),
-                 sampling=sampling, version=version,
-                 telemetry=tm.enabled)
+                 sampling=sampling, telemetry=tm.enabled)
         for name in workload_names
     ]
     with tm.span("batch", workloads=list(workload_names),
@@ -288,7 +281,7 @@ def record_replay_many(workload_names: list[str], out_dir: str,
             tm.attach(result.spans)
             tm.merge_counters(result.counters)
     effective = workers if workers is not None else min(
-        len(record_jobs), os.cpu_count() or 1)
+        len(record_jobs), effective_cpus())
     wall = _time.perf_counter() - start
     if tm.enabled:
         span.set(jobs=len(records) + len(replays), workers=effective)

@@ -1,16 +1,12 @@
-"""Event-stream codecs: the version-specific wire formats.
+"""Event-stream codec: the v2 wire format.
 
-The file envelope (magic, header, footer, trailer) is shared by every
-trace version and lives in :mod:`repro.trace.events`; this module owns
-only the *events* section in between. Both sides of each version are
-here so the writer and reader cannot drift apart, and so the round-trip
-fuzz tests can drive a codec directly without building a whole file.
+The file envelope (magic, header, footer, trailer) lives in
+:mod:`repro.trace.events`; this module owns only the *events* section
+in between. Both sides are here so the writer and reader cannot drift
+apart, and so the round-trip fuzz tests can drive the codec directly
+without building a whole file.
 
-**v1** packs each event as a fixed 13-byte ``<BIII`` record — type
-byte, operands ``a``/``b``, timestamp delta. Simple and decodable with
-one :func:`struct.iter_unpack` per chunk.
-
-**v2** packs each event as::
+v2 packs each event as::
 
     type      1 byte
     zz(Δa)    uvarint   zigzag delta of ``a`` vs the previous record
@@ -32,6 +28,11 @@ checkpoint can capture the deltas at a boundary and a later reader can
 seek to that block and resume decoding mid-file
 (:mod:`repro.trace.shards`).
 
+One decoder, :class:`V2BatchDecoder`, yields one columnar
+:class:`~repro.trace.columnar.EventBatch` per block. Its scalar
+per-record loop is the reference semantics: the vectorized kernel only
+takes blocks it can prove well-formed.
+
 Decoding errors follow the reader's contract: a file that ends inside
 a block frame or whose decompressed payload stops mid-record raises
 :class:`TraceTruncatedError`; a block that fails to decompress or
@@ -44,10 +45,8 @@ import zlib
 from struct import Struct
 from typing import BinaryIO, Iterator
 
-from repro.trace.columnar import (HAVE_NUMPY, EventBatch,
-                                  decode_block_columns)
-from repro.trace.events import (EV_FINISH, RECORD, RECORD_SIZE, TraceError,
-                                TraceTruncatedError)
+from repro.trace.columnar import EventBatch, decode_block_columns
+from repro.trace.events import EV_FINISH, TraceError, TraceTruncatedError
 
 #: v2 block frame: compressed payload length, uncompressed length.
 BLOCK_HEADER = Struct("<II")
@@ -55,14 +54,6 @@ BLOCK_HEADER_SIZE = BLOCK_HEADER.size
 
 #: Flush a v2 block once this much uncompressed record data buffered.
 DEFAULT_BLOCK_BYTES = 1 << 16
-
-#: v1 writer flush threshold (bytes of packed records).
-V1_FLUSH_BYTES = 1 << 20
-
-#: Records per read() while streaming v1 (chunk is a multiple of the
-#: record size, so iter_unpack never sees a partial record).
-_V1_CHUNK_RECORDS = 16384
-V1_CHUNK_BYTES = _V1_CHUNK_RECORDS * RECORD_SIZE
 
 Event = tuple[int, int, int, int]
 
@@ -127,36 +118,8 @@ def read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Encoders: writer-side, one per version
+# Encoder: writer-side
 # ---------------------------------------------------------------------------
-
-class V1Encoder:
-    """Fixed-record encoder; ``take()`` hands back raw packed bytes."""
-
-    version = 1
-    flush_bytes = V1_FLUSH_BYTES
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-        self._pack = RECORD.pack
-
-    def add(self, etype: int, a: int, b: int, delta: int) -> None:
-        self._buffer += self._pack(etype, a, b, delta)
-
-    def pending(self) -> int:
-        return len(self._buffer)
-
-    def take(self) -> bytes:
-        """Everything buffered, ready to append to the file."""
-        out = bytes(self._buffer)
-        self._buffer.clear()
-        return out
-
-    def state(self) -> dict:
-        """v1 records are stateless; only the clock carries across a
-        seam (the checkpoint stores it separately)."""
-        return {}
-
 
 class V2Encoder:
     """Delta/varint encoder; ``take()`` hands back one framed block."""
@@ -238,68 +201,18 @@ class V2Encoder:
         return {"prev": prev}
 
 
-def make_encoder(version: int,
-                 block_bytes: int = DEFAULT_BLOCK_BYTES):
-    if version == 1:
-        return V1Encoder()
-    if version == 2:
-        return V2Encoder(block_bytes)
-    raise TraceError(f"cannot write trace schema version {version}")
-
-
 # ---------------------------------------------------------------------------
-# Decoders: reader-side
+# Decoder: reader-side
 # ---------------------------------------------------------------------------
 
-class V1Decoder:
-    """Streams fixed 13-byte records until FINISH.
+class V2BatchDecoder:
+    """Streams block-framed varint records until FINISH, one
+    :class:`EventBatch` per block.
 
-    Exposes :attr:`records` (count consumed) afterwards so the caller
-    can compute the footer's file offset — v1 has no framing, so the
-    offset is arithmetic over the record count. ``state`` (from a
-    checkpoint) seeds the clock when decoding resumes mid-file.
-    """
-
-    def __init__(self, handle: BinaryIO, path: str,
-                 state: dict | None = None) -> None:
-        self._handle = handle
-        self.path = path
-        self.records = 0
-        self._time0 = state.get("time", 0) if state else 0
-
-    def events(self) -> Iterator[Event]:
-        handle = self._handle
-        unpack_chunk = RECORD.iter_unpack
-        time = self._time0
-        records = 0
-        while True:
-            # A chunk near the end of the file may contain footer bytes
-            # after the FINISH record; alignment is only meaningful for
-            # the records before FINISH, so trim and check afterwards.
-            chunk = handle.read(V1_CHUNK_BYTES)
-            if not chunk:
-                raise TraceTruncatedError(
-                    f"{self.path}: event stream ends without FINISH")
-            remainder = len(chunk) % RECORD_SIZE
-            for etype, a, b, delta in unpack_chunk(chunk[:len(chunk)
-                                                         - remainder]):
-                time += delta
-                records += 1
-                yield (etype, a, b, time)
-                if etype == EV_FINISH:
-                    self.records = records
-                    return
-            if remainder:
-                raise TraceTruncatedError(
-                    f"{self.path}: trace ends mid-record "
-                    f"({remainder} trailing bytes)")
-
-
-class V2Decoder:
-    """Streams block-framed varint records until FINISH.
-
-    Tracks :attr:`blocks`, :attr:`compressed_bytes` and
-    :attr:`raw_bytes` for the ``info`` verb's size accounting.
+    Tracks :attr:`records`, :attr:`blocks`, :attr:`compressed_bytes`
+    and :attr:`raw_bytes` for the ``info`` verb's size accounting;
+    :attr:`blocks_vectorized` / :attr:`blocks_fallback` feed the replay
+    engine's decode telemetry counters.
 
     ``state`` seeds the per-type deltas and the clock so decoding can
     start at a mid-file block boundary (parallel segment replay).
@@ -307,123 +220,20 @@ class V2Decoder:
     read as ``hook(offset, records, time, prev_a, prev_b)`` — the exact
     state a checkpoint in that block must capture; the shard scanner
     uses it to build checkpoints.
+
+    :meth:`_decode_scalar` is the reference per-record loop. It decodes
+    every block when ``scalar`` is set (the ``columnar=False`` oracle),
+    and it re-decodes any block the vectorized kernel cannot prove
+    well-formed (corruption, truncation, varints past the legitimate
+    5-byte maximum), then stays in charge for the rest of the stream —
+    a corrupt trace costs speed, never fidelity. The property-based
+    equivalence suite pins the two paths to the same events and the
+    same typed errors.
     """
 
     def __init__(self, handle: BinaryIO, path: str,
                  state: dict | None = None,
-                 block_hook=None) -> None:
-        self._handle = handle
-        self.path = path
-        self.records = 0
-        self.blocks = 0
-        self.compressed_bytes = 0
-        self.raw_bytes = 0
-        self.block_hook = block_hook
-        self._time0 = state.get("time", 0) if state else 0
-        self._prev0 = dict(state.get("prev", {})) if state else {}
-
-    def events(self) -> Iterator[Event]:
-        handle = self._handle
-        prev_a = [0] * 256
-        prev_b = [0] * 256
-        for etype, (a, b) in self._prev0.items():
-            prev_a[int(etype)] = a
-            prev_b[int(etype)] = b
-        time = self._time0
-        while True:
-            if self.block_hook is not None:
-                self.block_hook(handle.tell(), self.records, time,
-                                prev_a, prev_b)
-            frame = handle.read(BLOCK_HEADER_SIZE)
-            if not frame:
-                raise TraceTruncatedError(
-                    f"{self.path}: event stream ends without FINISH")
-            if len(frame) < BLOCK_HEADER_SIZE:
-                raise TraceTruncatedError(
-                    f"{self.path}: trace ends inside a block header")
-            comp_len, raw_len = BLOCK_HEADER.unpack(frame)
-            payload = handle.read(comp_len)
-            if len(payload) < comp_len:
-                raise TraceTruncatedError(
-                    f"{self.path}: trace ends mid-block "
-                    f"({len(payload)} of {comp_len} payload bytes)")
-            try:
-                data = zlib.decompress(payload)
-            except zlib.error as exc:
-                raise TraceError(
-                    f"{self.path}: corrupt trace block: {exc}") from exc
-            if len(data) != raw_len:
-                raise TraceError(
-                    f"{self.path}: block length mismatch "
-                    f"({raw_len} declared, {len(data)} decompressed)")
-            self.blocks += 1
-            self.compressed_bytes += comp_len
-            self.raw_bytes += raw_len
-            pos = 0
-            end = len(data)
-            records = self.records
-            try:
-                while pos < end:
-                    etype = data[pos]
-                    # Inline uvarint fast path: single-byte fields
-                    # dominate (the encoder's fast path is their twin).
-                    # IndexError from a record cut by block truncation
-                    # is mapped to TraceTruncatedError below.
-                    za = data[pos + 1]
-                    if za < 0x80:
-                        pos += 2
-                    else:
-                        za, pos = read_uvarint(data, pos + 1)
-                    a = prev_a[etype] + (za >> 1 if not za & 1
-                                         else -(za >> 1) - 1)
-                    prev_a[etype] = a
-                    zb = data[pos]
-                    if zb < 0x80:
-                        pos += 1
-                    else:
-                        zb, pos = read_uvarint(data, pos)
-                    b = prev_b[etype] + (zb >> 1 if not zb & 1
-                                         else -(zb >> 1) - 1)
-                    prev_b[etype] = b
-                    delta = data[pos]
-                    if delta < 0x80:
-                        pos += 1
-                    else:
-                        delta, pos = read_uvarint(data, pos)
-                    time += delta
-                    records += 1
-                    yield (etype, a, b, time)
-                    if etype == EV_FINISH:
-                        self.records = records
-                        return
-            except IndexError:
-                raise TraceTruncatedError(
-                    f"{self.path}: block ends mid-record") from None
-            finally:
-                self.records = records
-
-
-class V2BatchDecoder:
-    """Columnar twin of :class:`V2Decoder`: one ``EventBatch`` per block.
-
-    Same constructor surface and stats (:attr:`records`,
-    :attr:`blocks`, :attr:`compressed_bytes`, :attr:`raw_bytes`), same
-    ``state`` resume semantics, same ``block_hook`` contract — and, by
-    construction, the same events and the same typed errors:
-    :meth:`events` is pinned against ``V2Decoder.events()`` by the
-    property-based equivalence suite. Blocks the vectorized kernel
-    cannot prove well-formed (corruption, truncation, varints past the
-    legitimate 5-byte maximum) are re-decoded by an exact scalar copy
-    of the reference loop, which then stays in charge for the rest of
-    the stream — a corrupt trace costs speed, never fidelity.
-
-    :attr:`blocks_vectorized` / :attr:`blocks_fallback` feed the
-    replay engine's decode telemetry counters.
-    """
-
-    def __init__(self, handle: BinaryIO, path: str,
-                 state: dict | None = None,
-                 block_hook=None) -> None:
+                 block_hook=None, scalar: bool = False) -> None:
         self._handle = handle
         self.path = path
         self.records = 0
@@ -444,7 +254,7 @@ class V2BatchDecoder:
                 self._prev_a[int(etype)] = a
                 self._prev_b[int(etype)] = b
         self._finished = False
-        self._scalar_only = not HAVE_NUMPY
+        self._scalar_only = scalar
 
     def batches(self) -> Iterator[EventBatch]:
         """Yield one :class:`EventBatch` per block until FINISH."""
@@ -500,11 +310,6 @@ class V2BatchDecoder:
             if error is not None:
                 raise error
 
-    def events(self) -> Iterator[Event]:
-        """Scalar view: yields exactly what ``V2Decoder.events()`` does."""
-        for batch in self.batches():
-            yield from batch.rows()
-
     def _decode_vector(self, data: bytes) -> EventBatch | None:
         decoded = decode_block_columns(data, self._prev_a, self._prev_b,
                                        self._time)
@@ -519,10 +324,9 @@ class V2BatchDecoder:
                        ) -> tuple[EventBatch | None, Exception | None]:
         """Reference per-record decode of one block into columns.
 
-        Mirrors ``V2Decoder.events()`` exactly — including which
-        events precede an error: the partial batch is returned first
-        and the error raised after it is consumed, so downstream sees
-        the same prefix-then-raise order as the scalar generator.
+        A block that breaks off mid-way still yields the events before
+        the break: the partial batch is returned first and the error
+        raised after it is consumed (prefix-then-raise).
         """
         prev_a = self._prev_a
         prev_b = self._prev_b
@@ -537,6 +341,10 @@ class V2BatchDecoder:
         try:
             while pos < end:
                 etype = data[pos]
+                # Inline uvarint fast path: single-byte fields dominate
+                # (the encoder's fast path is their twin). IndexError
+                # from a record cut by block truncation is mapped to
+                # TraceTruncatedError below.
                 za = data[pos + 1]
                 if za < 0x80:
                     pos += 2
@@ -577,26 +385,14 @@ class V2BatchDecoder:
         return EventBatch.from_lists(etypes, col_a, col_b, col_t), error
 
 
-def make_decoder(version: int, handle: BinaryIO, path: str,
-                 state: dict | None = None, block_hook=None,
-                 columnar: bool = False):
-    if version == 1:
-        return V1Decoder(handle, path, state)
-    if version == 2:
-        if columnar:
-            return V2BatchDecoder(handle, path, state, block_hook)
-        return V2Decoder(handle, path, state, block_hook)
-    raise TraceError(f"cannot decode trace schema version {version}")
-
-
-def encode_events(events: list[Event], version: int,
+def encode_events(events: list[Event],
                   block_bytes: int = DEFAULT_BLOCK_BYTES) -> bytes:
     """Encode absolute-timestamp events into one event-stream blob.
 
     Test/fuzz helper: the exact bytes a writer would put between the
     header and the footer, without building either.
     """
-    encoder = make_encoder(version, block_bytes)
+    encoder = V2Encoder(block_bytes)
     out = bytearray()
     last = 0
     for etype, a, b, t in events:
@@ -608,9 +404,10 @@ def encode_events(events: list[Event], version: int,
     return bytes(out)
 
 
-def decode_events(blob: bytes, version: int,
-                  path: str = "<blob>") -> list[Event]:
+def decode_events(blob: bytes, path: str = "<blob>",
+                  scalar: bool = False) -> list[Event]:
     """Inverse of :func:`encode_events` (stops after FINISH)."""
     import io
 
-    return list(make_decoder(version, io.BytesIO(blob), path).events())
+    decoder = V2BatchDecoder(io.BytesIO(blob), path, scalar=scalar)
+    return [row for batch in decoder.batches() for row in batch.rows()]

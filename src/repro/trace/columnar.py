@@ -6,13 +6,12 @@ wraps. This module holds the columnar alternative the batch replay
 path is built on: each decoded block becomes one :class:`EventBatch`
 of four parallel typed columns (``etypes``/``a``/``b``/``t``), and the
 delta/zigzag reconstruction runs once per *column* instead of once per
-event. With numpy present the per-block kernel
-(:func:`decode_block_columns`) vectorizes the whole pipeline —
-varint boundary discovery, value assembly, zigzag, per-type delta
-cumsums — in a handful of array ops; without numpy batches are still
-produced (``array('q')`` columns filled by the exact scalar loop) so
-the ``consume_batch`` plugin surface works everywhere, it just stops
-being faster.
+event. The per-block kernel (:func:`decode_block_columns`) vectorizes
+the whole pipeline with numpy — varint boundary discovery, value
+assembly, zigzag, per-type delta cumsums — in a handful of array ops.
+Blocks the scalar reference loop decodes (``columnar=False`` replay,
+or a block the kernel cannot prove well-formed) become batches too,
+over ``array('q')`` columns, so one dispatch loop serves both.
 
 Correctness contract: the kernel only ever accepts a block it can
 *prove* well-formed — contiguous ``[etype][varint][varint][varint]``
@@ -26,19 +25,13 @@ equivalence suite pins exactly this.
 
 from __future__ import annotations
 
-import os
 from array import array
+
+import numpy as _np
 
 from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH,
                                 EV_CHECKPOINT, EV_ENTER, EV_EXIT,
                                 EV_FINISH, EV_FREE, EV_READ, EV_WRITE)
-
-try:  # numpy is an accelerator, never a requirement
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 #: Event types the replay engines apply to reconstructed memory (frame
 #: pushes/pops, heap churn) plus FINISH: the seams at which a block is
@@ -65,43 +58,22 @@ VECTOR_MAX_VARINT_BYTES = 5
 #: scalar path instead.
 _SAFE_PREV = 1 << 55
 
-if HAVE_NUMPY:
-    _STRUCT_LUT = _np.zeros(256, dtype=bool)
-    for _et in STRUCTURAL_EVENTS:
-        _STRUCT_LUT[_et] = True
-    _KNOWN_LUT = _np.zeros(256, dtype=bool)
-    for _et in KNOWN_EVENTS:
-        _KNOWN_LUT[_et] = True
-    _ACCESS_LUT = _np.zeros(256, dtype=bool)
-    _ACCESS_LUT[EV_READ] = _ACCESS_LUT[EV_WRITE] = True
-
-
-def columnar_enabled(override: bool | None = None) -> bool:
-    """Should readers/engines prefer the columnar batch path?
-
-    ``override`` (an explicit caller choice) wins; then the
-    ``ALCHEMIST_COLUMNAR`` environment variable (``0``/``off`` forces
-    the scalar path everywhere — the parity escape hatch — while
-    ``1``/``on`` forces batches even without numpy); the default is on
-    exactly when numpy is importable, because without it batches decode
-    through the same scalar loop they would replace.
-    """
-    if override is not None:
-        return bool(override)
-    env = os.environ.get("ALCHEMIST_COLUMNAR", "").strip().lower()
-    if env in ("0", "no", "off", "false", "scalar"):
-        return False
-    if env in ("1", "yes", "on", "true", "force"):
-        return True
-    return HAVE_NUMPY
+_STRUCT_LUT = _np.zeros(256, dtype=bool)
+for _et in STRUCTURAL_EVENTS:
+    _STRUCT_LUT[_et] = True
+_KNOWN_LUT = _np.zeros(256, dtype=bool)
+for _et in KNOWN_EVENTS:
+    _KNOWN_LUT[_et] = True
+_ACCESS_LUT = _np.zeros(256, dtype=bool)
+_ACCESS_LUT[EV_READ] = _ACCESS_LUT[EV_WRITE] = True
 
 
 class EventBatch:
     """One decoded block of events as four parallel typed columns.
 
     Columns are numpy ``int64`` arrays on the vectorized path and
-    ``array('q')`` on the fallback path; either way :meth:`columns`
-    exposes plain-``int`` lists (cached) and :meth:`rows` iterates
+    ``array('q')`` (plain lists beyond int64) on the scalar path;
+    either way :meth:`columns` exposes plain-``int`` lists (cached) and :meth:`rows` iterates
     ``(etype, a, b, t)`` tuples identical to the scalar decoder's
     yield. Slices share storage where the backing type allows it.
     """
@@ -145,7 +117,7 @@ class EventBatch:
         """The four columns as plain-int lists (computed once)."""
         lists = self._lists
         if lists is None:
-            if HAVE_NUMPY and isinstance(self.etypes, _np.ndarray):
+            if isinstance(self.etypes, _np.ndarray):
                 lists = (self.etypes.tolist(), self.a.tolist(),
                          self.b.tolist(), self.t.tolist())
             else:
@@ -169,7 +141,7 @@ class EventBatch:
             et_l, a_l, b_l, t_l = self._lists
             return ([et_l[i] for i in indices], [a_l[i] for i in indices],
                     [b_l[i] for i in indices], [t_l[i] for i in indices])
-        if HAVE_NUMPY and isinstance(self.etypes, _np.ndarray):
+        if isinstance(self.etypes, _np.ndarray):
             idx = _np.asarray(indices, dtype=_np.intp)
             return (self.etypes[idx].tolist(), self.a[idx].tolist(),
                     self.b[idx].tolist(), self.t[idx].tolist())
@@ -182,14 +154,14 @@ class EventBatch:
 
     def structural_indices(self) -> list[int]:
         """Row indices of memory-mutating events and FINISH, in order."""
-        if HAVE_NUMPY and isinstance(self.etypes, _np.ndarray):
+        if isinstance(self.etypes, _np.ndarray):
             return _np.flatnonzero(_STRUCT_LUT[self.etypes]).tolist()
         structural = STRUCTURAL_EVENTS
         return [i for i, et in enumerate(self.etypes) if et in structural]
 
     def first_unknown_etype(self) -> int | None:
         """The first event type outside the known set, or ``None``."""
-        if HAVE_NUMPY and isinstance(self.etypes, _np.ndarray):
+        if isinstance(self.etypes, _np.ndarray):
             known = _KNOWN_LUT[self.etypes]
             if known.all():
                 return None
@@ -204,7 +176,7 @@ class EventBatch:
 
     def etype_counts(self) -> list[int]:
         """Count per event type, indexable by the ``EV_*`` codes."""
-        if HAVE_NUMPY and isinstance(self.etypes, _np.ndarray):
+        if isinstance(self.etypes, _np.ndarray):
             return _np.bincount(self.etypes, minlength=256).tolist()
         counts = [0] * 256
         for et in self.etypes:
@@ -213,13 +185,13 @@ class EventBatch:
 
     def addrs_for(self, etype: int) -> list[int]:
         """The ``a`` operand of every event of type ``etype``."""
-        if HAVE_NUMPY and isinstance(self.etypes, _np.ndarray):
+        if isinstance(self.etypes, _np.ndarray):
             return self.a[self.etypes == etype].tolist()
         return [a for et, a in zip(self.etypes, self.a) if et == etype]
 
     def addr_counts(self, etype: int) -> list[tuple[int, int]]:
         """``(a, occurrences)`` pairs for events of type ``etype``."""
-        if HAVE_NUMPY and isinstance(self.etypes, _np.ndarray):
+        if isinstance(self.etypes, _np.ndarray):
             values, counts = _np.unique(self.a[self.etypes == etype],
                                         return_counts=True)
             return list(zip(values.tolist(), counts.tolist()))
@@ -231,7 +203,7 @@ class EventBatch:
 
     def access_addrs(self) -> list[int]:
         """Addresses of every READ and WRITE, in event order."""
-        if HAVE_NUMPY and isinstance(self.etypes, _np.ndarray):
+        if isinstance(self.etypes, _np.ndarray):
             return self.a[_ACCESS_LUT[self.etypes]].tolist()
         return [a for et, a in zip(self.etypes, self.a)
                 if et == EV_READ or et == EV_WRITE]
@@ -249,8 +221,6 @@ def decode_block_columns(data: bytes, prev_a: list[int],
     provably well-formed; the caller must then re-decode it with the
     scalar reference loop, which reproduces events and errors exactly.
     """
-    if _np is None:
-        return None
     arr = _np.frombuffer(data, dtype=_np.uint8)
     # Varint terminals and etype bytes are the bytes without the
     # continuation bit; a well-formed record contributes exactly four:

@@ -3,28 +3,23 @@
 A trace file is::
 
     magic      8 bytes   b"ALCHTRC\\0"
-    version    u16 LE    1 or 2 (readers reject anything else)
+    version    u16 LE    2 (readers reject anything else)
     hdr_len    u32 LE
     header     hdr_len bytes of zlib-compressed JSON (TraceHeader)
-    events     the version-specific event stream, ended by FINISH
+    events     the v2 event stream, ended by FINISH
     footer     zlib-compressed JSON (TraceFooter)
     ftr_len    u32 LE    footer length (trailing, so the footer can be
                          located from the end of the file too)
     trailer    8 bytes   b"ALCHEND\\0"
 
-Only the *events* section differs between versions (the codecs live in
-:mod:`repro.trace.codec`; the wire spec is ``docs/trace-format.md``):
-
-* **v1** — fixed 13-byte ``struct`` records ``<BIII``: a type byte, two
-  32-bit operands ``a``/``b``, and the timestamp *delta* since the
-  previous event (timestamps are instruction counts, monotone within a
-  run, so deltas are small and non-negative). Fixed-width records
-  decode an entire chunk with one :func:`struct.iter_unpack` call.
-* **v2** — delta-encoded, varint-packed records grouped into
-  zlib-compressed blocks: per record a type byte, the zigzag-varint
-  deltas of ``a`` and ``b`` against the previous record *of the same
-  type*, and the uvarint timestamp delta. 18-78x smaller than v1 on
-  the bundled workloads; the default for new recordings.
+The events section holds delta-encoded, varint-packed records grouped
+into zlib-compressed blocks: per record a type byte, the zigzag-varint
+deltas of ``a`` and ``b`` against the previous record *of the same
+type*, and the uvarint timestamp delta (timestamps are instruction
+counts, monotone within a run). The codec lives in
+:mod:`repro.trace.codec`; the wire spec is ``docs/trace-format.md``.
+Version 1 (fixed 13-byte records) is retired: its files raise
+:class:`TraceVersionError`.
 
 The header embeds the program source (compressed) plus its SHA-256
 digest, so a trace is self-contained: replay recompiles the embedded
@@ -35,7 +30,7 @@ also names the sampling policy the recording ran under (``"full"``
 when every memory event was kept), so consumers can label sampled
 results as lower-confidence hints.
 
-Operands and deltas must fit 32 bits in either version; the writer
+Operands and deltas must fit 32 bits; the writer
 raises :class:`TraceError` otherwise (addresses are word indices, so
 this bounds traced memory at 4G words — far beyond any bundled
 workload).
@@ -52,19 +47,8 @@ from struct import Struct
 MAGIC = b"ALCHTRC\0"
 TRAILER = b"ALCHEND\0"
 
-TRACE_VERSION_V1 = 1
+#: The one schema version written and read.
 TRACE_VERSION_V2 = 2
-#: Versions the reader auto-detects.
-SUPPORTED_TRACE_VERSIONS = (TRACE_VERSION_V1, TRACE_VERSION_V2)
-#: What new recordings are written as unless told otherwise.
-DEFAULT_TRACE_VERSION = TRACE_VERSION_V2
-#: Deprecated alias (the schema number before v2 existed); kept so
-#: pre-v2 callers comparing against it keep meaning "v1".
-TRACE_VERSION = TRACE_VERSION_V1
-
-#: One event record: type byte, operand a, operand b, timestamp delta.
-RECORD = Struct("<BIII")
-RECORD_SIZE = RECORD.size
 
 _VERSION_STRUCT = Struct("<H")
 _LEN_STRUCT = Struct("<I")
@@ -133,8 +117,7 @@ class TraceHeader:
     #: Function names in compilation order; ENTER/EXIT events index this.
     functions: list[str] = field(default_factory=list)
     #: Sampling policy spec the recording ran under ("full" = every
-    #: memory event kept). Pre-sampling v1 traces lack the key and
-    #: default here.
+    #: memory event kept).
     sampling: str = "full"
 
     def to_bytes(self) -> bytes:
@@ -176,8 +159,8 @@ class TraceFooter:
             raise TraceError(f"corrupt trace footer: {exc}") from exc
 
 
-def pack_version(version: int = TRACE_VERSION) -> bytes:
-    return _VERSION_STRUCT.pack(version)
+def pack_version() -> bytes:
+    return _VERSION_STRUCT.pack(TRACE_VERSION_V2)
 
 
 def unpack_version(blob: bytes) -> int:

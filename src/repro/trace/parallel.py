@@ -37,15 +37,12 @@ from typing import Any, Iterable
 from repro.analyses import (AnalysisContext, AnalysisResult,
                             get_analysis, make_analyses, parse_spec)
 from repro.analyses.base import AnalysisSegment, SegmentSeed
-from repro.trace.columnar import columnar_enabled
-from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH,
-                                EV_CHECKPOINT, EV_ENTER, EV_EXIT,
-                                EV_FINISH, EV_FREE, EV_READ, EV_WRITE,
-                                TRACE_VERSION_V1, TraceError)
+from repro.trace.events import TraceError
 from repro.trace.reader import TraceReader
 from repro.trace.replay import dispatch_batches, replay_with
 from repro.trace.shards import (Checkpoint, ShardPlan, plan_shards,
                                 restore_memory, snapshot_memory)
+from repro.util import effective_cpus
 
 #: Compiled programs per worker process, keyed by (path, digest) — a
 #: worker typically replays several segments of the same trace.
@@ -152,22 +149,16 @@ def _replay_segment(job: dict, reader: TraceReader,
 
     replay_span = tm.span("segment.replay")
     replay_span.__enter__()
+    columnar = job["columnar"]
     try:
-        if (reader.version != TRACE_VERSION_V1
-                and columnar_enabled(job.get("columnar"))):
-            # Columnar fast path: whole blocks decoded into typed
-            # columns, per-type delta state reseeded from the
-            # checkpoint; the scalar loop below stays the reference
-            # semantics (and the path for v1 traces / disabled runs).
-            final_time, consumed = dispatch_batches(
-                reader.batches_from(checkpoint.offset,
-                                    checkpoint.decoder_state()),
-                analyses, memory, functions, budget=budget,
-                segment=True)
-        else:
-            final_time, consumed = _replay_segment_scalar(
-                reader, checkpoint, budget, analyses, memory,
-                functions)
+        # Decoding resumes at the seam with the per-type delta state
+        # reseeded from the checkpoint; dispatch is the serial loop.
+        final_time, consumed = dispatch_batches(
+            reader.batches_from(checkpoint.offset,
+                                checkpoint.decoder_state(),
+                                columnar=columnar),
+            analyses, memory, functions, budget=budget, segment=True,
+            columnar=columnar)
     finally:
         replay_span.__exit__(None, None, None)
     replay_span.set(events=consumed)
@@ -185,84 +176,6 @@ def _replay_segment(job: dict, reader: TraceReader,
     memory_snapshot = (snapshot_memory(memory, header).to_payload()
                        if job["end_index"] is None else None)
     return consumed, exports, memory_snapshot
-
-
-def _replay_segment_scalar(reader: TraceReader, checkpoint: Checkpoint,
-                           budget: int | None, analyses: list,
-                           memory, functions) -> tuple[int, int]:
-    """Per-event segment replay (v1 traces, columnar disabled).
-    Returns ``(final_time, events_consumed)``."""
-    from repro.analyses import live_hooks
-
-    on_enter = live_hooks(analyses, "on_enter_function")
-    on_exit = live_hooks(analyses, "on_exit_function")
-    on_block = live_hooks(analyses, "on_block_enter")
-    on_branch = live_hooks(analyses, "on_branch")
-    on_read = live_hooks(analyses, "on_read")
-    on_write = live_hooks(analyses, "on_write")
-    on_alloc = live_hooks(analyses, "on_heap_alloc")
-    on_free = live_hooks(analyses, "on_frame_free")
-    on_finish = live_hooks(analyses, "on_finish")
-
-    push_frame = memory.push_frame
-    pop_frame = memory.pop_frame
-    heap_alloc = memory.heap_alloc
-    heap_free = memory.heap_free
-    heap_base = memory.heap_base
-
-    consumed = 0
-    final_time = 0
-    for etype, a, b, t in reader.events_from(
-            checkpoint.offset, checkpoint.decoder_state(),
-            columnar=False):
-        if etype == EV_READ:
-            for hook in on_read:
-                hook(a, b, t)
-        elif etype == EV_WRITE:
-            for hook in on_write:
-                hook(a, b, t)
-        elif etype == EV_BLOCK:
-            for hook in on_block:
-                hook(a, t)
-        elif etype == EV_BRANCH:
-            for hook in on_branch:
-                hook(a, b, t)
-        elif etype == EV_ENTER:
-            push_frame(functions[a])
-            name = functions[a].name
-            for hook in on_enter:
-                hook(name, b, t)
-        elif etype == EV_EXIT:
-            name = functions[a].name
-            for hook in on_exit:
-                hook(name, t)
-            pop_frame()
-        elif etype == EV_FREE:
-            if b and a >= heap_base:
-                heap_free(a)
-            hi = a + b
-            for hook in on_free:
-                hook(a, hi)
-        elif etype == EV_ALLOC:
-            base = heap_alloc(b)
-            if base != a:
-                raise TraceError(
-                    f"heap replay diverged in segment: alloc "
-                    f"returned {base}, trace recorded {a}")
-            for hook in on_alloc:
-                hook(a, b, t)
-        elif etype == EV_FINISH:
-            final_time = t
-            for hook in on_finish:
-                hook(t)
-        elif etype == EV_CHECKPOINT:
-            pass
-        else:
-            raise TraceError(f"unknown event type {etype}")
-        consumed += 1
-        if budget is not None and consumed >= budget:
-            break
-    return final_time, consumed
 
 
 @dataclass
@@ -302,7 +215,7 @@ def parallel_replay(path: str | os.PathLike,
                     plugin_modules: tuple[str, ...] = (),
                     allow_scan: bool = True,
                     telemetry=None,
-                    columnar: bool | None = None) -> ParallelOutcome:
+                    columnar: bool = True) -> ParallelOutcome:
     """Replay ``path`` through the named analyses across ``jobs``
     workers; falls back to one serial pass when sharding cannot help
     (and says so in the outcome).
@@ -314,15 +227,17 @@ def parallel_replay(path: str | os.PathLike,
     process only knows the builtins). With an enabled ``telemetry``
     the coordinator opens a ``replay.parallel`` span and stitches each
     worker's ``segment`` span tree (and counters) under it.
-    ``columnar`` forces the batch/scalar decode path in every worker
-    (default: auto, see :func:`repro.trace.columnar.columnar_enabled`).
+    ``columnar=False`` runs every segment on the reference path
+    (scalar decode, per-event hooks; see
+    :func:`repro.trace.replay.dispatch_batches`). ``jobs`` of None or 0
+    means one worker per usable CPU (:func:`repro.util.effective_cpus`).
     """
     from repro.telemetry import as_telemetry
 
     path = os.fspath(path)
     names = parse_spec(analyses)
     if jobs is None or jobs <= 0:
-        jobs = os.cpu_count() or 1
+        jobs = effective_cpus()
     tm = as_telemetry(telemetry)
     coord = tm.span("replay.parallel", trace=path, jobs=jobs,
                     analyses=list(names))
@@ -333,7 +248,7 @@ def parallel_replay(path: str | os.PathLike,
         start = _time.perf_counter()
         unsupported = unsupported_analyses(names)
         if unsupported:
-            plan = ShardPlan(path=path, version=0, segments=[],
+            plan = ShardPlan(path=path, segments=[],
                              source="serial")
             coord.set(mode="serial")
             return _serial_fallback(
@@ -353,7 +268,7 @@ def parallel_replay(path: str | os.PathLike,
                                     columnar)
 
         coord.set(mode="parallel")
-        pool_size = min(jobs, len(plan.segments))
+        workers = min(jobs, len(plan.segments))
         jobs_payload = [{
             "path": path,
             "ordinal": segment.ordinal,
@@ -365,10 +280,10 @@ def parallel_replay(path: str | os.PathLike,
             "telemetry": tm.enabled,
             "columnar": columnar,
         } for segment in plan.segments]
-        if pool_size == 1:
+        if workers == 1:
             results = [run_segment(job) for job in jobs_payload]
         else:
-            with multiprocessing.Pool(processes=pool_size) as pool:
+            with multiprocessing.Pool(processes=workers) as pool:
                 results = pool.map(run_segment, jobs_payload,
                                    chunksize=1)
         results.sort(key=lambda r: r["ordinal"])
@@ -377,7 +292,7 @@ def parallel_replay(path: str | os.PathLike,
             tm.merge_counters(result.get("counters"))
         if tm.enabled:
             busy = sum(r["seconds"] for r in results)
-            tm.gauge("parallel.pool_size", pool_size)
+            tm.gauge("parallel.workers", workers)
             tm.gauge("parallel.segments", len(results))
 
         with TraceReader(path) as reader:
@@ -416,17 +331,17 @@ def parallel_replay(path: str | os.PathLike,
             # Pool utilization: worker busy-time over the wall-clock
             # capacity the pool had open (1.0 = perfectly packed).
             tm.gauge("parallel.pool_utilization",
-                     round(busy / (wall * pool_size), 4) if wall else 0.0)
+                     round(busy / (wall * workers), 4) if wall else 0.0)
             from repro.telemetry import get_logger
 
             get_logger(__name__).info(
                 "parallel replay merged", extra={
                     "trace": path, "segments": len(results),
-                    "jobs": pool_size,
+                    "jobs": workers,
                     "merge_seconds": round(merge_seconds, 6),
                     "wall_seconds": round(wall, 6)})
         return ParallelOutcome(
-            reports=reports, context=ctx, plan=plan, jobs=pool_size,
+            reports=reports, context=ctx, plan=plan, jobs=workers,
             mode="parallel", wall_seconds=wall,
             segment_seconds=[r["seconds"] for r in results],
             segment_cpu_seconds=[r["cpu_seconds"] for r in results],
@@ -438,7 +353,7 @@ def parallel_replay(path: str | os.PathLike,
 def _serial_fallback(path: str, names: list[str], options: dict | None,
                      plan: ShardPlan, jobs: int, start: float,
                      reason: str, telemetry=None,
-                     columnar: bool | None = None) -> ParallelOutcome:
+                     columnar: bool = True) -> ParallelOutcome:
     instances = make_analyses(names, options)
     outcome = replay_with(path, instances, telemetry=telemetry,
                           columnar=columnar)

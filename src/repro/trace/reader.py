@@ -1,56 +1,55 @@
 """Lazy trace reading: stream events without loading the file.
 
 :class:`TraceReader` parses the header eagerly (it is small), sniffs
-the schema version from the envelope, and then yields events chunk by
-chunk (v1) or block by block (v2), so a trace larger than memory
-replays in constant space. Each yielded event is a plain tuple
+the schema version from the envelope, and then decodes block by block
+(:meth:`TraceReader.batches`, one columnar batch per block), so a trace
+larger than memory replays in constant space. :meth:`TraceReader.events`
+is the row view of the same batches: plain tuples
 ``(etype, a, b, timestamp)`` with the *absolute* timestamp already
-reconstructed from the stored deltas — consumers never see which wire
-format the file used.
+reconstructed from the stored deltas.
 
 Error handling contract (exercised by the format tests):
 
 * wrong magic or a header that fails to parse → :class:`TraceError`;
-* a version outside :data:`SUPPORTED_TRACE_VERSIONS` →
-  :class:`TraceVersionError`;
+* any version but :data:`TRACE_VERSION_V2` (retired v1 files
+  included) → :class:`TraceVersionError`;
 * EOF before the FINISH event — whether the cut lands in the header, a
-  v1 record, a v2 block header, or mid-block — or a missing
-  footer/trailer → :class:`TraceTruncatedError`;
-* a v2 block that fails to decompress or whose declared length lies →
+  block header, or mid-block — or a missing footer/trailer →
+  :class:`TraceTruncatedError`;
+* a block that fails to decompress or whose declared length lies →
   :class:`TraceError`.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from typing import BinaryIO, Iterator
 
-from repro.trace.codec import Event, make_decoder
-from repro.trace.columnar import EventBatch, columnar_enabled
-from repro.trace.events import (MAGIC, RECORD_SIZE,
-                                SUPPORTED_TRACE_VERSIONS, TRACE_VERSION_V1,
-                                TRAILER, TraceError, TraceFooter,
-                                TraceHeader, TraceTruncatedError,
-                                TraceVersionError, source_digest,
-                                unpack_length, unpack_version)
+from repro.trace.codec import Event, V2BatchDecoder
+from repro.trace.columnar import EventBatch
+from repro.trace.events import (MAGIC, TRACE_VERSION_V2, TRAILER,
+                                TraceError, TraceFooter, TraceHeader,
+                                TraceTruncatedError, TraceVersionError,
+                                source_digest, unpack_length,
+                                unpack_version)
 
 
 class TraceReader:
-    """Streams one trace file; each ``events()`` call restarts from the
-    first record, so a reader can replay the same trace repeatedly."""
+    """Streams one trace file; each ``batches()``/``events()`` call
+    restarts from the first record, so a reader can replay the same
+    trace repeatedly."""
 
     def __init__(self, path: str | os.PathLike):
         self.path = os.fspath(path)
         self._handle: BinaryIO = open(self.path, "rb")
-        #: Schema version of the file (auto-detected; 1 or 2).
+        #: Schema version of the file (always 2 once the header parsed).
         self.version: int = 0
         self.header = self._read_header()
         self._events_start = self._handle.tell()
-        #: Populated once ``events()`` has been fully consumed.
+        #: Populated once ``batches()`` has been fully consumed.
         self.footer: TraceFooter | None = None
-        #: The decoder of the most recent ``events()`` pass (exposes
-        #: per-stream stats such as v2 block/byte counts).
+        #: The decoder of the most recent pass (exposes per-stream
+        #: stats such as block/byte counts).
         self.decoder = None
 
     # -- setup -------------------------------------------------------------
@@ -63,11 +62,10 @@ class TraceReader:
             raise TraceError(f"{self.path}: not an Alchemist trace "
                              f"(bad magic {magic!r})")
         version = unpack_version(self._handle.read(2))
-        if version not in SUPPORTED_TRACE_VERSIONS:
-            known = ", ".join(str(v) for v in SUPPORTED_TRACE_VERSIONS)
+        if version != TRACE_VERSION_V2:
             raise TraceVersionError(
                 f"{self.path}: trace schema version {version}, this "
-                f"reader understands only {known}")
+                f"reader understands only {TRACE_VERSION_V2}")
         self.version = version
         length = unpack_length(self._handle.read(4))
         blob = self._handle.read(length)
@@ -83,108 +81,53 @@ class TraceReader:
 
     @property
     def events_start(self) -> int:
-        """File offset of the first event record (v1 footer arithmetic
-        and shard-scan checkpoint offsets are relative to this)."""
+        """File offset of the first block (shard-scan checkpoint
+        offsets are relative to this)."""
         return self._events_start
 
-    def events(self, block_hook=None,
-               columnar: bool | None = None) -> Iterator[Event]:
-        """Yield ``(etype, a, b, timestamp)`` for every recorded event.
+    def batches(self, block_hook=None,
+                columnar: bool = True) -> Iterator[EventBatch]:
+        """Yield one :class:`EventBatch` per block until FINISH; the
+        footer is then parsed and exposed as :attr:`footer`.
 
-        The FINISH event is yielded too (consumers map it to
-        ``on_finish``); afterwards the footer is parsed and exposed as
-        :attr:`footer`. ``block_hook`` is forwarded to a v2 decoder
-        (ignored for v1) — the shard scanner's window into block
-        boundaries. ``columnar`` picks the v2 decoder flavor: the
-        batch decoder streams the same events block-at-a-time (the
-        default when numpy is available; see
-        :func:`repro.trace.columnar.columnar_enabled`).
+        ``block_hook`` is forwarded to the decoder — the shard
+        scanner's window into block boundaries. ``columnar=False``
+        decodes every block with the scalar reference loop.
         """
         self._handle.seek(self._events_start)
-        decoder = make_decoder(self.version, self._handle, self.path,
-                               block_hook=block_hook,
-                               columnar=(self.version != TRACE_VERSION_V1
-                                         and columnar_enabled(columnar)))
-        self.decoder = decoder
-        yield from decoder.events()
-        # The decoder returned, so FINISH was seen (anything else
-        # raised); everything after the records is the footer.
-        if self.version == TRACE_VERSION_V1:
-            self._read_footer_v1(decoder.records)
-        else:
-            self.read_footer()
-
-    def batches(self, block_hook=None) -> Iterator[EventBatch]:
-        """Yield one :class:`EventBatch` per v2 block (the replay
-        engines' fast path), then parse the footer like :meth:`events`.
-
-        Raises :class:`TraceError` for v1 traces — fixed records have
-        no block framing; callers fall back to :meth:`events`.
-        """
-        if self.version == TRACE_VERSION_V1:
-            raise TraceError(
-                f"{self.path}: columnar batches need a v2 trace")
-        self._handle.seek(self._events_start)
-        decoder = make_decoder(self.version, self._handle, self.path,
-                               block_hook=block_hook, columnar=True)
+        decoder = V2BatchDecoder(self._handle, self.path,
+                                 block_hook=block_hook,
+                                 scalar=not columnar)
         self.decoder = decoder
         yield from decoder.batches()
+        # The decoder returned, so FINISH was seen (anything else
+        # raised); everything after the records is the footer.
         self.read_footer()
 
-    def _read_footer_v1(self, records: int) -> None:
-        """Parse ``[blob][len][trailer]``, right after the records."""
-        handle = self._handle
-        handle.seek(self._events_start + records * RECORD_SIZE)
-        tail = handle.read()
-        if len(tail) < 4 + len(TRAILER):
-            raise TraceTruncatedError(f"{self.path}: missing footer")
-        if tail[-len(TRAILER):] != TRAILER:
-            raise TraceTruncatedError(
-                f"{self.path}: missing end-of-trace trailer "
-                "(recording did not finish cleanly)")
-        blob = tail[:-4 - len(TRAILER)]
-        length = unpack_length(tail[-4 - len(TRAILER):-len(TRAILER)])
-        if length != len(blob):
-            raise TraceTruncatedError(
-                f"{self.path}: footer length mismatch "
-                f"({length} recorded, {len(blob)} present)")
-        self.footer = TraceFooter.from_bytes(blob)
-
-    def events_from(self, offset: int,
-                    codec_state: dict | None = None,
-                    columnar: bool | None = None) -> Iterator[Event]:
-        """Stream events from a checkpointed seam instead of the start.
-
-        ``offset`` must be a block boundary (v2) or a record boundary
-        (v1) and ``codec_state`` the decoder state a checkpoint
-        captured there ({"time": ..., "prev": {...}}, plus ``"skip"``
-        records to drop for a seam inside the v2 block); anything else
-        desynchronizes the delta decoding. The caller owns termination
-        — this iterator neither stops at the next checkpoint nor reads
-        the footer (segment drivers consume exactly their slice; the
-        FINISH record still ends the stream for the final segment).
-        """
-        self._handle.seek(offset)
-        decoder = make_decoder(self.version, self._handle, self.path,
-                               state=codec_state,
-                               columnar=(self.version != TRACE_VERSION_V1
-                                         and columnar_enabled(columnar)))
-        self.decoder = decoder
-        skip = (codec_state or {}).get("skip", 0)
-        return itertools.islice(decoder.events(), skip, None)
+    def events(self) -> Iterator[Event]:
+        """Yield ``(etype, a, b, timestamp)`` for every recorded event
+        (FINISH included): the rows of :meth:`batches`."""
+        for batch in self.batches():
+            yield from batch.rows()
 
     def batches_from(self, offset: int,
-                     codec_state: dict | None = None
-                     ) -> Iterator[EventBatch]:
-        """Batch flavor of :meth:`events_from`: stream
-        :class:`EventBatch` objects from a checkpointed v2 seam. Same
-        caller-owns-termination contract (no footer read)."""
-        if self.version == TRACE_VERSION_V1:
-            raise TraceError(
-                f"{self.path}: columnar batches need a v2 trace")
+                     codec_state: dict | None = None,
+                     columnar: bool = True) -> Iterator[EventBatch]:
+        """Stream :class:`EventBatch` objects from a checkpointed seam
+        instead of the start.
+
+        ``offset`` must be a block boundary and ``codec_state`` the
+        decoder state a checkpoint captured there ({"time": ...,
+        "prev": {...}}, plus ``"skip"`` records to drop for a seam
+        inside the block); anything else desynchronizes the delta
+        decoding. The caller owns termination — this iterator neither
+        stops at the next checkpoint nor reads the footer (segment
+        drivers consume exactly their slice; the FINISH record still
+        ends the stream for the final segment).
+        """
         self._handle.seek(offset)
-        decoder = make_decoder(self.version, self._handle, self.path,
-                               state=codec_state, columnar=True)
+        decoder = V2BatchDecoder(self._handle, self.path,
+                                 state=codec_state, scalar=not columnar)
         self.decoder = decoder
         return _skip_rows(decoder.batches(),
                           (codec_state or {}).get("skip", 0))

@@ -18,12 +18,12 @@ streamed every earlier event:
   pc since that write, per tracked address, so dependence analyses
   pair cross-seam accesses exactly (attribution of those pairs is
   deferred to the merge — see ``repro.analyses.merging``);
-* **codec state** — the absolute file offset of the v2 block holding
-  the seam (of the next record for v1), that block's starting per-type
-  deltas and — for a seam inside the block — its starting clock and
-  the count of records before the seam, so a reader seeks straight to
-  the seam (`TraceReader.events_from`). Seams therefore land at any
-  event, not only where the recorder happened to cut a block.
+* **codec state** — the absolute file offset of the block holding
+  the seam, that block's starting per-type deltas and — for a seam
+  inside the block — its starting clock and the count of records
+  before the seam, so a reader seeks straight to the seam
+  (`TraceReader.batches_from`). Seams therefore land at any event, not
+  only where the recorder happened to cut a block.
 
 There is one seam source: :func:`build_checkpoints`, a serial scan of
 the finished trace that drives a :class:`CheckpointBuilder` from the
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH,
                                 EV_CHECKPOINT, EV_ENTER, EV_EXIT,
                                 EV_FINISH, EV_FREE, EV_READ, EV_WRITE,
-                                RECORD_SIZE, TRACE_VERSION_V2, TraceError)
+                                TraceError)
 from repro.trace.reader import TraceReader
 
 #: Events between scan-built checkpoints unless the caller asks for
@@ -76,7 +76,7 @@ class Checkpoint:
 
     index: int                      #: events consumed before this seam
     time: int                       #: clock after those events
-    offset: int                     #: file offset of the next record/block
+    offset: int                     #: file offset of the seam's block
     codec: dict = field(default_factory=dict)
     frames: list = field(default_factory=list)
     last_popped: list | None = None
@@ -102,7 +102,7 @@ class Checkpoint:
             raise TraceError(f"corrupt checkpoint payload: {exc}") from exc
 
     def decoder_state(self) -> dict:
-        """What ``TraceReader.events_from`` needs at this seam (a
+        """What ``TraceReader.batches_from`` needs at this seam (a
         mid-block seam's codec carries the block's own ``time`` and
         the ``skip`` count, which override the seam clock)."""
         return {"time": self.time, **self.codec}
@@ -228,7 +228,7 @@ class CheckpointBuilder:
                     f"trace names function {name!r} missing from the "
                     "program (source/trace mismatch)") from None
         self.stack = IndexingStack(ConstructTable(program),
-                                   NodeAllocator(64), ProfileStore())
+                                   NodeAllocator(), ProfileStore())
         self.shadow = ShadowMemory()
         self.mirror = MemoryMirror(
             program.globals_size, heap_base,
@@ -368,8 +368,8 @@ def build_checkpoints(path: str | os.PathLike,
                       interval: int = DEFAULT_CHECKPOINT_INTERVAL
                       ) -> list[Checkpoint]:
     """One serial scan producing a checkpoint every ``interval``
-    events. v1 seams are record offsets; a v2 seam is the offset of
-    the block holding it plus the records to skip inside that block."""
+    events. A seam is the offset of the block holding it plus the
+    records to skip inside that block."""
     from repro.ir.lowering import compile_source
 
     if interval <= 0:
@@ -382,40 +382,31 @@ def build_checkpoints(path: str | os.PathLike,
         builder = CheckpointBuilder(program, header.functions,
                                     header.heap_base)
         last_index = 0
-        if reader.version == TRACE_VERSION_V2:
-            block: dict = {}
+        block: dict = {}
 
-            def hook(offset, records, time, prev_a, prev_b):
-                block.update(offset=offset, records=records, time=time,
-                             prev=_sparse_prev(prev_a, prev_b))
+        def hook(offset, records, time, prev_a, prev_b):
+            block.update(offset=offset, records=records, time=time,
+                         prev=_sparse_prev(prev_a, prev_b))
 
-            # The scan rides the batch decoder and cuts each block at
-            # its seams, so the per-event work stays ``apply`` alone.
-            apply = builder.apply
-            for batch in reader.batches(block_hook=hook):
-                start = block["records"]
-                pos = 0
-                while last_index + interval < start + len(batch):
-                    cut = last_index + interval - start
-                    for etype, a, b, t in batch.slice(pos, cut).rows():
-                        apply(etype, a, b, t)
-                    pos = cut
-                    codec = {"prev": block["prev"]}
-                    if cut:
-                        codec.update(time=block["time"], skip=cut)
-                    checkpoints.append(builder.snapshot(block["offset"],
-                                                        codec))
-                    last_index = builder.index
-                for etype, a, b, t in batch.slice(pos, len(batch)).rows():
+        # The scan rides the batch decoder and cuts each block at its
+        # seams, so the per-event work stays ``apply`` alone.
+        apply = builder.apply
+        for batch in reader.batches(block_hook=hook):
+            start = block["records"]
+            pos = 0
+            while last_index + interval < start + len(batch):
+                cut = last_index + interval - start
+                for etype, a, b, t in batch.slice(pos, cut).rows():
                     apply(etype, a, b, t)
-        else:
-            start = reader.events_start
-            for etype, a, b, t in reader.events():
-                if builder.index - last_index >= interval:
-                    checkpoints.append(builder.snapshot(
-                        start + builder.index * RECORD_SIZE, {}))
-                    last_index = builder.index
-                builder.apply(etype, a, b, t)
+                pos = cut
+                codec = {"prev": block["prev"]}
+                if cut:
+                    codec.update(time=block["time"], skip=cut)
+                checkpoints.append(builder.snapshot(block["offset"],
+                                                    codec))
+                last_index = builder.index
+            for etype, a, b, t in batch.slice(pos, len(batch)).rows():
+                apply(etype, a, b, t)
     return checkpoints
 
 
@@ -536,7 +527,6 @@ class ShardPlan:
     """How one trace splits across workers."""
 
     path: str
-    version: int
     segments: list[Segment]
     #: Where the seams came from: "scan" (the ``.ckpt`` sidecar, cached
     #: or freshly built) or "serial" (no seams usable).
@@ -564,7 +554,6 @@ def plan_shards(path: str | os.PathLike, jobs: int,
     """
     path = os.fspath(path)
     with TraceReader(path) as reader:
-        version = reader.version
         events_start = reader.events_start
         total = reader.read_footer().events
     checkpoints = (load_or_build_checkpoints(path, interval,
@@ -572,7 +561,7 @@ def plan_shards(path: str | os.PathLike, jobs: int,
                    if jobs > 1 else [])
     if not checkpoints:
         return ShardPlan(
-            path=path, version=version, source="serial",
+            path=path, source="serial",
             total_events=total,
             segments=[Segment(0, genesis_checkpoint(events_start), None)])
     target = max(2, jobs * max(1, oversubscribe))
@@ -584,5 +573,5 @@ def plan_shards(path: str | os.PathLike, jobs: int,
         end = (starts[ordinal + 1].index
                if ordinal + 1 < len(starts) else None)
         segments.append(Segment(ordinal, start, end))
-    return ShardPlan(path=path, version=version, segments=segments,
+    return ShardPlan(path=path, segments=segments,
                      source="scan", total_events=total)

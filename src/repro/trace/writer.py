@@ -7,16 +7,13 @@ file. Recording is therefore far cheaper than profiling (no shadow
 memory, no index tree), and the resulting trace can be replayed through
 any number of analyses without touching the interpreter again.
 
-The on-disk encoding is pluggable by version (see
-:mod:`repro.trace.codec`): v1 writes fixed 13-byte records, v2 —
-the default — writes delta/varint records in zlib-compressed blocks,
-18-78x smaller on the bundled workloads (measured in
-``BENCH_sampling.json``). Recording can also run under a sampling
-policy (:mod:`repro.sampling`): the policy gates which READ/WRITE
-events reach the file while every structural event (enter/exit, block,
-branch, alloc, free, finish) is always kept, so a sampled trace still
-replays with exact memory reconstruction — only the memory-access
-stream is thinned. The policy's spec string is embedded in the header
+The on-disk encoding is trace format v2 (:mod:`repro.trace.codec`):
+delta/varint records in zlib-compressed blocks. Recording can also run
+under a sampling policy (:mod:`repro.sampling`): the policy gates
+which READ/WRITE events reach the file while every structural event
+(enter/exit, block, branch, alloc, free, finish) is always kept, so a
+sampled trace still replays with exact memory reconstruction — only
+the memory-access stream is thinned. The policy's spec string is embedded in the header
 so consumers can label sampled results as lower-confidence.
 
 The header is written from :meth:`TraceWriter.on_start` (which is the
@@ -40,13 +37,12 @@ from repro.ir.lowering import compile_source
 from repro.runtime.interpreter import DEFAULT_MAX_STEPS, Interpreter
 from repro.runtime.memory import Memory
 from repro.runtime.tracing import Tracer
-from repro.trace.codec import DEFAULT_BLOCK_BYTES, make_encoder
-from repro.trace.events import (DEFAULT_TRACE_VERSION, EV_ALLOC, EV_BLOCK,
-                                EV_BRANCH, EV_ENTER, EV_EXIT, EV_FINISH,
-                                EV_FREE, EV_READ, EV_WRITE, MAGIC,
-                                TRAILER, TraceFooter, TraceHeader,
-                                check_u32, pack_length, pack_version,
-                                source_digest)
+from repro.trace.codec import DEFAULT_BLOCK_BYTES, V2Encoder
+from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH, EV_ENTER,
+                                EV_EXIT, EV_FINISH, EV_FREE, EV_READ,
+                                EV_WRITE, MAGIC, TRAILER, TraceFooter,
+                                TraceHeader, check_u32, pack_length,
+                                pack_version, source_digest)
 
 
 class TraceWriter(Tracer):
@@ -61,30 +57,26 @@ class TraceWriter(Tracer):
         header together with its digest so the trace is self-contained.
     filename:
         Reported in the header for provenance only.
-    version:
-        Trace schema version to write (1 or 2; default v2).
     sampling:
         Spec string recorded in the header (``"full"`` unless the run
         is gated by a sampling policy — the *gating* itself is the
         policy's job, via :class:`repro.sampling.SampledTracer`).
     block_bytes:
-        v2 only: uncompressed bytes buffered per compressed block.
+        Uncompressed bytes buffered per compressed block.
     """
 
     def __init__(self, path: str | os.PathLike, source: str,
                  filename: str = "<input>", *,
-                 version: int = DEFAULT_TRACE_VERSION,
                  sampling: str = "full",
                  block_bytes: int = DEFAULT_BLOCK_BYTES):
         self.path = os.fspath(path)
         self.source = source
         self.filename = filename
-        self.version = version
         self.sampling = sampling
         self.events = 0
         self.final_time = 0
         self.closed = False
-        self._encoder = make_encoder(version, block_bytes)
+        self._encoder = V2Encoder(block_bytes)
         self._handle = open(self.path, "wb")
         self._last_time = 0
         self._fn_index: dict[str, int] = {}
@@ -106,7 +98,7 @@ class TraceWriter(Tracer):
         )
         blob = header.to_bytes()
         self._handle.write(MAGIC)
-        self._handle.write(pack_version(self.version))
+        self._handle.write(pack_version())
         self._handle.write(pack_length(len(blob)))
         self._handle.write(blob)
 
@@ -195,9 +187,7 @@ class RecordResult:
     final_time: int
     trace_bytes: int
     wall_seconds: float
-    #: Schema version written and the sampling spec the run recorded
-    #: under ("full" = unsampled).
-    version: int = DEFAULT_TRACE_VERSION
+    #: Sampling spec the run recorded under ("full" = unsampled).
     sampling: str = "full"
     #: Shard seams prebuilt into the ``.ckpt`` sidecar
     #: (``checkpoint_interval > 0``); 0 = built on first parallel plan.
@@ -207,7 +197,6 @@ class RecordResult:
 def record_program(program: ProgramIR, path: str | os.PathLike, *,
                    source: str, filename: str = "<input>",
                    max_steps: int = DEFAULT_MAX_STEPS,
-                   version: int = DEFAULT_TRACE_VERSION,
                    sampling=None,
                    checkpoint_interval: int = 0,
                    telemetry=None) -> RecordResult:
@@ -232,11 +221,10 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
                          f"got {checkpoint_interval}")
     tm = as_telemetry(telemetry)
     policy = as_policy(sampling)
-    writer = TraceWriter(path, source, filename, version=version,
-                         sampling=policy.spec)
+    writer = TraceWriter(path, source, filename, sampling=policy.spec)
     tracer = (writer if policy.is_full
               else SampledTracer(policy, writer, telemetry=tm))
-    with tm.span("record", file=filename, version=version,
+    with tm.span("record", file=filename,
                  sampling=policy.spec) as span:
         try:
             interp = Interpreter(program, tracer, max_steps)
@@ -262,7 +250,7 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
     get_logger(__name__).info(
         "recorded trace", extra={
             "trace": writer.path, "events": writer.events,
-            "bytes": trace_bytes, "version": version,
+            "bytes": trace_bytes,
             "sampling": policy.spec,
             "wall_seconds": round(span.wall_seconds, 6)})
     return RecordResult(
@@ -272,7 +260,6 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
         final_time=writer.final_time,
         trace_bytes=trace_bytes,
         wall_seconds=span.wall_seconds,
-        version=version,
         sampling=policy.spec,
         checkpoints=checkpoints,
     )
@@ -281,7 +268,6 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
 def record_source(source: str, path: str | os.PathLike, *,
                   filename: str = "<input>",
                   max_steps: int = DEFAULT_MAX_STEPS,
-                  version: int = DEFAULT_TRACE_VERSION,
                   sampling=None,
                   checkpoint_interval: int = 0,
                   telemetry=None) -> RecordResult:
@@ -292,7 +278,6 @@ def record_source(source: str, path: str | os.PathLike, *,
     with tm.span("compile", file=filename):
         program = compile_source(source, filename)
     return record_program(program, path, source=source, filename=filename,
-                          max_steps=max_steps, version=version,
-                          sampling=sampling,
+                          max_steps=max_steps, sampling=sampling,
                           checkpoint_interval=checkpoint_interval,
                           telemetry=tm)

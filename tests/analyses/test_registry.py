@@ -83,73 +83,6 @@ class TestRegistration:
             AnalysisResult(analysis="x", data={"analysis": "evil"},
                            text="")
 
-    def test_failed_consumers_assignment_keeps_the_builtin(self):
-        """A bad CONSUMERS[...] write must not evict what was there."""
-        from repro.trace.replay import CONSUMERS
-
-        with pytest.raises(AnalysisError, match="Analysis subclass"):
-            CONSUMERS["dep"] = dict
-        assert "dep" in registry()
-        assert get_analysis("dep") is CONSUMERS["dep"]
-
-    def test_legacy_result_protocol_still_replays(self, tmp_path):
-        """A pre-registry consumer (old ``result()``/``describe()``
-        protocol, reads ``ctx.footer``) must still run end to end."""
-        from repro.trace import record_source, replay_trace
-        from repro.trace.replay import CONSUMERS, TraceConsumer
-
-        class OldStyle(TraceConsumer):
-            name = "old-style-test"
-
-            def __init__(self):
-                self.reads = 0
-
-            def on_read(self, addr, pc, timestamp):
-                self.reads += 1
-
-            def result(self, ctx):
-                return {"reads": self.reads,
-                        "exit": ctx.footer.exit_value}
-
-            def describe(self, outcome):
-                return f"old-style: {outcome['reads']} reads"
-
-        path = tmp_path / "legacy.trace"
-        record_source("int main() { int x = 1; return x; }", path)
-        CONSUMERS["old-style-test"] = OldStyle
-        try:
-            outcome = replay_trace(str(path), ("old-style-test",))
-            payload = outcome.results["old-style-test"]
-            assert payload["reads"] > 0
-            assert payload["exit"] == 1
-            assert "old-style:" in outcome.describe()
-        finally:
-            del CONSUMERS["old-style-test"]
-
-    def test_deprecated_consumers_mapping_still_registers(self):
-        """Pre-registry code did ``CONSUMERS[name] = cls``; the shim
-        must forward that into the registry (dict overwrite allowed)."""
-        from repro.trace.replay import CONSUMERS
-
-        class Legacy(Analysis):
-            name = "legacy-consumer-test"
-
-            def finish(self, ctx):
-                return AnalysisResult(self.name, {}, "")
-
-        try:
-            CONSUMERS["legacy-consumer-test"] = Legacy
-            assert "legacy-consumer-test" in CONSUMERS
-            assert CONSUMERS["legacy-consumer-test"] is Legacy
-            assert get_analysis("legacy-consumer-test") is Legacy
-            CONSUMERS["legacy-consumer-test"] = Legacy  # overwrite ok
-            assert "dep" in CONSUMERS and len(CONSUMERS) >= 6
-        finally:
-            del CONSUMERS["legacy-consumer-test"]
-        assert "legacy-consumer-test" not in CONSUMERS
-        with pytest.raises(KeyError):
-            CONSUMERS["legacy-consumer-test"]
-
 
 class TestHookCoverage:
     def test_replay_dispatch_covers_every_tracer_hook(self):
@@ -197,7 +130,7 @@ class TestOptions:
         assert dep.track_war_waw is False
 
     def test_unknown_option_lists_valid_ones(self):
-        with pytest.raises(AnalysisError, match="pool_size"):
+        with pytest.raises(AnalysisError, match="track_war_waw"):
             make_analyses("dep", {"dep": {"bogus": 1}})
 
     def test_uncoercible_value_rejected(self):
@@ -207,7 +140,7 @@ class TestOptions:
     def test_schemas_are_described(self):
         dep = get_analysis("dep")
         assert dep.description
-        assert "pool_size" in dep.option_names()
+        assert dep.option_names() == ["track_war_waw"]
 
 
 @pytest.mark.parametrize("name", sorted(analysis_names()))

@@ -184,7 +184,7 @@ class TestReportShape:
 
 class TestOptionPlumbing:
     def test_session_profile_options_reach_dep(self, tmp_path):
-        options = ProfileOptions(pool_size=128, track_war_waw=False)
+        options = ProfileOptions(track_war_waw=False)
         with Session(options, cache_dir=str(tmp_path)) as session:
             report = session.analyze(SOURCE, ["dep"])
         profile_report = report["dep"].payload
@@ -295,7 +295,7 @@ class TestSessionParallelReplay:
         with Session() as serial_session:
             serial = serial_session.analyze(source, ["dep"])
         tm = Telemetry()
-        options = ProfileOptions(trace_format=1, jobs=2, checkpoints=800)
+        options = ProfileOptions(jobs=2, checkpoints=800)
         with Session(options, telemetry=tm) as session:
             report = session.analyze(source, ["dep"])
         (coordinator,) = tm.find_spans("replay.parallel")

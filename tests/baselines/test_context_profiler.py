@@ -1,8 +1,16 @@
 """Context-sensitive baseline tests — including the paper's §III-B
 indistinguishability argument."""
 
-from repro.baselines import profile_with_contexts
+from repro.analyses.builtin import ContextDependenceAnalysis
 from repro.core.profile_data import DepKind
+from repro.runtime.interpreter import run_source
+
+
+def profile_with_contexts(source: str):
+    """Run the registered ``context`` analysis live over ``source``."""
+    analysis = ContextDependenceAnalysis()
+    run_source(source, tracer=analysis)
+    return analysis.profile
 
 
 def four_case_source(body_a: str, body_b: str) -> str:

@@ -1,8 +1,16 @@
 """Flat-baseline tests: the §III 'traditional profiling' strawman."""
 
-from repro.baselines import profile_flat
+from repro.analyses.builtin import FlatDependenceAnalysis
 from repro.core.profile_data import DepKind
+from repro.runtime.interpreter import run_source
 from tests.baselines.test_context_profiler import CASES, four_case_source
+
+
+def profile_flat(source: str):
+    """Run the registered ``flat`` analysis live over ``source``."""
+    analysis = FlatDependenceAnalysis()
+    run_source(source, tracer=analysis)
+    return analysis.profile
 
 
 class TestBasics:

@@ -19,12 +19,11 @@ def test_artifact_shape_and_scoring(tmp_path):
     assert data["bench"] == "sampling_tradeoff"
     (row,) = data["rows"]
     assert row["name"] == "gzip"
-    assert row["v1_bytes"] > row["v2_bytes"] > 0
-    assert row["format_reduction"] > 1.0
+    assert row["full_bytes"] > 0
     for spec in ("interval:10", "burst:100/500"):
         cell = row["policies"][spec]
-        assert 0 < cell["trace_bytes"] < row["v1_bytes"]
-        assert cell["reduction_vs_v1"] > 1.0
+        assert 0 < cell["trace_bytes"] < row["full_bytes"]
+        assert cell["reduction_vs_full"] > 1.0
         assert cell["events"] < row["events"]
         assert cell["hot_count_error"] >= 0.0
         assert cell["locality_hit_rate_error"] >= 0.0

@@ -106,3 +106,32 @@ int main() {
     return 0;
 }
 """
+
+
+@pytest.fixture
+def write_v1_trace():
+    """Hand-build a complete trace in the retired version-1 layout: the
+    shared envelope around fixed 13-byte ``<BIII`` records (type byte,
+    operands ``a``/``b``, timestamp delta)."""
+    import struct
+
+    from repro.trace.events import (EV_ENTER, EV_FINISH, MAGIC, TRAILER,
+                                    TraceFooter, TraceHeader, pack_length,
+                                    source_digest)
+
+    def write(path, source: str = "int main() { return 0; }") -> None:
+        header = TraceHeader(digest=source_digest(source),
+                             filename="v1.mc", source=source,
+                             globals_size=0, stack_limit=1 << 16,
+                             heap_base=1 << 16,
+                             functions=["main"]).to_bytes()
+        records = (struct.pack("<BIII", EV_ENTER, 0, 0, 1)
+                   + struct.pack("<BIII", EV_FINISH, 0, 0, 5))
+        footer = TraceFooter(exit_value=0, events=2,
+                             final_time=6).to_bytes()
+        with open(path, "wb") as handle:
+            handle.write(MAGIC + struct.pack("<H", 1)
+                         + pack_length(len(header)) + header + records
+                         + footer + pack_length(len(footer)) + TRAILER)
+
+    return write

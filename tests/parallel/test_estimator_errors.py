@@ -178,7 +178,6 @@ class TestTraceGroundedEstimation:
 class TestMultiTargetExtraction:
     def test_one_pass_matches_individual_passes(self, program):
         from repro.parallel.taskgraph import (LiveSource,
-                                              extract_task_graph,
                                               extract_task_graphs)
 
         loop_pc = find_construct(program, line=LOOP_LINE)
@@ -186,7 +185,8 @@ class TestMultiTargetExtraction:
         combined = extract_task_graphs(LiveSource(program),
                                        [loop_pc, work_pc])
         for pc in (loop_pc, work_pc):
-            single = extract_task_graph(program, pc)
+            single = extract_task_graphs(LiveSource(program),
+                                         {pc: ()})[pc]
             multi = combined[pc]
             assert multi.total_time == single.total_time
             assert [t.duration for t in multi.tasks] == \

@@ -5,7 +5,8 @@ import pytest
 from repro.ir import compile_source
 from repro.parallel.estimator import (EstimatorError, estimate_speedup,
                                       find_construct)
-from repro.parallel.taskgraph import extract_task_graph, induction_offsets_of
+from repro.parallel.taskgraph import (LiveSource, extract_task_graphs,
+                                      induction_offsets_of)
 
 INDEPENDENT = """
 int results[64];
@@ -47,7 +48,7 @@ class TestExtraction:
     def test_iteration_tasks_partition_the_run(self):
         program = compile_source(INDEPENDENT)
         pc = find_construct(program, line=INDEPENDENT_LOOP_LINE)
-        graph = extract_task_graph(program, pc)
+        graph = extract_task_graphs(LiveSource(program), {pc: ()})[pc]
         assert len(graph.tasks) == 12
         assert len(graph.serial) == 13
         covered = graph.task_time + graph.serial_time
@@ -58,13 +59,13 @@ class TestExtraction:
     def test_independent_iterations_have_no_task_deps(self):
         program = compile_source(INDEPENDENT)
         pc = find_construct(program, line=INDEPENDENT_LOOP_LINE)
-        graph = extract_task_graph(program, pc)
+        graph = extract_task_graphs(LiveSource(program), {pc: ()})[pc]
         assert graph.task_deps == set()
 
     def test_epilogue_joins_on_producing_tasks(self):
         program = compile_source(INDEPENDENT)
         pc = find_construct(program, line=INDEPENDENT_LOOP_LINE)
-        graph = extract_task_graph(program, pc)
+        graph = extract_task_graphs(LiveSource(program), {pc: ()})[pc]
         epilogue = len(graph.tasks)
         # The summation loop reads every results[f].
         assert graph.joins.get(epilogue) == set(range(12))
@@ -72,14 +73,14 @@ class TestExtraction:
     def test_chained_iterations_form_a_chain(self):
         program = compile_source(CHAINED)
         pc = find_construct(program, line=9)
-        graph = extract_task_graph(program, pc)
+        graph = extract_task_graphs(LiveSource(program), {pc: ()})[pc]
         chain = {(k, k + 1) for k in range(11)}
         assert chain <= graph.task_deps
 
     def test_procedure_target_instances_are_calls(self):
         program = compile_source(INDEPENDENT)
         pc = find_construct(program, fn_name="work")
-        graph = extract_task_graph(program, pc)
+        graph = extract_task_graphs(LiveSource(program), {pc: ()})[pc]
         assert len(graph.tasks) == 12
 
     def test_induction_detection_for_for_loop(self):

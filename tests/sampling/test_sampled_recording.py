@@ -198,5 +198,3 @@ class TestSessionSamplingCache:
     def test_bad_spec_rejected_at_options(self):
         with pytest.raises(ValueError):
             ProfileOptions(sample="interval:zero")
-        with pytest.raises(ValueError):
-            ProfileOptions(trace_format=3)

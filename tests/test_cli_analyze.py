@@ -94,9 +94,6 @@ class TestAnalyzeVerb:
         assert main(["analyze", minic_file, "--analysis", "locality",
                      "--raw-only"]) == 2
         assert "not requested" in capsys.readouterr().err
-        assert main(["analyze", minic_file, "--analysis", "locality",
-                     "--pool-size", "64"]) == 2
-        assert "not requested" in capsys.readouterr().err
 
 
 class TestAnalysesVerb:
@@ -105,7 +102,7 @@ class TestAnalysesVerb:
         out = capsys.readouterr().out
         for name in analysis_names():
             assert name in out
-        assert "pool_size" in out  # option schemas are shown
+        assert "track_war_waw" in out  # option schemas are shown
 
 
 class TestCentralFileErrors:
@@ -162,14 +159,6 @@ class TestOptionValidation:
     """Satellite: bad ProfileOptions fail at construction with a clear
     message, surfaced as exit 2 by the CLI."""
 
-    def test_profile_options_reject_nonpositive_pool(self):
-        from repro.core.alchemist import ProfileOptions
-
-        with pytest.raises(ValueError, match="pool_size"):
-            ProfileOptions(pool_size=0)
-        with pytest.raises(ValueError, match="pool_size"):
-            ProfileOptions(pool_size=-4)
-
     def test_profile_options_reject_nonpositive_max_steps(self):
         from repro.core.alchemist import ProfileOptions
 
@@ -179,13 +168,8 @@ class TestOptionValidation:
     def test_valid_options_still_construct(self):
         from repro.core.alchemist import ProfileOptions
 
-        options = ProfileOptions(pool_size=1, max_steps=1)
-        assert options.pool_size == 1
-
-    @pytest.mark.parametrize("verb", ["profile", "analyze"])
-    def test_cli_surfaces_bad_pool_size(self, verb, minic_file, capsys):
-        assert main([verb, minic_file, "--pool-size", "0"]) == 2
-        assert "pool_size" in capsys.readouterr().err
+        options = ProfileOptions(max_steps=1)
+        assert options.max_steps == 1
 
 
 class TestAliasVerbs:

@@ -1,4 +1,4 @@
-"""CLI: the info verb, --sample/--format flags, and the exit-2
+"""CLI: the info verb, the --sample flag, and the exit-2
 contract on truncated or corrupt traces (no tracebacks, one line)."""
 
 from __future__ import annotations
@@ -45,15 +45,21 @@ class TestInfoVerb:
         assert "read=" in out and "write=" in out and "finish=1" in out
         assert "compressed" in out
 
-    def test_info_v1_trace(self, prog_file, tmp_path, capsys):
-        out_path = str(tmp_path / "v1.trace")
-        assert main(["record", prog_file, "-o", out_path,
-                     "--format", "1"]) == 0
-        capsys.readouterr()
-        assert main(["info", out_path]) == 0
-        out = capsys.readouterr().out
-        assert "v1" in out
-        assert "uncompressed" in out
+    @pytest.mark.parametrize("verb", [["info"], ["replay"],
+                                      ["replay", "--parallel"]],
+                             ids=["info", "replay", "replay-parallel"])
+    def test_v1_trace_exits_2(self, tmp_path, capsys, write_v1_trace,
+                              verb):
+        """Format v1 is retired: a v1 file is a typed version error
+        (exit 2, one line), not a traceback."""
+        path = str(tmp_path / "v1.trace")
+        write_v1_trace(path)
+        assert main([*verb, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert ("trace schema version 1, this reader understands "
+                "only 2") in captured.err
+        assert "Traceback" not in captured.err
 
     def test_info_sampled_trace(self, prog_file, tmp_path, capsys):
         out_path = str(tmp_path / "s.trace")

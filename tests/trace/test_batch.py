@@ -74,13 +74,16 @@ class TestJobs:
         finally:
             unregister("plug-counts-test")
 
-    def test_legacy_nondict_result_payload_preserved(self, tmp_path):
-        """Pre-registry consumers whose result() returns a non-dict
-        (like the old HotAddressConsumer's list) keep that payload."""
-        from repro.trace.replay import CONSUMERS, TraceConsumer
+    def test_nondict_result_payload_preserved(self, tmp_path):
+        """An analysis whose result carries no data dict but a raw
+        non-dict payload (a list here) keeps that payload."""
+        from repro.analyses import Analysis, register, unregister
+        from repro.analyses.base import AnalysisResult
 
-        class LegacyList(TraceConsumer):
-            name = "legacy-list-test"
+        @register
+        class ListPayload(Analysis):
+            name = "list-payload-test"
+            description = "first three read addresses"
 
             def __init__(self):
                 self.addrs = set()
@@ -88,23 +91,24 @@ class TestJobs:
             def on_read(self, addr, pc, timestamp):
                 self.addrs.add(addr)
 
-            def result(self, ctx):
-                return sorted(self.addrs)[:3]
+            def finish(self, ctx):
+                return AnalysisResult(analysis=self.name, data={},
+                                      text="list",
+                                      payload=sorted(self.addrs)[:3])
 
         trace = str(tmp_path / "gzip.trace")
         assert run_job(BatchJob(kind="record", name="gzip",
                                 workload="gzip", scale=SCALE,
                                 trace_path=trace)).ok
-        CONSUMERS["legacy-list-test"] = LegacyList
         try:
             result = run_job(BatchJob(kind="replay", name="gzip",
                                       trace_path=trace,
-                                      analyses=("legacy-list-test",)))
+                                      analyses=("list-payload-test",)))
             assert result.ok, result.error
-            payload = result.payload["legacy-list-test"]
+            payload = result.payload["list-payload-test"]
             assert isinstance(payload, list) and len(payload) == 3
         finally:
-            del CONSUMERS["legacy-list-test"]
+            unregister("list-payload-test")
 
     def test_errors_travel_as_data(self, tmp_path):
         result = run_job(BatchJob(kind="replay", name="missing",

@@ -42,7 +42,6 @@ from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH,
                                 EV_CHECKPOINT, EV_ENTER, EV_EXIT,
                                 EV_FINISH, EV_FREE, EV_READ, EV_WRITE)
 from repro.trace.reader import TraceReader
-from repro.trace.events import TRACE_VERSION_V2
 from repro.trace.shards import load_or_build_checkpoints, restore_memory
 from repro.trace.writer import record_source
 from repro.workloads import get
@@ -57,7 +56,7 @@ class _Reference:
         self.memory = Memory(program, header.stack_limit)
         self.shadow = ShadowMemory()
         self.stack = IndexingStack(ConstructTable(program),
-                                   NodeAllocator(64), ProfileStore())
+                                   NodeAllocator(), ProfileStore())
         self.functions = [program.functions[name]
                           for name in header.functions]
         self.heap_base = self.memory.heap_base
@@ -135,17 +134,15 @@ def _verify_trace(path):
                 reference.apply(*serial_events[consumed])
                 consumed += 1
 
-            # Oracle 1: the resumed stream equals the serial tail.
-            resumed = list(reader.events_from(
-                checkpoint.offset, checkpoint.decoder_state()))
-            assert resumed == serial_events[checkpoint.index:], \
-                f"stream diverges at checkpoint {checkpoint.index}"
-            if reader.version == TRACE_VERSION_V2:
+            # Oracle 1: the resumed stream equals the serial tail, on
+            # both decode paths.
+            for columnar in (True, False):
                 rows = [row for batch in reader.batches_from(
-                            checkpoint.offset, checkpoint.decoder_state())
+                            checkpoint.offset, checkpoint.decoder_state(),
+                            columnar=columnar)
                         for row in batch.rows()]
                 assert rows == serial_events[checkpoint.index:], \
-                    f"batches diverge at checkpoint {checkpoint.index}"
+                    f"stream diverges at checkpoint {checkpoint.index}"
 
             # Oracle 2a: reconstructed memory equals the reference.
             restored = restore_memory(program, header, checkpoint)
@@ -183,9 +180,9 @@ class TestWorkloadCheckpoints:
             record_source(source, path, checkpoint_interval=interval)
             _verify_trace(path)
 
-    def test_v1_scan_checkpoints(self, tmp_path):
-        path = str(tmp_path / "v1.trace")
-        record_source(get("gzip", 0.2).source, path, version=1)
+    def test_scan_checkpoints_without_prebuilt_sidecar(self, tmp_path):
+        path = str(tmp_path / "lazy.trace")
+        record_source(get("gzip", 0.2).source, path)
         _verify_trace(path)
 
 

@@ -188,9 +188,8 @@ class TestParallelReplayCli:
         sidecar, info reports it the same way as a prebuilt one."""
         from repro.trace.shards import load_or_build_checkpoints
 
-        out = str(tmp_path / "v1.trace")
-        assert main(["record", minic_file, "-o", out,
-                     "--format", "1"]) == 0
+        out = str(tmp_path / "lazy.trace")
+        assert main(["record", minic_file, "-o", out]) == 0
         assert load_or_build_checkpoints(out, interval=200)
         capsys.readouterr()
         assert main(["info", out]) == 0

@@ -1,4 +1,5 @@
-"""Round-trip fuzz: randomized event sequences survive both codecs.
+"""Round-trip fuzz: randomized event sequences survive the v2 codec on
+both decode paths (vectorized kernel and scalar reference loop).
 
 The codec layer is driven directly (no interpreter, no file envelope):
 ``encode_events`` must invert through ``decode_events`` for arbitrary
@@ -25,6 +26,10 @@ EVENT_TYPES = (EV_ENTER, EV_EXIT, EV_BLOCK, EV_BRANCH, EV_READ,
                EV_WRITE, EV_ALLOC, EV_FREE)
 
 U32 = (1 << 32) - 1
+
+#: ``decode_events(..., scalar=)``: the vectorized kernel, then the
+#: scalar reference loop.
+DECODE_PATHS = (False, True)
 
 
 def random_events(rng: random.Random, count: int) -> list[tuple]:
@@ -64,20 +69,20 @@ class TestCodecFuzz:
             assert zigzag(n) == z
             assert unzigzag(z) == n
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("scalar", DECODE_PATHS)
     @pytest.mark.parametrize("seed", range(8))
-    def test_roundtrip_random_streams(self, version, seed):
+    def test_roundtrip_random_streams(self, scalar, seed):
         rng = random.Random(seed)
         events = random_events(rng, rng.randint(1, 400))
-        blob = encode_events(events, version)
-        assert decode_events(blob, version) == events
+        blob = encode_events(events)
+        assert decode_events(blob, scalar=scalar) == events
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_roundtrip_empty_trace(self, version):
+    @pytest.mark.parametrize("scalar", DECODE_PATHS)
+    def test_roundtrip_empty_trace(self, scalar):
         """The degenerate stream: FINISH and nothing else."""
         events = [(EV_FINISH, 0, 0, 0)]
-        blob = encode_events(events, version)
-        assert decode_events(blob, version) == events
+        blob = encode_events(events)
+        assert decode_events(blob, scalar=scalar) == events
 
     @pytest.mark.parametrize("seed", range(8))
     def test_roundtrip_across_block_boundaries(self, seed):
@@ -85,11 +90,12 @@ class TestCodecFuzz:
         delta state must survive the block seams."""
         rng = random.Random(1000 + seed)
         events = random_events(rng, 300)
-        blob = encode_events(events, 2, block_bytes=16)
-        assert decode_events(blob, 2) == events
+        blob = encode_events(events, block_bytes=16)
+        assert decode_events(blob) == events
+        assert decode_events(blob, scalar=True) == events
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_extreme_operands(self, version):
+    @pytest.mark.parametrize("scalar", DECODE_PATHS)
+    def test_extreme_operands(self, scalar):
         events = [
             (EV_READ, U32, 0, 0),
             (EV_READ, 0, U32, 0),       # max negative per-type delta
@@ -97,27 +103,27 @@ class TestCodecFuzz:
             (EV_READ, U32, 0, U32),
             (EV_FINISH, 0, 0, U32),
         ]
-        blob = encode_events(events, version)
-        assert decode_events(blob, version) == events
+        blob = encode_events(events)
+        assert decode_events(blob, scalar=scalar) == events
 
     def test_missing_finish_is_truncation(self):
         events = [(EV_READ, 1, 2, 3)]
-        blob = encode_events(events, 2)
+        blob = encode_events(events)
         with pytest.raises(TraceTruncatedError):
-            decode_events(blob, 2)
+            decode_events(blob)
 
     def test_zero_events_is_truncation(self):
-        for version in (1, 2):
+        for scalar in DECODE_PATHS:
             with pytest.raises(TraceTruncatedError):
-                decode_events(b"", version)
+                decode_events(b"", scalar=scalar)
 
 
 class TestFullFileFuzz:
     """The same property through the writer/reader envelope: random
-    programs record and replay identically in both formats."""
+    programs record and read back identically on both decode paths."""
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_program_roundtrip_both_formats(self, seed, tmp_path):
+    def test_program_roundtrip_both_decode_paths(self, seed, tmp_path):
         from repro.trace import TraceReader, record_source
 
         rng = random.Random(seed)
@@ -135,9 +141,11 @@ class TestFullFileFuzz:
             return 0;
         }}
         """
-        v1 = tmp_path / "v1.trace"
-        v2 = tmp_path / "v2.trace"
-        record_source(source, v1, version=1)
-        record_source(source, v2, version=2)
-        with TraceReader(v1) as ra, TraceReader(v2) as rb:
-            assert list(ra.events()) == list(rb.events())
+        path = tmp_path / "prog.trace"
+        result = record_source(source, path)
+        with TraceReader(path) as reader:
+            vector = list(reader.events())
+            scalar = [row for batch in reader.batches(columnar=False)
+                      for row in batch.rows()]
+        assert vector == scalar
+        assert len(vector) == result.events

@@ -1,7 +1,9 @@
-"""Property-based equivalence: the columnar batch decoder IS V2Decoder.
+"""Property-based equivalence: the vectorized block kernel IS the scalar
+reference loop.
 
 :class:`~repro.trace.codec.V2BatchDecoder` promises byte-for-byte the
-same observable behaviour as the scalar reference decoder — the same
+same observable behaviour whether a block goes through the vectorized
+kernel or its scalar reference loop (``scalar=True``) — the same
 events in the same order, and on malformed input the same event
 *prefix* followed by the same typed error with the same message. This
 suite pins that promise:
@@ -29,9 +31,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.trace.codec import (BLOCK_HEADER, MAX_VARINT_BYTES, V2Decoder,
+from repro.trace.codec import (BLOCK_HEADER, MAX_VARINT_BYTES,
                                V2BatchDecoder, V2Encoder, encode_events,
-                               make_encoder, read_uvarint)
+                               read_uvarint)
 from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH,
                                 EV_CHECKPOINT, EV_ENTER, EV_EXIT,
                                 EV_FINISH, EV_FREE, EV_READ, EV_WRITE,
@@ -47,15 +49,16 @@ def drain(decoder) -> tuple[list, type | None, str]:
     """Everything a decoder produces: events, then how it stopped."""
     events = []
     try:
-        for event in decoder.events():
-            events.append(event)
+        for batch in decoder.batches():
+            events.extend(batch.rows())
     except Exception as exc:  # noqa: BLE001 — the *type* is the oracle
         return events, type(exc), str(exc)
     return events, None, ""
 
 
 def both(blob: bytes, state: dict | None = None):
-    scalar = drain(V2Decoder(io.BytesIO(blob), "<t>", state=state))
+    scalar = drain(V2BatchDecoder(io.BytesIO(blob), "<t>", state=state,
+                                  scalar=True))
     batch = drain(V2BatchDecoder(io.BytesIO(blob), "<t>", state=state))
     return scalar, batch
 
@@ -88,7 +91,7 @@ class TestStreamEquivalence:
         """Valid and FINISH-less streams: identical events, identical
         termination (StopIteration vs the missing-FINISH error)."""
         events = absolutize(records, finish)
-        blob = encode_events(events, 2, block_bytes)
+        blob = encode_events(events, block_bytes)
         scalar, batch = both(blob)
         assert batch == scalar
         if finish:
@@ -103,7 +106,7 @@ class TestStreamEquivalence:
         """Decoding the tail blocks seeded with the encoder's captured
         ``state`` dict: both decoders reconstruct the same suffix."""
         events = absolutize(records, True)
-        encoder = make_encoder(2, block_bytes)
+        encoder = V2Encoder(block_bytes)
         head = bytearray()
         last = 0
         for etype, a, b, t in events[:split]:
@@ -128,7 +131,7 @@ class TestStreamEquivalence:
     def test_truncation_equivalence(self, records, block_bytes, cut):
         """Any prefix of a valid stream: same events, same typed
         truncation error, same message."""
-        blob = encode_events(absolutize(records, True), 2, block_bytes)
+        blob = encode_events(absolutize(records, True), block_bytes)
         scalar, batch = both(blob[:cut % (len(blob) + 1)])
         assert batch == scalar
 
@@ -141,7 +144,7 @@ class TestStreamEquivalence:
         """Random byte flips anywhere in the framed stream — headers,
         compressed payloads, lengths: still the same prefix-then-error
         behaviour from both decoders."""
-        blob = bytearray(encode_events(absolutize(records, True), 2,
+        blob = bytearray(encode_events(absolutize(records, True),
                                        block_bytes))
         rng = random.Random(seed)
         for _ in range(rng.randint(1, 4)):

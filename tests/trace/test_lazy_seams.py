@@ -37,7 +37,7 @@ class TestWriterBytes:
         record_source(get(workload, 0.1).source, path)
         events = _events(path)
         assert EV_CHECKPOINT not in {etype for etype, *_ in events}
-        expected = encode_events(events, 2)
+        expected = encode_events(events)
         with TraceReader(path) as reader:
             start = reader.events_start
         blob = open(path, "rb").read()

@@ -1,10 +1,11 @@
 """Differential harness: parallel sharded replay vs one serial pass.
 
 The contract under test is exact equality — ``to_dict()`` *and*
-rendered text — for every registered analysis, over both trace
-formats, across worker counts including one that does not divide the
-segment count. Parametrization goes through the live registry, so an
-analysis registered later is automatically held to the same standard
+rendered text — for every registered analysis, across worker counts
+including one that does not divide the segment count, on the
+vectorized and on the reference (``columnar=False``) decode path.
+Parametrization goes through the live registry, so an analysis
+registered later is automatically held to the same standard
 (or must explicitly opt out of ``supports_segments``, in which case
 the driver's serial fallback is asserted instead).
 """
@@ -23,7 +24,12 @@ from repro.workloads import get
 #: Worker counts: serial fallback, even split, oversubscribed, and a
 #: count that does not divide the segment total.
 JOB_COUNTS = (1, 2, 4, 7)
-FORMATS = (1, 2)
+
+#: Decode paths every segment can run on: the vectorized kernel with
+#: batch dispatch, and the ``columnar=False`` reference (scalar block
+#: decode, per-event hooks) — both inside the one dispatch loop.
+DECODE_PATHS = (True, False)
+DECODE_IDS = ("columnar", "reference")
 
 #: Small but structurally rich: gzip exercises globals + arrays +
 #: deep call nesting; wordcount exercises heap allocation/recycling
@@ -42,16 +48,14 @@ def _segmented_names():
 
 @pytest.fixture(scope="module")
 def traces(tmp_path_factory):
-    """(workload, format) -> trace path, recorded once per module."""
+    """workload -> trace path, recorded once per module."""
     root = tmp_path_factory.mktemp("parity-traces")
     paths = {}
     for name, scale in WORKLOADS.items():
-        workload = get(name, scale)
-        for version in FORMATS:
-            path = str(root / f"{name}-v{version}.trace")
-            record_source(workload.source, path, version=version,
-                          checkpoint_interval=INTERVAL)
-            paths[name, version] = path
+        path = str(root / f"{name}.trace")
+        record_source(get(name, scale).source, path,
+                      checkpoint_interval=INTERVAL)
+        paths[name] = path
     return paths
 
 
@@ -62,24 +66,26 @@ def outcomes(traces):
     names = _segmented_names()
     serial = {}
     parallel = {}
-    for (workload, version), path in traces.items():
-        serial[workload, version] = replay_trace(path, names)
+    for workload, path in traces.items():
+        serial[workload] = replay_trace(path, names)
         for jobs in JOB_COUNTS:
-            parallel[workload, version, jobs] = parallel_replay(
-                path, names, jobs=jobs, interval=INTERVAL)
+            for columnar in DECODE_PATHS:
+                parallel[workload, jobs, columnar] = parallel_replay(
+                    path, names, jobs=jobs, interval=INTERVAL,
+                    columnar=columnar)
     return serial, parallel
 
 
 class TestParity:
     @pytest.mark.parametrize("analysis", _segmented_names())
-    @pytest.mark.parametrize("version", FORMATS)
+    @pytest.mark.parametrize("columnar", DECODE_PATHS, ids=DECODE_IDS)
     @pytest.mark.parametrize("jobs", JOB_COUNTS)
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    def test_merged_equals_serial(self, outcomes, workload, version,
-                                  jobs, analysis):
+    def test_merged_equals_serial(self, outcomes, workload, jobs,
+                                  columnar, analysis):
         serial, parallel = outcomes
-        expected = serial[workload, version].reports[analysis]
-        actual = parallel[workload, version, jobs].reports[analysis]
+        expected = serial[workload].reports[analysis]
+        actual = parallel[workload, jobs, columnar].reports[analysis]
         assert actual.to_dict() == expected.to_dict()
         assert actual.text == expected.text
 
@@ -88,19 +94,26 @@ class TestParity:
 
     def test_parallel_mode_actually_engaged(self, outcomes):
         _serial, parallel = outcomes
-        for (workload, version, jobs), outcome in parallel.items():
+        for (workload, jobs, columnar), outcome in parallel.items():
             if jobs == 1:
-                assert outcome.mode == "serial", (workload, version)
+                assert outcome.mode == "serial", (workload, columnar)
             else:
-                assert outcome.mode == "parallel", (workload, version,
-                                                    jobs)
+                assert outcome.mode == "parallel", (workload, jobs,
+                                                    columnar)
                 assert len(outcome.plan.segments) > 1
+
+    def test_seams_fall_inside_blocks(self, traces):
+        """The matrix covers seams that resume mid-block (the decoder
+        skips the block's leading records)."""
+        plan = plan_shards(traces["gzip"], 7, interval=INTERVAL)
+        assert any(segment.checkpoint.codec.get("skip")
+                   for segment in plan.segments)
 
     def test_nondivisible_worker_count(self, traces):
         """jobs=7 over a segment count it does not divide: every event
         is still replayed exactly once (counts analysis is a watertight
         event-conservation check)."""
-        path = traces["gzip", 2]
+        path = traces["gzip"]
         plan = plan_shards(path, 7, interval=INTERVAL)
         assert len(plan.segments) % 7 != 0
         serial = replay_trace(path, ["counts"])
@@ -112,7 +125,7 @@ class TestParity:
 
 class TestOptionsParity:
     def test_analysis_options_reach_workers(self, traces):
-        path = traces["gzip", 2]
+        path = traces["gzip"]
         options = {"hot": {"top": 3}, "dep": {"track_war_waw": False}}
         from repro.trace.replay import replay_with
         from repro.analyses import make_analyses
@@ -143,7 +156,7 @@ class TestFallbacks:
 
         register(Stub)
         try:
-            path = traces["gzip", 2]
+            path = traces["gzip"]
             outcome = parallel_replay(path, ["counts", "parity-stub"],
                                       jobs=4, interval=INTERVAL)
             assert outcome.mode == "serial"
@@ -162,12 +175,13 @@ class TestFallbacks:
         assert "seams" in outcome.fallback_reason
         assert not os.path.exists(path + ".ckpt")
 
-    def test_scan_builds_seams_for_v1(self, tmp_path):
-        """v1 traces predate checkpoints entirely; the scan builder
-        makes them shardable after the fact (and caches a sidecar)."""
+    def test_scan_builds_seams_for_unseamed_trace(self, tmp_path):
+        """A trace recorded without seams is sharded after the fact by
+        the scan builder (which caches a sidecar)."""
         workload = get("gzip", 0.25)
         path = str(tmp_path / "old.trace")
-        record_source(workload.source, path, version=1)
+        record_source(workload.source, path)
+        assert not os.path.exists(path + ".ckpt")
         serial = replay_trace(path, ["dep", "locality"])
         outcome = parallel_replay(path, ["dep", "locality"], jobs=4,
                                   interval=INTERVAL)
@@ -183,3 +197,4 @@ class TestFallbacks:
         assert again.mode == "parallel"
         assert again.reports["dep"].to_dict() == \
             serial.reports["dep"].to_dict()
+

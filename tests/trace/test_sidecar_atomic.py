@@ -29,8 +29,8 @@ int main() {
 @pytest.fixture
 def trace(tmp_path):
     path = str(tmp_path / "scan.trace")
-    # v1 without a prebuilt sidecar: each test builds its own.
-    record_source(SOURCE, path, version=1, checkpoint_interval=0)
+    # No prebuilt sidecar: each test builds its own.
+    record_source(SOURCE, path, checkpoint_interval=0)
     return path
 
 

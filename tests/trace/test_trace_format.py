@@ -8,12 +8,12 @@ import pytest
 
 from repro.runtime.interpreter import run_source
 from repro.runtime.tracing import CountingTracer
-from repro.trace import (TRACE_VERSION, TraceError, TraceReader,
-                         TraceTruncatedError, TraceVersionError,
-                         record_source)
+from repro.trace import (TraceError, TraceReader, TraceTruncatedError,
+                         TraceVersionError, record_source)
+from repro.trace.codec import BLOCK_HEADER
 from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH, EV_ENTER,
                                 EV_EXIT, EV_FINISH, EV_FREE, EV_READ,
-                                EV_WRITE, MAGIC, RECORD_SIZE, source_digest)
+                                EV_WRITE, MAGIC, source_digest)
 
 SMALL = """
 int a[32];
@@ -48,14 +48,10 @@ int main() {
 """
 
 
-# These tests exercise the v1 wire format specifically (fixed 13-byte
-# records); tests/trace/test_v2_format.py covers the v2 counterparts.
-
-
 @pytest.fixture
 def small_trace(tmp_path):
     path = tmp_path / "small.trace"
-    result = record_source(SMALL, path, version=1)
+    result = record_source(SMALL, path)
     return path, result
 
 
@@ -141,8 +137,7 @@ class TestRoundTrip:
 
 class TestSchemaErrors:
     def test_version_mismatch_rejected(self, small_trace, tmp_path):
-        """Versions outside the supported set (1, 2) are rejected; v2
-        is auto-detected, so it is no longer a mismatch."""
+        """Any version but 2 is rejected."""
         path, _ = small_trace
         blob = bytearray(path.read_bytes())
         offset = len(MAGIC)
@@ -151,6 +146,16 @@ class TestSchemaErrors:
         bad.write_bytes(blob)
         with pytest.raises(TraceVersionError):
             TraceReader(bad)
+
+    def test_v1_file_rejected(self, tmp_path, write_v1_trace):
+        """Format v1 is retired: its files raise a typed version error
+        naming the one version this reader understands."""
+        path = tmp_path / "old.trace"
+        write_v1_trace(path)
+        with pytest.raises(TraceVersionError,
+                           match="version 1, this reader understands "
+                                 "only 2"):
+            TraceReader(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         bad = tmp_path / "bad.trace"
@@ -171,23 +176,46 @@ class TestTruncation:
         bad.write_bytes(path.read_bytes()[:keep])
         return bad
 
-    def test_truncated_mid_events(self, small_trace, tmp_path):
-        path, result = small_trace
-        size = path.stat().st_size
-        # Cut deep inside the event stream (well before the footer).
-        bad = self._truncate(path, tmp_path, size - result.events
-                             * RECORD_SIZE // 2)
+    def test_truncated_mid_events(self, tmp_path):
+        """A cut deep inside a many-block stream: the whole blocks
+        before the cut still decode, then the typed error follows."""
+        from repro.ir.lowering import compile_source
+        from repro.runtime.interpreter import Interpreter
+        from repro.trace.writer import TraceWriter
+
+        path = tmp_path / "blocks.trace"
+        writer = TraceWriter(path, SMALL, block_bytes=64)
+        interp = Interpreter(compile_source(SMALL), writer)
+        writer.close(interp.run(), interp.output)
+        with TraceReader(path) as reader:
+            full = list(reader.events())
+            blocks = reader.decoder.blocks
+        assert blocks > 4
+        bad = self._truncate(path, tmp_path, path.stat().st_size // 2)
+        seen = []
         with pytest.raises(TraceTruncatedError):
             with TraceReader(bad) as reader:
-                for _ in reader.events():
-                    pass
+                for event in reader.events():
+                    seen.append(event)
+        assert 0 < len(seen) < len(full)
+        assert seen == full[:len(seen)]
 
     def test_truncated_mid_record(self, small_trace, tmp_path):
+        """A block whose last record stops inside a multi-byte varint."""
+        import zlib
+
         path, _ = small_trace
         with TraceReader(path) as reader:
             start = reader._events_start
-        bad = self._truncate(path, tmp_path, start + RECORD_SIZE * 3 + 5)
-        with pytest.raises(TraceTruncatedError):
+        blob = path.read_bytes()
+        # One READ record whose first operand varint never terminates.
+        raw = bytes([EV_READ, 0x80, 0x80])
+        payload = zlib.compress(raw)
+        bad = tmp_path / "cut.trace"
+        bad.write_bytes(blob[:start] + BLOCK_HEADER.pack(len(payload),
+                                                         len(raw))
+                        + payload)
+        with pytest.raises(TraceTruncatedError, match="varint"):
             with TraceReader(bad) as reader:
                 for _ in reader.events():
                     pass
