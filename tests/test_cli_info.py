@@ -45,11 +45,8 @@ class TestInfoVerb:
         assert "read=" in out and "write=" in out and "finish=1" in out
         assert "compressed" in out
 
-    @pytest.mark.parametrize("verb", [["info"], ["replay"],
-                                      ["replay", "--parallel"]],
-                             ids=["info", "replay", "replay-parallel"])
-    def test_v1_trace_exits_2(self, tmp_path, capsys, write_v1_trace,
-                              verb):
+    @staticmethod
+    def _assert_v1_rejected(verb, tmp_path, capsys, write_v1_trace):
         """Format v1 is retired: a v1 file is a typed version error
         (exit 2, one line), not a traceback."""
         path = str(tmp_path / "v1.trace")
@@ -60,6 +57,17 @@ class TestInfoVerb:
         assert ("trace schema version 1, this reader understands "
                 "only 2") in captured.err
         assert "Traceback" not in captured.err
+
+    def test_info_v1_trace(self, tmp_path, capsys, write_v1_trace):
+        self._assert_v1_rejected(["info"], tmp_path, capsys,
+                                 write_v1_trace)
+
+    @pytest.mark.parametrize("verb", [["replay"],
+                                      ["replay", "--parallel"]],
+                             ids=["replay", "replay-parallel"])
+    def test_v1_trace_exits_2(self, tmp_path, capsys, write_v1_trace,
+                              verb):
+        self._assert_v1_rejected(verb, tmp_path, capsys, write_v1_trace)
 
     def test_info_sampled_trace(self, prog_file, tmp_path, capsys):
         out_path = str(tmp_path / "s.trace")

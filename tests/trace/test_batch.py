@@ -74,9 +74,10 @@ class TestJobs:
         finally:
             unregister("plug-counts-test")
 
-    def test_nondict_result_payload_preserved(self, tmp_path):
+    def test_legacy_nondict_result_payload_preserved(self, tmp_path):
         """An analysis whose result carries no data dict but a raw
-        non-dict payload (a list here) keeps that payload."""
+        non-dict payload (a list here, the shape legacy results had)
+        keeps that payload."""
         from repro.analyses import Analysis, register, unregister
         from repro.analyses.base import AnalysisResult
 

@@ -2,8 +2,9 @@
 
 The contract under test is exact equality — ``to_dict()`` *and*
 rendered text — for every registered analysis, across worker counts
-including one that does not divide the segment count, on the
-vectorized and on the reference (``columnar=False``) decode path.
+including one that does not divide the segment count, for every
+trace format the reader accepts, on the vectorized and on the
+reference (``columnar=False``) decode path.
 Parametrization goes through the live registry, so an analysis
 registered later is automatically held to the same standard
 (or must explicitly opt out of ``supports_segments``, in which case
@@ -16,6 +17,8 @@ import pytest
 
 from repro.analyses import registry
 from repro.trace.parallel import parallel_replay, unsupported_analyses
+from repro.trace.events import TRACE_VERSION_V2
+from repro.trace.reader import TraceReader
 from repro.trace.replay import replay_trace
 from repro.trace.shards import plan_shards
 from repro.trace.writer import record_source
@@ -25,11 +28,13 @@ from repro.workloads import get
 #: count that does not divide the segment total.
 JOB_COUNTS = (1, 2, 4, 7)
 
+#: Trace format versions the reader accepts (v1 files are rejected).
+FORMATS = (TRACE_VERSION_V2,)
+
 #: Decode paths every segment can run on: the vectorized kernel with
 #: batch dispatch, and the ``columnar=False`` reference (scalar block
 #: decode, per-event hooks) — both inside the one dispatch loop.
 DECODE_PATHS = (True, False)
-DECODE_IDS = ("columnar", "reference")
 
 #: Small but structurally rich: gzip exercises globals + arrays +
 #: deep call nesting; wordcount exercises heap allocation/recycling
@@ -76,18 +81,34 @@ def outcomes(traces):
     return serial, parallel
 
 
+def _assert_same_report(outcomes, workload, jobs, columnar, analysis):
+    serial, parallel = outcomes
+    expected = serial[workload].reports[analysis]
+    actual = parallel[workload, jobs, columnar].reports[analysis]
+    assert actual.to_dict() == expected.to_dict()
+    assert actual.text == expected.text
+
+
 class TestParity:
     @pytest.mark.parametrize("analysis", _segmented_names())
-    @pytest.mark.parametrize("columnar", DECODE_PATHS, ids=DECODE_IDS)
+    @pytest.mark.parametrize("version", FORMATS)
     @pytest.mark.parametrize("jobs", JOB_COUNTS)
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    def test_merged_equals_serial(self, outcomes, workload, jobs,
-                                  columnar, analysis):
-        serial, parallel = outcomes
-        expected = serial[workload].reports[analysis]
-        actual = parallel[workload, jobs, columnar].reports[analysis]
-        assert actual.to_dict() == expected.to_dict()
-        assert actual.text == expected.text
+    def test_merged_equals_serial(self, traces, outcomes, workload,
+                                  version, jobs, analysis):
+        """Vectorized decode with batch dispatch in every segment."""
+        with TraceReader(traces[workload]) as reader:
+            assert reader.version == version
+        _assert_same_report(outcomes, workload, jobs, True, analysis)
+
+    @pytest.mark.parametrize("analysis", _segmented_names())
+    @pytest.mark.parametrize("jobs", JOB_COUNTS)
+    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
+    def test_reference_path_equals_serial(self, outcomes, workload,
+                                          jobs, analysis):
+        """``columnar=False``: scalar block decode and per-event hooks
+        in every segment, through the same dispatch loop."""
+        _assert_same_report(outcomes, workload, jobs, False, analysis)
 
     def test_every_bundled_analysis_supports_segments(self):
         assert not unsupported_analyses(sorted(registry()))
