@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.analyses.base import (Analysis, AnalysisContext,
                                  AnalysisError, AnalysisResult,
                                  AnalysisSegment, OptionSpec,
@@ -395,6 +397,49 @@ def _locality_result(stats: LocalityResult) -> AnalysisResult:
     )
 
 
+#: Per-event accesses (live runs, ``columnar=False`` replay) buffered
+#: before one kernel call. Small on purpose: the buffer is transient
+#: memory on top of the O(distinct) state.
+_LOCALITY_PENDING = 4096
+
+
+def _earlier_at_most(values: np.ndarray) -> np.ndarray:
+    """For each ``i``: how many ``j < i`` have ``values[j] <= values[i]``.
+
+    Bottom-up merge counting, one vectorized pass per level: at width
+    ``w`` every element of an odd aligned block counts the elements of
+    its left sibling block (kept sorted from the previous level) that
+    are ``<=`` it, with one ``searchsorted`` over block-offset keys;
+    then sibling blocks merge with a stable sort (a linear run merge).
+    ``ceil(log2 n)`` levels in all.
+    """
+    n = len(values)
+    counts = np.zeros(n, dtype=np.int64)
+    if n < 2:
+        return counts
+    # Keys reach n * (max - min + 1): exact in int64 for any chunk of
+    # a trace shorter than 2^63 / n accesses.
+    base = values - values.min()
+    span = int(base.max()) + 1
+    index = np.arange(n, dtype=np.int64)
+    runs = base
+    w = 1
+    while w < n:
+        block = index // w
+        right = np.flatnonzero(block & 1)
+        left = block[right] - 1
+        # Block-offset keys are globally sorted; the blocks before the
+        # left sibling hold exactly ``left * w`` elements.
+        counts[right] += (np.searchsorted(block * span + runs,
+                                          left * span + base[right],
+                                          side="right")
+                          - left * w)
+        pair = (block >> 1) * span
+        runs = np.sort(pair + runs, kind="stable") - pair
+        w *= 2
+    return counts
+
+
 @register
 class LocalityAnalysis(Analysis):
     """Exact LRU reuse-distance histogram (a PROMPT-style analysis).
@@ -402,8 +447,22 @@ class LocalityAnalysis(Analysis):
     For every memory access, the reuse distance is the number of
     *distinct* addresses touched since the previous access to the same
     address — i.e. the minimal LRU cache size (in words) that would hit.
-    Computed exactly with a Fenwick tree over access sequence numbers
-    (O(log n) per access). Distances are bucketed by powers of two.
+    Distances are bucketed by powers of two.
+
+    Computed exactly, a chunk of accesses at a time (a trace block, or
+    up to ``_LOCALITY_PENDING`` buffered per-event accesses), by one
+    numpy kernel. For an access ``i`` in a chunk starting at position
+    ``s``, with ``p`` the previous access to its address and ``S`` the
+    live last-access positions carried in at ``s``::
+
+        distance(i) = |{x in S : x > p}|
+                    + #{j in [s, i) : prev(j) <= p}
+                    - max(0, p - s + 1)
+
+    ``prev`` comes from a stable argsort of the chunk's addresses, the
+    middle term from :func:`_earlier_at_most`. The carried state is the
+    last position of every address and ``S`` as a sorted array, so it
+    is O(distinct addresses), not O(accesses).
 
     Addresses are physical interpreter words; stack reuse across frames
     therefore counts as reuse of the same word, which is exactly the
@@ -417,72 +476,125 @@ class LocalityAnalysis(Analysis):
     batch_kind = "block"
 
     def __init__(self) -> None:
+        #: Accesses consumed so far (positions are 1-based).
         self._seq = 0
+        #: addr -> position of its last access.
         self._last: dict[int, int] = {}
-        self._tree: list[int] = [0]
-        self._live = 0
+        #: The values of ``_last``, sorted: the live positions ``S``.
+        self._live = np.empty(0, dtype=np.int64)
         #: Per first access of an address: how many distinct addresses
-        #: came before it — in access order. Free to maintain (cold
-        #: path only) and exactly what the cross-segment reuse-distance
-        #: merge needs (``repro.analyses.merging.fold_locality``).
+        #: came before it — in access order. Exactly what the
+        #: cross-segment reuse-distance merge needs
+        #: (``repro.analyses.merging.fold_locality``).
         self._cold_order: list[tuple[int, int]] = []
+        self._pending: list[int] = []
         self.stats = LocalityResult()
 
-    def _access(self, addr: int, pc: int = 0, timestamp: int = 0) -> None:
-        stats = self.stats
-        stats.accesses += 1
-        seq = self._seq + 1
-        self._seq = seq
-        tree = self._tree
-        # Fenwick append: node ``seq`` covers ``(seq - lowbit, seq]``, so
-        # its initial value is the live count over that range (the new
-        # position itself contributes 1 — it is now `addr`'s last
-        # access).
-        before = self._prefix(seq - 1)
-        tree.append(1 + before - self._prefix(seq - (seq & -seq)))
-        last = self._last.get(addr)
-        self._last[addr] = seq
-        self._live += 1
-        if last is None:
-            stats.cold_misses += 1
-            self._cold_order.append((addr, len(self._last) - 1))
-            return
-        # distance = live addresses whose last access falls strictly
-        # between `last` and `seq` = prefix(seq - 1) - prefix(last).
-        distance = before - self._prefix(last)
-        bucket = distance.bit_length()  # 0 -> 0, [2^(k-1), 2^k) -> k
-        stats.histogram[bucket] = stats.histogram.get(bucket, 0) + 1
-        # The superseded position stops representing a live address.
-        i = last
-        size = seq
-        while i <= size:
-            tree[i] -= 1
-            i += i & (-i)
-        self._live -= 1
-
     # Both reads and writes are accesses (pc/timestamp unused).
-    on_read = _access
-    on_write = _access
+    def on_read(self, addr: int, pc: int, timestamp: int) -> None:
+        pending = self._pending
+        pending.append(addr)
+        if len(pending) >= _LOCALITY_PENDING:
+            self._flush()
+
+    on_write = on_read
+
+    def on_finish(self, timestamp: int) -> None:
+        self._flush()
+
+    def _flush(self) -> None:
+        if self._pending:
+            pending = self._pending
+            self._pending = []
+            self._consume(pending)
 
     def consume_batch(self, batch) -> None:
         """Block fast path: only the access addresses matter (reuse
         distance ignores pc/timestamp and every other event type)."""
-        access = self._access
-        for addr in batch.access_addrs():
-            access(addr)
+        self._flush()
+        self._consume(batch.access_addrs())
 
-    def _prefix(self, i: int) -> int:
-        tree = self._tree
-        total = 0
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return total
+    def _consume(self, addrs) -> None:
+        """Advance the state over one chunk of access addresses (an
+        int64 array, or a list that may hold values beyond int64)."""
+        n = len(addrs)
+        if not n:
+            return
+        keys = None
+        if not isinstance(addrs, np.ndarray):
+            try:
+                addrs = np.array(addrs, dtype=np.int64)
+            except OverflowError:
+                # Reuse distance only depends on address identity:
+                # factorize, and map codes back for the carried dict.
+                codes: dict = {}
+                addrs = np.array([codes.setdefault(a, len(codes))
+                                  for a in addrs], dtype=np.int64)
+                keys = list(codes)
+        start = self._seq + 1
+        last = self._last
+        live = self._live
+        order = np.argsort(addrs, kind="stable")
+        grouped = addrs[order]
+        head = np.empty(n, dtype=bool)
+        head[0] = True
+        np.not_equal(grouped[1:], grouped[:-1], out=head[1:])
+        tail = np.empty(n, dtype=bool)
+        tail[-1] = True
+        tail[:-1] = head[1:]
+        position = order + start
+        # prev in address-grouped order: the previous member of the
+        # group, or for a group head the carried last position (0 =
+        # never accessed).
+        prev_grouped = np.empty(n, dtype=np.int64)
+        prev_grouped[1:] = position[:-1]
+        head_addrs = grouped[head].tolist()
+        if keys is not None:
+            head_addrs = [keys[code] for code in head_addrs]
+        get = last.get
+        carried = np.array([get(a, 0) for a in head_addrs],
+                           dtype=np.int64)
+        prev_grouped[head] = carried
+        prev = np.empty(n, dtype=np.int64)
+        prev[order] = prev_grouped
+
+        stats = self.stats
+        reuse = prev > 0
+        if reuse.any():
+            distance = (len(live)
+                        - np.searchsorted(live, prev, side="right")
+                        + _earlier_at_most(prev)
+                        - np.maximum(prev - start + 1, 0))[reuse]
+            # frexp's exponent is int.bit_length() for 0 <= d < 2^53.
+            buckets = np.bincount(np.frexp(distance.astype(np.float64))[1])
+            hist = stats.histogram
+            for bucket in np.flatnonzero(buckets).tolist():
+                hist[bucket] = hist.get(bucket, 0) + int(buckets[bucket])
+
+        cold = carried == 0
+        cold_count = int(np.count_nonzero(cold))
+        if cold_count:
+            # Cold heads in stream order; each has len(last) plus its
+            # cold rank in this chunk distinct addresses before it.
+            cold_heads = np.flatnonzero(cold)
+            cold_heads = cold_heads[np.argsort(order[head][cold_heads])]
+            self._cold_order.extend(
+                zip([head_addrs[i] for i in cold_heads.tolist()],
+                    range(len(last), len(last) + cold_count)))
+        superseded = carried[~cold]
+        if len(superseded):
+            live = np.delete(live, np.searchsorted(live, superseded))
+        new_last = position[tail]
+        self._live = np.concatenate((live, np.sort(new_last)))
+        last.update(zip(head_addrs, new_last.tolist()))
+        self._seq += n
+        stats.accesses += n
+        stats.cold_misses += cold_count
+        stats.distinct_addresses = len(last)
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
-        stats = self.stats
-        stats.distinct_addresses = len(self._last)
-        return _locality_result(stats)
+        self._flush()
+        return _locality_result(self.stats)
 
     # -- segment/merge protocol -------------------------------------------
     # begin_segment: the default (cold start) is exactly right — every
@@ -490,6 +602,7 @@ class LocalityAnalysis(Analysis):
     # are reconstructed by the fold from the exports below.
 
     def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
+        self._flush()
         return AnalysisSegment(type(self), {
             "accesses": self._seq,
             "hist": dict(self.stats.histogram),
@@ -888,29 +1001,25 @@ class ContextDependenceAnalysis(Analysis):
     batch_kind = "span"
 
     def __init__(self) -> None:
-        self.tracer = ContextSensitiveTracer()
-        tracer = self.tracer
+        self._bind(ContextSensitiveTracer())
+
+    def _bind(self, tracer: ContextSensitiveTracer) -> None:
+        """Bind the hooks straight to the tracer (serial, or a parallel
+        segment's seeded one), so dispatch skips this shim. That
+        includes ``consume_batch``: the span fast path is the tracer's
+        fused loop, :meth:`ContextSensitiveTracer.consume_span`."""
+        self.tracer = tracer
         self.on_enter_function = tracer.on_enter_function
         self.on_exit_function = tracer.on_exit_function
         self.on_read = tracer.on_read
         self.on_write = tracer.on_write
         self.on_frame_free = tracer.on_frame_free
         self.on_finish = tracer.on_finish
+        self.consume_batch = tracer.consume_span
 
     @property
     def profile(self) -> ContextProfile:
         return self.tracer.profile
-
-    def consume_batch(self, batch) -> None:
-        """Span fast path: routes through whichever read/write hooks
-        are bound (serial tracer or deferring segment wrapper)."""
-        on_read = self.on_read
-        on_write = self.on_write
-        for etype, a, b, t in batch.rows():
-            if etype == EV_READ:
-                on_read(a, b, t)
-            elif etype == EV_WRITE:
-                on_write(a, b, t)
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
         return _context_result(self.tracer.profile)
@@ -921,15 +1030,8 @@ class ContextDependenceAnalysis(Analysis):
                       seed: SegmentSeed) -> None:
         from repro.analyses.merging import SegmentContextTracer
 
-        segment = SegmentContextTracer(seed)
-        self._segment = segment
-        self.tracer = segment.inner
-        self.on_enter_function = segment.inner.on_enter_function
-        self.on_exit_function = segment.inner.on_exit_function
-        self.on_read = segment.on_read
-        self.on_write = segment.on_write
-        self.on_frame_free = segment.inner.on_frame_free
-        self.on_finish = segment.inner.on_finish
+        self._segment = SegmentContextTracer(seed)
+        self._bind(self._segment.inner)
 
     def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
         segment = self._segment

@@ -331,7 +331,7 @@ def fold_locality(acc: dict, part: dict) -> None:
                                             into the segment: counted by
                                             pre_distinct already)
 
-    which equals the serial Fenwick count of live positions strictly
+    which equals the serial count of live positions strictly
     between the previous access ``q`` and this one.
     """
     last = acc["last"]
@@ -464,10 +464,15 @@ class SegmentAlchemistTracer:
 class SegmentContextTracer:
     """Context-baseline twin of :class:`SegmentAlchemistTracer`.
 
-    Subclasses the serial tracer: the call stack is seeded from the
-    checkpointed frame stack, the shadow from the checkpoint (contexts
-    replaced by the boundary sentinel), and pairs with sentinel heads
-    are deferred for the merge to attribute via the context frontier.
+    Seeds an unmodified
+    :class:`~repro.baselines.context_profiler.ContextSensitiveTracer`:
+    its call stack from the checkpointed frame stack, its shadow from
+    the checkpoint with every head context replaced by the boundary
+    sentinel. The tracer itself (per-event hooks and fused span loop
+    alike) defers pairs whose head is a sentinel to its ``deferred``
+    list, for the merge to attribute via the context frontier. Events
+    go straight to the inner tracer; this object only exports the
+    segment's frontier.
     """
 
     def __init__(self, seed):
@@ -481,60 +486,10 @@ class SegmentContextTracer:
                 None if write is None else (write[0], BOUNDARY, write[1]),
                 {pc: (BOUNDARY, t) for pc, t in reads.items()}]
         self.inner = inner
-        self.deferred: list = []
-
-    def on_read(self, addr: int, pc: int, timestamp: int) -> None:
-        from repro.core.profile_data import DepKind
-
-        inner = self.inner
-        entry = inner._shadow.get(addr)
-        if entry is None:
-            inner._shadow[addr] = [None,
-                                   {pc: (inner._context, timestamp)}]
-            return
-        write = entry[0]
-        if write is not None:
-            if write[1] is BOUNDARY:
-                self.deferred.append(
-                    (DepKind.RAW, addr, write[0], write[2],
-                     inner._context, pc, timestamp))
-            else:
-                inner.profile.record(write[1], inner._context, write[0],
-                                     pc, DepKind.RAW,
-                                     timestamp - write[2])
-        entry[1][pc] = (inner._context, timestamp)
-
-    def on_write(self, addr: int, pc: int, timestamp: int) -> None:
-        from repro.core.profile_data import DepKind
-
-        inner = self.inner
-        entry = inner._shadow.get(addr)
-        if entry is None:
-            inner._shadow[addr] = [(pc, inner._context, timestamp), {}]
-            return
-        write, reads = entry
-        for read_pc, (read_ctx, read_t) in reads.items():
-            if read_ctx is BOUNDARY:
-                self.deferred.append(
-                    (DepKind.WAR, addr, read_pc, read_t,
-                     inner._context, pc, timestamp))
-            else:
-                inner.profile.record(read_ctx, inner._context, read_pc,
-                                     pc, DepKind.WAR,
-                                     timestamp - read_t)
-        if write is not None:
-            if write[1] is BOUNDARY:
-                self.deferred.append(
-                    (DepKind.WAW, addr, write[0], write[2],
-                     inner._context, pc, timestamp))
-            else:
-                inner.profile.record(write[1], inner._context, write[0],
-                                     pc, DepKind.WAW,
-                                     timestamp - write[2])
-        entry[0] = (pc, inner._context, timestamp)
-        entry[1] = {}
+        self.deferred = inner.deferred
 
     def export_frontier(self):
+        """addr -> (wrote, write, reads) for segment-born accesses."""
         frontier: dict[int, tuple] = {}
         for addr, (write, reads) in self.inner._shadow.items():
             wrote = write is not None and write[1] is not BOUNDARY

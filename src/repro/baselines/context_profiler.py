@@ -24,9 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.profile_data import DepKind
+from repro.core.profiler import BOUNDARY
 from repro.runtime.tracing import Tracer
 
 Context = tuple[str, ...]
+
+_RAW, _WAR, _WAW = DepKind.RAW, DepKind.WAR, DepKind.WAW
 
 
 @dataclass
@@ -85,7 +88,15 @@ class ContextProfile:
 
 class ContextSensitiveTracer(Tracer):
     """Shadow-memory dependence detection with calling-context
-    attribution only."""
+    attribution only.
+
+    A head context may be :data:`~repro.core.profiler.BOUNDARY`: the
+    shadow of a parallel segment is seeded from its checkpoint, where
+    the head's context lives in an earlier segment. Pairs with such a
+    head go to ``deferred`` as ``(kind, addr, head_pc, head_t,
+    tail_ctx, tail_pc, tail_t)`` for the merge to attribute; a serial
+    run never has one.
+    """
 
     def __init__(self) -> None:
         self.profile = ContextProfile()
@@ -94,6 +105,7 @@ class ContextSensitiveTracer(Tracer):
         # addr -> [ (write_pc, write_ctx, write_t) | None,
         #           {read_pc: (read_ctx, read_t)} ]
         self._shadow: dict[int, list] = {}
+        self.deferred: list[tuple] = []
 
     # -- context maintenance ------------------------------------------------
 
@@ -107,6 +119,17 @@ class ContextSensitiveTracer(Tracer):
         self._context = tuple(self._stack)
 
     # -- dependence detection ---------------------------------------------------
+    # on_read/on_write are the per-event reference path; consume_span
+    # is the same shadow step and edge update fused into one loop.
+
+    def _pair(self, head_ctx, head_pc: int, head_t: int, pc: int,
+              timestamp: int, kind: DepKind, addr: int) -> None:
+        if head_ctx is BOUNDARY:
+            self.deferred.append((kind, addr, head_pc, head_t,
+                                  self._context, pc, timestamp))
+        else:
+            self.profile.record(head_ctx, self._context, head_pc, pc,
+                                kind, timestamp - head_t)
 
     def on_read(self, addr: int, pc: int, timestamp: int) -> None:
         entry = self._shadow.get(addr)
@@ -115,8 +138,8 @@ class ContextSensitiveTracer(Tracer):
             return
         write = entry[0]
         if write is not None:
-            self.profile.record(write[1], self._context, write[0], pc,
-                                DepKind.RAW, timestamp - write[2])
+            self._pair(write[1], write[0], write[2], pc, timestamp,
+                       _RAW, addr)
         entry[1][pc] = (self._context, timestamp)
 
     def on_write(self, addr: int, pc: int, timestamp: int) -> None:
@@ -126,13 +149,76 @@ class ContextSensitiveTracer(Tracer):
             return
         write, reads = entry
         for read_pc, (read_ctx, read_t) in reads.items():
-            self.profile.record(read_ctx, self._context, read_pc, pc,
-                                DepKind.WAR, timestamp - read_t)
+            self._pair(read_ctx, read_pc, read_t, pc, timestamp, _WAR,
+                       addr)
         if write is not None:
-            self.profile.record(write[1], self._context, write[0], pc,
-                                DepKind.WAW, timestamp - write[2])
+            self._pair(write[1], write[0], write[2], pc, timestamp,
+                       _WAW, addr)
         entry[0] = (pc, self._context, timestamp)
         entry[1] = {}
+
+    def consume_span(self, batch) -> None:
+        """Every READ/WRITE of one memory-quiet span (no ENTER/EXIT
+        inside, so one context throughout) in one loop: exactly
+        :meth:`on_read`/:meth:`on_write`, minus the per-event and
+        per-edge calls."""
+        ctx = self._context
+        shadow = self._shadow
+        edges = self.profile.edges
+        deferred = self.deferred
+        for etype, addr, pc, t in batch.rows():
+            if etype == EV_READ:
+                entry = shadow.get(addr)
+                if entry is None:
+                    shadow[addr] = [None, {pc: (ctx, t)}]
+                    continue
+                write = entry[0]
+                entry[1][pc] = (ctx, t)
+                if write is None:
+                    continue
+                head_pc, head_ctx, head_t = write
+                kind = _RAW
+            elif etype == EV_WRITE:
+                entry = shadow.get(addr)
+                if entry is None:
+                    shadow[addr] = [(pc, ctx, t), {}]
+                    continue
+                write, reads = entry
+                entry[0] = (pc, ctx, t)
+                entry[1] = {}
+                for head_pc, (head_ctx, head_t) in reads.items():
+                    if head_ctx is BOUNDARY:
+                        deferred.append((_WAR, addr, head_pc, head_t,
+                                         ctx, pc, t))
+                        continue
+                    key = (head_ctx, ctx, head_pc, pc, _WAR)
+                    edge = edges.get(key)
+                    if edge is None:
+                        edges[key] = ContextEdge(head_ctx, ctx, head_pc,
+                                                 pc, _WAR, t - head_t)
+                    else:
+                        edge.count += 1
+                        if t - head_t < edge.min_tdep:
+                            edge.min_tdep = t - head_t
+                if write is None:
+                    continue
+                head_pc, head_ctx, head_t = write
+                kind = _WAW
+            else:
+                continue
+            # The RAW (read) or WAW (write) pair with the last writer.
+            if head_ctx is BOUNDARY:
+                deferred.append((kind, addr, head_pc, head_t, ctx, pc, t))
+                continue
+            key = (head_ctx, ctx, head_pc, pc, kind)
+            edge = edges.get(key)
+            if edge is None:
+                edges[key] = ContextEdge(head_ctx, ctx, head_pc, pc, kind,
+                                         t - head_t)
+            else:
+                edge.count += 1
+                if t - head_t < edge.min_tdep:
+                    edge.min_tdep = t - head_t
 
     def on_frame_free(self, lo: int, hi: int) -> None:
         shadow = self._shadow
@@ -145,3 +231,10 @@ class ContextSensitiveTracer(Tracer):
 
     def on_finish(self, timestamp: int) -> None:
         self.profile.instructions = timestamp
+
+
+# Imported at the bottom on purpose, as in ``repro.analyses.builtin``:
+# ``repro.trace`` imports the replay engine, which imports the
+# analyses, which import this module; ``consume_span`` resolves these
+# names at call time.
+from repro.trace.events import EV_READ, EV_WRITE  # noqa: E402

@@ -201,10 +201,13 @@ class EventBatch:
                 tally[a] = tally.get(a, 0) + 1
         return sorted(tally.items())
 
-    def access_addrs(self) -> list[int]:
-        """Addresses of every READ and WRITE, in event order."""
+    def access_addrs(self):
+        """Addresses of every READ and WRITE, in event order: an int64
+        array for numpy columns, else a plain list (scalar-decoded
+        columns, which may hold values beyond int64: see
+        :meth:`from_lists`)."""
         if isinstance(self.etypes, _np.ndarray):
-            return self.a[_ACCESS_LUT[self.etypes]].tolist()
+            return self.a[_ACCESS_LUT[self.etypes]]
         return [a for et, a in zip(self.etypes, self.a)
                 if et == EV_READ or et == EV_WRITE]
 

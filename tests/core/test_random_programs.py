@@ -11,7 +11,9 @@ stack, zeroed nesting counters, allocator fully drained.
 
 The same generators also pin the dep span kernel: fused span replay,
 per-event replay, live profiling and parallel segments (kernel plus
-cross-seam deferral) must all produce the same dep profile.
+cross-seam deferral) must all produce the same dep profile. They pin
+the locality reuse-distance kernel and the context span loop the same
+way: batch replay, per-event replay and parallel segments agree.
 """
 
 import os
@@ -220,3 +222,46 @@ class TestDepKernelEquivalence:
         for digest in _parallel_digests(path, True,
                                         recorded.events // 10):
             assert digest == kernel[0]
+
+
+def _reports(outcome, names) -> dict:
+    return {name: (outcome.reports[name].to_dict(),
+                   outcome.reports[name].text) for name in names}
+
+
+class TestLocalityContextEquivalence:
+    """Locality's reuse-distance kernel and context's fused span loop:
+    batch replay == per-event replay (``columnar=False``) == parallel
+    at 2 and 7 jobs, with seams inside a trace block."""
+
+    NAMES = ["locality", "context"]
+
+    @given(st.one_of(_programs.map(pretty_print), _loop_programs()))
+    @settings(max_examples=25, deadline=None)
+    def test_every_path_agrees(self, source):
+        try:
+            program = compile_source(source)
+        except SemanticError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.trace")
+            try:
+                recorded = record_program(program, path, source=source,
+                                          max_steps=STEP_CAP)
+            except (MiniCRuntimeError, StepLimitExceeded):
+                return
+            serial = _reports(replay_with(
+                path, make_analyses(self.NAMES), program, columnar=True),
+                self.NAMES)
+            assert _reports(replay_with(
+                path, make_analyses(self.NAMES), program, columnar=False),
+                self.NAMES) == serial
+            interval = max(1, recorded.events // 6)
+            for jobs in (2, 7):
+                outcome = parallel_replay(path, self.NAMES, jobs=jobs,
+                                          interval=interval,
+                                          columnar=True)
+                assert outcome.mode == "parallel", outcome.fallback_reason
+                assert any(segment.checkpoint.codec.get("skip")
+                           for segment in outcome.plan.segments)
+                assert _reports(outcome, self.NAMES) == serial

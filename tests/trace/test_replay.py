@@ -124,7 +124,8 @@ int main() {
 
 class TestLocalityExactness:
     def test_matches_bruteforce_reuse_distance(self):
-        """Fenwick reuse distances == brute-force distinct counting."""
+        """Kernel reuse distances == brute-force distinct counting,
+        driven through the per-event hooks (reads and writes)."""
         import random
 
         rng = random.Random(1234)
@@ -134,7 +135,8 @@ class TestLocalityExactness:
         expected_cold = 0
         last_index: dict[int, int] = {}
         for i, addr in enumerate(accesses):
-            consumer._access(addr)
+            hook = consumer.on_read if i % 3 else consumer.on_write
+            hook(addr, 0, i)
             if addr in last_index:
                 distance = len(set(accesses[last_index[addr] + 1:i]))
                 bucket = distance.bit_length()
@@ -142,15 +144,17 @@ class TestLocalityExactness:
             else:
                 expected_cold += 1
             last_index[addr] = i
+        consumer.on_finish(len(accesses))
         assert consumer.stats.cold_misses == expected_cold
         assert consumer.stats.histogram == expected_hist
 
     def test_hit_fraction_bounds(self):
         consumer = LocalityAnalysis()
         for addr in [1, 2, 1, 2, 1, 2]:
-            consumer._access(addr)
+            consumer.on_read(addr, 0, 0)
+        consumer.on_finish(0)
         stats = consumer.stats
-        stats.distinct_addresses = 2
+        assert stats.distinct_addresses == 2
         assert stats.hit_fraction(64) == 1.0
         assert 0.0 <= stats.hit_fraction(1) <= 1.0
 
@@ -173,7 +177,7 @@ class TestConsumerSymmetry:
         if consumer_cls is CountingAnalysis:
             assert live.counts == replayed
         else:
-            live.stats.distinct_addresses = len(live._last)
+            # on_finish (fired by the interpreter) completes the stats.
             assert live.stats == replayed
 
 
