@@ -11,13 +11,16 @@ privatize that, expect roughly x3.5 on 4 workers" answers.
 
 Two passes over the *same* event stream are needed — candidates are
 only known once the profile exists — and neither re-executes the
-program when the events came from a recording: the second pass replays
-``ctx.trace_path`` through one
-:class:`~repro.parallel.taskgraph.TaskGraphTracer` per candidate (all
-riding a single replay; ``jobs`` > 1 fans candidates across worker
-processes instead). Only a live run (``mode="live"``) falls back to
-executing the program again for the extraction pass, which is exactly
-what the pre-registry estimator always did.
+program when the events came from a recording. The second pass is
+:func:`~repro.parallel.taskgraph.extract_task_graphs`: one shared
+index pass replays ``ctx.trace_path`` once for every candidate,
+recording each one's instance boundaries plus the access and free
+columns, and a numpy kernel per candidate tags the accesses by event
+position (with clear epochs at frees and per-instance induction skip
+windows) and folds the cross-tag dependences into its task graph.
+Only a live run (``mode="live"``) falls back to executing the program
+again for the extraction pass, which is exactly what the
+pre-registry estimator always did.
 
 The profiling pass is inherited wholesale from
 :class:`~repro.analyses.builtin.DependenceAnalysis` — including its
@@ -31,7 +34,6 @@ like every other plugin.
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Any
 
 from repro.analyses.base import (AnalysisContext, AnalysisResult,
@@ -43,7 +45,6 @@ from repro.ir.cfg import ProgramIR
 from repro.parallel.simulator import FutureSimulator
 from repro.parallel.taskgraph import (LiveSource, TaskGraph, TraceSource,
                                       extract_task_graphs)
-from repro.util import effective_cpus
 
 #: Worker counts swept when the caller does not choose (Table V runs
 #: on 4 workers; the sweep shows where scaling saturates).
@@ -93,15 +94,6 @@ def _private_globals(program: ProgramIR,
     return tuple(names)
 
 
-def _extract_job(payload: dict) -> dict[int, TaskGraph]:
-    """Worker entry for ``jobs`` > 1: replay the trace once for one
-    chunk of candidates (top-level so it pickles)."""
-    source = TraceSource(payload["trace_path"])
-    return extract_task_graphs(
-        source, {int(pc): tuple(vars_) for pc, vars_ in
-                 payload["targets"].items()})
-
-
 @register
 class WhatIfAnalysis(DependenceAnalysis):
     """Predicted futures-parallelization speedups per candidate
@@ -119,32 +111,23 @@ class WhatIfAnalysis(DependenceAnalysis):
                    "comma-separated worker counts to sweep"),
         OptionSpec("top", int, 8,
                    "candidate constructs taken from the advisor"),
-        OptionSpec("jobs", int, 1,
-                   "processes for the extraction pass over a recorded "
-                   "trace (0 = one per CPU; results identical)"),
     )
 
-    def __init__(self, workers: str = DEFAULT_WORKERS, top: int = 8,
-                 jobs: int = 1):
+    def __init__(self, workers: str = DEFAULT_WORKERS, top: int = 8):
         super().__init__()  # full WAR/WAW profile — the advisor needs it
         self.worker_counts = parse_worker_counts(workers)
         if top < 1:
             raise ValueError(f"top must be >= 1, got {top}")
-        if jobs < 0:
-            raise ValueError(f"jobs must be >= 0, got {jobs}")
         self.top = top
-        self.jobs = jobs
 
     def _sweep_options(self) -> dict[str, Any]:
-        return {"workers": list(self.worker_counts), "top": self.top,
-                "jobs": self.jobs}
+        return {"workers": list(self.worker_counts), "top": self.top}
 
     # -- serial / live path ----------------------------------------------
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
         report = super().finish(ctx).payload
-        return _advise(report, ctx, self.worker_counts, self.top,
-                       self.jobs)
+        return _advise(report, ctx, self.worker_counts, self.top)
 
     # -- segment/merge protocol -------------------------------------------
     #
@@ -167,13 +150,10 @@ class WhatIfAnalysis(DependenceAnalysis):
     @classmethod
     def finalize_segments(cls, state: dict,
                           ctx: AnalysisContext) -> AnalysisResult:
-        sweep = state["whatif"] if "whatif" in state else None
+        sweep = state["whatif"]
         dep_result = super().finalize_segments(state, ctx)
-        if sweep is None:  # pragma: no cover - segments always carry it
-            sweep = {"workers": [2, 4, 8, 16], "top": 8, "jobs": 1}
         return _advise(dep_result.payload, ctx,
-                       tuple(sweep["workers"]), sweep["top"],
-                       sweep["jobs"])
+                       tuple(sweep["workers"]), sweep["top"])
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +162,13 @@ class WhatIfAnalysis(DependenceAnalysis):
 
 def _extract(ctx: AnalysisContext,
              targets: dict[int, tuple[str, ...]],
-             jobs: int) -> dict[int, TaskGraph]:
+             telemetry) -> dict[int, TaskGraph]:
     """One more pass over the same event stream: replay the recording
     when there is one, execute the program otherwise."""
     if ctx.trace_path is not None:
-        jobs = jobs if jobs else effective_cpus()
-        if jobs > 1 and len(targets) > 1 \
-                and not multiprocessing.current_process().daemon:
-            # Daemonic workers (e.g. a batch-driver replay job) cannot
-            # spawn children; extraction falls back to the one-pass
-            # serial replay, which is result-identical anyway.
-            return _extract_parallel(ctx, targets, jobs)
         return extract_task_graphs(
-            TraceSource(ctx.trace_path, ctx.program), targets)
+            TraceSource(ctx.trace_path, ctx.program), targets,
+            telemetry=telemetry)
     # The profile pass completed, so the deterministic re-run finishes
     # at exactly ctx.final_time — budget it accordingly rather than
     # inheriting a default that may be *smaller* than the session's
@@ -202,34 +176,11 @@ def _extract(ctx: AnalysisContext,
     # here mid-extraction).
     return extract_task_graphs(
         LiveSource(ctx.program, max_steps=max(ctx.final_time, 1)),
-        targets)
-
-
-def _extract_parallel(ctx: AnalysisContext,
-                      targets: dict[int, tuple[str, ...]],
-                      jobs: int) -> dict[int, TaskGraph]:
-    """Fan candidate chunks across processes, one replay each.
-
-    Graph extraction is independent per candidate, so the merged
-    result is identical to the serial pass whatever the split."""
-    pcs = sorted(targets)
-    jobs = min(jobs, len(pcs))
-    chunks: list[dict[str, tuple[str, ...]]] = [{} for _ in range(jobs)]
-    for index, pc in enumerate(pcs):
-        chunks[index % jobs][str(pc)] = targets[pc]
-    payloads = [{"trace_path": ctx.trace_path, "targets": chunk}
-                for chunk in chunks if chunk]
-    with multiprocessing.Pool(processes=len(payloads)) as pool:
-        results = pool.map(_extract_job, payloads)
-    graphs: dict[int, TaskGraph] = {}
-    for partial in results:
-        graphs.update(partial)
-    return graphs
+        targets, telemetry=telemetry)
 
 
 def _advise(report: ProfileReport, ctx: AnalysisContext,
-            worker_counts: tuple[int, ...], top: int,
-            jobs: int) -> AnalysisResult:
+            worker_counts: tuple[int, ...], top: int) -> AnalysisResult:
     """Advisor candidates × worker counts -> the ranked what-if result."""
     from repro.staticdep import report_for
 
@@ -260,8 +211,8 @@ def _advise(report: ProfileReport, ctx: AnalysisContext,
     tm = as_telemetry(getattr(ctx, "telemetry", None))
     targets = {rec.view.pc: _private_globals(ctx.program, rec)
                for rec in simulate}
-    with tm.span("advisor.extract", candidates=len(targets), jobs=jobs):
-        graphs = _extract(ctx, targets, jobs) if targets else {}
+    with tm.span("advisor.extract", candidates=len(targets)):
+        graphs = _extract(ctx, targets, tm) if targets else {}
 
     candidates: list[dict[str, Any]] = []
     with tm.span("advisor.sweep", candidates=len(simulate),

@@ -326,7 +326,7 @@ class Session:
 
     def advise(self, source: str, *, filename: str = "<input>",
                workers: Iterable[int] | str | None = None,
-               top: int | None = None, jobs: int | None = None,
+               top: int | None = None,
                mode: str = "auto") -> AnalysisResult:
         """The what-if advisor over one program: record once, replay,
         rank candidate constructs by predicted futures speedup.
@@ -344,8 +344,6 @@ class Session:
             options["workers"] = workers
         if top is not None:
             options["top"] = top
-        if jobs is not None:
-            options["jobs"] = jobs
         report = self.analyze(source, ("whatif",), filename=filename,
                               mode=mode,
                               options={"whatif": options} if options

@@ -16,7 +16,7 @@ Subcommands
     (Fig. 2/3 style) plus the advisor's recommendations.
 ``speedup FILE --line N``
     Simulate parallelizing the construct at line N as futures.
-``advise FILE [--workers LIST] [--top N] [--json] [--jobs N]``
+``advise FILE [--workers LIST] [--top N] [--json]``
     The what-if advisor: record the program once, then — entirely from
     the replayed trace — rank the advisor's candidate constructs by
     predicted futures speedup across a worker-count sweep, listing the
@@ -305,13 +305,10 @@ def _cmd_advise(args: argparse.Namespace) -> int:
         raise CliError(f"--workers: {exc}") from None
     if args.top < 1:
         raise CliError(f"--top must be >= 1, got {args.top}")
-    if args.jobs is not None and args.jobs < 0:
-        raise CliError(f"--jobs must be >= 0, got {args.jobs}")
     source = _read(args.file)
     with Session(telemetry=args.telemetry) as session:
         result = session.advise(source, filename=args.file,
-                                workers=args.workers, top=args.top,
-                                jobs=args.jobs)
+                                workers=args.workers, top=args.top)
     if args.json:
         print(result.to_json())
         return 0
@@ -879,10 +876,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "advisor (default 8)")
     p_adv.add_argument("--json", action="store_true",
                        help="emit the ranked sweep as JSON")
-    p_adv.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="processes for the task-graph extraction "
-                            "pass (0 = one per CPU; results identical "
-                            "to serial)")
     _add_observability(p_adv)
     p_adv.set_defaults(func=_cmd_advise)
 

@@ -128,12 +128,6 @@ class TestParityAndModes:
             assert session.stats.records == 1
             assert session.stats.record_hits >= 1
 
-    def test_extraction_jobs_match_serial(self, tmp_path):
-        with Session(cache_dir=str(tmp_path)) as session:
-            serial = session.advise(MIXED, jobs=1)
-            fanned = session.advise(MIXED, jobs=2)
-        assert serial.to_dict() == fanned.to_dict()
-
     def test_sampled_trace_is_labelled(self, tmp_path):
         from repro.core.alchemist import ProfileOptions
 
@@ -191,19 +185,6 @@ class TestBatchIntegration:
         payload = report.replays[0].payload["whatif"]
         assert payload["workers"] == [2, 4]
         assert len(payload["candidates"]) <= 3
-
-    def test_extraction_jobs_inside_pool_workers(self, tmp_path):
-        """whatif with jobs>1 inside a daemonic batch worker must fall
-        back to serial extraction, not crash on a nested Pool."""
-        from repro.trace.batch import record_replay_many
-
-        report = record_replay_many(
-            ["gzip", "aes"], str(tmp_path / "traces"),
-            analyses=("whatif",), workers=2, scale=0.1,
-            options={"whatif": {"jobs": 2}})
-        assert not report.failures()
-        for result in report.replays:
-            assert result.payload["whatif"]["workers"] == [2, 4, 8, 16]
 
 
 class TestLiveBudget:

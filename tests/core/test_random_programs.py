@@ -13,7 +13,10 @@ The same generators also pin the dep span kernel: fused span replay,
 per-event replay, live profiling and parallel segments (kernel plus
 cross-seam deferral) must all produce the same dep profile. They pin
 the locality reuse-distance kernel and the context span loop the same
-way: batch replay, per-event replay and parallel segments agree.
+way: batch replay, per-event replay and parallel segments agree. And
+they pin task-graph extraction: the shared index pass + per-candidate
+kernel builds the graphs one ``TaskGraphTracer`` per construct head
+builds, from live runs and from replayed traces alike.
 """
 
 import os
@@ -30,10 +33,15 @@ from repro.core.tracer import AlchemistTracer
 from repro.ir.lowering import compile_source, lower_program
 from repro.lang.errors import SemanticError
 from repro.lang.pretty import pretty_print
+from repro.parallel.taskgraph import (LiveSource, TaskGraphTracer,
+                                      TraceSource, extract_task_graphs,
+                                      induction_offsets_of,
+                                      resolve_private_globals)
 from repro.runtime.errors import MiniCRuntimeError, StepLimitExceeded
 from repro.runtime.interpreter import Interpreter
 from repro.trace.parallel import parallel_replay
-from repro.trace.replay import replay_with
+from repro.trace.reader import TraceReader
+from repro.trace.replay import ReplayEngine, replay_with
 from repro.trace.writer import record_program
 from repro.workloads import get
 from tests.lang.test_pretty import _programs
@@ -265,3 +273,55 @@ class TestLocalityContextEquivalence:
                 assert any(segment.checkpoint.codec.get("skip")
                            for segment in outcome.plan.segments)
                 assert _reports(outcome, self.NAMES) == serial
+
+
+class _ScalarTraceSource(TraceSource):
+    """Replays through the ``columnar=False`` reference path, where the
+    collector gets per-event hooks instead of spans."""
+
+    def drive(self, tracers):
+        with TraceReader(self.path) as reader:
+            ReplayEngine(reader, self.program, columnar=False).run(tracers)
+
+
+class TestTaskGraphKernelEquivalence:
+    """Task-graph kernel == ``TaskGraphTracer`` for every construct
+    head — without privatization, with one privatized global and with
+    each loop's induction offsets — and TraceSource (spans, or per-event
+    hooks on the ``columnar=False`` path) == LiveSource."""
+
+    @given(st.one_of(_programs.map(pretty_print), _loop_programs()))
+    @settings(max_examples=40, deadline=None)
+    def test_kernel_matches_reference(self, source):
+        try:
+            program = compile_source(source)
+        except SemanticError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.trace")
+            try:
+                record_program(program, path, source=source,
+                               max_steps=STEP_CAP)
+            except (MiniCRuntimeError, StepLimitExceeded):
+                return
+            table = ConstructTable(program)
+            heads = sorted(table.by_pc)
+            configs = [((), False), ((), True)]
+            if program.globals_layout:
+                configs.append(((program.globals_layout[0].name,), False))
+            for private, induction in configs:
+                skip = resolve_private_globals(program, private)
+                tracers = [TaskGraphTracer(
+                    table, pc, skip,
+                    induction_offsets_of(program, pc) if induction
+                    else frozenset()) for pc in heads]
+                LiveSource(program, STEP_CAP).drive(tracers)
+                expected = {pc: tracer.graph()
+                            for pc, tracer in zip(heads, tracers)}
+                targets = {pc: private for pc in heads}
+                for events in (TraceSource(path, program),
+                               _ScalarTraceSource(path, program),
+                               LiveSource(program, STEP_CAP)):
+                    assert extract_task_graphs(
+                        events, targets, auto_induction=induction) \
+                        == expected

@@ -1,12 +1,20 @@
 """Task-graph extraction tests."""
 
+import tracemalloc
+
 import pytest
 
+from repro.analysis.constructs import ConstructTable
 from repro.ir import compile_source
 from repro.parallel.estimator import (EstimatorError, estimate_speedup,
                                       find_construct)
-from repro.parallel.taskgraph import (LiveSource, extract_task_graphs,
+from repro.parallel.taskgraph import (LiveSource, TaskGraphTracer,
+                                      TraceSource, extract_task_graphs,
                                       induction_offsets_of)
+from repro.runtime.tracing import Tracer
+from repro.telemetry import Telemetry
+from repro.trace.writer import record_program
+from repro.workloads import get, names
 
 INDEPENDENT = """
 int results[64];
@@ -158,3 +166,110 @@ class TestEstimator:
                                   workers=4)
         text = result.describe()
         assert "T_seq" in text and "workers" in text
+
+
+class _TagHazards(Tracer):
+    """Access timestamps, and how many accesses touch a cell that a
+    free cleared since the cell's previous access."""
+
+    def __init__(self):
+        self.times = []
+        self.freed = set()
+        self.reused = 0
+
+    def _access(self, addr, timestamp):
+        self.times.append(timestamp)
+        if addr in self.freed:
+            self.freed.discard(addr)
+            self.reused += 1
+
+    def on_read(self, addr, pc, timestamp):
+        self._access(addr, timestamp)
+
+    def on_write(self, addr, pc, timestamp):
+        self._access(addr, timestamp)
+
+    def on_frame_free(self, lo, hi):
+        self.freed.update(range(lo, hi))
+
+
+@pytest.mark.parametrize("workload", names(include_extra=True))
+def test_kernel_matches_per_event_tracer(workload, tmp_path):
+    """Every bundled program, every construct head as the target: the
+    shared index pass + kernel builds exactly the graphs one
+    ``TaskGraphTracer`` per head builds, from a replayed trace and
+    from a live run. The runs cover both tagging hazards: accesses
+    that share a timestamp with an instance boundary (a return-value
+    write before EXIT and its read after it), which only event-position
+    tagging splits correctly, and stack cells reused across calls,
+    which need the clear epochs."""
+    source = get(workload, 0.1).source
+    program = compile_source(source, workload)
+    table = ConstructTable(program)
+    heads = sorted(table.by_pc)
+    tracers = [TaskGraphTracer(table, pc, frozenset(),
+                               induction_offsets_of(program, pc))
+               for pc in heads]
+    hazards = _TagHazards()
+    LiveSource(program).drive(tracers + [hazards])
+    reference = {pc: tracer.graph() for pc, tracer in zip(heads, tracers)}
+
+    path = str(tmp_path / "prog.trace")
+    record_program(program, path, source=source)
+    assert extract_task_graphs(TraceSource(path, program), heads) \
+        == reference
+    assert extract_task_graphs(LiveSource(program), heads) == reference
+
+    boundaries = {t for graph in reference.values()
+                  for task in graph.tasks for t in (task.start, task.end)}
+    assert any(t in boundaries for t in hazards.times)
+    assert hazards.reused
+
+
+def test_extraction_spans_and_counts(tmp_path):
+    source = get("gzip", 0.1).source
+    program = compile_source(source, "gzip")
+    path = str(tmp_path / "gzip.trace")
+    record_program(program, path, source=source)
+    tm = Telemetry()
+    with tm.span("advisor.extract"):
+        extract_task_graphs(TraceSource(path, program),
+                            sorted(ConstructTable(program).by_pc),
+                            telemetry=tm)
+    hazards = _TagHazards()
+    frees = []
+    hazards.on_frame_free = lambda lo, hi: frees.append((lo, hi))
+    LiveSource(program).drive([hazards])
+    (parent,) = tm.find_spans("advisor.extract")
+    assert [child.name for child in parent.children] == [
+        "advisor.extract.index", "advisor.extract.kernel"]
+    for child in parent.children:
+        assert child.attrs["accesses"] == len(hazards.times)
+        assert child.attrs["frees"] == len(frees)
+
+
+#: Traced peak of one extraction per recorded access: bzip2 at scale
+#: 1 (169 109 accesses), every construct head (19) as a candidate.
+#: Measured 141 B/access, most of it the returned graphs (two loops
+#: with 12 121 tasks each); the bound leaves about 50 % headroom. One
+#: leftover int64 copy per candidate alone would add 8 B/access x 19.
+PEAK_BYTES_PER_ACCESS = 210
+
+
+def test_extraction_memory_per_access(tmp_path):
+    source = get("bzip2", 1.0).source
+    program = compile_source(source, "bzip2")
+    path = str(tmp_path / "bzip2.trace")
+    record_program(program, path, source=source)
+    heads = sorted(ConstructTable(program).by_pc)
+    tm = Telemetry()
+    tracemalloc.start()
+    try:
+        extract_task_graphs(TraceSource(path, program), heads,
+                            telemetry=tm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    accesses = tm.find_spans("advisor.extract.index")[0].attrs["accesses"]
+    assert accesses == 169_109
+    assert peak / accesses < PEAK_BYTES_PER_ACCESS, peak / accesses

@@ -58,6 +58,17 @@ def test_session_recorded_spans_for_every_workload(telemetry_session):
     assert tm.find_spans("record")
     assert tm.find_spans("replay")
     assert tm.counters["trace.events_decoded"] > 0
+    # whatif's extraction: one index pass, then the per-candidate
+    # kernel, both carrying the pass's access and free counts.
+    extracts = [span for span in tm.find_spans("advisor.extract")
+                if span.children]
+    assert extracts
+    for span in extracts:
+        index, kernel = span.children
+        assert (index.name, kernel.name) == ("advisor.extract.index",
+                                             "advisor.extract.kernel")
+        assert index.attrs["accesses"] == kernel.attrs["accesses"] > 0
+        assert index.attrs["frees"] == kernel.attrs["frees"]
     assert tm.counters["trace.events_written"] > 0
 
 

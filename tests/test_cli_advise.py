@@ -81,21 +81,12 @@ class TestAdviseVerb:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["candidates"]) + len(payload["skipped"]) <= 1
 
-    def test_jobs_results_identical(self, minic_file, capsys):
-        assert main(["advise", minic_file, "--json"]) == 0
-        serial = json.loads(capsys.readouterr().out)
-        assert main(["advise", minic_file, "--json", "--jobs",
-                     "2"]) == 0
-        fanned = json.loads(capsys.readouterr().out)
-        assert serial == fanned
-
     @pytest.mark.parametrize("argv,fragment", [
         (["--workers", "4,4"], "duplicate"),
         (["--workers", "2,,4"], "empty entry"),
         (["--workers", "zero"], "not an integer"),
         (["--workers", "0"], ">= 1"),
         (["--top", "0"], "--top must be >= 1"),
-        (["--jobs", "-1"], "--jobs must be >= 0"),
     ])
     def test_bad_flags_exit_2(self, minic_file, capsys, argv, fragment):
         assert main(["advise", minic_file] + argv) == 2
