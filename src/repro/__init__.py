@@ -33,7 +33,9 @@ Subpackages
 ``repro.workloads``
     MiniC ports of the paper's eight evaluation benchmarks.
 ``repro.bench``
-    Harness that regenerates every table and figure of the paper.
+    Drivers that regenerate every table and figure of the paper
+    (``alchemist experiments``). The reproduction's own speed is
+    measured by the repository benchmark in ``perfbench/``.
 ``repro.trace``
     Record/replay: capture one execution as a compact trace, then
     replay it through many analyses without re-running the interpreter.

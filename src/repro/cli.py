@@ -46,16 +46,7 @@ Subcommands
     (events/second, cache hit ratios, pool utilization).
 ``batch``
     Record and replay many workloads concurrently (multiprocessing);
-    analyses resolve through the registry; ``--bench`` also writes the
-    BENCH_trace.json replay-vs-rerun speedup artifact.
-``bench-sampling``
-    Measure the sampling trade-off across workloads — trace size
-    reduction and record speedup vs per-analysis accuracy — and
-    write the BENCH_sampling.json artifact.
-``bench-advise``
-    Run the what-if advisor over the Table III workloads, verify the
-    trace-grounded predictions against fresh live simulations, and
-    write the BENCH_advisor.json artifact.
+    analyses resolve through the registry.
 ``workloads``
     List the bundled benchmark ports.
 ``experiments``
@@ -517,26 +508,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
                                 telemetry=args.telemetry)
     print(report.describe())
     failed = report.failures()
-    if args.bench:
-        from repro.bench.harness import trace_bench
-
-        # Bench only what actually recorded; a bad workload name or a
-        # failed record is already reported above, not a crash here.
-        recorded = [r.job.name for r in report.records if r.ok]
-        if recorded:
-            data = trace_bench(recorded, scale=args.scale,
-                               analyses=analyses,
-                               out_path=args.bench_out)
-            total = data["total"]
-            _progress(
-                args,
-                f"replay-vs-rerun: {total['live_seconds']:.3f}s live "
-                f"vs {total['record_seconds'] + total['replay_seconds']:.3f}s "
-                f"record+replay -> {total['speedup']:.2f}x "
-                f"(written to {args.bench_out})")
-        else:
-            print("\nreplay-vs-rerun: skipped (no workload recorded "
-                  "successfully)", file=sys.stderr)
     if args.json:
         payload = {
             name: {
@@ -554,193 +525,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"error: {len(failed)} batch job(s) failed: {names}",
               file=sys.stderr)
     return 1 if failed else 0
-
-
-def _cmd_bench_sampling(args: argparse.Namespace) -> int:
-    from repro.bench.sampling import DEFAULT_POLICIES, sampling_bench
-    from repro.workloads import names as workload_names
-
-    known = workload_names()
-    names = ([n.strip() for n in args.workloads.split(",") if n.strip()]
-             if args.workloads else known)
-    unknown = [n for n in names if n not in known]
-    if unknown:  # fail fast with the exit-2 contract, not a KeyError
-        raise CliError(f"unknown workload(s): {', '.join(unknown)} "
-                       f"(known: {', '.join(known)})")
-    policies = tuple(p.strip() for p in args.policies.split(",")
-                     if p.strip()) or DEFAULT_POLICIES
-    for spec in policies:  # fail fast on bad specs
-        _parse_sample(spec)
-    data = sampling_bench(names=names, scale=args.scale,
-                          policies=policies, out_path=args.out,
-                          repeats=args.repeats)
-    for row in data["rows"]:
-        print(f"{row['name']:12s} full={row['full_bytes']:>9} B")
-        def fmt(value: float | None, spec: str = ".3f") -> str:
-            return "n/a" if value is None else format(value, spec)
-
-        for spec, pol in row["policies"].items():
-            print(f"{'':12s}   {spec:18s} {pol['trace_bytes']:>9} B "
-                  f"({pol['reduction_vs_full']:.1f}x vs full, "
-                  f"record {pol['record_speedup']:.2f}x, "
-                  f"replay {pol['replay_speedup']:.2f}x) "
-                  f"hot_err={fmt(pol['hot_count_error'])} "
-                  f"loc_err={fmt(pol['locality_hit_rate_error'])} "
-                  f"dep_missed={fmt(pol['dep_missed_fraction'])}")
-    summary = data["summary"]
-    print(f"\ntarget (>= {summary['target']['min_reduction']}x smaller, "
-          f"<= {summary['target']['max_error']:.0%} hot/locality error):")
-    for spec, met in summary["policies"].items():
-        print(f"  {spec:18s} met on {len(met['workloads_meeting_target'])}"
-              f"/{len(data['rows'])} workload(s): "
-              f"{', '.join(met['workloads_meeting_target']) or '-'}")
-    print(f"written to {args.out}", file=sys.stderr)
-    return 0
-
-
-def _cmd_bench_parallel(args: argparse.Namespace) -> int:
-    from repro.bench.harness import parallel_bench
-    from repro.workloads import names as workload_names
-
-    known = workload_names()
-    names = ([n.strip() for n in args.workloads.split(",") if n.strip()]
-             if args.workloads else known)
-    unknown = [n for n in names if n not in known]
-    if unknown:
-        raise CliError(f"unknown workload(s): {', '.join(unknown)} "
-                       f"(known: {', '.join(known)})")
-    if args.jobs <= 0:
-        raise CliError(f"--jobs must be positive, got {args.jobs}")
-    data = parallel_bench(names=names, scale=args.scale,
-                          jobs=args.jobs, repeats=args.repeats,
-                          out_path=args.out)
-    for row in data["rows"]:
-        flag = "" if row["results_identical_to_serial"] else \
-            "  RESULTS DIVERGED"
-        print(f"{row['name']:12s} {row['events']:>9} events  "
-              f"serial {row['serial_seconds']:.2f}s  "
-              f"{row['segments']:>2} segment(s)  "
-              f"speedup@{data['jobs']} {row['speedup']:.2f}x "
-              f"(wall {row['measured_wall_speedup']:.2f}x on "
-              f"{data['bench_cpus']} cpu(s)){flag}")
-    summary = data["summary"]
-    print(f"\n>=2x at {data['jobs']} workers on "
-          f"{len(summary['workloads_at_2x'])}/{len(data['rows'])} "
-          f"workload(s): {', '.join(summary['workloads_at_2x']) or '-'}")
-    print(f"written to {args.out}", file=sys.stderr)
-    if not summary["all_results_identical"]:
-        print("error: parallel results diverged from serial",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_bench_trace(args: argparse.Namespace) -> int:
-    from repro.bench.harness import trace_bench, trace_decode_bench
-    from repro.workloads import names as workload_names
-
-    known = workload_names()
-    names = ([n.strip() for n in args.workloads.split(",") if n.strip()]
-             if args.workloads else known)
-    unknown = [n for n in names if n not in known]
-    if unknown:
-        raise CliError(f"unknown workload(s): {', '.join(unknown)} "
-                       f"(known: {', '.join(known)})")
-    if args.columnar_only:
-        columnar = trace_decode_bench(names, scale=args.scale,
-                                      repeats=args.repeats,
-                                      out_path=args.out)
-    else:
-        data = trace_bench(names=names, scale=args.scale,
-                           repeats=args.repeats, out_path=args.out)
-        columnar = data["columnar"]
-    for row in columnar["rows"]:
-        print(f"{row['name']:12s} scalar {row['scalar_seconds']:.3f}s  "
-              f"batch {row['batch_seconds']:.3f}s  "
-              f"speedup {row['speedup']:.2f}x  "
-              f"({row['events']} events)")
-    total = columnar["total"]
-    print(f"\ncolumnar replay core: {total['speedup']:.2f}x over scalar "
-          f"decode on {len(columnar['rows'])} workload(s)")
-    print(f"written to {args.out}", file=sys.stderr)
-    if not args.skip_parity:
-        diverged = _trace_parity_check(names, min(args.scale, 0.5))
-        if diverged:
-            print(f"error: batch replay diverged from scalar on: "
-                  f"{', '.join(diverged)}", file=sys.stderr)
-            return 1
-        print(f"parity: batch == scalar for every registered analysis "
-              f"on {len(names)} workload(s)")
-    return 0
-
-
-def _trace_parity_check(names: list[str], scale: float) -> list[str]:
-    """Workloads where columnar replay disagrees with scalar replay
-    for any registered analysis (should always be empty)."""
-    import os
-    import tempfile
-
-    from repro.analyses import analysis_names
-    from repro.trace.replay import replay_trace
-    from repro.trace.writer import record_source
-    from repro.workloads import get
-
-    every = analysis_names()
-    diverged = []
-    for name in names:
-        workload = get(name, scale)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, f"{name}.trace")
-            record_source(workload.source, path)
-            scalar = replay_trace(path, every, columnar=False)
-            batch = replay_trace(path, every, columnar=True)
-        if any(batch.reports[a].to_dict() != scalar.reports[a].to_dict()
-               for a in every):
-            diverged.append(name)
-    return diverged
-
-
-def _cmd_bench_advise(args: argparse.Namespace) -> int:
-    from repro.analyses.whatif import parse_worker_counts
-    from repro.bench.advisor import advisor_bench
-    from repro.workloads import names as workload_names
-
-    known = workload_names()
-    names = ([n.strip() for n in args.workloads.split(",") if n.strip()]
-             if args.workloads else known)
-    unknown = [n for n in names if n not in known]
-    if unknown:
-        raise CliError(f"unknown workload(s): {', '.join(unknown)} "
-                       f"(known: {', '.join(known)})")
-    try:
-        workers = parse_worker_counts(args.workers)
-    except ValueError as exc:
-        raise CliError(f"--workers: {exc}") from None
-    data = advisor_bench(names=names, scale=args.scale,
-                         workers=workers, out_path=args.out)
-    for row in data["rows"]:
-        if row["best"] is None:
-            reasons = {e["verdict"] for e in row["skipped"]}
-            why = ", ".join(sorted(reasons)) or "no constructs"
-            print(f"{row['name']:12s} no candidate ({why})")
-            continue
-        best = row["best"]
-        verified = ("verified" if row["verified_identical"]
-                    else "MISMATCH vs live simulation")
-        print(f"{row['name']:12s} {best['name']:18s} "
-              f"best x{best['workers']}: {best['speedup']:.2f} "
-              f"({verified})")
-    summary = data["summary"]
-    print(f"\ncandidates on {len(summary['with_candidates'])}"
-          f"/{summary['workloads']} workload(s); "
-          f"predictions verified against live simulation on "
-          f"{len(summary['verified_identical'])}")
-    print(f"written to {args.out}", file=sys.stderr)
-    if not summary["all_verified"]:
-        print("error: trace-grounded predictions diverged from live "
-              "simulation", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _cmd_workloads(args: argparse.Namespace) -> int:
@@ -975,82 +759,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--scale", type=float, default=0.5)
     p_batch.add_argument("--json", action="store_true",
                          help="print per-workload payloads as JSON")
-    p_batch.add_argument("--bench", action="store_true",
-                         help="also run the replay-vs-rerun benchmark")
-    p_batch.add_argument("--bench-out", default="BENCH_trace.json",
-                         help="speedup artifact path (with --bench)")
     p_batch.add_argument("--sample", default=None, metavar="SPEC",
                          help="sampling policy for the record phase "
                               "(default: full fidelity)")
     _add_observability(p_batch)
     p_batch.set_defaults(func=_cmd_batch)
-
-    p_bs = sub.add_parser(
-        "bench-sampling",
-        help="measure trace-size/speed vs accuracy across sampling "
-             "policies (writes BENCH_sampling.json)")
-    p_bs.add_argument("--workloads", default="",
-                      help="comma-separated workload names "
-                           "(default: all Table III workloads)")
-    p_bs.add_argument("--policies", default="",
-                      help="comma-separated sampling specs to measure "
-                           "(default: the bench's standard spectrum)")
-    p_bs.add_argument("--scale", type=float, default=0.5)
-    p_bs.add_argument("--repeats", type=int, default=1,
-                      help="timing repetitions (minimum kept)")
-    p_bs.add_argument("--out", default="BENCH_sampling.json",
-                      help="artifact path")
-    p_bs.set_defaults(func=_cmd_bench_sampling)
-
-    p_bp = sub.add_parser(
-        "bench-parallel",
-        help="measure sharded parallel replay vs one serial pass "
-             "(writes BENCH_parallel.json)")
-    p_bp.add_argument("--workloads", default="",
-                      help="comma-separated workload names "
-                           "(default: all Table III workloads)")
-    p_bp.add_argument("--scale", type=float, default=2.0)
-    p_bp.add_argument("--jobs", type=int, default=4,
-                      help="worker count to bench (default 4)")
-    p_bp.add_argument("--repeats", type=int, default=2,
-                      help="timing repetitions (minimum kept)")
-    p_bp.add_argument("--out", default="BENCH_parallel.json",
-                      help="artifact path")
-    p_bp.set_defaults(func=_cmd_bench_parallel)
-
-    p_bt = sub.add_parser(
-        "bench-trace",
-        help="replay-vs-rerun and columnar-vs-scalar replay bench "
-             "(writes BENCH_trace.json)")
-    p_bt.add_argument("--workloads", default="",
-                      help="comma-separated workload names "
-                           "(default: all Table III workloads)")
-    p_bt.add_argument("--scale", type=float, default=0.5)
-    p_bt.add_argument("--repeats", type=int, default=2,
-                      help="timing repetitions (minimum kept)")
-    p_bt.add_argument("--columnar-only", action="store_true",
-                      help="skip the live-rerun baseline; bench only "
-                           "the batch-vs-scalar replay core")
-    p_bt.add_argument("--skip-parity", action="store_true",
-                      help="skip the batch-vs-scalar result parity "
-                           "check over all registered analyses")
-    p_bt.add_argument("--out", default="BENCH_trace.json",
-                      help="artifact path")
-    p_bt.set_defaults(func=_cmd_bench_trace)
-
-    p_ba = sub.add_parser(
-        "bench-advise",
-        help="what-if advisor over the Table III workloads, verified "
-             "against live simulation (writes BENCH_advisor.json)")
-    p_ba.add_argument("--workloads", default="",
-                      help="comma-separated workload names "
-                           "(default: all Table III workloads)")
-    p_ba.add_argument("--workers", default="2,4,8,16", metavar="LIST",
-                      help="comma-separated worker counts to sweep")
-    p_ba.add_argument("--scale", type=float, default=0.5)
-    p_ba.add_argument("--out", default="BENCH_advisor.json",
-                      help="artifact path")
-    p_ba.set_defaults(func=_cmd_bench_advise)
 
     p_wl = sub.add_parser("workloads", help="list bundled benchmarks")
     p_wl.add_argument("--extra", action="store_true",

@@ -133,7 +133,7 @@ class TeeTracer(Tracer):
 
 
 class CountingTracer(Tracer):
-    """Cheap event statistics; used by tests and the bench harness."""
+    """Cheap event statistics; used by tests."""
 
     def __init__(self) -> None:
         self.reads = 0

@@ -27,8 +27,7 @@ gap, applying the policy's expected rate as a correction first:
     under-approximation. Sampled dependence results are hints, never
     proof.
 
-The report is JSON-able (it feeds ``BENCH_sampling.json``) and renders
-as text for the CLI.
+The report is JSON-able and renders as text.
 """
 
 from __future__ import annotations

@@ -21,9 +21,10 @@ protocol all degrade to one serial pass, reported in
 When serial is still faster: segment workers pay a fork, a program
 compile, checkpoint reconstruction, and a pickled export each, so tiny
 traces (fewer than ~100k events) or near-free analyses (``counts``)
-rarely gain; the win is on long traces with expensive analyses, where
-replay cost dominates and scales down with the worker count (see
-``docs/parallel-replay.md`` and ``BENCH_parallel.json``).
+rarely gain; a gain needs long traces with expensive analyses and
+idle cores. On a 2-vCPU shared host the perfbench ledger row
+``trace.parallel.speedup_vs_serial`` measured 0.56-0.92 at 2 jobs, so
+today serial wins there (see ``docs/parallel-replay.md``).
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ the interpreter again:
 and every parallel segment (:mod:`repro.trace.parallel`) run through
 it. Analyses are :class:`repro.analyses.Analysis` plugins resolved
 through the shared registry — the same objects that attach to a live
-interpreter run and that the batch driver spawns, which is exactly the
-symmetry the bench harness uses for its replay-vs-rerun comparison.
+interpreter run and that the batch driver spawns, which is what lets
+perfbench's ``dep-bzip2`` time record + replay against a live run.
 """
 
 from __future__ import annotations

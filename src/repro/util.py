@@ -2,13 +2,12 @@
 
 Currently: atomic artifact publication and the usable CPU count.
 
-Atomic publication: several subsystems publish
-JSON artifacts that other processes read concurrently — the ``.ckpt``
-checkpoint sidecars (:mod:`repro.trace.shards`), ``--metrics`` span
-dumps (:mod:`repro.telemetry`), and the ``BENCH_*.json`` benchmark
-artifacts. All of them share one failure mode: a crash (or a parallel
-writer) mid-``json.dump`` leaves a torn file that readers then either
-reject or, worse, half-parse. The fix is the same everywhere, so it
+Atomic publication: two subsystems publish JSON artifacts that other
+processes read concurrently — the ``.ckpt`` checkpoint sidecars
+(:mod:`repro.trace.shards`) and ``--metrics`` span dumps
+(:mod:`repro.telemetry`). Both share one failure mode: a crash (or a
+parallel writer) mid-``json.dump`` leaves a torn file that readers
+then either reject or, worse, half-parse. The fix is the same everywhere, so it
 lives here once: write a temp file *in the destination directory*
 (``os.replace`` is only atomic within one filesystem) and rename it
 into place.

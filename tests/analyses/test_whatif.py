@@ -10,10 +10,14 @@ import pytest
 from repro.analyses.whatif import parse_worker_counts
 from repro.api import Session
 from repro.ir.lowering import compile_source
-from repro.parallel.estimator import estimate_speedup
+from repro.parallel.estimator import estimate_speedup, simulate_speedup
+from repro.parallel.taskgraph import LiveSource, extract_task_graphs
 from repro.workloads import TABLE3_ORDER, get
 
 SCALE = 0.2
+
+#: Worker counts the smoke test sweeps (Table V uses 4).
+SWEEP = (2, 4, 8, 16)
 
 #: Loop with independent iterations + a blocked loop + a helper: every
 #: verdict appears, and predicted speedups are non-trivial.
@@ -150,15 +154,16 @@ class TestParityAndModes:
 @pytest.mark.parametrize("workload", TABLE3_ORDER)
 class TestWorkloadSmoke:
     """Acceptance: every Table III workload advises from its replayed
-    trace, and each ranked prediction equals a direct
-    ``estimate_speedup`` simulation of the same construct with the
-    same privatization list."""
+    trace, and each ranked prediction equals a live simulation of the
+    same construct with the same privatization list — at 4 workers
+    through ``estimate_speedup``, and across the whole worker sweep
+    through one live extraction plus one schedule per count."""
 
     def test_advise_matches_estimate_speedup(self, workload, tmp_path):
         source = get(workload, SCALE).source
         with Session(cache_dir=str(tmp_path)) as session:
             result = session.advise(source, filename=workload,
-                                    workers=(4,))
+                                    workers=SWEEP)
             assert session.stats.live_runs == 0  # replay-only hot path
         data = result.data
         assert data["candidates"] or data["skipped"]
@@ -171,6 +176,17 @@ class TestWorkloadSmoke:
                 pytest.approx(round(direct.speedup, 4))
             assert entry["speedups"]["4"]["t_par"] == direct.t_par
             assert entry["speedups"]["4"]["t_seq"] == direct.t_seq
+            graph = extract_task_graphs(
+                LiveSource(program),
+                {entry["pc"]: tuple(entry["privatized_globals"])}
+            )[entry["pc"]]
+            for count in SWEEP:
+                live = simulate_speedup(graph, target_name=entry["name"],
+                                        workers=count)
+                predicted = entry["speedups"][str(count)]
+                assert predicted["speedup"] == round(live.speedup, 4)
+                assert predicted["t_par"] == live.t_par
+                assert predicted["t_seq"] == live.t_seq
 
 
 class TestBatchIntegration:

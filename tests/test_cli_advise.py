@@ -1,5 +1,4 @@
-"""CLI: the ``advise``/``bench-advise`` verbs and the ``speedup``
-error-surface fixes (PR 5 satellites)."""
+"""CLI: the ``advise`` verb and the ``speedup`` error surface."""
 
 import json
 
@@ -153,29 +152,3 @@ class TestSpeedupErrorSurface:
         err = capsys.readouterr().err
         assert "no instances" in err
         assert "x1.00" not in err
-
-
-class TestBenchAdviseVerb:
-    def test_writes_verified_artifact(self, tmp_path, capsys):
-        out = str(tmp_path / "BENCH_advisor.json")
-        assert main(["bench-advise", "--workloads", "gzip",
-                     "--scale", "0.1", "--workers", "2,4",
-                     "--out", out]) == 0
-        printed = capsys.readouterr().out
-        assert "verified" in printed
-        with open(out) as handle:
-            data = json.load(handle)
-        assert data["summary"]["all_verified"] is True
-        (row,) = data["rows"]
-        assert row["name"] == "gzip"
-        assert row["predicted"] == row["simulated"]
-        assert row["paper_target"]["speedups"]
-
-    def test_unknown_workload_exits_2(self, capsys):
-        assert main(["bench-advise", "--workloads", "nope"]) == 2
-        assert "unknown workload" in capsys.readouterr().err
-
-    def test_bad_workers_exit_2(self, capsys):
-        assert main(["bench-advise", "--workloads", "gzip",
-                     "--workers", "4,4"]) == 2
-        assert "duplicate" in capsys.readouterr().err

@@ -203,42 +203,3 @@ class TestCorruptTraceExit2:
                                      + comp_len:]))
         assert main(["info", str(bad)]) == 0
         assert "type66=" in capsys.readouterr().out
-
-    def test_bench_sampling_unknown_workload_exit2(self, capsys):
-        assert main(["bench-sampling", "--workloads", "nosuch",
-                     "--scale", "0.1"]) == 2
-        err = self._one_line_error(capsys)
-        assert "unknown workload" in err
-
-    def test_bench_trace_unknown_workload_exit2(self, capsys):
-        assert main(["bench-trace", "--workloads", "nosuch",
-                     "--scale", "0.1"]) == 2
-        err = self._one_line_error(capsys)
-        assert "unknown workload" in err
-
-
-class TestBenchTraceVerb:
-    def test_columnar_only_writes_artifact_and_checks_parity(
-            self, capsys, tmp_path):
-        import json
-
-        out = tmp_path / "BENCH_trace.json"
-        assert main(["bench-trace", "--workloads", "gzip",
-                     "--scale", "0.25", "--repeats", "1",
-                     "--columnar-only", "--out", str(out)]) == 0
-        captured = capsys.readouterr()
-        assert "columnar replay core:" in captured.out
-        assert "parity: batch == scalar" in captured.out
-        data = json.loads(out.read_text())
-        assert data["bench"] == "trace_columnar_vs_scalar"
-        assert data["rows"][0]["name"] == "gzip"
-        assert data["rows"][0]["events"] > 0
-
-    def test_skip_parity_skips_the_check(self, capsys, tmp_path):
-        out = tmp_path / "BENCH_trace.json"
-        assert main(["bench-trace", "--workloads", "aes",
-                     "--scale", "0.25", "--repeats", "1",
-                     "--columnar-only", "--skip-parity",
-                     "--out", str(out)]) == 0
-        captured = capsys.readouterr()
-        assert "parity" not in captured.out

@@ -269,6 +269,17 @@ class TestEngineParity:
             assert (batch.reports[name].to_dict()
                     == scalar.reports[name].to_dict()), name
 
+    @pytest.mark.parametrize("workload", ["gzip", "bzip2"])
+    def test_all_registered_analyses_identical_at_half_scale(
+            self, workload, tmp_path):
+        from repro.trace.writer import record_source
+        from repro.workloads import get
+
+        path = str(tmp_path / f"{workload}.trace")
+        record_source(get(workload, 0.5).source, path,
+                      checkpoint_interval=2000)
+        self.test_all_registered_analyses_identical(path)
+
     def test_scalar_only_plugin_sees_every_event(self, trace):
         """A plugin without ``consume_batch`` rides the per-event
         fallback inside the batch engine — same hook sequence."""
