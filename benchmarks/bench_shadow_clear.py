@@ -1,11 +1,12 @@
 """Micro-benchmark: bucketed ``ShadowMemory.clear_range`` vs. the naive
 pre-index implementation.
 
-The naive shadow (reproduced below, as the seed shipped it) pays
-``O(min(range, tracked))`` per ``clear_range``; for a large freed heap
-block over a large shadow that means scanning every tracked address —
-per free. The bucketed index pays only for addresses actually tracked
-inside the freed range.
+The naive shadow (reproduced below: the ``on_frame_free`` loop the
+flat, context and TEST baselines ran on their private shadows until
+they moved onto ``ShadowMemory``) pays ``O(min(range, tracked))`` per
+``clear_range``; for a large freed heap block over a large shadow that
+means scanning every tracked address — per free. The bucketed index
+pays only for addresses actually tracked inside the freed range.
 
 Run directly (``PYTHONPATH=src python benchmarks/bench_shadow_clear.py``)
 or via pytest with this file as an argument.
@@ -21,20 +22,20 @@ SENTINEL_NODE = None  # clear_range never touches the node payload
 
 
 class NaiveShadow:
-    """The seed's clear_range strategy, for comparison."""
+    """The pre-index clear_range strategy, for comparison."""
 
     def __init__(self) -> None:
-        self._entries: dict[int, list] = {}
+        self.entries: dict[int, list] = {}
 
     def on_write(self, addr: int) -> None:
-        entry = self._entries.get(addr)
+        entry = self.entries.get(addr)
         if entry is None:
-            self._entries[addr] = [(0, SENTINEL_NODE, 0), {}]
+            self.entries[addr] = [(0, SENTINEL_NODE, 0), {}]
         else:
             entry[0] = (0, SENTINEL_NODE, 0)
 
     def clear_range(self, lo: int, hi: int) -> None:
-        entries = self._entries
+        entries = self.entries
         if hi - lo < len(entries):
             for addr in range(lo, hi):
                 entries.pop(addr, None)
@@ -104,7 +105,7 @@ def test_bucketed_clear_range_beats_naive():
     for lo, hi in frees:
         naive.clear_range(lo, hi)
         bucketed.clear_range(lo, hi)
-    assert set(naive._entries) == set(bucketed._entries)
+    assert set(naive.entries) == set(bucketed.entries)
 
     t_naive, t_bucketed = measure()
     print(f"\nclear_range over 400 sparse 64k-word frees: "

@@ -8,8 +8,8 @@ registering your own.
 
 from repro.analyses.base import (Analysis, AnalysisContext, AnalysisError,
                                  AnalysisResult, OptionSpec, analysis_names,
-                                 get_analysis, live_hooks, make_analyses,
-                                 parse_spec, register, registry, unregister)
+                                 get_analysis, make_analyses, parse_spec,
+                                 register, registry, unregister)
 from repro.analyses.builtin import (ContextDependenceAnalysis,
                                     CountingAnalysis, DependenceAnalysis,
                                     FlatDependenceAnalysis, HotAddress,
@@ -25,7 +25,6 @@ __all__ = [
     "OptionSpec",
     "analysis_names",
     "get_analysis",
-    "live_hooks",
     "make_analyses",
     "parse_spec",
     "register",

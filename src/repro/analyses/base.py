@@ -56,7 +56,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.ir.cfg import ProgramIR
 from repro.runtime.memory import Memory
-from repro.runtime.tracing import Tracer, overridden_hooks
+from repro.runtime.tracing import Tracer
 
 
 class AnalysisError(Exception):
@@ -136,8 +136,9 @@ class SegmentSeed:
     #: Global event index / clock at the segment's first event.
     index: int = 0
     time: int = 0
-    #: Shadow snapshot: ``[(addr, (pc, t) | None, {pc: t}), ...]`` —
-    #: last write and per-pc reads since it, per tracked address.
+    #: Shadow rows as the checkpoint stores them (see
+    #: :meth:`repro.core.shadow.ShadowMemory.snapshot`); analyses load
+    #: them with :meth:`~repro.core.shadow.ShadowMemory.seed`.
     shadow: list = field(default_factory=list)
     #: Execution-index stack at the seam: ``[(head pc, Tenter), ...]``.
     construct_stack: list = field(default_factory=list)
@@ -434,8 +435,3 @@ def make_analyses(spec: str | Iterable[str],
             # surface it as the registry's error type.
             raise AnalysisError(f"analysis {name!r}: {exc}") from None
     return instances
-
-
-#: Re-export of :func:`repro.runtime.tracing.overridden_hooks` — the
-#: one dispatch filter shared by the replay engine and the live tee.
-live_hooks = overridden_hooks

@@ -159,9 +159,8 @@ class DependenceAnalysis(Analysis):
         nodes = stack.stack
         on_block = stack.on_block_enter
         on_branch = stack.on_branch
-        shadow = tracer.shadow
-        entries = shadow._entries
-        insert = shadow.insert
+        entries = tracer.shadow.entries
+        insert = tracer.shadow.insert
         edge = tracer.profiler.profile_edge
         war_waw = self.track_war_waw
         node = nodes[-1] if nodes else None
@@ -221,18 +220,27 @@ class DependenceAnalysis(Analysis):
 
     def begin_segment(self, program: ProgramIR, memory: Memory,
                       seed: SegmentSeed) -> None:
-        from repro.analyses.merging import SegmentAlchemistTracer
-
-        self.table = ConstructTable(program)
-        inner = AlchemistTracer(self.table, self.track_war_waw)
-        inner.on_start(program, memory)
-        self._segment = SegmentAlchemistTracer(inner, seed)
-        self._bind(inner)
+        """An unmodified tracer on the seam's index stack and a shadow
+        seeded with boundary payloads, so the shared dependence walk
+        defers any pair whose head lives in an earlier segment."""
+        self.on_start(program, memory)
+        inner = self.tracer
+        inner.profiler.deferred = []
+        inner.stack.seed(seed.construct_stack)
+        self._seeded_nodes = list(inner.stack.stack)
+        inner.shadow.seed(seed.shadow)
 
     def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
+        from repro.analyses.merging import node_interner
+
         inner = self.tracer
-        segment = self._segment
-        nodes, node_id_of = segment.export_nodes()
+        # The seeded stack's pops complete earlier segments' chains;
+        # the frontier's heads bring in their own.
+        nodes: dict = {}
+        intern = node_interner(nodes)
+        for node in self._seeded_nodes:
+            intern(node)
+        frontier = inner.shadow.frontier(intern)
         profile = {
             pc: [prof.total_duration, prof.instances, prof.max_duration,
                  {key: [e.min_tdep, e.count, e.var_hint, e.first_t]
@@ -251,9 +259,9 @@ class DependenceAnalysis(Analysis):
             },
             "max_depth": inner.stack.max_depth,
             "pool": (pool.capacity, pool.acquires),
-            "deferred": segment.deferred,
+            "deferred": inner.profiler.deferred,
             "nodes": nodes,
-            "frontier": segment.export_frontier(node_id_of),
+            "frontier": frontier,
             "track_war_waw": self.track_war_waw,
         }
         return AnalysisSegment(type(self), state)
@@ -269,7 +277,8 @@ class DependenceAnalysis(Analysis):
         recs: dict = {}
         local = merging.register_nodes(recs, state["nodes"])
         frontier: dict = {}
-        merging.update_dep_frontier(frontier, state["frontier"], local)
+        merging.update_frontier(frontier, state["frontier"],
+                                local.__getitem__)
         return {
             "profile": state["profile"],
             "counters": state["counters"],
@@ -296,8 +305,8 @@ class DependenceAnalysis(Analysis):
             acc["max_depth"] = part["max_depth"]
         acc["pool"] = (max(acc["pool"][0], part["pool"][0]),
                        acc["pool"][1] + part["pool"][1])
-        merging.update_dep_frontier(acc["_frontier"], part["frontier"],
-                                    local)
+        merging.update_frontier(acc["_frontier"], part["frontier"],
+                                local.__getitem__)
         return acc
 
     @classmethod
@@ -919,9 +928,7 @@ class FlatDependenceAnalysis(Analysis):
     def begin_segment(self, program: ProgramIR, memory: Memory,
                       seed: SegmentSeed) -> None:
         self.on_start(program, memory)
-        shadow = self.tracer._shadow
-        for addr, write, reads in seed.shadow:
-            shadow[addr] = [write, dict(reads)]
+        self.tracer.shadow.seed(seed.shadow, None)
 
     def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
         profile = self.tracer.profile
@@ -932,15 +939,9 @@ class FlatDependenceAnalysis(Analysis):
 
     @classmethod
     def merge_segment_states(cls, acc: dict, part: dict) -> dict:
-        mine = acc["edges"]
-        for key, (min_tdep, count) in part["edges"].items():
-            stats = mine.get(key)
-            if stats is None:
-                mine[key] = [min_tdep, count]
-            else:
-                stats[1] += count
-                if min_tdep < stats[0]:
-                    stats[0] = min_tdep
+        from repro.analyses.merging import fold_edges
+
+        fold_edges(acc["edges"], part["edges"])
         return acc
 
     @classmethod
@@ -1028,19 +1029,20 @@ class ContextDependenceAnalysis(Analysis):
 
     def begin_segment(self, program: ProgramIR, memory: Memory,
                       seed: SegmentSeed) -> None:
-        from repro.analyses.merging import SegmentContextTracer
-
-        self._segment = SegmentContextTracer(seed)
-        self._bind(self._segment.inner)
+        """The seam's call stack and a shadow seeded with boundary
+        payloads: the tracer defers pairs whose head context lives in
+        an earlier segment."""
+        tracer = ContextSensitiveTracer(seed.call_stack)
+        tracer.shadow.seed(seed.shadow)
+        self._bind(tracer)
 
     def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
-        segment = self._segment
+        tracer = self.tracer
         return AnalysisSegment(type(self), {
             "edges": {key: [edge.min_tdep, edge.count]
-                      for key, edge in
-                      segment.inner.profile.edges.items()},
-            "deferred": segment.deferred,
-            "frontier": segment.export_frontier(),
+                      for key, edge in tracer.profile.edges.items()},
+            "deferred": tracer.deferred,
+            "frontier": tracer.shadow.frontier(),
         })
 
     @classmethod
@@ -1052,7 +1054,7 @@ class ContextDependenceAnalysis(Analysis):
                 "first segment deferred a dependence pair — it starts "
                 "from pristine state and has no boundary to defer to")
         frontier: dict = {}
-        merging.update_context_frontier(frontier, state["frontier"])
+        merging.update_frontier(frontier, state["frontier"])
         return {"edges": state["edges"], "_frontier": frontier}
 
     @classmethod
@@ -1063,17 +1065,8 @@ class ContextDependenceAnalysis(Analysis):
             acc = cls._internalize(acc)
         merging.resolve_deferred_context(part["deferred"],
                                          acc["_frontier"], acc["edges"])
-        mine = acc["edges"]
-        for key, (min_tdep, count) in part["edges"].items():
-            stats = mine.get(key)
-            if stats is None:
-                mine[key] = [min_tdep, count]
-            else:
-                stats[1] += count
-                if min_tdep < stats[0]:
-                    stats[0] = min_tdep
-        merging.update_context_frontier(acc["_frontier"],
-                                        part["frontier"])
+        merging.fold_edges(acc["edges"], part["edges"])
+        merging.update_frontier(acc["_frontier"], part["frontier"])
         return acc
 
     @classmethod

@@ -8,13 +8,14 @@ but cannot be attributed locally: attribution needs the head's
 execution-index chain (``dep``), or its calling context (``context``),
 which live in the segment that executed the head. Workers therefore
 **defer** such pairs, and export alongside their partial profile a
-**live-writer frontier**: for every address still tracked at segment
-end, the in-segment last write and per-pc reads, each tagged with its
-attribution payload (index-tree chain / context). The left-to-right
-fold (:meth:`repro.analyses.base.AnalysisSegment.merge`) keeps the
-running frontier, resolves each segment's deferred pairs against it,
-and folds the partial profiles — producing results bit-identical to a
-serial pass.
+**live-writer frontier** (:meth:`~repro.core.shadow.ShadowMemory.frontier`):
+for every address still tracked at segment end, the in-segment last
+write and per-pc reads, each tagged with its attribution payload
+(index-tree chain / context). The left-to-right fold
+(:meth:`repro.analyses.base.AnalysisSegment.merge`) keeps the running
+frontier, resolves each segment's deferred pairs against it, and folds
+the partial profiles — producing results bit-identical to a serial
+pass.
 
 Identity across segments uses timestamps, which the interpreter makes
 unambiguous: the clock advances once per instruction, so
@@ -46,7 +47,6 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from repro.analyses.base import AnalysisError
-from repro.core.profiler import BOUNDARY
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +74,28 @@ class NodeRec:
         self.parent = parent
 
 
+def node_interner(nodes: dict):
+    """``intern(node) -> local id`` for a segment's export: records
+    each construct instance it meets, with its ancestor chain, in
+    ``nodes`` as id -> ``(pc, Tenter, Texit, parent id)`` — the table
+    :func:`register_nodes` folds."""
+    ids: dict[int, int] = {}
+
+    def intern(node) -> int:
+        nid = ids.get(id(node))
+        if nid is not None:
+            return nid
+        nid = len(ids)
+        ids[id(node)] = nid
+        parent = node.parent
+        parent_id = intern(parent) if parent is not None else None
+        nodes[nid] = (node.static.pc, node.t_enter, node.t_exit,
+                      parent_id)
+        return nid
+
+    return intern
+
+
 def register_nodes(recs: dict, nodes: dict) -> dict:
     """Fold one segment's exported node table into the shared records.
 
@@ -97,6 +119,73 @@ def register_nodes(recs: dict, nodes: dict) -> dict:
     return local
 
 
+# ---------------------------------------------------------------------------
+# The live-writer frontier and the profile folds (dep, context, flat)
+# ---------------------------------------------------------------------------
+
+def frontier_head(frontier: dict, kind, addr: int, head_pc: int,
+                  head_t: int):
+    """The attribution payload of one deferred pair's head, looked up
+    in the running frontier (see :func:`update_frontier`)."""
+    entry = frontier.get(addr)
+    if entry is None:
+        raise AnalysisError(
+            f"deferred {kind.value} pair at address {addr} has no "
+            "frontier entry (corrupt segment export)")
+    if kind.value == "WAR":
+        head = entry[1].get(head_pc)
+        if head is not None and head[0] == head_t:
+            return head[1]
+    else:
+        head = entry[0]
+        if head is not None and head[0] == head_pc and head[1] == head_t:
+            return head[2]
+    raise AnalysisError(
+        f"deferred {kind.value} head at address {addr} does not match "
+        "the frontier (corrupt segment export)")
+
+
+def update_frontier(frontier: dict, part_frontier: dict,
+                    decode=lambda p: p) -> None:
+    """Advance the live-writer frontier past one segment.
+
+    ``part_frontier`` is the segment's
+    :meth:`~repro.core.shadow.ShadowMemory.frontier`: addr ->
+    ``(write, reads)`` with ``write = (pc, t, payload) | None`` and
+    ``reads = {pc: (t, payload)}``; ``decode`` maps an exported payload
+    to the one the frontier keeps. A segment that wrote the address
+    supersedes the entry wholesale (its write also reset the read set,
+    exactly like the shadow); a read-only touch folds into the existing
+    read set per static pc. Entries for addresses a later segment freed
+    simply go stale — a deferred pair can only reference state the
+    checkpoint still carried, so stale entries are never consulted.
+    """
+    for addr, (write, reads) in part_frontier.items():
+        new_reads = {pc: (t, decode(p)) for pc, (t, p) in reads.items()}
+        if write is not None:
+            frontier[addr] = [(write[0], write[1], decode(write[2])),
+                              new_reads]
+        else:
+            entry = frontier.get(addr)
+            if entry is None:
+                frontier[addr] = [None, new_reads]
+            else:
+                entry[1].update(new_reads)
+
+
+def fold_edges(acc: dict, part: dict) -> None:
+    """Fold ``key -> [min Tdep, count]`` edge aggregates (the flat and
+    context baselines): counts add, minimum distances min."""
+    for key, (min_tdep, count) in part.items():
+        stats = acc.get(key)
+        if stats is None:
+            acc[key] = [min_tdep, count]
+        else:
+            stats[1] += count
+            if min_tdep < stats[0]:
+                stats[0] = min_tdep
+
+
 def resolve_deferred_dep(deferred: list, frontier: dict,
                          profile: dict, counters: dict) -> None:
     """Attribute one segment's deferred dependence pairs.
@@ -109,26 +198,7 @@ def resolve_deferred_dep(deferred: list, frontier: dict,
     recycled under the GC allocator, so no staleness cases exist).
     """
     for kind, addr, head_pc, head_t, tail_pc, tail_t, hint in deferred:
-        entry = frontier.get(addr)
-        if entry is None:
-            raise AnalysisError(
-                f"deferred {kind.value} pair at address {addr} has no "
-                "frontier entry (corrupt segment export)")
-        if kind.value == "WAR":
-            head = entry[2].get(head_pc)
-            if head is None or head[0] != head_t:
-                raise AnalysisError(
-                    f"deferred WAR head at address {addr} does not "
-                    "match the frontier (corrupt segment export)")
-            rec = head[1]
-        else:
-            head = entry[1]
-            if head is None or head[0] != head_pc or head[1] != head_t:
-                raise AnalysisError(
-                    f"deferred {kind.value} head at address {addr} "
-                    "does not match the frontier (corrupt segment "
-                    "export)")
-            rec = head[2]
+        rec = frontier_head(frontier, kind, addr, head_pc, head_t)
         counters[kind.value] += 1
         counters["edges_profiled"] += 1
         tdep = tail_t - head_t
@@ -180,85 +250,14 @@ def merge_dep_profiles(acc: dict, part: dict) -> None:
                     stats[3] = first_t
 
 
-def update_dep_frontier(frontier: dict, part_frontier: dict,
-                        local_recs: dict) -> None:
-    """Advance the live-writer frontier past one segment.
-
-    ``part_frontier`` maps addr -> ``(wrote, write, reads)`` with
-    ``write = (pc, t, node_id)`` and ``reads = {pc: (t, node_id)}``. A
-    segment that wrote the address supersedes the entry wholesale
-    (its write also reset the read set, exactly like the shadow); a
-    read-only touch folds into the existing read set per static pc.
-    Entries for addresses a later segment freed simply go stale — a
-    deferred pair can only reference state the checkpoint still
-    carried, so stale entries are never consulted.
-    """
-    for addr, (wrote, write, reads) in part_frontier.items():
-        new_reads = {pc: (t, local_recs[nid])
-                     for pc, (t, nid) in reads.items()}
-        if wrote:
-            new_write = (None if write is None
-                         else (write[0], write[1], local_recs[write[2]]))
-            frontier[addr] = [addr, new_write, new_reads]
-        else:
-            entry = frontier.get(addr)
-            if entry is None:
-                frontier[addr] = [addr, None, new_reads]
-            else:
-                entry[2].update(new_reads)
-
-
-# ---------------------------------------------------------------------------
-# Context-profile merge (same frontier idea, contexts instead of chains)
-# ---------------------------------------------------------------------------
-
 def resolve_deferred_context(deferred: list, frontier: dict,
                              edges: dict) -> None:
     """Attribute deferred pairs for the context baseline: the frontier
     carries the head's calling context instead of an index chain."""
     for kind, addr, head_pc, head_t, tail_ctx, tail_pc, tail_t in deferred:
-        entry = frontier.get(addr)
-        if entry is None:
-            raise AnalysisError(
-                f"deferred {kind.value} pair at address {addr} has no "
-                "frontier entry (corrupt segment export)")
-        if kind.value == "WAR":
-            head = entry[1].get(head_pc)
-            if head is None or head[0] != head_t:
-                raise AnalysisError(
-                    f"deferred WAR head at address {addr} does not "
-                    "match the frontier")
-            head_ctx = head[1]
-        else:
-            head = entry[0]
-            if head is None or head[0] != head_pc or head[1] != head_t:
-                raise AnalysisError(
-                    f"deferred {kind.value} head at address {addr} "
-                    "does not match the frontier")
-            head_ctx = head[2]
-        key = (head_ctx, tail_ctx, head_pc, tail_pc, kind)
-        tdep = tail_t - head_t
-        stats = edges.get(key)
-        if stats is None:
-            edges[key] = [tdep, 1]
-        else:
-            stats[1] += 1
-            if tdep < stats[0]:
-                stats[0] = tdep
-
-
-def update_context_frontier(frontier: dict, part_frontier: dict) -> None:
-    """Context twin of :func:`update_dep_frontier`; ``write`` is
-    ``(pc, t, context)`` and ``reads`` maps pc -> ``(t, context)``."""
-    for addr, (wrote, write, reads) in part_frontier.items():
-        if wrote:
-            frontier[addr] = [write, dict(reads)]
-        else:
-            entry = frontier.get(addr)
-            if entry is None:
-                frontier[addr] = [None, dict(reads)]
-            else:
-                entry[1].update(reads)
+        head_ctx = frontier_head(frontier, kind, addr, head_pc, head_t)
+        fold_edges(edges, {(head_ctx, tail_ctx, head_pc, tail_pc, kind):
+                           (tail_t - head_t, 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -384,119 +383,3 @@ def fold_locality(acc: dict, part: dict) -> None:
         last[addr] = (global_pos, live.append(global_pos))
     acc["offset"] = offset + part["accesses"]
     acc["accesses"] += part["accesses"]
-
-
-# ---------------------------------------------------------------------------
-# Segment tracers: serial tracers + boundary seeding + deferral
-# ---------------------------------------------------------------------------
-
-class SegmentAlchemistTracer:
-    """The Alchemist tracer state of one parallel worker.
-
-    Seeds an unmodified :class:`~repro.core.tracer.AlchemistTracer`:
-    its indexing stack from the checkpoint, its shadow with
-    boundary-sentinel accesses, and its profiler's ``deferred`` list,
-    so the shared dependence walk defers any pair whose head is a
-    sentinel instead of walking an index chain that lives in an
-    earlier segment. Events go straight to the inner tracer; this
-    object only exports the segment's nodes and frontier.
-    """
-
-    def __init__(self, inner, seed):
-        self.inner = inner
-        self.deferred: list = []
-        inner.profiler.deferred = self.deferred
-        inner.stack.seed(seed.construct_stack)
-        self.seeded_nodes = list(inner.stack.stack)
-        for addr, write, reads in seed.shadow:
-            inner.shadow.insert(
-                addr,
-                None if write is None else (write[0], BOUNDARY, write[1]),
-                {pc: (BOUNDARY, t) for pc, t in reads.items()})
-
-    def export_nodes(self):
-        """Serialize every construct instance the merge must know:
-        the seeded stack (their pops complete earlier segments'
-        chains) plus everything reachable from the final shadow, with
-        ancestor chains. Returns ``(nodes, node_id_of)``."""
-        ids: dict[int, int] = {}
-        nodes: dict[int, tuple] = {}
-
-        def intern(node) -> int:
-            nid = ids.get(id(node))
-            if nid is not None:
-                return nid
-            nid = len(ids)
-            ids[id(node)] = nid
-            parent = node.parent
-            parent_id = intern(parent) if parent is not None else None
-            nodes[nid] = (node.static.pc, node.t_enter, node.t_exit,
-                          parent_id)
-            return nid
-
-        for node in self.seeded_nodes:
-            intern(node)
-        for entry in self.inner.shadow._entries.values():
-            write, reads = entry
-            if write is not None and write[1] is not BOUNDARY:
-                intern(write[1])
-            for read_node, _t in reads.values():
-                if read_node is not BOUNDARY:
-                    intern(read_node)
-        return nodes, (lambda node: ids[id(node)])
-
-    def export_frontier(self, node_id_of):
-        """addr -> (wrote, write, reads) for segment-born accesses."""
-        frontier: dict[int, tuple] = {}
-        for addr, (write, reads) in self.inner.shadow._entries.items():
-            wrote = write is not None and write[1] is not BOUNDARY
-            out_reads = {pc: (t, node_id_of(node))
-                         for pc, (node, t) in reads.items()
-                         if node is not BOUNDARY}
-            if not wrote and not out_reads:
-                continue
-            out_write = ((write[0], write[2], node_id_of(write[1]))
-                         if wrote else None)
-            frontier[addr] = (wrote, out_write, out_reads)
-        return frontier
-
-
-class SegmentContextTracer:
-    """Context-baseline twin of :class:`SegmentAlchemistTracer`.
-
-    Seeds an unmodified
-    :class:`~repro.baselines.context_profiler.ContextSensitiveTracer`:
-    its call stack from the checkpointed frame stack, its shadow from
-    the checkpoint with every head context replaced by the boundary
-    sentinel. The tracer itself (per-event hooks and fused span loop
-    alike) defers pairs whose head is a sentinel to its ``deferred``
-    list, for the merge to attribute via the context frontier. Events
-    go straight to the inner tracer; this object only exports the
-    segment's frontier.
-    """
-
-    def __init__(self, seed):
-        from repro.baselines.context_profiler import ContextSensitiveTracer
-
-        inner = ContextSensitiveTracer()
-        inner._stack = list(seed.call_stack)
-        inner._context = tuple(inner._stack)
-        for addr, write, reads in seed.shadow:
-            inner._shadow[addr] = [
-                None if write is None else (write[0], BOUNDARY, write[1]),
-                {pc: (BOUNDARY, t) for pc, t in reads.items()}]
-        self.inner = inner
-        self.deferred = inner.deferred
-
-    def export_frontier(self):
-        """addr -> (wrote, write, reads) for segment-born accesses."""
-        frontier: dict[int, tuple] = {}
-        for addr, (write, reads) in self.inner._shadow.items():
-            wrote = write is not None and write[1] is not BOUNDARY
-            out_reads = {pc: (t, ctx) for pc, (ctx, t) in reads.items()
-                         if ctx is not BOUNDARY}
-            if not wrote and not out_reads:
-                continue
-            out_write = (write[0], write[2], write[1]) if wrote else None
-            frontier[addr] = (wrote, out_write, out_reads)
-        return frontier

@@ -13,6 +13,10 @@
   Olukotun, CGO'03) that reports the minimum dependence distance in
   *iterations* per loop. It covers loops only; Alchemist's
   construct-vs-continuation profile subsumes it.
+
+All three detect dependences on Alchemist's own
+:class:`~repro.core.shadow.ShadowMemory`, so they see the same pairs
+and differ only in how they attribute them.
 """
 
 from repro.baselines.context_profiler import (ContextProfile,

@@ -4,7 +4,9 @@ Attributes every dependence edge to the *calling context* of its head
 access — the chain of function names on the call stack — exactly the
 granularity of context-sensitive profilers ([2], and the dependence
 profilers of [6, 8] the paper discusses). No loop-iteration structure
-is recorded.
+is recorded. Detection is :class:`~repro.core.shadow.ShadowMemory`
+with the calling context as payload, so the pair stream is exactly
+Alchemist's.
 
 The paper's §III-B argument, reproducible with this class: take
 
@@ -22,9 +24,10 @@ and ``benchmarks/bench_baselines.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.core.profile_data import DepKind
-from repro.core.profiler import BOUNDARY
+from repro.core.shadow import BOUNDARY, ShadowMemory
 from repro.runtime.tracing import Tracer
 
 Context = tuple[str, ...]
@@ -88,23 +91,21 @@ class ContextProfile:
 
 class ContextSensitiveTracer(Tracer):
     """Shadow-memory dependence detection with calling-context
-    attribution only.
+    attribution only: the shadow payload is the calling context.
 
-    A head context may be :data:`~repro.core.profiler.BOUNDARY`: the
-    shadow of a parallel segment is seeded from its checkpoint, where
-    the head's context lives in an earlier segment. Pairs with such a
-    head go to ``deferred`` as ``(kind, addr, head_pc, head_t,
-    tail_ctx, tail_pc, tail_t)`` for the merge to attribute; a serial
-    run never has one.
+    A head context may be :data:`~repro.core.shadow.BOUNDARY`: a
+    parallel segment starts from ``call_stack`` and a shadow seeded
+    from its checkpoint, where the head's context lives in an earlier
+    segment. Pairs with such a head go to ``deferred`` as ``(kind,
+    addr, head_pc, head_t, tail_ctx, tail_pc, tail_t)`` for the merge
+    to attribute; a serial run never has one.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, call_stack: Iterable[str] = ()) -> None:
         self.profile = ContextProfile()
-        self._stack: list[str] = []
-        self._context: Context = ()
-        # addr -> [ (write_pc, write_ctx, write_t) | None,
-        #           {read_pc: (read_ctx, read_t)} ]
-        self._shadow: dict[int, list] = {}
+        self._stack: list[str] = list(call_stack)
+        self._context: Context = tuple(self._stack)
+        self.shadow = ShadowMemory()
         self.deferred: list[tuple] = []
 
     # -- context maintenance ------------------------------------------------
@@ -132,30 +133,20 @@ class ContextSensitiveTracer(Tracer):
                                 kind, timestamp - head_t)
 
     def on_read(self, addr: int, pc: int, timestamp: int) -> None:
-        entry = self._shadow.get(addr)
-        if entry is None:
-            self._shadow[addr] = [None, {pc: (self._context, timestamp)}]
-            return
-        write = entry[0]
+        write = self.shadow.on_read(addr, pc, self._context, timestamp)
         if write is not None:
             self._pair(write[1], write[0], write[2], pc, timestamp,
                        _RAW, addr)
-        entry[1][pc] = (self._context, timestamp)
 
     def on_write(self, addr: int, pc: int, timestamp: int) -> None:
-        entry = self._shadow.get(addr)
-        if entry is None:
-            self._shadow[addr] = [(pc, self._context, timestamp), {}]
-            return
-        write, reads = entry
+        write, reads = self.shadow.on_write(addr, pc, self._context,
+                                            timestamp)
         for read_pc, (read_ctx, read_t) in reads.items():
             self._pair(read_ctx, read_pc, read_t, pc, timestamp, _WAR,
                        addr)
         if write is not None:
             self._pair(write[1], write[0], write[2], pc, timestamp,
                        _WAW, addr)
-        entry[0] = (pc, self._context, timestamp)
-        entry[1] = {}
 
     def consume_span(self, batch) -> None:
         """Every READ/WRITE of one memory-quiet span (no ENTER/EXIT
@@ -163,14 +154,15 @@ class ContextSensitiveTracer(Tracer):
         :meth:`on_read`/:meth:`on_write`, minus the per-event and
         per-edge calls."""
         ctx = self._context
-        shadow = self._shadow
+        entries = self.shadow.entries
+        insert = self.shadow.insert
         edges = self.profile.edges
         deferred = self.deferred
         for etype, addr, pc, t in batch.rows():
             if etype == EV_READ:
-                entry = shadow.get(addr)
+                entry = entries.get(addr)
                 if entry is None:
-                    shadow[addr] = [None, {pc: (ctx, t)}]
+                    insert(addr, None, {pc: (ctx, t)})
                     continue
                 write = entry[0]
                 entry[1][pc] = (ctx, t)
@@ -179,9 +171,9 @@ class ContextSensitiveTracer(Tracer):
                 head_pc, head_ctx, head_t = write
                 kind = _RAW
             elif etype == EV_WRITE:
-                entry = shadow.get(addr)
+                entry = entries.get(addr)
                 if entry is None:
-                    shadow[addr] = [(pc, ctx, t), {}]
+                    insert(addr, (pc, ctx, t), {})
                     continue
                 write, reads = entry
                 entry[0] = (pc, ctx, t)
@@ -221,13 +213,7 @@ class ContextSensitiveTracer(Tracer):
                     edge.min_tdep = t - head_t
 
     def on_frame_free(self, lo: int, hi: int) -> None:
-        shadow = self._shadow
-        if hi - lo < len(shadow):
-            for addr in range(lo, hi):
-                shadow.pop(addr, None)
-        else:
-            for addr in [a for a in shadow if lo <= a < hi]:
-                del shadow[addr]
+        self.shadow.clear_range(lo, hi)
 
     def on_finish(self, timestamp: int) -> None:
         self.profile.instructions = timestamp

@@ -10,6 +10,9 @@ these two statements, and how close does it get?", but not "does it
 cross the loop boundary?", which is the question parallelization needs
 (the paper's Fig. 4(c) discussion).
 
+Detection is :class:`~repro.core.shadow.ShadowMemory` with a ``None``
+payload, so the pair stream is exactly Alchemist's.
+
 Used by ``benchmarks/bench_baselines.py`` to render the §III-B
 four-case experiment: flat and context-sensitive profiles are
 identical across all four variants; Alchemist's index tree separates
@@ -21,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.profile_data import DepKind
+from repro.core.shadow import ShadowMemory
 from repro.ir.cfg import ProgramIR
 from repro.runtime.tracing import Tracer
 
@@ -80,43 +84,25 @@ class FlatTracer(Tracer):
 
     def __init__(self, program: ProgramIR) -> None:
         self.profile = FlatProfile(program)
-        # addr -> [ (write_pc, write_t) | None, {read_pc: read_t} ]
-        self._shadow: dict[int, list] = {}
+        self.shadow = ShadowMemory()
 
     def on_read(self, addr: int, pc: int, timestamp: int) -> None:
-        entry = self._shadow.get(addr)
-        if entry is None:
-            self._shadow[addr] = [None, {pc: timestamp}]
-            return
-        write = entry[0]
+        write = self.shadow.on_read(addr, pc, None, timestamp)
         if write is not None:
             self.profile.record(write[0], pc, DepKind.RAW,
-                                timestamp - write[1])
-        entry[1][pc] = timestamp
+                                timestamp - write[2])
 
     def on_write(self, addr: int, pc: int, timestamp: int) -> None:
-        entry = self._shadow.get(addr)
-        if entry is None:
-            self._shadow[addr] = [(pc, timestamp), {}]
-            return
-        write, reads = entry
-        for read_pc, read_t in reads.items():
+        write, reads = self.shadow.on_write(addr, pc, None, timestamp)
+        for read_pc, (_p, read_t) in reads.items():
             self.profile.record(read_pc, pc, DepKind.WAR,
                                 timestamp - read_t)
         if write is not None:
             self.profile.record(write[0], pc, DepKind.WAW,
-                                timestamp - write[1])
-        entry[0] = (pc, timestamp)
-        entry[1] = {}
+                                timestamp - write[2])
 
     def on_frame_free(self, lo: int, hi: int) -> None:
-        shadow = self._shadow
-        if hi - lo < len(shadow):
-            for addr in range(lo, hi):
-                shadow.pop(addr, None)
-        else:
-            for addr in [a for a in shadow if lo <= a < hi]:
-                del shadow[addr]
+        self.shadow.clear_range(lo, hi)
 
     def on_finish(self, timestamp: int) -> None:
         self.profile.instructions = timestamp

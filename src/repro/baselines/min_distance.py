@@ -11,6 +11,9 @@ Alchemist against:
 * distances are attributed to the *innermost* enclosing loop, so an
   outer loop's parallelism cannot be judged from the profile of its
   inner loops.
+
+Detection is Alchemist's own :class:`~repro.core.shadow.ShadowMemory`
+with a loop-iteration tag as payload, so both see the same pairs.
 """
 
 from __future__ import annotations
@@ -66,8 +69,10 @@ class MinDistanceTracer(AlchemistTracer):
     """Tags accesses with (innermost loop instance, iteration number).
 
     Reuses the execution-indexing stack for loop entry/exit/iteration
-    events but replaces Alchemist's construct-walking profile with the
-    iteration-distance shadow.
+    events and the inherited shadow memory, whose payload here is the
+    tag ``(loop_pc, activation, iteration)`` (``None`` outside loops),
+    but replaces Alchemist's construct-walking profile with iteration
+    distances between the tags of each pair.
     """
 
     def __init__(self, table: ConstructTable):
@@ -81,9 +86,6 @@ class MinDistanceTracer(AlchemistTracer):
         #: iteration and pushes the next at the same timestamp; if the
         #: matching push never comes, the activation has ended.
         self._pending_pop: tuple[int, int] | None = None
-        # addr -> [write tag | None, {read_pc: read tag}] where a tag is
-        # (loop_pc, activation, iteration, pc) or None for non-loop code.
-        self._dist_shadow: dict[int, list] = {}
         self.stack.push_observer = self._on_push
         self.stack.pop_observer = self._on_pop
 
@@ -129,49 +131,35 @@ class MinDistanceTracer(AlchemistTracer):
             self.result.loops[static.pc] = stats
         return stats
 
-    def _tag(self, pc: int):
+    def _tag(self):
         self._flush_pending()
         if not self._loops:
             return None
         loop_pc, activation, iteration = self._loops[-1]
-        return (loop_pc, activation, iteration, pc)
+        return (loop_pc, activation, iteration)
 
     # -- dependence detection ----------------------------------------------------
 
     def on_read(self, addr: int, pc: int, timestamp: int) -> None:
-        tag = self._tag(pc)
-        entry = self._dist_shadow.get(addr)
-        if entry is None:
-            self._dist_shadow[addr] = [None, {pc: tag}]
-            return
-        self._note(entry[0], tag, pc, DepKind.RAW)
-        entry[1][pc] = tag
+        tag = self._tag()
+        write = self.shadow.on_read(addr, pc, tag, timestamp)
+        if write is not None:
+            self._note_pair(write[1], tag, write[0], pc, DepKind.RAW)
 
     def on_write(self, addr: int, pc: int, timestamp: int) -> None:
-        tag = self._tag(pc)
-        entry = self._dist_shadow.get(addr)
-        if entry is None:
-            self._dist_shadow[addr] = [(pc, tag), {}]
-            return
-        write, reads = entry
-        for read_pc, read_tag in reads.items():
+        tag = self._tag()
+        write, reads = self.shadow.on_write(addr, pc, tag, timestamp)
+        for read_pc, (read_tag, _t) in reads.items():
             self._note_pair(read_tag, tag, read_pc, pc, DepKind.WAR)
         if write is not None:
             self._note_pair(write[1], tag, write[0], pc, DepKind.WAW)
-        entry[0] = (pc, tag)
-        entry[1] = {}
-
-    def _note(self, write, tag, tail_pc: int, kind: DepKind) -> None:
-        if write is None:
-            return
-        self._note_pair(write[1], tag, write[0], tail_pc, kind)
 
     def _note_pair(self, head_tag, tail_tag, head_pc: int, tail_pc: int,
                    kind: DepKind) -> None:
         if head_tag is None or tail_tag is None:
             return
-        head_loop, head_act, head_iter, _ = head_tag
-        tail_loop, tail_act, tail_iter, _ = tail_tag
+        head_loop, head_act, head_iter = head_tag
+        tail_loop, tail_act, tail_iter = tail_tag
         if head_loop != tail_loop or head_act != tail_act:
             return  # TEST: same-loop, same-activation distances only
         distance = tail_iter - head_iter
@@ -180,16 +168,6 @@ class MinDistanceTracer(AlchemistTracer):
         stats = self.result.loops.get(head_loop)
         if stats is not None:
             stats.record(head_pc, tail_pc, kind, distance)
-
-    def on_frame_free(self, lo: int, hi: int) -> None:
-        super().on_frame_free(lo, hi)
-        shadow = self._dist_shadow
-        if hi - lo < len(shadow):
-            for addr in range(lo, hi):
-                shadow.pop(addr, None)
-        else:
-            for addr in [a for a in shadow if lo <= a < hi]:
-                del shadow[addr]
 
     def on_finish(self, timestamp: int) -> None:
         super().on_finish(timestamp)

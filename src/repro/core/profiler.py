@@ -31,13 +31,7 @@ from __future__ import annotations
 
 from repro.core.node import ConstructNode
 from repro.core.profile_data import DepKind, EdgeStats, ProfileStore
-
-#: Sentinel standing in for the unknown construct node (or calling
-#: context) of a checkpointed, pre-segment access in parallel segment
-#: replay. A pair whose head is the sentinel cannot be attributed in
-#: the segment, so it is deferred to the merge
-#: (``repro.analyses.merging``).
-BOUNDARY = type("_Boundary", (), {"__repr__": lambda s: "<boundary>"})()
+from repro.core.shadow import BOUNDARY
 
 
 def _unnamed(addr: int) -> str:
@@ -51,7 +45,7 @@ class DependenceProfiler:
     tracer binds ``Memory.addr_to_name``); it runs only when a static
     edge is seen for the first time. ``deferred`` is None in a serial
     run; a parallel segment sets it to a list that collects the pairs
-    whose head is :data:`BOUNDARY`.
+    whose head is :data:`~repro.core.shadow.BOUNDARY`.
     """
 
     __slots__ = ("store", "names", "deferred", "events", "updates")

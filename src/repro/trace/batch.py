@@ -22,7 +22,6 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.analyses import profile_summary  # noqa: F401  (re-export)
 from repro.trace.replay import replay_trace
 from repro.trace.writer import record_source
 from repro.util import effective_cpus

@@ -136,7 +136,7 @@ def _replay_segment(job: dict, reader: TraceReader,
         seed = SegmentSeed(
             index=checkpoint.index,
             time=checkpoint.time,
-            shadow=list(checkpoint.shadow_entries()),
+            shadow=checkpoint.shadow,
             construct_stack=[tuple(entry)
                              for entry in checkpoint.cstack],
             call_stack=[header.functions[i]

@@ -28,10 +28,11 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.analyses import (Analysis, AnalysisContext, AnalysisResult,
-                            live_hooks, make_analyses)
+                            make_analyses)
 from repro.ir.cfg import ProgramIR
 from repro.ir.lowering import compile_source
 from repro.runtime.memory import Memory
+from repro.runtime.tracing import overridden_hooks
 from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH, EV_ENTER,
                                 EV_EXIT, EV_FREE, EV_READ, EV_WRITE,
                                 TraceError, source_digest)
@@ -98,15 +99,15 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
     # consumers already saw those events inside their batch); interior
     # hooks fire for scalar consumers only.
     hooked = span_consumers + scalar_consumers
-    on_enter = live_hooks(hooked, "on_enter_function")
-    on_exit = live_hooks(hooked, "on_exit_function")
-    on_alloc = live_hooks(hooked, "on_heap_alloc")
-    on_free = live_hooks(hooked, "on_frame_free")
-    on_finish = live_hooks(hooked, "on_finish")
-    on_block = live_hooks(scalar_consumers, "on_block_enter")
-    on_branch = live_hooks(scalar_consumers, "on_branch")
-    on_read = live_hooks(scalar_consumers, "on_read")
-    on_write = live_hooks(scalar_consumers, "on_write")
+    on_enter = overridden_hooks(hooked, "on_enter_function")
+    on_exit = overridden_hooks(hooked, "on_exit_function")
+    on_alloc = overridden_hooks(hooked, "on_heap_alloc")
+    on_free = overridden_hooks(hooked, "on_frame_free")
+    on_finish = overridden_hooks(hooked, "on_finish")
+    on_block = overridden_hooks(scalar_consumers, "on_block_enter")
+    on_branch = overridden_hooks(scalar_consumers, "on_branch")
+    on_read = overridden_hooks(scalar_consumers, "on_read")
+    on_write = overridden_hooks(scalar_consumers, "on_write")
     block_feeds = [c.consume_batch for c in block_consumers]
     span_feeds = [c.consume_batch for c in span_consumers]
     scalar_spans = bool(on_read or on_write or on_block or on_branch)

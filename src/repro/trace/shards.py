@@ -15,9 +15,11 @@ streamed every earlier event:
   index, so constructs that span the seam keep true durations and the
   dependence walk sees real ancestor chains;
 * **shadow memory** — last write ``(pc, t)`` and last read per static
-  pc since that write, per tracked address, so dependence analyses
-  pair cross-seam accesses exactly (attribution of those pairs is
-  deferred to the merge — see ``repro.analyses.merging``);
+  pc since that write, per tracked address, in the row format
+  :meth:`~repro.core.shadow.ShadowMemory.snapshot` writes and
+  :meth:`~repro.core.shadow.ShadowMemory.seed` reads, so dependence
+  analyses pair cross-seam accesses exactly (attribution of those
+  pairs is deferred to the merge — see ``repro.analyses.merging``);
 * **codec state** — the absolute file offset of the block holding
   the seam, that block's starting per-type deltas and — for a seam
   inside the block — its starting clock and the count of records
@@ -82,8 +84,8 @@ class Checkpoint:
     last_popped: list | None = None
     heap: dict = field(default_factory=dict)
     cstack: list = field(default_factory=list)
-    #: ``[[addr, wpc, wt, [[rpc, rt], ...]], ...]`` sorted by address;
-    #: ``wpc == -1`` means no write recorded (reads only).
+    #: :meth:`ShadowMemory.snapshot` rows ``[[addr, wpc, wt, [[rpc,
+    #: rt], ...]], ...]``; ``wpc == -1`` means reads only.
     shadow: list = field(default_factory=list)
 
     def to_payload(self) -> dict:
@@ -106,13 +108,6 @@ class Checkpoint:
         mid-block seam's codec carries the block's own ``time`` and
         the ``skip`` count, which override the seam clock)."""
         return {"time": self.time, **self.codec}
-
-    def shadow_entries(self):
-        """Yield ``(addr, write | None, reads)`` from the snapshot,
-        with ``write = (pc, t)`` and ``reads = {pc: t}``."""
-        for addr, wpc, wt, reads in self.shadow:
-            write = None if wpc < 0 else (wpc, wt)
-            yield addr, write, {pc: t for pc, t in reads}
 
 
 def genesis_checkpoint(events_start: int) -> Checkpoint:
@@ -268,16 +263,6 @@ class CheckpointBuilder:
         self.index += 1
         self.time = t
 
-    def _shadow_snapshot(self) -> list:
-        entries = []
-        for addr in sorted(self.shadow._entries):
-            write, reads = self.shadow._entries[addr]
-            wpc, wt = (-1, 0) if write is None else (write[0], write[2])
-            entries.append([addr, wpc, wt,
-                            sorted([pc, t] for pc, (_n, t)
-                                   in reads.items())])
-        return entries
-
     def snapshot(self, offset: int, codec_state: dict) -> Checkpoint:
         frames, popped, heap = self.mirror.snapshot()
         return Checkpoint(
@@ -290,7 +275,7 @@ class CheckpointBuilder:
             heap=heap,
             cstack=[[node.static.pc, node.t_enter]
                     for node in self.stack.stack],
-            shadow=self._shadow_snapshot(),
+            shadow=self.shadow.snapshot(),
         )
 
 

@@ -13,7 +13,9 @@ The same generators also pin the dep span kernel: fused span replay,
 per-event replay, live profiling and parallel segments (kernel plus
 cross-seam deferral) must all produce the same dep profile. They pin
 the locality reuse-distance kernel and the context span loop the same
-way: batch replay, per-event replay and parallel segments agree. And
+way (and flat's seeded segments): batch replay, per-event replay and
+parallel segments agree. The flat, context and Alchemist detectors,
+which share one shadow memory, count the same pairs of each kind. And
 they pin task-graph extraction: the shared index pass + per-candidate
 kernel builds the graphs one ``TaskGraphTracer`` per construct head
 builds, from live runs and from replayed traces alike.
@@ -28,7 +30,9 @@ from hypothesis import strategies as st
 from repro.analyses import make_analyses
 from repro.analyses.builtin import profile_summary
 from repro.analysis.constructs import ConstructTable
+from repro.baselines import ContextSensitiveTracer, FlatTracer
 from repro.core.alchemist import Alchemist, ProfileOptions
+from repro.core.profile_data import DepKind
 from repro.core.tracer import AlchemistTracer
 from repro.ir.lowering import compile_source, lower_program
 from repro.lang.errors import SemanticError
@@ -39,6 +43,7 @@ from repro.parallel.taskgraph import (LiveSource, TaskGraphTracer,
                                       resolve_private_globals)
 from repro.runtime.errors import MiniCRuntimeError, StepLimitExceeded
 from repro.runtime.interpreter import Interpreter
+from repro.runtime.tracing import TeeTracer
 from repro.trace.parallel import parallel_replay
 from repro.trace.reader import TraceReader
 from repro.trace.replay import ReplayEngine, replay_with
@@ -238,11 +243,12 @@ def _reports(outcome, names) -> dict:
 
 
 class TestLocalityContextEquivalence:
-    """Locality's reuse-distance kernel and context's fused span loop:
-    batch replay == per-event replay (``columnar=False``) == parallel
-    at 2 and 7 jobs, with seams inside a trace block."""
+    """Locality's reuse-distance kernel, context's fused span loop and
+    flat's seeded segments: batch replay == per-event replay
+    (``columnar=False``) == parallel at 2 and 7 jobs, with seams inside
+    a trace block."""
 
-    NAMES = ["locality", "context"]
+    NAMES = ["locality", "context", "flat"]
 
     @given(st.one_of(_programs.map(pretty_print), _loop_programs()))
     @settings(max_examples=25, deadline=None)
@@ -273,6 +279,37 @@ class TestLocalityContextEquivalence:
                 assert any(segment.checkpoint.codec.get("skip")
                            for segment in outcome.plan.segments)
                 assert _reports(outcome, self.NAMES) == serial
+
+
+class TestOneShadowOnePairStream:
+    """Flat, context and Alchemist detect on the same shadow memory, so
+    per kind they see the same dynamic dependences: the flat and the
+    context edge counts both sum to the live profiler's event count."""
+
+    @given(st.one_of(_programs.map(pretty_print), _loop_programs()))
+    @settings(max_examples=30, deadline=None)
+    def test_every_detector_counts_the_same_pairs(self, source):
+        try:
+            program = compile_source(source)
+        except SemanticError:
+            return
+        flat = FlatTracer(program)
+        context = ContextSensitiveTracer()
+        alchemist = AlchemistTracer(ConstructTable(program))
+        try:
+            Interpreter(program, TeeTracer([flat, context, alchemist]),
+                        max_steps=STEP_CAP).run()
+        except (MiniCRuntimeError, StepLimitExceeded):
+            return
+        for kind in DepKind:
+            flat_total = sum(edge.count
+                             for edge in flat.profile.edges.values()
+                             if edge.kind is kind)
+            context_total = sum(edge.count
+                                for edge in context.profile.edges.values()
+                                if edge.kind is kind)
+            assert flat_total == context_total == \
+                alchemist.profiler.events[kind], kind
 
 
 class _ScalarTraceSource(TraceSource):

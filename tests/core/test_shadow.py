@@ -1,7 +1,7 @@
 """Shadow memory unit tests."""
 
 from repro.core.node import ConstructNode
-from repro.core.shadow import ShadowMemory
+from repro.core.shadow import BOUNDARY, ShadowMemory
 
 
 def node():
@@ -12,9 +12,9 @@ class TestDetection:
     def test_raw_from_last_write(self):
         shadow = ShadowMemory()
         writer = node()
-        assert shadow.on_read(7, pc=1, node=node(), timestamp=5) is None
-        shadow.on_write(7, pc=2, node=writer, timestamp=10)
-        head = shadow.on_read(7, pc=3, node=node(), timestamp=14)
+        assert shadow.on_read(7, pc=1, payload=node(), timestamp=5) is None
+        shadow.on_write(7, pc=2, payload=writer, timestamp=10)
+        head = shadow.on_read(7, pc=3, payload=node(), timestamp=14)
         assert head == (2, writer, 10)
 
     def test_raw_reflects_most_recent_write(self):
@@ -166,3 +166,53 @@ class TestBucketIndex:
         assert shadow.tracked_addresses() == len(model)
         for addr in model:
             assert shadow.last_write(addr) is not None
+
+
+class TestSeamFormat:
+    """snapshot/seed/frontier: the checkpoint rows and a segment's
+    export on top of them."""
+
+    def _shadow(self):
+        shadow = ShadowMemory()
+        shadow.on_read(5, 11, node(), 1)      # reads only
+        shadow.on_write(3, 2, node(), 2)
+        shadow.on_read(3, 12, node(), 3)
+        shadow.on_read(3, 11, node(), 4)
+        shadow.on_read(3, 12, node(), 6)      # latest read per pc
+        return shadow
+
+    def test_snapshot_rows(self):
+        assert self._shadow().snapshot() == [
+            [3, 2, 2, [[11, 4], [12, 6]]],
+            [5, -1, 0, [[11, 1]]],
+        ]
+
+    def test_seed_snapshot_round_trips(self):
+        rows = self._shadow().snapshot()
+        seeded = ShadowMemory()
+        seeded.seed(rows)
+        assert seeded.snapshot() == rows
+        assert seeded.last_write(3) == (2, BOUNDARY, 2)
+        _, wars = seeded.on_write(5, 1, node(), 7)
+        assert wars == {11: (BOUNDARY, 1)}
+        flat = ShadowMemory()
+        flat.seed(rows, None)
+        assert flat.last_write(3) == (2, None, 2)
+        # Seeded addresses are indexed for clearing like any other.
+        flat.clear_range(0, 64)
+        assert flat.tracked_addresses() == 0
+
+    def test_frontier_skips_seeded_entries(self):
+        seeded = ShadowMemory()
+        seeded.seed(self._shadow().snapshot())
+        assert seeded.frontier() == {}
+        writer, reader = node(), node()
+        seeded.on_read(3, 13, reader, 7)      # onto a seeded write
+        seeded.on_write(5, 1, writer, 8)      # supersedes seeded reads
+        seeded.on_read(9, 14, reader, 9)      # fresh address
+        names = {id(writer): "w", id(reader): "r"}
+        assert seeded.frontier(lambda n: names[id(n)]) == {
+            3: (None, {13: (7, "r")}),
+            5: ((1, 8, "w"), {}),
+            9: (None, {14: (9, "r")}),
+        }

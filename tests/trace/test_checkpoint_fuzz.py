@@ -105,14 +105,6 @@ def _memory_fingerprint(memory: Memory):
     }
 
 
-def _shadow_fingerprint(shadow: ShadowMemory):
-    out = {}
-    for addr, (write, reads) in shadow._entries.items():
-        out[addr] = ((None if write is None else (write[0], write[2])),
-                     {pc: t for pc, (_n, t) in reads.items()})
-    return out
-
-
 def _verify_trace(path):
     """Assert both oracles at every checkpoint of the trace's sidecar
     (prebuilt by ``record_source(checkpoint_interval=...)``, else
@@ -150,10 +142,9 @@ def _verify_trace(path):
                 _memory_fingerprint(reference.memory), \
                 f"memory diverges at checkpoint {checkpoint.index}"
 
-            # Oracle 2b: checkpointed shadow equals the reference's.
-            snapshot = {addr: (write, reads) for addr, write, reads
-                        in checkpoint.shadow_entries()}
-            assert snapshot == _shadow_fingerprint(reference.shadow), \
+            # Oracle 2b: checkpointed shadow rows equal the reference
+            # shadow's snapshot, row for row.
+            assert checkpoint.shadow == reference.shadow.snapshot(), \
                 f"shadow diverges at checkpoint {checkpoint.index}"
 
             # Oracle 2c: construct stack (pc, Tenter) matches.
