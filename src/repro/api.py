@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-import time as _time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
@@ -35,7 +34,7 @@ if TYPE_CHECKING:
 
 from repro.analyses import (Analysis, AnalysisContext, AnalysisError,
                             AnalysisResult, make_analyses, parse_spec)
-from repro.core.alchemist import ProfileOptions
+from repro.core.alchemist import Alchemist, ProfileOptions
 from repro.ir.cfg import ProgramIR
 from repro.ir.lowering import compile_source
 from repro.runtime.interpreter import Interpreter
@@ -478,14 +477,8 @@ class Session:
             if analysis.name != "dep":
                 continue
             report = results["dep"].payload
-            from repro.runtime.tracing import NullTracer
-
-            interp = Interpreter(report.program, NullTracer(),
-                                 self.options.max_steps)
-            start = _time.perf_counter()
-            interp.run()
-            report.stats.baseline_seconds = (_time.perf_counter()
-                                             - start)
+            report.stats.baseline_seconds = Alchemist(
+                self.options).baseline_seconds(report.program)
 
 
 def analyze(source: str, analyses: str | Iterable[str] = ("dep",),

@@ -40,7 +40,8 @@ from repro.analyses import (AnalysisContext, AnalysisResult,
 from repro.analyses.base import AnalysisSegment, SegmentSeed
 from repro.trace.events import TraceError
 from repro.trace.reader import TraceReader
-from repro.trace.replay import dispatch_batches, replay_with
+from repro.trace.replay import (dispatch_batches, replay_with,
+                                trace_functions)
 from repro.trace.shards import (Checkpoint, ShardPlan, plan_shards,
                                 restore_memory, snapshot_memory)
 from repro.util import effective_cpus
@@ -131,8 +132,7 @@ def _replay_segment(job: dict, reader: TraceReader,
     with tm.span("segment.restore"):
         program = _compiled(path, header)
         memory = restore_memory(program, header, checkpoint)
-        functions = [program.functions[name]
-                     for name in header.functions]
+        functions = trace_functions(program, header)
         seed = SegmentSeed(
             index=checkpoint.index,
             time=checkpoint.time,

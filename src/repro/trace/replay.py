@@ -61,15 +61,30 @@ def _batch_mode(consumer) -> str | None:
     return kind
 
 
+def trace_functions(program: ProgramIR, header) -> list:
+    """The program's function for each index of the trace header's
+    function table; a name the program lacks is a source/trace
+    mismatch."""
+    functions = []
+    for name in header.functions:
+        try:
+            functions.append(program.functions[name])
+        except KeyError:
+            raise TraceError(
+                f"trace names function {name!r} missing from the "
+                "program (source/trace mismatch)") from None
+    return functions
+
+
 def dispatch_batches(batches, consumers: list, memory: Memory,
-                     functions: list, check_allocs: bool = True,
-                     budget: int | None = None,
+                     functions: list, budget: int | None = None,
                      segment: bool = False,
                      columnar: bool = True) -> tuple[int, int]:
     """The event-dispatch loop: drive decoded
     :class:`~repro.trace.columnar.EventBatch` blocks through the
     consumers, replaying memory reconstruction at the structural seams.
-    Serial replay and every parallel segment run through it.
+    Serial replay, every parallel segment and the shard seam scan
+    (:func:`repro.trace.shards.build_checkpoints`) run through it.
 
     Consumers split three ways by :func:`_batch_mode`:
 
@@ -87,8 +102,13 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
     ``columnar=False`` is the reference path: every consumer gets
     per-event hooks whatever its ``batch_kind``. ``budget`` caps the
     number of events consumed (the parallel segment driver's slice
-    discipline); ``segment`` selects the segment-flavored
-    heap-divergence message. Returns ``(final_time, events_consumed)``.
+    discipline); ``segment`` flavors the corrupt-trace messages. A
+    structural event memory cannot replay (an ENTER of an unknown
+    function or past the stack region, an EXIT with no live frame, a
+    FREE of a heap address that is not a live block, an ALLOC of no
+    words or at a base the allocator does not return) raises
+    :class:`TraceError` before any hook sees it. Returns
+    ``(final_time, events_consumed)``.
     """
     modes = [_batch_mode(c) if columnar else None for c in consumers]
     block_consumers = [c for c, m in zip(consumers, modes) if m == "block"]
@@ -115,9 +135,11 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
 
     push_frame = memory.push_frame
     pop_frame = memory.pop_frame
+    frames = memory.frames
     heap_alloc = memory.heap_alloc
     heap_free = memory.heap_free
     heap_base = memory.heap_base
+    n_functions = len(functions)
     where = " in segment" if segment else ""
 
     final_time = 0
@@ -159,12 +181,22 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
                 run_span(batch.slice(pos, idx))
             pos = idx + 1
             if etype == EV_ENTER:
-                push_frame(functions[a])
+                if not 0 <= a < n_functions:
+                    raise TraceError(
+                        f"corrupt trace{where}: ENTER of function index "
+                        f"{a}; the trace names {n_functions} functions")
+                try:
+                    push_frame(functions[a])
+                except OverflowError as exc:
+                    raise TraceError(f"corrupt trace{where}: {exc}") from None
                 name = functions[a].name
                 for hook in on_enter:
                     hook(name, b, t)
             elif etype == EV_EXIT:
-                name = functions[a].name
+                if not frames:
+                    raise TraceError(
+                        f"corrupt trace{where}: EXIT with no live frame")
+                name = frames[-1].fn.name
                 for hook in on_exit:
                     hook(name, t)
                 pop_frame()
@@ -173,13 +205,20 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
                 # a degenerate stack-frame free (and could sit exactly
                 # at heap_base when the stack region is full).
                 if b and a >= heap_base:
-                    heap_free(a)
+                    try:
+                        heap_free(a)
+                    except ValueError as exc:
+                        raise TraceError(
+                            f"corrupt trace{where}: {exc}") from None
                 hi = a + b
                 for hook in on_free:
                     hook(a, hi)
             elif etype == EV_ALLOC:
-                base = heap_alloc(b)
-                if check_allocs and base != a:
+                try:
+                    base = heap_alloc(b)
+                except ValueError as exc:
+                    raise TraceError(f"corrupt trace{where}: {exc}") from None
+                if base != a:
                     raise TraceError(
                         f"heap replay diverged{where}: alloc returned "
                         f"{base}, trace recorded {a}")
@@ -208,8 +247,7 @@ class ReplayEngine:
     """
 
     def __init__(self, reader: TraceReader, program: ProgramIR | None = None,
-                 check_allocs: bool = True, telemetry=None,
-                 columnar: bool = True):
+                 telemetry=None, columnar: bool = True):
         from repro.telemetry import as_telemetry
 
         self.telemetry = as_telemetry(telemetry)
@@ -230,7 +268,6 @@ class ReplayEngine:
         # it); mismatches surface via the function table or the alloc
         # divergence check below.
         self.program = program
-        self.check_allocs = check_allocs
 
     def run(self, consumers: list[Analysis]) -> AnalysisContext:
         """Dispatch every event; returns the context each analysis's
@@ -239,14 +276,7 @@ class ReplayEngine:
         header = reader.header
         program = self.program
         memory = Memory(program, header.stack_limit)
-        functions = []
-        for name in header.functions:
-            try:
-                functions.append(program.functions[name])
-            except KeyError:
-                raise TraceError(
-                    f"trace names function {name!r} missing from the "
-                    "program (source/trace mismatch)") from None
+        functions = trace_functions(program, header)
 
         tm = self.telemetry
         # Consumers are usually Analysis plugins, but anything with the
@@ -262,8 +292,7 @@ class ReplayEngine:
             # analyses may rebind them.
             final_time, _ = dispatch_batches(
                 reader.batches(columnar=self.columnar), consumers, memory,
-                functions, check_allocs=self.check_allocs,
-                columnar=self.columnar)
+                functions, columnar=self.columnar)
         wall = span.wall_seconds
         footer = reader.footer
         if tm.enabled:

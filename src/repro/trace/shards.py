@@ -27,16 +27,23 @@ streamed every earlier event:
   (`TraceReader.batches_from`). Seams therefore land at any event, not
   only where the recorder happened to cut a block.
 
-There is one seam source: :func:`build_checkpoints`, a serial scan of
-the finished trace that drives a :class:`CheckpointBuilder` from the
-decoded stream, cached in an atomic ``.ckpt`` sidecar by
+There is one seam source: :func:`build_checkpoints`, a serial replay
+pass over the finished trace. It drives the real
+:class:`~repro.runtime.memory.Memory` and one span consumer (the
+scan's shadow memory and indexing stack) through
+:func:`repro.trace.replay.dispatch_batches`, the loop serial replay and
+every segment use, from an iterator that cuts each decoded block at
+the seams; each checkpoint is read off that state
+(:func:`snapshot_memory`, the shadow snapshot, the stack's pairs and
+the block's codec state) when the loop asks for the slice starting at
+its seam. The result is cached in an atomic ``.ckpt`` sidecar by
 :func:`load_or_build_checkpoints` so repeated parallel replays pay it
-once. The recorder keeps no seam state (every record would pay for a
-mirror that only parallel replay reads); the first parallel plan
+once. The recorder keeps no seam state (every record would pay for
+bookkeeping that only parallel replay reads); the first parallel plan
 builds the sidecar, or ``record --checkpoints N`` prebuilds it. Traces
 from older recorders may still carry ``EV_CHECKPOINT`` markers and a
-footer seam table: the markers scan as ordinary events and the table
-is ignored.
+footer seam table: the markers count as records when placing seams
+and the table is ignored.
 
 :func:`plan_shards` turns a trace plus a worker count into a list of
 :class:`Segment`\\ s — (checkpoint, end index) pairs that partition the
@@ -48,13 +55,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH,
-                                EV_CHECKPOINT, EV_ENTER, EV_EXIT,
-                                EV_FINISH, EV_FREE, EV_READ, EV_WRITE,
+from repro.runtime.memory import Memory
+from repro.runtime.tracing import Tracer
+from repro.trace.events import (EV_BLOCK, EV_BRANCH, EV_READ, EV_WRITE,
                                 TraceError)
 from repro.trace.reader import TraceReader
+from repro.trace.replay import dispatch_batches, trace_functions
 
 #: Events between scan-built checkpoints unless the caller asks for
 #: another interval.
@@ -117,169 +125,6 @@ def genesis_checkpoint(events_start: int) -> Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# Writer/scanner-side state mirror
-# ---------------------------------------------------------------------------
-
-class MemoryMirror:
-    """Frame and heap bookkeeping of :class:`Memory`, minus the cells.
-
-    The scan cannot afford a full Memory (push_frame zeroes cells),
-    and a checkpoint never needs values — only layout. The allocation
-    decisions here must match ``Memory.heap_alloc``/``heap_free``
-    *bit-for-bit* (same-size recycling pops the most recent free, else
-    bump), because in-segment replay re-runs the real allocator from
-    the restored state and verifies recorded bases; the checkpoint
-    fuzz tests pin the two against each other on every workload.
-    """
-
-    __slots__ = ("frame_sizes", "globals_size", "stack_top", "frames",
-                 "last_popped", "heap_base", "heap_top", "blocks",
-                 "free_by_size", "next_id", "allocs", "frees")
-
-    def __init__(self, globals_size: int, heap_base: int,
-                 frame_sizes: list[int]):
-        self.frame_sizes = frame_sizes          # by function index
-        self.globals_size = globals_size
-        self.stack_top = globals_size
-        self.frames: list[tuple[int, int]] = []  # (fn_index, base)
-        self.last_popped: tuple[int, int] | None = None
-        self.heap_base = heap_base
-        self.heap_top = heap_base
-        self.blocks: dict[int, tuple[int, int]] = {}  # base -> (size, id)
-        self.free_by_size: dict[int, list[int]] = {}
-        self.next_id = 1
-        self.allocs = 0
-        self.frees = 0
-
-    def push(self, fn_index: int) -> None:
-        base = self.stack_top
-        self.stack_top = base + self.frame_sizes[fn_index]
-        self.frames.append((fn_index, base))
-
-    def pop(self) -> None:
-        fn_index, base = self.frames.pop()
-        self.stack_top = base
-        self.last_popped = (fn_index, base)
-
-    def heap_alloc(self, size: int) -> int:
-        bucket = self.free_by_size.get(size)
-        if bucket:
-            base = bucket.pop()
-        else:
-            base = self.heap_top
-            self.heap_top += size
-        self.blocks[base] = (size, self.next_id)
-        self.next_id += 1
-        self.allocs += 1
-        return base
-
-    def heap_free(self, base: int) -> None:
-        size, _ = self.blocks.pop(base)
-        self.free_by_size.setdefault(size, []).append(base)
-        self.frees += 1
-
-    def snapshot(self) -> tuple[list, list | None, dict]:
-        heap = {
-            "top": self.heap_top,
-            "next_id": self.next_id,
-            "blocks": sorted([base, size, bid]
-                             for base, (size, bid) in self.blocks.items()),
-            "free": {str(size): list(bases)
-                     for size, bases in sorted(self.free_by_size.items())
-                     if bases},
-            "allocs": self.allocs,
-            "frees": self.frees,
-        }
-        frames = [fn_index for fn_index, _ in self.frames]
-        popped = list(self.last_popped) if self.last_popped else None
-        return frames, popped, heap
-
-
-class CheckpointBuilder:
-    """Replays the event stream into checkpointable state.
-
-    Fed one event at a time by :func:`build_checkpoints`, it mirrors
-    exactly what :class:`repro.trace.replay.ReplayEngine` would do with
-    the same events: frames push before / pop after their events, heap
-    blocks allocate and recycle deterministically, the execution index
-    follows the five instrumentation rules, and shadow memory keeps
-    the last write plus the per-pc reads since it (with frees
-    forgetting their ranges).
-    """
-
-    def __init__(self, program, functions: list[str], heap_base: int):
-        from repro.analysis.constructs import ConstructTable
-        from repro.core.indexing import IndexingStack
-        from repro.core.pool import NodeAllocator
-        from repro.core.profile_data import ProfileStore
-        from repro.core.shadow import ShadowMemory
-
-        fn_irs = []
-        for name in functions:
-            try:
-                fn_irs.append(program.functions[name])
-            except KeyError:
-                raise TraceError(
-                    f"trace names function {name!r} missing from the "
-                    "program (source/trace mismatch)") from None
-        self.stack = IndexingStack(ConstructTable(program),
-                                   NodeAllocator(), ProfileStore())
-        self.shadow = ShadowMemory()
-        self.mirror = MemoryMirror(
-            program.globals_size, heap_base,
-            [fn.frame_size for fn in fn_irs])
-        self._entry_pcs = [fn.entry_pc for fn in fn_irs]
-        self.heap_base = heap_base
-        self.index = 0
-        self.time = 0
-
-    def apply(self, etype: int, a: int, b: int, t: int) -> None:
-        if etype == EV_READ:
-            self.shadow.on_read(a, b, None, t)
-        elif etype == EV_WRITE:
-            self.shadow.on_write(a, b, None, t)
-        elif etype == EV_BLOCK:
-            self.stack.on_block_enter(a, t)
-        elif etype == EV_BRANCH:
-            self.stack.on_branch(a, b, t)
-        elif etype == EV_ENTER:
-            self.mirror.push(a)
-            self.stack.enter_procedure(self._entry_pcs[a], t)
-        elif etype == EV_EXIT:
-            self.stack.exit_procedure(t)
-            self.mirror.pop()
-        elif etype == EV_FREE:
-            if b and a >= self.heap_base:
-                self.mirror.heap_free(a)
-            self.shadow.clear_range(a, a + b)
-        elif etype == EV_ALLOC:
-            base = self.mirror.heap_alloc(b)
-            if base != a:
-                raise TraceError(
-                    f"checkpoint heap mirror diverged: alloc returned "
-                    f"{base}, trace recorded {a}")
-        elif etype not in (EV_FINISH, EV_CHECKPOINT):
-            raise TraceError(f"unknown event type {etype}")
-        self.index += 1
-        self.time = t
-
-    def snapshot(self, offset: int, codec_state: dict) -> Checkpoint:
-        frames, popped, heap = self.mirror.snapshot()
-        return Checkpoint(
-            index=self.index,
-            time=self.time,
-            offset=offset,
-            codec=codec_state,
-            frames=frames,
-            last_popped=popped,
-            heap=heap,
-            cstack=[[node.static.pc, node.t_enter]
-                    for node in self.stack.stack],
-            shadow=self.shadow.snapshot(),
-        )
-
-
-# ---------------------------------------------------------------------------
 # Restoring checkpointed state
 # ---------------------------------------------------------------------------
 
@@ -291,10 +136,8 @@ def restore_memory(program, header, checkpoint: Checkpoint):
     checkpointed layout; from here the in-segment replay drives the
     instance exactly like the serial engine drives a fresh one.
     """
-    from repro.runtime.memory import Memory
-
     memory = Memory(program, header.stack_limit)
-    fns = [program.functions[name] for name in header.functions]
+    fns = trace_functions(program, header)
     for fn_index in checkpoint.frames:
         memory.push_frame(fns[fn_index])
     heap = checkpoint.heap
@@ -344,6 +187,51 @@ def snapshot_memory(memory, header) -> Checkpoint:
 # Scan-building checkpoints (the one seam source)
 # ---------------------------------------------------------------------------
 
+class _ScanState(Tracer):
+    """The non-memory half of a checkpoint: the scan's shadow memory
+    (payload ``None``) and indexing stack, fed by
+    :func:`~repro.trace.replay.dispatch_batches` like any span
+    analysis."""
+
+    batch_kind = "span"
+
+    def __init__(self, program):
+        from repro.analysis.constructs import ConstructTable
+        from repro.core.indexing import IndexingStack
+        from repro.core.pool import NodeAllocator
+        from repro.core.profile_data import ProfileStore
+        from repro.core.shadow import ShadowMemory
+
+        self.shadow = ShadowMemory()
+        self.stack = IndexingStack(ConstructTable(program),
+                                   NodeAllocator(), ProfileStore())
+
+    def consume_batch(self, span) -> None:
+        on_read = self.shadow.on_read
+        on_write = self.shadow.on_write
+        on_block = self.stack.on_block_enter
+        on_branch = self.stack.on_branch
+        for etype, a, b, t in span.rows():
+            if etype == EV_READ:
+                on_read(a, b, None, t)
+            elif etype == EV_WRITE:
+                on_write(a, b, None, t)
+            elif etype == EV_BLOCK:
+                on_block(a, t)
+            elif etype == EV_BRANCH:
+                on_branch(a, b, t)
+
+    def on_enter_function(self, fn_name: str, entry_pc: int,
+                          timestamp: int) -> None:
+        self.stack.enter_procedure(entry_pc, timestamp)
+
+    def on_exit_function(self, fn_name: str, timestamp: int) -> None:
+        self.stack.exit_procedure(timestamp)
+
+    def on_frame_free(self, lo: int, hi: int) -> None:
+        self.shadow.clear_range(lo, hi)
+
+
 def _sparse_prev(prev_a: list[int], prev_b: list[int]) -> dict:
     return {str(etype): [prev_a[etype], prev_b[etype]]
             for etype in range(256) if prev_a[etype] or prev_b[etype]}
@@ -352,7 +240,7 @@ def _sparse_prev(prev_a: list[int], prev_b: list[int]) -> dict:
 def build_checkpoints(path: str | os.PathLike,
                       interval: int = DEFAULT_CHECKPOINT_INTERVAL
                       ) -> list[Checkpoint]:
-    """One serial scan producing a checkpoint every ``interval``
+    """One serial replay pass producing a checkpoint every ``interval``
     events. A seam is the offset of the block holding it plus the
     records to skip inside that block."""
     from repro.ir.lowering import compile_source
@@ -364,34 +252,44 @@ def build_checkpoints(path: str | os.PathLike,
     with TraceReader(path) as reader:
         header = reader.header
         program = compile_source(header.source, header.filename)
-        builder = CheckpointBuilder(program, header.functions,
-                                    header.heap_base)
-        last_index = 0
+        memory = Memory(program, header.stack_limit)
+        scan = _ScanState(program)
         block: dict = {}
 
         def hook(offset, records, time, prev_a, prev_b):
             block.update(offset=offset, records=records, time=time,
                          prev=_sparse_prev(prev_a, prev_b))
 
-        # The scan rides the batch decoder and cuts each block at its
-        # seams, so the per-event work stays ``apply`` alone.
-        apply = builder.apply
-        for batch in reader.batches(block_hook=hook):
-            start = block["records"]
-            pos = 0
-            while last_index + interval < start + len(batch):
-                cut = last_index + interval - start
-                for etype, a, b, t in batch.slice(pos, cut).rows():
-                    apply(etype, a, b, t)
-                pos = cut
-                codec = {"prev": block["prev"]}
-                if cut:
-                    codec.update(time=block["time"], skip=cut)
-                checkpoints.append(builder.snapshot(block["offset"],
-                                                    codec))
-                last_index = builder.index
-            for etype, a, b, t in batch.slice(pos, len(batch)).rows():
-                apply(etype, a, b, t)
+        def cut_at_seams():
+            # The dispatch loop pulls the next slice only once every
+            # earlier event is dispatched, so the state is exactly the
+            # seam's when a slice that starts at a seam is requested.
+            seam = interval
+            time = 0
+            for batch in reader.batches(block_hook=hook):
+                start = block["records"]
+                pos = 0
+                while seam < start + len(batch):
+                    cut = seam - start
+                    codec = {"prev": block["prev"]}
+                    if cut:
+                        yield batch.slice(pos, cut)
+                        time = int(batch.t[cut - 1])
+                        codec.update(time=block["time"], skip=cut)
+                    pos = cut
+                    checkpoints.append(replace(
+                        snapshot_memory(memory, header), index=seam,
+                        time=time, offset=block["offset"], codec=codec,
+                        cstack=[[node.static.pc, node.t_enter]
+                                for node in scan.stack.stack],
+                        shadow=scan.shadow.snapshot()))
+                    seam += interval
+                if pos < len(batch):
+                    yield batch.slice(pos, len(batch))
+                    time = int(batch.t[-1])
+
+        dispatch_batches(cut_at_seams(), [scan], memory,
+                         trace_functions(program, header))
     return checkpoints
 
 

@@ -15,12 +15,15 @@ traces:
   top, heap blocks and free lists, allocation registry, popped-frame
   marker), and the checkpointed shadow/construct stacks must equal
   reference copies built with the real ShadowMemory/IndexingStack —
-  catching any drift between the scan's lightweight mirror and the
-  semantics replay actually applies.
+  catching any drift between the state the scan's replay pass
+  checkpoints and a plain per-event replay of the same prefix.
 
 Sources of randomness: bundled workloads under random checkpoint
 intervals (seeded), plus hypothesis-fuzzed random programs run
-end-to-end through record -> checkpoint -> verify.
+end-to-end through record -> checkpoint -> verify. Random intervals
+rarely put a seam exactly before a structural event, so fixed cases
+also place the first seam right before an ENTER, EXIT, ALLOC and heap
+FREE, and at the first event of a block.
 """
 
 import random
@@ -105,16 +108,17 @@ def _memory_fingerprint(memory: Memory):
     }
 
 
-def _verify_trace(path):
+def _verify_trace(path, interval=None):
     """Assert both oracles at every checkpoint of the trace's sidecar
-    (prebuilt by ``record_source(checkpoint_interval=...)``, else
-    scanned here at a fifth of the trace)."""
+    (built at ``interval`` when given, else prebuilt by
+    ``record_source(checkpoint_interval=...)``, else scanned here at a
+    fifth of the trace). Returns the checkpoints."""
     with TraceReader(path) as reader:
         header = reader.header
         program = compile_source(header.source, header.filename)
         serial_events = list(reader.events())
-        checkpoints = load_or_build_checkpoints(path)
-        if len(checkpoints) < 2:
+        checkpoints = load_or_build_checkpoints(path, interval)
+        if interval is None and len(checkpoints) < 2:
             checkpoints = load_or_build_checkpoints(
                 path, interval=max(1, len(serial_events) // 5))
         assert checkpoints, "fuzz case produced no checkpoints"
@@ -156,6 +160,7 @@ def _verify_trace(path):
             assert checkpoint.time == (
                 serial_events[checkpoint.index - 1][3]
                 if checkpoint.index else 0)
+    return checkpoints
 
 
 class TestWorkloadCheckpoints:
@@ -175,6 +180,55 @@ class TestWorkloadCheckpoints:
         path = str(tmp_path / "lazy.trace")
         record_source(get("gzip", 0.2).source, path)
         _verify_trace(path)
+
+
+@pytest.fixture(scope="module")
+def heap_trace(tmp_path_factory):
+    """A two-block heap workload: its events, heap base, and the index
+    of the second block's first event."""
+    path = tmp_path_factory.mktemp("heap") / "lisp-cons.trace"
+    record_source(get("lisp-cons", 1.0).source, str(path))
+    starts = []
+    with TraceReader(str(path)) as reader:
+        heap_base = reader.header.heap_base
+        events = [row for batch in reader.batches(
+                      block_hook=lambda offset, records, *_:
+                      starts.append(records))
+                  for row in batch.rows()]
+    assert len(starts) >= 2, "workload no longer spans two blocks"
+    return path, events, heap_base, starts[1]
+
+
+class TestStructuralSeams:
+    """The first seam lands exactly before a structural event (the
+    first one past an eighth of the trace, which bounds the seams to
+    eight), or exactly at a block's first record (no in-block skip)."""
+
+    @pytest.mark.parametrize("kind", ["ENTER", "EXIT", "ALLOC",
+                                      "heap FREE", "block start"])
+    def test_first_seam_before(self, heap_trace, tmp_path, kind):
+        path, events, heap_base, second_block = heap_trace
+        matches = {
+            "ENTER": lambda e: e[0] == EV_ENTER,
+            "EXIT": lambda e: e[0] == EV_EXIT,
+            "ALLOC": lambda e: e[0] == EV_ALLOC,
+            "heap FREE": lambda e: (e[0] == EV_FREE and e[2]
+                                    and e[1] >= heap_base),
+        }
+        if kind == "block start":
+            interval = second_block
+        else:
+            interval = next(i for i in range(len(events) // 8,
+                                             len(events))
+                            if matches[kind](events[i]))
+        copy = tmp_path / "t.trace"
+        copy.write_bytes(path.read_bytes())
+        checkpoints = _verify_trace(str(copy), interval)
+        assert checkpoints and checkpoints[0].index == interval
+        if kind == "block start":
+            assert "skip" not in checkpoints[0].codec
+        else:
+            assert checkpoints[0].codec["skip"] > 0
 
 
 class TestRandomProgramCheckpoints:

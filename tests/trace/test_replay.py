@@ -7,11 +7,17 @@ import pytest
 
 from repro.analyses import AnalysisError
 from repro.analyses.builtin import CountingAnalysis, LocalityAnalysis
+from repro.cli import main
 from repro.core.alchemist import Alchemist
 from repro.core.profile_data import DepKind
 from repro.runtime.interpreter import run_source
 from repro.trace import TraceError, TraceReader, record_source, replay_trace
+from repro.trace.codec import encode_events
+from repro.trace.events import (EV_ALLOC, EV_ENTER, EV_EXIT, EV_FREE,
+                                TRAILER, pack_length)
+from repro.trace.parallel import run_segment
 from repro.trace.replay import ReplayEngine
+from repro.trace.shards import build_checkpoints, genesis_checkpoint
 from repro.workloads import get
 
 #: Workloads for the replay-vs-live equivalence criterion: an array
@@ -241,3 +247,117 @@ int main() {
             ctx = ReplayEngine(reader).run([])
         assert ctx.events == result.events
         assert ctx.final_time == result.final_time
+
+
+def _edited_copy(path, out, edit):
+    """Re-encode ``path``'s events through ``edit`` into ``out``, with
+    the same header and an updated footer."""
+    with TraceReader(str(path)) as reader:
+        start = reader.events_start
+        footer = reader.read_footer()
+        heap_base = reader.header.heap_base
+        events = list(reader.events())
+    events = edit(events, heap_base)
+    footer.events = len(events)
+    tail = footer.to_bytes()
+    out.write_bytes(path.read_bytes()[:start] + encode_events(events)
+                    + tail + pack_length(len(tail)) + TRAILER)
+    return str(out)
+
+
+def _first(events, pred):
+    return next(i for i, event in enumerate(events) if pred(event))
+
+
+def _heap_free(heap_base):
+    return lambda e: e[0] == EV_FREE and e[2] and e[1] >= heap_base
+
+
+def _duplicate_free(events, heap_base):
+    i = _first(events, _heap_free(heap_base))
+    return events[:i + 1] + [events[i]] + events[i + 1:]
+
+
+def _interior_free(events, heap_base):
+    is_free = _heap_free(heap_base)
+    i = _first(events, lambda e: is_free(e) and e[2] > 1)
+    etype, a, b, t = events[i]
+    return events[:i] + [(etype, a + 1, b, t)] + events[i + 1:]
+
+
+def _bad_function_index(events, heap_base):
+    i = _first(events, lambda e: e[0] == EV_ENTER)
+    _etype, _a, b, t = events[i]
+    return events[:i] + [(EV_ENTER, 999, b, t)] + events[i + 1:]
+
+
+def _zero_size_alloc(events, heap_base):
+    i = _first(events, lambda e: e[0] == EV_ALLOC)
+    _etype, a, _b, t = events[i]
+    return events[:i] + [(EV_ALLOC, a, 0, t)] + events[i + 1:]
+
+
+def _stack_overflow(events, heap_base):
+    i = _first(events, lambda e: e[0] == EV_ENTER)
+    return events[:i + 1] + [events[i]] * 20_000 + events[i + 1:]
+
+
+def _extra_exits(events, heap_base):
+    i = len(events) - 1 - _first(events[::-1], lambda e: e[0] == EV_EXIT)
+    return events[:i + 1] + [events[i]] * 50 + events[i + 1:]
+
+
+#: Structural corruptions memory cannot replay, and the message each
+#: must raise as a TraceError.
+CORRUPTIONS = {
+    "duplicate-free": (_duplicate_free, "not a live heap block"),
+    "interior-free": (_interior_free, "not a live heap block"),
+    "bad-function-index": (_bad_function_index, "function index 999"),
+    "stack-overflow": (_stack_overflow, "stack overflow"),
+    "extra-exits": (_extra_exits, "EXIT with no live frame"),
+    "zero-size-alloc": (_zero_size_alloc, "malloc size must be positive"),
+}
+
+
+@pytest.fixture(scope="module")
+def corrupt_traces(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corrupt")
+    clean = root / "clean.trace"
+    record_source(get("lisp-cons", 0.1).source, clean)
+    return {name: _edited_copy(clean, root / f"{name}.trace", edit)
+            for name, (edit, _message) in CORRUPTIONS.items()}
+
+
+def _segment(path):
+    """Replay the whole trace as one parallel segment."""
+    with TraceReader(path) as reader:
+        start = reader.events_start
+    return run_segment({
+        "path": path, "ordinal": 0,
+        "checkpoint": genesis_checkpoint(start).to_payload(),
+        "end_index": None, "analyses": ["dep"], "options": None,
+        "columnar": True})
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+class TestCorruptStructuralEvents:
+    """Every replay path raises the same typed error: serial replay on
+    both decode paths, a parallel segment, the shard seam scan, and
+    the CLI (exit 2, serial and parallel)."""
+
+    @pytest.mark.parametrize("run", [
+        lambda path: replay_trace(path, ("dep",), columnar=True),
+        lambda path: replay_trace(path, ("dep",), columnar=False),
+        _segment,
+        lambda path: build_checkpoints(path, 997),
+    ], ids=["columnar", "scalar", "segment", "scan"])
+    def test_raises_trace_error(self, corrupt_traces, corruption, run):
+        with pytest.raises(TraceError, match=CORRUPTIONS[corruption][1]):
+            run(corrupt_traces[corruption])
+
+    @pytest.mark.parametrize("flags", [[], ["--jobs", "2"]],
+                             ids=["serial", "parallel"])
+    def test_cli_replay_exits_2(self, corrupt_traces, corruption, flags,
+                                capsys):
+        assert main(["replay", corrupt_traces[corruption]] + flags) == 2
+        assert CORRUPTIONS[corruption][1] in capsys.readouterr().err
