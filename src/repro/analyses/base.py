@@ -264,12 +264,15 @@ class Analysis(Tracer):
     #: time dispatch on replay:
     #:
     #: * ``"block"`` — ``consume_batch`` receives every decoded block
-    #:   once and must handle *all* event types it cares about from the
-    #:   columns (including structural ENTER/EXIT/ALLOC/FREE and
-    #:   FINISH); no scalar hooks fire for in-batch events. Only valid
-    #:   for analyses that never read shared replay state (the
-    #:   reconstructed ``Memory``) while consuming — counters and
-    #:   histograms.
+    #:   once, after the engine replayed its structural events, and
+    #:   must handle *all* event types it cares about from the columns
+    #:   (including structural ENTER/EXIT/ALLOC/FREE and FINISH); no
+    #:   scalar hooks fire for in-batch events. Only valid for analyses
+    #:   that never read shared replay state (the reconstructed
+    #:   ``Memory``) while consuming — counters, histograms, and the
+    #:   flat and context detectors on the block pair kernel. One that
+    #:   names ENTER's callees defines ``bind_functions(functions)``:
+    #:   the engine passes it the trace's function table first.
     #: * ``"span"`` — ``consume_batch`` receives maximal sub-batches
     #:   containing no memory-mutating events; ENTER/EXIT/ALLOC/FREE
     #:   and FINISH still arrive through the scalar hooks, with the

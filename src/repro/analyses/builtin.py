@@ -852,6 +852,42 @@ def _edge_rows(edges: dict, describe, tiekey) -> list[str]:
     return [f"  {describe(edge)}" for edge in ranked]
 
 
+class _BlockPairAnalysis(Analysis):
+    """The block path shared by the flat and context baselines: each
+    trace block goes to the tracer's ``consume_block`` (the block pair
+    kernel). A block with values beyond int64 — only a
+    corrupt-but-parseable trace has one — takes the tracer's per-event
+    hooks instead."""
+
+    batch_kind = "block"
+    _functions: list = []
+
+    def bind_functions(self, functions: list) -> None:
+        """The trace's function table, which ENTER rows index."""
+        self._functions = functions
+
+    def consume_batch(self, batch) -> None:
+        tracer = self.tracer
+        try:
+            tracer.consume_block(batch, self._functions)
+            return
+        except OverflowError:
+            tracer.settle()
+        for etype, a, b, t in batch.rows():
+            if etype == EV_READ:
+                tracer.on_read(a, b, t)
+            elif etype == EV_WRITE:
+                tracer.on_write(a, b, t)
+            elif etype == EV_ENTER:
+                tracer.on_enter_function(self._functions[a].name, b, t)
+            elif etype == EV_EXIT:
+                tracer.on_exit_function("", t)
+            elif etype == EV_FREE:
+                tracer.on_frame_free(a, a + b)
+            elif etype == EV_FINISH:
+                tracer.on_finish(t)
+
+
 def _flat_result(profile: FlatProfile) -> AnalysisResult:
     edges = {}
     for (head, tail, kind), edge in sorted(
@@ -876,7 +912,7 @@ def _flat_result(profile: FlatProfile) -> AnalysisResult:
 
 
 @register
-class FlatDependenceAnalysis(Analysis):
+class FlatDependenceAnalysis(_BlockPairAnalysis):
     """The context-insensitive baseline profiler as a plugin.
 
     Wraps :class:`~repro.baselines.flat_profiler.FlatTracer`: every
@@ -889,7 +925,6 @@ class FlatDependenceAnalysis(Analysis):
     description = ("Baseline: dependences aggregated by static PC "
                    "pair only")
     supports_segments = True
-    batch_kind = "span"
 
     def __init__(self) -> None:
         self.tracer: FlatTracer | None = None
@@ -905,17 +940,6 @@ class FlatDependenceAnalysis(Analysis):
     @property
     def profile(self) -> FlatProfile:
         return self.tracer.profile
-
-    def consume_batch(self, batch) -> None:
-        """Span fast path: flat attribution only watches the memory
-        stream (structural events arrive via the scalar hooks)."""
-        on_read = self.on_read
-        on_write = self.on_write
-        for etype, a, b, t in batch.rows():
-            if etype == EV_READ:
-                on_read(a, b, t)
-            elif etype == EV_WRITE:
-                on_write(a, b, t)
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
         return _flat_result(self.tracer.profile)
@@ -986,7 +1010,7 @@ def _context_result(profile: ContextProfile) -> AnalysisResult:
 
 
 @register
-class ContextDependenceAnalysis(Analysis):
+class ContextDependenceAnalysis(_BlockPairAnalysis):
     """The context-sensitive baseline profiler as a plugin.
 
     Wraps :class:`ContextSensitiveTracer`: dependences attributed to
@@ -999,16 +1023,13 @@ class ContextDependenceAnalysis(Analysis):
     description = ("Baseline: dependences attributed to calling "
                    "contexts")
     supports_segments = True
-    batch_kind = "span"
 
     def __init__(self) -> None:
         self._bind(ContextSensitiveTracer())
 
     def _bind(self, tracer: ContextSensitiveTracer) -> None:
         """Bind the hooks straight to the tracer (serial, or a parallel
-        segment's seeded one), so dispatch skips this shim. That
-        includes ``consume_batch``: the span fast path is the tracer's
-        fused loop, :meth:`ContextSensitiveTracer.consume_span`."""
+        segment's seeded one), so dispatch skips this shim."""
         self.tracer = tracer
         self.on_enter_function = tracer.on_enter_function
         self.on_exit_function = tracer.on_exit_function
@@ -1016,7 +1037,6 @@ class ContextDependenceAnalysis(Analysis):
         self.on_write = tracer.on_write
         self.on_frame_free = tracer.on_frame_free
         self.on_finish = tracer.on_finish
-        self.consume_batch = tracer.consume_span
 
     @property
     def profile(self) -> ContextProfile:
@@ -1038,6 +1058,7 @@ class ContextDependenceAnalysis(Analysis):
 
     def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
         tracer = self.tracer
+        tracer.settle()
         return AnalysisSegment(type(self), {
             "edges": {key: [edge.min_tdep, edge.count]
                       for key, edge in tracer.profile.edges.items()},
@@ -1097,5 +1118,5 @@ class ContextDependenceAnalysis(Analysis):
 # placing the import after the class definitions is safe under both
 # import orders.
 from repro.trace.events import (EV_ALLOC, EV_BLOCK,  # noqa: E402
-                                EV_BRANCH, EV_ENTER, EV_FREE, EV_READ,
-                                EV_WRITE)
+                                EV_BRANCH, EV_ENTER, EV_EXIT, EV_FINISH,
+                                EV_FREE, EV_READ, EV_WRITE)

@@ -26,8 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from repro.core.profile_data import DepKind
-from repro.core.shadow import BOUNDARY, ShadowMemory
+from repro.core.shadow import (BOUNDARY, BOUNDARY_ID, PAIR_KINDS,
+                               ShadowArrays, ShadowMemory, group_pairs)
 from repro.runtime.tracing import Tracer
 
 Context = tuple[str, ...]
@@ -99,6 +102,13 @@ class ContextSensitiveTracer(Tracer):
     segment. Pairs with such a head go to ``deferred`` as ``(kind,
     addr, head_pc, head_t, tail_ctx, tail_pc, tail_t)`` for the merge
     to attribute; a serial run never has one.
+
+    The per-event hooks are the live and ``columnar=False`` path;
+    :meth:`consume_block` replays whole trace blocks through the block
+    kernel, with the shadow held as
+    :class:`~repro.core.shadow.ShadowArrays` and calling contexts as
+    interned ids. :meth:`settle` hands the state back to ``shadow`` and
+    the call stack.
     """
 
     def __init__(self, call_stack: Iterable[str] = ()) -> None:
@@ -107,6 +117,14 @@ class ContextSensitiveTracer(Tracer):
         self._context: Context = tuple(self._stack)
         self.shadow = ShadowMemory()
         self.deferred: list[tuple] = []
+        # Block path: kernel state (None while the hooks own the state),
+        # the current context id, and the interned contexts: id ->
+        # tuple, id -> parent id, (parent id, callee) -> id.
+        self._arrays: ShadowArrays | None = None
+        self._ctx = 0
+        self._contexts: list[Context] = [()]
+        self._parents: list[int] = [-1]
+        self._children: dict[tuple[int, str], int] = {}
 
     # -- context maintenance ------------------------------------------------
 
@@ -119,9 +137,7 @@ class ContextSensitiveTracer(Tracer):
         self._stack.pop()
         self._context = tuple(self._stack)
 
-    # -- dependence detection ---------------------------------------------------
-    # on_read/on_write are the per-event reference path; consume_span
-    # is the same shadow step and edge update fused into one loop.
+    # -- dependence detection, per event -------------------------------------
 
     def _pair(self, head_ctx, head_pc: int, head_t: int, pc: int,
               timestamp: int, kind: DepKind, addr: int) -> None:
@@ -148,79 +164,116 @@ class ContextSensitiveTracer(Tracer):
             self._pair(write[1], write[0], write[2], pc, timestamp,
                        _WAW, addr)
 
-    def consume_span(self, batch) -> None:
-        """Every READ/WRITE of one memory-quiet span (no ENTER/EXIT
-        inside, so one context throughout) in one loop: exactly
-        :meth:`on_read`/:meth:`on_write`, minus the per-event and
-        per-edge calls."""
-        ctx = self._context
-        entries = self.shadow.entries
-        insert = self.shadow.insert
-        edges = self.profile.edges
-        deferred = self.deferred
-        for etype, addr, pc, t in batch.rows():
-            if etype == EV_READ:
-                entry = entries.get(addr)
-                if entry is None:
-                    insert(addr, None, {pc: (ctx, t)})
-                    continue
-                write = entry[0]
-                entry[1][pc] = (ctx, t)
-                if write is None:
-                    continue
-                head_pc, head_ctx, head_t = write
-                kind = _RAW
-            elif etype == EV_WRITE:
-                entry = entries.get(addr)
-                if entry is None:
-                    insert(addr, (pc, ctx, t), {})
-                    continue
-                write, reads = entry
-                entry[0] = (pc, ctx, t)
-                entry[1] = {}
-                for head_pc, (head_ctx, head_t) in reads.items():
-                    if head_ctx is BOUNDARY:
-                        deferred.append((_WAR, addr, head_pc, head_t,
-                                         ctx, pc, t))
-                        continue
-                    key = (head_ctx, ctx, head_pc, pc, _WAR)
-                    edge = edges.get(key)
-                    if edge is None:
-                        edges[key] = ContextEdge(head_ctx, ctx, head_pc,
-                                                 pc, _WAR, t - head_t)
-                    else:
-                        edge.count += 1
-                        if t - head_t < edge.min_tdep:
-                            edge.min_tdep = t - head_t
-                if write is None:
-                    continue
-                head_pc, head_ctx, head_t = write
-                kind = _WAW
-            else:
-                continue
-            # The RAW (read) or WAW (write) pair with the last writer.
-            if head_ctx is BOUNDARY:
-                deferred.append((kind, addr, head_pc, head_t, ctx, pc, t))
-                continue
-            key = (head_ctx, ctx, head_pc, pc, kind)
-            edge = edges.get(key)
-            if edge is None:
-                edges[key] = ContextEdge(head_ctx, ctx, head_pc, pc, kind,
-                                         t - head_t)
-            else:
-                edge.count += 1
-                if t - head_t < edge.min_tdep:
-                    edge.min_tdep = t - head_t
-
     def on_frame_free(self, lo: int, hi: int) -> None:
         self.shadow.clear_range(lo, hi)
 
     def on_finish(self, timestamp: int) -> None:
         self.profile.instructions = timestamp
 
+    # -- dependence detection, whole blocks ----------------------------------
+
+    def _intern(self, context: Context) -> int:
+        ctx = 0
+        for name in context:
+            ctx = self._callee(ctx, name)
+        return ctx
+
+    def _callee(self, ctx: int, name: str) -> int:
+        child = self._children.get((ctx, name))
+        if child is None:
+            child = self._children[(ctx, name)] = len(self._contexts)
+            self._contexts.append(self._contexts[ctx] + (name,))
+            self._parents.append(ctx)
+        return child
+
+    def _encode(self, payload) -> int:
+        return BOUNDARY_ID if payload is BOUNDARY else self._intern(payload)
+
+    def _decode(self, ctx: int):
+        return BOUNDARY if ctx == BOUNDARY_ID else self._contexts[ctx]
+
+    def settle(self) -> None:
+        """Hand the block path's state back to ``shadow`` and the call
+        stack (a no-op unless :meth:`consume_block` holds it)."""
+        if self._arrays is not None:
+            self.shadow = self._arrays.to_shadow(self._decode)
+            self._arrays = None
+            self._context = self._contexts[self._ctx]
+            self._stack = list(self._context)
+
+    def consume_block(self, batch, functions: list) -> None:
+        """Every event of one trace block, exactly as the per-event
+        hooks would take them: the calling context of each event comes
+        from the block's ENTER/EXIT rows (callees resolved through
+        ``functions``, the trace's function table), the pairs from the
+        block kernel, and each block's pairs are folded per (head
+        context, tail context, head pc, tail pc, kind). Raises
+        ``OverflowError``, with no state changed, for values beyond
+        int64."""
+        etypes, a, b, t = batch.arrays()
+        if self._arrays is None:
+            self._arrays = ShadowArrays.from_shadow(self.shadow,
+                                                    self._encode)
+            self.shadow = ShadowMemory()
+            self._ctx = self._intern(self._context)
+        calls = np.flatnonzero((etypes == EV_ENTER) | (etypes == EV_EXIT))
+        ctx = self._ctx
+        if len(calls):
+            ids = [ctx]
+            parents, callee = self._parents, self._callee
+            for etype, index in zip(etypes[calls].tolist(),
+                                    a[calls].tolist()):
+                if etype == EV_ENTER:
+                    ctx = callee(ctx, functions[index].name)
+                else:
+                    ctx = parents[ctx]
+                ids.append(ctx)
+            mark = np.zeros(len(etypes), dtype=np.int64)
+            mark[calls] = 1
+            payload = np.array(ids, dtype=np.int64)[np.cumsum(mark)]
+            self._ctx = ctx
+        else:
+            payload = np.full(len(etypes), ctx, dtype=np.int64)
+        rows, head, tail, kind = self._arrays.step(etypes, a, b, t,
+                                                   payload)
+        if len(etypes) and etypes[-1] == EV_FINISH:
+            self.on_finish(int(t[-1]))
+        addr, pc, ts, ctxs = rows
+        contexts = self._contexts
+        head_ctx = ctxs[head]
+        boundary = head_ctx == BOUNDARY_ID
+        if boundary.any():
+            deferred = (kind[boundary], addr[head[boundary]],
+                        pc[head[boundary]], ts[head[boundary]],
+                        ctxs[tail[boundary]], pc[tail[boundary]],
+                        ts[tail[boundary]])
+            for k, ad, head_pc, head_t, tail_ctx, tail_pc, tail_t in zip(
+                    *(col.tolist() for col in deferred)):
+                self.deferred.append((PAIR_KINDS[k], ad, head_pc, head_t,
+                                      contexts[tail_ctx], tail_pc,
+                                      tail_t))
+            keep = ~boundary
+            head, tail, kind = head[keep], tail[keep], kind[keep]
+            head_ctx = head_ctx[keep]
+        keys, minima, counts = group_pairs(
+            (head_ctx, ctxs[tail], pc[head], pc[tail], kind),
+            ts[tail] - ts[head])
+        edges = self.profile.edges
+        for h, tl, head_pc, tail_pc, k, tdep, count in zip(
+                *keys, minima, counts):
+            key = (contexts[h], contexts[tl], head_pc, tail_pc,
+                   PAIR_KINDS[k])
+            edge = edges.get(key)
+            if edge is None:
+                edges[key] = ContextEdge(*key, tdep, count)
+            else:
+                edge.count += count
+                if tdep < edge.min_tdep:
+                    edge.min_tdep = tdep
+
 
 # Imported at the bottom on purpose, as in ``repro.analyses.builtin``:
 # ``repro.trace`` imports the replay engine, which imports the
-# analyses, which import this module; ``consume_span`` resolves these
+# analyses, which import this module; ``consume_block`` resolves these
 # names at call time.
-from repro.trace.events import EV_READ, EV_WRITE  # noqa: E402
+from repro.trace.events import EV_ENTER, EV_EXIT, EV_FINISH  # noqa: E402

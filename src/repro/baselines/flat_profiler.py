@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.profile_data import DepKind
-from repro.core.shadow import ShadowMemory
+from repro.core.shadow import (PAIR_KINDS, ShadowArrays, ShadowMemory,
+                               group_pairs)
 from repro.ir.cfg import ProgramIR
 from repro.runtime.tracing import Tracer
 
@@ -80,11 +81,18 @@ class FlatProfile:
 
 
 class FlatTracer(Tracer):
-    """Shadow-memory dependence detection, static attribution only."""
+    """Shadow-memory dependence detection, static attribution only.
+
+    The per-event hooks are the live and ``columnar=False`` path;
+    :meth:`consume_block` replays whole trace blocks through the block
+    kernel, with the shadow held as
+    :class:`~repro.core.shadow.ShadowArrays` until :meth:`settle`.
+    """
 
     def __init__(self, program: ProgramIR) -> None:
         self.profile = FlatProfile(program)
         self.shadow = ShadowMemory()
+        self._arrays: ShadowArrays | None = None
 
     def on_read(self, addr: int, pc: int, timestamp: int) -> None:
         write = self.shadow.on_read(addr, pc, None, timestamp)
@@ -106,3 +114,47 @@ class FlatTracer(Tracer):
 
     def on_finish(self, timestamp: int) -> None:
         self.profile.instructions = timestamp
+
+    def settle(self) -> None:
+        """Hand the block path's state back to ``shadow`` (a no-op
+        unless :meth:`consume_block` holds it)."""
+        if self._arrays is not None:
+            self.shadow = self._arrays.to_shadow(lambda _id: None)
+            self._arrays = None
+
+    def consume_block(self, batch, functions: list) -> None:
+        """Every access and free of one trace block, exactly as the
+        per-event hooks would take them: the pairs come from the block
+        kernel and are folded per (head pc, tail pc, kind).
+        ``functions`` is unused (flat ignores calls). Raises
+        ``OverflowError``, with no state changed, for values beyond
+        int64."""
+        etypes, a, b, t = batch.arrays()
+        if self._arrays is None:
+            self._arrays = ShadowArrays.from_shadow(self.shadow,
+                                                    lambda _p: 0)
+            self.shadow = ShadowMemory()
+        rows, head, tail, kind = self._arrays.step(etypes, a, b, t)
+        if len(etypes) and etypes[-1] == EV_FINISH:
+            self.on_finish(int(t[-1]))
+        _addr, pc, ts, _payload = rows
+        keys, minima, counts = group_pairs((pc[head], pc[tail], kind),
+                                           ts[tail] - ts[head])
+        edges = self.profile.edges
+        for head_pc, tail_pc, k, tdep, count in zip(*keys, minima,
+                                                     counts):
+            key = (head_pc, tail_pc, PAIR_KINDS[k])
+            edge = edges.get(key)
+            if edge is None:
+                edges[key] = FlatEdge(*key, tdep, count)
+            else:
+                edge.count += count
+                if tdep < edge.min_tdep:
+                    edge.min_tdep = tdep
+
+
+# Imported at the bottom on purpose, as in ``repro.analyses.builtin``:
+# ``repro.trace`` imports the replay engine, which imports the
+# analyses, which import this module; ``consume_block`` resolves these
+# names at call time.
+from repro.trace.events import EV_FINISH  # noqa: E402

@@ -64,6 +64,7 @@ import numpy as np
 from repro.analysis.constructs import ConstructTable
 from repro.core.indexing import IndexingStack
 from repro.core.pool import NodeAllocator
+from repro.core.shadow import concat_ranges, free_keys, mark_clear_epochs
 from repro.core.tracer import AlchemistTracer
 from repro.ir.cfg import ProgramIR
 from repro.runtime.interpreter import Interpreter
@@ -559,7 +560,12 @@ class _AccessOrder:
         new_group = np.zeros(n, dtype=bool)
         new_group[self.cell_start[:-1]] = True
         if collector.frees:
-            self._mark_clear_epochs(new_group, collector.frees)
+            span = n + 1  # positions run 0..accesses
+            mark_clear_epochs(new_group, self.cell_start, self.at,
+                              free_keys(self.cells,
+                                        np.array(collector.frees,
+                                                 dtype=np.int64), span),
+                              span)
         self.group = np.cumsum(new_group, dtype=np.int32)
 
     def ranges(self, cells: np.ndarray
@@ -572,45 +578,6 @@ class _AccessOrder:
         found[found] = self.cells[rank[found]] == cells[found]
         rank = rank[found]
         return self.cell_start[rank], self.cell_start[rank + 1], found
-
-    def _mark_clear_epochs(self, new_group: np.ndarray,
-                           frees: list[tuple[int, int, int]]) -> None:
-        """Start a new group at every access that follows a free of its
-        cell; only cells both accessed and ever freed are examined."""
-        free = np.array(frees, dtype=np.int64)
-        cells, cell_start = self.cells, self.cell_start
-        lo = np.searchsorted(cells, free[:, 1])
-        counts = np.searchsorted(cells, free[:, 2]) - lo
-        total = int(counts.sum())
-        if not total:
-            return
-        # One (cell rank, free position) pair per accessed cell each
-        # free covers, keyed so a sorted search counts a cell's frees.
-        which = np.repeat(np.arange(len(free)), counts)
-        rank = _concat_ranges(lo, counts)
-        span = len(new_group) + 1  # positions run 0..accesses
-        keys = rank * span + free[which, 0]
-        keys.sort()
-        freed = np.unique(rank)
-        del which, rank
-        # The accesses of freed cells, with their cells' ranks.
-        sizes = cell_start[freed + 1] - cell_start[freed]
-        hit = _concat_ranges(cell_start[freed], sizes)
-        # Frees of the cell at or before each access, offset by a
-        # per-cell constant: a change between consecutive accesses of
-        # one cell is a new epoch.
-        epoch = np.searchsorted(
-            keys, np.repeat(freed, sizes) * span + self.at[hit],
-            side="right")
-        new_group[hit[1:][epoch[1:] != epoch[:-1]]] = True
-
-
-def _concat_ranges(first: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``concatenate([arange(f, f + n) for f, n in zip(first, sizes)])``
-    without the Python loop."""
-    return (np.arange(int(sizes.sum()))
-            - np.repeat(np.cumsum(sizes) - sizes, sizes)
-            + np.repeat(first, sizes))
 
 
 def _candidate_graph(pc: int, order: _AccessOrder, inst: _Instances,
@@ -664,7 +631,7 @@ def _skipped(order: _AccessOrder, tag: np.ndarray, inst: _Instances,
         first, stop, found = order.ranges(cells)
         if len(first):
             sizes = stop - first
-            at = _concat_ranges(first, sizes)
+            at = concat_ranges(first, sizes)
             window = (tag[at].astype(np.int64) - 1) // 2  # -1: before any
             hit = (window >= 0) & np.isin(
                 np.repeat(cells[found], sizes)

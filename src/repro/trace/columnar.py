@@ -130,6 +130,15 @@ class EventBatch:
         """Iterate ``(etype, a, b, t)`` tuples of plain ints."""
         return zip(*self.columns())
 
+    def arrays(self) -> tuple:
+        """The four columns as int64 numpy arrays (scalar-decoded
+        columns are converted). Raises ``OverflowError`` for a value
+        beyond int64 (see :meth:`from_lists`)."""
+        if isinstance(self.etypes, _np.ndarray):
+            return self.etypes, self.a, self.b, self.t
+        return tuple(_np.array(col, dtype=_np.int64)
+                     for col in (self.etypes, self.a, self.b, self.t))
+
     def gather(self, indices: list[int]
                ) -> tuple[list, list, list, list]:
         """The four columns at ``indices`` only, as plain-int lists.

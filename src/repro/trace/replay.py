@@ -88,9 +88,12 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
 
     Consumers split three ways by :func:`_batch_mode`:
 
-    * ``"block"`` — ``consume_batch`` sees each whole block once and
+    * ``"block"`` — ``consume_batch`` sees each whole block once,
+      after the loop has replayed the block's structural events, and
       no per-event hooks fire for it (valid only for analyses that
-      never consult :class:`Memory`);
+      never consult :class:`Memory`); one that defines
+      ``bind_functions`` first receives ``functions``, the table ENTER
+      indices resolve through;
     * ``"span"`` — ``consume_batch`` sees the maximal memory-quiet
       sub-batches between structural events; the structural events
       themselves (ENTER/EXIT/ALLOC/FREE/FINISH) still arrive through
@@ -107,8 +110,8 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
     function or past the stack region, an EXIT with no live frame, a
     FREE of a heap address that is not a live block, an ALLOC of no
     words or at a base the allocator does not return) raises
-    :class:`TraceError` before any hook sees it. Returns
-    ``(final_time, events_consumed)``.
+    :class:`TraceError` before any hook or block consumer sees it.
+    Returns ``(final_time, events_consumed)``.
     """
     modes = [_batch_mode(c) if columnar else None for c in consumers]
     block_consumers = [c for c, m in zip(consumers, modes) if m == "block"]
@@ -116,7 +119,7 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
     scalar_consumers = [c for c, m in zip(consumers, modes) if m is None]
 
     # Structural hooks fire for span + scalar consumers (block
-    # consumers already saw those events inside their batch); interior
+    # consumers see those events inside their batch); interior
     # hooks fire for scalar consumers only.
     hooked = span_consumers + scalar_consumers
     on_enter = overridden_hooks(hooked, "on_enter_function")
@@ -129,6 +132,10 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
     on_read = overridden_hooks(scalar_consumers, "on_read")
     on_write = overridden_hooks(scalar_consumers, "on_write")
     block_feeds = [c.consume_batch for c in block_consumers]
+    for consumer in block_consumers:
+        bind = getattr(consumer, "bind_functions", None)
+        if bind is not None:
+            bind(functions)
     span_feeds = [c.consume_batch for c in span_consumers]
     scalar_spans = bool(on_read or on_write or on_block or on_branch)
     feed_spans = bool(span_feeds) or scalar_spans
@@ -171,8 +178,6 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
         unknown = batch.first_unknown_etype()
         if unknown is not None:
             raise TraceError(f"unknown event type {unknown}")
-        for feed in block_feeds:
-            feed(batch)
         seams = batch.structural_indices()
         pos = 0
         s_et, s_a, s_b, s_t = batch.gather(seams)
@@ -230,6 +235,8 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
                     hook(t)
         if feed_spans and pos < len(batch):
             run_span(batch.slice(pos, len(batch)))
+        for feed in block_feeds:
+            feed(batch)
         consumed += len(batch)
         if budget is not None and consumed >= budget:
             break

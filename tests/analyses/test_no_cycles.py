@@ -1,0 +1,110 @@
+"""Replay frees every analysis by reference counting alone.
+
+With the cyclic collector off, an analysis instance must die as soon as
+its last reference goes — after a serial replay, after a parallel
+segment (what each worker runs) and after a parallel replay whose
+segments run in this process. A reference cycle through an analysis
+(say, a bound method of itself stored on itself) would keep its shadow
+and profile alive until the cyclic collector happens to run, which
+shows up as peak RSS.
+"""
+
+import gc
+import multiprocessing
+import weakref
+
+import pytest
+
+from repro.analyses import analysis_names, get_analysis, make_analyses
+from repro.trace import parallel
+from repro.trace.parallel import parallel_replay, run_segment
+from repro.trace.replay import replay_with
+from repro.trace.shards import load_or_build_checkpoints
+from repro.trace.writer import record_source
+from repro.workloads import get
+
+INTERVAL = 2_000
+
+
+@pytest.fixture(scope="module")
+def trace(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("cycles") / "aes.trace")
+    record_source(get("aes", 0.25).source, path)
+    assert len(load_or_build_checkpoints(path, INTERVAL)) > 2
+    return path
+
+
+@pytest.fixture
+def instances(monkeypatch):
+    """Weak references to the analysis instances the test creates, with
+    the cyclic collector off."""
+    refs = []
+
+    def tracked(*args, **kwargs):
+        created = make_analyses(*args, **kwargs)
+        refs.extend(weakref.ref(instance) for instance in created)
+        return created
+
+    monkeypatch.setattr(parallel, "make_analyses", tracked)
+    gc.collect()
+    gc.disable()
+    try:
+        yield refs, tracked
+    finally:
+        gc.enable()
+
+
+def _assert_all_dead(refs):
+    assert refs
+    alive = [ref() for ref in refs if ref() is not None]
+    assert not alive, [type(instance).__name__ for instance in alive]
+
+
+def test_serial_replay(trace, instances):
+    refs, tracked = instances
+    outcome = replay_with(trace, tracked(analysis_names()))
+    assert set(outcome.reports) == set(analysis_names())
+    del outcome
+    _assert_all_dead(refs)
+
+
+def test_parallel_segment(trace, instances):
+    checkpoints = load_or_build_checkpoints(trace, INTERVAL)
+    middle = checkpoints[len(checkpoints) // 2]
+    names = [name for name in analysis_names()
+             if get_analysis(name).supports_segments]
+    result = run_segment({
+        "path": trace, "ordinal": 1,
+        "checkpoint": middle.to_payload(),
+        "end_index": checkpoints[len(checkpoints) // 2 + 1].index,
+        "analyses": names, "options": None, "columnar": True})
+    assert set(result["exports"]) == set(names)
+    del result
+    _assert_all_dead(instances[0])
+
+
+class _InlinePool:
+    """``multiprocessing.Pool`` stand-in that maps in this process, so
+    the segments' analysis instances are visible here."""
+
+    def __init__(self, processes):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(item) for item in items]
+
+
+def test_parallel_replay(trace, instances, monkeypatch):
+    monkeypatch.setattr(multiprocessing, "Pool", _InlinePool)
+    outcome = parallel_replay(trace, analysis_names(), jobs=2,
+                              interval=INTERVAL)
+    assert outcome.mode == "parallel", outcome.fallback_reason
+    assert set(outcome.reports) == set(analysis_names())
+    del outcome
+    _assert_all_dead(instances[0])

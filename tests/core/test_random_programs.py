@@ -12,8 +12,8 @@ stack, zeroed nesting counters, allocator fully drained.
 The same generators also pin the dep span kernel: fused span replay,
 per-event replay, live profiling and parallel segments (kernel plus
 cross-seam deferral) must all produce the same dep profile. They pin
-the locality reuse-distance kernel and the context span loop the same
-way (and flat's seeded segments): batch replay, per-event replay and
+the locality reuse-distance kernel and the flat and context block
+kernel the same way: batch replay, per-event replay and
 parallel segments agree. The flat, context and Alchemist detectors,
 which share one shadow memory, count the same pairs of each kind. And
 they pin task-graph extraction: the shared index pass + per-candidate
@@ -243,8 +243,8 @@ def _reports(outcome, names) -> dict:
 
 
 class TestLocalityContextEquivalence:
-    """Locality's reuse-distance kernel, context's fused span loop and
-    flat's seeded segments: batch replay == per-event replay
+    """Locality's reuse-distance kernel and the flat and context block
+    kernel (and their seeded segments): batch replay == per-event replay
     (``columnar=False``) == parallel at 2 and 7 jobs, with seams inside
     a trace block."""
 

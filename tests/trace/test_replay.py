@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analyses import AnalysisError
+from repro.analyses import AnalysisError, analysis_names
 from repro.analyses.builtin import CountingAnalysis, LocalityAnalysis
 from repro.cli import main
 from repro.core.alchemist import Alchemist
@@ -328,32 +328,36 @@ def corrupt_traces(tmp_path_factory):
             for name, (edit, _message) in CORRUPTIONS.items()}
 
 
-def _segment(path):
+def _segment(path, name):
     """Replay the whole trace as one parallel segment."""
     with TraceReader(path) as reader:
         start = reader.events_start
     return run_segment({
         "path": path, "ordinal": 0,
         "checkpoint": genesis_checkpoint(start).to_payload(),
-        "end_index": None, "analyses": ["dep"], "options": None,
+        "end_index": None, "analyses": [name], "options": None,
         "columnar": True})
 
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 class TestCorruptStructuralEvents:
     """Every replay path raises the same typed error: serial replay on
-    both decode paths, a parallel segment, the shard seam scan, and
-    the CLI (exit 2, serial and parallel)."""
+    both decode paths and a parallel segment, each with every
+    registered analysis on its own (span, block and per-event
+    consumers alike), the shard seam scan, and the CLI (exit 2, serial
+    and parallel)."""
 
     @pytest.mark.parametrize("run", [
-        lambda path: replay_trace(path, ("dep",), columnar=True),
-        lambda path: replay_trace(path, ("dep",), columnar=False),
+        lambda path, name: replay_trace(path, (name,), columnar=True),
+        lambda path, name: replay_trace(path, (name,), columnar=False),
         _segment,
-        lambda path: build_checkpoints(path, 997),
+        lambda path, name: build_checkpoints(path, 997),
     ], ids=["columnar", "scalar", "segment", "scan"])
     def test_raises_trace_error(self, corrupt_traces, corruption, run):
-        with pytest.raises(TraceError, match=CORRUPTIONS[corruption][1]):
-            run(corrupt_traces[corruption])
+        for name in analysis_names():
+            with pytest.raises(TraceError,
+                               match=CORRUPTIONS[corruption][1]):
+                run(corrupt_traces[corruption], name)
 
     @pytest.mark.parametrize("flags", [[], ["--jobs", "2"]],
                              ids=["serial", "parallel"])
