@@ -209,13 +209,6 @@ class AnalysisContext:
     #: tracers, not the run). Analyses use this to label their results
     #: as approximate.
     sampling: str | None = None
-    #: Path of the trace the events were replayed from (``None`` live).
-    #: Lets an analysis that needs a *second* pass over the same event
-    #: stream (e.g. ``whatif``'s task-graph extraction for candidates
-    #: only known after the profile exists) re-read the recording
-    #: instead of re-executing the program. Never part of result data —
-    #: it would break live/replay parity.
-    trace_path: str | None = None
     #: Telemetry handle of the engine that drove the events (never
     #: None — defaults to the shared no-op). Plugins emit their own
     #: spans/counters through it (``with ctx.telemetry.span(...)``);

@@ -9,24 +9,21 @@ non-blocked candidate is swept through the
 worker counts. The result is a JSON-able ranking of "parallelize this,
 privatize that, expect roughly x3.5 on 4 workers" answers.
 
-Two passes over the *same* event stream are needed — candidates are
-only known once the profile exists — and neither re-executes the
-program when the events came from a recording. The second pass is
-:func:`~repro.parallel.taskgraph.extract_task_graphs`: one shared
-index pass replays ``ctx.trace_path`` once for every candidate,
-recording each one's instance boundaries plus the access and free
-columns, and a numpy kernel per candidate tags the accesses by event
-position (with clear epochs at frees and per-instance induction skip
-windows) and folds the cross-tag dependences into its task graph.
-Only a live run (``mode="live"``) falls back to executing the program
-again for the extraction pass, which is exactly what the
-pre-registry estimator always did.
+The task graphs come from the same single pass as the profile:
+candidates are only known once the profile exists, so a
+:class:`~repro.parallel.taskgraph.BoundaryRecorder` on the dependence
+tracer's indexing stack logs every construct's pushes and pops, plus
+the access and free columns. After the advisor ranks the candidates,
+:func:`~repro.parallel.taskgraph.task_graphs` builds each one's graph
+from that log with a numpy kernel. Nothing is replayed or executed a
+second time, live or from a recording.
 
 The profiling pass is inherited wholesale from
 :class:`~repro.analyses.builtin.DependenceAnalysis` — including its
 segment/merge protocol, so ``whatif`` runs under sharded parallel
 replay: workers merge the dependence profile exactly as ``dep`` does,
-and the sweep happens once after the fold. Results are a pure function
+each segment's log joins the others by position offset, and the sweep
+happens once after the fold. Results are a pure function
 of the event stream, so live, serial-replay and parallel-replay runs
 produce identical output — the registry parity tests cover ``whatif``
 like every other plugin.
@@ -34,6 +31,8 @@ like every other plugin.
 
 from __future__ import annotations
 
+import pickle
+import zlib
 from typing import Any
 
 from repro.analyses.base import (AnalysisContext, AnalysisResult,
@@ -43,8 +42,9 @@ from repro.core.advisor import Advisor, Recommendation, Verdict
 from repro.core.report import ProfileReport
 from repro.ir.cfg import ProgramIR
 from repro.parallel.simulator import FutureSimulator
-from repro.parallel.taskgraph import (LiveSource, TaskGraph, TraceSource,
-                                      extract_task_graphs)
+from repro.parallel.taskgraph import (BoundaryRecorder, IndexLog,
+                                      candidate_specs, task_graphs)
+from repro.runtime.tracing import TeeTracer
 
 #: Worker counts swept when the caller does not choose (Table V runs
 #: on 4 workers; the sweep shows where scaling saturates).
@@ -103,9 +103,9 @@ class WhatIfAnalysis(DependenceAnalysis):
     description = ("what-if advisor: predicted futures speedup per "
                    "candidate construct (Table V sweep)")
     supports_segments = True  # dep's merge machinery, inherited
-    # batch_kind = "span" and consume_batch are inherited from
-    # DependenceAnalysis: the advisor profiles through the same bound
-    # tracer hooks, so dep's span fast path is exactly right here too.
+    # batch_kind = "span" is inherited from DependenceAnalysis: the
+    # advisor profiles through the same bound tracer hooks and dep's
+    # span loop, and the recorder rides along.
     options = (
         OptionSpec("workers", str, DEFAULT_WORKERS,
                    "comma-separated worker counts to sweep"),
@@ -123,64 +123,79 @@ class WhatIfAnalysis(DependenceAnalysis):
     def _sweep_options(self) -> dict[str, Any]:
         return {"workers": list(self.worker_counts), "top": self.top}
 
-    # -- serial / live path ----------------------------------------------
+    # -- the one pass ------------------------------------------------------
+
+    def _bind(self, tracer) -> None:
+        """Dep's hooks, with a recorder on the tracer's indexing stack
+        that also sees every access and free."""
+        super()._bind(tracer)
+        self.recorder = recorder = BoundaryRecorder(tracer.stack)
+        recorder.memory = tracer.memory
+        for hook in ("on_read", "on_write", "on_frame_free"):
+            setattr(self, hook, TeeTracer.fan([getattr(tracer, hook),
+                                               getattr(recorder, hook)]))
+
+    def consume_batch(self, batch) -> None:
+        self.recorder.record_span(batch, super().consume_batch)
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
         report = super().finish(ctx).payload
-        return _advise(report, ctx, self.worker_counts, self.top)
+        return _advise(report, ctx, self.worker_counts, self.top,
+                       self.recorder.take())
 
     # -- segment/merge protocol -------------------------------------------
     #
-    # The profile folds exactly as `dep`'s; the sweep options ride in
-    # each segment's state so the classmethod finalize can rebuild them
-    # (segment workers run in other processes — `self` is long gone by
-    # merge time).
+    # The profile folds exactly as `dep`'s; each segment's index log
+    # and the sweep options ride in its state so the classmethod
+    # finalize can rebuild them (segment workers run in other
+    # processes — `self` is long gone by merge time).
 
     def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
         segment = super().export_segment(ctx)
         segment.state["whatif"] = self._sweep_options()
+        log = pickle.dumps(self.recorder.take(), pickle.HIGHEST_PROTOCOL)
+        segment.state["index"] = [zlib.compress(log, 1)]
         return segment
+
+    # A segment ships its log compressed and finalize inflates it:
+    # megabytes unpickled on the pool's result thread stay in that
+    # thread's malloc arena and raise the parent's peak RSS. The logs
+    # move from state to state, so finalize frees them once joined.
 
     @classmethod
     def _internalize(cls, state: dict) -> dict:
         internal = super()._internalize(state)
         internal["whatif"] = state["whatif"]
+        internal["index"] = state.pop("index")
         return internal
+
+    @classmethod
+    def merge_segment_states(cls, acc: dict, part: dict) -> dict:
+        acc = super().merge_segment_states(acc, part)
+        acc["index"] += part.pop("index")
+        return acc
 
     @classmethod
     def finalize_segments(cls, state: dict,
                           ctx: AnalysisContext) -> AnalysisResult:
+        if "_recs" not in state:  # one segment: nothing was merged
+            state = cls._internalize(state)
         sweep = state["whatif"]
         dep_result = super().finalize_segments(state, ctx)
         return _advise(dep_result.payload, ctx,
-                       tuple(sweep["workers"]), sweep["top"])
+                       tuple(sweep["workers"]), sweep["top"],
+                       IndexLog.concat([
+                           pickle.loads(zlib.decompress(packed))
+                           for packed in state.pop("index")]))
 
 
 # ---------------------------------------------------------------------------
 # The sweep itself — shared by finish() and finalize_segments()
 # ---------------------------------------------------------------------------
 
-def _extract(ctx: AnalysisContext,
-             targets: dict[int, tuple[str, ...]],
-             telemetry) -> dict[int, TaskGraph]:
-    """One more pass over the same event stream: replay the recording
-    when there is one, execute the program otherwise."""
-    if ctx.trace_path is not None:
-        return extract_task_graphs(
-            TraceSource(ctx.trace_path, ctx.program), targets,
-            telemetry=telemetry)
-    # The profile pass completed, so the deterministic re-run finishes
-    # at exactly ctx.final_time — budget it accordingly rather than
-    # inheriting a default that may be *smaller* than the session's
-    # (a raised-budget session would otherwise trip StepLimitExceeded
-    # here mid-extraction).
-    return extract_task_graphs(
-        LiveSource(ctx.program, max_steps=max(ctx.final_time, 1)),
-        targets, telemetry=telemetry)
-
-
 def _advise(report: ProfileReport, ctx: AnalysisContext,
-            worker_counts: tuple[int, ...], top: int) -> AnalysisResult:
+            worker_counts: tuple[int, ...], top: int,
+            log: IndexLog) -> AnalysisResult:
     """Advisor candidates × worker counts -> the ranked what-if result."""
     from repro.staticdep import report_for
 
@@ -212,7 +227,9 @@ def _advise(report: ProfileReport, ctx: AnalysisContext,
     targets = {rec.view.pc: _private_globals(ctx.program, rec)
                for rec in simulate}
     with tm.span("advisor.extract", candidates=len(targets)):
-        graphs = _extract(ctx, targets, tm) if targets else {}
+        graphs = (task_graphs(log, candidate_specs(ctx.program, targets),
+                              ctx.final_time, tm)
+                  if targets else {})
 
     candidates: list[dict[str, Any]] = []
     with tm.span("advisor.sweep", candidates=len(simulate),

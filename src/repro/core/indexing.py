@@ -47,7 +47,9 @@ class IndexingStack:
         self.stack: list[ConstructNode] = []
         self.max_depth = 0
         #: Optional observers called as (static, timestamp) on push and
-        #: (node, timestamp) on pop; used by the task-graph tracer.
+        #: (node, timestamp) on pop, for whatever rides the stack:
+        #: ``TaskGraphTracer`` and the ``BoundaryRecorder`` that
+        #: ``whatif`` and ``extract_task_graphs`` attach.
         self.push_observer = None
         self.pop_observer = None
 

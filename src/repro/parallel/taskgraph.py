@@ -20,24 +20,25 @@ edges:
   paper's privatization transformations and are only enforced in the
   no-privatization ablation.
 
-Extraction is one shared index pass plus one numpy kernel per
-candidate. :class:`TaskGraphCollector` rides one event stream — a live
-interpreter run (:class:`LiveSource`) or a recorded trace replayed
-without re-execution (:class:`TraceSource`) — through a single
-:class:`~repro.core.indexing.IndexingStack` for every candidate at
-once. It records, once for all candidates, the access columns
-(address, is-write) and the frees, and per candidate the
-outermost-instance boundaries (timestamps, plus the frame base at each
-start). An access's event position is its index in the access stream;
-boundaries and frees are stamped with theirs, the number of accesses
-before them. :func:`extract_task_graphs` then sorts the accesses by
-address once and derives every graph from arrays:
+Extraction is one index pass plus one numpy kernel per candidate. A
+:class:`BoundaryRecorder` rides the pass's
+:class:`~repro.core.indexing.IndexingStack` and writes an
+:class:`IndexLog`: every construct push and pop with its event position
+(the number of accesses before it), its timestamp and, at a push, the
+frame base, plus the access columns (address, is-write) and the frees.
+The pass is ``whatif``'s own dependence-profile pass, so ``advise``
+reads its events once; standalone :func:`extract_task_graphs` drives
+the recorder on a stack of its own over a live run
+(:class:`LiveSource`) or a recorded trace (:class:`TraceSource`). A
+candidate's outermost instances are the log rows where its depth goes
+0→1 and 1→0. :func:`task_graphs` then sorts the accesses by address
+once and derives every graph from arrays:
 
 * **event-position tagging** — an access's tag is the number of
   instance boundaries before its event position (even: serial
   segment, odd: task), so an access that shares a timestamp with a
   boundary lands on the right side of it (a callee's return-value
-  write just before its EXIT, the caller's read just after);
+  write at its EXIT's timestamp, just before the EXIT);
 * **clear epochs** — a frame or heap free forgets the freed cells'
   history, so accesses pair only within one (address, epoch) group;
 * **per-instance induction skip windows** — the loop's induction
@@ -53,10 +54,9 @@ tested against: one full tracer and tag shadow per candidate.
 
 from __future__ import annotations
 
-import functools
 import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -64,10 +64,11 @@ import numpy as np
 from repro.analysis.constructs import ConstructTable
 from repro.core.indexing import IndexingStack
 from repro.core.pool import NodeAllocator
+from repro.core.profile_data import ProfileStore
 from repro.core.shadow import concat_ranges, free_keys, mark_clear_epochs
 from repro.core.tracer import AlchemistTracer
 from repro.ir.cfg import ProgramIR
-from repro.runtime.interpreter import Interpreter
+from repro.runtime.interpreter import DEFAULT_MAX_STEPS, Interpreter
 from repro.runtime.memory import Memory
 from repro.runtime.tracing import TeeTracer, Tracer
 from repro.telemetry import as_telemetry
@@ -246,23 +247,24 @@ class TaskGraphTracer(AlchemistTracer):
     # -- result ---------------------------------------------------------------
 
     def graph(self) -> TaskGraph:
-        total = self.final_time
-        serial = []
-        prev_end = 0
-        for task in self.tasks:
-            serial.append(task.start - prev_end)
-            prev_end = task.end
-        serial.append(total - prev_end)
         return TaskGraph(
             target_pc=self.target_pc,
-            total_time=total,
+            total_time=self.final_time,
             tasks=list(self.tasks),
-            serial=serial,
+            serial=_serial(self.tasks, self.final_time),
             task_deps=set(self.task_deps),
             joins={k: set(v) for k, v in self.joins.items()},
             anti_task_deps=set(self.anti_task_deps),
             anti_joins={k: set(v) for k, v in self.anti_joins.items()},
         )
+
+
+def _serial(tasks: list[TaskNode], total: int) -> list[int]:
+    """The serial pieces around ``tasks``: the time before each task,
+    then the epilogue."""
+    ends = [0] + [task.end for task in tasks]
+    return ([task.start - end for task, end in zip(tasks, ends)]
+            + [total - ends[-1]])
 
 
 def induction_offsets_of(program: ProgramIR, target_pc: int) -> frozenset[int]:
@@ -309,225 +311,198 @@ def resolve_private_globals(program: ProgramIR,
 
 
 # ---------------------------------------------------------------------------
-# The shared index pass
+# The index log: one pass's record of what extraction reads
 # ---------------------------------------------------------------------------
 
-class _Instances:
-    """One candidate's outermost instances, as the index pass saw them.
+@dataclass
+class IndexLog:
+    """What task-graph extraction reads from one pass over the events:
+    per construct push or pop (in stream order) its head pc (``~pc``
+    for a pop), event position (accesses before it) and timestamp; the
+    frame base at each push; the access columns (an access's index is
+    its event position); and the ``(position, lo, hi)`` frees."""
 
-    Boundaries are stamped twice: with the timestamp (the task's
-    extent) and with the number of accesses before them (where the
-    kernel splits the access stream). An instance still open when the
-    stream ends has a start and no end; it tags the accesses after its
-    start but is not a task.
-    """
+    pcs: np.ndarray
+    at: np.ndarray
+    times: np.ndarray
+    bases: np.ndarray
+    addr: np.ndarray
+    write: np.ndarray
+    frees: np.ndarray
 
-    __slots__ = ("depth", "start_at", "end_at", "start_t", "end_t",
-                 "bases")
+    @property
+    def accesses(self) -> int:
+        return len(self.addr)
 
-    def __init__(self) -> None:
-        self.depth = 0
-        self.start_at = array("q")
-        self.end_at = array("q")
-        self.start_t = array("q")
-        self.end_t = array("q")
-        #: Frame base at each start: the induction cells' anchor.
-        self.bases = array("q")
+    @classmethod
+    def concat(cls, parts: list["IndexLog"]) -> "IndexLog":
+        """The logs of consecutive stream segments as one log: positions
+        shift by the accesses of the segments before. A seeded segment
+        logs no push for the constructs open at its seam but does log
+        their pops, so the result is the log of one serial pass."""
+        offset = 0
+        shifted = []
+        for part in parts:
+            shifted.append(replace(part, at=part.at + offset,
+                                   frees=part.frees + (offset, 0, 0)))
+            offset += part.accesses
+        return cls(*(np.concatenate([getattr(part, column.name)
+                                     for part in shifted])
+                     for column in fields(cls)))
+
+    def outermost(self, pc: int) -> tuple[np.ndarray, np.ndarray]:
+        """Log rows that start and end ``pc``'s outermost instances: a
+        push taking its depth from 0 to 1, and a pop taking it from 1
+        to 0. An instance still open at the end has no end row."""
+        rows = np.flatnonzero((self.pcs == pc) | (self.pcs == ~pc))
+        push = self.pcs[rows] >= 0
+        depth = np.cumsum(np.where(push, 1, -1))
+        return rows[push & (depth == 1)], rows[~push & (depth == 0)]
 
 
-class _NoProfile:
-    """The stack's profile store, stubbed: instance boundaries are all
-    the collector needs from the stack."""
+class BoundaryRecorder(Tracer):
+    """Records an :class:`IndexLog` while an :class:`IndexingStack` runs.
 
-    def on_construct_enter(self, static) -> None:
-        pass
+    It attaches to the stack's push/pop observers, whoever drives the
+    stack. Its access hooks keep the running access count, so every
+    row gets its exact event position (an EXIT shares its timestamp
+    with the return-value write before it)."""
 
-    def on_construct_complete(self, node) -> None:
-        pass
-
-
-class TaskGraphCollector(Tracer):
-    """The one extraction pass shared by every candidate construct.
-
-    A single :class:`IndexingStack` delimits the outermost instances of
-    all target pcs; memory accesses are recorded once as columns, and
-    every instance boundary and free is stamped with its *event
-    position* in the access stream — the number of accesses before it
-    — which orders it against the accesses even where they share a
-    timestamp (a callee's return-value write comes before its EXIT,
-    the caller's read after it).
-
-    ``consume_batch`` is the replay fast path (``batch_kind = "span"``):
-    a memory-quiet span's BLOCK/BRANCH rows go to the stack and its
-    accesses are copied out as arrays. The per-event hooks serve live
-    runs and ``columnar=False`` replay.
-    """
-
-    batch_kind = "span"
-
-    def __init__(self, table: ConstructTable, targets: Iterable[int]):
-        self.instances: dict[int, _Instances] = {}
-        for pc in targets:
-            if pc not in table.by_pc:
-                raise KeyError(f"pc {pc} is not a construct head")
-            self.instances[pc] = _Instances()
-        self.stack = stack = IndexingStack(table, NodeAllocator(),
-                                           _NoProfile())
+    def __init__(self, stack: IndexingStack):
         stack.push_observer = self._on_push
         stack.pop_observer = self._on_pop
-        # BRANCH/BLOCK hooks go straight to the stack.
-        self.on_branch = stack.on_branch
-        self.on_block_enter = stack.on_block_enter
         self.memory: Memory | None = None
-        self.final_time = 0
-        #: ``(accesses before it, lo, hi)`` of every frame or heap free.
-        self.frees: list[tuple[int, int, int]] = []
         self.accesses = 0
-        self._addrs: list[int] = []
-        self._writes: list[bool] = []
-        self._addr_chunks: list[np.ndarray] = []
-        self._write_chunks: list[np.ndarray] = []
-
-    # -- instance boundaries ----------------------------------------------
+        self._pcs = array("q")
+        self._at = array("q")
+        self._times = array("q")
+        self._bases = array("q")
+        self._frees: list[tuple[int, int, int]] = []
+        self._addrs = array("q")
+        self._writes = bytearray()
 
     def _on_push(self, static, timestamp: int) -> None:
-        inst = self.instances.get(static.pc)
-        if inst is None:
-            return
-        inst.depth += 1
-        if inst.depth == 1:
-            inst.start_at.append(self.accesses)
-            inst.start_t.append(timestamp)
-            inst.bases.append(self.memory.frames[-1].base)
+        self._pcs.append(static.pc)
+        self._at.append(self.accesses)
+        self._times.append(timestamp)
+        self._bases.append(self.memory.frames[-1].base)
 
     def _on_pop(self, node, timestamp: int) -> None:
-        inst = self.instances.get(node.static.pc)
-        if inst is None:
-            return
-        inst.depth -= 1
-        if inst.depth == 0:
-            inst.end_at.append(self.accesses)
-            inst.end_t.append(timestamp)
-
-    # -- per-event hooks ----------------------------------------------------
+        self._pcs.append(~node.static.pc)
+        self._at.append(self.accesses)
+        self._times.append(timestamp)
 
     def on_start(self, program: ProgramIR, memory: Memory) -> None:
         self.memory = memory
 
-    def on_enter_function(self, fn_name: str, entry_pc: int,
-                          timestamp: int) -> None:
-        self.stack.enter_procedure(entry_pc, timestamp)
-
-    def on_exit_function(self, fn_name: str, timestamp: int) -> None:
-        self.stack.exit_procedure(timestamp)
-
     def on_read(self, addr: int, pc: int, timestamp: int) -> None:
-        self._addrs.append(addr)
+        try:
+            self._addrs.append(addr)
+        except OverflowError:
+            raise _beyond_int64() from None
         self._writes.append(False)
         self.accesses += 1
 
     def on_write(self, addr: int, pc: int, timestamp: int) -> None:
-        self._addrs.append(addr)
+        try:
+            self._addrs.append(addr)
+        except OverflowError:
+            raise _beyond_int64() from None
         self._writes.append(True)
         self.accesses += 1
 
     def on_frame_free(self, lo: int, hi: int) -> None:
-        self.frees.append((self.accesses, lo, hi))
+        self._frees.append((self.accesses, lo, hi))
+
+    def record_span(self, span, walk) -> None:
+        """The replay fast path: ``walk(span)`` drives the stack through
+        a memory-quiet span without counting accesses. The span's
+        accesses are then copied out as arrays, and the rows the walk
+        logged are positioned from the span's access timestamps (no
+        access shares a timestamp with a BLOCK or BRANCH event)."""
+        from repro.trace.events import EV_READ, EV_WRITE
+
+        first = len(self._times)
+        try:
+            etypes, addrs, _, times = span.arrays()
+        except OverflowError:
+            raise _beyond_int64() from None
+        walk(span)
+        write = etypes == EV_WRITE
+        access = write | (etypes == EV_READ)
+        if len(self._times) > first:
+            at = self.accesses + np.searchsorted(
+                times[access], np.frombuffer(self._times[first:],
+                                             np.int64))
+            self._at[first:] = array("q", at.tobytes())
+        addrs = addrs[access]
+        self._addrs.frombytes(addrs.tobytes())
+        self._writes += write[access].tobytes()
+        self.accesses += len(addrs)
+
+    def take(self) -> IndexLog:
+        """The log, which ends the recording: the columns are handed
+        over without a copy, so the recorder keeps none."""
+        log = IndexLog(
+            pcs=np.frombuffer(self._pcs, np.int64),
+            at=np.frombuffer(self._at, np.int64),
+            times=np.frombuffer(self._times, np.int64),
+            bases=np.frombuffer(self._bases, np.int64),
+            addr=np.frombuffer(self._addrs, np.int64),
+            write=np.frombuffer(self._writes, bool),
+            frees=np.array(self._frees, dtype=np.int64).reshape(-1, 3))
+        del self._pcs, self._at, self._times, self._bases, self._addrs, \
+            self._writes
+        return log
+
+
+def _beyond_int64() -> Exception:
+    # repro.trace is imported late in this module: it imports the
+    # analyses, which import this module.
+    from repro.trace.events import TraceError
+
+    return TraceError("memory access address beyond int64 "
+                      "(corrupt trace)")
+
+
+class _IndexPass(BoundaryRecorder):
+    """Standalone extraction's tracer: the recorder on a stack of its
+    own, which no dependence profile rides, driven by the stream's
+    ENTER/EXIT/BRANCH/BLOCK events."""
+
+    batch_kind = "span"
+
+    def __init__(self, table: ConstructTable):
+        stack = IndexingStack(table, NodeAllocator(), ProfileStore())
+        super().__init__(stack)
+        self.on_enter_function = \
+            lambda fn_name, entry_pc, t: stack.enter_procedure(entry_pc, t)
+        self.on_exit_function = lambda fn_name, t: stack.exit_procedure(t)
+        self.on_branch = stack.on_branch
+        self.on_block_enter = stack.on_block_enter
+        self.final_time = 0
 
     def on_finish(self, timestamp: int) -> None:
         self.final_time = timestamp
 
-    # -- replay fast path ---------------------------------------------------
+    def consume_batch(self, span) -> None:
+        self.record_span(span, self._walk)
 
-    def consume_batch(self, batch) -> None:
-        """One memory-quiet span: accesses leave as arrays, and only
-        BLOCK/BRANCH rows reach Python, each with the count of accesses
-        before it."""
-        from repro.trace.events import EV_BRANCH, EV_WRITE
+    def _walk(self, span) -> None:
+        """Only a span's BLOCK/BRANCH rows reach Python."""
+        from repro.trace.events import EV_BLOCK, EV_BRANCH
 
-        etypes = batch.etypes
-        if not isinstance(etypes, np.ndarray):
-            self._consume_rows(batch)
-            return
-        control_lut, access_lut = _event_luts()
-        access = np.flatnonzero(access_lut[etypes])
-        control = np.flatnonzero(control_lut[etypes])
-        seen = self.accesses
-        if control.size:
-            on_branch = self.on_branch
-            on_block = self.on_block_enter
-            for before, etype, a, b, t in zip(
-                    (np.searchsorted(access, control) + seen).tolist(),
-                    etypes[control].tolist(), batch.a[control].tolist(),
-                    batch.b[control].tolist(), batch.t[control].tolist()):
-                self.accesses = before
-                if etype == EV_BRANCH:
-                    on_branch(a, b, t)
-                else:
-                    on_block(a, t)
-        if access.size:
-            if self._addrs:
-                self._flush()
-            self._addr_chunks.append(batch.a[access])
-            self._write_chunks.append(etypes[access] == EV_WRITE)
-        self.accesses = seen + access.size
-
-    def _consume_rows(self, batch) -> None:
-        """Scalar-decoded spans take the per-event hooks."""
-        from repro.trace.events import EV_BLOCK, EV_BRANCH, EV_READ, EV_WRITE
-
-        for etype, a, b, t in batch.rows():
-            if etype == EV_READ:
-                self.on_read(a, b, t)
-            elif etype == EV_WRITE:
-                self.on_write(a, b, t)
-            elif etype == EV_BLOCK:
-                self.on_block_enter(a, t)
-            elif etype == EV_BRANCH:
-                self.on_branch(a, b, t)
-
-    # -- the access columns -------------------------------------------------
-
-    def _flush(self) -> None:
-        """Move the hook-path lists into a chunk (keeps event order)."""
-        try:
-            addrs = np.array(self._addrs, dtype=np.int64)
-        except OverflowError:
-            from repro.trace.events import TraceError
-
-            raise TraceError("memory access address beyond int64 "
-                             "(corrupt trace)") from None
-        self._addr_chunks.append(addrs)
-        self._write_chunks.append(np.array(self._writes, dtype=bool))
-        self._addrs, self._writes = [], []
-
-    def take_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(addr, is_write)`` of every access in event order — the
-        index into them is the access's event position. Hands the
-        recorded chunks over, so the collector keeps no copy."""
-        if self._addrs:
-            self._flush()
-        if not self._addr_chunks:
-            return np.empty(0, np.int64), np.empty(0, bool)
-        addr = np.concatenate(self._addr_chunks)
-        self._addr_chunks = []
-        write = np.concatenate(self._write_chunks)
-        self._write_chunks = []
-        return addr, write
-
-
-@functools.cache
-def _event_luts() -> tuple[np.ndarray, np.ndarray]:
-    """BLOCK/BRANCH and READ/WRITE lookup tables over event codes
-    (built on first use: ``repro.trace`` imports the analyses, which
-    import this module)."""
-    from repro.trace.events import EV_BLOCK, EV_BRANCH, EV_READ, EV_WRITE
-
-    control = np.zeros(256, dtype=bool)
-    control[[EV_BLOCK, EV_BRANCH]] = True
-    access = np.zeros(256, dtype=bool)
-    access[[EV_READ, EV_WRITE]] = True
-    return control, access
+        etypes, a, b, t = span.arrays()
+        control = np.flatnonzero((etypes == EV_BLOCK)
+                                 | (etypes == EV_BRANCH))
+        for etype, x, y, ts in zip(etypes[control].tolist(),
+                                   a[control].tolist(),
+                                   b[control].tolist(),
+                                   t[control].tolist()):
+            if etype == EV_BRANCH:
+                self.on_branch(x, y, ts)
+            else:
+                self.on_block_enter(x, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -541,8 +516,9 @@ class _AccessOrder:
     distinct addresses (``cells``) and where each one's accesses start
     (``cell_start``) replace a per-access address column."""
 
-    def __init__(self, collector: TaskGraphCollector):
-        addr, write = collector.take_columns()
+    def __init__(self, log: IndexLog):
+        addr, write = log.addr, log.write
+        log.addr = log.write = None
         order = np.argsort(addr, kind="stable")
         addr = addr[order]
         self.write = write[order]
@@ -559,12 +535,10 @@ class _AccessOrder:
         del addr, first
         new_group = np.zeros(n, dtype=bool)
         new_group[self.cell_start[:-1]] = True
-        if collector.frees:
+        if len(log.frees):
             span = n + 1  # positions run 0..accesses
             mark_clear_epochs(new_group, self.cell_start, self.at,
-                              free_keys(self.cells,
-                                        np.array(collector.frees,
-                                                 dtype=np.int64), span),
+                              free_keys(self.cells, log.frees, span),
                               span)
         self.group = np.cumsum(new_group, dtype=np.int32)
 
@@ -580,29 +554,27 @@ class _AccessOrder:
         return self.cell_start[rank], self.cell_start[rank + 1], found
 
 
-def _candidate_graph(pc: int, order: _AccessOrder, inst: _Instances,
+def _candidate_graph(pc: int, order: _AccessOrder, log: IndexLog,
                      skip: frozenset[int], induction: frozenset[int],
                      total: int) -> TaskGraph:
+    starts, ends = log.outermost(pc)
     tasks = [TaskNode(index, start, end) for index, (start, end)
-             in enumerate(zip(inst.start_t, inst.end_t))]
-    serial = []
-    prev_end = 0
-    for task in tasks:
-        serial.append(task.start - prev_end)
-        prev_end = task.end
-    serial.append(total - prev_end)
+             in enumerate(zip(log.times[starts].tolist(),
+                              log.times[ends].tolist()))]
     graph = TaskGraph(target_pc=pc, total_time=total, tasks=tasks,
-                      serial=serial)
-    if not inst.start_at or not len(order.at):
+                      serial=_serial(tasks, total))
+    if not len(starts) or not len(order.at):
         return graph  # every access is serial[0]: nothing crosses
-    bounds = np.empty(len(inst.start_at) + len(inst.end_at), np.int64)
-    bounds[0::2] = inst.start_at
-    bounds[1::2] = inst.end_at
+    bounds = np.empty(len(starts) + len(ends), np.int64)
+    bounds[0::2] = log.at[starts]
+    bounds[1::2] = log.at[ends]
     # Boundaries at or before an access's event position: even means
     # serial segment tag // 2, odd means task tag // 2.
     tag = np.searchsorted(bounds, order.at, side="right").astype(np.int32)
     write, group = order.write, order.group
-    drop = _skipped(order, tag, inst, skip, induction)
+    # The frame base at each start: the induction cells' anchor.
+    bases = log.bases[np.cumsum(log.pcs >= 0)[starts] - 1]
+    drop = _skipped(order, tag, bases, skip, induction)
     if drop is not None:
         keep = ~drop
         tag, write, group = tag[keep], write[keep], group[keep]
@@ -610,12 +582,13 @@ def _candidate_graph(pc: int, order: _AccessOrder, inst: _Instances,
     return graph
 
 
-def _skipped(order: _AccessOrder, tag: np.ndarray, inst: _Instances,
+def _skipped(order: _AccessOrder, tag: np.ndarray, bases: np.ndarray,
              skip: frozenset[int],
              induction: frozenset[int]) -> np.ndarray | None:
     """Accesses the candidate ignores (sorted order), or ``None``:
     privatized globals throughout, and instance k's induction cells
-    from its start until the next instance starts."""
+    (``bases[k]`` + offset) from its start until the next instance
+    starts."""
     drop = None
     if skip:
         first, stop, _ = order.ranges(np.array(sorted(skip), np.int64))
@@ -624,9 +597,8 @@ def _skipped(order: _AccessOrder, tag: np.ndarray, inst: _Instances,
             np.add.at(mark, first, 1)
             np.add.at(mark, stop, -1)
             drop = np.cumsum(mark[:-1], dtype=np.int32) > 0
-    if induction and len(inst.bases):
+    if induction and len(bases):
         offsets = np.array(sorted(induction), dtype=np.int64)
-        bases = np.asarray(inst.bases)
         cells = np.unique(np.add.outer(np.unique(bases), offsets))
         first, stop, found = order.ranges(cells)
         if len(first):
@@ -719,16 +691,14 @@ def _add_edges(keys: np.ndarray, span: int, deps: set,
 class LiveSource:
     """Event source that executes ``program`` under the interpreter."""
 
-    def __init__(self, program: ProgramIR, max_steps: int | None = None):
+    def __init__(self, program: ProgramIR,
+                 max_steps: int = DEFAULT_MAX_STEPS):
         self.program = program
         self.max_steps = max_steps
 
     def drive(self, tracers: list[Tracer]) -> None:
         tracer = tracers[0] if len(tracers) == 1 else TeeTracer(tracers)
-        if self.max_steps is None:
-            Interpreter(self.program, tracer).run()
-        else:
-            Interpreter(self.program, tracer, self.max_steps).run()
+        Interpreter(self.program, tracer, self.max_steps).run()
 
 
 class TraceSource:
@@ -744,19 +714,11 @@ class TraceSource:
                  program: ProgramIR | None = None):
         self.path = os.fspath(path)
         if program is None:
-            from repro.ir.lowering import compile_source
-            from repro.trace.events import source_digest
             from repro.trace.reader import TraceReader
+            from repro.trace.replay import ReplayEngine
 
             with TraceReader(self.path) as reader:
-                header = reader.header
-            if source_digest(header.source) != header.digest:
-                from repro.trace.events import TraceError
-
-                raise TraceError(
-                    f"{self.path}: embedded source does not match the "
-                    "header digest (corrupt trace)")
-            program = compile_source(header.source, header.filename)
+                program = ReplayEngine(reader).program
         self.program = program
 
     def drive(self, tracers: list[Tracer]) -> None:
@@ -765,6 +727,34 @@ class TraceSource:
 
         with TraceReader(self.path) as reader:
             ReplayEngine(reader, self.program).run(tracers)
+
+
+def candidate_specs(program: ProgramIR,
+                    targets: Mapping[int, tuple[str, ...]],
+                    auto_induction: bool = True
+                    ) -> dict[int, tuple[frozenset[int], frozenset[int]]]:
+    """Each candidate's privatized global addresses and, with
+    ``auto_induction``, its loop's induction offsets."""
+    return {pc: (resolve_private_globals(program, tuple(private_vars)),
+                 induction_offsets_of(program, pc) if auto_induction
+                 else frozenset())
+            for pc, private_vars in targets.items()}
+
+
+def task_graphs(log: IndexLog,
+                specs: Mapping[int, tuple[frozenset[int], frozenset[int]]],
+                total: int, telemetry=None) -> dict[int, TaskGraph]:
+    """Every candidate's graph from one pass's log: the accesses are
+    sorted by address once, then each graph is one array kernel (the
+    ``advisor.extract.kernel`` span). The sort takes the log's access
+    columns over, so their memory is freed once sorted."""
+    tm = as_telemetry(telemetry)
+    with tm.span("advisor.extract.kernel", accesses=log.accesses,
+                 frees=len(log.frees)):
+        order = _AccessOrder(log)
+        return {pc: _candidate_graph(pc, order, log, skip, induction,
+                                     total)
+                for pc, (skip, induction) in specs.items()}
 
 
 def extract_task_graphs(source: "LiveSource | TraceSource",
@@ -776,12 +766,10 @@ def extract_task_graphs(source: "LiveSource | TraceSource",
 
     ``targets`` maps construct head pc -> globals to privatize for that
     candidate (an iterable of pcs means no privatization). One
-    :class:`TaskGraphCollector` rides the event stream for all of
-    them, so the sweep costs one execution or one replay regardless of
-    how many candidates are assessed; each graph is then one array
-    kernel over the shared access columns. With an enabled
-    ``telemetry`` the pass and the kernels are the
-    ``advisor.extract.index`` and ``advisor.extract.kernel`` spans.
+    :class:`BoundaryRecorder` on a profile-less indexing stack rides
+    the event stream for all of them. With an enabled ``telemetry`` the
+    pass and the kernels are the ``advisor.extract.index`` and
+    ``advisor.extract.kernel`` spans.
     """
     if not isinstance(targets, Mapping):
         targets = {pc: () for pc in targets}
@@ -789,21 +777,14 @@ def extract_task_graphs(source: "LiveSource | TraceSource",
         return {}
     program = source.program
     table = ConstructTable(program)
-    specs = {pc: (resolve_private_globals(program, tuple(private_vars)),
-                  induction_offsets_of(program, pc) if auto_induction
-                  else frozenset())
-             for pc, private_vars in targets.items()}
-    collector = TaskGraphCollector(table, specs)
+    for pc in targets:
+        if pc not in table.by_pc:
+            raise KeyError(f"pc {pc} is not a construct head")
+    specs = candidate_specs(program, targets, auto_induction)
+    index = _IndexPass(table)
     tm = as_telemetry(telemetry)
     with tm.span("advisor.extract.index", candidates=len(specs)) as span:
-        source.drive([collector])
-        counts = {"accesses": collector.accesses,
-                  "frees": len(collector.frees)}
-        span.set(**counts)
-    with tm.span("advisor.extract.kernel", **counts):
-        order = _AccessOrder(collector)
-        return {pc: _candidate_graph(pc, order, collector.instances[pc],
-                                     skip, induction,
-                                     collector.final_time)
-                for pc, (skip, induction) in specs.items()}
-
+        source.drive([index])
+        log = index.take()
+        span.set(accesses=log.accesses, frees=len(log.frees))
+    return task_graphs(log, specs, index.final_time, tm)

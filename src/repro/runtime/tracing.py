@@ -122,10 +122,11 @@ class TeeTracer(Tracer):
             if len(hooks) == 1:
                 setattr(self, name, hooks[0])
             else:
-                setattr(self, name, self._fan(hooks))
+                setattr(self, name, self.fan(hooks))
 
     @staticmethod
-    def _fan(hooks: list):
+    def fan(hooks: list):
+        """One hook that calls each of ``hooks`` in order."""
         def dispatch(*args):
             for hook in hooks:
                 hook(*args)

@@ -315,7 +315,6 @@ def parallel_replay(path: str | os.PathLike,
             wall_seconds=wall,
             mode="replay",
             sampling=None if sampling in (None, "", "full") else sampling,
-            trace_path=path,
             telemetry=tm,
         )
         with tm.span("replay.merge", analyses=list(names)) as merge_span:

@@ -331,7 +331,6 @@ class ReplayEngine:
             wall_seconds=wall,
             mode="replay",
             sampling=None if sampling in (None, "", "full") else sampling,
-            trace_path=reader.path,
             telemetry=tm,
         )
 

@@ -203,11 +203,71 @@ class TestBatchIntegration:
         assert len(payload["candidates"]) <= 3
 
 
+class TestOnePass:
+    """Advise builds its task graphs inside the profile pass: the
+    events are read once, never replayed or executed again."""
+
+    @staticmethod
+    def _counting(monkeypatch, owner, name):
+        calls = []
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_replayed_advise_dispatches_the_trace_once(self, tmp_path,
+                                                       monkeypatch):
+        import repro.trace.replay as replay
+
+        with Session(cache_dir=str(tmp_path)) as session:
+            session.record(MIXED)
+            calls = self._counting(monkeypatch, replay,
+                                   "dispatch_batches")
+            result = session.advise(MIXED)
+        assert result.data["candidates"]
+        assert len(calls) == 1
+
+    def test_live_advise_executes_once(self, tmp_path, monkeypatch):
+        from repro.runtime.interpreter import Interpreter
+
+        calls = self._counting(monkeypatch, Interpreter, "run")
+        with Session(cache_dir=str(tmp_path)) as session:
+            result = session.advise(MIXED, mode="live")
+        assert result.data["candidates"]
+        assert len(calls) == 1
+
+
+    def test_one_segment_finalizes_to_the_serial_result(self, tmp_path):
+        """A segment export finalized without any merge (the whole
+        trace as one segment) carries its own index log."""
+        from repro.trace.parallel import run_segment
+        from repro.trace.replay import replay_trace
+        from repro.trace.shards import plan_shards
+        from repro.trace.writer import record_source
+
+        path = str(tmp_path / "mixed.trace")
+        record_source(MIXED, path)
+        (segment,) = plan_shards(path, 1).segments
+        result = run_segment({
+            "path": path, "ordinal": 0,
+            "checkpoint": segment.checkpoint.to_payload(),
+            "end_index": None, "analyses": ["whatif"], "options": None,
+            "columnar": True})
+        serial = replay_trace(path, ["whatif"])
+        finalized = result["exports"]["whatif"].finalize(serial.context)
+        assert finalized.data["candidates"]
+        assert finalized.to_dict() == serial.reports["whatif"].to_dict()
+
+
 class TestLiveBudget:
     def test_live_mode_respects_a_tight_step_budget(self, tmp_path):
-        """The extraction re-run is bounded by the profiled stream's
-        length, so a session budget that barely fits the program must
-        not trip StepLimitExceeded in the second pass."""
+        """A session budget that barely fits the program is enough for
+        live advise: the task graphs come from the same run, so no
+        second execution can trip StepLimitExceeded."""
         from repro.core.alchemist import ProfileOptions
         from repro.runtime.interpreter import Interpreter
         from repro.runtime.tracing import NullTracer

@@ -16,20 +16,24 @@ the locality reuse-distance kernel and the flat and context block
 kernel the same way: batch replay, per-event replay and
 parallel segments agree. The flat, context and Alchemist detectors,
 which share one shadow memory, count the same pairs of each kind. And
-they pin task-graph extraction: the shared index pass + per-candidate
-kernel builds the graphs one ``TaskGraphTracer`` per construct head
-builds, from live runs and from replayed traces alike.
+they pin task-graph extraction: the index pass + per-candidate kernel
+builds the graphs one ``TaskGraphTracer`` per construct head builds,
+from live runs and from replayed traces alike, and so do the graphs
+``whatif`` builds inside its profile pass, serial, per-event, live and
+in parallel segments.
 """
 
 import os
 import tempfile
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analyses import make_analyses
+from repro.analyses import make_analyses, whatif
 from repro.analyses.builtin import profile_summary
 from repro.analysis.constructs import ConstructTable
+from repro.api import Session
 from repro.baselines import ContextSensitiveTracer, FlatTracer
 from repro.core.alchemist import Alchemist, ProfileOptions
 from repro.core.profile_data import DepKind
@@ -314,7 +318,7 @@ class TestOneShadowOnePairStream:
 
 class _ScalarTraceSource(TraceSource):
     """Replays through the ``columnar=False`` reference path, where the
-    collector gets per-event hooks instead of spans."""
+    index pass gets per-event hooks instead of spans."""
 
     def drive(self, tracers):
         with TraceReader(self.path) as reader:
@@ -362,3 +366,107 @@ class TestTaskGraphKernelEquivalence:
                     assert extract_task_graphs(
                         events, targets, auto_induction=induction) \
                         == expected
+
+    #: Independent iterations calling a helper, then a blocked loop:
+    #: the first loop and the helper are advise candidates, and the
+    #: loop is open across most seams of a six-way split.
+    STRADDLE = """
+int results[16];
+int chain;
+int work(int seed) {
+    int acc = seed;
+    for (int i = 0; i < 40; i++) acc = (acc * 31 + i) % 65521;
+    return acc;
+}
+int main() {
+    for (int f = 0; f < 12; f++) {
+        results[f] = work(f);
+    }
+    for (int g = 0; g < 12; g++) {
+        chain = (chain * 7 + results[g]) % 9973;
+    }
+    print(chain);
+    return 0;
+}
+"""
+
+    @given(st.one_of(_programs.map(pretty_print), _loop_programs()))
+    @settings(max_examples=12, deadline=None)
+    def test_whatif_graphs_match_reference(self, source):
+        self._check_whatif(source)
+
+    def test_whatif_instances_straddle_seams(self):
+        assert self._check_whatif(self.STRADDLE)
+
+    @staticmethod
+    def _check_whatif(source) -> bool:
+        """whatif's in-pass graphs == one ``TaskGraphTracer`` per
+        candidate with the same privatized globals and induction
+        offsets, on every path; returns whether a candidate's instance
+        was open at a parallel seam."""
+        try:
+            program = compile_source(source)
+        except SemanticError:
+            return False
+        options = {"whatif": {"top": 64}}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.trace")
+            try:
+                recorded = record_program(program, path, source=source,
+                                          max_steps=STEP_CAP)
+            except (MiniCRuntimeError, StepLimitExceeded):
+                return False
+            serial = _whatif_graphs(lambda: replay_with(
+                path, make_analyses(["whatif"], options), program))
+            specs = serial.get("specs", {})
+            table = ConstructTable(program)
+            tracers = {pc: TaskGraphTracer(table, pc, skip, induction)
+                       for pc, (skip, induction) in specs.items()}
+            if tracers:
+                LiveSource(program, STEP_CAP).drive(list(tracers.values()))
+            assert serial.get("graphs", {}) == {
+                pc: tracer.graph() for pc, tracer in tracers.items()}
+
+            assert _whatif_graphs(lambda: replay_with(
+                path, make_analyses(["whatif"], options), program,
+                columnar=False)) == serial
+            with Session(ProfileOptions(max_steps=STEP_CAP),
+                         cache_dir=tmp) as session:
+                assert _whatif_graphs(lambda: session.analyze(
+                    source, ["whatif"], mode="live",
+                    options=options)) == serial
+
+            straddled = False
+            interval = max(1, recorded.events // 6)
+            for jobs in (2, 7):
+                plans = []
+
+                def sharded():
+                    outcome = parallel_replay(path, ["whatif"], jobs=jobs,
+                                              interval=interval,
+                                              options=options)
+                    assert outcome.mode == "parallel", \
+                        outcome.fallback_reason
+                    plans.append(outcome.plan)
+
+                assert _whatif_graphs(sharded) == serial
+                open_at_seams = {pc for segment in plans[0].segments[1:]
+                                 for pc, _ in segment.checkpoint.cstack}
+                straddled |= bool(open_at_seams & set(specs))
+            return straddled
+
+
+def _whatif_graphs(run) -> dict:
+    """The candidate specs and task graphs ``whatif`` builds while
+    ``run()`` drives it (empty when no candidate was simulated)."""
+    captured: dict = {}
+    build = whatif.task_graphs
+
+    def spy(log, specs, total, telemetry=None):
+        graphs = build(log, specs, total, telemetry)
+        captured.update(specs=dict(specs), graphs=graphs)
+        return graphs
+
+    with mock.patch.object(whatif, "task_graphs", spy):
+        run()
+    return captured

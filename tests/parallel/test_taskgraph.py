@@ -196,13 +196,14 @@ class _TagHazards(Tracer):
 @pytest.mark.parametrize("workload", names(include_extra=True))
 def test_kernel_matches_per_event_tracer(workload, tmp_path):
     """Every bundled program, every construct head as the target: the
-    shared index pass + kernel builds exactly the graphs one
+    index pass + kernel builds exactly the graphs one
     ``TaskGraphTracer`` per head builds, from a replayed trace and
     from a live run. The runs cover both tagging hazards: accesses
     that share a timestamp with an instance boundary (a return-value
-    write before EXIT and its read after it), which only event-position
-    tagging splits correctly, and stack cells reused across calls,
-    which need the clear epochs."""
+    write just before the EXIT, at its timestamp; the caller's read
+    comes one tick later), which only event-position tagging puts on
+    the right side, and stack cells reused across calls, which need
+    the clear epochs."""
     source = get(workload, 0.1).source
     program = compile_source(source, workload)
     table = ConstructTable(program)
@@ -273,3 +274,22 @@ def test_extraction_memory_per_access(tmp_path):
     accesses = tm.find_spans("advisor.extract.index")[0].attrs["accesses"]
     assert accesses == 169_109
     assert peak / accesses < PEAK_BYTES_PER_ACCESS, peak / accesses
+
+
+@pytest.mark.parametrize("module", ["repro.parallel",
+                                    "repro.parallel.taskgraph",
+                                    "repro.analyses.whatif"])
+def test_imports_first_in_a_fresh_interpreter(module):
+    """The task-graph module and the trace package import each other
+    (through the analyses); either side may be imported first."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run([sys.executable, "-c", f"import {module}"],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -58,17 +58,26 @@ def test_session_recorded_spans_for_every_workload(telemetry_session):
     assert tm.find_spans("record")
     assert tm.find_spans("replay")
     assert tm.counters["trace.events_decoded"] > 0
-    # whatif's extraction: one index pass, then the per-candidate
-    # kernel, both carrying the pass's access and free counts.
-    extracts = [span for span in tm.find_spans("advisor.extract")
-                if span.children]
-    assert extracts
-    for span in extracts:
-        index, kernel = span.children
-        assert (index.name, kernel.name) == ("advisor.extract.index",
-                                             "advisor.extract.kernel")
-        assert index.attrs["accesses"] == kernel.attrs["accesses"] > 0
-        assert index.attrs["frees"] == kernel.attrs["frees"]
+    # whatif's extraction: only the per-candidate kernel, over the
+    # columns the profile pass recorded (no second index pass). It
+    # carries that pass's access and free counts: the workload's, as
+    # its golden ``counts`` report gives them.
+    assert not tm.find_spans("advisor.extract.index")
+    checked = 0
+    for analyze in tm.find_spans("analyze"):
+        workload = analyze.attrs["file"]
+        for _, extract in analyze.walk():
+            if extract.name != "advisor.extract" or not extract.children:
+                continue
+            (kernel,) = extract.children
+            assert kernel.name == "advisor.extract.kernel"
+            golden = GOLDEN_DIR / f"{workload.replace('.', '_')}.json"
+            counts = json.loads(golden.read_text())["analyses"]["counts"]
+            assert kernel.attrs["accesses"] \
+                == counts["reads"] + counts["writes"] > 0
+            assert kernel.attrs["frees"] == counts["frees"]
+            checked += 1
+    assert checked
     assert tm.counters["trace.events_written"] > 0
 
 
