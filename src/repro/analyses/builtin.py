@@ -28,13 +28,13 @@ from repro.analysis.constructs import ConstructTable
 from repro.baselines.context_profiler import (ContextProfile,
                                               ContextSensitiveTracer)
 from repro.baselines.flat_profiler import FlatProfile, FlatTracer
+from repro.core.blockdep import BlockDependence
 from repro.core.profile_data import DepKind
 from repro.core.report import ProfileReport, RunStats
 from repro.core.tracer import AlchemistTracer
 from repro.ir.cfg import ProgramIR
-from repro.runtime.memory import Memory
+from repro.runtime.memory import Memory, MemoryNames
 
-_RAW, _WAR, _WAW = DepKind.RAW, DepKind.WAR, DepKind.WAW
 
 
 def profile_summary(report: ProfileReport) -> dict[str, Any]:
@@ -105,33 +105,46 @@ def _dep_result(report: ProfileReport, track_war_waw: bool,
 class DependenceAnalysis(Analysis):
     """The Alchemist dependence profiler as a plugin.
 
-    Wraps the unmodified :class:`AlchemistTracer`, so the profile —
-    per-construct edges, min-Tdep distances, durations, instance counts
-    — is *identical* whether the events come from a live interpreter or
-    a recorded trace (the equivalence tests assert this workload by
-    workload).
+    Live and on the ``columnar=False`` path the events go to the
+    per-event hooks of an unmodified :class:`AlchemistTracer`. Replay
+    consumes whole trace blocks: :class:`~repro.core.blockdep.
+    BlockDependence` runs the indexing rules over instance rows, takes
+    the block's pairs from the pair kernel and walks Table II over
+    arrays, on the same tracer's store and counters. The profile —
+    per-construct edges in insertion order, min-Tdep distances, names,
+    durations, instance counts — is *identical* either way (the
+    equivalence tests assert this store for store).
     """
 
     name = "dep"
     description = ("Alchemist dependence profile: min RAW/WAR/WAW "
                    "distance per construct")
     supports_segments = True
-    batch_kind = "span"
+    batch_kind = "block"
     options = (
         OptionSpec("track_war_waw", bool, True,
                    "also profile WAR/WAW dependences"),
     )
+    #: The block path's task-graph log (``whatif`` sets one).
+    recorder = None
 
     def __init__(self, track_war_waw: bool = True):
         self.track_war_waw = track_war_waw
         self.table: ConstructTable | None = None
         self.tracer: AlchemistTracer | None = None
+        self._functions: list = []
 
     def on_start(self, program: ProgramIR, memory: Memory) -> None:
         self.table = ConstructTable(program)
         tracer = AlchemistTracer(self.table, self.track_war_waw)
         tracer.on_start(program, memory)
         self._bind(tracer)
+        #: The block path's engine (None while the hooks own the
+        #: state), the naming state at the next block's start, and a
+        #: segment's seeded stack nodes.
+        self._block: BlockDependence | None = None
+        self._names = MemoryNames(memory) if memory is not None else None
+        self._seeded_nodes: list = []
 
     def _bind(self, tracer: AlchemistTracer) -> None:
         """Rebind the hooks straight to the inner tracer: both the
@@ -147,52 +160,65 @@ class DependenceAnalysis(Analysis):
         self.on_frame_free = tracer.on_frame_free
         self.on_finish = tracer.on_finish
 
+    def bind_functions(self, functions: list) -> None:
+        """The trace's function table, which ENTER rows index."""
+        self._functions = functions
+
     def consume_batch(self, batch) -> None:
-        """Span kernel: the interior events of one memory-quiet span in
-        one loop. READ/WRITE do the shadow step inline, BLOCK/BRANCH go
-        straight to the indexing stack, and each dependence goes to the
-        shared Table II walk (which also defers boundary heads in a
-        parallel segment) — exactly ``AlchemistTracer``'s hooks, minus
-        the per-event calls."""
-        tracer = self.tracer
-        stack = tracer.stack
-        nodes = stack.stack
-        on_block = stack.on_block_enter
-        on_branch = stack.on_branch
-        entries = tracer.shadow.entries
-        insert = tracer.shadow.insert
-        edge = tracer.profiler.profile_edge
-        war_waw = self.track_war_waw
-        node = nodes[-1] if nodes else None
+        """One whole trace block through the block engine. A block with
+        values beyond int64 — only a corrupt-but-parseable trace has one
+        — settles the state back to the tracer and takes its hooks."""
+        try:
+            columns = batch.arrays()
+            if self._block is None:
+                self._block = BlockDependence(
+                    self.tracer, self._names, self._functions,
+                    self._seeded_nodes, self.recorder)
+        except OverflowError:
+            self._through_hooks(batch)
+            return
+        self._block.consume(*columns)
+        etypes, t = columns[0], columns[3]
+        if len(etypes) and etypes[-1] == EV_FINISH:
+            self.tracer.on_finish(int(t[-1]))
+
+    def _settle(self) -> None:
+        """Hand the block engine's state back to the tracer."""
+        if self._block is not None:
+            self._seeded_nodes = self._block.settle()
+            self._block = None
+
+    def _through_hooks(self, batch) -> None:
+        """Every event of ``batch`` through the per-event hooks, names
+        resolved against the block's own memory events."""
+        self._settle()
+        names = self._names
+        self.tracer.profiler.names = names.name
+        if self.recorder is not None:
+            self.recorder.memory = names
+        functions = self._functions
         for etype, a, b, t in batch.rows():
             if etype == EV_READ:
-                entry = entries.get(a)
-                if entry is None:
-                    insert(a, None, {b: (node, t)})
-                    continue
-                entry[1][b] = (node, t)
-                write = entry[0]
-                if write is not None:
-                    edge(write[0], write[1], write[2], b, t, _RAW, a)
+                self.on_read(a, b, t)
             elif etype == EV_WRITE:
-                entry = entries.get(a)
-                if entry is None:
-                    insert(a, (b, node, t), {})
-                    continue
-                old, reads = entry
-                entry[0] = (b, node, t)
-                entry[1] = {}
-                if war_waw:
-                    for read_pc, (read_node, read_t) in reads.items():
-                        edge(read_pc, read_node, read_t, b, t, _WAR, a)
-                    if old is not None:
-                        edge(old[0], old[1], old[2], b, t, _WAW, a)
+                self.on_write(a, b, t)
             elif etype == EV_BLOCK:
-                on_block(a, t)
-                node = nodes[-1] if nodes else None
+                self.on_block_enter(a, t)
             elif etype == EV_BRANCH:
-                on_branch(a, b, t)
-                node = nodes[-1] if nodes else None
+                self.on_branch(a, b, t)
+            elif etype == EV_ENTER:
+                names.enter(functions[a])
+                self.on_enter_function(functions[a].name, b, t)
+            elif etype == EV_EXIT:
+                self.on_exit_function("", t)
+                names.exit()
+            elif etype == EV_ALLOC:
+                names.alloc(a, b)
+            elif etype == EV_FREE:
+                names.free(a, b)
+                self.on_frame_free(a, a + b)
+            elif etype == EV_FINISH:
+                self.on_finish(t)
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
         tracer = self.tracer
@@ -220,9 +246,9 @@ class DependenceAnalysis(Analysis):
 
     def begin_segment(self, program: ProgramIR, memory: Memory,
                       seed: SegmentSeed) -> None:
-        """An unmodified tracer on the seam's index stack and a shadow
-        seeded with boundary payloads, so the shared dependence walk
-        defers any pair whose head lives in an earlier segment."""
+        """A tracer on the seam's index stack and a shadow seeded with
+        boundary payloads, so either path's dependence walk defers any
+        pair whose head lives in an earlier segment."""
         self.on_start(program, memory)
         inner = self.tracer
         inner.profiler.deferred = []
@@ -233,6 +259,7 @@ class DependenceAnalysis(Analysis):
     def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
         from repro.analyses.merging import node_interner
 
+        self._settle()
         inner = self.tracer
         # The seeded stack's pops complete earlier segments' chains;
         # the frontier's heads bring in their own.

@@ -103,9 +103,10 @@ class WhatIfAnalysis(DependenceAnalysis):
     description = ("what-if advisor: predicted futures speedup per "
                    "candidate construct (Table V sweep)")
     supports_segments = True  # dep's merge machinery, inherited
-    # batch_kind = "span" is inherited from DependenceAnalysis: the
-    # advisor profiles through the same bound tracer hooks and dep's
-    # span loop, and the recorder rides along.
+    # batch_kind = "block" is inherited from DependenceAnalysis: replay
+    # profiles through dep's block engine, which logs each block's
+    # instance rows to the recorder; live, the recorder rides the
+    # tracer's hooks.
     options = (
         OptionSpec("workers", str, DEFAULT_WORKERS,
                    "comma-separated worker counts to sweep"),
@@ -134,9 +135,6 @@ class WhatIfAnalysis(DependenceAnalysis):
         for hook in ("on_read", "on_write", "on_frame_free"):
             setattr(self, hook, TeeTracer.fan([getattr(tracer, hook),
                                                getattr(recorder, hook)]))
-
-    def consume_batch(self, batch) -> None:
-        self.recorder.record_span(batch, super().consume_batch)
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
         report = super().finish(ctx).payload

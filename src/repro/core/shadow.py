@@ -335,14 +335,18 @@ def mark_clear_epochs(new_group: np.ndarray, cell_start: np.ndarray,
     new_group[hit[1:][epoch[1:] != epoch[:-1]]] = True
 
 
-def group_pairs(columns: tuple, tdep: np.ndarray
-                ) -> tuple[list, list, list]:
+def group_pairs(columns: tuple, tdep: np.ndarray,
+                order: np.ndarray | None = None) -> tuple:
     """The distinct rows of ``columns`` (equal-length int64 arrays),
     each with the minimum ``tdep`` and the count of its rows:
-    ``(distinct rows as per-column lists, minima, counts)``."""
+    ``(distinct rows as per-column lists, minima, counts)``. With
+    ``order`` (distinct int64 values, one per row), a fourth list gives
+    each distinct row's first occurrence: the index of its row with
+    the smallest ``order``."""
     n = len(tdep)
     if not n:
-        return [[] for _ in columns], [], []
+        return ([[] for _ in columns], [], []) + \
+            (([],) if order is not None else ())
     bounds = [(int(col.min()), int(col.max())) for col in columns]
     total = 1
     for lo, hi in bounds:
@@ -353,21 +357,27 @@ def group_pairs(columns: tuple, tdep: np.ndarray
         for col, (lo, hi) in zip(columns, bounds):
             key *= hi - lo + 1
             key += col - lo
-        order = np.argsort(key)
-        key = key[order]
+        perm = np.argsort(key)
+        key = key[perm]
         change = key[1:] != key[:-1]
     else:
-        order = np.lexsort(columns[::-1])
+        perm = np.lexsort(columns[::-1])
         change = np.zeros(n - 1, dtype=bool)
         for col in columns:
-            col = col[order]
+            col = col[perm]
             change |= col[1:] != col[:-1]
     starts = np.flatnonzero(np.concatenate(([True], change)))
-    minima = np.minimum.reduceat(tdep[order], starts)
+    minima = np.minimum.reduceat(tdep[perm], starts)
     counts = np.diff(np.append(starts, n))
-    first = order[starts]
-    return ([col[first].tolist() for col in columns], minima.tolist(),
-            counts.tolist())
+    first = perm[starts]
+    grouped = ([col[first].tolist() for col in columns], minima.tolist(),
+               counts.tolist())
+    if order is None:
+        return grouped
+    ranked = order[perm]
+    earliest = np.minimum.reduceat(ranked, starts)
+    hit = np.flatnonzero(ranked == np.repeat(earliest, counts))
+    return grouped + (perm[hit].tolist(),)
 
 
 class ShadowArrays:
@@ -399,7 +409,7 @@ class ShadowArrays:
         for addr, (write, by_pc) in sorted(shadow.entries.items()):
             if write is not None:
                 writes.append((addr, write[0], write[2], encode(write[1])))
-            for pc, (payload, t) in sorted(by_pc.items()):
+            for pc, (payload, t) in by_pc.items():
                 reads.append((addr, pc, t, encode(payload)))
         return cls(_table(writes), _table(reads))
 
@@ -419,9 +429,18 @@ class ShadowArrays:
             shadow.insert(addr, write, by_pc)
         return shadow
 
+    def remap(self, new_id: np.ndarray) -> None:
+        """Map every non-negative payload id ``p`` to ``new_id[p]``
+        (the caller's ids were renumbered)."""
+        for name in ("writes", "reads"):
+            table = getattr(self, name)
+            ids = table[3]
+            setattr(self, name, table[:3] + (
+                np.where(ids >= 0, new_id[np.maximum(ids, 0)], ids),))
+
     def step(self, etypes: np.ndarray, a: np.ndarray, b: np.ndarray,
-             t: np.ndarray, payload: np.ndarray | None = None
-             ) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+             t: np.ndarray, payload: np.ndarray | None = None,
+             ordered: bool = False) -> tuple:
         """Advance over one decoded block's int64 columns; returns its
         dependence pairs.
 
@@ -434,6 +453,12 @@ class ShadowArrays:
         :meth:`ShadowMemory.on_read`/:meth:`~ShadowMemory.on_write`
         report over the block, FREE ranges clearing like
         :meth:`~ShadowMemory.clear_range`, in no particular order.
+
+        With ``ordered`` two more columns give each pair's tail event
+        (its index in the block) and a rank: sorted by (tail event,
+        rank), the pairs come in the order the per-event shadow reports
+        them — at a write, the WAR heads in their reader pcs' first-read
+        order since the last write, then the WAW head.
         """
         access_lut, free_lut, ev_write = _kernel_luts()
         acc = np.flatnonzero(access_lut[etypes])
@@ -454,7 +479,8 @@ class ShadowArrays:
                 self.writes = tuple(col[keep_w] for col in writes)
                 self.reads = tuple(col[keep_r] for col in reads)
             empty = np.empty(0, dtype=np.int64)
-            return (empty,) * 4, empty, empty, empty
+            return ((empty,) * 4, empty, empty, empty) + \
+                ((empty, empty) if ordered else ())
 
         # The block's accesses by address; each touched cell's rows are
         # its carried write, its carried reads, then its accesses.
@@ -517,26 +543,32 @@ class ShadowArrays:
 
         # RAW and WAW: an access and the latest write before it.
         index = np.arange(m)
-        last_write = np.where(is_write, index, -1)
-        np.maximum.accumulate(last_write, out=last_write)
-        prev = np.empty(m, dtype=np.int64)
+        prev = np.where(is_write, index, -1)
+        np.maximum.accumulate(prev, out=prev)
+        end_w = prev[last]  # each cell's last write
+        prev[1:] = prev[:-1].copy()
         prev[0] = -1
-        prev[1:] = last_write[:-1]
         has_prev = (prev >= 0) & (group[np.maximum(prev, 0)] == group)
         tails = [np.flatnonzero(has_prev & real)]
+        del has_prev
         heads = [prev[tails[0]]]
+        del prev
         kinds = [np.where(is_write[tails[0]], _WAW, _RAW)]
         # WAR: a write and, per reader pc, the latest read since the
         # previous write.
-        next_write = np.where(is_write, index, m)
-        np.minimum.accumulate(next_write[::-1], out=next_write[::-1])
-        nxt = np.empty(m, dtype=np.int64)
+        nxt = np.where(is_write, index, m)
+        del index
+        np.minimum.accumulate(nxt[::-1], out=nxt[::-1])
+        nxt[:-1] = nxt[1:].copy()
         nxt[-1] = m
-        nxt[:-1] = next_write[1:]
         has_next = (nxt < m) & (group[np.minimum(nxt, m - 1)] == group)
         read = ~is_write
         war = np.flatnonzero(read & has_next)
-        war = war[_last_per_key(nxt[war], rows[1][war])]
+        war_first, war_last = _runs_per_key(nxt[war], rows[1][war])
+        # A WAR pair ranks by its reader pc's first read since the
+        # write, RAW and WAW pairs by their tail: the per-event order.
+        ranks = [tails[0], war[war_first]]
+        war = war[war_last]
         heads.append(war)
         tails.append(nxt[war])
         kinds.append(np.full(len(war), _WAR))
@@ -544,7 +576,6 @@ class ShadowArrays:
         # Carried out: each live cell's last write and, per reader pc,
         # its latest read since, in the cell's last group.
         last_group = group[last]
-        end_w = last_write[last]
         ok = (end_w >= 0) & (group[np.maximum(end_w, 0)] == last_group)
         cell_of = np.repeat(np.arange(len(cells)), sizes)
         end_r = read & ~has_next & (group == last_group[cell_of])
@@ -552,8 +583,12 @@ class ShadowArrays:
             ok &= alive
             end_r &= alive[cell_of]
         end_w = end_w[ok]
+        # Carried reads keep each cell's first-read order since its
+        # last write (the per-event shadow's dict order).
         end_r = np.flatnonzero(end_r)
-        end_r = end_r[_last_per_key(cell_of[end_r], rows[1][end_r])]
+        read_first, read_last = _runs_per_key(cell_of[end_r],
+                                              rows[1][end_r])
+        end_r = end_r[read_last][np.argsort(end_r[read_first])]
         if keep_w is None:
             keep_w = np.ones(len(writes[0]), dtype=bool)
             keep_r = np.ones(len(reads[0]), dtype=bool)
@@ -563,15 +598,25 @@ class ShadowArrays:
                              tuple(col[end_w] for col in rows))
         self.reads = _merge(tuple(col[keep_r] for col in reads),
                             tuple(col[end_r] for col in rows))
-        return (rows, np.concatenate(heads), np.concatenate(tails),
-                np.concatenate(kinds))
+        head = np.concatenate(heads)
+        tail = np.concatenate(tails)
+        kind = np.concatenate(kinds)
+        if not ordered:
+            return rows, head, tail, kind
+        event = np.empty(m, dtype=np.int64)
+        event[b_at] = acc[order]
+        return rows, head, tail, kind, event[tail], np.concatenate(ranks)
 
 
-def _last_per_key(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
-    """Indices of the last occurrence of each distinct (major, minor)
-    pair, ordered by (major, minor)."""
+def _runs_per_key(major: np.ndarray, minor: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the first and of the last occurrence of each
+    distinct (major, minor) pair, both ordered by (major, minor)."""
     order = np.lexsort((minor, major))
     major, minor = major[order], minor[order]
+    change = (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = change
     last = np.ones(len(order), dtype=bool)
-    last[:-1] = (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])
-    return order[last]
+    last[:-1] = change
+    return order[first], order[last]

@@ -62,14 +62,16 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.analysis.constructs import ConstructTable
+from repro.core.blockdep import push_bases, replay_names
 from repro.core.indexing import IndexingStack
+from repro.core.instances import BlockRows, InstanceTable
 from repro.core.pool import NodeAllocator
 from repro.core.profile_data import ProfileStore
 from repro.core.shadow import concat_ranges, free_keys, mark_clear_epochs
 from repro.core.tracer import AlchemistTracer
 from repro.ir.cfg import ProgramIR
 from repro.runtime.interpreter import DEFAULT_MAX_STEPS, Interpreter
-from repro.runtime.memory import Memory
+from repro.runtime.memory import Memory, MemoryNames
 from repro.runtime.tracing import TeeTracer, Tracer
 from repro.telemetry import as_telemetry
 
@@ -414,31 +416,30 @@ class BoundaryRecorder(Tracer):
     def on_frame_free(self, lo: int, hi: int) -> None:
         self._frees.append((self.accesses, lo, hi))
 
-    def record_span(self, span, walk) -> None:
-        """The replay fast path: ``walk(span)`` drives the stack through
-        a memory-quiet span without counting accesses. The span's
-        accesses are then copied out as arrays, and the rows the walk
-        logged are positioned from the span's access timestamps (no
-        access shares a timestamp with a BLOCK or BRANCH event)."""
-        from repro.trace.events import EV_READ, EV_WRITE
+    def record_block(self, rows: InstanceTable, block: BlockRows,
+                     etypes: np.ndarray, a: np.ndarray, b: np.ndarray,
+                     bases: np.ndarray) -> None:
+        """The replay fast path: log one block that ``rows`` indexed
+        (``block``), with the frame base at each of its pushes."""
+        from repro.trace.events import EV_FREE, EV_READ, EV_WRITE
 
-        first = len(self._times)
-        try:
-            etypes, addrs, _, times = span.arrays()
-        except OverflowError:
-            raise _beyond_int64() from None
-        walk(span)
         write = etypes == EV_WRITE
         access = write | (etypes == EV_READ)
-        if len(self._times) > first:
-            at = self.accesses + np.searchsorted(
-                times[access], np.frombuffer(self._times[first:],
-                                             np.int64))
-            self._at[first:] = array("q", at.tobytes())
-        addrs = addrs[access]
-        self._addrs.frombytes(addrs.tobytes())
+        # Accesses before each event (the count at a non-access).
+        before = np.cumsum(access) + self.accesses
+        signed = block.row
+        pushed = block.pushes
+        pcs = rows.pc[np.where(pushed, signed, ~signed)]
+        for column, values in ((self._pcs, np.where(pushed, pcs, ~pcs)),
+                               (self._at, before[block.at]),
+                               (self._times, block.t), (self._bases, bases),
+                               (self._addrs, a[access])):
+            column.frombytes(values.astype(np.int64).tobytes())
         self._writes += write[access].tobytes()
-        self.accesses += len(addrs)
+        free = np.flatnonzero(etypes == EV_FREE)
+        self._frees.extend(zip(before[free].tolist(), a[free].tolist(),
+                               (a[free] + b[free]).tolist()))
+        self.accesses += int(np.count_nonzero(access))
 
     def take(self) -> IndexLog:
         """The log, which ends the recording: the columns are handed
@@ -466,11 +467,13 @@ def _beyond_int64() -> Exception:
 
 
 class _IndexPass(BoundaryRecorder):
-    """Standalone extraction's tracer: the recorder on a stack of its
-    own, which no dependence profile rides, driven by the stream's
-    ENTER/EXIT/BRANCH/BLOCK events."""
+    """Standalone extraction's pass: the recorder on an index of its
+    own, which no dependence profile rides. Replay feeds it whole
+    blocks, which an :class:`InstanceTable` indexes with the rules
+    ``dep`` replays through; live (and ``columnar=False``) events drive
+    an :class:`IndexingStack` through the hooks."""
 
-    batch_kind = "span"
+    batch_kind = "block"
 
     def __init__(self, table: ConstructTable):
         stack = IndexingStack(table, NodeAllocator(), ProfileStore())
@@ -480,29 +483,39 @@ class _IndexPass(BoundaryRecorder):
         self.on_exit_function = lambda fn_name, t: stack.exit_procedure(t)
         self.on_branch = stack.on_branch
         self.on_block_enter = stack.on_block_enter
+        self._rows = InstanceTable(table, ProfileStore())
+        self._functions: list = []
+        self._seen = 0
         self.final_time = 0
+
+    def on_start(self, program: ProgramIR, memory: Memory) -> None:
+        super().on_start(program, memory)
+        self._names = MemoryNames(memory)
 
     def on_finish(self, timestamp: int) -> None:
         self.final_time = timestamp
 
-    def consume_batch(self, span) -> None:
-        self.record_span(span, self._walk)
+    def bind_functions(self, functions: list) -> None:
+        self._functions = functions
 
-    def _walk(self, span) -> None:
-        """Only a span's BLOCK/BRANCH rows reach Python."""
-        from repro.trace.events import EV_BLOCK, EV_BRANCH
+    def consume_batch(self, batch) -> None:
+        from repro.trace.events import EV_FINISH
 
-        etypes, a, b, t = span.arrays()
-        control = np.flatnonzero((etypes == EV_BLOCK)
-                                 | (etypes == EV_BRANCH))
-        for etype, x, y, ts in zip(etypes[control].tolist(),
-                                   a[control].tolist(),
-                                   b[control].tolist(),
-                                   t[control].tolist()):
-            if etype == EV_BRANCH:
-                self.on_branch(x, y, ts)
-            else:
-                self.on_block_enter(x, ts)
+        try:
+            etypes, a, b, t = batch.arrays()
+        except OverflowError:
+            raise _beyond_int64() from None
+        rows = self._rows
+        block = rows.index(etypes, a, b, t, self._seen)
+        rows.create_profiles({})
+        _, calls, bases = replay_names(self._names, etypes, a, b,
+                                       self._functions, [])
+        self.record_block(rows, block, etypes, a, b,
+                          push_bases(block, calls, bases))
+        rows.compact()
+        self._seen += len(etypes)
+        if len(etypes) and etypes[-1] == EV_FINISH:
+            self.on_finish(int(t[-1]))
 
 
 # ---------------------------------------------------------------------------

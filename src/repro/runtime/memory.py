@@ -241,33 +241,103 @@ class Memory:
 
     def addr_to_name(self, addr: int) -> str:
         """Best-effort symbolic name for an address (for reports)."""
-        if addr < self.program.globals_size:
-            name = self.program.global_addr_to_name(addr)
-            return name if name is not None else f"global+{addr}"
-        if addr >= self.heap_base:
-            block = self.heap_block_containing(addr)
-            if block is None:
-                return f"heap+{addr - self.heap_base}"
-            base, size = block
-            name = self.allocations[base][1]
-            if size == 1:
-                return name
-            return f"{name}[{addr - base}]"
-        # Live frames take priority; the stale last-popped frame (kept so
-        # the caller's return-value read right after a pop still names
-        # `retval(callee)`) may share its base with a newer live frame.
-        candidates = [self.last_popped] if self.last_popped is not None else []
-        candidates.extend(self.frames)
-        for region in reversed(candidates):
-            if region.base <= addr < region.base + region.size:
-                offset = addr - region.base
-                if offset == 0:
-                    return f"retval({region.fn.name})"
-                for info in region.fn.locals_layout:
-                    if info.offset <= offset < info.offset + info.size:
-                        if info.is_array:
-                            element = offset - info.offset
-                            return f"{region.fn.name}.{info.name}[{element}]"
-                        return f"{region.fn.name}.{info.name}"
-                return f"{region.fn.name}+{offset}"
-        return f"stack+{addr}"
+        return address_name(self.program, addr, self.heap_base,
+                            self._named_block, self.frames,
+                            self.last_popped)
+
+    def _named_block(self, addr: int) -> tuple[int, int, str] | None:
+        block = self.heap_block_containing(addr)
+        if block is None:
+            return None
+        return block[0], block[1], self.allocations[block[0]][1]
+
+
+def address_name(program: ProgramIR, addr: int, heap_base: int,
+                 heap_block, frames: list, last_popped) -> str:
+    """The symbolic name of ``addr`` given a memory's naming state:
+    its live ``frames``, its ``last_popped`` frame and ``heap_block``,
+    which maps an address to ``(base, size, name)`` of the live heap
+    block holding it, or ``None``."""
+    if addr < program.globals_size:
+        name = program.global_addr_to_name(addr)
+        return name if name is not None else f"global+{addr}"
+    if addr >= heap_base:
+        block = heap_block(addr)
+        if block is None:
+            return f"heap+{addr - heap_base}"
+        base, size, name = block
+        if size == 1:
+            return name
+        return f"{name}[{addr - base}]"
+    # Live frames take priority; the stale last-popped frame (kept so
+    # the caller's return-value read right after a pop still names
+    # `retval(callee)`) may share its base with a newer live frame.
+    candidates = [last_popped] if last_popped is not None else []
+    candidates.extend(frames)
+    for region in reversed(candidates):
+        if region.base <= addr < region.base + region.size:
+            offset = addr - region.base
+            if offset == 0:
+                return f"retval({region.fn.name})"
+            for info in region.fn.locals_layout:
+                if info.offset <= offset < info.offset + info.size:
+                    if info.is_array:
+                        element = offset - info.offset
+                        return f"{region.fn.name}.{info.name}[{element}]"
+                    return f"{region.fn.name}.{info.name}"
+            return f"{region.fn.name}+{offset}"
+    return f"stack+{addr}"
+
+
+class MemoryNames:
+    """A memory's naming state — live frames, the last popped frame and
+    the ``heap#N`` names of live heap blocks — advanced by structural
+    events alone (:meth:`enter`, :meth:`exit`, :meth:`alloc`,
+    :meth:`free`), with no cells. Block-replayed analyses use it to
+    name an address as it was at an event inside a block, after the
+    replay engine has moved the real :class:`Memory` past the block.
+    """
+
+    def __init__(self, memory: Memory):
+        self.program = memory.program
+        self.heap_base = memory.heap_base
+        self.frames: list[FrameRegion] = list(memory.frames)
+        self.last_popped = memory.last_popped
+        self._blocks = {base: (size, memory.allocations[base][1])
+                        for base, size in memory._heap_blocks.items()}
+        self._bases = sorted(self._blocks)
+        self._next_id = memory._next_heap_id
+
+    def enter(self, fn: FunctionIR) -> None:
+        frames = self.frames
+        top = (frames[-1].base + frames[-1].size if frames
+               else self.program.globals_size)
+        frames.append(FrameRegion(top, fn.frame_size, fn))
+
+    def exit(self) -> None:
+        self.last_popped = self.frames.pop()
+
+    def alloc(self, base: int, size: int) -> None:
+        self._blocks[base] = (size, f"heap#{self._next_id}")
+        self._next_id += 1
+        insort(self._bases, base)
+
+    def free(self, lo: int, size: int) -> None:
+        if size and lo >= self.heap_base and \
+                self._blocks.pop(lo, None) is not None:
+            del self._bases[bisect_right(self._bases, lo) - 1]
+
+    def _named_block(self, addr: int) -> tuple[int, int, str] | None:
+        index = bisect_right(self._bases, addr) - 1
+        if index < 0:
+            return None
+        base = self._bases[index]
+        size, name = self._blocks[base]
+        return (base, size, name) if addr < base + size else None
+
+    def name(self, addr: int) -> str:
+        """``addr``'s name in the current state, as
+        :meth:`Memory.addr_to_name` gives it."""
+        return address_name(self.program, addr, self.heap_base,
+                            self._named_block, self.frames,
+                            self.last_popped)

@@ -1,0 +1,369 @@
+"""Replayed dep over whole blocks: the hazards of profiling a block at
+a time, one hand-written case each, and its bounded state.
+
+Block replay runs the indexing rules over a whole decoded block, takes
+the block's pairs from the pair kernel and walks Table II over arrays
+(:class:`~repro.core.blockdep.BlockDependence`), after the replay
+engine has already moved memory past the block. Each case below would
+go wrong if any of that leaked, and checks the block path against the
+per-event hooks of a live ``AlchemistTracer`` store for store:
+
+* a name is resolved at the tail's event, not at the block's end — the
+  return-value cell read right after the callee's EXIT, a heap block
+  recycled under a new ``heap#N`` name, a local of a frame that came
+  and went inside the block, and a segment's deferred pair;
+* at one write, the WAR edges go in their reader pcs' first-read order
+  since the last write, then the WAW edge — also when the reads were
+  carried in from earlier blocks;
+* a block with values beyond int64 takes the per-event hooks, and the
+  state moves between the two paths unchanged.
+
+The instance table keeps only the rows the shadow, the open stack and
+their ancestors still reference, so dep's state does not grow with the
+length of the run.
+"""
+
+import gc
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.analyses import make_analyses
+from repro.analysis.constructs import ConstructTable
+from repro.core.profile_data import DepKind
+from repro.core.tracer import AlchemistTracer
+from repro.ir.lowering import compile_source
+from repro.runtime.memory import Memory
+from repro.trace.columnar import EventBatch
+from repro.trace.events import (EV_ENTER, EV_EXIT, EV_FINISH, EV_FREE,
+                                EV_READ, EV_WRITE)
+from repro.trace.parallel import run_segment
+from repro.trace.reader import TraceReader
+from repro.trace.replay import replay_with
+from repro.trace.shards import plan_shards
+from repro.trace.writer import record_source
+from repro.workloads import get
+from tests.core.test_random_programs import (_tracer_digest,
+                                             record_small_blocks)
+
+
+def _replayed_against_live(source: str, tmp_path, small: bool):
+    """Record ``source`` (into 96-byte blocks with ``small``, else the
+    default), replay dep over the blocks and assert it equals the live
+    tracer store for store; returns the replayed tracer and program."""
+    program = compile_source(source)
+    path = str(tmp_path / "hazard.trace")
+    live = AlchemistTracer(ConstructTable(program))
+    if small:
+        assert record_small_blocks(program, source, path, [live])
+    else:
+        from repro.runtime.interpreter import Interpreter
+        from repro.runtime.tracing import TeeTracer
+        from repro.trace.writer import TraceWriter
+
+        writer = TraceWriter(path, source)
+        interp = Interpreter(program, TeeTracer([writer, live]))
+        writer.close(interp.run(), interp.output)
+        with TraceReader(path) as reader:
+            assert len(list(reader.batches())) == 1
+    analyses = make_analyses(["dep"])
+    replay_with(path, analyses, program)
+    tracer = analyses[0].tracer
+    assert _tracer_digest(tracer) == _tracer_digest(live)
+    assert tracer.profiler.updates == live.profiler.updates
+    return tracer, program
+
+
+def _names(tracer) -> set:
+    return {edge.var_hint for profile in tracer.store.profiles.values()
+            for edge in profile.edges.values()}
+
+
+RETVAL = """
+int f(int n) {
+    int r = n * 2;
+    return r;
+}
+int main() {
+    int s = f(3);
+    print(s);
+    return 0;
+}
+"""
+
+RECYCLED = """
+int main() {
+    int s = 0;
+    for (int i = 0; i < 3; i++) {
+        int *p = malloc(2);
+        if (i >= 0) {
+            p[0] = i;
+        }
+        s = s + p[0];
+        free(p);
+    }
+    print(s);
+    return 0;
+}
+"""
+
+TRANSIENT_FRAME = """
+int g(int n) {
+    int x = 0;
+    for (int i = 0; i < n; i++) {
+        x = x + i;
+    }
+    return x;
+}
+int h(int n) {
+    int y = n + 1;
+    int z = y * 2;
+    return z;
+}
+int main() {
+    int s = g(4);
+    s = s + h(s);
+    print(s);
+    return 0;
+}
+"""
+
+WAR_ORDER = """
+int x;
+int r1() {
+    return x;
+}
+int r2() {
+    return x + 1;
+}
+int main() {
+    int s = 0;
+    for (int i = 0; i < 4; i++) {
+        x = i;
+        s = s + r2();
+        s = s + r1();
+    }
+    print(s);
+    return 0;
+}
+"""
+
+
+class TestNamesAtTheTail:
+    """A new edge is named as of its first observation, inside a block
+    whose end state names the address differently."""
+
+    def test_retval_read_after_exit_in_one_block(self, tmp_path):
+        tracer, _ = _replayed_against_live(RETVAL, tmp_path, small=False)
+        assert "retval(f)" in _names(tracer)
+
+    def test_heap_block_recycled_in_one_block(self, tmp_path):
+        tracer, _ = _replayed_against_live(RECYCLED, tmp_path,
+                                           small=False)
+        names = _names(tracer)
+        assert "heap#1[0]" in names
+        assert not any(name.startswith(("heap#2", "heap#3", "heap+"))
+                       for name in names)
+
+    def test_local_of_frame_entered_and_exited_in_one_block(self,
+                                                            tmp_path):
+        tracer, _ = _replayed_against_live(TRANSIENT_FRAME, tmp_path,
+                                           small=False)
+        assert "g.x" in _names(tracer)
+
+
+@pytest.mark.parametrize("small", [False, True])
+def test_war_edges_in_first_read_order_then_waw(tmp_path, small):
+    """At ``x = i`` the reads since the last write came from r2, then
+    r1 — the reverse of their pc order — so the loop's edges on that
+    tail go WAR from r2, WAR from r1, then WAW; with 96-byte blocks the
+    reads are carried in from earlier blocks."""
+    tracer, program = _replayed_against_live(WAR_ORDER, tmp_path, small)
+    order = []
+    for profile in tracer.store.profiles.values():
+        tails = {key[1] for key, edge in profile.edges.items()
+                 if edge.var_hint == "x" and key[2] is DepKind.WAW}
+        order += [(program.fn_of(key[0]), key[2])
+                  for key in profile.edges
+                  if key[1] in tails and key[2] is not DepKind.RAW]
+    assert order == [("r2", DepKind.WAR), ("r1", DepKind.WAR),
+                     ("main", DepKind.WAW)]
+    reader_pcs = {program.fn_of(pc): pc for profile
+                  in tracer.store.profiles.values()
+                  for pc, _tail, kind in profile.edges
+                  if kind is DepKind.WAR}
+    assert reader_pcs["r1"] < reader_pcs["r2"]
+
+
+def test_segment_defers_with_names_at_the_tail(tmp_path):
+    """A seam inside ``g``: pairs whose head precedes it are deferred,
+    each named at its tail — ``g``'s locals, though ``g`` and then ``h``
+    return before the block ends. Every segment's deferred pairs equal
+    the per-event path's."""
+    source = TRANSIENT_FRAME.replace(
+        "int s = g(4);\n    s = s + h(s);",
+        "int s = 0;\n    for (int k = 0; k < 6; k++) {\n"
+        "        s = s + g(5);\n        s = s + h(k);\n    }")
+    path = str(tmp_path / "seams.trace")
+    events = record_source(source, path).events
+    plan = plan_shards(path, 7, interval=max(1, events // 12))
+    assert plan.is_parallel
+    names = []
+    for segment in plan.segments:
+        deferred = []
+        for columnar in (True, False):
+            result = run_segment({
+                "path": path, "ordinal": segment.ordinal,
+                "checkpoint": segment.checkpoint.to_payload(),
+                "end_index": segment.end_index, "analyses": ["dep"],
+                "options": None, "columnar": columnar})
+            deferred.append(result["exports"]["dep"].state["deferred"])
+        assert deferred[0] == deferred[1]
+        names += [pair[-1] for pair in deferred[0]]
+    assert any(name.startswith("g.") for name in names)
+
+
+#: Beyond int64: only a corrupt-but-parseable trace carries such values
+#: (``EventBatch.from_lists`` keeps them as plain lists).
+BIG = 1 << 64
+
+
+def test_beyond_int64_settles_through_the_hooks():
+    """The block holding BIG takes the per-event hooks, the blocks
+    before it and after BIG is freed the block engine; the profile
+    equals one fed every event through the hooks, with memory kept in
+    step."""
+    program = compile_source(
+        "int g0[4];\nint f() { return 0; }\n"
+        "int main() { f(); return 0; }")
+    functions = list(program.functions.values())
+    fn = {function.name: index for index, function in enumerate(functions)}
+    f, main = fn["f"], fn["main"]
+    entry = {index: function.entry_pc
+             for index, function in enumerate(functions)}
+    blocks = [
+        [(EV_ENTER, main, entry[main], 1), (EV_ENTER, f, entry[f], 2),
+         (EV_WRITE, 1, 10, 3), (EV_EXIT, f, 0, 4), (EV_READ, 1, 11, 5)],
+        [(EV_WRITE, BIG, 12, 6), (EV_READ, 1, 13, 7),
+         (EV_ENTER, f, entry[f], 8), (EV_WRITE, 2, 14, 9),
+         (EV_READ, BIG, 15, 10), (EV_EXIT, f, 0, 11), (EV_READ, 2, 16, 12),
+         (EV_FREE, BIG, 1, 12)],
+        [(EV_WRITE, 1, 17, 13), (EV_READ, 2, 18, 14),
+         (EV_ENTER, f, entry[f], 15), (EV_READ, 1, 19, 16),
+         (EV_WRITE, 2, 20, 16), (EV_EXIT, f, 0, 17),
+         (EV_EXIT, main, 0, 18), (EV_FINISH, 0, 0, 19)],
+    ]
+    block, hooks = make_analyses(["dep"]) + make_analyses(["dep"])
+    block.on_start(program, Memory(program))
+    block.bind_functions(functions)
+    memory = Memory(program)
+    hooks.on_start(program, memory)
+    for index, rows in enumerate(blocks):
+        block.consume_batch(EventBatch.from_lists(
+            *[[row[k] for row in rows] for k in range(4)]))
+        # Only the block holding BIG left the block engine.
+        assert (block._block is None) == (index == 1)
+        for etype, a, b, t in rows:
+            if etype == EV_READ:
+                hooks.on_read(a, b, t)
+            elif etype == EV_WRITE:
+                hooks.on_write(a, b, t)
+            elif etype == EV_ENTER:
+                memory.push_frame(functions[a])
+                hooks.on_enter_function(functions[a].name, b, t)
+            elif etype == EV_EXIT:
+                hooks.on_exit_function(functions[a].name, t)
+                memory.pop_frame()
+            elif etype == EV_FREE:
+                hooks.on_frame_free(a, a + b)
+            elif etype == EV_FINISH:
+                hooks.on_finish(t)
+    assert _tracer_digest(block.tracer) == _tracer_digest(hooks.tracer)
+    assert block.tracer.profiler.updates == hooks.tracer.profiler.updates
+    assert block.tracer.profiler.updates > 0
+
+
+# -- bounded state -------------------------------------------------------
+
+def _reachable(rows, shadow) -> int:
+    """Rows reachable from the shadow's payloads and the open stack
+    through parent links, counted independently of ``compact``."""
+    seen = set()
+    todo = [int(r) for r in np.concatenate((shadow.writes[3],
+                                            shadow.reads[3])) if r >= 0]
+    todo += rows.stack + rows.pinned
+    while todo:
+        row = todo.pop()
+        if row not in seen:
+            seen.add(row)
+            if rows.parent[row] >= 0:
+                todo.append(int(rows.parent[row]))
+    return len(seen)
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0])
+def test_instance_rows_bounded_by_references(tmp_path, scale):
+    """After bzip2, the table holds exactly the rows the shadow and the
+    open stack reach — at most the referenced rows times the index
+    depth — and not one per dynamic instance."""
+    workload = get("bzip2", scale)
+    path = str(tmp_path / "bzip2.trace")
+    record_source(workload.source, path, filename=workload.name)
+    analyses = make_analyses(["dep"])
+    replay_with(path, analyses)
+    engine = analyses[0]._block
+    rows, shadow = engine.rows, engine.shadow
+    referenced = len(np.unique(np.concatenate(
+        (shadow.writes[3], shadow.reads[3])))) + len(rows.stack)
+    assert len(rows) == _reachable(rows, shadow)
+    assert len(rows) <= referenced * rows.max_depth
+    assert len(rows) * 10 < analyses[0].tracer.store.dynamic_instances
+
+
+LOOP = """
+int g[8];
+int main() {
+    int s = 0;
+    for (int i = 0; i < TRIPS; i++) {
+        g[i % 8] = g[(i + 3) % 8] + s;
+        if (i % 3 == 0) {
+            s = s + g[i % 8];
+        }
+    }
+    print(s);
+    return 0;
+}
+"""
+
+
+def _retained_bytes(tmp_path, trips: int) -> int:
+    """Traced memory dep's replay state holds after a loop of ``trips``
+    iterations over the same eight cells."""
+    source = LOOP.replace("TRIPS", str(trips))
+    path = str(tmp_path / f"loop{trips}.trace")
+    record_source(source, path)
+    program = compile_source(source)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        analyses = make_analyses(["dep"])
+        outcome = replay_with(path, analyses, program)
+        del outcome
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    os.remove(path)
+    assert analyses[0]._block is not None
+    return retained
+
+
+def test_state_does_not_grow_with_run_length(tmp_path):
+    """Ten times the iterations over the same cells retain the same
+    memory, up to a small constant: dep's state is O(distinct)."""
+    short = _retained_bytes(tmp_path, 2_000)
+    long = _retained_bytes(tmp_path, 20_000)
+    assert long - short < 16 * 1024, (short, long)

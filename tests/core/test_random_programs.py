@@ -9,9 +9,12 @@ and infinite loops are legitimate runtime outcomes, not failures —
 must leave the profiler in a consistent state: balanced indexing
 stack, zeroed nesting counters, allocator fully drained.
 
-The same generators also pin the dep span kernel: fused span replay,
-per-event replay, live profiling and parallel segments (kernel plus
-cross-seam deferral) must all produce the same dep profile. They pin
+The same generators also pin replayed dep: block replay (the instance
+table, the pair kernel and the vectorised Table II walk), per-event
+replay, live profiling and parallel segments (plus cross-seam
+deferral) must all produce the same dep profile — store for store on
+traces of many small blocks, down to each construct's edge order, the
+names and the first observations. They pin
 the locality reuse-distance kernel and the flat and context block
 kernel the same way: batch replay, per-event replay and
 parallel segments agree. The flat, context and Alchemist detectors,
@@ -51,7 +54,7 @@ from repro.runtime.tracing import TeeTracer
 from repro.trace.parallel import parallel_replay
 from repro.trace.reader import TraceReader
 from repro.trace.replay import ReplayEngine, replay_with
-from repro.trace.writer import record_program
+from repro.trace.writer import TraceWriter, record_program
 from repro.workloads import get
 from tests.lang.test_pretty import _programs
 
@@ -191,8 +194,8 @@ def _loop_programs(draw) -> str:
 
 
 class TestDepKernelEquivalence:
-    """Span-kernel replay == per-event replay == live == parallel at 2
-    and 7 jobs, on random programs, with and without WAR/WAW."""
+    """Block replay == per-event replay == live == parallel at 2 and 7
+    jobs, on random programs, with and without WAR/WAW."""
 
     @given(st.one_of(_programs.map(pretty_print), _loop_programs()),
            st.booleans())
@@ -239,6 +242,108 @@ class TestDepKernelEquivalence:
         for digest in _parallel_digests(path, True,
                                         recorded.events // 10):
             assert digest == kernel[0]
+
+
+#: Small enough that even a fuzzed program spans several blocks.
+SMALL_BLOCKS = 96
+
+
+def _store_digest(store, ordered: bool = True) -> list:
+    """Every profile (in ``store.profiles`` order) with its durations,
+    instances and edges (in insertion order) as ``(key, min Tdep,
+    count, name, first_t)``; sorted throughout unless ``ordered``."""
+    profiles = []
+    for pc, profile in store.profiles.items():
+        edges = [((key[0], key[1], key[2].value), edge.min_tdep,
+                  edge.count, edge.var_hint, edge.first_t)
+                 for key, edge in profile.edges.items()]
+        profiles.append((pc, profile.total_duration, profile.instances,
+                         profile.max_duration,
+                         edges if ordered else sorted(edges)))
+    return profiles if ordered else sorted(profiles)
+
+
+def _tracer_digest(tracer, ordered: bool = True) -> tuple:
+    """A dep tracer's store and counters (see :func:`_store_digest`)."""
+    pool = tracer.pool.stats
+    events = tracer.profiler.events
+    return (_store_digest(tracer.store, ordered),
+            tracer.store.dynamic_instances, events[DepKind.RAW],
+            events[DepKind.WAR], events[DepKind.WAW], pool.capacity,
+            pool.acquires, tracer.stack.max_depth)
+
+
+def _report_digest(report, ordered: bool = True) -> tuple:
+    """:func:`_tracer_digest` of a finished :class:`ProfileReport`."""
+    stats = report.stats
+    return (_store_digest(report.store, ordered), stats.dynamic_instances,
+            stats.raw_events, stats.war_events, stats.waw_events,
+            stats.pool.capacity, stats.pool.acquires,
+            stats.max_index_depth)
+
+
+def record_small_blocks(program, source: str, path: str, live=()):
+    """Record ``program`` into blocks of :data:`SMALL_BLOCKS` bytes,
+    feeding the ``live`` tracers on the same run; returns the events
+    recorded, or ``None`` when the program does not run to
+    completion."""
+    writer = TraceWriter(path, source, block_bytes=SMALL_BLOCKS)
+    interp = Interpreter(program, TeeTracer([writer, *live]),
+                         max_steps=STEP_CAP)
+    try:
+        exit_value = interp.run()
+    except (MiniCRuntimeError, StepLimitExceeded):
+        writer.abort()
+        return None
+    writer.close(exit_value, interp.output)
+    return writer.events
+
+
+class TestDepStoreForStore:
+    """Block replay == ``columnar=False`` == live ``AlchemistTracer`` ==
+    ``Alchemist().profile`` == parallel at 2 and 7 jobs, store for
+    store, on traces whose instances, frees and calls straddle 96-byte
+    blocks: every construct's edges in dict insertion order as (key,
+    min Tdep, count, name, first_t), its durations and instances, the
+    profiles' order, the dependence counters, the Table II updates, the
+    allocation stats and the index depth. The parallel merge rebuilds
+    the store sorted, so parallel runs compare in sorted order."""
+
+    @given(st.one_of(_programs.map(pretty_print), _loop_programs()),
+           st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_every_path_agrees(self, source, war_waw):
+        try:
+            program = compile_source(source)
+        except SemanticError:
+            return
+        options = {"dep": {"track_war_waw": war_waw}}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.trace")
+            live = AlchemistTracer(ConstructTable(program),
+                                   track_war_waw=war_waw)
+            events = record_small_blocks(program, source, path, [live])
+            if events is None:
+                return
+            expected = _tracer_digest(live)
+            for columnar in (True, False):
+                analyses = make_analyses(["dep"], options)
+                replay_with(path, analyses, program, columnar=columnar)
+                tracer = analyses[0].tracer
+                assert _tracer_digest(tracer) == expected, columnar
+                assert tracer.profiler.updates == live.profiler.updates
+            report = Alchemist(ProfileOptions(
+                track_war_waw=war_waw, max_steps=STEP_CAP)).profile(
+                    program=program)
+            assert _report_digest(report) == expected
+            canonical = _tracer_digest(live, ordered=False)
+            for jobs in (2, 7):
+                outcome = parallel_replay(path, ["dep"], jobs=jobs,
+                                          interval=max(1, events // 6),
+                                          options=options)
+                assert outcome.mode == "parallel", outcome.fallback_reason
+                assert _report_digest(outcome.reports["dep"].payload,
+                                      ordered=False) == canonical
 
 
 def _reports(outcome, names) -> dict:
