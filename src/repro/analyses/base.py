@@ -263,15 +263,16 @@ class Analysis(Tracer):
     #:   scalar hooks fire for in-batch events. Only valid for analyses
     #:   that never read shared replay state (the reconstructed
     #:   ``Memory``) while consuming — counters, histograms, and the
-    #:   flat and context detectors on the block pair kernel. One that
+    #:   dependence profilers on the block pair kernel (dep names
+    #:   addresses from the block's own structural rows). One that
     #:   names ENTER's callees defines ``bind_functions(functions)``:
     #:   the engine passes it the trace's function table first.
     #: * ``"span"`` — ``consume_batch`` receives maximal sub-batches
     #:   containing no memory-mutating events; ENTER/EXIT/ALLOC/FREE
     #:   and FINISH still arrive through the scalar hooks, with the
     #:   reconstructed memory synchronized exactly as in scalar
-    #:   replay. Right for analyses that resolve addresses or names
-    #:   against ``Memory`` mid-stream (the dependence profilers).
+    #:   replay. For consumers that read ``Memory`` mid-stream (the
+    #:   shard seam scan).
     #:
     #: Either way ``consume_batch`` must be observationally equivalent
     #: to the scalar hooks — the engines are free to pick the path, and

@@ -36,7 +36,6 @@ from repro.ir.cfg import ProgramIR
 from repro.runtime.memory import Memory, MemoryNames
 
 
-
 def profile_summary(report: ProfileReport) -> dict[str, Any]:
     """Compact, JSON-able, order-stable digest of a ProfileReport.
 

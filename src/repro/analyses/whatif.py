@@ -11,9 +11,10 @@ privatize that, expect roughly x3.5 on 4 workers" answers.
 
 The task graphs come from the same single pass as the profile:
 candidates are only known once the profile exists, so a
-:class:`~repro.parallel.taskgraph.BoundaryRecorder` on the dependence
-tracer's indexing stack logs every construct's pushes and pops, plus
-the access and free columns. After the advisor ranks the candidates,
+:class:`~repro.parallel.taskgraph.BoundaryRecorder` logs every
+construct's pushes and pops, plus the access and free columns — on
+replay from the instance rows dep's block engine writes, live from the
+dependence tracer's indexing stack. After the advisor ranks the candidates,
 :func:`~repro.parallel.taskgraph.task_graphs` builds each one's graph
 from that log with a numpy kernel. Nothing is replayed or executed a
 second time, live or from a recording.

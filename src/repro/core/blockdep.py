@@ -146,6 +146,7 @@ class BlockDependence:
         block = rows.index(etypes, a, b, t, first)
         (addr, pc, ts, payload), head, tail, kind, event, rank = \
             self.shadow.step(etypes, a, b, t, block.payload, ordered=True)
+        block.payload = None
         if not tracer.track_war_waw:
             raw = kind == _RAW
             head, tail, kind, event, rank = (head[raw], tail[raw],
@@ -153,6 +154,7 @@ class BlockDependence:
                                              rank[raw])
         # Pairs sorted by ``order`` come in the per-event stream order.
         order = event * len(addr) + rank
+        del rank
         head_row = payload[head]
         boundary = head_row == BOUNDARY_ID
         deferred = np.flatnonzero(boundary)
@@ -183,10 +185,11 @@ class BlockDependence:
             self._create_profiles(construct, step_order,
                                   event[step_pair] + first)
             profiles = tracer.store.profiles
+            head_step, tail_step = head[step_pair], tail[step_pair]
             keys, minima, counts, firsts = group_pairs(
-                (construct, pc[head][step_pair], pc[tail][step_pair],
-                 kind[step_pair]),
-                (ts[tail] - ts[head])[step_pair], step_order)
+                (construct, pc[head_step], pc[tail_step], kind[step_pair]),
+                ts[tail_step] - ts[head_step], step_order)
+            del head_step, tail_step
             for c, h, tl, k, low, count, i in zip(*keys, minima, counts,
                                                   firsts):
                 key = (h, tl, PAIR_KINDS[k])

@@ -18,9 +18,9 @@ edge, which is what profiles record). So every detector sees the same
 pair stream; they differ only in how they attribute it.
 
 The *payload* is opaque to the shadow: the construct node for
-Alchemist, the calling context for the context baseline, the loop tag
-for the TEST baseline, ``None`` for the flat baseline and the
-checkpoint scanner. :data:`BOUNDARY` is the payload of pre-segment
+Alchemist (its instance row on the block path), the calling context
+for the context baseline, the loop tag for the TEST baseline, ``None``
+for the flat baseline and the checkpoint scanner. :data:`BOUNDARY` is the payload of pre-segment
 state seeded into a parallel segment.
 
 ``clear_range`` forgets state for deallocated stack frames so address
@@ -55,9 +55,12 @@ frees that cover it (:func:`mark_clear_epochs`, shared with task-graph
 extraction); and pairs within each (address, epoch) group — a read
 with the latest write before it (RAW), a write with the latest write
 before it (WAW) and with the last read per reader pc since that write
-(WAR). The state it carries between blocks is address-sorted arrays;
-they convert to and from a :class:`ShadowMemory` only at segment
-seams. Flat and context replay whole blocks through it.
+(WAR). The state it carries between blocks is address-sorted arrays,
+each address's reads in the order the per-event shadow's dict keeps
+them (first read since the last write first), so the kernel can also
+report pairs in the per-event order. The arrays convert to and from a
+:class:`ShadowMemory` only at segment seams. Flat, context and dep
+replay whole blocks through it.
 """
 
 from __future__ import annotations
@@ -89,11 +92,9 @@ class ShadowMemory:
     """Address -> access history.
 
     ``entries`` maps addr -> ``[last write | None, {reader pc:
-    (payload, t)}]``. It is public for dep's fused span loop
-    (``DependenceAnalysis.consume_batch``), which reads it and adds
-    addresses through :meth:`insert`, and for the conversions to and
-    from :class:`ShadowArrays`; everything else goes through the
-    methods.
+    (payload, t)}]``, the reads in first-read order since the write.
+    It is public for the conversions to and from
+    :class:`ShadowArrays`; everything else goes through the methods.
     """
 
     __slots__ = ("entries", "_buckets")
@@ -387,7 +388,8 @@ class ShadowArrays:
     ``writes`` holds the last write per address and ``reads`` the latest
     read per (address, reader pc) since that write, each as ``(addr,
     pc, t, payload id)`` int64 columns; writes are sorted by address,
-    reads by (address, pc). Payload ids are the caller's
+    reads by address and then by each reader pc's first read since the
+    write (:class:`ShadowMemory`'s dict order). Payload ids are the caller's
     (:data:`BOUNDARY_ID` for a seeded access). The state converts from
     and to a :class:`ShadowMemory` — and so to its seed/frontier rows —
     only at segment seams (:meth:`from_shadow`, :meth:`to_shadow`).
@@ -589,6 +591,7 @@ class ShadowArrays:
         read_first, read_last = _runs_per_key(cell_of[end_r],
                                               rows[1][end_r])
         end_r = end_r[read_last][np.argsort(end_r[read_first])]
+        del new_group, group, is_write, real, nxt, has_next, read, cell_of
         if keep_w is None:
             keep_w = np.ones(len(writes[0]), dtype=bool)
             keep_r = np.ones(len(reads[0]), dtype=bool)
@@ -599,8 +602,10 @@ class ShadowArrays:
         self.reads = _merge(tuple(col[keep_r] for col in reads),
                             tuple(col[end_r] for col in rows))
         head = np.concatenate(heads)
+        del heads
         tail = np.concatenate(tails)
         kind = np.concatenate(kinds)
+        del kinds
         if not ordered:
             return rows, head, tail, kind
         event = np.empty(m, dtype=np.int64)

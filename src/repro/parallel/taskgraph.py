@@ -21,14 +21,16 @@ edges:
   no-privatization ablation.
 
 Extraction is one index pass plus one numpy kernel per candidate. A
-:class:`BoundaryRecorder` rides the pass's
-:class:`~repro.core.indexing.IndexingStack` and writes an
-:class:`IndexLog`: every construct push and pop with its event position
-(the number of accesses before it), its timestamp and, at a push, the
-frame base, plus the access columns (address, is-write) and the frees.
-The pass is ``whatif``'s own dependence-profile pass, so ``advise``
-reads its events once; standalone :func:`extract_task_graphs` drives
-the recorder on a stack of its own over a live run
+:class:`BoundaryRecorder` writes an :class:`IndexLog`: every construct
+push and pop with its event position (the number of accesses before
+it), its timestamp and, at a push, the frame base, plus the access
+columns (address, is-write) and the frees. Per event it rides an
+:class:`~repro.core.indexing.IndexingStack`'s observers; a replayed
+block arrives in one :meth:`BoundaryRecorder.record_block` call from
+the :class:`~repro.core.instances.InstanceTable` that indexed it. The
+pass is ``whatif``'s own dependence-profile pass, so ``advise`` reads
+its events once; standalone :func:`extract_task_graphs` runs the same
+row pass (or stack, live) without a profile over a live run
 (:class:`LiveSource`) or a recorded trace (:class:`TraceSource`). A
 candidate's outermost instances are the log rows where its depth goes
 0→1 and 1→0. :func:`task_graphs` then sorts the accesses by address
@@ -363,7 +365,8 @@ class IndexLog:
 
 
 class BoundaryRecorder(Tracer):
-    """Records an :class:`IndexLog` while an :class:`IndexingStack` runs.
+    """Records an :class:`IndexLog` while an :class:`IndexingStack` runs,
+    or block by block from an :class:`InstanceTable`.
 
     It attaches to the stack's push/pop observers, whoever drives the
     stack. Its access hooks keep the running access count, so every

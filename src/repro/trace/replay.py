@@ -98,7 +98,9 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
       sub-batches between structural events; the structural events
       themselves (ENTER/EXIT/ALLOC/FREE/FINISH) still arrive through
       the scalar hooks with memory synchronized exactly as the scalar
-      engine would have it;
+      engine would have it (the shard seam scan's state is the only
+      span consumer left: every analysis, dep and whatif included,
+      takes whole blocks);
     * ``None`` — every event is dispatched per-hook (custom plugins
       keep working unmodified).
 

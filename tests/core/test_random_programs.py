@@ -423,7 +423,7 @@ class TestOneShadowOnePairStream:
 
 class _ScalarTraceSource(TraceSource):
     """Replays through the ``columnar=False`` reference path, where the
-    index pass gets per-event hooks instead of spans."""
+    index pass gets per-event hooks instead of whole blocks."""
 
     def drive(self, tracers):
         with TraceReader(self.path) as reader:
@@ -433,7 +433,7 @@ class _ScalarTraceSource(TraceSource):
 class TestTaskGraphKernelEquivalence:
     """Task-graph kernel == ``TaskGraphTracer`` for every construct
     head — without privatization, with one privatized global and with
-    each loop's induction offsets — and TraceSource (spans, or per-event
+    each loop's induction offsets — and TraceSource (blocks, or per-event
     hooks on the ``columnar=False`` path) == LiveSource."""
 
     @given(st.one_of(_programs.map(pretty_print), _loop_programs()))
