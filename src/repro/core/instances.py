@@ -15,10 +15,10 @@ instance as a row of int columns instead:
   open), so "completed before event p" is ``exit_at < p`` even when a
   pop and an access share a timestamp.
 
-Durations and instance counts fold into the
-:class:`~repro.core.profile_data.ProfileStore` as the loop pops, with
-the store's recursion nesting counters, so only the outermost same-pc
-instance aggregates (§III-B "Recursion"). A profile the block would
+The loop keeps the :class:`~repro.core.profile_data.ProfileStore`'s
+recursion nesting counters and marks the pops that end an outermost
+same-pc instance; only those fold their durations and instance counts
+into the store (§III-B "Recursion"). A profile the block would
 create is held back until :meth:`InstanceTable.create_profiles`, which
 creates every new profile of the block in event order together with
 the ones the dependence walk creates.
@@ -89,10 +89,9 @@ class InstanceTable:
         empty = np.empty(0, dtype=np.int64)
         self.pc = self.parent = self.t_enter = self.t_exit = empty
         self.exit_at = empty
-        #: Open instances bottom to top: rows, statics and Tenter.
+        #: Open instances bottom to top: rows and statics.
         self.stack: list[int] = []
         self._statics: list = []
-        self._enters: list[int] = []
         #: Rows kept whatever references them (a segment's seeded
         #: stack, whose pops the segment export must report).
         self.pinned: list[int] = []
@@ -118,21 +117,20 @@ class InstanceTable:
         control = np.flatnonzero(control_lut[etypes])
         by_pc = self.constructs.by_pc
         nesting = self.store._nesting
-        profiles = self.store.profiles
-        pending = self._pending
-        stack, statics, enters = self.stack, self._statics, self._enters
+        stack, statics = self.stack, self._statics
         start_top = self.top()
-        row = base = len(self)
+        row = len(self)
         new_pc: list[int] = []
         new_parent: list[int] = []
         log_row: list[int] = []
         log_at: list[int] = []
+        #: Log indices of the pops that end an outermost instance.
+        outermost: list[int] = []
         max_depth = self.max_depth
 
-        for etype, x, y, ts, at in zip(
+        for etype, x, y, at in zip(
                 etypes[control].tolist(), a[control].tolist(),
-                b[control].tolist(), t[control].tolist(),
-                control.tolist()):
+                b[control].tolist(), control.tolist()):
             # Each rule pops the stack down to ``keep`` entries, then
             # pushes ``push`` if it is not None.
             keep = len(statics)
@@ -173,32 +171,13 @@ class InstanceTable:
                     if statics[keep].kind is _PROCEDURE:
                         break
             while len(stack) > keep:
-                static = statics.pop()
+                pc = statics.pop().pc
                 log_row.append(~stack.pop())
                 log_at.append(at)
-                pc = static.pc
                 depth = nesting[pc] - 1
                 nesting[pc] = depth
-                if depth:
-                    enters.pop()
-                    continue
-                duration = ts - enters.pop()
-                profile = profiles.get(pc)
-                if profile is not None:
-                    profile.total_duration += duration
-                    profile.instances += 1
-                    if duration > profile.max_duration:
-                        profile.max_duration = duration
-                    continue
-                fold = pending.get(pc)
-                if fold is None:
-                    pending[pc] = [duration, 1, duration, first + at,
-                                   len(log_row)]
-                    continue
-                fold[0] += duration
-                fold[1] += 1
-                if duration > fold[2]:
-                    fold[2] = duration
+                if not depth:
+                    outermost.append(len(log_row) - 1)
             if push is not None:
                 pc = push.pc
                 new_pc.append(pc)
@@ -208,7 +187,6 @@ class InstanceTable:
                 stack.append(row)
                 row += 1
                 statics.append(push)
-                enters.append(ts)
                 nesting[pc] = nesting.get(pc, 0) + 1
                 if len(stack) > max_depth:
                     max_depth = len(stack)
@@ -226,6 +204,8 @@ class InstanceTable:
         popped = ~logged[~pushed]
         self.t_exit[popped] = times[~pushed]
         self.exit_at[popped] = at[~pushed] + first
+        self._fold(np.array(outermost, dtype=np.int64), logged, at, times,
+                   first)
         # The top after a push is the pushed row, after a pop the popped
         # row's parent; an event's payload is the top after the last
         # push or pop at or before it.
@@ -235,6 +215,37 @@ class InstanceTable:
         payload = np.concatenate(([start_top], top))[
             np.searchsorted(at, np.arange(len(etypes)), side="right")]
         return BlockRows(payload, logged, at, times)
+
+    def _fold(self, outermost: np.ndarray, logged: np.ndarray,
+              at: np.ndarray, times: np.ndarray, first: int) -> None:
+        """Fold the durations of the block's outermost pops (indices
+        into its log) into their profiles. A construct without a
+        profile is held back for :meth:`create_profiles` with its
+        first pop's position and order."""
+        if not len(outermost):
+            return
+        rows = ~logged[outermost]
+        durations = times[outermost] - self.t_enter[rows]
+        pcs, where, inverse = np.unique(self.pc[rows], return_index=True,
+                                        return_inverse=True)
+        total = np.zeros(len(pcs), dtype=np.int64)
+        np.add.at(total, inverse, durations)
+        longest = np.zeros(len(pcs), dtype=np.int64)
+        np.maximum.at(longest, inverse, durations)
+        count = np.bincount(inverse, minlength=len(pcs))
+        profiles = self.store.profiles
+        for pc, duration, instances, most, i in zip(
+                pcs.tolist(), total.tolist(), count.tolist(),
+                longest.tolist(), outermost[where].tolist()):
+            profile = profiles.get(pc)
+            if profile is None:
+                self._pending[pc] = [duration, instances, most,
+                                     first + int(at[i]), i]
+                continue
+            profile.total_duration += duration
+            profile.instances += instances
+            if most > profile.max_duration:
+                profile.max_duration = most
 
     def _append(self, *columns) -> None:
         names = ("pc", "parent", "t_enter", "t_exit", "exit_at")
@@ -332,7 +343,6 @@ class InstanceTable:
         the open stack."""
         self.stack = [intern(node) for node in nodes]
         self._statics = [node.static for node in nodes]
-        self._enters = [node.t_enter for node in nodes]
 
     def node_maker(self):
         """``node(row) -> ConstructNode``, one node per row (with its
