@@ -146,7 +146,6 @@ class BlockDependence:
         block = rows.index(etypes, a, b, t, first)
         (addr, pc, ts, payload), head, tail, kind, event, rank = \
             self.shadow.step(etypes, a, b, t, block.payload, ordered=True)
-        block.payload = None
         if not tracer.track_war_waw:
             raw = kind == _RAW
             head, tail, kind, event, rank = (head[raw], tail[raw],
@@ -154,17 +153,18 @@ class BlockDependence:
                                              rank[raw])
         # Pairs sorted by ``order`` come in the per-event stream order.
         order = event * len(addr) + rank
-        del rank
         head_row = payload[head]
         boundary = head_row == BOUNDARY_ID
-        deferred = np.flatnonzero(boundary)
-        if len(deferred):
-            deferred = deferred[np.argsort(order[deferred])]
+        deferred = []
+        if boundary.any():
+            # A segment's pairs whose head precedes it, in stream order.
+            at = np.flatnonzero(boundary)
+            at = at[np.argsort(order[at])]
             deferred = list(zip(
-                kind[deferred].tolist(), addr[tail[deferred]].tolist(),
-                pc[head[deferred]].tolist(), ts[head[deferred]].tolist(),
-                pc[tail[deferred]].tolist(), ts[tail[deferred]].tolist(),
-                event[deferred].tolist()))
+                kind[at].tolist(), addr[tail[at]].tolist(),
+                pc[head[at]].tolist(), ts[head[at]].tolist(),
+                pc[tail[at]].tolist(), ts[tail[at]].tolist(),
+                event[at].tolist()))
             keep = ~boundary
             head, tail, kind, event, order, head_row = (
                 head[keep], tail[keep], kind[keep], event[keep],
@@ -178,18 +178,17 @@ class BlockDependence:
         # ``step_order`` come in the per-edge walk's order.
         step_pair, step_row, level = self._walk(head_row, event + first)
         tracer.profiler.updates += len(step_pair)
+        step_order = order[step_pair] * (level.max(initial=0) + 1) + level
+        construct = rows.pc[step_row]
+        self._create_profiles(construct, step_order,
+                              event[step_pair] + first)
+        profiles = tracer.store.profiles
         new_edges = []
         if len(step_pair):
-            step_order = order[step_pair] * (int(level[-1]) + 1) + level
-            construct = rows.pc[step_row]
-            self._create_profiles(construct, step_order,
-                                  event[step_pair] + first)
-            profiles = tracer.store.profiles
             head_step, tail_step = head[step_pair], tail[step_pair]
             keys, minima, counts, firsts = group_pairs(
                 (construct, pc[head_step], pc[tail_step], kind[step_pair]),
                 ts[tail_step] - ts[head_step], step_order)
-            del head_step, tail_step
             for c, h, tl, k, low, count, i in zip(*keys, minima, counts,
                                                   firsts):
                 key = (h, tl, PAIR_KINDS[k])
@@ -201,8 +200,6 @@ class BlockDependence:
                     stats.count += count
                     if low < stats.min_tdep:
                         stats.min_tdep = low
-        else:
-            rows.create_profiles({})
 
         # Names at the tail's event: new edges, deferred pairs.
         requests = {(int(event[j]), int(addr[tail[j]]))
@@ -211,7 +208,6 @@ class BlockDependence:
         named, calls, bases = replay_names(
             self.names, etypes, a, b, self.functions, sorted(requests))
         new_edges.sort(key=lambda edge: edge[0])
-        profiles = tracer.store.profiles
         for _, c, key, low, count, j in new_edges:
             tail_row = tail[j]
             profiles[c].edges[key] = EdgeStats(

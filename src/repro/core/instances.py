@@ -321,16 +321,20 @@ class InstanceTable:
         base = len(self)
 
         def intern(node: ConstructNode) -> int:
-            row = rows.get(id(node))
-            if row is None:
-                parent = (intern(node.parent) if node.parent is not None
-                          else -1)
-                row = rows[id(node)] = base + len(columns[0])
+            chain = []
+            up = node
+            while up is not None and id(up) not in rows:
+                chain.append(up)
+                up = up.parent
+            parent = rows[id(up)] if up is not None else -1
+            for new in reversed(chain):
+                row = rows[id(new)] = base + len(columns[0])
                 for column, value in zip(columns, (
-                        node.static.pc, parent, node.t_enter, node.t_exit,
-                        OPEN if node.t_exit == 0 else -1)):
+                        new.static.pc, parent, new.t_enter, new.t_exit,
+                        OPEN if new.t_exit == 0 else -1)):
                     column.append(value)
-            return row
+                parent = row
+            return rows[id(node)]
 
         def done() -> None:
             self._append(*(np.array(column, dtype=np.int64)
@@ -354,14 +358,19 @@ class InstanceTable:
         t_enter, t_exit = self.t_enter, self.t_exit
 
         def node(row: int) -> ConstructNode:
-            made = nodes.get(row)
-            if made is None:
-                made = nodes[row] = ConstructNode()
-                made.static = by_pc[int(pc[row])]
-                made.t_enter = int(t_enter[row])
-                made.t_exit = int(t_exit[row])
-                up = int(parent[row])
-                made.parent = node(up) if up >= 0 else None
-            return made
+            chain = []
+            up = row
+            while up >= 0 and up not in nodes:
+                chain.append(up)
+                up = int(parent[up])
+            above = nodes[up] if up >= 0 else None
+            for new in reversed(chain):
+                made = nodes[new] = ConstructNode()
+                made.static = by_pc[int(pc[new])]
+                made.t_enter = int(t_enter[new])
+                made.t_exit = int(t_exit[new])
+                made.parent = above
+                above = made
+            return nodes[row]
 
         return node
