@@ -195,29 +195,7 @@ class DependenceAnalysis(Analysis):
         self.tracer.profiler.names = names.name
         if self.recorder is not None:
             self.recorder.memory = names
-        functions = self._functions
-        for etype, a, b, t in batch.rows():
-            if etype == EV_READ:
-                self.on_read(a, b, t)
-            elif etype == EV_WRITE:
-                self.on_write(a, b, t)
-            elif etype == EV_BLOCK:
-                self.on_block_enter(a, t)
-            elif etype == EV_BRANCH:
-                self.on_branch(a, b, t)
-            elif etype == EV_ENTER:
-                names.enter(functions[a])
-                self.on_enter_function(functions[a].name, b, t)
-            elif etype == EV_EXIT:
-                self.on_exit_function("", t)
-                names.exit()
-            elif etype == EV_ALLOC:
-                names.alloc(a, b)
-            elif etype == EV_FREE:
-                names.free(a, b)
-                self.on_frame_free(a, a + b)
-            elif etype == EV_FINISH:
-                self.on_finish(t)
+        _per_event(self, batch, self._functions, names)
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
         tracer = self.tracer
@@ -899,19 +877,41 @@ class _BlockPairAnalysis(Analysis):
             return
         except OverflowError:
             tracer.settle()
-        for etype, a, b, t in batch.rows():
-            if etype == EV_READ:
-                tracer.on_read(a, b, t)
-            elif etype == EV_WRITE:
-                tracer.on_write(a, b, t)
-            elif etype == EV_ENTER:
-                tracer.on_enter_function(self._functions[a].name, b, t)
-            elif etype == EV_EXIT:
-                tracer.on_exit_function("", t)
-            elif etype == EV_FREE:
-                tracer.on_frame_free(a, a + b)
-            elif etype == EV_FINISH:
-                tracer.on_finish(t)
+        _per_event(tracer, batch, self._functions)
+
+
+def _per_event(hooks, batch, functions: list, names=None) -> None:
+    """Every event of ``batch`` through ``hooks``' per-event methods: a
+    block consumer's path for a block with values beyond int64. With
+    ``names`` (a :class:`MemoryNames`) following the block's memory
+    events, a hook that names an address sees it as of its event."""
+    for etype, a, b, t in batch.rows():
+        if etype == EV_READ:
+            hooks.on_read(a, b, t)
+        elif etype == EV_WRITE:
+            hooks.on_write(a, b, t)
+        elif etype == EV_BLOCK:
+            hooks.on_block_enter(a, t)
+        elif etype == EV_BRANCH:
+            hooks.on_branch(a, b, t)
+        elif etype == EV_ENTER:
+            if names is not None:
+                names.enter(functions[a])
+            hooks.on_enter_function(functions[a].name, b, t)
+        elif etype == EV_EXIT:
+            hooks.on_exit_function("", t)
+            if names is not None:
+                names.exit()
+        elif etype == EV_ALLOC:
+            if names is not None:
+                names.alloc(a, b)
+            hooks.on_heap_alloc(a, b, t)
+        elif etype == EV_FREE:
+            if names is not None:
+                names.free(a, b)
+            hooks.on_frame_free(a, a + b)
+        elif etype == EV_FINISH:
+            hooks.on_finish(t)
 
 
 def _flat_result(profile: FlatProfile) -> AnalysisResult:

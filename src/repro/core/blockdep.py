@@ -8,7 +8,8 @@ block it
    instance as a row and gives each access its current instance row;
 2. takes the block's RAW/WAR/WAW pairs from the pair kernel
    (:meth:`ShadowArrays.step`), the head's instance row riding as the
-   shadow payload, in the order the per-event shadow reports them;
+   shadow payload, with the tail event and rank that order them as the
+   per-event shadow reports them;
 3. walks Table II over arrays, one numpy step per tree level: while the
    head's instance (then its parent, ...) completed before the tail,
    the pair updates that construct's profile; the walk stops at the
@@ -17,8 +18,9 @@ block it
 4. folds the rows per key with :func:`group_pairs` and merges them into
    the :class:`ProfileStore` — existing edges take the count and the
    minimum, new profiles and new edges are created in first-occurrence
-   order, so dict order, ``first_t`` and the names match the per-edge
-   walk (:class:`~repro.core.profiler.DependenceProfiler`) exactly.
+   order (the earliest step by pair order, then level), so dict order,
+   ``first_t`` and the names match the per-edge walk
+   (:class:`~repro.core.profiler.DependenceProfiler`) exactly.
 
 A new edge's name, and that of each pair deferred because its head is a
 segment's :data:`BOUNDARY`, is the address's name at the tail's event:

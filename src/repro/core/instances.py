@@ -33,6 +33,7 @@ what the shadow references, not of the run.
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,19 +62,16 @@ def _codes() -> tuple[np.ndarray, int, int, int]:
     return control, EV_BLOCK, EV_BRANCH, EV_ENTER
 
 
-class BlockRows:
+class BlockRows(NamedTuple):
     """What :meth:`InstanceTable.index` did over one block: each event's
     payload row, and the pushes and pops in stream order — ``row`` (a
     push's row, or ``~row`` for a pop), the event index in the block
     and the timestamp."""
 
-    __slots__ = ("payload", "row", "at", "t")
-
-    def __init__(self, payload, row, at, t):
-        self.payload = payload
-        self.row = row
-        self.at = at
-        self.t = t
+    payload: np.ndarray
+    row: np.ndarray
+    at: np.ndarray
+    t: np.ndarray
 
     @property
     def pushes(self) -> np.ndarray:
