@@ -251,32 +251,25 @@ class Analysis(Tracer):
     supports_segments: bool = False
     #: Optional replay fast path. With ``batch_kind`` left ``None`` the
     #: engines dispatch scalar hooks per event — always correct, and
-    #: what live runs use regardless. Setting it (together with a
-    #: ``consume_batch(batch)`` method taking a
+    #: what live runs use regardless. Setting it to ``"block"``
+    #: (together with a ``consume_batch(batch)`` method taking a
     #: :class:`repro.trace.columnar.EventBatch`) opts into block-at-a-
-    #: time dispatch on replay:
+    #: time dispatch on replay: ``consume_batch`` receives every
+    #: decoded block once, after the engine replayed its structural
+    #: events, and must handle *all* event types it cares about from
+    #: the columns (including structural ENTER/EXIT/ALLOC/FREE and
+    #: FINISH); no scalar hooks fire for in-batch events. Only valid
+    #: for analyses that never read shared replay state (the
+    #: reconstructed ``Memory``) while consuming — counters,
+    #: histograms, and the dependence profilers on the block pair
+    #: kernel (dep names addresses from the block's own structural
+    #: rows). One that names ENTER's callees defines
+    #: ``bind_functions(functions)``: the engine passes it the trace's
+    #: function table first.
     #:
-    #: * ``"block"`` — ``consume_batch`` receives every decoded block
-    #:   once, after the engine replayed its structural events, and
-    #:   must handle *all* event types it cares about from the columns
-    #:   (including structural ENTER/EXIT/ALLOC/FREE and FINISH); no
-    #:   scalar hooks fire for in-batch events. Only valid for analyses
-    #:   that never read shared replay state (the reconstructed
-    #:   ``Memory``) while consuming — counters, histograms, and the
-    #:   dependence profilers on the block pair kernel (dep names
-    #:   addresses from the block's own structural rows). One that
-    #:   names ENTER's callees defines ``bind_functions(functions)``:
-    #:   the engine passes it the trace's function table first.
-    #: * ``"span"`` — ``consume_batch`` receives maximal sub-batches
-    #:   containing no memory-mutating events; ENTER/EXIT/ALLOC/FREE
-    #:   and FINISH still arrive through the scalar hooks, with the
-    #:   reconstructed memory synchronized exactly as in scalar
-    #:   replay. For consumers that read ``Memory`` mid-stream (the
-    #:   shard seam scan).
-    #:
-    #: Either way ``consume_batch`` must be observationally equivalent
-    #: to the scalar hooks — the engines are free to pick the path, and
-    #: the batch-vs-scalar parity suite asserts results match.
+    #: ``consume_batch`` must be observationally equivalent to the
+    #: scalar hooks — the engines are free to pick the path, and the
+    #: batch-vs-scalar parity suite asserts results match.
     batch_kind: str | None = None
     #: Overridden (as a method) by analyses that set ``batch_kind``.
     consume_batch = None

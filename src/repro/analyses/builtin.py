@@ -164,20 +164,13 @@ class DependenceAnalysis(Analysis):
         self._functions = functions
 
     def consume_batch(self, batch) -> None:
-        """One whole trace block through the block engine. A block with
-        values beyond int64 — only a corrupt-but-parseable trace has one
-        — settles the state back to the tracer and takes its hooks."""
-        try:
-            columns = batch.arrays()
-            if self._block is None:
-                self._block = BlockDependence(
-                    self.tracer, self._names, self._functions,
-                    self._seeded_nodes, self.recorder)
-        except OverflowError:
-            self._through_hooks(batch)
-            return
-        self._block.consume(*columns)
-        etypes, t = columns[0], columns[3]
+        """One whole trace block through the block engine."""
+        if self._block is None:
+            self._block = BlockDependence(
+                self.tracer, self._names, self._functions,
+                self._seeded_nodes, self.recorder)
+        etypes, a, b, t = batch.arrays()
+        self._block.consume(etypes, a, b, t)
         if len(etypes) and etypes[-1] == EV_FINISH:
             self.tracer.on_finish(int(t[-1]))
 
@@ -186,16 +179,6 @@ class DependenceAnalysis(Analysis):
         if self._block is not None:
             self._seeded_nodes = self._block.settle()
             self._block = None
-
-    def _through_hooks(self, batch) -> None:
-        """Every event of ``batch`` through the per-event hooks, names
-        resolved against the block's own memory events."""
-        self._settle()
-        names = self._names
-        self.tracer.profiler.names = names.name
-        if self.recorder is not None:
-            self.recorder.memory = names
-        _per_event(self, batch, self._functions, names)
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
         tracer = self.tracer
@@ -519,7 +502,7 @@ class LocalityAnalysis(Analysis):
         if self._pending:
             pending = self._pending
             self._pending = []
-            self._consume(pending)
+            self._consume(np.array(pending, dtype=np.int64))
 
     def consume_batch(self, batch) -> None:
         """Block fast path: only the access addresses matter (reuse
@@ -527,23 +510,12 @@ class LocalityAnalysis(Analysis):
         self._flush()
         self._consume(batch.access_addrs())
 
-    def _consume(self, addrs) -> None:
+    def _consume(self, addrs: np.ndarray) -> None:
         """Advance the state over one chunk of access addresses (an
-        int64 array, or a list that may hold values beyond int64)."""
+        int64 array)."""
         n = len(addrs)
         if not n:
             return
-        keys = None
-        if not isinstance(addrs, np.ndarray):
-            try:
-                addrs = np.array(addrs, dtype=np.int64)
-            except OverflowError:
-                # Reuse distance only depends on address identity:
-                # factorize, and map codes back for the carried dict.
-                codes: dict = {}
-                addrs = np.array([codes.setdefault(a, len(codes))
-                                  for a in addrs], dtype=np.int64)
-                keys = list(codes)
         start = self._seq + 1
         last = self._last
         live = self._live
@@ -562,8 +534,6 @@ class LocalityAnalysis(Analysis):
         prev_grouped = np.empty(n, dtype=np.int64)
         prev_grouped[1:] = position[:-1]
         head_addrs = grouped[head].tolist()
-        if keys is not None:
-            head_addrs = [keys[code] for code in head_addrs]
         get = last.get
         carried = np.array([get(a, 0) for a in head_addrs],
                            dtype=np.int64)
@@ -859,9 +829,7 @@ def _edge_rows(edges: dict, describe, tiekey) -> list[str]:
 class _BlockPairAnalysis(Analysis):
     """The block path shared by the flat and context baselines: each
     trace block goes to the tracer's ``consume_block`` (the block pair
-    kernel). A block with values beyond int64 — only a
-    corrupt-but-parseable trace has one — takes the tracer's per-event
-    hooks instead."""
+    kernel)."""
 
     batch_kind = "block"
     _functions: list = []
@@ -871,47 +839,7 @@ class _BlockPairAnalysis(Analysis):
         self._functions = functions
 
     def consume_batch(self, batch) -> None:
-        tracer = self.tracer
-        try:
-            tracer.consume_block(batch, self._functions)
-            return
-        except OverflowError:
-            tracer.settle()
-        _per_event(tracer, batch, self._functions)
-
-
-def _per_event(hooks, batch, functions: list, names=None) -> None:
-    """Every event of ``batch`` through ``hooks``' per-event methods: a
-    block consumer's path for a block with values beyond int64. With
-    ``names`` (a :class:`MemoryNames`) following the block's memory
-    events, a hook that names an address sees it as of its event."""
-    for etype, a, b, t in batch.rows():
-        if etype == EV_READ:
-            hooks.on_read(a, b, t)
-        elif etype == EV_WRITE:
-            hooks.on_write(a, b, t)
-        elif etype == EV_BLOCK:
-            hooks.on_block_enter(a, t)
-        elif etype == EV_BRANCH:
-            hooks.on_branch(a, b, t)
-        elif etype == EV_ENTER:
-            if names is not None:
-                names.enter(functions[a])
-            hooks.on_enter_function(functions[a].name, b, t)
-        elif etype == EV_EXIT:
-            hooks.on_exit_function("", t)
-            if names is not None:
-                names.exit()
-        elif etype == EV_ALLOC:
-            if names is not None:
-                names.alloc(a, b)
-            hooks.on_heap_alloc(a, b, t)
-        elif etype == EV_FREE:
-            if names is not None:
-                names.free(a, b)
-            hooks.on_frame_free(a, a + b)
-        elif etype == EV_FINISH:
-            hooks.on_finish(t)
+        self.tracer.consume_block(batch, self._functions)
 
 
 def _flat_result(profile: FlatProfile) -> AnalysisResult:
@@ -1144,5 +1072,5 @@ class ContextDependenceAnalysis(_BlockPairAnalysis):
 # placing the import after the class definitions is safe under both
 # import orders.
 from repro.trace.events import (EV_ALLOC, EV_BLOCK,  # noqa: E402
-                                EV_BRANCH, EV_ENTER, EV_EXIT, EV_FINISH,
-                                EV_FREE, EV_READ, EV_WRITE)
+                                EV_BRANCH, EV_ENTER, EV_FINISH, EV_FREE,
+                                EV_READ, EV_WRITE)

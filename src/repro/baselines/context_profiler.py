@@ -207,9 +207,7 @@ class ContextSensitiveTracer(Tracer):
         from the block's ENTER/EXIT rows (callees resolved through
         ``functions``, the trace's function table), the pairs from the
         block kernel, and each block's pairs are folded per (head
-        context, tail context, head pc, tail pc, kind). Raises
-        ``OverflowError``, with no state changed, for values beyond
-        int64."""
+        context, tail context, head pc, tail pc, kind)."""
         etypes, a, b, t = batch.arrays()
         if self._arrays is None:
             self._arrays = ShadowArrays.from_shadow(self.shadow,

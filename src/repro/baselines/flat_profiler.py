@@ -126,9 +126,7 @@ class FlatTracer(Tracer):
         """Every access and free of one trace block, exactly as the
         per-event hooks would take them: the pairs come from the block
         kernel and are folded per (head pc, tail pc, kind).
-        ``functions`` is unused (flat ignores calls). Raises
-        ``OverflowError``, with no state changed, for values beyond
-        int64."""
+        ``functions`` is unused (flat ignores calls)."""
         etypes, a, b, t = batch.arrays()
         if self._arrays is None:
             self._arrays = ShadowArrays.from_shadow(self.shadow,

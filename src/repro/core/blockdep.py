@@ -29,8 +29,7 @@ from the block's start and answers each request in event order.
 
 The state lives in an :class:`AlchemistTracer`'s store and counters,
 so :meth:`BlockDependence.settle` can hand the tree and the shadow back
-to its per-event hooks (segment export, a block beyond int64), and a
-new :class:`BlockDependence` takes them over again.
+to it for a segment's export.
 """
 
 from __future__ import annotations

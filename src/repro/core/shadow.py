@@ -2,8 +2,9 @@
 
 Every detector with the paper's §III-B semantics — the Alchemist
 tracer, the flat and context baselines, the TEST-style loop baseline
-and the checkpoint scanner — keeps its history here. For every traced
-address the shadow keeps
+and the checkpoint scanner — keeps its history here, per event in a
+:class:`ShadowMemory` or a block at a time in a :class:`ShadowArrays`.
+For every traced address the shadow keeps
 
 * the last write: ``(pc, payload, timestamp)``;
 * the most recent read per static reader pc since that write:
@@ -20,8 +21,9 @@ pair stream; they differ only in how they attribute it.
 The *payload* is opaque to the shadow: the construct node for
 Alchemist (its instance row on the block path), the calling context
 for the context baseline, the loop tag for the TEST baseline, ``None``
-for the flat baseline and the checkpoint scanner. :data:`BOUNDARY` is the payload of pre-segment
-state seeded into a parallel segment.
+(or payload id 0) for the flat baseline and the checkpoint scanner.
+:data:`BOUNDARY` is the payload of pre-segment state seeded into a
+parallel segment.
 
 ``clear_range`` forgets state for deallocated stack frames so address
 reuse across calls cannot fabricate dependences; the return-value cell
@@ -41,9 +43,11 @@ address of its slice plus possibly some stale ones, which the next
 bucket walk over it drops.
 
 The shadow also owns the seam format of sharded parallel replay:
-:meth:`ShadowMemory.snapshot` writes a checkpoint's ``shadow`` rows,
-:meth:`ShadowMemory.seed` reads them back under a payload, and
-:meth:`ShadowMemory.frontier` exports what a segment added on top.
+:meth:`ShadowArrays.snapshot` writes a checkpoint's ``shadow`` rows
+for the seam scan (:meth:`ShadowMemory.snapshot` writes the same rows
+from the per-event shadow), :meth:`ShadowMemory.seed` reads them back
+under a payload, and :meth:`ShadowMemory.frontier` exports what a
+segment added on top.
 
 :class:`ShadowMemory` is the per-event path (live runs and
 ``columnar=False`` replay). The block kernel,
@@ -59,8 +63,8 @@ before it (WAW) and with the last read per reader pc since that write
 each address's reads in the order the per-event shadow's dict keeps
 them (first read since the last write first), so the kernel can also
 report pairs in the per-event order. The arrays convert to and from a
-:class:`ShadowMemory` only at segment seams. Flat, context and dep
-replay whole blocks through it.
+:class:`ShadowMemory` only at segment seams. Flat, context, dep and
+the seam scan replay whole blocks through it.
 """
 
 from __future__ import annotations
@@ -397,9 +401,10 @@ class ShadowArrays:
 
     __slots__ = ("writes", "reads")
 
-    def __init__(self, writes: tuple, reads: tuple) -> None:
-        self.writes = writes
-        self.reads = reads
+    def __init__(self, writes: tuple | None = None,
+                 reads: tuple | None = None) -> None:
+        self.writes = _table([]) if writes is None else writes
+        self.reads = _table([]) if reads is None else reads
 
     @classmethod
     def from_shadow(cls, shadow: ShadowMemory,
@@ -430,6 +435,26 @@ class ShadowArrays:
         for addr, (write, by_pc) in entries.items():
             shadow.insert(addr, write, by_pc)
         return shadow
+
+    def snapshot(self) -> list:
+        """:meth:`ShadowMemory.snapshot`'s rows for this state, read
+        straight off the address-sorted columns (payloads dropped)."""
+        w_addr, w_pc, w_t, _ = self.writes
+        r_addr, r_pc, r_t, _ = self.reads
+        by_pc = np.lexsort((r_pc, r_addr))
+        r_addr = r_addr[by_pc]
+        reads = np.stack((r_pc[by_pc], r_t[by_pc]), axis=1).tolist()
+        addrs = np.union1d(w_addr, r_addr)
+        wpc = np.full(len(addrs), -1, dtype=np.int64)
+        wt = np.zeros(len(addrs), dtype=np.int64)
+        at = np.searchsorted(addrs, w_addr)
+        wpc[at] = w_pc
+        wt[at] = w_t
+        lo = np.searchsorted(r_addr, addrs).tolist()
+        hi = np.searchsorted(r_addr, addrs, side="right").tolist()
+        return [[addr, pc, t, reads[start:end]]
+                for addr, pc, t, start, end in zip(
+                    addrs.tolist(), wpc.tolist(), wt.tolist(), lo, hi)]
 
     def remap(self, new_id: np.ndarray) -> None:
         """Map every non-negative payload id ``p`` to ``new_id[p]``

@@ -401,18 +401,12 @@ class BoundaryRecorder(Tracer):
         self.memory = memory
 
     def on_read(self, addr: int, pc: int, timestamp: int) -> None:
-        try:
-            self._addrs.append(addr)
-        except OverflowError:
-            raise _beyond_int64() from None
+        self._addrs.append(addr)
         self._writes.append(False)
         self.accesses += 1
 
     def on_write(self, addr: int, pc: int, timestamp: int) -> None:
-        try:
-            self._addrs.append(addr)
-        except OverflowError:
-            raise _beyond_int64() from None
+        self._addrs.append(addr)
         self._writes.append(True)
         self.accesses += 1
 
@@ -460,15 +454,6 @@ class BoundaryRecorder(Tracer):
         return log
 
 
-def _beyond_int64() -> Exception:
-    # repro.trace is imported late in this module: it imports the
-    # analyses, which import this module.
-    from repro.trace.events import TraceError
-
-    return TraceError("memory access address beyond int64 "
-                      "(corrupt trace)")
-
-
 class _IndexPass(BoundaryRecorder):
     """Standalone extraction's pass: the recorder on an index of its
     own, which no dependence profile rides. Replay feeds it whole
@@ -504,10 +489,7 @@ class _IndexPass(BoundaryRecorder):
     def consume_batch(self, batch) -> None:
         from repro.trace.events import EV_FINISH
 
-        try:
-            etypes, a, b, t = batch.arrays()
-        except OverflowError:
-            raise _beyond_int64() from None
+        etypes, a, b, t = batch.arrays()
         rows = self._rows
         block = rows.index(etypes, a, b, t, self._seen)
         rows.create_profiles({})

@@ -181,7 +181,7 @@ class Interpreter:
                 callee = self.program.functions[instr.name]
                 try:
                     cbase = memory.push_frame(callee)
-                except OverflowError as exc:
+                except ValueError as exc:
                     self.time = time
                     raise MiniCRuntimeError(str(exc), instr.pc, instr.line,
                                             instr.col, instr.fn_name)

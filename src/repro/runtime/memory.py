@@ -80,15 +80,16 @@ class Memory:
     def push_frame(self, fn: FunctionIR) -> int:
         """Allocate a frame for ``fn``; returns the base address.
 
-        Raises :class:`OverflowError` when the frame would run into the
-        heap region (deep recursion); the interpreter converts this into
-        a sourced runtime error.
+        Raises :class:`ValueError` when the frame would run into the
+        heap region (deep recursion), as :meth:`heap_alloc` does for a
+        bad size; the interpreter converts this into a sourced runtime
+        error, replay into a ``TraceError``.
         """
         base = self.stack_top
         self.stack_top += fn.frame_size
         if self.stack_top > self.heap_base:
             self.stack_top = base
-            raise OverflowError(
+            raise ValueError(
                 f"stack overflow: frame for {fn.name}() exceeds the "
                 f"{self.stack_limit}-word stack region")
         if self.stack_top > len(self.cells):

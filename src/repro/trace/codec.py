@@ -36,7 +36,9 @@ takes blocks it can prove well-formed.
 Decoding errors follow the reader's contract: a file that ends inside
 a block frame or whose decompressed payload stops mid-record raises
 :class:`TraceTruncatedError`; a block that fails to decompress or
-whose length field lies raises :class:`TraceError`.
+whose length field lies raises :class:`TraceError`, and so does the
+first record with an operand outside the writer's ``[0, 2^32)`` or a
+clock past int64 — so every decoded column holds int64 values.
 """
 
 from __future__ import annotations
@@ -54,6 +56,10 @@ BLOCK_HEADER_SIZE = BLOCK_HEADER.size
 
 #: Flush a v2 block once this much uncompressed record data buffered.
 DEFAULT_BLOCK_BYTES = 1 << 16
+
+#: The largest clock a record may carry: every consumer holds
+#: timestamps in int64 columns.
+_INT64_MAX = (1 << 63) - 1
 
 Event = tuple[int, int, int, int]
 
@@ -361,12 +367,20 @@ class V2BatchDecoder:
                 b = prev_b[etype] + (zb >> 1 if not zb & 1
                                      else -(zb >> 1) - 1)
                 prev_b[etype] = b
+                if (a | b) >> 32:
+                    raise TraceError(
+                        f"{self.path}: corrupt trace: operand "
+                        f"{a if a >> 32 else b} does not fit the 32-bit "
+                        "record format")
                 delta = data[pos]
                 if delta < 0x80:
                     pos += 1
                 else:
                     delta, pos = read_uvarint(data, pos)
                 time += delta
+                if time > _INT64_MAX:
+                    raise TraceError(f"{self.path}: corrupt trace: clock "
+                                     f"{time} runs past int64")
                 etypes.append(etype)
                 col_a.append(a)
                 col_b.append(b)
@@ -377,7 +391,7 @@ class V2BatchDecoder:
         except IndexError:
             error = TraceTruncatedError(
                 f"{self.path}: block ends mid-record")
-        except TraceError as exc:  # truncated or overlong varint
+        except TraceError as exc:  # a bad varint, operand or clock
             error = exc
         self._time = time
         if not etypes:

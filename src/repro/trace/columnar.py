@@ -10,22 +10,21 @@ event. The per-block kernel (:func:`decode_block_columns`) vectorizes
 the whole pipeline with numpy — varint boundary discovery, value
 assembly, zigzag, per-type delta cumsums — in a handful of array ops.
 Blocks the scalar reference loop decodes (``columnar=False`` replay,
-or a block the kernel cannot prove well-formed) become batches too,
-over ``array('q')`` columns, so one dispatch loop serves both.
+or a block the kernel cannot prove well-formed) become the same int64
+batches, so one dispatch loop serves both.
 
 Correctness contract: the kernel only ever accepts a block it can
 *prove* well-formed — contiguous ``[etype][varint][varint][varint]``
 records covering every byte, with no varint beyond the 5 bytes a
 legitimate u32-bounded field can occupy (int64 arithmetic is then
-exact). Anything else returns ``None`` and the caller re-decodes the
-block with the scalar reference loop, which reproduces the scalar
-decoder's events and errors bit for bit — the property-based
-equivalence suite pins exactly this.
+exact) and every operand inside the writer's ``[0, 2^32)``. Anything
+else returns ``None`` and the caller re-decodes the block with the
+scalar reference loop, which reproduces the scalar decoder's events
+and errors bit for bit — the property-based equivalence suite pins
+exactly this.
 """
 
 from __future__ import annotations
-
-from array import array
 
 import numpy as _np
 
@@ -34,8 +33,8 @@ from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH,
                                 EV_FINISH, EV_FREE, EV_READ, EV_WRITE)
 
 #: Event types the replay engines apply to reconstructed memory (frame
-#: pushes/pops, heap churn) plus FINISH: the seams at which a block is
-#: split into memory-quiet spans for ``batch_kind == "span"`` plugins.
+#: pushes/pops, heap churn) plus FINISH: the seams the dispatch loop
+#: replays one by one, between the memory-quiet runs of a block.
 STRUCTURAL_EVENTS = frozenset(
     (EV_ENTER, EV_EXIT, EV_ALLOC, EV_FREE, EV_FINISH))
 
@@ -51,11 +50,12 @@ KNOWN_EVENTS = frozenset(
 #: decoder (whose 10-byte/64-bit hard cap raises ``overlong varint``).
 VECTOR_MAX_VARINT_BYTES = 5
 
-#: Per-type delta seeds beyond this magnitude (only reachable through
-#: corrupt-but-parseable blocks — valid operands are u32) push the
-#: int64 cumsums toward overflow, where numpy would silently wrap
-#: while the scalar decoder's bignums would not; such blocks take the
-#: scalar path instead.
+#: Per-type delta seeds beyond this magnitude push the int64 cumsums
+#: toward overflow, where numpy would silently wrap while the scalar
+#: decoder's bignums would not; such blocks take the scalar path
+#: instead. Decoded operands are always u32, so only a decoder seeded
+#: from outside the trace (a checkpoint sidecar's codec state) can
+#: carry one.
 _SAFE_PREV = 1 << 55
 
 _STRUCT_LUT = _np.zeros(256, dtype=bool)
@@ -69,13 +69,12 @@ _ACCESS_LUT[EV_READ] = _ACCESS_LUT[EV_WRITE] = True
 
 
 class EventBatch:
-    """One decoded block of events as four parallel typed columns.
+    """One decoded block of events as four parallel int64 numpy columns
+    (``etypes``/``a``/``b``/``t``), whichever decoder produced it.
 
-    Columns are numpy ``int64`` arrays on the vectorized path and
-    ``array('q')`` (plain lists beyond int64) on the scalar path;
-    either way :meth:`columns` exposes plain-``int`` lists (cached) and :meth:`rows` iterates
-    ``(etype, a, b, t)`` tuples identical to the scalar decoder's
-    yield. Slices share storage where the backing type allows it.
+    :meth:`columns` exposes plain-``int`` lists (cached) and
+    :meth:`rows` iterates ``(etype, a, b, t)`` tuples identical to the
+    scalar decoder's yield. Slices share storage.
     """
 
     __slots__ = ("etypes", "a", "b", "t", "_lists")
@@ -90,18 +89,12 @@ class EventBatch:
     @classmethod
     def from_lists(cls, etypes: list, a: list, b: list, t: list
                    ) -> "EventBatch":
-        """Wrap scalar-decoded columns (keeps the lists as the cache)."""
-        try:
-            return cls(array("q", etypes), array("q", a), array("q", b),
-                       array("q", t), _lists=(etypes, a, b, t))
-        except OverflowError:
-            # A corrupt-but-parseable block can carry varint values
-            # outside int64 (the scalar decoder's 10-byte cap admits up
-            # to 70 value bits, yielding Python bigints). Keep plain
-            # lists as the columns so the batch surface reproduces the
-            # scalar decoder's events bit for bit instead of raising.
-            return cls(list(etypes), list(a), list(b), list(t),
-                       _lists=(etypes, a, b, t))
+        """Wrap scalar-decoded columns (keeps the lists as the cache).
+        The decoders reject every value outside int64, so the columns
+        always convert."""
+        return cls(*(_np.array(col, dtype=_np.int64)
+                     for col in (etypes, a, b, t)),
+                   _lists=(etypes, a, b, t))
 
     def __len__(self) -> int:
         return len(self.etypes)
@@ -115,110 +108,57 @@ class EventBatch:
 
     def columns(self) -> tuple[list, list, list, list]:
         """The four columns as plain-int lists (computed once)."""
-        lists = self._lists
-        if lists is None:
-            if isinstance(self.etypes, _np.ndarray):
-                lists = (self.etypes.tolist(), self.a.tolist(),
-                         self.b.tolist(), self.t.tolist())
-            else:
-                lists = (list(self.etypes), list(self.a),
-                         list(self.b), list(self.t))
-            self._lists = lists
-        return lists
+        if self._lists is None:
+            self._lists = (self.etypes.tolist(), self.a.tolist(),
+                           self.b.tolist(), self.t.tolist())
+        return self._lists
 
     def rows(self):
         """Iterate ``(etype, a, b, t)`` tuples of plain ints."""
         return zip(*self.columns())
 
     def arrays(self) -> tuple:
-        """The four columns as int64 numpy arrays (scalar-decoded
-        columns are converted). Raises ``OverflowError`` for a value
-        beyond int64 (see :meth:`from_lists`)."""
-        if isinstance(self.etypes, _np.ndarray):
-            return self.etypes, self.a, self.b, self.t
-        return tuple(_np.array(col, dtype=_np.int64)
-                     for col in (self.etypes, self.a, self.b, self.t))
+        """The four int64 columns."""
+        return self.etypes, self.a, self.b, self.t
 
-    def gather(self, indices: list[int]
+    def gather(self, indices: _np.ndarray
                ) -> tuple[list, list, list, list]:
         """The four columns at ``indices`` only, as plain-int lists.
 
         Cheaper than :meth:`columns` when only a few rows are needed
         (the engines gather just the structural seams of a block).
         """
-        if self._lists is not None:
-            et_l, a_l, b_l, t_l = self._lists
-            return ([et_l[i] for i in indices], [a_l[i] for i in indices],
-                    [b_l[i] for i in indices], [t_l[i] for i in indices])
-        if isinstance(self.etypes, _np.ndarray):
-            idx = _np.asarray(indices, dtype=_np.intp)
-            return (self.etypes[idx].tolist(), self.a[idx].tolist(),
-                    self.b[idx].tolist(), self.t[idx].tolist())
-        return ([self.etypes[i] for i in indices],
-                [self.a[i] for i in indices],
-                [self.b[i] for i in indices],
-                [self.t[i] for i in indices])
+        return (self.etypes[indices].tolist(), self.a[indices].tolist(),
+                self.b[indices].tolist(), self.t[indices].tolist())
 
     # -- engine helpers ----------------------------------------------------
 
-    def structural_indices(self) -> list[int]:
+    def structural_indices(self) -> _np.ndarray:
         """Row indices of memory-mutating events and FINISH, in order."""
-        if isinstance(self.etypes, _np.ndarray):
-            return _np.flatnonzero(_STRUCT_LUT[self.etypes]).tolist()
-        structural = STRUCTURAL_EVENTS
-        return [i for i, et in enumerate(self.etypes) if et in structural]
+        return _np.flatnonzero(_STRUCT_LUT[self.etypes])
 
     def first_unknown_etype(self) -> int | None:
         """The first event type outside the known set, or ``None``."""
-        if isinstance(self.etypes, _np.ndarray):
-            known = _KNOWN_LUT[self.etypes]
-            if known.all():
-                return None
-            return int(self.etypes[int(_np.argmin(known))])
-        known = KNOWN_EVENTS
-        for et in self.etypes:
-            if et not in known:
-                return int(et)
-        return None
+        known = _KNOWN_LUT[self.etypes]
+        if known.all():
+            return None
+        return int(self.etypes[int(_np.argmin(known))])
 
     # -- analysis helpers (the consume_batch building blocks) -------------
 
     def etype_counts(self) -> list[int]:
         """Count per event type, indexable by the ``EV_*`` codes."""
-        if isinstance(self.etypes, _np.ndarray):
-            return _np.bincount(self.etypes, minlength=256).tolist()
-        counts = [0] * 256
-        for et in self.etypes:
-            counts[et] += 1
-        return counts
-
-    def addrs_for(self, etype: int) -> list[int]:
-        """The ``a`` operand of every event of type ``etype``."""
-        if isinstance(self.etypes, _np.ndarray):
-            return self.a[self.etypes == etype].tolist()
-        return [a for et, a in zip(self.etypes, self.a) if et == etype]
+        return _np.bincount(self.etypes, minlength=256).tolist()
 
     def addr_counts(self, etype: int) -> list[tuple[int, int]]:
         """``(a, occurrences)`` pairs for events of type ``etype``."""
-        if isinstance(self.etypes, _np.ndarray):
-            values, counts = _np.unique(self.a[self.etypes == etype],
-                                        return_counts=True)
-            return list(zip(values.tolist(), counts.tolist()))
-        tally: dict[int, int] = {}
-        for et, a in zip(self.etypes, self.a):
-            if et == etype:
-                tally[a] = tally.get(a, 0) + 1
-        return sorted(tally.items())
+        values, counts = _np.unique(self.a[self.etypes == etype],
+                                    return_counts=True)
+        return list(zip(values.tolist(), counts.tolist()))
 
-    def access_addrs(self):
-        """Addresses of every READ and WRITE, in event order: an int64
-        array for numpy columns, else a plain list (scalar-decoded
-        columns, which may hold values beyond int64: see
-        :meth:`from_lists`)."""
-        if isinstance(self.etypes, _np.ndarray):
-            return self.a[_ACCESS_LUT[self.etypes]]
-        return [a for et, a in zip(self.etypes, self.a)
-                if et == EV_READ or et == EV_WRITE]
+    def access_addrs(self) -> _np.ndarray:
+        """Addresses of every READ and WRITE, in event order."""
+        return self.a[_ACCESS_LUT[self.etypes]]
 
 
 def decode_block_columns(data: bytes, prev_a: list[int],
@@ -229,9 +169,10 @@ def decode_block_columns(data: bytes, prev_a: list[int],
     (truncated at the first FINISH record, matching the scalar
     decoder's early return) plus whether FINISH was seen — and mutates
     ``prev_a``/``prev_b`` in place exactly as decoding each record
-    scalar-wise would. Returns ``None`` whenever the block is not
-    provably well-formed; the caller must then re-decode it with the
-    scalar reference loop, which reproduces events and errors exactly.
+    scalar-wise would. Returns ``None``, with ``prev_a``/``prev_b``
+    untouched, whenever the block is not provably well-formed; the
+    caller must then re-decode it with the scalar reference loop, which
+    reproduces events and errors exactly.
     """
     arr = _np.frombuffer(data, dtype=_np.uint8)
     # Varint terminals and etype bytes are the bytes without the
@@ -297,14 +238,23 @@ def decode_block_columns(data: bytes, prev_a: list[int],
     ends_l = seg_ends.tolist()
     a = _np.empty(n, dtype=_np.int64)
     b = _np.empty(n, dtype=_np.int64)
+    carried = []
     for deltas, out, prev in ((da, a, prev_a), (db, b, prev_b)):
         cum = deltas[order].cumsum()
         shifts = []
+        lasts = []
         for s, e, et in zip(starts_l, ends_l, seg_types):
             shift = prev[et] - (int(cum[s - 1]) if s else 0)
             shifts.append(shift)
-            prev[et] = int(cum[e - 1]) + shift
+            lasts.append(int(cum[e - 1]) + shift)
         out[order] = cum + _np.repeat(
             _np.asarray(shifts, dtype=_np.int64), seg_lens)
+        carried.append((prev, lasts))
+    # An operand outside [0, 2^32): the scalar loop raises at it.
+    if ((a | b) >> 32).any():
+        return None
+    for prev, lasts in carried:
+        for et, last in zip(seg_types, lasts):
+            prev[et] = last
     t = dt.cumsum() + time0
     return etypes, a, b, t, finished

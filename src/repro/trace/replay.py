@@ -48,17 +48,12 @@ DISPATCHED_HOOKS = ("on_enter_function", "on_exit_function",
                     "on_heap_alloc", "on_frame_free", "on_finish")
 
 
-def _batch_mode(consumer) -> str | None:
-    """How a consumer wants its events: ``"block"``/``"span"`` if it
-    declared a usable ``consume_batch``, else ``None`` (per-event
-    hooks). Non-Analysis tracers without the attributes land on the
-    scalar path automatically."""
-    kind = getattr(consumer, "batch_kind", None)
-    if kind not in ("block", "span"):
-        return None
-    if getattr(consumer, "consume_batch", None) is None:
-        return None
-    return kind
+def _takes_blocks(consumer) -> bool:
+    """Does ``consumer`` take whole blocks: ``batch_kind = "block"``
+    and a usable ``consume_batch``? Every other consumer, non-Analysis
+    tracers included, gets per-event hooks."""
+    return (getattr(consumer, "batch_kind", None) == "block"
+            and getattr(consumer, "consume_batch", None) is not None)
 
 
 def trace_functions(program: ProgramIR, header) -> list:
@@ -86,23 +81,18 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
     Serial replay, every parallel segment and the shard seam scan
     (:func:`repro.trace.shards.build_checkpoints`) run through it.
 
-    Consumers split three ways by :func:`_batch_mode`:
+    Consumers split two ways by :func:`_takes_blocks`:
 
-    * ``"block"`` — ``consume_batch`` sees each whole block once,
+    * block consumers — ``consume_batch`` sees each whole block once,
       after the loop has replayed the block's structural events, and
-      no per-event hooks fire for it (valid only for analyses that
+      no per-event hooks fire for it (valid only for consumers that
       never consult :class:`Memory`); one that defines
       ``bind_functions`` first receives ``functions``, the table ENTER
-      indices resolve through;
-    * ``"span"`` — ``consume_batch`` sees the maximal memory-quiet
-      sub-batches between structural events; the structural events
-      themselves (ENTER/EXIT/ALLOC/FREE/FINISH) still arrive through
-      the scalar hooks with memory synchronized exactly as the scalar
-      engine would have it (the shard seam scan's state is the only
-      span consumer left: every analysis, dep and whatif included,
-      takes whole blocks);
-    * ``None`` — every event is dispatched per-hook (custom plugins
-      keep working unmodified).
+      indices resolve through. Every analysis, dep and whatif
+      included, and the seam scan take whole blocks;
+    * hooked consumers — every event is dispatched per-hook, the
+      structural ones with memory synchronized exactly as a live run
+      has it (custom plugins keep working unmodified).
 
     ``columnar=False`` is the reference path: every consumer gets
     per-event hooks whatever its ``batch_kind``. ``budget`` caps the
@@ -111,36 +101,32 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
     structural event memory cannot replay (an ENTER of an unknown
     function or past the stack region, an EXIT with no live frame, a
     FREE of a heap address that is not a live block, an ALLOC of no
-    words or at a base the allocator does not return) raises
-    :class:`TraceError` before any hook or block consumer sees it.
+    words or at a base the allocator does not return) and a READ or
+    WRITE with no live frame raise :class:`TraceError` before any hook
+    or block consumer sees them. Frames are empty only before main's
+    ENTER and after its EXIT, so only the runs of events there are
+    searched for accesses.
     Returns ``(final_time, events_consumed)``.
     """
-    modes = [_batch_mode(c) if columnar else None for c in consumers]
-    block_consumers = [c for c, m in zip(consumers, modes) if m == "block"]
-    span_consumers = [c for c, m in zip(consumers, modes) if m == "span"]
-    scalar_consumers = [c for c, m in zip(consumers, modes) if m is None]
+    blocks = [columnar and _takes_blocks(c) for c in consumers]
+    block_consumers = [c for c, b in zip(consumers, blocks) if b]
+    hooked = [c for c, b in zip(consumers, blocks) if not b]
 
-    # Structural hooks fire for span + scalar consumers (block
-    # consumers see those events inside their batch); interior
-    # hooks fire for scalar consumers only.
-    hooked = span_consumers + scalar_consumers
     on_enter = overridden_hooks(hooked, "on_enter_function")
     on_exit = overridden_hooks(hooked, "on_exit_function")
     on_alloc = overridden_hooks(hooked, "on_heap_alloc")
     on_free = overridden_hooks(hooked, "on_frame_free")
     on_finish = overridden_hooks(hooked, "on_finish")
-    on_block = overridden_hooks(scalar_consumers, "on_block_enter")
-    on_branch = overridden_hooks(scalar_consumers, "on_branch")
-    on_read = overridden_hooks(scalar_consumers, "on_read")
-    on_write = overridden_hooks(scalar_consumers, "on_write")
+    on_block = overridden_hooks(hooked, "on_block_enter")
+    on_branch = overridden_hooks(hooked, "on_branch")
+    on_read = overridden_hooks(hooked, "on_read")
+    on_write = overridden_hooks(hooked, "on_write")
     block_feeds = [c.consume_batch for c in block_consumers]
     for consumer in block_consumers:
         bind = getattr(consumer, "bind_functions", None)
         if bind is not None:
             bind(functions)
-    span_feeds = [c.consume_batch for c in span_consumers]
-    scalar_spans = bool(on_read or on_write or on_block or on_branch)
-    feed_spans = bool(span_feeds) or scalar_spans
+    feed_runs = bool(on_read or on_write or on_block or on_branch)
 
     push_frame = memory.push_frame
     pop_frame = memory.pop_frame
@@ -154,12 +140,14 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
     final_time = 0
     consumed = 0
 
-    def run_span(span) -> None:
-        for feed in span_feeds:
-            feed(span)
-        if not scalar_spans:
+    def run(quiet) -> None:
+        """One memory-quiet run of events between structural seams."""
+        if not frames and len(quiet.access_addrs()):
+            raise TraceError(
+                f"corrupt trace{where}: access with no live frame")
+        if not feed_runs:
             return
-        for etype, a, b, t in span.rows():
+        for etype, a, b, t in quiet.rows():
             if etype == EV_READ:
                 for hook in on_read:
                     hook(a, b, t)
@@ -183,9 +171,10 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
         seams = batch.structural_indices()
         pos = 0
         s_et, s_a, s_b, s_t = batch.gather(seams)
-        for idx, etype, a, b, t in zip(seams, s_et, s_a, s_b, s_t):
-            if feed_spans and idx > pos:
-                run_span(batch.slice(pos, idx))
+        for idx, etype, a, b, t in zip(seams.tolist(), s_et, s_a, s_b,
+                                       s_t):
+            if idx > pos and (feed_runs or not frames):
+                run(batch.slice(pos, idx))
             pos = idx + 1
             if etype == EV_ENTER:
                 if not 0 <= a < n_functions:
@@ -194,7 +183,7 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
                         f"{a}; the trace names {n_functions} functions")
                 try:
                     push_frame(functions[a])
-                except OverflowError as exc:
+                except ValueError as exc:
                     raise TraceError(f"corrupt trace{where}: {exc}") from None
                 name = functions[a].name
                 for hook in on_enter:
@@ -235,8 +224,8 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
                 final_time = t
                 for hook in on_finish:
                     hook(t)
-        if feed_spans and pos < len(batch):
-            run_span(batch.slice(pos, len(batch)))
+        if pos < len(batch) and (feed_runs or not frames):
+            run(batch.slice(pos, len(batch)))
         for feed in block_feeds:
             feed(batch)
         consumed += len(batch)

@@ -12,7 +12,7 @@ streamed every earlier event:
   free-by-size recycling lists in order, bump pointer and id counter,
   so in-segment ``heap_alloc`` returns exactly the recorded bases;
 * **construct stack** — ``(head pc, Tenter)`` pairs for the execution
-  index, so constructs that span the seam keep true durations and the
+  index, so constructs open across the seam keep true durations and the
   dependence walk sees real ancestor chains;
 * **shadow memory** — last write ``(pc, t)`` and last read per static
   pc since that write, per tracked address, in the row format
@@ -29,12 +29,14 @@ streamed every earlier event:
 
 There is one seam source: :func:`build_checkpoints`, a serial replay
 pass over the finished trace. It drives the real
-:class:`~repro.runtime.memory.Memory` and one span consumer (the
-scan's shadow memory and indexing stack) through
-:func:`repro.trace.replay.dispatch_batches`, the loop serial replay and
-every segment use, from an iterator that cuts each decoded block at
-the seams; each checkpoint is read off that state
-(:func:`snapshot_memory`, the shadow snapshot, the stack's pairs and
+:class:`~repro.runtime.memory.Memory` and one block consumer (the
+scan's :class:`~repro.core.instances.InstanceTable` and
+:class:`~repro.core.shadow.ShadowArrays`, the state replayed ``dep``
+keeps) through :func:`repro.trace.replay.dispatch_batches`, the loop
+serial replay and every segment use, from an iterator that cuts each
+decoded block at the seams; each checkpoint is read off that state
+(:func:`snapshot_memory`, :meth:`ShadowArrays.snapshot
+<repro.core.shadow.ShadowArrays.snapshot>`, the table's open rows and
 the block's codec state) when the loop asks for the slice starting at
 its seam. The result is cached in an atomic ``.ckpt`` sidecar by
 :func:`load_or_build_checkpoints` so repeated parallel replays pay it
@@ -57,10 +59,12 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 
+from repro.analysis.constructs import ConstructTable
+from repro.core.instances import InstanceTable
+from repro.core.profile_data import ProfileStore
+from repro.core.shadow import ShadowArrays
 from repro.runtime.memory import Memory
-from repro.runtime.tracing import Tracer
-from repro.trace.events import (EV_BLOCK, EV_BRANCH, EV_READ, EV_WRITE,
-                                TraceError)
+from repro.trace.events import TraceError
 from repro.trace.reader import TraceReader
 from repro.trace.replay import dispatch_batches, trace_functions
 
@@ -187,49 +191,33 @@ def snapshot_memory(memory, header) -> Checkpoint:
 # Scan-building checkpoints (the one seam source)
 # ---------------------------------------------------------------------------
 
-class _ScanState(Tracer):
-    """The non-memory half of a checkpoint: the scan's shadow memory
-    (payload ``None``) and indexing stack, fed by
-    :func:`~repro.trace.replay.dispatch_batches` like any span
-    analysis."""
+class _ScanState:
+    """The non-memory half of a checkpoint, a block consumer of
+    :func:`~repro.trace.replay.dispatch_batches`: the scan's instance
+    table (the profiles its store folds are never read) and its
+    pair-kernel shadow (payload 0)."""
 
-    batch_kind = "span"
+    batch_kind = "block"
 
     def __init__(self, program):
-        from repro.analysis.constructs import ConstructTable
-        from repro.core.indexing import IndexingStack
-        from repro.core.pool import NodeAllocator
-        from repro.core.profile_data import ProfileStore
-        from repro.core.shadow import ShadowMemory
+        self.rows = InstanceTable(ConstructTable(program), ProfileStore())
+        self.shadow = ShadowArrays()
+        self._seen = 0
 
-        self.shadow = ShadowMemory()
-        self.stack = IndexingStack(ConstructTable(program),
-                                   NodeAllocator(), ProfileStore())
+    def consume_batch(self, batch) -> None:
+        etypes, a, b, t = batch.arrays()
+        rows = self.rows
+        rows.index(etypes, a, b, t, self._seen)
+        rows.create_profiles({})
+        self.shadow.step(etypes, a, b, t)
+        rows.compact()
+        self._seen += len(etypes)
 
-    def consume_batch(self, span) -> None:
-        on_read = self.shadow.on_read
-        on_write = self.shadow.on_write
-        on_block = self.stack.on_block_enter
-        on_branch = self.stack.on_branch
-        for etype, a, b, t in span.rows():
-            if etype == EV_READ:
-                on_read(a, b, None, t)
-            elif etype == EV_WRITE:
-                on_write(a, b, None, t)
-            elif etype == EV_BLOCK:
-                on_block(a, t)
-            elif etype == EV_BRANCH:
-                on_branch(a, b, t)
-
-    def on_enter_function(self, fn_name: str, entry_pc: int,
-                          timestamp: int) -> None:
-        self.stack.enter_procedure(entry_pc, timestamp)
-
-    def on_exit_function(self, fn_name: str, timestamp: int) -> None:
-        self.stack.exit_procedure(timestamp)
-
-    def on_frame_free(self, lo: int, hi: int) -> None:
-        self.shadow.clear_range(lo, hi)
+    def cstack(self) -> list:
+        """The open instances bottom to top, as ``[head pc, Tenter]``."""
+        rows = self.rows
+        return [[pc, t] for pc, t in zip(rows.pc[rows.stack].tolist(),
+                                         rows.t_enter[rows.stack].tolist())]
 
 
 def _sparse_prev(prev_a: list[int], prev_b: list[int]) -> dict:
@@ -280,8 +268,7 @@ def build_checkpoints(path: str | os.PathLike,
                     checkpoints.append(replace(
                         snapshot_memory(memory, header), index=seam,
                         time=time, offset=block["offset"], codec=codec,
-                        cstack=[[node.static.pc, node.t_enter]
-                                for node in scan.stack.stack],
+                        cstack=scan.cstack(),
                         shadow=scan.shadow.snapshot()))
                     seam += interval
                 if pos < len(batch):

@@ -164,8 +164,7 @@ class TraceWriter(Tracer):
 
     def _emit(self, etype: int, a: int, b: int, timestamp: int) -> None:
         delta = timestamp - self._last_time
-        if delta < 0 or a > 0xFFFFFFFF or b > 0xFFFFFFFF \
-                or delta > 0xFFFFFFFF:
+        if (a | b | delta) >> 32:  # anything outside [0, 2^32)
             check_u32(a, "operand")
             check_u32(b, "operand")
             check_u32(delta, "timestamp delta")

@@ -21,22 +21,17 @@ from repro.analyses.builtin import LocalityAnalysis
 from repro.trace.columnar import EventBatch
 from repro.trace.events import EV_BLOCK, EV_READ, EV_WRITE
 
-#: Addresses beyond int64: a corrupt-but-parseable trace can carry
-#: them (``EventBatch.from_lists`` keeps such columns as plain lists).
-BIG = 1 << 64
-
 
 @st.composite
 def _chunks(draw) -> list[tuple[str, list[int]]]:
     """``(how, addresses)`` chunks: ``how`` is ``"hooks"``,
     ``"lists"`` (a scalar-decoded batch) or ``"array"`` (a numpy
-    batch); chunks may be empty, all-cold, all-reuse or hold values
-    beyond int64."""
+    batch); chunks may be empty, all-cold or all-reuse."""
     chunks = []
     seen: list[int] = []
     fresh = 1000
     for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(("mixed", "cold", "reuse", "big")))
+        kind = draw(st.sampled_from(("mixed", "cold", "reuse")))
         size = draw(st.integers(0, 40))
         if kind == "cold":
             addrs = list(range(fresh, fresh + size))
@@ -44,16 +39,10 @@ def _chunks(draw) -> list[tuple[str, list[int]]]:
         elif kind == "reuse" and seen:
             addrs = draw(st.lists(st.sampled_from(seen), min_size=size,
                                   max_size=size))
-        elif kind == "big":
-            addrs = draw(st.lists(
-                st.integers(0, 6).map(lambda k: BIG + k if k % 2 else k),
-                min_size=size, max_size=size))
         else:
             addrs = draw(st.lists(st.integers(0, 12), min_size=size,
                                   max_size=size))
         how = draw(st.sampled_from(("hooks", "lists", "array")))
-        if how == "array" and any(a >= BIG for a in addrs):
-            how = "lists"
         chunks.append((how, addrs))
         seen.extend(addrs)
     return chunks

@@ -14,9 +14,7 @@ per-event hooks of a live ``AlchemistTracer`` store for store:
   and went inside the block, and a segment's deferred pair;
 * at one write, the WAR edges go in their reader pcs' first-read order
   since the last write, then the WAW edge — also when the reads were
-  carried in from earlier blocks;
-* a block with values beyond int64 takes the per-event hooks, and the
-  state moves between the two paths unchanged.
+  carried in from earlier blocks.
 
 The instance table keeps only the rows the shadow, the open stack and
 their ancestors still reference, so dep's state does not grow with the
@@ -35,10 +33,6 @@ from repro.analysis.constructs import ConstructTable
 from repro.core.profile_data import DepKind
 from repro.core.tracer import AlchemistTracer
 from repro.ir.lowering import compile_source
-from repro.runtime.memory import Memory
-from repro.trace.columnar import EventBatch
-from repro.trace.events import (EV_ENTER, EV_EXIT, EV_FINISH, EV_FREE,
-                                EV_READ, EV_WRITE)
 from repro.trace.parallel import run_segment
 from repro.trace.reader import TraceReader
 from repro.trace.replay import replay_with
@@ -223,66 +217,6 @@ def test_segment_defers_with_names_at_the_tail(tmp_path):
         assert deferred[0] == deferred[1]
         names += [pair[-1] for pair in deferred[0]]
     assert any(name.startswith("g.") for name in names)
-
-
-#: Beyond int64: only a corrupt-but-parseable trace carries such values
-#: (``EventBatch.from_lists`` keeps them as plain lists).
-BIG = 1 << 64
-
-
-def test_beyond_int64_settles_through_the_hooks():
-    """The block holding BIG takes the per-event hooks, the blocks
-    before it and after BIG is freed the block engine; the profile
-    equals one fed every event through the hooks, with memory kept in
-    step."""
-    program = compile_source(
-        "int g0[4];\nint f() { return 0; }\n"
-        "int main() { f(); return 0; }")
-    functions = list(program.functions.values())
-    fn = {function.name: index for index, function in enumerate(functions)}
-    f, main = fn["f"], fn["main"]
-    entry = {index: function.entry_pc
-             for index, function in enumerate(functions)}
-    blocks = [
-        [(EV_ENTER, main, entry[main], 1), (EV_ENTER, f, entry[f], 2),
-         (EV_WRITE, 1, 10, 3), (EV_EXIT, f, 0, 4), (EV_READ, 1, 11, 5)],
-        [(EV_WRITE, BIG, 12, 6), (EV_READ, 1, 13, 7),
-         (EV_ENTER, f, entry[f], 8), (EV_WRITE, 2, 14, 9),
-         (EV_READ, BIG, 15, 10), (EV_EXIT, f, 0, 11), (EV_READ, 2, 16, 12),
-         (EV_FREE, BIG, 1, 12)],
-        [(EV_WRITE, 1, 17, 13), (EV_READ, 2, 18, 14),
-         (EV_ENTER, f, entry[f], 15), (EV_READ, 1, 19, 16),
-         (EV_WRITE, 2, 20, 16), (EV_EXIT, f, 0, 17),
-         (EV_EXIT, main, 0, 18), (EV_FINISH, 0, 0, 19)],
-    ]
-    block, hooks = make_analyses(["dep"]) + make_analyses(["dep"])
-    block.on_start(program, Memory(program))
-    block.bind_functions(functions)
-    memory = Memory(program)
-    hooks.on_start(program, memory)
-    for index, rows in enumerate(blocks):
-        block.consume_batch(EventBatch.from_lists(
-            *[[row[k] for row in rows] for k in range(4)]))
-        # Only the block holding BIG left the block engine.
-        assert (block._block is None) == (index == 1)
-        for etype, a, b, t in rows:
-            if etype == EV_READ:
-                hooks.on_read(a, b, t)
-            elif etype == EV_WRITE:
-                hooks.on_write(a, b, t)
-            elif etype == EV_ENTER:
-                memory.push_frame(functions[a])
-                hooks.on_enter_function(functions[a].name, b, t)
-            elif etype == EV_EXIT:
-                hooks.on_exit_function(functions[a].name, t)
-                memory.pop_frame()
-            elif etype == EV_FREE:
-                hooks.on_frame_free(a, a + b)
-            elif etype == EV_FINISH:
-                hooks.on_finish(t)
-    assert _tracer_digest(block.tracer) == _tracer_digest(hooks.tracer)
-    assert block.tracer.profiler.updates == hooks.tracer.profiler.updates
-    assert block.tracer.profiler.updates > 0
 
 
 # -- bounded state -------------------------------------------------------

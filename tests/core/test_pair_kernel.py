@@ -6,7 +6,8 @@
   is checked on random programs recorded into many small trace blocks
   (frees, calls, state carried across blocks, frees of carried
   addresses the block never touches), starting from a seeded
-  :data:`BOUNDARY` state, and on synthetic event streams.
+  :data:`BOUNDARY` state, and on synthetic event streams; the carried
+  state also writes the per-event shadow's checkpoint rows.
 * Flat and context, which consume whole blocks through the kernel,
   agree live, in columnar replay, with ``columnar=False`` and in
   parallel at 2 and 7 jobs on those many-block traces.
@@ -30,8 +31,7 @@ from repro.runtime.errors import MiniCRuntimeError, StepLimitExceeded
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.tracing import TeeTracer
 from repro.trace.columnar import EventBatch
-from repro.trace.events import (EV_ENTER, EV_EXIT, EV_FINISH, EV_FREE,
-                                EV_READ, EV_WRITE)
+from repro.trace.events import EV_FREE, EV_READ, EV_WRITE
 from repro.trace.parallel import parallel_replay
 from repro.trace.reader import TraceReader
 from repro.trace.replay import replay_with
@@ -146,6 +146,7 @@ def _check_stream(batches: list, seed_at: int) -> int:
         expected = _reference(reference, batch.rows(), first)
         assert _kernel(state, batch, first) == expected
         assert state.to_shadow(_decode).entries == reference.entries
+        assert state.snapshot() == reference.snapshot()
     return untouched_frees
 
 
@@ -257,56 +258,3 @@ class TestManyBlockTraces:
                                           interval=max(1, events // 6))
                 assert outcome.mode == "parallel", outcome.fallback_reason
                 assert _reports(outcome.reports) == expected
-
-
-#: Beyond int64: only a corrupt-but-parseable trace carries such values
-#: (``EventBatch.from_lists`` keeps them as plain lists).
-BIG = 1 << 64
-
-
-class TestValuesBeyondInt64:
-    """A block the kernel cannot hold in int64 takes the per-event
-    hooks, and the state moves between the two paths unchanged: the
-    kernel takes the blocks before the big value arrives and after it
-    is freed."""
-
-    BLOCKS = [
-        [(EV_ENTER, 0, 0, 1), (EV_WRITE, 5, 1, 2), (EV_READ, 5, 2, 3),
-         (EV_WRITE, 6, 1, 3)],
-        [(EV_WRITE, BIG, 1, 4), (EV_READ, 5, 3, 5), (EV_READ, BIG, 2, 6),
-         (EV_ENTER, 0, 0, 7), (EV_READ, 6, 4, 8), (EV_FREE, BIG, 1, 8)],
-        [(EV_WRITE, 5, 4, 9), (EV_READ, 6, 2, 10), (EV_EXIT, 0, 0, 11),
-         (EV_FREE, 6, 1, 11), (EV_READ, 6, 3, 12)],
-        [(EV_WRITE, 6, 1, 13), (EV_WRITE, 5, 2, 14), (EV_EXIT, 0, 0, 15),
-         (EV_FINISH, 0, 0, 16)],
-    ]
-
-    def test_flat_and_context_match_the_hooks(self):
-        program = compile_source("int main() { return 0; }")
-        functions = list(program.functions.values())
-        for name in NAMES:
-            block, hooks = make_analyses([name]) + make_analyses([name])
-            for analysis in (block, hooks):
-                analysis.on_start(program, None)
-            block.bind_functions(functions)
-            for index, rows in enumerate(self.BLOCKS):
-                block.consume_batch(EventBatch.from_lists(
-                    *[[row[k] for row in rows] for k in range(4)]))
-                # Only the block holding BIG left the kernel.
-                assert (block.tracer._arrays is None) == (index == 1)
-                for etype, a, b, t in rows:
-                    if etype == EV_READ:
-                        hooks.on_read(a, b, t)
-                    elif etype == EV_WRITE:
-                        hooks.on_write(a, b, t)
-                    elif etype == EV_ENTER:
-                        hooks.on_enter_function(functions[a].name, b, t)
-                    elif etype == EV_EXIT:
-                        hooks.on_exit_function(functions[a].name, t)
-                    elif etype == EV_FREE:
-                        hooks.on_frame_free(a, a + b)
-                    elif etype == EV_FINISH:
-                        hooks.on_finish(t)
-            assert block.profile.edges == hooks.profile.edges, name
-            assert block.profile.instructions == 16
-            assert hooks.profile.instructions == 16

@@ -16,7 +16,8 @@ suite pins that promise:
   events, exception type, and exception text);
 * hand-crafted corrupt blocks covering both codec hardening fixes —
   the bounded-varint cap and the encoder's non-monotone-clock
-  rejection;
+  rejection — and the reader's record contract (operands in
+  ``[0, 2^32)``, the clock within int64);
 * batch-vs-scalar replay-engine parity over every registered analysis
   plus a scalar-only custom plugin (the fallback dispatch path).
 """
@@ -179,6 +180,48 @@ class TestStreamEquivalence:
         assert [e[0] for e in events] == [EV_READ, EV_FINISH]
 
 
+class TestRecordContract:
+    """An operand outside the writer's ``[0, 2^32)`` or a clock past
+    int64: both decoders give the events before it, then the same
+    :class:`TraceError`."""
+
+    @pytest.mark.parametrize("value", [-1, 1 << 32, 1 << 64])
+    @pytest.mark.parametrize("operand", ["a", "b"])
+    @given(records=st.lists(record, max_size=60),
+           block_bytes=st.integers(1, 48),
+           at=st.integers(0, 60))
+    @settings(max_examples=25, deadline=None)
+    def test_operand_outside_u32(self, value, operand, records,
+                                 block_bytes, at):
+        events = absolutize(records, True)
+        at = min(at, len(events) - 1)
+        etype, a, b, t = events[at]
+        bad = (EV_READ, value, b, t) if operand == "a" \
+            else (EV_READ, a, value, t)
+        blob = encode_events(events[:at] + [bad] + events[at:],
+                             block_bytes)
+        scalar, batch = both(blob)
+        assert batch == scalar
+        assert scalar == (events[:at], TraceError,
+                          f"<t>: corrupt trace: operand {value} does not "
+                          "fit the 32-bit record format")
+
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_clock_past_int64(self, seeded):
+        limit = (1 << 63) - 1
+        events = [(EV_READ, 1, 2, 5), (EV_WRITE, 1, 2, limit),
+                  (EV_READ, 1, 2, limit + 1), (EV_FINISH, 0, 0, limit + 1)]
+        state = None
+        if seeded:
+            events = [(etype, a, b, t - 5) for etype, a, b, t in events]
+            state = {"time": 5}
+        scalar, batch = both(encode_events(events), state)
+        assert batch == scalar
+        assert scalar[1:] == (TraceError, f"<t>: corrupt trace: clock "
+                                          f"{limit + 1} runs past int64")
+        assert len(scalar[0]) == 2
+
+
 class TestBoundedVarint:
     """Satellite fix 1: ``read_uvarint`` is capped at 10 bytes."""
 
@@ -335,7 +378,7 @@ class TestEngineParity:
         assert runs[True]  # the probe actually saw the stream
 
     def test_mixed_batch_and_scalar_consumers(self, trace):
-        """Block, span, and scalar consumers in one engine pass agree
+        """Block and per-event consumers in one engine pass agree
         with an all-scalar pass (the dispatch-split seams)."""
         from repro.analyses import make_analyses
         from repro.trace.replay import replay_with

@@ -14,7 +14,7 @@ from repro.runtime.interpreter import run_source
 from repro.trace import TraceError, TraceReader, record_source, replay_trace
 from repro.trace.codec import encode_events
 from repro.trace.events import (EV_ALLOC, EV_ENTER, EV_EXIT, EV_FREE,
-                                TRAILER, pack_length)
+                                EV_READ, TRAILER, pack_length)
 from repro.trace.parallel import run_segment
 from repro.trace.replay import ReplayEngine
 from repro.trace.shards import build_checkpoints, genesis_checkpoint
@@ -307,8 +307,23 @@ def _extra_exits(events, heap_base):
     return events[:i + 1] + [events[i]] * 50 + events[i + 1:]
 
 
-#: Structural corruptions memory cannot replay, and the message each
-#: must raise as a TraceError.
+def _access_before_enter(events, heap_base):
+    _etype, a, b, _t = events[_first(events, lambda e: e[0] == EV_READ)]
+    return [(EV_READ, a, b, events[0][3])] + events
+
+
+def _read_address(value):
+    """Rewrite the first READ's address to ``value``."""
+    def edit(events, heap_base):
+        i = _first(events, lambda e: e[0] == EV_READ)
+        _etype, _a, b, t = events[i]
+        return events[:i] + [(EV_READ, value, b, t)] + events[i + 1:]
+    return edit
+
+
+#: Corruptions replay must reject — structural events memory cannot
+#: replay, an access with no live frame, operands outside the 32-bit
+#: record format — and the message each must raise as a TraceError.
 CORRUPTIONS = {
     "duplicate-free": (_duplicate_free, "not a live heap block"),
     "interior-free": (_interior_free, "not a live heap block"),
@@ -316,6 +331,12 @@ CORRUPTIONS = {
     "stack-overflow": (_stack_overflow, "stack overflow"),
     "extra-exits": (_extra_exits, "EXIT with no live frame"),
     "zero-size-alloc": (_zero_size_alloc, "malloc size must be positive"),
+    "access-before-enter": (_access_before_enter,
+                            "access with no live frame"),
+    "operand-beyond-u32": (_read_address(1 << 40),
+                           "does not fit the 32-bit record format"),
+    "operand-beyond-int64": (_read_address(1 << 64),
+                             "does not fit the 32-bit record format"),
 }
 
 
@@ -343,9 +364,9 @@ def _segment(path, name):
 class TestCorruptStructuralEvents:
     """Every replay path raises the same typed error: serial replay on
     both decode paths and a parallel segment, each with every
-    registered analysis on its own (span, block and per-event
-    consumers alike), the shard seam scan, and the CLI (exit 2, serial
-    and parallel)."""
+    registered analysis on its own (block and per-event consumers
+    alike), the shard seam scan, and the CLI (exit 2, serial and
+    parallel)."""
 
     @pytest.mark.parametrize("run", [
         lambda path, name: replay_trace(path, (name,), columnar=True),

@@ -238,6 +238,17 @@ class TestCorruption:
         with pytest.raises(TraceError, match="length mismatch"):
             self._consume(bad)
 
+    @pytest.mark.parametrize("addr", [-1, 1 << 32])
+    def test_writer_rejects_operands_outside_u32(self, tmp_path, addr):
+        """The writer's half of the record contract the reader
+        enforces: no operand outside [0, 2^32) reaches the stream."""
+        from repro.trace.writer import TraceWriter
+
+        writer = TraceWriter(tmp_path / "w.trace", SMALL)
+        with pytest.raises(TraceError, match="does not fit the 32-bit"):
+            writer.on_read(addr, 0, 1)
+        writer.abort()
+
     def test_aborted_recording_is_truncated(self, tmp_path):
         from repro.runtime.errors import StepLimitExceeded
 
