@@ -137,8 +137,8 @@ class SegmentSeed:
     index: int = 0
     time: int = 0
     #: Shadow rows as the checkpoint stores them (see
-    #: :meth:`repro.core.shadow.ShadowMemory.snapshot`); analyses load
-    #: them with :meth:`~repro.core.shadow.ShadowMemory.seed`.
+    #: :meth:`repro.core.shadow.ShadowArrays.snapshot`); analyses load
+    #: them with :meth:`~repro.core.shadow.ShadowArrays.seed`.
     shadow: list = field(default_factory=list)
     #: Execution-index stack at the seam: ``[(head pc, Tenter), ...]``.
     construct_stack: list = field(default_factory=list)
@@ -249,27 +249,27 @@ class Analysis(Tracer):
     #: to a serial pass — parallel replay is an optimization, never a
     #: requirement.
     supports_segments: bool = False
-    #: Optional replay fast path. With ``batch_kind`` left ``None`` the
-    #: engines dispatch scalar hooks per event — always correct, and
-    #: what live runs use regardless. Setting it to ``"block"``
-    #: (together with a ``consume_batch(batch)`` method taking a
-    #: :class:`repro.trace.columnar.EventBatch`) opts into block-at-a-
-    #: time dispatch on replay: ``consume_batch`` receives every
-    #: decoded block once, after the engine replayed its structural
-    #: events, and must handle *all* event types it cares about from
-    #: the columns (including structural ENTER/EXIT/ALLOC/FREE and
-    #: FINISH); no scalar hooks fire for in-batch events. Only valid
-    #: for analyses that never read shared replay state (the
-    #: reconstructed ``Memory``) while consuming — counters,
-    #: histograms, and the dependence profilers on the block pair
-    #: kernel (dep names addresses from the block's own structural
-    #: rows). One that names ENTER's callees defines
-    #: ``bind_functions(functions)``: the engine passes it the trace's
-    #: function table first.
+    #: How replay feeds the analysis. With ``batch_kind`` left ``None``
+    #: the engine dispatches scalar hooks per event, as live runs do.
+    #: Setting it to ``"block"`` (together with a
+    #: ``consume_batch(batch)`` method taking a
+    #: :class:`repro.trace.columnar.EventBatch`) makes every replay —
+    #: serial with either decoder, and each parallel segment — feed
+    #: whole blocks instead: ``consume_batch`` receives every decoded
+    #: block once, after the engine replayed its structural events,
+    #: and must handle *all* event types it cares about from the
+    #: columns (including structural ENTER/EXIT/ALLOC/FREE and
+    #: FINISH); no scalar hooks fire on replay. Only valid for analyses
+    #: that never read shared replay state (the reconstructed
+    #: ``Memory``) while consuming — counters, histograms, and the
+    #: dependence profilers on the block pair kernel (dep names
+    #: addresses from the block's own structural rows). One that names
+    #: ENTER's callees defines ``bind_functions(functions)``: the
+    #: engine passes it the trace's function table first.
     #:
     #: ``consume_batch`` must be observationally equivalent to the
-    #: scalar hooks — the engines are free to pick the path, and the
-    #: batch-vs-scalar parity suite asserts results match.
+    #: scalar hooks a live run drives — the live-vs-replay parity
+    #: suites assert results match.
     batch_kind: str | None = None
     #: Overridden (as a method) by analyses that set ``batch_kind``.
     consume_batch = None

@@ -25,12 +25,14 @@ from repro.analyses.base import (Analysis, AnalysisContext,
                                  AnalysisSegment, OptionSpec,
                                  SegmentSeed, register)
 from repro.analysis.constructs import ConstructTable
-from repro.baselines.context_profiler import (ContextProfile,
+from repro.baselines.context_profiler import (ContextBlocks,
+                                              ContextProfile,
                                               ContextSensitiveTracer)
 from repro.baselines.flat_profiler import FlatProfile, FlatTracer
 from repro.core.blockdep import BlockDependence
 from repro.core.profile_data import DepKind
 from repro.core.report import ProfileReport, RunStats
+from repro.core.shadow import ShadowArrays
 from repro.core.tracer import AlchemistTracer
 from repro.ir.cfg import ProgramIR
 from repro.runtime.memory import Memory, MemoryNames
@@ -104,8 +106,8 @@ def _dep_result(report: ProfileReport, track_war_waw: bool,
 class DependenceAnalysis(Analysis):
     """The Alchemist dependence profiler as a plugin.
 
-    Live and on the ``columnar=False`` path the events go to the
-    per-event hooks of an unmodified :class:`AlchemistTracer`. Replay
+    Live, the events go to the per-event hooks of an unmodified
+    :class:`AlchemistTracer`. Replay — serial or a parallel segment —
     consumes whole trace blocks: :class:`~repro.core.blockdep.
     BlockDependence` runs the indexing rules over instance rows, takes
     the block's pairs from the pair kernel and walks Table II over
@@ -131,19 +133,22 @@ class DependenceAnalysis(Analysis):
         self.track_war_waw = track_war_waw
         self.table: ConstructTable | None = None
         self.tracer: AlchemistTracer | None = None
-        self._functions: list = []
 
     def on_start(self, program: ProgramIR, memory: Memory) -> None:
+        self._begin(program, memory)
+
+    def _begin(self, program: ProgramIR, memory: Memory,
+               construct_stack: list = (), shadow: list = ()) -> None:
+        """The tracer the hooks drive and the block engine replay
+        drives, on one store (the engine seeded for a segment)."""
         self.table = ConstructTable(program)
         tracer = AlchemistTracer(self.table, self.track_war_waw)
         tracer.on_start(program, memory)
         self._bind(tracer)
-        #: The block path's engine (None while the hooks own the
-        #: state), the naming state at the next block's start, and a
-        #: segment's seeded stack nodes.
-        self._block: BlockDependence | None = None
-        self._names = MemoryNames(memory) if memory is not None else None
-        self._seeded_nodes: list = []
+        #: The block engine, naming from memory as of the next block.
+        self._block = BlockDependence(tracer, MemoryNames(memory),
+                                      self.recorder, construct_stack,
+                                      shadow)
 
     def _bind(self, tracer: AlchemistTracer) -> None:
         """Rebind the hooks straight to the inner tracer: both the
@@ -161,24 +166,14 @@ class DependenceAnalysis(Analysis):
 
     def bind_functions(self, functions: list) -> None:
         """The trace's function table, which ENTER rows index."""
-        self._functions = functions
+        self._block.functions = functions
 
     def consume_batch(self, batch) -> None:
         """One whole trace block through the block engine."""
-        if self._block is None:
-            self._block = BlockDependence(
-                self.tracer, self._names, self._functions,
-                self._seeded_nodes, self.recorder)
         etypes, a, b, t = batch.arrays()
         self._block.consume(etypes, a, b, t)
         if len(etypes) and etypes[-1] == EV_FINISH:
             self.tracer.on_finish(int(t[-1]))
-
-    def _settle(self) -> None:
-        """Hand the block engine's state back to the tracer."""
-        if self._block is not None:
-            self._seeded_nodes = self._block.settle()
-            self._block = None
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
         tracer = self.tracer
@@ -206,28 +201,21 @@ class DependenceAnalysis(Analysis):
 
     def begin_segment(self, program: ProgramIR, memory: Memory,
                       seed: SegmentSeed) -> None:
-        """A tracer on the seam's index stack and a shadow seeded with
-        boundary payloads, so either path's dependence walk defers any
-        pair whose head lives in an earlier segment."""
-        self.on_start(program, memory)
-        inner = self.tracer
-        inner.profiler.deferred = []
-        inner.stack.seed(seed.construct_stack)
-        self._seeded_nodes = list(inner.stack.stack)
-        inner.shadow.seed(seed.shadow)
+        """A block engine on the seam's open instances and a shadow
+        seeded with boundary payloads, so the dependence walk defers
+        any pair whose head lives in an earlier segment."""
+        self._begin(program, memory, seed.construct_stack, seed.shadow)
 
     def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
-        from repro.analyses.merging import node_interner
-
-        self._settle()
         inner = self.tracer
+        engine = self._block
+        shadow = engine.shadow
         # The seeded stack's pops complete earlier segments' chains;
-        # the frontier's heads bring in their own.
-        nodes: dict = {}
-        intern = node_interner(nodes)
-        for node in self._seeded_nodes:
-            intern(node)
-        frontier = inner.shadow.frontier(intern)
+        # the frontier's heads (payload ids are instance rows) bring in
+        # their own.
+        nodes = engine.rows.chains(np.concatenate((
+            np.array(engine.rows.pinned, dtype=np.int64),
+            shadow.writes[3], shadow.reads[3])))
         profile = {
             pc: [prof.total_duration, prof.instances, prof.max_duration,
                  {key: [e.min_tdep, e.count, e.var_hint, e.first_t]
@@ -246,9 +234,9 @@ class DependenceAnalysis(Analysis):
             },
             "max_depth": inner.stack.max_depth,
             "pool": (pool.capacity, pool.acquires),
-            "deferred": inner.profiler.deferred,
+            "deferred": engine.deferred,
             "nodes": nodes,
-            "frontier": frontier,
+            "frontier": shadow.frontier(),
             "track_war_waw": self.track_war_waw,
         }
         return AnalysisSegment(type(self), state)
@@ -393,9 +381,9 @@ def _locality_result(stats: LocalityResult) -> AnalysisResult:
     )
 
 
-#: Per-event accesses (live runs, ``columnar=False`` replay) buffered
-#: before one kernel call. Small on purpose: the buffer is transient
-#: memory on top of the O(distinct) state.
+#: Per-event accesses (live runs) buffered before one kernel call.
+#: Small on purpose: the buffer is transient memory on top of the
+#: O(distinct) state.
 _LOCALITY_PENDING = 4096
 
 
@@ -828,8 +816,8 @@ def _edge_rows(edges: dict, describe, tiekey) -> list[str]:
 
 class _BlockPairAnalysis(Analysis):
     """The block path shared by the flat and context baselines: each
-    trace block goes to the tracer's ``consume_block`` (the block pair
-    kernel)."""
+    trace block goes to ``blocks.consume_block`` (the block pair
+    kernel); ``tracer`` takes the per-event hooks."""
 
     batch_kind = "block"
     _functions: list = []
@@ -839,7 +827,7 @@ class _BlockPairAnalysis(Analysis):
         self._functions = functions
 
     def consume_batch(self, batch) -> None:
-        self.tracer.consume_block(batch, self._functions)
+        self.blocks.consume_block(batch, self._functions)
 
 
 def _flat_result(profile: FlatProfile) -> AnalysisResult:
@@ -884,8 +872,8 @@ class FlatDependenceAnalysis(_BlockPairAnalysis):
         self.tracer: FlatTracer | None = None
 
     def on_start(self, program: ProgramIR, memory: Memory) -> None:
-        tracer = FlatTracer(program)
-        self.tracer = tracer
+        # The tracer holds both paths' shadows.
+        self.tracer = self.blocks = tracer = FlatTracer(program)
         self.on_read = tracer.on_read
         self.on_write = tracer.on_write
         self.on_frame_free = tracer.on_frame_free
@@ -906,7 +894,7 @@ class FlatDependenceAnalysis(_BlockPairAnalysis):
     def begin_segment(self, program: ProgramIR, memory: Memory,
                       seed: SegmentSeed) -> None:
         self.on_start(program, memory)
-        self.tracer.shadow.seed(seed.shadow, None)
+        self.tracer.arrays = ShadowArrays.seed(seed.shadow, 0)
 
     def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
         profile = self.tracer.profile
@@ -979,12 +967,9 @@ class ContextDependenceAnalysis(_BlockPairAnalysis):
     supports_segments = True
 
     def __init__(self) -> None:
-        self._bind(ContextSensitiveTracer())
-
-    def _bind(self, tracer: ContextSensitiveTracer) -> None:
-        """Bind the hooks straight to the tracer (serial, or a parallel
-        segment's seeded one), so dispatch skips this shim."""
-        self.tracer = tracer
+        self.tracer = tracer = ContextSensitiveTracer()
+        self.blocks = ContextBlocks(tracer.profile)
+        # The hooks go straight to the tracer, so dispatch skips a shim.
         self.on_enter_function = tracer.on_enter_function
         self.on_exit_function = tracer.on_exit_function
         self.on_read = tracer.on_read
@@ -1003,21 +988,19 @@ class ContextDependenceAnalysis(_BlockPairAnalysis):
 
     def begin_segment(self, program: ProgramIR, memory: Memory,
                       seed: SegmentSeed) -> None:
-        """The seam's call stack and a shadow seeded with boundary
-        payloads: the tracer defers pairs whose head context lives in
-        an earlier segment."""
-        tracer = ContextSensitiveTracer(seed.call_stack)
-        tracer.shadow.seed(seed.shadow)
-        self._bind(tracer)
+        """Blocks from the seam's call stack and a shadow seeded with
+        boundary payloads: pairs whose head context lives in an
+        earlier segment are deferred."""
+        self.blocks = ContextBlocks(self.tracer.profile, seed.call_stack,
+                                    seed.shadow)
 
     def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
-        tracer = self.tracer
-        tracer.settle()
+        blocks = self.blocks
         return AnalysisSegment(type(self), {
             "edges": {key: [edge.min_tdep, edge.count]
-                      for key, edge in tracer.profile.edges.items()},
-            "deferred": tracer.deferred,
-            "frontier": tracer.shadow.frontier(),
+                      for key, edge in blocks.profile.edges.items()},
+            "deferred": blocks.deferred,
+            "frontier": blocks.frontier(),
         })
 
     @classmethod

@@ -8,7 +8,7 @@ but cannot be attributed locally: attribution needs the head's
 execution-index chain (``dep``), or its calling context (``context``),
 which live in the segment that executed the head. Workers therefore
 **defer** such pairs, and export alongside their partial profile a
-**live-writer frontier** (:meth:`~repro.core.shadow.ShadowMemory.frontier`):
+**live-writer frontier** (:meth:`~repro.core.shadow.ShadowArrays.frontier`):
 for every address still tracked at segment end, the in-segment last
 write and per-pc reads, each tagged with its attribution payload
 (index-tree chain / context). The left-to-right fold
@@ -74,28 +74,6 @@ class NodeRec:
         self.parent = parent
 
 
-def node_interner(nodes: dict):
-    """``intern(node) -> local id`` for a segment's export: records
-    each construct instance it meets, with its ancestor chain, in
-    ``nodes`` as id -> ``(pc, Tenter, Texit, parent id)`` — the table
-    :func:`register_nodes` folds."""
-    ids: dict[int, int] = {}
-
-    def intern(node) -> int:
-        nid = ids.get(id(node))
-        if nid is not None:
-            return nid
-        nid = len(ids)
-        ids[id(node)] = nid
-        parent = node.parent
-        parent_id = intern(parent) if parent is not None else None
-        nodes[nid] = (node.static.pc, node.t_enter, node.t_exit,
-                      parent_id)
-        return nid
-
-    return intern
-
-
 def register_nodes(recs: dict, nodes: dict) -> dict:
     """Fold one segment's exported node table into the shared records.
 
@@ -150,7 +128,7 @@ def update_frontier(frontier: dict, part_frontier: dict,
     """Advance the live-writer frontier past one segment.
 
     ``part_frontier`` is the segment's
-    :meth:`~repro.core.shadow.ShadowMemory.frontier`: addr ->
+    :meth:`~repro.core.shadow.ShadowArrays.frontier`: addr ->
     ``(write, reads)`` with ``write = (pc, t, payload) | None`` and
     ``reads = {pc: (t, payload)}``; ``decode`` maps an exported payload
     to the one the frontier keeps. A segment that wrote the address

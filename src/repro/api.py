@@ -120,12 +120,12 @@ class Session:
         self.telemetry = as_telemetry(telemetry)
         # Programs are keyed by (digest, filename): same content under a
         # new name recompiles so reports attribute to the right file.
-        # Traces are keyed by (digest, sampling spec, format version) —
-        # the event stream does not depend on the filename, so one
-        # recording serves every alias, but a sampled recording answers
-        # different questions than a full one and must never shadow it.
+        # Traces are keyed by (digest, sampling spec) — the event
+        # stream does not depend on the filename, so one recording
+        # serves every alias, but a sampled recording answers different
+        # questions than a full one and must never shadow it.
         self._programs: dict[tuple[str, str], ProgramIR] = {}
-        self._traces: dict[tuple[str, str, int], str] = {}
+        self._traces: dict[tuple[str, str], str] = {}
         # Static dependence reports are execution-free, so they key on
         # the IR digest alone — any filename alias shares one report.
         self._static: dict[str, "StaticDepReport"] = {}
@@ -331,7 +331,7 @@ class Session:
         rank candidate constructs by predicted futures speedup.
 
         Thin sugar over ``analyze(source, ["whatif"], ...)`` — the
-        trace cache, sampling and format options all apply, and the
+        trace cache and the sampling option both apply, and the
         returned :class:`~repro.analyses.AnalysisResult` carries the
         ranked sweep in ``data`` plus the full ``ProfileReport`` as
         ``payload``.

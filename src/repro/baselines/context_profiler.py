@@ -29,8 +29,8 @@ from typing import Iterable
 import numpy as np
 
 from repro.core.profile_data import DepKind
-from repro.core.shadow import (BOUNDARY, BOUNDARY_ID, PAIR_KINDS,
-                               ShadowArrays, ShadowMemory, group_pairs)
+from repro.core.shadow import (BOUNDARY_ID, PAIR_KINDS, ShadowArrays,
+                               ShadowMemory, group_pairs)
 from repro.runtime.tracing import Tracer
 
 Context = tuple[str, ...]
@@ -96,35 +96,15 @@ class ContextSensitiveTracer(Tracer):
     """Shadow-memory dependence detection with calling-context
     attribution only: the shadow payload is the calling context.
 
-    A head context may be :data:`~repro.core.shadow.BOUNDARY`: a
-    parallel segment starts from ``call_stack`` and a shadow seeded
-    from its checkpoint, where the head's context lives in an earlier
-    segment. Pairs with such a head go to ``deferred`` as ``(kind,
-    addr, head_pc, head_t, tail_ctx, tail_pc, tail_t)`` for the merge
-    to attribute; a serial run never has one.
-
-    The per-event hooks are the live and ``columnar=False`` path;
-    :meth:`consume_block` replays whole trace blocks through the block
-    kernel, with the shadow held as
-    :class:`~repro.core.shadow.ShadowArrays` and calling contexts as
-    interned ids. :meth:`settle` hands the state back to ``shadow`` and
-    the call stack.
+    The per-event hooks are the live path; :class:`ContextBlocks`
+    replays whole trace blocks into a profile of the same form.
     """
 
-    def __init__(self, call_stack: Iterable[str] = ()) -> None:
+    def __init__(self) -> None:
         self.profile = ContextProfile()
-        self._stack: list[str] = list(call_stack)
-        self._context: Context = tuple(self._stack)
+        self._stack: list[str] = []
+        self._context: Context = ()
         self.shadow = ShadowMemory()
-        self.deferred: list[tuple] = []
-        # Block path: kernel state (None while the hooks own the state),
-        # the current context id, and the interned contexts: id ->
-        # tuple, id -> parent id, (parent id, callee) -> id.
-        self._arrays: ShadowArrays | None = None
-        self._ctx = 0
-        self._contexts: list[Context] = [()]
-        self._parents: list[int] = [-1]
-        self._children: dict[tuple[int, str], int] = {}
 
     # -- context maintenance ------------------------------------------------
 
@@ -137,32 +117,24 @@ class ContextSensitiveTracer(Tracer):
         self._stack.pop()
         self._context = tuple(self._stack)
 
-    # -- dependence detection, per event -------------------------------------
-
-    def _pair(self, head_ctx, head_pc: int, head_t: int, pc: int,
-              timestamp: int, kind: DepKind, addr: int) -> None:
-        if head_ctx is BOUNDARY:
-            self.deferred.append((kind, addr, head_pc, head_t,
-                                  self._context, pc, timestamp))
-        else:
-            self.profile.record(head_ctx, self._context, head_pc, pc,
-                                kind, timestamp - head_t)
+    # -- dependence detection ------------------------------------------------
 
     def on_read(self, addr: int, pc: int, timestamp: int) -> None:
         write = self.shadow.on_read(addr, pc, self._context, timestamp)
         if write is not None:
-            self._pair(write[1], write[0], write[2], pc, timestamp,
-                       _RAW, addr)
+            self.profile.record(write[1], self._context, write[0], pc,
+                                _RAW, timestamp - write[2])
 
     def on_write(self, addr: int, pc: int, timestamp: int) -> None:
         write, reads = self.shadow.on_write(addr, pc, self._context,
                                             timestamp)
+        record = self.profile.record
         for read_pc, (read_ctx, read_t) in reads.items():
-            self._pair(read_ctx, read_pc, read_t, pc, timestamp, _WAR,
-                       addr)
+            record(read_ctx, self._context, read_pc, pc, _WAR,
+                   timestamp - read_t)
         if write is not None:
-            self._pair(write[1], write[0], write[2], pc, timestamp,
-                       _WAW, addr)
+            record(write[1], self._context, write[0], pc, _WAW,
+                   timestamp - write[2])
 
     def on_frame_free(self, lo: int, hi: int) -> None:
         self.shadow.clear_range(lo, hi)
@@ -170,13 +142,34 @@ class ContextSensitiveTracer(Tracer):
     def on_finish(self, timestamp: int) -> None:
         self.profile.instructions = timestamp
 
-    # -- dependence detection, whole blocks ----------------------------------
 
-    def _intern(self, context: Context) -> int:
-        ctx = 0
-        for name in context:
-            ctx = self._callee(ctx, name)
-        return ctx
+class ContextBlocks:
+    """The context baseline over whole trace blocks, into ``profile``:
+    the pairs come from the block kernel, with calling contexts as
+    interned ids riding as the shadow payload.
+
+    A parallel segment starts from ``call_stack`` (the seam's function
+    names, bottom to top) and the checkpoint's ``shadow`` rows, whose
+    accesses carry :data:`~repro.core.shadow.BOUNDARY_ID`: their
+    contexts live in an earlier segment, so a pair with such a head
+    goes to ``deferred`` as ``(kind, addr, head_pc, head_t, tail_ctx,
+    tail_pc, tail_t)`` for the merge to attribute. A serial run never
+    defers.
+    """
+
+    def __init__(self, profile: ContextProfile,
+                 call_stack: Iterable[str] = (), shadow: list = ()):
+        self.profile = profile
+        self.shadow = ShadowArrays.seed(shadow)
+        self.deferred: list[tuple] = []
+        # The interned contexts: id -> tuple, id -> parent id, (parent
+        # id, callee) -> id; and the current context's id.
+        self._contexts: list[Context] = [()]
+        self._parents: list[int] = [-1]
+        self._children: dict[tuple[int, str], int] = {}
+        self._ctx = 0
+        for name in call_stack:
+            self._ctx = self._callee(self._ctx, name)
 
     def _callee(self, ctx: int, name: str) -> int:
         child = self._children.get((ctx, name))
@@ -186,20 +179,11 @@ class ContextSensitiveTracer(Tracer):
             self._parents.append(ctx)
         return child
 
-    def _encode(self, payload) -> int:
-        return BOUNDARY_ID if payload is BOUNDARY else self._intern(payload)
-
-    def _decode(self, ctx: int):
-        return BOUNDARY if ctx == BOUNDARY_ID else self._contexts[ctx]
-
-    def settle(self) -> None:
-        """Hand the block path's state back to ``shadow`` and the call
-        stack (a no-op unless :meth:`consume_block` holds it)."""
-        if self._arrays is not None:
-            self.shadow = self._arrays.to_shadow(self._decode)
-            self._arrays = None
-            self._context = self._contexts[self._ctx]
-            self._stack = list(self._context)
+    def frontier(self) -> dict:
+        """:meth:`ShadowArrays.frontier
+        <repro.core.shadow.ShadowArrays.frontier>` with each payload
+        id decoded to its calling context."""
+        return self.shadow.frontier(self._contexts.__getitem__)
 
     def consume_block(self, batch, functions: list) -> None:
         """Every event of one trace block, exactly as the per-event
@@ -209,11 +193,6 @@ class ContextSensitiveTracer(Tracer):
         block kernel, and each block's pairs are folded per (head
         context, tail context, head pc, tail pc, kind)."""
         etypes, a, b, t = batch.arrays()
-        if self._arrays is None:
-            self._arrays = ShadowArrays.from_shadow(self.shadow,
-                                                    self._encode)
-            self.shadow = ShadowMemory()
-            self._ctx = self._intern(self._context)
         calls = np.flatnonzero((etypes == EV_ENTER) | (etypes == EV_EXIT))
         ctx = self._ctx
         if len(calls):
@@ -232,10 +211,9 @@ class ContextSensitiveTracer(Tracer):
             self._ctx = ctx
         else:
             payload = np.full(len(etypes), ctx, dtype=np.int64)
-        rows, head, tail, kind = self._arrays.step(etypes, a, b, t,
-                                                   payload)
+        rows, head, tail, kind = self.shadow.step(etypes, a, b, t, payload)
         if len(etypes) and etypes[-1] == EV_FINISH:
-            self.on_finish(int(t[-1]))
+            self.profile.instructions = int(t[-1])
         addr, pc, ts, ctxs = rows
         contexts = self._contexts
         head_ctx = ctxs[head]

@@ -83,16 +83,16 @@ class FlatProfile:
 class FlatTracer(Tracer):
     """Shadow-memory dependence detection, static attribution only.
 
-    The per-event hooks are the live and ``columnar=False`` path;
+    The per-event hooks are the live path, on ``shadow``;
     :meth:`consume_block` replays whole trace blocks through the block
-    kernel, with the shadow held as
-    :class:`~repro.core.shadow.ShadowArrays` until :meth:`settle`.
+    kernel, on ``arrays`` (which a parallel segment seeds from its
+    checkpoint).
     """
 
     def __init__(self, program: ProgramIR) -> None:
         self.profile = FlatProfile(program)
         self.shadow = ShadowMemory()
-        self._arrays: ShadowArrays | None = None
+        self.arrays = ShadowArrays()
 
     def on_read(self, addr: int, pc: int, timestamp: int) -> None:
         write = self.shadow.on_read(addr, pc, None, timestamp)
@@ -115,24 +115,13 @@ class FlatTracer(Tracer):
     def on_finish(self, timestamp: int) -> None:
         self.profile.instructions = timestamp
 
-    def settle(self) -> None:
-        """Hand the block path's state back to ``shadow`` (a no-op
-        unless :meth:`consume_block` holds it)."""
-        if self._arrays is not None:
-            self.shadow = self._arrays.to_shadow(lambda _id: None)
-            self._arrays = None
-
     def consume_block(self, batch, functions: list) -> None:
         """Every access and free of one trace block, exactly as the
         per-event hooks would take them: the pairs come from the block
         kernel and are folded per (head pc, tail pc, kind).
         ``functions`` is unused (flat ignores calls)."""
         etypes, a, b, t = batch.arrays()
-        if self._arrays is None:
-            self._arrays = ShadowArrays.from_shadow(self.shadow,
-                                                    lambda _p: 0)
-            self.shadow = ShadowMemory()
-        rows, head, tail, kind = self._arrays.step(etypes, a, b, t)
+        rows, head, tail, kind = self.arrays.step(etypes, a, b, t)
         if len(etypes) and etypes[-1] == EV_FINISH:
             self.on_finish(int(t[-1]))
         _addr, pc, ts, _payload = rows

@@ -23,13 +23,16 @@ block it
    (:class:`~repro.core.profiler.DependenceProfiler`) exactly.
 
 A new edge's name, and that of each pair deferred because its head is a
-segment's :data:`BOUNDARY`, is the address's name at the tail's event:
-:class:`MemoryNames` replays the block's ENTER/EXIT/ALLOC/FREE rows
-from the block's start and answers each request in event order.
+segment's seeded access (:data:`BOUNDARY_ID`), is the address's name at
+the tail's event: :class:`MemoryNames` replays the block's
+ENTER/EXIT/ALLOC/FREE rows from the block's start and answers each
+request in event order.
 
-The state lives in an :class:`AlchemistTracer`'s store and counters,
-so :meth:`BlockDependence.settle` can hand the tree and the shadow back
-to it for a segment's export.
+The profiles and counters live in an :class:`AlchemistTracer`'s store,
+profiler and pool stats, so ``dep`` reports from one place whichever
+path fed it; the instance table, the shadow arrays and the deferred
+pairs are the engine's own. A parallel segment seeds the table and the
+shadow from its checkpoint when the engine is built.
 """
 
 from __future__ import annotations
@@ -38,10 +41,10 @@ import functools
 
 import numpy as np
 
-from repro.core.instances import NO_ROW, BlockRows, InstanceTable
+from repro.core.instances import BlockRows, InstanceTable
 from repro.core.profile_data import DepKind, EdgeStats
-from repro.core.shadow import (BOUNDARY, BOUNDARY_ID, PAIR_KINDS,
-                               ShadowArrays, group_pairs)
+from repro.core.shadow import (BOUNDARY_ID, PAIR_KINDS, ShadowArrays,
+                               group_pairs)
 from repro.core.tracer import AlchemistTracer
 from repro.runtime.memory import MemoryNames
 
@@ -110,33 +113,33 @@ def push_bases(block: BlockRows, calls: np.ndarray,
 
 
 class BlockDependence:
-    """Replayed dep over whole blocks, on ``tracer``'s state (see the
-    module docstring). ``pinned`` are nodes the table keeps whatever
-    references them (a segment's seeded stack); ``recorder`` is an
-    optional :class:`~repro.parallel.taskgraph.BoundaryRecorder` that
-    each block's pushes, pops, accesses and frees are logged to."""
+    """Replayed dep over whole blocks, on ``tracer``'s store and
+    counters (see the module docstring). ``construct_stack`` and
+    ``shadow`` seed a parallel segment: the checkpoint's open instances
+    ``(head pc, Tenter)`` and its shadow rows, whose accesses carry
+    :data:`BOUNDARY_ID`, so pairs whose head precedes the segment go to
+    ``deferred``. ``recorder`` is an optional
+    :class:`~repro.parallel.taskgraph.BoundaryRecorder` that each
+    block's pushes, pops, accesses and frees are logged to;
+    ``functions`` is the trace's function table, which ENTER rows
+    index."""
 
     def __init__(self, tracer: AlchemistTracer, names: MemoryNames,
-                 functions: list, pinned: list = (), recorder=None):
+                 recorder=None, construct_stack: list = (),
+                 shadow: list = ()):
         self.tracer = tracer
         self.names = names
-        self.functions = functions
+        self.functions: list = []
         self.recorder = recorder
-        self.rows = rows = InstanceTable(tracer.table, tracer.store)
-        intern, done = rows.adopter()
-        rows.adopt_stack(tracer.stack.stack, intern)
-        rows.pinned = [intern(node) for node in pinned]
-
-        def encode(payload) -> int:
-            if payload is BOUNDARY:
-                return BOUNDARY_ID
-            return NO_ROW if payload is None else intern(payload)
-
-        self.shadow = ShadowArrays.from_shadow(tracer.shadow, encode)
-        done()
-        rows.max_depth = tracer.stack.max_depth
+        self.rows = InstanceTable(tracer.table, tracer.store)
+        self.rows.seed(construct_stack)
+        self.shadow = ShadowArrays.seed(shadow)
+        #: A segment's pairs whose head precedes it, in stream order:
+        #: ``(kind, addr, head pc, head t, tail pc, tail t, name)``.
+        self.deferred: list[tuple] = []
         #: Events consumed: the position of the next block's first.
         self.seen = 0
+        self._sync(0)
 
     def consume(self, etypes: np.ndarray, a: np.ndarray, b: np.ndarray,
                 t: np.ndarray) -> None:
@@ -216,14 +219,14 @@ class BlockDependence:
                 named[(int(event[j]), int(addr[tail_row]))],
                 first_t=int(ts[tail_row]))
         for k, ad, head_pc, head_t, tail_pc, tail_t, at in deferred:
-            tracer.profiler.deferred.append(
+            self.deferred.append(
                 (PAIR_KINDS[k], ad, head_pc, head_t, tail_pc, tail_t,
                  named[(at, ad)]))
 
         if self.recorder is not None:
             self.recorder.record_block(rows, block, etypes, a, b,
                                        push_bases(block, calls, bases))
-        self._sync(block)
+        self._sync(int(np.count_nonzero(block.pushes)))
         new_row = rows.compact(self.shadow.writes[3], self.shadow.reads[3])
         if new_row is not None:
             self.shadow.remap(new_row)
@@ -268,32 +271,15 @@ class BlockDependence:
         return (np.concatenate(pairs), np.concatenate(nodes),
                 np.concatenate(levels))
 
-    def _sync(self, block: BlockRows) -> None:
-        """The tracer's depth and allocation counters after a block (its
-        store and dependence counters are updated in place)."""
+    def _sync(self, pushes: int) -> None:
+        """The tracer's depth and allocation counters after ``pushes``
+        more instances (its store and dependence counters are updated
+        in place)."""
         tracer = self.tracer
         depth = self.rows.max_depth
         tracer.stack.max_depth = depth
         stats = tracer.pool.stats
-        pushes = int(np.count_nonzero(block.pushes))
         stats.acquires += pushes
         stats.grows += pushes
         if depth > stats.capacity:
             stats.capacity = depth
-
-    def settle(self) -> list:
-        """Hand the open stack and the shadow back to the tracer as
-        :class:`ConstructNode` objects; returns the pinned rows' nodes.
-        """
-        tracer = self.tracer
-        node = self.rows.node_maker()
-        tracer.stack.stack = [node(row) for row in self.rows.stack]
-        tracer.pool._live = len(tracer.stack.stack)
-
-        def decode(payload: int):
-            if payload == BOUNDARY_ID:
-                return BOUNDARY
-            return None if payload == NO_ROW else node(payload)
-
-        tracer.shadow = self.shadow.to_shadow(decode)
-        return [node(row) for row in self.rows.pinned]

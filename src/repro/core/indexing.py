@@ -84,30 +84,6 @@ class IndexingStack:
         self.pool.release(node)
         return node
 
-    def seed(self, entries: list[tuple[int, int]]) -> None:
-        """Rebuild the stack mid-trace (parallel segment replay).
-
-        ``entries`` is the checkpointed stack bottom-to-top as
-        ``(construct head pc, Tenter)``. Nodes are pushed with their
-        original entry timestamps so durations of constructs that span
-        the seam stay exact, and the recursion nesting counters are
-        seeded so aggregation stays outermost-only — but neither
-        ``dynamic_instances`` nor the push observer fires: the segment
-        that actually entered the construct already counted it.
-        """
-        if self.stack:
-            raise RuntimeError("seed() requires an empty indexing stack")
-        store = self.store
-        for pc, t_enter in entries:
-            node = self.pool.adopt()
-            node.static = self.table.by_pc[pc]
-            node.t_enter = t_enter
-            node.t_exit = 0
-            node.parent = self.stack[-1] if self.stack else None
-            self.stack.append(node)
-            store._nesting[pc] = store._nesting.get(pc, 0) + 1
-        self.max_depth = len(self.stack)
-
     # -- instrumentation rules ---------------------------------------------------
 
     def enter_procedure(self, entry_pc: int, timestamp: int) -> None:

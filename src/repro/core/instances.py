@@ -2,7 +2,7 @@
 
 :class:`~repro.core.indexing.IndexingStack` builds the execution index
 tree one :class:`~repro.core.node.ConstructNode` per instance, one hook
-call per event — the live and ``columnar=False`` path.
+call per event — the live path.
 :class:`InstanceTable` applies the same five rules to a decoded trace
 block's ENTER/EXIT/BLOCK/BRANCH rows in one Python loop and writes each
 instance as a row of int columns instead:
@@ -28,6 +28,10 @@ the dependence kernel carries it as the shadow payload of an access.
 :meth:`InstanceTable.compact` drops the rows no payload, open stack
 entry or pinned row can reach any more, so the table stays the size of
 what the shadow references, not of the run.
+
+A parallel segment opens the checkpointed stack with
+:meth:`InstanceTable.seed` and exports the instances its frontier and
+seeded stack reach with :meth:`InstanceTable.chains`.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.analysis.constructs import ConstructKind, ConstructTable
-from repro.core.node import ConstructNode
 from repro.core.profile_data import ProfileStore
 
 #: ``exit_at`` of an open instance.
@@ -275,29 +278,74 @@ class InstanceTable:
                     profile.max_duration = fold[2]
         pending.clear()
 
+    # -- segments ----------------------------------------------------------
+
+    def seed(self, entries: list) -> None:
+        """Open a checkpointed stack in an empty table (parallel segment
+        replay): ``entries`` are ``(construct head pc, Tenter)`` bottom to
+        top. The rows keep their entry timestamps, so durations of
+        constructs that span the seam stay exact; they are pinned (the
+        segment export reports their pops) and the recursion nesting
+        counters count them, so aggregation stays outermost-only. They
+        are not new instances: the segment that entered them counted
+        them."""
+        if len(self):
+            raise RuntimeError("seed() requires an empty instance table")
+        by_pc = self.constructs.by_pc
+        nesting = self.store._nesting
+        n = len(entries)
+        self._statics = [by_pc[pc] for pc, _t in entries]
+        for pc, _t in entries:
+            nesting[pc] = nesting.get(pc, 0) + 1
+        self._append(np.array([pc for pc, _t in entries], dtype=np.int64),
+                     np.arange(-1, n - 1, dtype=np.int64),
+                     np.array([t for _pc, t in entries], dtype=np.int64),
+                     np.zeros(n, dtype=np.int64),
+                     np.full(n, OPEN, dtype=np.int64))
+        self.stack = list(range(n))
+        self.pinned = list(range(n))
+        self.max_depth = n
+
+    def chains(self, roots: np.ndarray) -> dict:
+        """The rows ``roots`` reach through parent links (negative
+        entries are not rows), as row -> ``(pc, Tenter, Texit, parent
+        row | None)``: the node table a segment exports for the merge
+        (``repro.analyses.merging.register_nodes``)."""
+        rows = np.flatnonzero(self._reach(roots))
+        parent = self.parent[rows].tolist()
+        return {row: (pc, t_enter, t_exit, up if up >= 0 else None)
+                for row, pc, t_enter, t_exit, up in zip(
+                    rows.tolist(), self.pc[rows].tolist(),
+                    self.t_enter[rows].tolist(),
+                    self.t_exit[rows].tolist(), parent)}
+
     # -- bounded state -----------------------------------------------------
 
-    def compact(self, *payloads: np.ndarray) -> np.ndarray | None:
-        """Keep only the rows reachable from ``payloads`` (row columns;
-        negative entries are not rows), the open stack and the pinned
-        rows, through parent links. Returns the old -> new row map
-        (-1: dropped), or ``None`` when every row is kept."""
-        n = len(self)
-        keep = np.zeros(n, dtype=bool)
-        roots = [np.array(self.stack + self.pinned, dtype=np.int64)]
-        roots += [col[col >= 0] for col in payloads]
-        frontier = np.unique(np.concatenate(roots))
+    def _reach(self, roots: np.ndarray) -> np.ndarray:
+        """Which rows ``roots`` reach through parent links."""
+        keep = np.zeros(len(self), dtype=bool)
+        frontier = np.unique(roots[roots >= 0])
         parent = self.parent
         while len(frontier):
             keep[frontier] = True
             up = parent[frontier]
             up = up[up >= 0]
             frontier = np.unique(up[~keep[up]])
+        return keep
+
+    def compact(self, *payloads: np.ndarray) -> np.ndarray | None:
+        """Keep only the rows reachable from ``payloads`` (row columns;
+        negative entries are not rows), the open stack and the pinned
+        rows, through parent links. Returns the old -> new row map
+        (-1: dropped), or ``None`` when every row is kept."""
+        keep = self._reach(np.concatenate(
+            (np.array(self.stack + self.pinned, dtype=np.int64),)
+            + payloads))
         if keep.all():
             return None
         new_row = np.cumsum(keep) - 1
         new_row[~keep] = -1
-        parent = parent[keep]
+        parent = self.parent[keep]
         self.parent = np.where(parent >= 0, new_row[parent], -1)
         self.pc = self.pc[keep]
         self.t_enter = self.t_enter[keep]
@@ -306,69 +354,3 @@ class InstanceTable:
         self.stack = new_row[self.stack].tolist() if self.stack else []
         self.pinned = new_row[self.pinned].tolist() if self.pinned else []
         return new_row
-
-    # -- ConstructNode interchange ------------------------------------------
-
-    def adopter(self):
-        """``(intern, done)``: ``intern(node)`` gives a
-        :class:`ConstructNode` (and its ancestors) a row; ``done()``
-        writes the interned rows into the table. A node that has
-        exited counts as exited before any later event."""
-        rows: dict[int, int] = {}
-        columns: tuple[list, ...] = ([], [], [], [], [])
-        base = len(self)
-
-        def intern(node: ConstructNode) -> int:
-            chain = []
-            up = node
-            while up is not None and id(up) not in rows:
-                chain.append(up)
-                up = up.parent
-            parent = rows[id(up)] if up is not None else -1
-            for new in reversed(chain):
-                row = rows[id(new)] = base + len(columns[0])
-                for column, value in zip(columns, (
-                        new.static.pc, parent, new.t_enter, new.t_exit,
-                        OPEN if new.t_exit == 0 else -1)):
-                    column.append(value)
-                parent = row
-            return rows[id(node)]
-
-        def done() -> None:
-            self._append(*(np.array(column, dtype=np.int64)
-                           for column in columns))
-
-        return intern, done
-
-    def adopt_stack(self, nodes: list, intern) -> None:
-        """Make ``nodes`` (bottom to top, interned through ``intern``)
-        the open stack."""
-        self.stack = [intern(node) for node in nodes]
-        self._statics = [node.static for node in nodes]
-
-    def node_maker(self):
-        """``node(row) -> ConstructNode``, one node per row (with its
-        ancestor chain), for handing the tree back to the per-event
-        path."""
-        nodes: dict[int, ConstructNode] = {}
-        by_pc = self.constructs.by_pc
-        pc, parent = self.pc, self.parent
-        t_enter, t_exit = self.t_enter, self.t_exit
-
-        def node(row: int) -> ConstructNode:
-            chain = []
-            up = row
-            while up >= 0 and up not in nodes:
-                chain.append(up)
-                up = int(parent[up])
-            above = nodes[up] if up >= 0 else None
-            for new in reversed(chain):
-                made = nodes[new] = ConstructNode()
-                made.static = by_pc[int(pc[new])]
-                made.t_enter = int(t_enter[new])
-                made.t_exit = int(t_exit[new])
-                made.parent = above
-                above = made
-            return nodes[row]
-
-        return node

@@ -114,15 +114,6 @@ class ConstructPool:
         """Table I line 22: append the completed instance at the tail."""
         self._link_tail(node)
 
-    def adopt(self) -> ConstructNode:
-        """A node for a *reconstructed* construct instance (parallel
-        segment replay seeding a checkpointed stack). Not an acquire:
-        the instance was counted by the segment that entered it, so
-        only capacity grows — per-run allocation stats must match a
-        serial pass."""
-        self.stats.capacity += 1
-        return ConstructNode()
-
     def _note_scan(self, scanned: int) -> None:
         self.stats.scan_steps += scanned
         if scanned > self.stats.max_scan:
@@ -169,14 +160,6 @@ class NodeAllocator:
 
     def release(self, node: ConstructNode) -> None:
         self._live -= 1
-
-    def adopt(self) -> ConstructNode:
-        """See :meth:`ConstructPool.adopt`: a reconstructed instance —
-        live (its pop will release it) but not a new acquisition."""
-        self._live += 1
-        if self._live > self.stats.capacity:
-            self.stats.capacity = self._live
-        return ConstructNode()
 
     def live_count(self) -> int:
         """Nodes acquired and not yet released (the indexing stack)."""

@@ -1,9 +1,8 @@
 """The profiling algorithm (paper §III-B, Table II), one edge at a time.
 
-This per-edge walk is the live and ``columnar=False`` reference:
-replayed blocks take the vectorised walk of
-:mod:`repro.core.blockdep`, which the equivalence tests hold to this
-one store for store.
+This per-edge walk is the live path and the reference: replayed
+blocks take the vectorised walk of :mod:`repro.core.blockdep`, which
+the equivalence tests hold to this one store for store.
 
 Given a detected dependence edge — head access ``(pc_h, node_h, t_h)``
 and tail access ``(pc_t, t_t)`` — walk the index tree bottom-up from the
@@ -36,7 +35,6 @@ from __future__ import annotations
 
 from repro.core.node import ConstructNode
 from repro.core.profile_data import DepKind, EdgeStats, ProfileStore
-from repro.core.shadow import BOUNDARY
 
 
 def _unnamed(addr: int) -> str:
@@ -48,17 +46,14 @@ class DependenceProfiler:
 
     ``names`` resolves a conflicting address to its symbol (the
     tracer binds ``Memory.addr_to_name``); it runs only when a static
-    edge is seen for the first time. ``deferred`` is None in a serial
-    run; a parallel segment sets it to a list that collects the pairs
-    whose head is :data:`~repro.core.shadow.BOUNDARY`.
+    edge is seen for the first time.
     """
 
-    __slots__ = ("store", "names", "deferred", "events", "updates")
+    __slots__ = ("store", "names", "events", "updates")
 
     def __init__(self, store: ProfileStore, names=_unnamed):
         self.store = store
         self.names = names
-        self.deferred: list | None = None
         #: Dependence events processed (dynamic edges), by kind.
         self.events = {kind: 0 for kind in DepKind}
         #: Construct profiles touched (tree-walk steps that updated).
@@ -66,18 +61,14 @@ class DependenceProfiler:
 
     @property
     def edges_profiled(self) -> int:
-        """Dynamic edges processed (deferred pairs excluded)."""
+        """Dynamic edges processed."""
         return sum(self.events.values())
 
     def profile_edge(self, head_pc: int, head_node: ConstructNode,
                      head_time: int, tail_pc: int, tail_time: int,
                      kind: DepKind, addr: int) -> int:
         """Record one dynamic dependence on ``addr``; returns #profiles
-        updated (0 for a deferred pair)."""
-        if head_node is BOUNDARY:
-            self.deferred.append((kind, addr, head_pc, head_time, tail_pc,
-                                  tail_time, self.names(addr)))
-            return 0
+        updated."""
         self.events[kind] += 1
         node = head_node
         if node is None or not node.t_enter <= head_time <= node.t_exit:

@@ -22,8 +22,8 @@ The *payload* is opaque to the shadow: the construct node for
 Alchemist (its instance row on the block path), the calling context
 for the context baseline, the loop tag for the TEST baseline, ``None``
 (or payload id 0) for the flat baseline and the checkpoint scanner.
-:data:`BOUNDARY` is the payload of pre-segment state seeded into a
-parallel segment.
+:data:`BOUNDARY_ID` is the payload id of pre-segment state seeded into
+a parallel segment.
 
 ``clear_range`` forgets state for deallocated stack frames so address
 reuse across calls cannot fabricate dependences; the return-value cell
@@ -45,16 +45,15 @@ bucket walk over it drops.
 The shadow also owns the seam format of sharded parallel replay:
 :meth:`ShadowArrays.snapshot` writes a checkpoint's ``shadow`` rows
 for the seam scan (:meth:`ShadowMemory.snapshot` writes the same rows
-from the per-event shadow), :meth:`ShadowMemory.seed` reads them back
-under a payload, and :meth:`ShadowMemory.frontier` exports what a
+from the per-event shadow), :meth:`ShadowArrays.seed` reads them back
+under a payload id, and :meth:`ShadowArrays.frontier` exports what a
 segment added on top.
 
-:class:`ShadowMemory` is the per-event path (live runs and
-``columnar=False`` replay). The block kernel,
-:meth:`ShadowArrays.step`, produces the same pair stream for a whole
-decoded trace block at once, with the same semantics: it sorts the
-block's accesses by address, behind each address's carried write and
-reads; splits every address's accesses into clear epochs at the
+:class:`ShadowMemory` is the per-event path (live runs). The block
+kernel, :meth:`ShadowArrays.step`, produces the same pair stream for a
+whole decoded trace block at once, with the same semantics: it sorts
+the block's accesses by address, behind each address's carried write
+and reads; splits every address's accesses into clear epochs at the
 frees that cover it (:func:`mark_clear_epochs`, shared with task-graph
 extraction); and pairs within each (address, epoch) group — a read
 with the latest write before it (RAW), a write with the latest write
@@ -62,9 +61,8 @@ before it (WAW) and with the last read per reader pc since that write
 (WAR). The state it carries between blocks is address-sorted arrays,
 each address's reads in the order the per-event shadow's dict keeps
 them (first read since the last write first), so the kernel can also
-report pairs in the per-event order. The arrays convert to and from a
-:class:`ShadowMemory` only at segment seams. Flat, context, dep and
-the seam scan replay whole blocks through it.
+report pairs in the per-event order. Flat, context, dep and the seam
+scan replay whole blocks through it, segments included.
 """
 
 from __future__ import annotations
@@ -76,13 +74,6 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.profile_data import DepKind
-
-#: Payload of a checkpointed, pre-segment access in parallel segment
-#: replay: its construct node (or calling context) lives in an earlier
-#: segment, so a pair whose head carries it cannot be attributed in
-#: the segment and is deferred to the merge
-#: (``repro.analyses.merging``).
-BOUNDARY = type("_Boundary", (), {"__repr__": lambda s: "<boundary>"})()
 
 #: A recorded access: (pc, payload at access time, timestamp).
 Access = tuple[int, Any, int]
@@ -97,8 +88,8 @@ class ShadowMemory:
 
     ``entries`` maps addr -> ``[last write | None, {reader pc:
     (payload, t)}]``, the reads in first-read order since the write.
-    It is public for the conversions to and from
-    :class:`ShadowArrays`; everything else goes through the methods.
+    Only the methods here write it; it is public as the per-event
+    reference state that :class:`ShadowArrays` is checked against.
     """
 
     __slots__ = ("entries", "_buckets")
@@ -134,7 +125,7 @@ class ShadowMemory:
     def insert(self, addr: int, write: Access | None,
                reads: dict[int, tuple]) -> None:
         """Start tracking ``addr`` with the given last write and per-pc
-        reads: a first access, or a seeded checkpoint row."""
+        reads."""
         self.entries[addr] = [write, reads]
         self._buckets[addr >> _BUCKET_BITS].add(addr)
 
@@ -203,31 +194,6 @@ class ShadowMemory:
                          sorted([pc, t] for pc, (_p, t) in reads.items())])
         return rows
 
-    def seed(self, rows: list, payload: Any = BOUNDARY) -> None:
-        """Track the accesses of :meth:`snapshot` rows, each carrying
-        ``payload``."""
-        for addr, wpc, wt, reads in rows:
-            self.insert(addr, None if wpc < 0 else (wpc, payload, wt),
-                        {pc: (payload, t) for pc, t in reads})
-
-    def frontier(self, encode: Callable[[Any], Any] = lambda p: p
-                 ) -> dict:
-        """What this shadow added on top of its :data:`BOUNDARY` seed:
-        addr -> ``(write, reads)``, with ``write = (pc, t,
-        encode(payload))`` for an unseeded last write (else ``None``)
-        and ``reads = {pc: (t, encode(payload))}`` for the unseeded
-        reads. Addresses with neither are left out."""
-        out: dict[int, tuple] = {}
-        for addr, (write, reads) in self.entries.items():
-            new_reads = {pc: (t, encode(p)) for pc, (p, t) in reads.items()
-                         if p is not BOUNDARY}
-            if write is not None and write[1] is not BOUNDARY:
-                out[addr] = ((write[0], write[2], encode(write[1])),
-                             new_reads)
-            elif new_reads:
-                out[addr] = (None, new_reads)
-        return out
-
 
 # -- the block kernel --------------------------------------------------------
 
@@ -235,8 +201,12 @@ class ShadowMemory:
 PAIR_KINDS = (DepKind.RAW, DepKind.WAR, DepKind.WAW)
 _RAW, _WAR, _WAW = range(3)
 
-#: Payload id of a :data:`BOUNDARY` access in :class:`ShadowArrays`;
-#: every other payload id is non-negative.
+#: Payload id of a checkpointed, pre-segment access in parallel segment
+#: replay: its construct instance (or calling context) lives in an
+#: earlier segment, so a pair whose head carries it cannot be
+#: attributed in the segment and is deferred to the merge
+#: (``repro.analyses.merging``). Every other payload id is non-negative
+#: or ``repro.core.instances.NO_ROW``.
 BOUNDARY_ID = -1
 
 #: Positions of a block's rows in the kernel: the carried write of an
@@ -393,10 +363,9 @@ class ShadowArrays:
     read per (address, reader pc) since that write, each as ``(addr,
     pc, t, payload id)`` int64 columns; writes are sorted by address,
     reads by address and then by each reader pc's first read since the
-    write (:class:`ShadowMemory`'s dict order). Payload ids are the caller's
-    (:data:`BOUNDARY_ID` for a seeded access). The state converts from
-    and to a :class:`ShadowMemory` — and so to its seed/frontier rows —
-    only at segment seams (:meth:`from_shadow`, :meth:`to_shadow`).
+    write (:class:`ShadowMemory`'s dict order). Payload ids are the
+    caller's (:data:`BOUNDARY_ID` for a seeded access). A parallel
+    segment starts from :meth:`seed` and exports :meth:`frontier`.
     """
 
     __slots__ = ("writes", "reads")
@@ -407,34 +376,34 @@ class ShadowArrays:
         self.reads = _table([]) if reads is None else reads
 
     @classmethod
-    def from_shadow(cls, shadow: ShadowMemory,
-                    encode: Callable[[Any], int]) -> "ShadowArrays":
-        """The arrays holding ``shadow``'s entries, payloads mapped
-        through ``encode``. Raises ``OverflowError`` for values beyond
-        int64."""
-        writes, reads = [], []
-        for addr, (write, by_pc) in sorted(shadow.entries.items()):
-            if write is not None:
-                writes.append((addr, write[0], write[2], encode(write[1])))
-            for pc, (payload, t) in by_pc.items():
-                reads.append((addr, pc, t, encode(payload)))
+    def seed(cls, rows: list, payload_id: int = BOUNDARY_ID
+             ) -> "ShadowArrays":
+        """The state :meth:`snapshot` rows describe, every access
+        carrying ``payload_id`` (each address's reads by pc, the
+        order the rows keep them in)."""
+        writes = [(addr, wpc, wt, payload_id)
+                  for addr, wpc, wt, _reads in rows if wpc >= 0]
+        reads = [(addr, pc, t, payload_id)
+                 for addr, _wpc, _wt, by_pc in rows for pc, t in by_pc]
         return cls(_table(writes), _table(reads))
 
-    def to_shadow(self, decode: Callable[[int], Any]) -> ShadowMemory:
-        """A :class:`ShadowMemory` holding this state, payload ids mapped
-        back through ``decode``."""
-        entries: dict[int, list] = {}
-        for addr, pc, t, payload in zip(*(c.tolist() for c in self.writes)):
-            entries[addr] = [(pc, decode(payload), t), {}]
-        for addr, pc, t, payload in zip(*(c.tolist() for c in self.reads)):
-            entry = entries.get(addr)
-            if entry is None:
-                entry = entries[addr] = [None, {}]
-            entry[1][pc] = (decode(payload), t)
-        shadow = ShadowMemory()
-        for addr, (write, by_pc) in entries.items():
-            shadow.insert(addr, write, by_pc)
-        return shadow
+    def frontier(self, decode: Callable[[int], Any] = lambda p: p
+                 ) -> dict:
+        """What this state added on top of its :data:`BOUNDARY_ID`
+        seed: addr -> ``(write, reads)``, with ``write = (pc, t,
+        decode(payload))`` for an unseeded last write (else ``None``)
+        and ``reads = {pc: (t, decode(payload))}`` for the unseeded
+        reads, in first-read order. Addresses with neither are left
+        out."""
+        def unseeded(table: tuple):
+            keep = table[3] != BOUNDARY_ID
+            return zip(*(col[keep].tolist() for col in table))
+
+        out = {addr: ((pc, t, decode(payload)), {})
+               for addr, pc, t, payload in unseeded(self.writes)}
+        for addr, pc, t, payload in unseeded(self.reads):
+            out.setdefault(addr, (None, {}))[1][pc] = (t, decode(payload))
+        return out
 
     def snapshot(self) -> list:
         """:meth:`ShadowMemory.snapshot`'s rows for this state, read

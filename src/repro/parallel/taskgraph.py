@@ -458,8 +458,8 @@ class _IndexPass(BoundaryRecorder):
     """Standalone extraction's pass: the recorder on an index of its
     own, which no dependence profile rides. Replay feeds it whole
     blocks, which an :class:`InstanceTable` indexes with the rules
-    ``dep`` replays through; live (and ``columnar=False``) events drive
-    an :class:`IndexingStack` through the hooks."""
+    ``dep`` replays through; live events drive an
+    :class:`IndexingStack` through the hooks."""
 
     batch_kind = "block"
 

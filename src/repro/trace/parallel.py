@@ -42,36 +42,16 @@ from repro.trace.events import TraceError
 from repro.trace.reader import TraceReader
 from repro.trace.replay import (dispatch_batches, replay_with,
                                 trace_functions)
-from repro.trace.shards import (Checkpoint, ShardPlan, plan_shards,
-                                restore_memory, snapshot_memory)
+from repro.trace.shards import (Checkpoint, ShardPlan, compiled_program,
+                                plan_shards, restore_memory,
+                                snapshot_memory)
 from repro.util import effective_cpus
-
-#: Compiled programs per worker process, keyed by (path, digest) — a
-#: worker typically replays several segments of the same trace.
-_PROGRAM_CACHE: dict[tuple[str, str], Any] = {}
-
-#: Cache bound: a long-lived process replaying many distinct traces
-#: must not accumulate compiled programs forever.
-_PROGRAM_CACHE_LIMIT = 16
 
 
 def unsupported_analyses(names: Iterable[str]) -> list[str]:
     """Requested analyses that cannot run under sharded replay."""
     return [name for name in parse_spec(names)
             if not get_analysis(name).supports_segments]
-
-
-def _compiled(path: str, header) -> Any:
-    from repro.ir.lowering import compile_source
-
-    key = (path, header.digest)
-    program = _PROGRAM_CACHE.get(key)
-    if program is None:
-        program = compile_source(header.source, header.filename)
-        if len(_PROGRAM_CACHE) >= _PROGRAM_CACHE_LIMIT:
-            _PROGRAM_CACHE.pop(next(iter(_PROGRAM_CACHE)))
-        _PROGRAM_CACHE[key] = program
-    return program
 
 
 def run_segment(job: dict) -> dict:
@@ -130,7 +110,7 @@ def _replay_segment(job: dict, reader: TraceReader,
     path = job["path"]
     header = reader.header
     with tm.span("segment.restore"):
-        program = _compiled(path, header)
+        program = compiled_program(path, header)
         memory = restore_memory(program, header, checkpoint)
         functions = trace_functions(program, header)
         seed = SegmentSeed(
@@ -150,16 +130,14 @@ def _replay_segment(job: dict, reader: TraceReader,
 
     replay_span = tm.span("segment.replay")
     replay_span.__enter__()
-    columnar = job["columnar"]
     try:
         # Decoding resumes at the seam with the per-type delta state
         # reseeded from the checkpoint; dispatch is the serial loop.
         final_time, consumed = dispatch_batches(
             reader.batches_from(checkpoint.offset,
                                 checkpoint.decoder_state(),
-                                columnar=columnar),
-            analyses, memory, functions, budget=budget, segment=True,
-            columnar=columnar)
+                                columnar=job["columnar"]),
+            analyses, memory, functions, budget=budget, segment=True)
     finally:
         replay_span.__exit__(None, None, None)
     replay_span.set(events=consumed)
@@ -228,9 +206,8 @@ def parallel_replay(path: str | os.PathLike,
     process only knows the builtins). With an enabled ``telemetry``
     the coordinator opens a ``replay.parallel`` span and stitches each
     worker's ``segment`` span tree (and counters) under it.
-    ``columnar=False`` runs every segment on the reference path
-    (scalar decode, per-event hooks; see
-    :func:`repro.trace.replay.dispatch_batches`). ``jobs`` of None or 0
+    ``columnar=False`` decodes every segment with the scalar reference
+    decoder. ``jobs`` of None or 0
     means one worker per usable CPU (:func:`repro.util.effective_cpus`).
     """
     from repro.telemetry import as_telemetry
@@ -299,7 +276,7 @@ def parallel_replay(path: str | os.PathLike,
         with TraceReader(path) as reader:
             header = reader.header
             footer = reader.read_footer()
-            program = _compiled(path, header)
+            program = compiled_program(path, header)
         final_memory = restore_memory(
             program, header,
             Checkpoint.from_payload(results[-1]["memory"]))

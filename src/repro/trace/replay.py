@@ -27,8 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+import numpy as np
+
 from repro.analyses import (Analysis, AnalysisContext, AnalysisResult,
                             make_analyses)
+from repro.ir import instructions as ins
 from repro.ir.cfg import ProgramIR
 from repro.ir.lowering import compile_source
 from repro.runtime.memory import Memory
@@ -73,8 +76,7 @@ def trace_functions(program: ProgramIR, header) -> list:
 
 def dispatch_batches(batches, consumers: list, memory: Memory,
                      functions: list, budget: int | None = None,
-                     segment: bool = False,
-                     columnar: bool = True) -> tuple[int, int]:
+                     segment: bool = False) -> tuple[int, int]:
     """The event-dispatch loop: drive decoded
     :class:`~repro.trace.columnar.EventBatch` blocks through the
     consumers, replaying memory reconstruction at the structural seams.
@@ -88,27 +90,27 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
       no per-event hooks fire for it (valid only for consumers that
       never consult :class:`Memory`); one that defines
       ``bind_functions`` first receives ``functions``, the table ENTER
-      indices resolve through. Every analysis, dep and whatif
-      included, and the seam scan take whole blocks;
+      indices resolve through. Every bundled analysis, the seam scan
+      and task-graph extraction take whole blocks, whichever decoder
+      produced them and in every segment;
     * hooked consumers — every event is dispatched per-hook, the
       structural ones with memory synchronized exactly as a live run
       has it (custom plugins keep working unmodified).
 
-    ``columnar=False`` is the reference path: every consumer gets
-    per-event hooks whatever its ``batch_kind``. ``budget`` caps the
-    number of events consumed (the parallel segment driver's slice
-    discipline); ``segment`` flavors the corrupt-trace messages. A
-    structural event memory cannot replay (an ENTER of an unknown
-    function or past the stack region, an EXIT with no live frame, a
-    FREE of a heap address that is not a live block, an ALLOC of no
-    words or at a base the allocator does not return) and a READ or
-    WRITE with no live frame raise :class:`TraceError` before any hook
-    or block consumer sees them. Frames are empty only before main's
-    ENTER and after its EXIT, so only the runs of events there are
-    searched for accesses.
+    ``budget`` caps the number of events consumed (the parallel segment
+    driver's slice discipline); ``segment`` flavors the corrupt-trace
+    messages. A structural event memory cannot replay (an ENTER of an
+    unknown function, at a pc other than its entry or past the stack
+    region, an EXIT with no live frame, a FREE of a heap address that
+    is not a live block, an ALLOC of no words or at a base the
+    allocator does not return), a BRANCH at a pc that is no branch of
+    the program and a READ or WRITE with no live frame raise
+    :class:`TraceError` before any hook or block consumer sees them.
+    Frames are empty only before main's ENTER and after its EXIT, so
+    only the runs of events there are searched for accesses.
     Returns ``(final_time, events_consumed)``.
     """
-    blocks = [columnar and _takes_blocks(c) for c in consumers]
+    blocks = [_takes_blocks(c) for c in consumers]
     block_consumers = [c for c, b in zip(consumers, blocks) if b]
     hooked = [c for c, b in zip(consumers, blocks) if not b]
 
@@ -135,6 +137,14 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
     heap_free = memory.heap_free
     heap_base = memory.heap_base
     n_functions = len(functions)
+    # The pcs a BRANCH may name are the branch terminators' (each heads
+    # a construct), indexed by pc; the last slot stays False for every
+    # pc past them.
+    branches = [block.terminator.pc for fn in functions
+                for block in fn.blocks
+                if isinstance(block.terminator, ins.Branch)]
+    is_branch = np.zeros(max(branches, default=-1) + 2, dtype=bool)
+    is_branch[branches] = True
     where = " in segment" if segment else ""
 
     final_time = 0
@@ -168,6 +178,12 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
         unknown = batch.first_unknown_etype()
         if unknown is not None:
             raise TraceError(f"unknown event type {unknown}")
+        pcs = batch.a[batch.etypes == EV_BRANCH]
+        known = is_branch[np.minimum(pcs, len(is_branch) - 1)]
+        if not known.all():
+            raise TraceError(
+                f"corrupt trace{where}: BRANCH at pc {pcs[~known][0]}, "
+                "which is no branch of the program")
         seams = batch.structural_indices()
         pos = 0
         s_et, s_a, s_b, s_t = batch.gather(seams)
@@ -181,11 +197,16 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
                     raise TraceError(
                         f"corrupt trace{where}: ENTER of function index "
                         f"{a}; the trace names {n_functions} functions")
+                fn = functions[a]
+                if b != fn.entry_pc:
+                    raise TraceError(
+                        f"corrupt trace{where}: ENTER of {fn.name} at pc "
+                        f"{b}; its entry pc is {fn.entry_pc}")
                 try:
-                    push_frame(functions[a])
+                    push_frame(fn)
                 except ValueError as exc:
                     raise TraceError(f"corrupt trace{where}: {exc}") from None
-                name = functions[a].name
+                name = fn.name
                 for hook in on_enter:
                     hook(name, b, t)
             elif etype == EV_EXIT:
@@ -249,8 +270,8 @@ class ReplayEngine:
         from repro.telemetry import as_telemetry
 
         self.telemetry = as_telemetry(telemetry)
-        #: ``False`` selects the reference path: scalar block decode and
-        #: per-event hooks for every consumer (see
+        #: ``False`` selects the scalar reference decoder; consumers
+        #: are fed the same way either way (see
         #: :func:`dispatch_batches`).
         self.columnar = columnar
         self.reader = reader
@@ -290,7 +311,7 @@ class ReplayEngine:
             # analyses may rebind them.
             final_time, _ = dispatch_batches(
                 reader.batches(columnar=self.columnar), consumers, memory,
-                functions, columnar=self.columnar)
+                functions)
         wall = span.wall_seconds
         footer = reader.footer
         if tm.enabled:

@@ -16,8 +16,8 @@ streamed every earlier event:
   dependence walk sees real ancestor chains;
 * **shadow memory** — last write ``(pc, t)`` and last read per static
   pc since that write, per tracked address, in the row format
-  :meth:`~repro.core.shadow.ShadowMemory.snapshot` writes and
-  :meth:`~repro.core.shadow.ShadowMemory.seed` reads, so dependence
+  :meth:`~repro.core.shadow.ShadowArrays.snapshot` writes and
+  :meth:`~repro.core.shadow.ShadowArrays.seed` reads, so dependence
   analyses pair cross-seam accesses exactly (attribution of those
   pairs is deferred to the merge — see ``repro.analyses.merging``);
 * **codec state** — the absolute file offset of the block holding
@@ -79,6 +79,30 @@ SIDECAR_SUFFIX = ".ckpt"
 #: 2 added mid-block v2 seams).
 _SIDECAR_SCHEMA = 2
 
+#: Compiled programs per process, keyed by (path, digest): a worker
+#: typically replays several segments of the same trace, and a
+#: coordinator plans and merges the same trace again and again.
+_PROGRAM_CACHE: dict[tuple[str, str], object] = {}
+
+#: Cache bound: a long-lived process replaying many distinct traces
+#: must not accumulate compiled programs forever.
+_PROGRAM_CACHE_LIMIT = 16
+
+
+def compiled_program(path: str, header):
+    """The program embedded in the trace at ``path``, compiled once per
+    process."""
+    from repro.ir.lowering import compile_source
+
+    key = (path, header.digest)
+    program = _PROGRAM_CACHE.get(key)
+    if program is None:
+        program = compile_source(header.source, header.filename)
+        if len(_PROGRAM_CACHE) >= _PROGRAM_CACHE_LIMIT:
+            _PROGRAM_CACHE.pop(next(iter(_PROGRAM_CACHE)))
+        _PROGRAM_CACHE[key] = program
+    return program
+
 
 # ---------------------------------------------------------------------------
 # Checkpoint payload
@@ -96,7 +120,7 @@ class Checkpoint:
     last_popped: list | None = None
     heap: dict = field(default_factory=dict)
     cstack: list = field(default_factory=list)
-    #: :meth:`ShadowMemory.snapshot` rows ``[[addr, wpc, wt, [[rpc,
+    #: :meth:`ShadowArrays.snapshot` rows ``[[addr, wpc, wt, [[rpc,
     #: rt], ...]], ...]``; ``wpc == -1`` means reads only.
     shadow: list = field(default_factory=list)
 
@@ -231,15 +255,13 @@ def build_checkpoints(path: str | os.PathLike,
     """One serial replay pass producing a checkpoint every ``interval``
     events. A seam is the offset of the block holding it plus the
     records to skip inside that block."""
-    from repro.ir.lowering import compile_source
-
     if interval <= 0:
         raise ValueError(f"checkpoint interval must be positive, "
                          f"got {interval}")
     checkpoints: list[Checkpoint] = []
     with TraceReader(path) as reader:
         header = reader.header
-        program = compile_source(header.source, header.filename)
+        program = compiled_program(os.fspath(path), header)
         memory = Memory(program, header.stack_limit)
         scan = _ScanState(program)
         block: dict = {}
@@ -309,6 +331,42 @@ def _read_sidecar(path: str, interval: int | None) -> dict | None:
     return None
 
 
+def _ints(values, lo: int, hi: int) -> bool:
+    return all(type(v) is int and lo <= v < hi for v in values)
+
+
+def _in_range(checkpoints: list[Checkpoint], path: str) -> bool:
+    """Does every value a segment restores from ``checkpoints`` lie in
+    range for the trace at ``path``: frames and ``last_popped`` in the
+    header's function table, ``cstack`` pcs construct heads, shadow
+    values in int64? A sidecar whose key still matches but whose body
+    was damaged fails here instead of in a worker."""
+    with TraceReader(path) as reader:
+        header = reader.header
+    heads = ConstructTable(compiled_program(path, header)).by_pc
+    n = len(header.functions)
+    int64 = 1 << 63
+
+    def in_range(checkpoint: Checkpoint) -> bool:
+        popped = checkpoint.last_popped or [0, 0]
+        return (_ints(checkpoint.frames, 0, n)
+                and len(popped) == 2 and _ints(popped[:1], 0, n)
+                and _ints(popped[1:], 0, int64)
+                and all(len(entry) == 2 and entry[0] in heads
+                        and _ints(entry, 0, int64)
+                        for entry in checkpoint.cstack)
+                and all(len(row) == 4 and _ints(row[:3], -int64, int64)
+                        and all(len(read) == 2
+                                and _ints(read, -int64, int64)
+                                for read in row[3])
+                        for row in checkpoint.shadow))
+
+    try:
+        return all(in_range(checkpoint) for checkpoint in checkpoints)
+    except (TypeError, ValueError):  # a value of the wrong shape
+        return False
+
+
 def probe_sidecar(path: str | os.PathLike) -> dict | None:
     """Non-destructively inspect the ``.ckpt`` sidecar of ``path``.
 
@@ -333,16 +391,21 @@ def load_or_build_checkpoints(path: str | os.PathLike,
     ``build`` is off, the trace is scanned at ``interval`` (default
     :data:`DEFAULT_CHECKPOINT_INTERVAL`) and the sidecar replaced. The
     cache is keyed on the trace's size and header digest, so a
-    re-recorded file never resurrects stale seams; sidecar I/O
-    failures degrade to scanning, never to an error.
+    re-recorded file never resurrects stale seams; a sidecar whose
+    payloads do not parse or hold values out of range for the trace
+    is stale too. Sidecar I/O failures degrade to scanning, never to
+    an error.
     """
     path = os.fspath(path)
     data = _read_sidecar(path, interval)
     if data is not None:
         try:
-            return [Checkpoint.from_payload(p) for p in data["checkpoints"]]
+            checkpoints = [Checkpoint.from_payload(p)
+                           for p in data["checkpoints"]]
         except TraceError:
-            pass
+            checkpoints = None
+        if checkpoints is not None and _in_range(checkpoints, path):
+            return checkpoints
     if not build:
         return []
     if interval is None:

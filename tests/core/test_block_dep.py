@@ -11,7 +11,8 @@ per-event hooks of a live ``AlchemistTracer`` store for store:
 * a name is resolved at the tail's event, not at the block's end — the
   return-value cell read right after the callee's EXIT, a heap block
   recycled under a new ``heap#N`` name, a local of a frame that came
-  and went inside the block, and a segment's deferred pair;
+  and went inside the block, and a segment's deferred pair (against a
+  live per-event run's pairs that cross the segment's seam);
 * at one write, the WAR edges go in their reader pcs' first-read order
   since the last write, then the WAW edge — also when the reads were
   carried in from earlier blocks.
@@ -31,8 +32,11 @@ import pytest
 from repro.analyses import make_analyses
 from repro.analysis.constructs import ConstructTable
 from repro.core.profile_data import DepKind
+from repro.core.shadow import ShadowMemory
 from repro.core.tracer import AlchemistTracer
 from repro.ir.lowering import compile_source
+from repro.runtime.interpreter import Interpreter
+from repro.runtime.tracing import Tracer
 from repro.trace.parallel import run_segment
 from repro.trace.reader import TraceReader
 from repro.trace.replay import replay_with
@@ -191,31 +195,83 @@ def test_war_edges_in_first_read_order_then_waw(tmp_path, small):
     assert reader_pcs["r1"] < reader_pcs["r2"]
 
 
+class _PairLog(Tracer):
+    """Every dependence pair of a live run as the per-event shadow
+    reports them: ``(head position, tail position, (kind, addr, head
+    pc, head t, tail pc, tail t, the address's name at the tail))``.
+    A position counts the trace records before the event."""
+
+    def __init__(self) -> None:
+        self.shadow = ShadowMemory()
+        self.memory = None
+        self.at = 0
+        self.pairs: list[tuple] = []
+
+    def on_start(self, program, memory) -> None:
+        self.memory = memory
+
+    def _tick(self, *_args) -> None:
+        self.at += 1
+
+    on_enter_function = on_exit_function = on_block_enter = _tick
+    on_branch = on_heap_alloc = _tick
+
+    def _pair(self, kind, addr, head, pc, t) -> None:
+        head_pc, head_at, head_t = head
+        self.pairs.append((head_at, self.at, (
+            kind, addr, head_pc, head_t, pc, t,
+            self.memory.addr_to_name(addr))))
+
+    def on_read(self, addr, pc, t) -> None:
+        write = self.shadow.on_read(addr, pc, self.at, t)
+        if write is not None:
+            self._pair(DepKind.RAW, addr, write, pc, t)
+        self.at += 1
+
+    def on_write(self, addr, pc, t) -> None:
+        write, reads = self.shadow.on_write(addr, pc, self.at, t)
+        for read_pc, (read_at, read_t) in reads.items():
+            self._pair(DepKind.WAR, addr, (read_pc, read_at, read_t), pc, t)
+        if write is not None:
+            self._pair(DepKind.WAW, addr, write, pc, t)
+        self.at += 1
+
+    def on_frame_free(self, lo, hi) -> None:
+        self.shadow.clear_range(lo, hi)
+        self.at += 1
+
+
 def test_segment_defers_with_names_at_the_tail(tmp_path):
     """A seam inside ``g``: pairs whose head precedes it are deferred,
     each named at its tail — ``g``'s locals, though ``g`` and then ``h``
-    return before the block ends. Every segment's deferred pairs equal
-    the per-event path's."""
+    return before the block ends. Every segment's deferred pairs are
+    exactly a live per-event run's pairs whose head comes before the
+    segment's seam and whose tail lies in the segment, in stream
+    order."""
     source = TRANSIENT_FRAME.replace(
         "int s = g(4);\n    s = s + h(s);",
         "int s = 0;\n    for (int k = 0; k < 6; k++) {\n"
         "        s = s + g(5);\n        s = s + h(k);\n    }")
     path = str(tmp_path / "seams.trace")
     events = record_source(source, path).events
+    log = _PairLog()
+    Interpreter(compile_source(source), log).run()
+    assert log.at == events - 1  # every record but FINISH
     plan = plan_shards(path, 7, interval=max(1, events // 12))
     assert plan.is_parallel
     names = []
     for segment in plan.segments:
-        deferred = []
-        for columnar in (True, False):
-            result = run_segment({
-                "path": path, "ordinal": segment.ordinal,
-                "checkpoint": segment.checkpoint.to_payload(),
-                "end_index": segment.end_index, "analyses": ["dep"],
-                "options": None, "columnar": columnar})
-            deferred.append(result["exports"]["dep"].state["deferred"])
-        assert deferred[0] == deferred[1]
-        names += [pair[-1] for pair in deferred[0]]
+        start = segment.checkpoint.index
+        end = segment.end_index if segment.end_index is not None else events
+        result = run_segment({
+            "path": path, "ordinal": segment.ordinal,
+            "checkpoint": segment.checkpoint.to_payload(),
+            "end_index": segment.end_index, "analyses": ["dep"],
+            "options": None, "columnar": True})
+        deferred = result["exports"]["dep"].state["deferred"]
+        assert deferred == [pair for head, tail, pair in log.pairs
+                            if head < start <= tail < end]
+        names += [pair[-1] for pair in deferred]
     assert any(name.startswith("g.") for name in names)
 
 

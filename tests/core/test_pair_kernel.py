@@ -6,11 +6,12 @@
   is checked on random programs recorded into many small trace blocks
   (frees, calls, state carried across blocks, frees of carried
   addresses the block never touches), starting from a seeded
-  :data:`BOUNDARY` state, and on synthetic event streams; the carried
-  state also writes the per-event shadow's checkpoint rows.
+  :data:`BOUNDARY_ID` state, and on synthetic event streams; the
+  carried state also writes the per-event shadow's checkpoint rows and
+  frontier.
 * Flat and context, which consume whole blocks through the kernel,
-  agree live, in columnar replay, with ``columnar=False`` and in
-  parallel at 2 and 7 jobs on those many-block traces.
+  agree live (the per-event hooks), in replay with either decoder and
+  in parallel at 2 and 7 jobs on those many-block traces.
 """
 
 import os
@@ -22,8 +23,8 @@ from hypothesis import strategies as st
 
 from repro.analyses import make_analyses
 from repro.analyses.base import AnalysisContext
-from repro.core.shadow import (BOUNDARY, BOUNDARY_ID, PAIR_KINDS,
-                               ShadowArrays, ShadowMemory, group_pairs)
+from repro.core.shadow import (BOUNDARY_ID, PAIR_KINDS, ShadowArrays,
+                               ShadowMemory, group_pairs)
 from repro.ir.lowering import compile_source
 from repro.lang.errors import SemanticError
 from repro.lang.pretty import pretty_print
@@ -38,6 +39,8 @@ from repro.trace.replay import replay_with
 from repro.trace.writer import TraceWriter
 from repro.workloads import get
 from tests.core.test_random_programs import STEP_CAP, _loop_programs
+from tests.core.test_shadow import (BOUNDARY, seed_shadow, shadow_entries,
+                                    shadow_frontier)
 from tests.lang.test_pretty import _programs
 
 #: Small enough that even a fuzzed program spans several blocks.
@@ -111,10 +114,6 @@ def _order(pair: tuple) -> tuple:
     return pair[:4] + (-1 if payload is BOUNDARY else payload,) + pair[5:]
 
 
-def _encode(payload) -> int:
-    return BOUNDARY_ID if payload is BOUNDARY else payload
-
-
 def _decode(payload: int):
     return BOUNDARY if payload == BOUNDARY_ID else payload
 
@@ -132,9 +131,8 @@ def _check_stream(batches: list, seed_at: int) -> int:
         if cut < len(batch):
             rest.append((position + cut, batch.slice(cut, len(batch))))
         position += len(batch)
-    reference = ShadowMemory()
-    reference.seed(prefix.snapshot())
-    state = ShadowArrays.from_shadow(reference, _encode)
+    reference = seed_shadow(prefix.snapshot())
+    state = ShadowArrays.seed(prefix.snapshot())
     untouched_frees = 0
     for first, batch in rest:
         before = set(reference.entries)
@@ -145,8 +143,9 @@ def _check_stream(batches: list, seed_at: int) -> int:
         untouched_frees += bool((before - touched) & freed)
         expected = _reference(reference, batch.rows(), first)
         assert _kernel(state, batch, first) == expected
-        assert state.to_shadow(_decode).entries == reference.entries
+        assert shadow_entries(state, _decode) == reference.entries
         assert state.snapshot() == reference.snapshot()
+        assert state.frontier() == shadow_frontier(reference)
     return untouched_frees
 
 
@@ -234,8 +233,8 @@ def _reports(reports) -> dict:
 
 class TestManyBlockTraces:
     """Flat and context on traces of many small blocks: live ==
-    columnar replay == ``columnar=False`` == parallel at 2 and 7
-    jobs."""
+    replay with the columnar and the scalar decoder == parallel at 2
+    and 7 jobs."""
 
     @given(_sources)
     @settings(max_examples=20, deadline=None)

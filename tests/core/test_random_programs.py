@@ -10,20 +10,20 @@ must leave the profiler in a consistent state: balanced indexing
 stack, zeroed nesting counters, allocator fully drained.
 
 The same generators also pin replayed dep: block replay (the instance
-table, the pair kernel and the vectorised Table II walk), per-event
-replay, live profiling and parallel segments (plus cross-seam
-deferral) must all produce the same dep profile — store for store on
-traces of many small blocks, down to each construct's edge order, the
-names and the first observations. They pin
+table, the pair kernel and the vectorised Table II walk) with either
+decoder, live profiling (the per-event hooks) and parallel segments
+(plus cross-seam deferral) must all produce the same dep profile —
+store for store on traces of many small blocks, down to each
+construct's edge order, the names and the first observations. They pin
 the locality reuse-distance kernel and the flat and context block
-kernel the same way: batch replay, per-event replay and
+kernel the same way: live runs, batch replay with either decoder and
 parallel segments agree. The flat, context and Alchemist detectors,
 which share one shadow memory, count the same pairs of each kind. And
 they pin task-graph extraction: the index pass + per-candidate kernel
 builds the graphs one ``TaskGraphTracer`` per construct head builds,
 from live runs and from replayed traces alike, and so do the graphs
-``whatif`` builds inside its profile pass, serial, per-event, live and
-in parallel segments.
+``whatif`` builds inside its profile pass, serial, live and in
+parallel segments.
 """
 
 import os
@@ -34,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analyses import make_analyses, whatif
+from repro.analyses.base import AnalysisContext
 from repro.analyses.builtin import profile_summary
 from repro.analysis.constructs import ConstructTable
 from repro.api import Session
@@ -194,7 +195,7 @@ def _loop_programs(draw) -> str:
 
 
 class TestDepKernelEquivalence:
-    """Block replay == per-event replay == live == parallel at 2 and 7
+    """Block replay (either decoder) == live == parallel at 2 and 7
     jobs, on random programs, with and without WAR/WAW."""
 
     @given(st.one_of(_programs.map(pretty_print), _loop_programs()),
@@ -231,7 +232,9 @@ class TestDepKernelEquivalence:
 
     def test_sampled_trace_agrees(self, tmp_path):
         """A sampled stream re-pairs accesses with stale writers; every
-        replay path must still re-pair them identically."""
+        replay path must still re-pair them identically. No live run
+        sees the sampled stream, so the per-event reference is a bare
+        ``AlchemistTracer`` replayed as a hooked consumer."""
         workload = get("wordcount", 0.3)
         program = compile_source(workload.source)
         path = str(tmp_path / "sampled.trace")
@@ -239,6 +242,13 @@ class TestDepKernelEquivalence:
                                   sampling="burst:40/100")
         kernel = _replayed(path, program, True, columnar=True)
         assert _replayed(path, program, True, columnar=False) == kernel
+        analyses = make_analyses(["dep"])
+        replay_with(path, analyses, program)
+        hooked = AlchemistTracer(ConstructTable(program))
+        with TraceReader(path) as reader:
+            ReplayEngine(reader, program).run([hooked])
+        assert _tracer_digest(hooked) == _tracer_digest(analyses[0].tracer)
+        assert hooked.profiler.updates == kernel[1]
         for digest in _parallel_digests(path, True,
                                         recorded.events // 10):
             assert digest == kernel[0]
@@ -300,7 +310,7 @@ def record_small_blocks(program, source: str, path: str, live=()):
 
 
 class TestDepStoreForStore:
-    """Block replay == ``columnar=False`` == live ``AlchemistTracer`` ==
+    """Block replay with either decoder == live ``AlchemistTracer`` ==
     ``Alchemist().profile`` == parallel at 2 and 7 jobs, store for
     store, on traces whose instances, frees and calls straddle 96-byte
     blocks: every construct's edges in dict insertion order as (key,
@@ -353,9 +363,9 @@ def _reports(outcome, names) -> dict:
 
 class TestLocalityContextEquivalence:
     """Locality's reuse-distance kernel and the flat and context block
-    kernel (and their seeded segments): batch replay == per-event replay
-    (``columnar=False``) == parallel at 2 and 7 jobs, with seams inside
-    a trace block."""
+    kernel (and their seeded segments): a live run (the per-event
+    hooks) == batch replay with either decoder == parallel at 2 and 7
+    jobs, with seams inside a trace block."""
 
     NAMES = ["locality", "context", "flat"]
 
@@ -376,6 +386,15 @@ class TestLocalityContextEquivalence:
             serial = _reports(replay_with(
                 path, make_analyses(self.NAMES), program, columnar=True),
                 self.NAMES)
+            live = make_analyses(self.NAMES)
+            interp = Interpreter(program, TeeTracer(live),
+                                 max_steps=STEP_CAP)
+            interp.run()
+            ctx = AnalysisContext(program=program, memory=interp.memory,
+                                  final_time=interp.time, mode="live")
+            reports = {a.name: a.finish(ctx) for a in live}
+            assert {name: (report.to_dict(), report.text)
+                    for name, report in reports.items()} == serial
             assert _reports(replay_with(
                 path, make_analyses(self.NAMES), program, columnar=False),
                 self.NAMES) == serial
@@ -422,8 +441,8 @@ class TestOneShadowOnePairStream:
 
 
 class _ScalarTraceSource(TraceSource):
-    """Replays through the ``columnar=False`` reference path, where the
-    index pass gets per-event hooks instead of whole blocks."""
+    """Replays through the scalar reference decoder
+    (``columnar=False``)."""
 
     def drive(self, tracers):
         with TraceReader(self.path) as reader:
@@ -433,8 +452,8 @@ class _ScalarTraceSource(TraceSource):
 class TestTaskGraphKernelEquivalence:
     """Task-graph kernel == ``TaskGraphTracer`` for every construct
     head — without privatization, with one privatized global and with
-    each loop's induction offsets — and TraceSource (blocks, or per-event
-    hooks on the ``columnar=False`` path) == LiveSource."""
+    each loop's induction offsets — and TraceSource (with either
+    decoder) == LiveSource."""
 
     @given(st.one_of(_programs.map(pretty_print), _loop_programs()))
     @settings(max_examples=40, deadline=None)

@@ -1,11 +1,62 @@
 """Shadow memory unit tests."""
 
+import numpy as np
+
 from repro.core.node import ConstructNode
-from repro.core.shadow import BOUNDARY, ShadowMemory
+from repro.core.shadow import BOUNDARY_ID, ShadowArrays, ShadowMemory
+from repro.trace.events import EV_READ, EV_WRITE
+
+#: The per-event oracle's payload of a seeded, pre-segment access.
+BOUNDARY = type("_Boundary", (), {"__repr__": lambda s: "<boundary>"})()
 
 
 def node():
     return ConstructNode()
+
+
+def seed_shadow(rows: list, payload=BOUNDARY) -> ShadowMemory:
+    """A per-event shadow tracking the accesses of checkpoint ``rows``,
+    each carrying ``payload``: the oracle for
+    :meth:`ShadowArrays.seed`."""
+    shadow = ShadowMemory()
+    for addr, wpc, wt, reads in rows:
+        shadow.insert(addr, None if wpc < 0 else (wpc, payload, wt),
+                      {pc: (payload, t) for pc, t in reads})
+    return shadow
+
+
+def shadow_frontier(shadow: ShadowMemory, encode=lambda p: p) -> dict:
+    """What ``shadow`` added on top of its :data:`BOUNDARY` seed, in the
+    format of :meth:`ShadowArrays.frontier`: the oracle for it."""
+    out = {}
+    for addr, (write, reads) in shadow.entries.items():
+        new_reads = {pc: (t, encode(p)) for pc, (p, t) in reads.items()
+                     if p is not BOUNDARY}
+        if write is not None and write[1] is not BOUNDARY:
+            out[addr] = ((write[0], write[2], encode(write[1])), new_reads)
+        elif new_reads:
+            out[addr] = (None, new_reads)
+    return out
+
+
+def shadow_entries(state: ShadowArrays, decode=lambda p: p) -> dict:
+    """``state`` as :attr:`ShadowMemory.entries`, payload ids mapped
+    through ``decode``: addresses with a write first, then the
+    read-only ones, each run sorted by address."""
+    entries = {}
+    for addr, pc, t, payload in zip(*(c.tolist() for c in state.writes)):
+        entries[addr] = [(pc, decode(payload), t), {}]
+    for addr, pc, t, payload in zip(*(c.tolist() for c in state.reads)):
+        entries.setdefault(addr, [None, {}])[1][pc] = (decode(payload), t)
+    return entries
+
+
+def _step(state: ShadowArrays, events: list) -> None:
+    """Advance ``state`` over ``(etype, addr, pc, t, payload id)``
+    events."""
+    columns = [np.array([event[k] for event in events], dtype=np.int64)
+               for k in range(5)]
+    state.step(*columns)
 
 
 class TestDetection:
@@ -189,30 +240,60 @@ class TestSeamFormat:
 
     def test_seed_snapshot_round_trips(self):
         rows = self._shadow().snapshot()
-        seeded = ShadowMemory()
-        seeded.seed(rows)
+        seeded = seed_shadow(rows)
         assert seeded.snapshot() == rows
         assert seeded.last_write(3) == (2, BOUNDARY, 2)
         _, wars = seeded.on_write(5, 1, node(), 7)
         assert wars == {11: (BOUNDARY, 1)}
-        flat = ShadowMemory()
-        flat.seed(rows, None)
+        flat = seed_shadow(rows, None)
         assert flat.last_write(3) == (2, None, 2)
         # Seeded addresses are indexed for clearing like any other.
         flat.clear_range(0, 64)
         assert flat.tracked_addresses() == 0
 
+    def test_arrays_seed_snapshot_round_trips(self):
+        rows = self._shadow().snapshot()
+        seeded = ShadowArrays.seed(rows)
+        assert seeded.snapshot() == rows
+        assert shadow_entries(seeded) == {
+            3: [(2, BOUNDARY_ID, 2), {11: (BOUNDARY_ID, 4),
+                                      12: (BOUNDARY_ID, 6)}],
+            5: [None, {11: (BOUNDARY_ID, 1)}],
+        }
+        flat = ShadowArrays.seed(rows, 0)
+        assert shadow_entries(flat) == shadow_entries(
+            seeded, lambda p: 0 if p == BOUNDARY_ID else p)
+        assert ShadowArrays.seed([]).snapshot() == []
+
     def test_frontier_skips_seeded_entries(self):
-        seeded = ShadowMemory()
-        seeded.seed(self._shadow().snapshot())
-        assert seeded.frontier() == {}
+        seeded = seed_shadow(self._shadow().snapshot())
+        assert shadow_frontier(seeded) == {}
         writer, reader = node(), node()
         seeded.on_read(3, 13, reader, 7)      # onto a seeded write
         seeded.on_write(5, 1, writer, 8)      # supersedes seeded reads
         seeded.on_read(9, 14, reader, 9)      # fresh address
         names = {id(writer): "w", id(reader): "r"}
-        assert seeded.frontier(lambda n: names[id(n)]) == {
+        assert shadow_frontier(seeded, lambda n: names[id(n)]) == {
             3: (None, {13: (7, "r")}),
             5: ((1, 8, "w"), {}),
             9: (None, {14: (9, "r")}),
+        }
+
+    def test_arrays_frontier_skips_seeded_entries(self):
+        """The same accesses on the block path: payload ids 1 (writer)
+        and 2 (reader) are carried out and decoded."""
+        seeded = ShadowArrays.seed(self._shadow().snapshot())
+        assert seeded.frontier() == {}
+        _step(seeded, [(EV_READ, 3, 13, 7, 2), (EV_WRITE, 5, 1, 8, 1),
+                       (EV_READ, 9, 14, 9, 2)])
+        names = {1: "w", 2: "r"}
+        assert seeded.frontier(names.__getitem__) == {
+            3: (None, {13: (7, "r")}),
+            5: ((1, 8, "w"), {}),
+            9: (None, {14: (9, "r")}),
+        }
+        assert seeded.frontier() == {
+            3: (None, {13: (7, 2)}),
+            5: ((1, 8, 1), {}),
+            9: (None, {14: (9, 2)}),
         }

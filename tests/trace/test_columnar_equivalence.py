@@ -288,8 +288,10 @@ class TestEncoderClockGuard:
 
 
 class TestEngineParity:
-    """Batch dispatch must reproduce scalar replay exactly — for the
-    builtin analyses and for plugins that never opted in."""
+    """Replay with the vectorized decoder must reproduce the scalar
+    reference decoder exactly — for the builtin analyses (block
+    consumers on both) and for plugins that never opted in (per-event
+    hooks on both)."""
 
     @pytest.fixture(scope="class")
     def trace(self, tmp_path_factory):

@@ -31,9 +31,9 @@ JOB_COUNTS = (1, 2, 4, 7)
 #: Trace format versions the reader accepts (v1 files are rejected).
 FORMATS = (TRACE_VERSION_V2,)
 
-#: Decode paths every segment can run on: the vectorized kernel with
-#: batch dispatch, and the ``columnar=False`` reference (scalar block
-#: decode, per-event hooks) — both inside the one dispatch loop.
+#: Decoders every segment can run on: the vectorized kernel and the
+#: ``columnar=False`` scalar reference loop — both feed the one
+#: dispatch loop, which feeds consumers the same way either way.
 DECODE_PATHS = (True, False)
 
 #: Small but structurally rich: gzip exercises globals + arrays +
@@ -106,8 +106,8 @@ class TestParity:
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_reference_path_equals_serial(self, outcomes, workload,
                                           jobs, analysis):
-        """``columnar=False``: scalar block decode and per-event hooks
-        in every segment, through the same dispatch loop."""
+        """``columnar=False``: scalar block decode in every segment,
+        through the same dispatch loop."""
         _assert_same_report(outcomes, workload, jobs, False, analysis)
 
     def test_every_bundled_analysis_supports_segments(self):

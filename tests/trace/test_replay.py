@@ -13,8 +13,8 @@ from repro.core.profile_data import DepKind
 from repro.runtime.interpreter import run_source
 from repro.trace import TraceError, TraceReader, record_source, replay_trace
 from repro.trace.codec import encode_events
-from repro.trace.events import (EV_ALLOC, EV_ENTER, EV_EXIT, EV_FREE,
-                                EV_READ, TRAILER, pack_length)
+from repro.trace.events import (EV_ALLOC, EV_BRANCH, EV_ENTER, EV_EXIT,
+                                EV_FREE, EV_READ, TRAILER, pack_length)
 from repro.trace.parallel import run_segment
 from repro.trace.replay import ReplayEngine
 from repro.trace.shards import build_checkpoints, genesis_checkpoint
@@ -312,6 +312,18 @@ def _access_before_enter(events, heap_base):
     return [(EV_READ, a, b, events[0][3])] + events
 
 
+def _bad_branch_pc(events, heap_base):
+    i = _first(events, lambda e: e[0] == EV_BRANCH)
+    _etype, _a, b, t = events[i]
+    return events[:i] + [(EV_BRANCH, 99999, b, t)] + events[i + 1:]
+
+
+def _bad_entry_pc(events, heap_base):
+    i = _first(events, lambda e: e[0] == EV_ENTER)
+    _etype, a, _b, t = events[i]
+    return events[:i] + [(EV_ENTER, a, 99999, t)] + events[i + 1:]
+
+
 def _read_address(value):
     """Rewrite the first READ's address to ``value``."""
     def edit(events, heap_base):
@@ -322,8 +334,9 @@ def _read_address(value):
 
 
 #: Corruptions replay must reject — structural events memory cannot
-#: replay, an access with no live frame, operands outside the 32-bit
-#: record format — and the message each must raise as a TraceError.
+#: replay, a construct pc that heads no construct, an access with no
+#: live frame, operands outside the 32-bit record format — and the
+#: message each must raise as a TraceError.
 CORRUPTIONS = {
     "duplicate-free": (_duplicate_free, "not a live heap block"),
     "interior-free": (_interior_free, "not a live heap block"),
@@ -333,6 +346,8 @@ CORRUPTIONS = {
     "zero-size-alloc": (_zero_size_alloc, "malloc size must be positive"),
     "access-before-enter": (_access_before_enter,
                             "access with no live frame"),
+    "bad-branch-pc": (_bad_branch_pc, "BRANCH at pc 99999"),
+    "bad-entry-pc": (_bad_entry_pc, "at pc 99999; its entry pc is"),
     "operand-beyond-u32": (_read_address(1 << 40),
                            "does not fit the 32-bit record format"),
     "operand-beyond-int64": (_read_address(1 << 64),
