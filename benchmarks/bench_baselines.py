@@ -28,6 +28,7 @@ from repro.core.profile_data import DepKind
 from repro.ir import compile_source
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.tracing import NullTracer
+from repro.trace.live import TeeTracer
 from repro.workloads import get
 
 from conftest import emit
@@ -36,7 +37,7 @@ from conftest import emit
 def live_profile(analysis_cls, program):
     """Run a baseline analysis live over ``program``; its profile."""
     analysis = analysis_cls()
-    Interpreter(program, analysis).run()
+    Interpreter(program, TeeTracer([analysis])).run()
     return analysis.profile
 
 

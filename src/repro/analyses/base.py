@@ -10,7 +10,8 @@ event stream ends. Because recorded traces replay the exact same hook
 stream, the same instance runs unchanged
 
 * **live** — attached to an interpreter (one run feeds N analyses
-  through :class:`~repro.runtime.tracing.TeeTracer`);
+  through :class:`~repro.trace.live.TeeTracer`; a block consumer gets
+  the run's events as whole blocks through the replay dispatch loop);
 * **from a trace** — driven by
   :class:`~repro.trace.replay.ReplayEngine`, no re-execution;
 * **in batch** — the ``multiprocessing`` driver resolves names through
@@ -190,7 +191,8 @@ class AnalysisContext:
     Built by whichever engine drove the events — the interpreter (live)
     or the replay engine (trace) — with identical program/memory/
     final-time semantics, so ``finish`` needs no mode awareness.
-    ``events`` counts trace records on replay and is ``None`` live;
+    ``events`` counts trace records on replay and, live, the events
+    the run handed block consumers (``None`` when it had none);
     ``wall_seconds`` is honest wall time either way. Neither belongs in
     ``AnalysisResult.data`` (they would break live/replay parity).
     """
@@ -249,27 +251,22 @@ class Analysis(Tracer):
     #: to a serial pass — parallel replay is an optimization, never a
     #: requirement.
     supports_segments: bool = False
-    #: How replay feeds the analysis. With ``batch_kind`` left ``None``
-    #: the engine dispatches scalar hooks per event, as live runs do.
-    #: Setting it to ``"block"`` (together with a
+    #: How the analysis is fed. Left ``None``, by per-event hooks (live,
+    #: the interpreter's own, with its ``Memory``). ``"block"`` (with a
     #: ``consume_batch(batch)`` method taking a
-    #: :class:`repro.trace.columnar.EventBatch`) makes every replay —
-    #: serial with either decoder, and each parallel segment — feed
-    #: whole blocks instead: ``consume_batch`` receives every decoded
-    #: block once, after the engine replayed its structural events,
-    #: and must handle *all* event types it cares about from the
-    #: columns (including structural ENTER/EXIT/ALLOC/FREE and
-    #: FINISH); no scalar hooks fire on replay. Only valid for analyses
-    #: that never read shared replay state (the reconstructed
-    #: ``Memory``) while consuming — counters, histograms, and the
-    #: dependence profilers on the block pair kernel (dep names
-    #: addresses from the block's own structural rows). One that names
-    #: ENTER's callees defines ``bind_functions(functions)``: the
-    #: engine passes it the trace's function table first.
-    #:
-    #: ``consume_batch`` must be observationally equivalent to the
-    #: scalar hooks a live run drives — the live-vs-replay parity
-    #: suites assert results match.
+    #: :class:`repro.trace.columnar.EventBatch`) makes every run —
+    #: replay with either decoder, each parallel segment, and a live
+    #: run through the tee — feed whole blocks instead: each block
+    #: once, after the dispatch loop replayed its structural events;
+    #: ``consume_batch`` must handle *all* event types it cares about
+    #: from the columns (structural ENTER/EXIT/ALLOC/FREE and FINISH
+    #: included), and no scalar hooks fire. Only valid for analyses
+    #: that never read the reconstructed ``Memory`` while consuming
+    #: (dep names addresses from the block's own structural rows). One
+    #: that names ENTER's callees defines ``bind_functions(functions)``
+    #: to receive the function table first. ``consume_batch`` must
+    #: equal a per-event reference tracer on the interpreter — the
+    #: equivalence suites assert it.
     batch_kind: str | None = None
     #: Overridden (as a method) by analyses that set ``batch_kind``.
     consume_batch = None

@@ -25,9 +25,7 @@ from repro.analyses.base import (Analysis, AnalysisContext,
                                  AnalysisSegment, OptionSpec,
                                  SegmentSeed, register)
 from repro.analysis.constructs import ConstructTable
-from repro.baselines.context_profiler import (ContextBlocks,
-                                              ContextProfile,
-                                              ContextSensitiveTracer)
+from repro.baselines.context_profiler import ContextBlocks, ContextProfile
 from repro.baselines.flat_profiler import FlatProfile, FlatTracer
 from repro.core.blockdep import BlockDependence
 from repro.core.profile_data import DepKind
@@ -106,15 +104,16 @@ def _dep_result(report: ProfileReport, track_war_waw: bool,
 class DependenceAnalysis(Analysis):
     """The Alchemist dependence profiler as a plugin.
 
-    Live, the events go to the per-event hooks of an unmodified
-    :class:`AlchemistTracer`. Replay — serial or a parallel segment —
-    consumes whole trace blocks: :class:`~repro.core.blockdep.
-    BlockDependence` runs the indexing rules over instance rows, takes
-    the block's pairs from the pair kernel and walks Table II over
-    arrays, on the same tracer's store and counters. The profile —
-    per-construct edges in insertion order, min-Tdep distances, names,
-    durations, instance counts — is *identical* either way (the
-    equivalence tests assert this store for store).
+    It consumes whole blocks, of a trace or a live run's tap:
+    :class:`~repro.core.blockdep.BlockDependence` runs the indexing
+    rules over instance rows, takes the block's pairs from the pair
+    kernel and walks Table II over arrays, on an
+    :class:`AlchemistTracer`'s store and counters. That tracer's own
+    hooks on the interpreter (``Alchemist().profile``) are the
+    per-event reference: the profile — per-construct edges in
+    insertion order, min-Tdep distances, names, durations, instance
+    counts — is *identical* (the equivalence tests assert this store
+    for store).
     """
 
     name = "dep"
@@ -134,35 +133,18 @@ class DependenceAnalysis(Analysis):
         self.table: ConstructTable | None = None
         self.tracer: AlchemistTracer | None = None
 
-    def on_start(self, program: ProgramIR, memory: Memory) -> None:
-        self._begin(program, memory)
-
-    def _begin(self, program: ProgramIR, memory: Memory,
-               construct_stack: list = (), shadow: list = ()) -> None:
-        """The tracer the hooks drive and the block engine replay
-        drives, on one store (the engine seeded for a segment)."""
+    def on_start(self, program: ProgramIR, memory: Memory,
+                 construct_stack: list = (), shadow: list = ()) -> None:
+        """A block engine on a fresh tracer's store and counters;
+        ``construct_stack`` and ``shadow`` seed it for a segment."""
         self.table = ConstructTable(program)
-        tracer = AlchemistTracer(self.table, self.track_war_waw)
+        self.tracer = tracer = AlchemistTracer(self.table,
+                                               self.track_war_waw)
         tracer.on_start(program, memory)
-        self._bind(tracer)
         #: The block engine, naming from memory as of the next block.
         self._block = BlockDependence(tracer, MemoryNames(memory),
                                       self.recorder, construct_stack,
                                       shadow)
-
-    def _bind(self, tracer: AlchemistTracer) -> None:
-        """Rebind the hooks straight to the inner tracer: both the
-        interpreter and the replay engine look methods up after
-        ``on_start``/``begin_segment``, so dispatch skips this shim."""
-        self.tracer = tracer
-        self.on_enter_function = tracer.on_enter_function
-        self.on_exit_function = tracer.on_exit_function
-        self.on_block_enter = tracer.on_block_enter
-        self.on_branch = tracer.on_branch
-        self.on_read = tracer.on_read
-        self.on_write = tracer.on_write
-        self.on_frame_free = tracer.on_frame_free
-        self.on_finish = tracer.on_finish
 
     def bind_functions(self, functions: list) -> None:
         """The trace's function table, which ENTER rows index."""
@@ -204,7 +186,7 @@ class DependenceAnalysis(Analysis):
         """A block engine on the seam's open instances and a shadow
         seeded with boundary payloads, so the dependence walk defers
         any pair whose head lives in an earlier segment."""
-        self._begin(program, memory, seed.construct_stack, seed.shadow)
+        self.on_start(program, memory, seed.construct_stack, seed.shadow)
 
     def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
         inner = self.tracer
@@ -381,12 +363,6 @@ def _locality_result(stats: LocalityResult) -> AnalysisResult:
     )
 
 
-#: Per-event accesses (live runs) buffered before one kernel call.
-#: Small on purpose: the buffer is transient memory on top of the
-#: O(distinct) state.
-_LOCALITY_PENDING = 4096
-
-
 def _earlier_at_most(values: np.ndarray) -> np.ndarray:
     """For each ``i``: how many ``j < i`` have ``values[j] <= values[i]``.
 
@@ -433,17 +409,18 @@ class LocalityAnalysis(Analysis):
     address — i.e. the minimal LRU cache size (in words) that would hit.
     Distances are bucketed by powers of two.
 
-    Computed exactly, a chunk of accesses at a time (a trace block, or
-    up to ``_LOCALITY_PENDING`` buffered per-event accesses), by one
-    numpy kernel. For an access ``i`` in a chunk starting at position
-    ``s``, with ``p`` the previous access to its address and ``S`` the
-    live last-access positions carried in at ``s``::
+    Computed exactly, a block of accesses at a time (of a trace or of a
+    live run's tap), by one numpy kernel; the per-event reference is
+    brute-force distinct counting (the kernel tests). For an access
+    ``i`` in a block starting at position ``s``, with ``p`` the
+    previous access to its address and ``S`` the live last-access
+    positions carried in at ``s``::
 
         distance(i) = |{x in S : x > p}|
                     + #{j in [s, i) : prev(j) <= p}
                     - max(0, p - s + 1)
 
-    ``prev`` comes from a stable argsort of the chunk's addresses, the
+    ``prev`` comes from a stable argsort of the block's addresses, the
     middle term from :func:`_earlier_at_most`. The carried state is the
     last position of every address and ``S`` as a sorted array, so it
     is O(distinct addresses), not O(accesses).
@@ -471,36 +448,12 @@ class LocalityAnalysis(Analysis):
         #: cross-segment reuse-distance merge needs
         #: (``repro.analyses.merging.fold_locality``).
         self._cold_order: list[tuple[int, int]] = []
-        self._pending: list[int] = []
         self.stats = LocalityResult()
 
-    # Both reads and writes are accesses (pc/timestamp unused).
-    def on_read(self, addr: int, pc: int, timestamp: int) -> None:
-        pending = self._pending
-        pending.append(addr)
-        if len(pending) >= _LOCALITY_PENDING:
-            self._flush()
-
-    on_write = on_read
-
-    def on_finish(self, timestamp: int) -> None:
-        self._flush()
-
-    def _flush(self) -> None:
-        if self._pending:
-            pending = self._pending
-            self._pending = []
-            self._consume(np.array(pending, dtype=np.int64))
-
     def consume_batch(self, batch) -> None:
-        """Block fast path: only the access addresses matter (reuse
+        """Advance the state over one block's access addresses (reuse
         distance ignores pc/timestamp and every other event type)."""
-        self._flush()
-        self._consume(batch.access_addrs())
-
-    def _consume(self, addrs: np.ndarray) -> None:
-        """Advance the state over one chunk of access addresses (an
-        int64 array)."""
+        addrs = batch.access_addrs()
         n = len(addrs)
         if not n:
             return
@@ -546,7 +499,7 @@ class LocalityAnalysis(Analysis):
         cold_count = int(np.count_nonzero(cold))
         if cold_count:
             # Cold heads in stream order; each has len(last) plus its
-            # cold rank in this chunk distinct addresses before it.
+            # cold rank in this block distinct addresses before it.
             cold_heads = np.flatnonzero(cold)
             cold_heads = cold_heads[np.argsort(order[head][cold_heads])]
             self._cold_order.extend(
@@ -564,7 +517,6 @@ class LocalityAnalysis(Analysis):
         stats.distinct_addresses = len(last)
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
-        self._flush()
         return _locality_result(self.stats)
 
     # -- segment/merge protocol -------------------------------------------
@@ -573,7 +525,6 @@ class LocalityAnalysis(Analysis):
     # are reconstructed by the fold from the exports below.
 
     def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
-        self._flush()
         return AnalysisSegment(type(self), {
             "accesses": self._seq,
             "hist": dict(self.stats.histogram),
@@ -675,17 +626,9 @@ class HotAddressAnalysis(Analysis):
         self._reads: dict[int, int] = {}
         self._writes: dict[int, int] = {}
 
-    def on_read(self, addr: int, pc: int, timestamp: int) -> None:
-        reads = self._reads
-        reads[addr] = reads.get(addr, 0) + 1
-
-    def on_write(self, addr: int, pc: int, timestamp: int) -> None:
-        writes = self._writes
-        writes[addr] = writes.get(addr, 0) + 1
-
     def consume_batch(self, batch) -> None:
-        """Block fast path: fold pre-aggregated per-address counts
-        (order within a block cannot matter for pure counters)."""
+        """Fold pre-aggregated per-address counts (order within a block
+        cannot matter for pure counters)."""
         reads = self._reads
         for addr, count in batch.addr_counts(EV_READ):
             reads[addr] = reads.get(addr, 0) + count
@@ -749,30 +692,8 @@ class CountingAnalysis(Analysis):
                        "branches": 0, "blocks": 0, "allocs": 0,
                        "frees": 0}
 
-    def on_enter_function(self, fn_name, entry_pc, timestamp) -> None:
-        self.counts["calls"] += 1
-
-    def on_block_enter(self, block_id, timestamp) -> None:
-        self.counts["blocks"] += 1
-
-    def on_branch(self, pc, target_block, timestamp) -> None:
-        self.counts["branches"] += 1
-
-    def on_read(self, addr, pc, timestamp) -> None:
-        self.counts["reads"] += 1
-
-    def on_write(self, addr, pc, timestamp) -> None:
-        self.counts["writes"] += 1
-
-    def on_heap_alloc(self, base, size, timestamp) -> None:
-        self.counts["allocs"] += 1
-
-    def on_frame_free(self, lo, hi) -> None:
-        self.counts["frees"] += 1
-
     def consume_batch(self, batch) -> None:
-        """Block fast path: one histogram of the block's event types
-        replaces per-event hook dispatch entirely."""
+        """One histogram of the block's event types."""
         tally = batch.etype_counts()
         counts = self.counts
         counts["reads"] += tally[EV_READ]
@@ -816,8 +737,7 @@ def _edge_rows(edges: dict, describe, tiekey) -> list[str]:
 
 class _BlockPairAnalysis(Analysis):
     """The block path shared by the flat and context baselines: each
-    trace block goes to ``blocks.consume_block`` (the block pair
-    kernel); ``tracer`` takes the per-event hooks."""
+    block goes to ``blocks.consume_block`` (the block pair kernel)."""
 
     batch_kind = "block"
     _functions: list = []
@@ -857,10 +777,11 @@ def _flat_result(profile: FlatProfile) -> AnalysisResult:
 class FlatDependenceAnalysis(_BlockPairAnalysis):
     """The context-insensitive baseline profiler as a plugin.
 
-    Wraps :class:`~repro.baselines.flat_profiler.FlatTracer`: every
-    dependence is attributed to its static ``(head pc, tail pc)`` pair
-    only — the "traditional profiling" strawman the paper's §III opens
-    with, now comparable against ``dep`` in a single replay pass.
+    Blocks go to :class:`~repro.baselines.flat_profiler.FlatTracer`,
+    whose per-event hooks are the reference: every dependence is
+    attributed to its static ``(head pc, tail pc)`` pair only — the
+    "traditional profiling" strawman the paper's §III opens with, now
+    comparable against ``dep`` in a single pass.
     """
 
     name = "flat"
@@ -872,12 +793,7 @@ class FlatDependenceAnalysis(_BlockPairAnalysis):
         self.tracer: FlatTracer | None = None
 
     def on_start(self, program: ProgramIR, memory: Memory) -> None:
-        # The tracer holds both paths' shadows.
-        self.tracer = self.blocks = tracer = FlatTracer(program)
-        self.on_read = tracer.on_read
-        self.on_write = tracer.on_write
-        self.on_frame_free = tracer.on_frame_free
-        self.on_finish = tracer.on_finish
+        self.tracer = self.blocks = FlatTracer(program)
 
     @property
     def profile(self) -> FlatProfile:
@@ -955,10 +871,12 @@ def _context_result(profile: ContextProfile) -> AnalysisResult:
 class ContextDependenceAnalysis(_BlockPairAnalysis):
     """The context-sensitive baseline profiler as a plugin.
 
-    Wraps :class:`ContextSensitiveTracer`: dependences attributed to
-    the calling contexts of both endpoints — the granularity of the
-    profilers the paper's §III-B criticizes, and reproducibly unable to
-    separate loop-carried from loop-local dependences.
+    Blocks go to :class:`~repro.baselines.context_profiler.
+    ContextBlocks`, whose per-event reference is
+    ``ContextSensitiveTracer``: dependences attributed to the calling
+    contexts of both endpoints — the granularity of the profilers the
+    paper's §III-B criticizes, and reproducibly unable to separate
+    loop-carried from loop-local dependences.
     """
 
     name = "context"
@@ -967,22 +885,14 @@ class ContextDependenceAnalysis(_BlockPairAnalysis):
     supports_segments = True
 
     def __init__(self) -> None:
-        self.tracer = tracer = ContextSensitiveTracer()
-        self.blocks = ContextBlocks(tracer.profile)
-        # The hooks go straight to the tracer, so dispatch skips a shim.
-        self.on_enter_function = tracer.on_enter_function
-        self.on_exit_function = tracer.on_exit_function
-        self.on_read = tracer.on_read
-        self.on_write = tracer.on_write
-        self.on_frame_free = tracer.on_frame_free
-        self.on_finish = tracer.on_finish
+        self.blocks = ContextBlocks(ContextProfile())
 
     @property
     def profile(self) -> ContextProfile:
-        return self.tracer.profile
+        return self.blocks.profile
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
-        return _context_result(self.tracer.profile)
+        return _context_result(self.blocks.profile)
 
     # -- segment/merge protocol -------------------------------------------
 
@@ -991,7 +901,7 @@ class ContextDependenceAnalysis(_BlockPairAnalysis):
         """Blocks from the seam's call stack and a shadow seeded with
         boundary payloads: pairs whose head context lives in an
         earlier segment are deferred."""
-        self.blocks = ContextBlocks(self.tracer.profile, seed.call_stack,
+        self.blocks = ContextBlocks(self.blocks.profile, seed.call_stack,
                                     seed.shadow)
 
     def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:

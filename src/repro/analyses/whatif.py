@@ -12,9 +12,9 @@ privatize that, expect roughly x3.5 on 4 workers" answers.
 The task graphs come from the same single pass as the profile:
 candidates are only known once the profile exists, so a
 :class:`~repro.parallel.taskgraph.BoundaryRecorder` logs every
-construct's pushes and pops, plus the access and free columns — on
-replay from the instance rows dep's block engine writes, live from the
-dependence tracer's indexing stack. After the advisor ranks the candidates,
+construct's pushes and pops, plus the access and free columns, from
+the instance rows dep's block engine writes — whether the blocks come
+from a trace or a live run's tap. After the advisor ranks the candidates,
 :func:`~repro.parallel.taskgraph.task_graphs` builds each one's graph
 from that log with a numpy kernel. Nothing is replayed or executed a
 second time, live or from a recording.
@@ -45,7 +45,6 @@ from repro.ir.cfg import ProgramIR
 from repro.parallel.simulator import FutureSimulator
 from repro.parallel.taskgraph import (BoundaryRecorder, IndexLog,
                                       candidate_specs, task_graphs)
-from repro.runtime.tracing import TeeTracer
 
 #: Worker counts swept when the caller does not choose (Table V runs
 #: on 4 workers; the sweep shows where scaling saturates).
@@ -98,16 +97,14 @@ def _private_globals(program: ProgramIR,
 @register
 class WhatIfAnalysis(DependenceAnalysis):
     """Predicted futures-parallelization speedups per candidate
-    construct, grounded in the profiled event stream."""
+    construct, grounded in the profiled event stream. A block consumer
+    (inherited from ``dep``), live and on replay, whose graphs have
+    ``TaskGraphTracer`` on the interpreter as per-event reference."""
 
     name = "whatif"
     description = ("what-if advisor: predicted futures speedup per "
                    "candidate construct (Table V sweep)")
     supports_segments = True  # dep's merge machinery, inherited
-    # batch_kind = "block" is inherited from DependenceAnalysis: replay
-    # profiles through dep's block engine, which logs each block's
-    # instance rows to the recorder; live, the recorder rides the
-    # tracer's hooks.
     options = (
         OptionSpec("workers", str, DEFAULT_WORKERS,
                    "comma-separated worker counts to sweep"),
@@ -127,15 +124,11 @@ class WhatIfAnalysis(DependenceAnalysis):
 
     # -- the one pass ------------------------------------------------------
 
-    def _bind(self, tracer) -> None:
-        """Dep's hooks, with a recorder on the tracer's indexing stack
-        that also sees every access and free."""
-        super()._bind(tracer)
-        self.recorder = recorder = BoundaryRecorder(tracer.stack)
-        recorder.memory = tracer.memory
-        for hook in ("on_read", "on_write", "on_frame_free"):
-            setattr(self, hook, TeeTracer.fan([getattr(tracer, hook),
-                                               getattr(recorder, hook)]))
+    def on_start(self, program: ProgramIR, memory, construct_stack=(),
+                 shadow=()) -> None:
+        """Dep's block engine, logging to a fresh recorder."""
+        self.recorder = BoundaryRecorder()
+        super().on_start(program, memory, construct_stack, shadow)
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
         report = super().finish(ctx).payload

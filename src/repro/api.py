@@ -19,7 +19,10 @@ session), and fans the trace out to every requested analysis in a
 single replay pass. Only analyses that declare ``requires_live`` — or
 an explicit ``mode="live"`` — execute the program, and even then one
 interpreter run feeds all of them through a
-:class:`~repro.runtime.tracing.TeeTracer`.
+:class:`~repro.trace.live.TeeTracer`: block consumers (every bundled
+analysis) get whole blocks through the replay dispatch loop, exactly
+as on a trace, and only hook-only plugins ride the interpreter's
+per-event hooks.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from repro.core.alchemist import Alchemist, ProfileOptions
 from repro.ir.cfg import ProgramIR
 from repro.ir.lowering import compile_source
 from repro.runtime.interpreter import Interpreter
-from repro.runtime.tracing import TeeTracer
 from repro.trace.events import source_digest
+from repro.trace.live import TeeTracer
 
 #: analyze() run modes.
 MODES = ("auto", "live", "replay")
@@ -400,7 +403,9 @@ class Session:
                   analyses: list[Analysis],
                   recorder=None) -> AnalysisContext:
         """One interpreter run feeding every live analysis (and, when
-        ``recorder`` is given, the trace writer too)."""
+        ``recorder`` is given, the trace writer too). The ``live`` span
+        and the context count the events and blocks the run handed
+        block consumers."""
         program = self.compile(source, filename)
         tracers = ([recorder] if recorder is not None else []) + analyses
         tee = TeeTracer(tracers)
@@ -415,6 +420,9 @@ class Session:
                 if recorder is not None:
                     recorder.abort()
                 raise
+            tap = tee.tap
+            if tap is not None:
+                span.set(events=tap.events, blocks=tap.blocks)
         wall = span.wall_seconds
         if recorder is not None:
             recorder.close(exit_value, interp.output)
@@ -425,7 +433,7 @@ class Session:
             final_time=interp.time,
             exit_value=exit_value,
             output=[tuple(v) for v in interp.output],
-            events=None,
+            events=tap.events if tap is not None else None,
             wall_seconds=wall,
             mode="live",
             telemetry=self.telemetry,

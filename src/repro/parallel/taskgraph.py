@@ -24,14 +24,14 @@ Extraction is one index pass plus one numpy kernel per candidate. A
 :class:`BoundaryRecorder` writes an :class:`IndexLog`: every construct
 push and pop with its event position (the number of accesses before
 it), its timestamp and, at a push, the frame base, plus the access
-columns (address, is-write) and the frees. Per event it rides an
-:class:`~repro.core.indexing.IndexingStack`'s observers; a replayed
-block arrives in one :meth:`BoundaryRecorder.record_block` call from
-the :class:`~repro.core.instances.InstanceTable` that indexed it. The
+columns (address, is-write) and the frees. Each block of events
+arrives in one :meth:`BoundaryRecorder.record_block` call from the
+:class:`~repro.core.instances.InstanceTable` that indexed it. The
 pass is ``whatif``'s own dependence-profile pass, so ``advise`` reads
 its events once; standalone :func:`extract_task_graphs` runs the same
-row pass (or stack, live) without a profile over a live run
-(:class:`LiveSource`) or a recorded trace (:class:`TraceSource`). A
+row pass without a profile over a live run (:class:`LiveSource`,
+whose tap hands the pass blocks) or a recorded trace
+(:class:`TraceSource`). A
 candidate's outermost instances are the log rows where its depth goes
 0→1 and 1→0. :func:`task_graphs` then sorts the accesses by address
 once and derives every graph from arrays:
@@ -65,16 +65,14 @@ import numpy as np
 
 from repro.analysis.constructs import ConstructTable
 from repro.core.blockdep import push_bases, replay_names
-from repro.core.indexing import IndexingStack
 from repro.core.instances import BlockRows, InstanceTable
-from repro.core.pool import NodeAllocator
 from repro.core.profile_data import ProfileStore
 from repro.core.shadow import concat_ranges, free_keys, mark_clear_epochs
 from repro.core.tracer import AlchemistTracer
 from repro.ir.cfg import ProgramIR
 from repro.runtime.interpreter import DEFAULT_MAX_STEPS, Interpreter
 from repro.runtime.memory import Memory, MemoryNames
-from repro.runtime.tracing import TeeTracer, Tracer
+from repro.runtime.tracing import Tracer
 from repro.telemetry import as_telemetry
 
 #: Tag for "currently in serial segment k": encoded as -(k + 1).
@@ -364,19 +362,14 @@ class IndexLog:
         return rows[push & (depth == 1)], rows[~push & (depth == 0)]
 
 
-class BoundaryRecorder(Tracer):
-    """Records an :class:`IndexLog` while an :class:`IndexingStack` runs,
-    or block by block from an :class:`InstanceTable`.
+class BoundaryRecorder:
+    """Records an :class:`IndexLog` block by block from the
+    :class:`InstanceTable` that indexed each block. It keeps the
+    running access count, so every row gets its exact event position
+    (an EXIT shares its timestamp with the return-value write before
+    it)."""
 
-    It attaches to the stack's push/pop observers, whoever drives the
-    stack. Its access hooks keep the running access count, so every
-    row gets its exact event position (an EXIT shares its timestamp
-    with the return-value write before it)."""
-
-    def __init__(self, stack: IndexingStack):
-        stack.push_observer = self._on_push
-        stack.pop_observer = self._on_pop
-        self.memory: Memory | None = None
+    def __init__(self) -> None:
         self.accesses = 0
         self._pcs = array("q")
         self._at = array("q")
@@ -386,38 +379,11 @@ class BoundaryRecorder(Tracer):
         self._addrs = array("q")
         self._writes = bytearray()
 
-    def _on_push(self, static, timestamp: int) -> None:
-        self._pcs.append(static.pc)
-        self._at.append(self.accesses)
-        self._times.append(timestamp)
-        self._bases.append(self.memory.frames[-1].base)
-
-    def _on_pop(self, node, timestamp: int) -> None:
-        self._pcs.append(~node.static.pc)
-        self._at.append(self.accesses)
-        self._times.append(timestamp)
-
-    def on_start(self, program: ProgramIR, memory: Memory) -> None:
-        self.memory = memory
-
-    def on_read(self, addr: int, pc: int, timestamp: int) -> None:
-        self._addrs.append(addr)
-        self._writes.append(False)
-        self.accesses += 1
-
-    def on_write(self, addr: int, pc: int, timestamp: int) -> None:
-        self._addrs.append(addr)
-        self._writes.append(True)
-        self.accesses += 1
-
-    def on_frame_free(self, lo: int, hi: int) -> None:
-        self._frees.append((self.accesses, lo, hi))
-
     def record_block(self, rows: InstanceTable, block: BlockRows,
                      etypes: np.ndarray, a: np.ndarray, b: np.ndarray,
                      bases: np.ndarray) -> None:
-        """The replay fast path: log one block that ``rows`` indexed
-        (``block``), with the frame base at each of its pushes."""
+        """Log one block that ``rows`` indexed (``block``), with the
+        frame base at each of its pushes."""
         from repro.trace.events import EV_FREE, EV_READ, EV_WRITE
 
         write = etypes == EV_WRITE
@@ -454,34 +420,22 @@ class BoundaryRecorder(Tracer):
         return log
 
 
-class _IndexPass(BoundaryRecorder):
-    """Standalone extraction's pass: the recorder on an index of its
-    own, which no dependence profile rides. Replay feeds it whole
-    blocks, which an :class:`InstanceTable` indexes with the rules
-    ``dep`` replays through; live events drive an
-    :class:`IndexingStack` through the hooks."""
+class _IndexPass(Tracer):
+    """Standalone extraction's pass: a :class:`BoundaryRecorder` on an
+    :class:`InstanceTable` of its own (the rules ``dep`` runs), which
+    no dependence profile rides, fed whole blocks."""
 
     batch_kind = "block"
 
     def __init__(self, table: ConstructTable):
-        stack = IndexingStack(table, NodeAllocator(), ProfileStore())
-        super().__init__(stack)
-        self.on_enter_function = \
-            lambda fn_name, entry_pc, t: stack.enter_procedure(entry_pc, t)
-        self.on_exit_function = lambda fn_name, t: stack.exit_procedure(t)
-        self.on_branch = stack.on_branch
-        self.on_block_enter = stack.on_block_enter
+        self.recorder = BoundaryRecorder()
         self._rows = InstanceTable(table, ProfileStore())
         self._functions: list = []
         self._seen = 0
         self.final_time = 0
 
     def on_start(self, program: ProgramIR, memory: Memory) -> None:
-        super().on_start(program, memory)
         self._names = MemoryNames(memory)
-
-    def on_finish(self, timestamp: int) -> None:
-        self.final_time = timestamp
 
     def bind_functions(self, functions: list) -> None:
         self._functions = functions
@@ -495,12 +449,12 @@ class _IndexPass(BoundaryRecorder):
         rows.create_profiles({})
         _, calls, bases = replay_names(self._names, etypes, a, b,
                                        self._functions, [])
-        self.record_block(rows, block, etypes, a, b,
-                          push_bases(block, calls, bases))
+        self.recorder.record_block(rows, block, etypes, a, b,
+                                   push_bases(block, calls, bases))
         rows.compact()
         self._seen += len(etypes)
         if len(etypes) and etypes[-1] == EV_FINISH:
-            self.on_finish(int(t[-1]))
+            self.final_time = int(t[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +641,8 @@ def _add_edges(keys: np.ndarray, span: int, deps: set,
 # ---------------------------------------------------------------------------
 
 class LiveSource:
-    """Event source that executes ``program`` under the interpreter."""
+    """Event source that executes ``program`` under the interpreter;
+    every tracer rides the live tee, so block consumers get blocks."""
 
     def __init__(self, program: ProgramIR,
                  max_steps: int = DEFAULT_MAX_STEPS):
@@ -695,8 +650,9 @@ class LiveSource:
         self.max_steps = max_steps
 
     def drive(self, tracers: list[Tracer]) -> None:
-        tracer = tracers[0] if len(tracers) == 1 else TeeTracer(tracers)
-        Interpreter(self.program, tracer, self.max_steps).run()
+        from repro.trace.live import TeeTracer
+
+        Interpreter(self.program, TeeTracer(tracers), self.max_steps).run()
 
 
 class TraceSource:
@@ -764,7 +720,7 @@ def extract_task_graphs(source: "LiveSource | TraceSource",
 
     ``targets`` maps construct head pc -> globals to privatize for that
     candidate (an iterable of pcs means no privatization). One
-    :class:`BoundaryRecorder` on a profile-less indexing stack rides
+    :class:`BoundaryRecorder` on a profile-less instance table logs
     the event stream for all of them. With an enabled ``telemetry`` the
     pass and the kernels are the ``advisor.extract.index`` and
     ``advisor.extract.kernel`` spans.
@@ -783,6 +739,6 @@ def extract_task_graphs(source: "LiveSource | TraceSource",
     tm = as_telemetry(telemetry)
     with tm.span("advisor.extract.index", candidates=len(specs)) as span:
         source.drive([index])
-        log = index.take()
+        log = index.recorder.take()
         span.set(accesses=log.accesses, frees=len(log.frees))
     return task_graphs(log, specs, index.final_time, tm)

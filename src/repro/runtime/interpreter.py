@@ -27,7 +27,7 @@ from repro.ir.cfg import ProgramIR
 from repro.ir.lowering import compile_source
 from repro.runtime.errors import MiniCRuntimeError, StepLimitExceeded
 from repro.runtime.memory import Memory
-from repro.runtime.tracing import NullTracer, Tracer
+from repro.runtime.tracing import NullTracer, Tracer, _takes_blocks
 
 _MASK = (1 << 64) - 1
 _SIGN = 1 << 63
@@ -71,6 +71,11 @@ class Interpreter:
     def __init__(self, program: ProgramIR, tracer: Tracer | None = None,
                  max_steps: int = DEFAULT_MAX_STEPS,
                  stdout=None):
+        if _takes_blocks(tracer):
+            raise TypeError(
+                f"{type(tracer).__name__} takes whole event blocks, not "
+                "per-event hooks: run it through "
+                "repro.trace.live.TeeTracer")
         self.program = program
         self.tracer = tracer if tracer is not None else NullTracer()
         self.max_steps = max_steps

@@ -70,7 +70,8 @@ class NullTracer(Tracer):
 
 
 #: Every event hook, derived from Tracer so a hook added there is
-#: automatically fanned out by TeeTracer (on_start is dispatch setup,
+#: automatically fanned out by the live tee
+#: (:class:`repro.trace.live.TeeTracer`; on_start is dispatch setup,
 #: not an event). The replay engine's per-event dispatch necessarily
 #: stays hand-written (it decodes trace records), but it reads this
 #: tuple's source of truth via tests.
@@ -84,6 +85,17 @@ TRACER_HOOKS = tuple(name for name in vars(Tracer)
 MEMORY_HOOKS = ("on_read", "on_write")
 
 
+def _takes_blocks(consumer) -> bool:
+    """Does ``consumer`` take whole blocks: ``batch_kind = "block"``
+    and a usable ``consume_batch``? Every other consumer, non-Analysis
+    tracers included, gets per-event hooks. The one consumer split of
+    every dispatcher: the replay loop and the live tee; the interpreter
+    and the sampling gate, which only call hooks, refuse a block
+    consumer."""
+    return (getattr(consumer, "batch_kind", None) == "block"
+            and getattr(consumer, "consume_batch", None) is not None)
+
+
 def overridden_hooks(tracers: list, hook_name: str) -> list:
     """Bound ``hook_name`` methods that actually override the base
     no-op. Shared by every event dispatcher (the replay engine, the
@@ -95,42 +107,6 @@ def overridden_hooks(tracers: list, hook_name: str) -> list:
         if getattr(hook, "__func__", None) is not base:
             hooks.append(hook)
     return hooks
-
-
-class TeeTracer(Tracer):
-    """Fans one interpreter run out to any number of child tracers.
-
-    This is the live twin of the replay engine's dispatch: one
-    execution feeds N analyses. ``on_start`` forwards to every child
-    first (children may rebind their own hooks there), then rebinds
-    this tracer's hooks to per-event dispatchers that skip children
-    inheriting the base no-op — a child that never overrides
-    ``on_block_enter`` costs nothing on block events, and a single
-    interested child is called directly with no fan-out loop at all.
-    """
-
-    def __init__(self, children: list[Tracer]):
-        self.children = list(children)
-
-    def on_start(self, program: ProgramIR, memory: Memory) -> None:
-        for child in self.children:
-            child.on_start(program, memory)
-        for name in TRACER_HOOKS:
-            hooks = overridden_hooks(self.children, name)
-            if not hooks:
-                continue
-            if len(hooks) == 1:
-                setattr(self, name, hooks[0])
-            else:
-                setattr(self, name, self.fan(hooks))
-
-    @staticmethod
-    def fan(hooks: list):
-        """One hook that calls each of ``hooks`` in order."""
-        def dispatch(*args):
-            for hook in hooks:
-                hook(*args)
-        return dispatch
 
 
 class CountingTracer(Tracer):

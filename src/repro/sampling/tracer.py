@@ -1,11 +1,11 @@
 """The sampling gate: a tracer wrapper that thins memory events.
 
 :class:`SampledTracer` sits between an event source (the interpreter,
-or :class:`~repro.runtime.tracing.TeeTracer`) and any child tracer —
+or :class:`~repro.trace.live.TeeTracer`) and a hooked child tracer —
 most usefully a :class:`~repro.trace.writer.TraceWriter`, which is how
-``alchemist record --sample interval:100`` produces small traces, but
-a live analysis can be wrapped just the same for sampled in-process
-profiling.
+``alchemist record --sample interval:100`` produces small traces. A
+block consumer (every bundled analysis) has no hooks to gate, so the
+gate refuses it: sample the recording and replay it instead.
 
 Only READ/WRITE events are gated (``MEMORY_HOOKS``); structural events
 forward unconditionally so a sampled trace still reconstructs frames
@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.ir.cfg import ProgramIR
 from repro.runtime.memory import Memory
 from repro.runtime.tracing import (MEMORY_HOOKS, TRACER_HOOKS, Tracer,
-                                   overridden_hooks)
+                                   _takes_blocks, overridden_hooks)
 from repro.sampling.policies import SamplingPolicy
 
 
@@ -38,6 +38,9 @@ class SampledTracer(Tracer):
 
     def __init__(self, policy: SamplingPolicy, child: Tracer,
                  telemetry=None):
+        if _takes_blocks(child):
+            raise TypeError(f"{type(child).__name__} takes whole event "
+                            "blocks: sample the recording and replay it")
         self.policy = policy
         self.child = child
         self._counted = bool(telemetry is not None

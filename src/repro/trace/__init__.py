@@ -23,6 +23,9 @@ costs a full re-execution. This package decouples the two:
     Analyses resolve through the shared registry (``dep``,
     ``locality``, ``hot``, ``counts``, ``flat``, ``context``, plus
     anything registered with ``@repro.analyses.register``).
+``repro.trace.live``
+    :class:`TeeTracer`, one live run's fan-out: block consumers get its
+    events as blocks through the replay dispatch loop.
 ``repro.trace.batch``
     A ``multiprocessing`` batch driver that records and replays many
     workloads / analyses concurrently with deterministic result order.

@@ -14,12 +14,13 @@ the interpreter again:
 * events are then dispatched to every requested analysis in recorded
   order, so one pass over the trace feeds N analyses.
 
-:func:`dispatch_batches` is the one event-dispatch loop: serial replay
-and every parallel segment (:mod:`repro.trace.parallel`) run through
-it. Analyses are :class:`repro.analyses.Analysis` plugins resolved
-through the shared registry — the same objects that attach to a live
-interpreter run and that the batch driver spawns, which is what lets
-perfbench's ``dep-bzip2`` time record + replay against a live run.
+:func:`batch_dispatcher` is the one event-dispatch loop: serial replay
+and every parallel segment (:mod:`repro.trace.parallel`) feed it
+decoded blocks through :func:`dispatch_batches`, and a live run
+(:mod:`repro.trace.live`) feeds it the blocks its tap records.
+Analyses are :class:`repro.analyses.Analysis` plugins resolved through
+the shared registry — the same objects a live run and the batch driver
+use.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.ir import instructions as ins
 from repro.ir.cfg import ProgramIR
 from repro.ir.lowering import compile_source
 from repro.runtime.memory import Memory
-from repro.runtime.tracing import overridden_hooks
+from repro.runtime.tracing import _takes_blocks, overridden_hooks
 from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH, EV_ENTER,
                                 EV_EXIT, EV_FREE, EV_READ, EV_WRITE,
                                 TraceError, source_digest)
@@ -49,14 +50,6 @@ from repro.trace.reader import TraceReader
 DISPATCHED_HOOKS = ("on_enter_function", "on_exit_function",
                     "on_block_enter", "on_branch", "on_read", "on_write",
                     "on_heap_alloc", "on_frame_free", "on_finish")
-
-
-def _takes_blocks(consumer) -> bool:
-    """Does ``consumer`` take whole blocks: ``batch_kind = "block"``
-    and a usable ``consume_batch``? Every other consumer, non-Analysis
-    tracers included, gets per-event hooks."""
-    return (getattr(consumer, "batch_kind", None) == "block"
-            and getattr(consumer, "consume_batch", None) is not None)
 
 
 def trace_functions(program: ProgramIR, header) -> list:
@@ -74,16 +67,20 @@ def trace_functions(program: ProgramIR, header) -> list:
     return functions
 
 
-def dispatch_batches(batches, consumers: list, memory: Memory,
-                     functions: list, budget: int | None = None,
-                     segment: bool = False) -> tuple[int, int]:
-    """The event-dispatch loop: drive decoded
-    :class:`~repro.trace.columnar.EventBatch` blocks through the
-    consumers, replaying memory reconstruction at the structural seams.
+def batch_dispatcher(consumers: list, memory: Memory, functions: list,
+                     segment: bool = False):
+    """The event-dispatch loop, one batch at a time: returns
+    ``feed(batch)``, which drives one decoded
+    :class:`~repro.trace.columnar.EventBatch` through the consumers,
+    replaying memory reconstruction at the structural seams, and
+    returns the FINISH clock if the batch held FINISH (else ``None``).
     Serial replay, every parallel segment and the shard seam scan
-    (:func:`repro.trace.shards.build_checkpoints`) run through it.
+    (:func:`repro.trace.shards.build_checkpoints`) feed it through
+    :func:`dispatch_batches`; a live run feeds it the blocks its
+    :class:`~repro.trace.live.LiveTap` records.
 
-    Consumers split two ways by :func:`_takes_blocks`:
+    Consumers split two ways by
+    :func:`~repro.runtime.tracing._takes_blocks`:
 
     * block consumers — ``consume_batch`` sees each whole block once,
       after the loop has replayed the block's structural events, and
@@ -92,23 +89,21 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
       ``bind_functions`` first receives ``functions``, the table ENTER
       indices resolve through. Every bundled analysis, the seam scan
       and task-graph extraction take whole blocks, whichever decoder
-      produced them and in every segment;
+      produced them, in every segment and live;
     * hooked consumers — every event is dispatched per-hook, the
       structural ones with memory synchronized exactly as a live run
       has it (custom plugins keep working unmodified).
 
-    ``budget`` caps the number of events consumed (the parallel segment
-    driver's slice discipline); ``segment`` flavors the corrupt-trace
-    messages. A structural event memory cannot replay (an ENTER of an
-    unknown function, at a pc other than its entry or past the stack
-    region, an EXIT with no live frame, a FREE of a heap address that
-    is not a live block, an ALLOC of no words or at a base the
-    allocator does not return), a BRANCH at a pc that is no branch of
-    the program and a READ or WRITE with no live frame raise
-    :class:`TraceError` before any hook or block consumer sees them.
-    Frames are empty only before main's ENTER and after its EXIT, so
-    only the runs of events there are searched for accesses.
-    Returns ``(final_time, events_consumed)``.
+    ``segment`` flavors the corrupt-trace messages. A structural event
+    memory cannot replay (an ENTER of an unknown function, at a pc
+    other than its entry or past the stack region, an EXIT with no
+    live frame, a FREE of a heap address that is not a live block, an
+    ALLOC of no words or at a base the allocator does not return), a
+    BRANCH at a pc that is no branch of the program and a READ or
+    WRITE with no live frame raise :class:`TraceError` before any hook
+    or block consumer sees them. Frames are empty only before main's
+    ENTER and after its EXIT, so only the runs of events there are
+    searched for accesses.
     """
     blocks = [_takes_blocks(c) for c in consumers]
     block_consumers = [c for c, b in zip(consumers, blocks) if b]
@@ -147,9 +142,6 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
     is_branch[branches] = True
     where = " in segment" if segment else ""
 
-    final_time = 0
-    consumed = 0
-
     def run(quiet) -> None:
         """One memory-quiet run of events between structural seams."""
         if not frames and len(quiet.access_addrs()):
@@ -172,9 +164,8 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
                     hook(a, b, t)
             # EV_CHECKPOINT: shard seam marker, nothing to dispatch.
 
-    for batch in batches:
-        if budget is not None and len(batch) > budget - consumed:
-            batch = batch.slice(0, budget - consumed)
+    def feed(batch) -> int | None:
+        finished = None
         unknown = batch.first_unknown_etype()
         if unknown is not None:
             raise TraceError(f"unknown event type {unknown}")
@@ -242,13 +233,36 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
                 for hook in on_alloc:
                     hook(a, b, t)
             else:  # EV_FINISH (the decoder never puts it mid-block)
-                final_time = t
+                finished = t
                 for hook in on_finish:
                     hook(t)
         if pos < len(batch) and (feed_runs or not frames):
             run(batch.slice(pos, len(batch)))
-        for feed in block_feeds:
-            feed(batch)
+        for consume in block_feeds:
+            consume(batch)
+        return finished
+
+    return feed
+
+
+def dispatch_batches(batches, consumers: list, memory: Memory,
+                     functions: list, budget: int | None = None,
+                     segment: bool = False) -> tuple[int, int]:
+    """Drive decoded batches through :func:`batch_dispatcher` over
+    ``consumers``. ``budget`` caps the number of events consumed (the
+    parallel segment driver's slice discipline); ``segment`` flavors
+    the corrupt-trace messages. Returns ``(final_time,
+    events_consumed)``.
+    """
+    feed = batch_dispatcher(consumers, memory, functions, segment)
+    final_time = 0
+    consumed = 0
+    for batch in batches:
+        if budget is not None and len(batch) > budget - consumed:
+            batch = batch.slice(0, budget - consumed)
+        finished = feed(batch)
+        if finished is not None:
+            final_time = finished
         consumed += len(batch)
         if budget is not None and consumed >= budget:
             break
@@ -316,9 +330,9 @@ class ReplayEngine:
         footer = reader.footer
         if tm.enabled:
             events = footer.events if footer is not None else 0
-            span.set(events=events)
-            tm.count("trace.events_decoded", events)
             decoder = reader.decoder
+            span.set(events=events, blocks=decoder.blocks)
+            tm.count("trace.events_decoded", events)
             tm.count("trace.bytes_read", decoder.compressed_bytes)
             tm.count("trace.blocks_read", decoder.blocks)
             tm.count("trace.blocks_batched", decoder.blocks_vectorized)

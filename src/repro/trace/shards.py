@@ -55,6 +55,7 @@ process pool.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -76,8 +77,8 @@ DEFAULT_CHECKPOINT_INTERVAL = 50_000
 SIDECAR_SUFFIX = ".ckpt"
 
 #: Schema tag inside sidecar files (bump when the payload changes;
-#: 2 added mid-block v2 seams).
-_SIDECAR_SCHEMA = 2
+#: 2 added mid-block v2 seams, 3 the digest of the checkpoints).
+_SIDECAR_SCHEMA = 3
 
 #: Compiled programs per process, keyed by (path, digest): a worker
 #: typically replays several segments of the same trace, and a
@@ -306,11 +307,18 @@ def _sidecar_path(path: str) -> str:
     return path + SIDECAR_SUFFIX
 
 
+def _checkpoints_digest(payloads: list) -> str:
+    """SHA-256 of the checkpoint payloads as canonical JSON."""
+    blob = json.dumps(payloads, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def _read_sidecar(path: str, interval: int | None) -> dict | None:
     """The sidecar's JSON if it still matches the trace (same schema,
-    size, header digest and sampling) and, when ``interval`` is given,
-    was built at that interval; missing, stale or torn sidecars all
-    read as ``None``."""
+    size, header digest and sampling), its checkpoints still match
+    their digest and, when ``interval`` is given, it was built at that
+    interval; missing, stale, torn or damaged sidecars all read as
+    ``None``."""
     try:
         size = os.path.getsize(path)
         with TraceReader(path) as reader:
@@ -322,6 +330,8 @@ def _read_sidecar(path: str, interval: int | None) -> dict | None:
         if not (isinstance(data, dict)
                 and isinstance(data.get("checkpoints"), list)):
             return None
+        key["checkpoints_digest"] = _checkpoints_digest(
+            data["checkpoints"])
     except (OSError, ValueError, TraceError):
         return None
     if interval is not None:
@@ -392,9 +402,9 @@ def load_or_build_checkpoints(path: str | os.PathLike,
     :data:`DEFAULT_CHECKPOINT_INTERVAL`) and the sidecar replaced. The
     cache is keyed on the trace's size and header digest, so a
     re-recorded file never resurrects stale seams; a sidecar whose
-    payloads do not parse or hold values out of range for the trace
-    is stale too. Sidecar I/O failures degrade to scanning, never to
-    an error.
+    payloads no longer match their digest, do not parse or hold values
+    out of range for the trace is stale too. Sidecar I/O failures
+    degrade to scanning, never to an error.
     """
     path = os.fspath(path)
     data = _read_sidecar(path, interval)
@@ -413,11 +423,13 @@ def load_or_build_checkpoints(path: str | os.PathLike,
     checkpoints = build_checkpoints(path, interval)
     with TraceReader(path) as reader:
         header = reader.header
+    payloads = [c.to_payload() for c in checkpoints]
     _write_sidecar(_sidecar_path(path), {
         "schema": _SIDECAR_SCHEMA, "size": os.path.getsize(path),
         "digest": header.digest, "sampling": header.sampling,
         "interval": interval,
-        "checkpoints": [c.to_payload() for c in checkpoints]})
+        "checkpoints_digest": _checkpoints_digest(payloads),
+        "checkpoints": payloads})
     return checkpoints
 
 

@@ -45,7 +45,54 @@ from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH, EV_ENTER,
                                 pack_version, source_digest)
 
 
-class TraceWriter(Tracer):
+class EventRecorder(Tracer):
+    """The one mapping from tracer hooks to trace records ``(etype, a,
+    b, t)``, shared by the trace writer and the live tap
+    (:class:`repro.trace.live.LiveTap`): ENTER and EXIT name their
+    function by its index in the program's function table, and FREE
+    (its hook has no clock) rides at the clock of the record before it.
+    Subclasses implement :meth:`_emit`, keeping ``_last_time`` at the
+    clock of the last record."""
+
+    _last_time = 0
+
+    def on_start(self, program: ProgramIR, memory: Memory) -> None:
+        self._fn_index = {name: i for i, name in
+                          enumerate(program.functions)}
+
+    def on_enter_function(self, fn_name: str, entry_pc: int,
+                          timestamp: int) -> None:
+        self._emit(EV_ENTER, self._fn_index[fn_name], entry_pc, timestamp)
+
+    def on_exit_function(self, fn_name: str, timestamp: int) -> None:
+        self._emit(EV_EXIT, self._fn_index[fn_name], 0, timestamp)
+
+    def on_block_enter(self, block_id: int, timestamp: int) -> None:
+        self._emit(EV_BLOCK, block_id, 0, timestamp)
+
+    def on_branch(self, pc: int, target_block: int, timestamp: int) -> None:
+        self._emit(EV_BRANCH, pc, target_block, timestamp)
+
+    def on_read(self, addr: int, pc: int, timestamp: int) -> None:
+        self._emit(EV_READ, addr, pc, timestamp)
+
+    def on_write(self, addr: int, pc: int, timestamp: int) -> None:
+        self._emit(EV_WRITE, addr, pc, timestamp)
+
+    def on_heap_alloc(self, base: int, size: int, timestamp: int) -> None:
+        self._emit(EV_ALLOC, base, size, timestamp)
+
+    def on_frame_free(self, lo: int, hi: int) -> None:
+        self._emit(EV_FREE, lo, hi - lo, self._last_time)
+
+    def on_finish(self, timestamp: int) -> None:
+        self._emit(EV_FINISH, 0, 0, timestamp)
+
+    def _emit(self, etype: int, a: int, b: int, timestamp: int) -> None:
+        raise NotImplementedError
+
+
+class TraceWriter(EventRecorder):
     """Records one execution into a trace file; single use.
 
     Parameters
@@ -74,18 +121,14 @@ class TraceWriter(Tracer):
         self.filename = filename
         self.sampling = sampling
         self.events = 0
-        self.final_time = 0
         self.closed = False
         self._encoder = V2Encoder(block_bytes)
         self._handle = open(self.path, "wb")
-        self._last_time = 0
-        self._fn_index: dict[str, int] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
     def on_start(self, program: ProgramIR, memory: Memory) -> None:
-        functions = list(program.functions)
-        self._fn_index = {name: i for i, name in enumerate(functions)}
+        super().on_start(program, memory)
         header = TraceHeader(
             digest=source_digest(self.source),
             filename=self.filename,
@@ -93,7 +136,7 @@ class TraceWriter(Tracer):
             globals_size=program.globals_size,
             stack_limit=memory.stack_limit,
             heap_base=memory.heap_base,
-            functions=functions,
+            functions=list(program.functions),
             sampling=self.sampling,
         )
         blob = header.to_bytes()
@@ -102,9 +145,10 @@ class TraceWriter(Tracer):
         self._handle.write(pack_length(len(blob)))
         self._handle.write(blob)
 
-    def on_finish(self, timestamp: int) -> None:
-        self.final_time = timestamp
-        self._emit(EV_FINISH, 0, 0, timestamp)
+    @property
+    def final_time(self) -> int:
+        """The clock of the last record: FINISH's, once written."""
+        return self._last_time
 
     def close(self, exit_value: int = 0,
               output: list[tuple[int, ...]] | None = None) -> None:
@@ -131,34 +175,6 @@ class TraceWriter(Tracer):
         if not self.closed:
             self.closed = True
             self._handle.close()
-
-    # -- event hooks -------------------------------------------------------
-
-    def on_enter_function(self, fn_name: str, entry_pc: int,
-                          timestamp: int) -> None:
-        self._emit(EV_ENTER, self._fn_index[fn_name], entry_pc, timestamp)
-
-    def on_exit_function(self, fn_name: str, timestamp: int) -> None:
-        self._emit(EV_EXIT, self._fn_index[fn_name], 0, timestamp)
-
-    def on_block_enter(self, block_id: int, timestamp: int) -> None:
-        self._emit(EV_BLOCK, block_id, 0, timestamp)
-
-    def on_branch(self, pc: int, target_block: int, timestamp: int) -> None:
-        self._emit(EV_BRANCH, pc, target_block, timestamp)
-
-    def on_read(self, addr: int, pc: int, timestamp: int) -> None:
-        self._emit(EV_READ, addr, pc, timestamp)
-
-    def on_write(self, addr: int, pc: int, timestamp: int) -> None:
-        self._emit(EV_WRITE, addr, pc, timestamp)
-
-    def on_heap_alloc(self, base: int, size: int, timestamp: int) -> None:
-        self._emit(EV_ALLOC, base, size, timestamp)
-
-    def on_frame_free(self, lo: int, hi: int) -> None:
-        # No timestamp on this hook; deltas of 0 keep the clock in place.
-        self._emit(EV_FREE, lo, hi - lo, self._last_time)
 
     # -- encoding ----------------------------------------------------------
 

@@ -1,9 +1,8 @@
 """The locality reuse-distance kernel against brute force.
 
-Random address streams are cut into random chunks, each fed either
-through the per-event hooks (buffered) or as one ``consume_batch``
-block, so chunk boundaries, buffer flushes and carried state all land
-at arbitrary places. Every case must equal a brute-force distinct
+Random address streams are cut into random chunks, each fed as one
+``consume_batch`` block (scalar-decoded lists or numpy columns), so
+chunk boundaries and carried state land at arbitrary places. Every case must equal a brute-force distinct
 count, and ``export_segment()`` folded over random seam cuts must
 equal the serial result. A last test pins the memory bound: the
 carried state is O(distinct addresses), not O(accesses).
@@ -24,9 +23,9 @@ from repro.trace.events import EV_BLOCK, EV_READ, EV_WRITE
 
 @st.composite
 def _chunks(draw) -> list[tuple[str, list[int]]]:
-    """``(how, addresses)`` chunks: ``how`` is ``"hooks"``,
-    ``"lists"`` (a scalar-decoded batch) or ``"array"`` (a numpy
-    batch); chunks may be empty, all-cold or all-reuse."""
+    """``(how, addresses)`` chunks: ``how`` is ``"lists"`` (a
+    scalar-decoded batch) or ``"array"`` (a numpy batch); chunks may be
+    empty, all-cold or all-reuse."""
     chunks = []
     seen: list[int] = []
     fresh = 1000
@@ -42,7 +41,7 @@ def _chunks(draw) -> list[tuple[str, list[int]]]:
         else:
             addrs = draw(st.lists(st.integers(0, 12), min_size=size,
                                   max_size=size))
-        how = draw(st.sampled_from(("hooks", "lists", "array")))
+        how = draw(st.sampled_from(("lists", "array")))
         chunks.append((how, addrs))
         seen.extend(addrs)
     return chunks
@@ -70,12 +69,7 @@ def _batch(addrs: list[int], array: bool) -> EventBatch:
 def _feed(chunks) -> LocalityAnalysis:
     analysis = LocalityAnalysis()
     for how, addrs in chunks:
-        if how == "hooks":
-            for i, addr in enumerate(addrs):
-                hook = analysis.on_write if i % 2 else analysis.on_read
-                hook(addr, 0, 0)
-        else:
-            analysis.consume_batch(_batch(addrs, how == "array"))
+        analysis.consume_batch(_batch(addrs, how == "array"))
     return analysis
 
 
@@ -101,7 +95,6 @@ class TestLocalityKernel:
     def test_matches_bruteforce(self, chunks):
         stream = [addr for _how, addrs in chunks for addr in addrs]
         analysis = _feed(chunks)
-        analysis.on_finish(0)
         hist, cold, distinct = _brute(stream)
         stats = analysis.stats
         assert stats.histogram == hist
@@ -141,17 +134,13 @@ class TestLocalityKernel:
 
 def _retained_bytes(accesses: int) -> int:
     """Traced memory a locality analysis holds after ``accesses``
-    accesses over 16 addresses, fed half through the hooks and half
-    as blocks."""
+    accesses over 16 addresses, fed as blocks of 4096."""
     tracemalloc.start()
     try:
         analysis = LocalityAnalysis()
         before = tracemalloc.get_traced_memory()[0]
-        half = accesses // 2
-        for i in range(half):
-            analysis.on_read(i % 16, 0, i)
         block = [i % 16 for i in range(4096)]
-        for _ in range((accesses - half) // len(block)):
+        for _ in range(accesses // len(block)):
             analysis.consume_batch(_batch(block, array=True))
         analysis.finish(None)
         retained = tracemalloc.get_traced_memory()[0] - before

@@ -4,12 +4,13 @@ indistinguishability argument."""
 from repro.analyses.builtin import ContextDependenceAnalysis
 from repro.core.profile_data import DepKind
 from repro.runtime.interpreter import run_source
+from repro.trace.live import TeeTracer
 
 
 def profile_with_contexts(source: str):
     """Run the registered ``context`` analysis live over ``source``."""
     analysis = ContextDependenceAnalysis()
-    run_source(source, tracer=analysis)
+    run_source(source, tracer=TeeTracer([analysis]))
     return analysis.profile
 
 

@@ -3,13 +3,14 @@
 from repro.analyses.builtin import FlatDependenceAnalysis
 from repro.core.profile_data import DepKind
 from repro.runtime.interpreter import run_source
+from repro.trace.live import TeeTracer
 from tests.baselines.test_context_profiler import CASES, four_case_source
 
 
 def profile_flat(source: str):
     """Run the registered ``flat`` analysis live over ``source``."""
     analysis = FlatDependenceAnalysis()
-    run_source(source, tracer=analysis)
+    run_source(source, tracer=TeeTracer([analysis]))
     return analysis.profile
 
 

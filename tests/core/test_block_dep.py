@@ -58,7 +58,7 @@ def _replayed_against_live(source: str, tmp_path, small: bool):
         assert record_small_blocks(program, source, path, [live])
     else:
         from repro.runtime.interpreter import Interpreter
-        from repro.runtime.tracing import TeeTracer
+        from repro.trace.live import TeeTracer
         from repro.trace.writer import TraceWriter
 
         writer = TraceWriter(path, source)

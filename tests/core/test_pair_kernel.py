@@ -30,7 +30,7 @@ from repro.lang.errors import SemanticError
 from repro.lang.pretty import pretty_print
 from repro.runtime.errors import MiniCRuntimeError, StepLimitExceeded
 from repro.runtime.interpreter import Interpreter
-from repro.runtime.tracing import TeeTracer
+from repro.trace.live import TeeTracer
 from repro.trace.columnar import EventBatch
 from repro.trace.events import EV_FREE, EV_READ, EV_WRITE
 from repro.trace.parallel import parallel_replay

@@ -11,13 +11,15 @@ stack, zeroed nesting counters, allocator fully drained.
 
 The same generators also pin replayed dep: block replay (the instance
 table, the pair kernel and the vectorised Table II walk) with either
-decoder, live profiling (the per-event hooks) and parallel segments
-(plus cross-seam deferral) must all produce the same dep profile —
-store for store on traces of many small blocks, down to each
+decoder, live profiling (the per-event hooks of ``AlchemistTracer``),
+a live ``Session`` run (blocks from the live tap) and parallel
+segments (plus cross-seam deferral) must all produce the same dep
+profile — store for store on traces of many small blocks, down to each
 construct's edge order, the names and the first observations. They pin
 the locality reuse-distance kernel and the flat and context block
 kernel the same way: live runs, batch replay with either decoder and
-parallel segments agree. The flat, context and Alchemist detectors,
+parallel segments agree, and flat and context equal their per-event
+tracers. The flat, context and Alchemist detectors,
 which share one shadow memory, count the same pairs of each kind. And
 they pin task-graph extraction: the index pass + per-candidate kernel
 builds the graphs one ``TaskGraphTracer`` per construct head builds,
@@ -35,7 +37,8 @@ from hypothesis import strategies as st
 
 from repro.analyses import make_analyses, whatif
 from repro.analyses.base import AnalysisContext
-from repro.analyses.builtin import profile_summary
+from repro.analyses.builtin import (_context_result, _flat_result,
+                                    profile_summary)
 from repro.analysis.constructs import ConstructTable
 from repro.api import Session
 from repro.baselines import ContextSensitiveTracer, FlatTracer
@@ -51,7 +54,7 @@ from repro.parallel.taskgraph import (LiveSource, TaskGraphTracer,
                                       resolve_private_globals)
 from repro.runtime.errors import MiniCRuntimeError, StepLimitExceeded
 from repro.runtime.interpreter import Interpreter
-from repro.runtime.tracing import TeeTracer
+from repro.trace.live import TeeTracer
 from repro.trace.parallel import parallel_replay
 from repro.trace.reader import TraceReader
 from repro.trace.replay import ReplayEngine, replay_with
@@ -311,8 +314,8 @@ def record_small_blocks(program, source: str, path: str, live=()):
 
 class TestDepStoreForStore:
     """Block replay with either decoder == live ``AlchemistTracer`` ==
-    ``Alchemist().profile`` == parallel at 2 and 7 jobs, store for
-    store, on traces whose instances, frees and calls straddle 96-byte
+    ``Alchemist().profile`` == ``Session`` live dep (blocks from the
+    live tap) == parallel at 2 and 7 jobs, store for store, on traces whose instances, frees and calls straddle 96-byte
     blocks: every construct's edges in dict insertion order as (key,
     min Tdep, count, name, first_t), its durations and instances, the
     profiles' order, the dependence counters, the Table II updates, the
@@ -342,10 +345,13 @@ class TestDepStoreForStore:
                 tracer = analyses[0].tracer
                 assert _tracer_digest(tracer) == expected, columnar
                 assert tracer.profiler.updates == live.profiler.updates
-            report = Alchemist(ProfileOptions(
-                track_war_waw=war_waw, max_steps=STEP_CAP)).profile(
-                    program=program)
+            profile_options = ProfileOptions(track_war_waw=war_waw,
+                                             max_steps=STEP_CAP)
+            report = Alchemist(profile_options).profile(program=program)
             assert _report_digest(report) == expected
+            with Session(profile_options, cache_dir=tmp) as session:
+                live_dep = session.analyze(source, ["dep"], mode="live")
+            assert _report_digest(live_dep["dep"].payload) == expected
             canonical = _tracer_digest(live, ordered=False)
             for jobs in (2, 7):
                 outcome = parallel_replay(path, ["dep"], jobs=jobs,
@@ -363,9 +369,11 @@ def _reports(outcome, names) -> dict:
 
 class TestLocalityContextEquivalence:
     """Locality's reuse-distance kernel and the flat and context block
-    kernel (and their seeded segments): a live run (the per-event
-    hooks) == batch replay with either decoder == parallel at 2 and 7
-    jobs, with seams inside a trace block."""
+    kernel (and their seeded segments): a live run (blocks from the
+    live tap) == batch replay with either decoder == parallel at 2 and
+    7 jobs, with seams inside a trace block; and flat and context ==
+    the per-event ``FlatTracer`` and ``ContextSensitiveTracer`` hooks
+    on the interpreter."""
 
     NAMES = ["locality", "context", "flat"]
 
@@ -395,6 +403,14 @@ class TestLocalityContextEquivalence:
             reports = {a.name: a.finish(ctx) for a in live}
             assert {name: (report.to_dict(), report.text)
                     for name, report in reports.items()} == serial
+            flat = FlatTracer(program)
+            context = ContextSensitiveTracer()
+            Interpreter(program, TeeTracer([flat, context]),
+                        max_steps=STEP_CAP).run()
+            for name, result in (("flat", _flat_result(flat.profile)),
+                                 ("context",
+                                  _context_result(context.profile))):
+                assert (result.to_dict(), result.text) == serial[name]
             assert _reports(replay_with(
                 path, make_analyses(self.NAMES), program, columnar=False),
                 self.NAMES) == serial

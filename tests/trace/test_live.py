@@ -1,0 +1,155 @@
+"""Live runs feed block consumers through the replay dispatch loop.
+
+One interpreter run carries both kinds of consumer: a hook-only plugin
+rides the interpreter's per-event hooks and reads the interpreter's own
+memory values, while every bundled analysis gets whole blocks from the
+live tap through the same dispatch loop replay uses — so their results
+equal a replay of the recording. A block consumer handed straight to
+the interpreter or the sampling gate would get nothing, so both refuse
+it, and ``LiveSource`` routes even a single tracer through the tee. The
+``live`` span and the live ``AnalysisContext`` count what the tap fed.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.analyses import Analysis, AnalysisResult, register, unregister
+from repro.analyses.builtin import CountingAnalysis, DependenceAnalysis
+from repro.api import Session
+from repro.ir.lowering import compile_source
+from repro.parallel.taskgraph import LiveSource
+from repro.runtime.interpreter import Interpreter, run_source
+from repro.sampling import IntervalSampling, SampledTracer
+from repro.telemetry import Telemetry
+from repro.trace import live
+from repro.trace.live import TeeTracer
+from repro.trace.writer import record_source
+
+#: Calls, nested loops and heap recycling, long enough that the tap
+#: cuts several blocks (the block size is patched down below).
+SOURCE = """
+int squares[8];
+int total;
+
+int stir(int v) {
+    total = (total * 17 + v) % 9973;
+    return total;
+}
+
+int main() {
+    for (int round = 0; round < 6; round++) {
+        int *block = malloc(8);
+        for (int i = 0; i < 8; i++) {
+            squares[i] = i * i + round;
+            block[i] = stir(squares[i]);
+        }
+        free(block);
+    }
+    print(total);
+    return 0;
+}
+"""
+
+BUNDLED = ["context", "counts", "dep", "flat", "hot", "locality",
+           "whatif"]
+
+
+class _WrittenValues(Analysis):
+    """Hook-only plugin: the value each write stored into ``squares``,
+    read from the interpreter's memory at the hook, and the event count
+    its ``finish`` saw."""
+
+    name = "written-values"
+
+    def __init__(self):
+        self.values: list[int] = []
+
+    def on_start(self, program, memory):
+        self.memory = memory
+        info = program.global_var("squares")
+        self.cells = range(info.offset, info.offset + info.size)
+
+    def on_write(self, addr, pc, timestamp):
+        if addr in self.cells:
+            self.values.append(self.memory.cells[addr])
+
+    def finish(self, ctx):
+        return AnalysisResult(analysis=self.name,
+                              data={"values": list(self.values),
+                                    "events": ctx.events}, text="")
+
+
+@pytest.fixture
+def values_plugin():
+    register(_WrittenValues)
+    yield
+    unregister(_WrittenValues.name)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """A tap block of 64 events, so the run spans many blocks."""
+    monkeypatch.setattr(live, "LIVE_BLOCK_EVENTS", 64)
+
+
+def test_one_run_feeds_blocks_and_hooks(values_plugin, small_blocks,
+                                        tmp_path):
+    names = ["written-values", *BUNDLED]
+    tm = Telemetry()
+    with Session(cache_dir=str(tmp_path), telemetry=tm) as session:
+        report = session.analyze(SOURCE, names, mode="live")
+        replayed = session.analyze(SOURCE, BUNDLED, mode="replay")
+    assert set(report.modes.values()) == {"live"}
+    expected = [i * i + r for r in range(6) for i in range(8)]
+    assert report["written-values"].data["values"] == expected
+    for name in BUNDLED:
+        assert report[name].to_dict() == replayed[name].to_dict(), name
+        assert report[name].text == replayed[name].text, name
+
+    events = record_source(SOURCE, tmp_path / "count.trace").events
+    assert report["written-values"].data["events"] == events
+    (span,) = tm.find_spans("live")
+    assert span.attrs["events"] == events
+    assert span.attrs["blocks"] == -(-events // 64)
+
+
+def test_no_block_consumer_counts_nothing(values_plugin, tmp_path):
+    """A live run of hook-only plugins has no tap: nothing is recorded
+    and the context's event count is ``None``."""
+    with Session(cache_dir=str(tmp_path)) as session:
+        report = session.analyze(SOURCE, ["written-values"], mode="live")
+    assert report["written-values"].data["events"] is None
+
+
+def test_hook_only_tee_has_no_tap():
+    """Without a block consumer nothing is recorded: hooked tracers
+    ride the interpreter alone."""
+    plugin = _WrittenValues()
+    tee = TeeTracer([plugin])
+    Interpreter(compile_source(SOURCE), tee).run()
+    assert tee.tap is None
+    assert tee.on_write == plugin.on_write
+    assert len(plugin.values) == 48
+
+
+@pytest.mark.parametrize("analysis", [DependenceAnalysis,
+                                      CountingAnalysis])
+def test_block_consumer_is_refused_where_no_block_reaches_it(analysis):
+    """The interpreter and the sampling gate only call hooks, so a
+    block consumer handed to either would silently get nothing."""
+    with pytest.raises(TypeError, match="TeeTracer"):
+        Interpreter(compile_source(SOURCE), analysis())
+    with pytest.raises(TypeError, match="whole event blocks"):
+        run_source(SOURCE, tracer=analysis())
+    with pytest.raises(TypeError, match="whole event blocks"):
+        SampledTracer(IntervalSampling(4), analysis())
+
+
+def test_live_source_feeds_a_single_block_consumer(tmp_path):
+    counts = CountingAnalysis()
+    LiveSource(compile_source(SOURCE)).drive([counts])
+    with Session(cache_dir=str(tmp_path)) as session:
+        replayed = session.analyze(SOURCE, ["counts"], mode="replay")
+    assert counts.counts == replayed["counts"].data
+    assert counts.counts["reads"] > 0

@@ -13,8 +13,11 @@ from repro.core.profile_data import DepKind
 from repro.runtime.interpreter import run_source
 from repro.trace import TraceError, TraceReader, record_source, replay_trace
 from repro.trace.codec import encode_events
+from repro.trace.columnar import EventBatch
 from repro.trace.events import (EV_ALLOC, EV_BRANCH, EV_ENTER, EV_EXIT,
-                                EV_FREE, EV_READ, TRAILER, pack_length)
+                                EV_FREE, EV_READ, EV_WRITE, TRAILER,
+                                pack_length)
+from repro.trace.live import TeeTracer
 from repro.trace.parallel import run_segment
 from repro.trace.replay import ReplayEngine
 from repro.trace.shards import build_checkpoints, genesis_checkpoint
@@ -128,21 +131,30 @@ int main() {
         assert "Hottest addresses" in text
 
 
+def _access_batch(addrs: list[int], first: int = 0) -> EventBatch:
+    """Accesses to ``addrs`` as one block: a WRITE at every third
+    event position from ``first``, READs otherwise."""
+    etypes = [EV_READ if (first + i) % 3 else EV_WRITE
+              for i in range(len(addrs))]
+    return EventBatch.from_lists(etypes, list(addrs), [0] * len(addrs),
+                                 list(range(first, first + len(addrs))))
+
+
 class TestLocalityExactness:
     def test_matches_bruteforce_reuse_distance(self):
         """Kernel reuse distances == brute-force distinct counting,
-        driven through the per-event hooks (reads and writes)."""
+        fed as blocks of reads and writes cut at uneven places."""
         import random
 
         rng = random.Random(1234)
         accesses = [rng.randrange(60) for _ in range(2500)]
         consumer = LocalityAnalysis()
+        for lo, hi in ((0, 1), (1, 700), (700, 701), (701, 2500)):
+            consumer.consume_batch(_access_batch(accesses[lo:hi], lo))
         expected_hist: dict[int, int] = {}
         expected_cold = 0
         last_index: dict[int, int] = {}
         for i, addr in enumerate(accesses):
-            hook = consumer.on_read if i % 3 else consumer.on_write
-            hook(addr, 0, i)
             if addr in last_index:
                 distance = len(set(accesses[last_index[addr] + 1:i]))
                 bucket = distance.bit_length()
@@ -150,15 +162,12 @@ class TestLocalityExactness:
             else:
                 expected_cold += 1
             last_index[addr] = i
-        consumer.on_finish(len(accesses))
         assert consumer.stats.cold_misses == expected_cold
         assert consumer.stats.histogram == expected_hist
 
     def test_hit_fraction_bounds(self):
         consumer = LocalityAnalysis()
-        for addr in [1, 2, 1, 2, 1, 2]:
-            consumer.on_read(addr, 0, 0)
-        consumer.on_finish(0)
+        consumer.consume_batch(_access_batch([1, 2, 1, 2, 1, 2]))
         stats = consumer.stats
         assert stats.distinct_addresses == 2
         assert stats.hit_fraction(64) == 1.0
@@ -166,14 +175,14 @@ class TestLocalityExactness:
 
 
 class TestConsumerSymmetry:
-    """Consumers double as live tracers; live and replay must agree."""
+    """A live run through the tee and a replay must agree."""
 
     @pytest.mark.parametrize("consumer_cls",
                              [CountingAnalysis, LocalityAnalysis])
     def test_live_equals_replay(self, consumer_cls, tmp_path):
         workload = get("aes", SCALE)
         live = consumer_cls()
-        run_source(workload.source, tracer=live)
+        run_source(workload.source, tracer=TeeTracer([live]))
 
         path = tmp_path / "aes.trace"
         record_source(workload.source, path)
@@ -183,7 +192,6 @@ class TestConsumerSymmetry:
         if consumer_cls is CountingAnalysis:
             assert live.counts == replayed
         else:
-            # on_finish (fired by the interpreter) completes the stats.
             assert live.stats == replayed
 
 

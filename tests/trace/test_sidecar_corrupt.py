@@ -2,12 +2,15 @@
 
 The sidecar's key (schema, trace size, header digest, sampling) can
 still match after its body was damaged. Before a parallel plan uses it,
-:func:`repro.trace.shards.load_or_build_checkpoints` checks every value
-a segment restores: frame and ``last_popped`` indices against the
-header's function table, ``cstack`` pcs against the construct heads and
-shadow values against int64. A sidecar that fails is stale, like a torn
-one: the trace is scanned again and the sidecar rewritten, so parallel
-replay still equals serial replay instead of raising in a worker.
+:func:`repro.trace.shards.load_or_build_checkpoints` checks the digest
+of its checkpoints and every value a segment restores: frame and
+``last_popped`` indices against the header's function table, ``cstack``
+pcs against the construct heads and shadow values against int64. A
+sidecar that fails is stale, like a torn one: the trace is scanned
+again and the sidecar rewritten, so parallel replay still equals serial
+replay instead of raising in a worker — or silently differing, when
+the damage stays in range (the digest cases, which keep every value in
+range).
 """
 
 import json
@@ -35,6 +38,18 @@ def _cstack_pc(checkpoint: dict) -> None:
 
 def _shadow_beyond_int64(checkpoint: dict) -> None:
     checkpoint["shadow"].append([1 << 70, 5, 1, []])
+
+
+def _write_time_minus_7(checkpoint: dict) -> None:
+    for row in checkpoint["shadow"]:
+        if row[1] != -1:
+            row[2] -= 7
+
+
+def _heap_base_999999999(checkpoint: dict) -> None:
+    blocks = checkpoint["heap"].get("blocks")
+    if blocks:
+        blocks[0][0] = 999999999
 
 
 CORRUPTIONS = {
@@ -78,5 +93,47 @@ def test_corrupt_sidecar_is_rebuilt(clean, corruption, names):
     outcome = parallel_replay(path, names.split(","), jobs=2)
     assert outcome.mode == "parallel", outcome.fallback_reason
     assert _reports(outcome) == serial[names]
+    with open(path + SIDECAR_SUFFIX) as handle:
+        assert json.load(handle) == sidecar
+
+
+#: Damage that keeps every value in range; only the digest sees it.
+IN_RANGE = {
+    "write-time-minus-7": (_write_time_minus_7, ("flat", "dep")),
+    "heap-base-999999999": (_heap_base_999999999, ("counts",)),
+}
+
+
+@pytest.fixture(scope="module")
+def wordcount(tmp_path_factory):
+    """A wordcount trace with its sidecar prebuilt at interval 2000, and
+    each analysis's serial report."""
+    path = str(tmp_path_factory.mktemp("sidecar") / "wordcount.trace")
+    workload = get("wordcount", 1.0)
+    record_source(workload.source, path, filename=workload.name,
+                  checkpoint_interval=2000)
+    with open(path + SIDECAR_SUFFIX) as handle:
+        sidecar = json.load(handle)
+    serial = {name: _reports(replay_trace(path, [name]))
+              for name in ("flat", "dep", "counts")}
+    return path, sidecar, serial
+
+
+@pytest.mark.parametrize("corruption, name", [
+    (corruption, name) for corruption, (_, names) in sorted(IN_RANGE.items())
+    for name in names])
+def test_in_range_damage_is_rebuilt(wordcount, corruption, name):
+    path, sidecar, serial = wordcount
+    damage, _ = IN_RANGE[corruption]
+    damaged = json.loads(json.dumps(sidecar))
+    for checkpoint in damaged["checkpoints"]:
+        damage(checkpoint)
+    assert damaged != sidecar
+    with open(path + SIDECAR_SUFFIX, "w") as handle:
+        json.dump(damaged, handle)
+
+    outcome = parallel_replay(path, [name], jobs=2, interval=2000)
+    assert outcome.mode == "parallel", outcome.fallback_reason
+    assert _reports(outcome) == serial[name]
     with open(path + SIDECAR_SUFFIX) as handle:
         assert json.load(handle) == sidecar
