@@ -28,6 +28,12 @@ checkpoint can capture the deltas at a boundary and a later reader can
 seek to that block and resume decoding mid-file
 (:mod:`repro.trace.shards`).
 
+The writer encodes a block at a time: :class:`BlockEncoder` takes the
+recorder's flushed columns and turns them into framed blocks with a
+handful of numpy array ops. :class:`V2Encoder`, the per-record loop,
+is the reference encoder behind :func:`encode_events`; the tests pin
+the two to the same bytes.
+
 One decoder, :class:`V2BatchDecoder`, yields one columnar
 :class:`~repro.trace.columnar.EventBatch` per block. Its scalar
 per-record loop is the reference semantics: the vectorized kernel only
@@ -46,6 +52,8 @@ from __future__ import annotations
 import zlib
 from struct import Struct
 from typing import BinaryIO, Iterator
+
+import numpy as np
 
 from repro.trace.columnar import EventBatch, decode_block_columns
 from repro.trace.events import EV_FINISH, TraceError, TraceTruncatedError
@@ -127,8 +135,151 @@ def read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
 # Encoder: writer-side
 # ---------------------------------------------------------------------------
 
+#: A varint value above each of these takes one more byte.
+_VARINT_LIMITS = (0x7F, 0x3FFF, 0x1FFFFF, 0xFFFFFFF)
+
+
+def _varint_byte(values: np.ndarray, more: np.ndarray) -> np.ndarray:
+    """The varint bytes holding the low 7 bits of ``values``, with the
+    continuation bit where ``more``: a value that ends here is below
+    2^7 (or is a whole type byte), so its own low byte is the byte."""
+    return values.astype(np.uint8) | (more.view(np.uint8) << 7)
+
+
+def _frame(raw: bytes) -> bytes:
+    """One block: ``raw`` compressed at zlib level 6 behind its frame."""
+    payload = zlib.compress(raw, 6)
+    return BLOCK_HEADER.pack(len(payload), len(raw)) + payload
+
+
+class BlockEncoder:
+    """The writer's encoder: whole batches of absolute-clock records in,
+    framed blocks out.
+
+    :meth:`encode` takes one :class:`EventBatch` and returns the blocks
+    it completes; :meth:`finish` returns the last, partial one. The
+    bytes equal :class:`V2Encoder`'s for the same records however the
+    batches are sized: a block is cut after the first record that
+    brings its raw bytes to ``block_bytes``, and the raw tail past the
+    last cut waits for the next batch, as do the per-type deltas and
+    the clock. A record with an operand outside ``[0, 2^32)`` or a
+    clock step outside it raises :class:`TraceError` naming its index
+    in the stream; nothing of that batch is encoded.
+    """
+
+    def __init__(self, block_bytes: int = DEFAULT_BLOCK_BYTES) -> None:
+        if block_bytes <= 0:
+            raise ValueError(
+                f"block_bytes must be positive, got {block_bytes}")
+        self.block_bytes = block_bytes
+        #: Records encoded so far (all batches).
+        self.events = 0
+        self._time = 0
+        self._prev_a = np.zeros(256, np.int64)
+        self._prev_b = np.zeros(256, np.int64)
+        self._tail = b""
+
+    def encode(self, batch: EventBatch) -> bytes:
+        n = len(batch)
+        if not n:
+            return b""
+        etypes, a, b, t = batch.arrays()
+        # A record is four items: its type byte, then zigzag(Δa),
+        # zigzag(Δb) and Δt, each a varint.
+        items = np.empty((n, 4), np.int64)
+        items[:, 0] = etypes
+        dt = items[:, 3]
+        dt[0] = t[0] - self._time
+        np.subtract(t[1:], t[:-1], out=dt[1:])
+        wide = (a | b | dt) >> 32  # anything outside [0, 2^32)
+        if wide.any():
+            i = int(np.flatnonzero(wide)[0])
+            for what, value in (("operand", int(a[i])),
+                                ("operand", int(b[i])),
+                                ("timestamp delta", int(dt[i]))):
+                if value >> 32:
+                    raise TraceError(f"event {self.events + i}: {what} "
+                                     f"{value} does not fit the 32-bit "
+                                     "trace record format")
+        self._operand_deltas(etypes, a, b, items)
+        self._time = int(t[-1])
+        self.events += n
+        # Varint lengths (1-5 bytes: every value is below 2^33), the
+        # items' offsets, then the bytes: the first of every item, then
+        # the continuation bytes of the few longer ones.
+        sizes = np.ones((n, 4), np.int8)
+        for limit in _VARINT_LIMITS:
+            sizes += items > limit
+        sizes[:, 0] = 1
+        sizes = sizes.ravel()
+        ends = np.cumsum(sizes, dtype=np.int64)
+        starts = ends - sizes
+        values = items.ravel()
+        more = sizes > 1
+        out = np.empty(int(ends[-1]), np.uint8)
+        out[starts] = _varint_byte(values, more)
+        longer = np.flatnonzero(more)
+        k = 1
+        while longer.size:  # byte k of the items longer than k bytes
+            more = sizes[longer] > k + 1
+            out[starts[longer] + k] = _varint_byte(
+                values[longer] >> 7 * k, more)
+            longer = longer[more]
+            k += 1
+        # Cut a block after the first record that brings its raw bytes
+        # to block_bytes; the bytes past the last cut wait as the tail.
+        raw = self._tail + out.tobytes()
+        record_ends = ends[3::4] + len(self._tail)
+        frames = []
+        start = 0
+        while True:
+            cut = int(np.searchsorted(record_ends,
+                                      start + self.block_bytes))
+            if cut == n:
+                break
+            end = int(record_ends[cut])
+            frames.append(_frame(raw[start:end]))
+            start = end
+        self._tail = raw[start:]
+        return b"".join(frames)
+
+    def _operand_deltas(self, etypes, a, b, items) -> None:
+        """Fill ``items[:, 1:3]`` with zigzag(Δa), zigzag(Δb): each
+        against the previous record of the same type, a type's first
+        record in the batch against its carried slot."""
+        n = len(etypes)
+        order = np.argsort(etypes.astype(np.uint8), kind="stable")
+        kinds = etypes[order]
+        first = np.empty(n, bool)
+        first[0] = True
+        np.not_equal(kinds[1:], kinds[:-1], out=first[1:])
+        last = np.empty(n, bool)
+        last[-1] = True
+        last[:-1] = first[1:]
+        # Where each record's base value sits in ``column ++ prev``.
+        base = np.empty(n, np.intp)
+        base[order[1:]] = order[:-1]
+        base[order[first]] = n + kinds[first]
+        for field, column, prev in ((1, a, self._prev_a),
+                                    (2, b, self._prev_b)):
+            delta = column - np.concatenate((column, prev))[base]
+            prev[kinds[last]] = column[order[last]]
+            items[:, field] = (delta << 1) ^ (delta >> 63)
+
+    def finish(self) -> bytes:
+        """The raw tail as one last block (empty bytes if none)."""
+        tail, self._tail = self._tail, b""
+        return _frame(tail) if tail else b""
+
+
 class V2Encoder:
-    """Delta/varint encoder; ``take()`` hands back one framed block."""
+    """Per-record delta/varint encoder; ``take()`` hands back one framed
+    block.
+
+    The reference encoder, as :meth:`V2BatchDecoder._decode_scalar` is
+    the reference decoder: it backs :func:`encode_events`, the tests'
+    byte oracle for :class:`BlockEncoder` (which the writer uses).
+    """
 
     version = 2
 
@@ -186,8 +337,7 @@ class V2Encoder:
         raw = self._raw
         if not raw:
             return b""
-        payload = zlib.compress(bytes(raw), 6)
-        frame = BLOCK_HEADER.pack(len(payload), len(raw)) + payload
+        frame = _frame(bytes(raw))
         raw.clear()
         return frame
 

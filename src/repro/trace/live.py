@@ -4,17 +4,13 @@
 (:func:`~repro.runtime.tracing._takes_blocks`): hooked tracers ride the
 interpreter and see its own ``Memory``; block consumers get a
 ``Memory`` of their own and the run's events from a :class:`LiveTap`,
-which records them into the four int64 columns a trace decodes into
-and feeds them, a block at a time, to the dispatch loop replay uses
+which records them as the trace writer does and feeds each flushed
+int64 block to the dispatch loop replay uses
 (:func:`~repro.trace.replay.batch_dispatcher`). So a bundled analysis
 has one event path, live or replayed.
 """
 
 from __future__ import annotations
-
-from array import array
-
-import numpy as np
 
 from repro.ir.cfg import ProgramIR
 from repro.runtime.memory import Memory
@@ -24,44 +20,18 @@ from repro.trace.columnar import EventBatch
 from repro.trace.replay import batch_dispatcher
 from repro.trace.writer import EventRecorder
 
-#: Events a live run buffers before the dispatch loop takes them as
-#: one block (about a decoded trace block's worth).
-LIVE_BLOCK_EVENTS = 8192
-
 
 class LiveTap(EventRecorder):
     """Hands ``feed`` (a :func:`~repro.trace.replay.batch_dispatcher`)
-    the run's records every :data:`LIVE_BLOCK_EVENTS` events, and at
-    FINISH with FINISH last; ``events`` and ``blocks`` count them."""
+    each flushed block of the run's records; ``events`` and ``blocks``
+    count them."""
 
     def __init__(self, feed):
+        super().__init__()
         self.feed = feed
-        self.events = self.blocks = 0
-        self._start_block()
+        self.blocks = 0
 
-    def _start_block(self) -> None:
-        self._etypes, self._a, self._b, self._t = (array("q")
-                                                   for _ in range(4))
-
-    def _emit(self, etype: int, a: int, b: int, timestamp: int) -> None:
-        self._last_time = timestamp
-        self._etypes.append(etype)
-        self._a.append(a)
-        self._b.append(b)
-        t = self._t
-        t.append(timestamp)
-        if len(t) >= LIVE_BLOCK_EVENTS:
-            self._flush()
-
-    def on_finish(self, timestamp: int) -> None:
-        super().on_finish(timestamp)
-        self._flush()
-
-    def _flush(self) -> None:
-        batch = EventBatch(*(np.frombuffer(column, np.int64) for column in
-                             (self._etypes, self._a, self._b, self._t)))
-        self._start_block()
-        self.events += len(batch)
+    def _deliver(self, batch: EventBatch) -> None:
         self.blocks += 1
         self.feed(batch)
 

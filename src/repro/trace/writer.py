@@ -2,14 +2,16 @@
 
 :class:`TraceWriter` plugs into the interpreter exactly like the live
 profiler does — it is a :class:`~repro.runtime.tracing.Tracer` — but
-instead of analyzing events it appends encoded records to a buffered
-file. Recording is therefore far cheaper than profiling (no shadow
-memory, no index tree), and the resulting trace can be replayed through
-any number of analyses without touching the interpreter again.
+instead of analyzing events it records them into columns and writes
+each flush out as encoded blocks. Recording is therefore far cheaper
+than profiling (no shadow memory, no index tree), and the resulting
+trace can be replayed through any number of analyses without touching
+the interpreter again.
 
 The on-disk encoding is trace format v2 (:mod:`repro.trace.codec`):
-delta/varint records in zlib-compressed blocks. Recording can also run
-under a sampling policy (:mod:`repro.sampling`): the policy gates
+delta/varint records in zlib-compressed blocks, encoded a flush at a
+time by :class:`~repro.trace.codec.BlockEncoder`. Recording can also
+run under a sampling policy (:mod:`repro.sampling`): the policy gates
 which READ/WRITE events reach the file while every structural event
 (enter/exit, block, branch, alloc, free, finish) is always kept, so a
 sampled trace still replays with exact memory reconstruction — only
@@ -30,19 +32,32 @@ that sidecar right after recording (``checkpoint_interval=N``).
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.ir.cfg import ProgramIR
 from repro.ir.lowering import compile_source
 from repro.runtime.interpreter import DEFAULT_MAX_STEPS, Interpreter
 from repro.runtime.memory import Memory
 from repro.runtime.tracing import Tracer
-from repro.trace.codec import DEFAULT_BLOCK_BYTES, V2Encoder
+from repro.trace.codec import DEFAULT_BLOCK_BYTES, BlockEncoder
+from repro.trace.columnar import EventBatch
 from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH, EV_ENTER,
                                 EV_EXIT, EV_FINISH, EV_FREE, EV_READ,
                                 EV_WRITE, MAGIC, TRAILER, TraceFooter,
                                 TraceHeader, check_u32, pack_length,
                                 pack_version, source_digest)
+
+
+#: Events a recorder buffers before a flush hands them on as one
+#: block (about a decoded trace block's worth).
+LIVE_BLOCK_EVENTS = 8192
+
+# Operands are stored as C unsigned ints: the append itself is the
+# [0, 2^32) range check of the record format.
+assert array("I").itemsize == 4
 
 
 class EventRecorder(Tracer):
@@ -51,10 +66,30 @@ class EventRecorder(Tracer):
     (:class:`repro.trace.live.LiveTap`): ENTER and EXIT name their
     function by its index in the program's function table, and FREE
     (its hook has no clock) rides at the clock of the record before it.
-    Subclasses implement :meth:`_emit`, keeping ``_last_time`` at the
-    clock of the last record."""
+
+    The records collect in four columns, flushed as one int64
+    :class:`~repro.trace.columnar.EventBatch` every
+    :data:`LIVE_BLOCK_EVENTS` events and at FINISH (FINISH last);
+    subclasses say where a flush goes (:meth:`_deliver`). An operand
+    outside ``[0, 2^32)`` raises :class:`TraceError` at its own hook.
+    """
 
     _last_time = 0
+
+    def __init__(self) -> None:
+        self._flushed = 0
+        self._start_block()
+
+    @property
+    def events(self) -> int:
+        """Records taken so far."""
+        return self._flushed + len(self._etypes)
+
+    def _start_block(self) -> None:
+        self._etypes = array("B")
+        self._a = array("I")
+        self._b = array("I")
+        self._t = array("q")
 
     def on_start(self, program: ProgramIR, memory: Memory) -> None:
         self._fn_index = {name: i for i, name in
@@ -87,8 +122,36 @@ class EventRecorder(Tracer):
 
     def on_finish(self, timestamp: int) -> None:
         self._emit(EV_FINISH, 0, 0, timestamp)
+        self._flush()
 
     def _emit(self, etype: int, a: int, b: int, timestamp: int) -> None:
+        try:
+            self._a.append(a)
+            self._b.append(b)
+        except OverflowError:
+            check_u32(a, "operand")
+            check_u32(b, "operand")
+            raise
+        self._t.append(timestamp)
+        etypes = self._etypes
+        etypes.append(etype)
+        self._last_time = timestamp
+        if len(etypes) >= LIVE_BLOCK_EVENTS:
+            self._flush()
+
+    def _flush(self) -> None:
+        if not self._etypes:
+            return
+        columns = (np.frombuffer(self._etypes, np.uint8),
+                   np.frombuffer(self._a, np.uint32),
+                   np.frombuffer(self._b, np.uint32),
+                   np.frombuffer(self._t, np.int64))
+        self._flushed += len(self._etypes)
+        self._start_block()
+        self._deliver(EventBatch(*(column.astype(np.int64)
+                                   for column in columns)))
+
+    def _deliver(self, batch: EventBatch) -> None:
         raise NotImplementedError
 
 
@@ -120,9 +183,9 @@ class TraceWriter(EventRecorder):
         self.source = source
         self.filename = filename
         self.sampling = sampling
-        self.events = 0
         self.closed = False
-        self._encoder = V2Encoder(block_bytes)
+        super().__init__()
+        self._block_encoder = BlockEncoder(block_bytes)
         self._handle = open(self.path, "wb")
 
     # -- lifecycle ---------------------------------------------------------
@@ -155,9 +218,14 @@ class TraceWriter(EventRecorder):
         """Write the footer and close the file (idempotent)."""
         if self.closed:
             return
+        try:
+            self._flush()
+        except BaseException:
+            self.abort()
+            raise
         self.closed = True
         handle = self._handle
-        handle.write(self._encoder.take())
+        handle.write(self._block_encoder.finish())
         footer = TraceFooter(
             exit_value=exit_value,
             output=[list(values) for values in (output or [])],
@@ -176,20 +244,8 @@ class TraceWriter(EventRecorder):
             self.closed = True
             self._handle.close()
 
-    # -- encoding ----------------------------------------------------------
-
-    def _emit(self, etype: int, a: int, b: int, timestamp: int) -> None:
-        delta = timestamp - self._last_time
-        if (a | b | delta) >> 32:  # anything outside [0, 2^32)
-            check_u32(a, "operand")
-            check_u32(b, "operand")
-            check_u32(delta, "timestamp delta")
-        self._last_time = timestamp
-        encoder = self._encoder
-        encoder.add(etype, a, b, delta)
-        self.events += 1
-        if encoder.pending() >= encoder.flush_bytes:
-            self._handle.write(encoder.take())
+    def _deliver(self, batch: EventBatch) -> None:
+        self._handle.write(self._block_encoder.encode(batch))
 
 
 @dataclass

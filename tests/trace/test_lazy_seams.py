@@ -28,24 +28,41 @@ def _events(path) -> list:
         return list(reader.events())
 
 
+def _assert_plain_encoder_stream(path) -> None:
+    """No marker records and no block cuts of the writer's own: the event
+    section is exactly the reference encoder's stream, and the footer
+    follows it."""
+    events = _events(path)
+    assert EV_CHECKPOINT not in {etype for etype, *_ in events}
+    expected = encode_events(events)
+    with TraceReader(path) as reader:
+        start = reader.events_start
+    blob = open(path, "rb").read()
+    assert blob[start:start + len(expected)] == expected
+    footer_len = int.from_bytes(
+        blob[-len(TRAILER) - 4:-len(TRAILER)], "little")
+    assert start + len(expected) + footer_len + 4 + len(TRAILER) \
+        == len(blob)
+
+
 class TestWriterBytes:
     @pytest.mark.parametrize("workload", names(include_extra=True))
     def test_trace_is_the_plain_encoder_stream(self, workload, tmp_path):
-        """No marker records and no block cuts of its own: the event
-        section is exactly the scalar encoder's stream."""
         path = str(tmp_path / "w.trace")
-        record_source(get(workload, 0.1).source, path)
-        events = _events(path)
-        assert EV_CHECKPOINT not in {etype for etype, *_ in events}
-        expected = encode_events(events)
-        with TraceReader(path) as reader:
-            start = reader.events_start
-        blob = open(path, "rb").read()
-        assert blob[start:start + len(expected)] == expected
-        footer_len = int.from_bytes(
-            blob[-len(TRAILER) - 4:-len(TRAILER)], "little")
-        assert start + len(expected) + footer_len + 4 + len(TRAILER) \
-            == len(blob)
+        record_source(get(workload, 0.25).source, path)
+        _assert_plain_encoder_stream(path)
+
+    def test_full_scale_bzip2(self, tmp_path):
+        """Scale 1: 30-odd writer flushes and blocks cut between them."""
+        path = str(tmp_path / "bzip2.trace")
+        record_source(get("bzip2", 1.0).source, path)
+        _assert_plain_encoder_stream(path)
+
+    def test_sampled_recording(self, tmp_path):
+        path = str(tmp_path / "sampled.trace")
+        record_source(get("gzip", 0.5).source, path,
+                      sampling="interval:100")
+        _assert_plain_encoder_stream(path)
 
     def test_record_prebuilds_the_sidecar(self, tmp_path):
         path = str(tmp_path / "seamed.trace")

@@ -22,7 +22,7 @@ from repro.parallel.taskgraph import LiveSource
 from repro.runtime.interpreter import Interpreter, run_source
 from repro.sampling import IntervalSampling, SampledTracer
 from repro.telemetry import Telemetry
-from repro.trace import live
+from repro.trace import writer
 from repro.trace.live import TeeTracer
 from repro.trace.writer import record_source
 
@@ -90,7 +90,7 @@ def values_plugin():
 @pytest.fixture
 def small_blocks(monkeypatch):
     """A tap block of 64 events, so the run spans many blocks."""
-    monkeypatch.setattr(live, "LIVE_BLOCK_EVENTS", 64)
+    monkeypatch.setattr(writer, "LIVE_BLOCK_EVENTS", 64)
 
 
 def test_one_run_feeds_blocks_and_hooks(values_plugin, small_blocks,

@@ -257,3 +257,73 @@ class TestCorruption:
             record_source(SMALL, path, max_steps=100)
         with pytest.raises(TraceTruncatedError):
             self._consume(path)
+
+
+class TestWriterErrors:
+    """Where the writer raises: an operand at its own hook, a clock at
+    the flush that takes its record, naming the record's index in the
+    stream; a recording it stops stays truncated."""
+
+    #: Past the first flush, so the index counts records already
+    #: flushed (8192 per flush).
+    AT = 9000
+
+    def _consume(self, path):
+        with TraceReader(path) as reader:
+            for _ in reader.events():
+                pass
+
+    @pytest.mark.parametrize("step", [-3, 1 << 32])
+    def test_clock_error_names_the_event(self, tmp_path, step):
+        from repro.trace.writer import TraceWriter
+
+        writer = TraceWriter(tmp_path / "w.trace", SMALL)
+        for t in range(self.AT):
+            writer.on_block_enter(0, t)
+        writer.on_block_enter(0, self.AT - 1 + step)
+        with pytest.raises(TraceError, match=(
+                f"event {self.AT}: timestamp delta {step} does not fit "
+                "the 32-bit trace record format")):
+            writer.on_finish(self.AT + step)
+        writer.abort()
+
+    @pytest.mark.parametrize("step", [-3, 1 << 32])
+    def test_clock_error_aborts_the_recording(self, tmp_path, monkeypatch,
+                                              step):
+        from repro.trace import writer as writer_module
+
+        at = self.AT
+
+        class Skewed(writer_module.TraceWriter):
+            def _emit(self, etype, a, b, timestamp):
+                if self.events == at:
+                    timestamp = self._last_time + step
+                super()._emit(etype, a, b, timestamp)
+
+        monkeypatch.setattr(writer_module, "TraceWriter", Skewed)
+        path = tmp_path / "skewed.trace"
+        with pytest.raises(TraceError, match=f"event {at}: timestamp "
+                                             f"delta {step} does not fit"):
+            record_source(LOOPY, path)
+        with pytest.raises(TraceTruncatedError):
+            self._consume(path)
+
+    def test_counts_match_the_stream(self, tmp_path):
+        """``events`` and ``final_time`` count every record taken, flushed
+        or not, as the footer and the decoded stream do."""
+        from repro.trace.writer import TraceWriter
+
+        writer = TraceWriter(tmp_path / "hooks.trace", SMALL)
+        for t in range(self.AT):
+            writer.on_block_enter(0, 2 * t)
+            assert writer.events == t + 1
+        assert writer.final_time == 2 * (self.AT - 1)
+        writer.abort()
+
+        path = tmp_path / "clean.trace"
+        result = record_source(LOOPY, path)
+        with TraceReader(path) as reader:
+            events = list(reader.events())
+            footer = reader.read_footer()
+        assert result.events == footer.events == len(events) > self.AT
+        assert result.final_time == footer.final_time == events[-1][3]
