@@ -46,7 +46,8 @@ def test_interpreter_throughput(benchmark):
 
 
 def test_profiled_throughput(benchmark):
-    """Instructions/second under the full Alchemist tracer."""
+    """Instructions/second under the full profiler (a live run of the
+    dep block engine)."""
     program = compile_source(LOOPY)
     alch = Alchemist()
 

@@ -38,7 +38,7 @@ int main() {
 
 
 def main() -> None:
-    tree, tracer = record_index_tree(SOURCE)
+    tree, report = record_index_tree(SOURCE)
 
     print("=== Execution index tree (Fig. 4 style) ===")
     print(tree.render())
@@ -54,7 +54,7 @@ def main() -> None:
 
     print()
     print("=== The profile collected by the same run ===")
-    for prof in sorted(tracer.store.profiles.values(),
+    for prof in sorted(report.store.profiles.values(),
                        key=lambda p: -p.total_duration):
         raw = len([e for e in prof.edges.values()
                    if e.kind is DepKind.RAW])

@@ -28,10 +28,11 @@ from repro.analysis.constructs import ConstructTable
 from repro.baselines.context_profiler import ContextBlocks, ContextProfile
 from repro.baselines.flat_profiler import FlatProfile, FlatTracer
 from repro.core.blockdep import BlockDependence
-from repro.core.profile_data import DepKind
+from repro.core.pool import PoolStats
+from repro.core.profile_data import (ConstructProfile, DepKind,
+                                     EdgeStats, ProfileStore)
 from repro.core.report import ProfileReport, RunStats
 from repro.core.shadow import ShadowArrays
-from repro.core.tracer import AlchemistTracer
 from repro.ir.cfg import ProgramIR
 from repro.runtime.memory import Memory, MemoryNames
 
@@ -100,20 +101,43 @@ def _dep_result(report: ProfileReport, track_war_waw: bool,
                           payload=report)
 
 
+def _dep_report(ctx: AnalysisContext, table: ConstructTable, store,
+                counters: dict, max_depth: int,
+                pushes: int) -> ProfileReport:
+    """A dep run's :class:`ProfileReport` from its store and counters
+    (named as :meth:`DependenceAnalysis.counters` names them); the pool
+    stats are those of one fresh node per instance."""
+    stats = RunStats(
+        wall_seconds=ctx.wall_seconds,
+        instructions=ctx.final_time,
+        dynamic_instances=counters["dyn"],
+        static_constructs=table.static_count(),
+        max_index_depth=max_depth,
+        raw_events=counters["RAW"],
+        war_events=counters["WAR"],
+        waw_events=counters["WAW"],
+        edges_profiled=counters["edges_profiled"],
+        pool=PoolStats(capacity=max_depth, acquires=pushes, grows=pushes),
+        sampling=ctx.sampling,
+    )
+    return ProfileReport(ctx.program, table, store, stats, ctx.exit_value,
+                         [tuple(v) for v in ctx.output])
+
+
 @register
 class DependenceAnalysis(Analysis):
-    """The Alchemist dependence profiler as a plugin.
+    """The Alchemist dependence profiler as a plugin, and the engine
+    behind ``Alchemist().profile`` and the index tree.
 
     It consumes whole blocks, of a trace or a live run's tap:
-    :class:`~repro.core.blockdep.BlockDependence` runs the indexing
-    rules over instance rows, takes the block's pairs from the pair
-    kernel and walks Table II over arrays, on an
-    :class:`AlchemistTracer`'s store and counters. That tracer's own
-    hooks on the interpreter (``Alchemist().profile``) are the
-    per-event reference: the profile — per-construct edges in
-    insertion order, min-Tdep distances, names, durations, instance
-    counts — is *identical* (the equivalence tests assert this store
-    for store).
+    :class:`~repro.core.blockdep.BlockDependence` (``engine``) runs the
+    indexing rules over instance rows, takes the block's pairs from the
+    pair kernel and walks Table II over arrays, on its own store and
+    counters. The per-event :class:`~repro.core.tracer.AlchemistTracer`
+    on the interpreter is the reference it is tested against: the
+    profile — per-construct edges in insertion order, min-Tdep
+    distances, names, durations, instance counts — is *identical*
+    (the equivalence tests assert this store for store).
     """
 
     name = "dep"
@@ -125,59 +149,51 @@ class DependenceAnalysis(Analysis):
         OptionSpec("track_war_waw", bool, True,
                    "also profile WAR/WAW dependences"),
     )
-    #: The block path's task-graph log (``whatif`` sets one).
+    #: The block engine's push/pop log (``whatif`` and the index tree
+    #: set one).
     recorder = None
 
     def __init__(self, track_war_waw: bool = True):
         self.track_war_waw = track_war_waw
         self.table: ConstructTable | None = None
-        self.tracer: AlchemistTracer | None = None
+        self.engine: BlockDependence | None = None
 
     def on_start(self, program: ProgramIR, memory: Memory,
                  construct_stack: list = (), shadow: list = ()) -> None:
-        """A block engine on a fresh tracer's store and counters;
-        ``construct_stack`` and ``shadow`` seed it for a segment."""
+        """A fresh block engine; ``construct_stack`` and ``shadow`` seed
+        it for a segment."""
         self.table = ConstructTable(program)
-        self.tracer = tracer = AlchemistTracer(self.table,
-                                               self.track_war_waw)
-        tracer.on_start(program, memory)
-        #: The block engine, naming from memory as of the next block.
-        self._block = BlockDependence(tracer, MemoryNames(memory),
-                                      self.recorder, construct_stack,
-                                      shadow)
+        self.engine = BlockDependence(self.table, MemoryNames(memory),
+                                      self.track_war_waw, self.recorder,
+                                      construct_stack, shadow)
 
     def bind_functions(self, functions: list) -> None:
         """The trace's function table, which ENTER rows index."""
-        self._block.functions = functions
+        self.engine.functions = functions
 
     def consume_batch(self, batch) -> None:
         """One whole trace block through the block engine."""
-        etypes, a, b, t = batch.arrays()
-        self._block.consume(etypes, a, b, t)
-        if len(etypes) and etypes[-1] == EV_FINISH:
-            self.tracer.on_finish(int(t[-1]))
+        self.engine.consume(*batch.arrays())
+
+    def counters(self) -> dict:
+        """The engine's dependence and instance counters by name."""
+        engine = self.engine
+        events = engine.events
+        return {"RAW": events[DepKind.RAW], "WAR": events[DepKind.WAR],
+                "WAW": events[DepKind.WAW],
+                "edges_profiled": sum(events.values()),
+                "dyn": engine.store.dynamic_instances}
+
+    def report(self, ctx: AnalysisContext) -> ProfileReport:
+        """The run's profile, without the static pass :meth:`finish`
+        fuses into its result."""
+        engine = self.engine
+        return _dep_report(ctx, self.table, engine.store, self.counters(),
+                           engine.rows.max_depth, engine.pushes)
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
-        tracer = self.tracer
-        stats = RunStats(
-            wall_seconds=ctx.wall_seconds,
-            baseline_seconds=None,
-            instructions=ctx.final_time,
-            dynamic_instances=tracer.store.dynamic_instances,
-            static_constructs=self.table.static_count(),
-            max_index_depth=tracer.stack.max_depth,
-            raw_events=tracer.raw_events,
-            war_events=tracer.war_events,
-            waw_events=tracer.waw_events,
-            edges_profiled=tracer.profiler.edges_profiled,
-            pool=tracer.pool.stats,
-            sampling=ctx.sampling,
-        )
-        report = ProfileReport(ctx.program, self.table, tracer.store,
-                               stats, ctx.exit_value,
-                               [tuple(v) for v in ctx.output])
-        return _dep_result(report, self.track_war_waw, ctx.sampling,
-                           getattr(ctx, "telemetry", None))
+        return _dep_result(self.report(ctx), self.track_war_waw,
+                           ctx.sampling, getattr(ctx, "telemetry", None))
 
     # -- segment/merge protocol -------------------------------------------
 
@@ -189,8 +205,7 @@ class DependenceAnalysis(Analysis):
         self.on_start(program, memory, seed.construct_stack, seed.shadow)
 
     def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
-        inner = self.tracer
-        engine = self._block
+        engine = self.engine
         shadow = engine.shadow
         # The seeded stack's pops complete earlier segments' chains;
         # the frontier's heads (payload ids are instance rows) bring in
@@ -202,20 +217,13 @@ class DependenceAnalysis(Analysis):
             pc: [prof.total_duration, prof.instances, prof.max_duration,
                  {key: [e.min_tdep, e.count, e.var_hint, e.first_t]
                   for key, e in prof.edges.items()}]
-            for pc, prof in inner.store.profiles.items()
+            for pc, prof in engine.store.profiles.items()
         }
-        pool = inner.pool.stats
         state = {
             "profile": profile,
-            "counters": {
-                "RAW": inner.raw_events,
-                "WAR": inner.war_events,
-                "WAW": inner.waw_events,
-                "edges_profiled": inner.profiler.edges_profiled,
-                "dyn": inner.store.dynamic_instances,
-            },
-            "max_depth": inner.stack.max_depth,
-            "pool": (pool.capacity, pool.acquires),
+            "counters": self.counters(),
+            "max_depth": engine.rows.max_depth,
+            "pushes": engine.pushes,
             "deferred": engine.deferred,
             "nodes": nodes,
             "frontier": shadow.frontier(),
@@ -236,15 +244,10 @@ class DependenceAnalysis(Analysis):
         frontier: dict = {}
         merging.update_frontier(frontier, state["frontier"],
                                 local.__getitem__)
-        return {
-            "profile": state["profile"],
-            "counters": state["counters"],
-            "max_depth": state["max_depth"],
-            "pool": state["pool"],
-            "track_war_waw": state["track_war_waw"],
-            "_recs": recs,
-            "_frontier": frontier,
-        }
+        kept = ("profile", "counters", "max_depth", "pushes",
+                "track_war_waw")
+        return {**{key: state[key] for key in kept},
+                "_recs": recs, "_frontier": frontier}
 
     @classmethod
     def merge_segment_states(cls, acc: dict, part: dict) -> dict:
@@ -260,8 +263,7 @@ class DependenceAnalysis(Analysis):
             acc["counters"][key] += value
         if part["max_depth"] > acc["max_depth"]:
             acc["max_depth"] = part["max_depth"]
-        acc["pool"] = (max(acc["pool"][0], part["pool"][0]),
-                       acc["pool"][1] + part["pool"][1])
+        acc["pushes"] += part["pushes"]
         merging.update_frontier(acc["_frontier"], part["frontier"],
                                 local.__getitem__)
         return acc
@@ -269,16 +271,11 @@ class DependenceAnalysis(Analysis):
     @classmethod
     def finalize_segments(cls, state: dict,
                           ctx: AnalysisContext) -> AnalysisResult:
-        from repro.core.pool import PoolStats
-        from repro.core.profile_data import (ConstructProfile, EdgeStats,
-                                             ProfileStore)
-
         if "_recs" not in state:
             state = cls._internalize(state)
         table = ConstructTable(ctx.program)
         store = ProfileStore()
-        counters = state["counters"]
-        store.dynamic_instances = counters["dyn"]
+        store.dynamic_instances = state["counters"]["dyn"]
         for pc in sorted(state["profile"]):
             dur, inst, max_dur, edges = state["profile"][pc]
             profile = ConstructProfile(table.by_pc[pc], dur, inst,
@@ -290,25 +287,8 @@ class DependenceAnalysis(Analysis):
                     key[0], key[1], key[2], min_tdep, count, hint,
                     first_t=first_t)
             store.profiles[pc] = profile
-        capacity, acquires = state["pool"]
-        stats = RunStats(
-            wall_seconds=ctx.wall_seconds,
-            baseline_seconds=None,
-            instructions=ctx.final_time,
-            dynamic_instances=counters["dyn"],
-            static_constructs=table.static_count(),
-            max_index_depth=state["max_depth"],
-            raw_events=counters["RAW"],
-            war_events=counters["WAR"],
-            waw_events=counters["WAW"],
-            edges_profiled=counters["edges_profiled"],
-            pool=PoolStats(capacity=capacity, acquires=acquires,
-                           grows=acquires),
-            sampling=ctx.sampling,
-        )
-        report = ProfileReport(ctx.program, table, store, stats,
-                               ctx.exit_value,
-                               [tuple(v) for v in ctx.output])
+        report = _dep_report(ctx, table, store, state["counters"],
+                             state["max_depth"], state["pushes"])
         return _dep_result(report, state["track_war_waw"], ctx.sampling,
                            getattr(ctx, "telemetry", None))
 
@@ -965,5 +945,5 @@ class ContextDependenceAnalysis(_BlockPairAnalysis):
 # placing the import after the class definitions is safe under both
 # import orders.
 from repro.trace.events import (EV_ALLOC, EV_BLOCK,  # noqa: E402
-                                EV_BRANCH, EV_ENTER, EV_FINISH, EV_FREE,
-                                EV_READ, EV_WRITE)
+                                EV_BRANCH, EV_ENTER, EV_FREE, EV_READ,
+                                EV_WRITE)

@@ -1,9 +1,7 @@
 """The unified entry point: one ``Session``, every analysis, any mode.
 
-Historically the repo had three incompatible front doors —
-``Alchemist.profile()`` for live dependence profiling, ``ReplayEngine``
-for traces, and free functions for the baseline profilers. A
-:class:`Session` replaces all of them with one call::
+A :class:`Session` answers every analysis, recorded or live, with one
+call::
 
     from repro.api import Session
 
@@ -40,9 +38,8 @@ from repro.analyses import (Analysis, AnalysisContext, AnalysisError,
 from repro.core.alchemist import Alchemist, ProfileOptions
 from repro.ir.cfg import ProgramIR
 from repro.ir.lowering import compile_source
-from repro.runtime.interpreter import Interpreter
 from repro.trace.events import source_digest
-from repro.trace.live import TeeTracer
+from repro.trace.live import run_live
 
 #: analyze() run modes.
 MODES = ("auto", "live", "replay")
@@ -403,41 +400,13 @@ class Session:
                   analyses: list[Analysis],
                   recorder=None) -> AnalysisContext:
         """One interpreter run feeding every live analysis (and, when
-        ``recorder`` is given, the trace writer too). The ``live`` span
-        and the context count the events and blocks the run handed
-        block consumers."""
-        program = self.compile(source, filename)
-        tracers = ([recorder] if recorder is not None else []) + analyses
-        tee = TeeTracer(tracers)
-        interp = Interpreter(program, tee, self.options.max_steps)
-        with self.telemetry.span(
-                "live", file=filename,
-                analyses=[a.name for a in analyses],
-                recording=recorder is not None) as span:
-            try:
-                exit_value = interp.run()
-            except BaseException:
-                if recorder is not None:
-                    recorder.abort()
-                raise
-            tap = tee.tap
-            if tap is not None:
-                span.set(events=tap.events, blocks=tap.blocks)
-        wall = span.wall_seconds
-        if recorder is not None:
-            recorder.close(exit_value, interp.output)
+        ``recorder`` is given, the trace writer too)."""
+        ctx = run_live(self.compile(source, filename), analyses,
+                       max_steps=self.options.max_steps,
+                       telemetry=self.telemetry, filename=filename,
+                       recorder=recorder)
         self.stats.live_runs += 1
-        return AnalysisContext(
-            program=program,
-            memory=interp.memory,
-            final_time=interp.time,
-            exit_value=exit_value,
-            output=[tuple(v) for v in interp.output],
-            events=tap.events if tap is not None else None,
-            wall_seconds=wall,
-            mode="live",
-            telemetry=self.telemetry,
-        )
+        return ctx
 
     def _record_and_run_live(self, source: str, filename: str,
                              analyses: list[Analysis]

@@ -361,7 +361,12 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 def _cmd_tree(args: argparse.Namespace) -> int:
     from repro.core.treedump import record_index_tree
 
-    tree, _tracer = record_index_tree(_read(args.file),
+    for flag, value, least in (("--max-nodes", args.max_nodes, 1),
+                               ("--children", args.children, 1),
+                               ("--depth", args.depth, 0)):
+        if value is not None and value < least:
+            raise CliError(f"{flag} must be >= {least}, got {value}")
+    tree, _report = record_index_tree(_read(args.file),
                                       max_nodes=args.max_nodes)
     print(tree.render(max_depth=args.depth,
                       max_children=args.children))

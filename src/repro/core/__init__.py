@@ -2,17 +2,17 @@
 
 Module map, following the paper's structure:
 
-* :mod:`repro.core.node` / :mod:`repro.core.pool` — construct instances
-  and the recycling pool with lazy retirement (Table I);
-* :mod:`repro.core.indexing` — the execution-indexing stack
-  (instrumentation rules, Fig. 5);
-* :mod:`repro.core.shadow` — shadow memory detecting RAW/WAR/WAW
-  dependences between instructions;
-* :mod:`repro.core.profiler` — the bottom-up profile update (Table II);
+* :mod:`repro.core.blockdep` — the dependence engine behind every entry
+  point: :mod:`repro.core.instances` applies the indexing rules (Fig. 5)
+  to a block's events as instance rows, :mod:`repro.core.shadow`'s
+  block kernel pairs RAW/WAR/WAW accesses, and Table II's walk runs
+  over arrays;
+* its per-event reference: :mod:`repro.core.node` / :mod:`.pool`
+  (instances; Table I's lazy-retirement pool), :mod:`.indexing` (the
+  indexing stack), :mod:`.profiler` (the per-edge Table II walk) and
+  :mod:`.tracer`, which glues them to the interpreter's hooks;
 * :mod:`repro.core.profile_data` — per-construct profiles with min-Tdep
   edges;
-* :mod:`repro.core.tracer` — glues everything to the interpreter's
-  tracing interface;
 * :mod:`repro.core.report` / :mod:`repro.core.advisor` — ranked output
   and parallelization guidance;
 * :mod:`repro.core.treedump` — materialized execution index trees

@@ -6,7 +6,9 @@
     print(report.to_text())
 
 One ``Alchemist`` instance is reusable across programs; each call to
-:meth:`Alchemist.profile` performs a fresh instrumented execution.
+:meth:`Alchemist.profile` performs a fresh instrumented execution: one
+live run of the ``dep`` analysis's block engine
+(:mod:`repro.core.blockdep`), fed as ``Session`` live runs feed it.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.analysis.constructs import ConstructTable
-from repro.core.report import ProfileReport, RunStats
-from repro.core.tracer import AlchemistTracer
+from repro.core.report import ProfileReport
 from repro.ir.cfg import ProgramIR
 from repro.ir.lowering import compile_source
 from repro.runtime.interpreter import DEFAULT_MAX_STEPS, Interpreter
@@ -93,32 +93,17 @@ class Alchemist:
             if source is None:
                 raise ValueError("need source or program")
             program = self.compile(source, filename)
-        table = ConstructTable(program)
-        tracer = AlchemistTracer(table, self.options.track_war_waw)
-        interp = Interpreter(program, tracer, self.options.max_steps)
-        start = time.perf_counter()
-        exit_value = interp.run()
-        wall = time.perf_counter() - start
+        # Imported here: the analyses import the core package.
+        from repro.analyses.builtin import DependenceAnalysis
+        from repro.trace.live import run_live
 
-        baseline = None
+        dep = DependenceAnalysis(self.options.track_war_waw)
+        report = dep.report(run_live(program, [dep],
+                                     max_steps=self.options.max_steps,
+                                     filename=filename))
         if self.options.measure_baseline:
-            baseline = self.baseline_seconds(program)
-
-        stats = RunStats(
-            wall_seconds=wall,
-            baseline_seconds=baseline,
-            instructions=interp.time,
-            dynamic_instances=tracer.store.dynamic_instances,
-            static_constructs=table.static_count(),
-            max_index_depth=tracer.stack.max_depth,
-            raw_events=tracer.raw_events,
-            war_events=tracer.war_events,
-            waw_events=tracer.waw_events,
-            edges_profiled=tracer.profiler.edges_profiled,
-            pool=tracer.pool.stats,
-        )
-        return ProfileReport(program, table, tracer.store, stats,
-                             exit_value, interp.output)
+            report.stats.baseline_seconds = self.baseline_seconds(program)
+        return report
 
     def baseline_seconds(self, program: ProgramIR) -> float:
         """Wall time of an uninstrumented run (Table III 'Orig.')."""

@@ -1,7 +1,8 @@
 """Dependence profiling over whole trace blocks (paper §III-B, Table II).
 
-:class:`BlockDependence` is replayed ``dep``'s engine. Per decoded
-block it
+:class:`BlockDependence` is ``dep``'s engine on every path: a trace's
+decoded blocks, a live run's tap, ``Alchemist().profile`` and the
+index tree. Per block it
 
 1. applies the indexing rules to the block's ENTER/EXIT/BLOCK/BRANCH
    rows (:meth:`InstanceTable.index`), which writes every construct
@@ -28,11 +29,11 @@ the tail's event: :class:`MemoryNames` replays the block's
 ENTER/EXIT/ALLOC/FREE rows from the block's start and answers each
 request in event order.
 
-The profiles and counters live in an :class:`AlchemistTracer`'s store,
-profiler and pool stats, so ``dep`` reports from one place whichever
-path fed it; the instance table, the shadow arrays and the deferred
-pairs are the engine's own. A parallel segment seeds the table and the
-shadow from its checkpoint when the engine is built.
+The engine owns its state: the :class:`ProfileStore`, the counters a
+report reads (dependence pairs by kind, Table II updates, instance
+pushes, the index depth), the instance table, the shadow arrays and
+the deferred pairs. A parallel segment seeds the table and the shadow
+from its checkpoint when the engine is built.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ import functools
 
 import numpy as np
 
+from repro.analysis.constructs import ConstructTable
 from repro.core.instances import BlockRows, InstanceTable
-from repro.core.profile_data import DepKind, EdgeStats
+from repro.core.profile_data import DepKind, EdgeStats, ProfileStore
 from repro.core.shadow import (BOUNDARY_ID, PAIR_KINDS, ShadowArrays,
                                group_pairs)
-from repro.core.tracer import AlchemistTracer
 from repro.runtime.memory import MemoryNames
 
 _RAW = PAIR_KINDS.index(DepKind.RAW)
@@ -113,25 +114,34 @@ def push_bases(block: BlockRows, calls: np.ndarray,
 
 
 class BlockDependence:
-    """Replayed dep over whole blocks, on ``tracer``'s store and
-    counters (see the module docstring). ``construct_stack`` and
-    ``shadow`` seed a parallel segment: the checkpoint's open instances
+    """Dep over whole blocks, on its own store and counters (see the
+    module docstring). ``construct_stack`` and ``shadow`` seed a
+    parallel segment: the checkpoint's open instances
     ``(head pc, Tenter)`` and its shadow rows, whose accesses carry
     :data:`BOUNDARY_ID`, so pairs whose head precedes the segment go to
     ``deferred``. ``recorder`` is an optional
     :class:`~repro.parallel.taskgraph.BoundaryRecorder` that each
-    block's pushes, pops, accesses and frees are logged to;
+    block's pushes, pops, accesses and frees are logged to (the index
+    tree's :class:`~repro.core.treedump.IndexTreeRecorder` is another);
     ``functions`` is the trace's function table, which ENTER rows
-    index."""
+    index. Without ``track_war_waw`` only RAW pairs are profiled."""
 
-    def __init__(self, tracer: AlchemistTracer, names: MemoryNames,
-                 recorder=None, construct_stack: list = (),
-                 shadow: list = ()):
-        self.tracer = tracer
+    def __init__(self, constructs: ConstructTable, names: MemoryNames,
+                 track_war_waw: bool = True, recorder=None,
+                 construct_stack: list = (), shadow: list = ()):
         self.names = names
+        self.track_war_waw = track_war_waw
         self.functions: list = []
         self.recorder = recorder
-        self.rows = InstanceTable(tracer.table, tracer.store)
+        self.store = ProfileStore()
+        #: Dependence pairs profiled, by kind.
+        self.events = {kind: 0 for kind in DepKind}
+        #: Table II steps that updated a profile.
+        self.updates = 0
+        #: Construct instances pushed (a seeded stack's are not); the
+        #: index depth is the instance table's ``max_depth``.
+        self.pushes = 0
+        self.rows = InstanceTable(constructs, self.store)
         self.rows.seed(construct_stack)
         self.shadow = ShadowArrays.seed(shadow)
         #: A segment's pairs whose head precedes it, in stream order:
@@ -139,18 +149,16 @@ class BlockDependence:
         self.deferred: list[tuple] = []
         #: Events consumed: the position of the next block's first.
         self.seen = 0
-        self._sync(0)
 
     def consume(self, etypes: np.ndarray, a: np.ndarray, b: np.ndarray,
                 t: np.ndarray) -> None:
         """Profile one block's int64 columns."""
-        tracer = self.tracer
         first = self.seen
         rows = self.rows
         block = rows.index(etypes, a, b, t, first)
         (addr, pc, ts, payload), head, tail, kind, event, rank = \
             self.shadow.step(etypes, a, b, t, block.payload, ordered=True)
-        if not tracer.track_war_waw:
+        if not self.track_war_waw:
             raw = kind == _RAW
             head, tail, kind, event, rank = (head[raw], tail[raw],
                                              kind[raw], event[raw],
@@ -173,7 +181,7 @@ class BlockDependence:
             head, tail, kind, event, order, head_row = (
                 head[keep], tail[keep], kind[keep], event[keep],
                 order[keep], head_row[keep])
-        events = tracer.profiler.events
+        events = self.events
         for k, count in enumerate(np.bincount(kind, minlength=3)
                                   .tolist()):
             events[PAIR_KINDS[k]] += count
@@ -181,12 +189,12 @@ class BlockDependence:
         # Table II, one numpy step per tree level; steps sorted by
         # ``step_order`` come in the per-edge walk's order.
         step_pair, step_row, level = self._walk(head_row, event + first)
-        tracer.profiler.updates += len(step_pair)
+        self.updates += len(step_pair)
         step_order = order[step_pair] * (level.max(initial=0) + 1) + level
         construct = rows.pc[step_row]
         self._create_profiles(construct, step_order,
                               event[step_pair] + first)
-        profiles = tracer.store.profiles
+        profiles = self.store.profiles
         new_edges = []
         if len(step_pair):
             head_step, tail_step = head[step_pair], tail[step_pair]
@@ -226,7 +234,7 @@ class BlockDependence:
         if self.recorder is not None:
             self.recorder.record_block(rows, block, etypes, a, b,
                                        push_bases(block, calls, bases))
-        self._sync(int(np.count_nonzero(block.pushes)))
+        self.pushes += int(np.count_nonzero(block.pushes))
         new_row = rows.compact(self.shadow.writes[3], self.shadow.reads[3])
         if new_row is not None:
             self.shadow.remap(new_row)
@@ -236,7 +244,7 @@ class BlockDependence:
                          step_order: np.ndarray, at: np.ndarray) -> None:
         """The block's new profiles, in event order: those its pops
         create and those whose first walk step is here."""
-        profiles = self.tracer.store.profiles
+        profiles = self.store.profiles
         walked = {}
         for c in np.unique(construct).tolist():
             if c not in profiles:
@@ -270,16 +278,3 @@ class BlockDependence:
             return empty, empty, empty
         return (np.concatenate(pairs), np.concatenate(nodes),
                 np.concatenate(levels))
-
-    def _sync(self, pushes: int) -> None:
-        """The tracer's depth and allocation counters after ``pushes``
-        more instances (its store and dependence counters are updated
-        in place)."""
-        tracer = self.tracer
-        depth = self.rows.max_depth
-        tracer.stack.max_depth = depth
-        stats = tracer.pool.stats
-        stats.acquires += pushes
-        stats.grows += pushes
-        if depth > stats.capacity:
-            stats.capacity = depth

@@ -1,11 +1,10 @@
 """Construct instances as table rows: the indexing stack over whole blocks.
 
-:class:`~repro.core.indexing.IndexingStack` builds the execution index
-tree one :class:`~repro.core.node.ConstructNode` per instance, one hook
-call per event — the live path.
-:class:`InstanceTable` applies the same five rules to a decoded trace
-block's ENTER/EXIT/BLOCK/BRANCH rows in one Python loop and writes each
-instance as a row of int columns instead:
+:class:`~repro.core.indexing.IndexingStack`, the per-event reference,
+builds the execution index tree one node per instance and event.
+:class:`InstanceTable`, dep's indexing on every path, applies the same
+five rules to a block's ENTER/EXIT/BLOCK/BRANCH rows in one Python loop
+and writes each instance as a row of int columns instead:
 
 * ``pc`` — the static construct's head pc;
 * ``parent`` — the enclosing instance's row (-1 at the root);

@@ -1,8 +1,9 @@
 """The profiling algorithm (paper §III-B, Table II), one edge at a time.
 
-This per-edge walk is the live path and the reference: replayed
-blocks take the vectorised walk of :mod:`repro.core.blockdep`, which
-the equivalence tests hold to this one store for store.
+This per-edge walk is the reference: every dep profile (live,
+replayed, ``Alchemist().profile``) takes the vectorised walk of
+:mod:`repro.core.blockdep`, which the equivalence tests hold to this
+one store for store.
 
 Given a detected dependence edge — head access ``(pc_h, node_h, t_h)``
 and tail access ``(pc_t, t_t)`` — walk the index tree bottom-up from the

@@ -49,9 +49,10 @@ from the per-event shadow), :meth:`ShadowArrays.seed` reads them back
 under a payload id, and :meth:`ShadowArrays.frontier` exports what a
 segment added on top.
 
-:class:`ShadowMemory` is the per-event path (live runs). The block
-kernel, :meth:`ShadowArrays.step`, produces the same pair stream for a
-whole decoded trace block at once, with the same semantics: it sorts
+:class:`ShadowMemory` is the per-event path (the reference tracers
+and the baselines on the interpreter). The block kernel,
+:meth:`ShadowArrays.step`, which dep uses live and replayed, produces
+the same pair stream for a whole block at once, with the same semantics: it sorts
 the block's accesses by address, behind each address's carried write
 and reads; splits every address's accesses into clear epochs at the
 frees that cover it (:func:`mark_clear_epochs`, shared with task-graph

@@ -1,9 +1,11 @@
-"""Glue between the interpreter's tracing interface and the profiler.
+"""The per-event profiler: the reference the block engine is held to.
 
 ``AlchemistTracer`` owns the four runtime structures — indexing stack,
 construct pool, shadow memory, dependence profiler — and routes each
-interpreter event to them. This is the whole of Alchemist's runtime; the
-interpreter below it stands in for valgrind.
+interpreter event to them (the interpreter stands in for valgrind).
+Every library entry point profiles with :mod:`repro.core.blockdep`,
+which tests hold to this tracer store for store; the task-graph and
+TEST baselines build on it.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ picture: procedures and predicates are internal nodes, loop iterations
 are siblings, and the path from the root to any node is that node's
 execution index.
 
-:class:`IndexTreeRecorder` taps the indexing stack's push/pop
-observers, so the recorded tree reflects precisely what the profiling
+:class:`IndexTreeRecorder` replays the pushes and pops of the dep
+block engine (:class:`~repro.core.blockdep.BlockDependence`'s
+recorder), so the recorded tree reflects precisely what the profiling
 rules (Fig. 5) did — including iteration-sibling placement, constructs
 closed early by ``break``/``goto``, and recursion. A node budget keeps
 accidental use on large runs from exhausting memory; the tree is
@@ -19,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.constructs import ConstructTable, StaticConstruct
-from repro.core.tracer import AlchemistTracer
+from repro.analysis.constructs import StaticConstruct
+from repro.core.report import ProfileReport
 from repro.ir.cfg import ProgramIR
 from repro.ir.lowering import compile_source
-from repro.runtime.interpreter import Interpreter
 
 #: Default cap on recorded nodes; beyond it the tree is truncated.
 DEFAULT_MAX_NODES = 100_000
@@ -118,18 +118,27 @@ class IndexTree:
 
 
 class IndexTreeRecorder:
-    """Observer pair for an :class:`IndexingStack`; builds the tree."""
+    """Builds the tree from the block engine's pushes and pops."""
 
     def __init__(self, max_nodes: int = DEFAULT_MAX_NODES):
+        if max_nodes < 1:
+            raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
         self.max_nodes = max_nodes
         self.node_count = 0
         self.truncated = False
         self.root: RecordedNode | None = None
         self._stack: list[RecordedNode | None] = []
 
-    def attach(self, stack) -> None:
-        stack.push_observer = self.on_push
-        stack.pop_observer = self.on_pop
+    def record_block(self, rows, block, etypes, a, b, bases) -> None:
+        """One block's pushes and pops (``block``, a
+        :class:`~repro.core.instances.BlockRows` of ``rows``), in
+        stream order."""
+        by_pc, pcs = rows.constructs.by_pc, rows.pc.tolist()
+        for row, timestamp in zip(block.row.tolist(), block.t.tolist()):
+            if row >= 0:
+                self.on_push(by_pc[pcs[row]], timestamp)
+            else:
+                self.on_pop(timestamp)
 
     def on_push(self, static: StaticConstruct, timestamp: int) -> None:
         if self.node_count >= self.max_nodes:
@@ -146,33 +155,35 @@ class IndexTreeRecorder:
             self.root = node
         self._stack.append(node)
 
-    def on_pop(self, node, timestamp: int) -> None:
+    def on_pop(self, timestamp: int) -> None:
         recorded = self._stack.pop()
         if recorded is not None:
             recorded.t_exit = timestamp
 
     def tree(self) -> IndexTree:
-        if self.root is None:
-            raise RuntimeError("no construct was ever entered")
         return IndexTree(self.root, self.node_count, self.truncated)
 
 
 def record_index_tree(source: str | None = None, *,
                       program: ProgramIR | None = None,
                       max_nodes: int = DEFAULT_MAX_NODES
-                      ) -> tuple[IndexTree, AlchemistTracer]:
+                      ) -> tuple[IndexTree, ProfileReport]:
     """Run a program recording its full execution index tree.
 
-    Returns ``(tree, tracer)`` — the tracer carries the ordinary
-    profile, so a single run yields both views.
+    One live ``dep`` run whose block engine logs to an
+    :class:`IndexTreeRecorder`. Returns ``(tree, report)`` — the report
+    is the run's ordinary profile, so a single run yields both views.
     """
+    recorder = IndexTreeRecorder(max_nodes)
     if program is None:
         if source is None:
             raise ValueError("need source or program")
         program = compile_source(source)
-    table = ConstructTable(program)
-    tracer = AlchemistTracer(table)
-    recorder = IndexTreeRecorder(max_nodes)
-    recorder.attach(tracer.stack)
-    Interpreter(program, tracer).run()
-    return recorder.tree(), tracer
+    # Imported here: the analyses import the core package.
+    from repro.analyses.builtin import DependenceAnalysis
+    from repro.trace.live import run_live
+
+    dep = DependenceAnalysis()
+    dep.recorder = recorder
+    report = dep.report(run_live(program, [dep]))
+    return recorder.tree(), report

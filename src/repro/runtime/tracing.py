@@ -1,7 +1,8 @@
 """Tracer interface: the instrumentation surface of the interpreter.
 
-The interpreter calls these hooks as it executes; the Alchemist profiler
-(:mod:`repro.core.tracer`) implements them. Timestamps are the number of
+The interpreter calls these hooks as it executes; the per-event
+profiler (:mod:`repro.core.tracer`) and the trace recorder
+(:mod:`repro.trace.writer`) implement them. Timestamps are the number of
 IR instructions executed so far — the reproduction's stand-in for the
 paper's dynamic instruction counts.
 

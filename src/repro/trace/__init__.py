@@ -1,6 +1,6 @@
 """Trace capture/replay: record one execution, analyze it many times.
 
-The live profiler (``repro.core.tracer``) couples dependence analysis to
+A live profile (``Alchemist().profile``) couples dependence analysis to
 an instrumented interpreter run, so every new question about a program
 costs a full re-execution. This package decouples the two:
 

@@ -11,6 +11,7 @@ from repro.analyses import (Analysis, AnalysisError, AnalysisResult,
                             register, unregister)
 from repro.api import Session, analyze
 from repro.core.alchemist import Alchemist, ProfileOptions
+from tests.conftest import reference_profile
 
 SOURCE = """
 int acc;
@@ -216,16 +217,19 @@ class TestOptionPlumbing:
 
 class TestAgreementWithLegacyEntryPoints:
     def test_dep_payload_matches_alchemist_profile(self, tmp_path):
-        live = Alchemist().profile(SOURCE)
+        """Replayed dep == ``Alchemist().profile`` == the per-event
+        ``AlchemistTracer`` reference."""
         with Session(cache_dir=str(tmp_path)) as session:
             replayed = session.analyze(SOURCE, ["dep"])["dep"].payload
-        assert live.exit_value == replayed.exit_value
-        assert live.stats.instructions == replayed.stats.instructions
-        live_edges = {pc: sorted((h, t, k.value) for h, t, k in p.edges)
-                      for pc, p in live.store.profiles.items()}
         rep_edges = {pc: sorted((h, t, k.value) for h, t, k in p.edges)
                      for pc, p in replayed.store.profiles.items()}
-        assert live_edges == rep_edges
+        for live in (Alchemist().profile(SOURCE), reference_profile(SOURCE)):
+            assert live.exit_value == replayed.exit_value
+            assert live.stats.instructions == replayed.stats.instructions
+            live_edges = {pc: sorted((h, t, k.value)
+                                     for h, t, k in p.edges)
+                          for pc, p in live.store.profiles.items()}
+            assert live_edges == rep_edges
 
     def test_oneshot_analyze_helper(self):
         report = analyze(SOURCE, ["counts"])

@@ -6,10 +6,14 @@ import dataclasses
 
 import pytest
 
+from repro.analysis.constructs import ConstructTable
 from repro.core.alchemist import Alchemist, ProfileOptions
+from repro.core.report import ProfileReport, RunStats
+from repro.core.tracer import AlchemistTracer
 from repro.ir.lowering import compile_source
 from repro.lang import ast_nodes as ast
-from repro.runtime.interpreter import run_source
+from repro.runtime.interpreter import (DEFAULT_MAX_STEPS, Interpreter,
+                                       run_source)
 
 
 def run(source: str, **kwargs):
@@ -26,6 +30,33 @@ def outputs(source: str) -> list[tuple[int, ...]]:
 def profile(source: str, **options):
     """Profile MiniC source; returns the report."""
     return Alchemist(ProfileOptions(**options)).profile(source)
+
+
+def reference_profile(source: str | None = None, *, program=None,
+                      track_war_waw: bool = True,
+                      max_steps: int = DEFAULT_MAX_STEPS) -> ProfileReport:
+    """The per-event reference for ``Alchemist().profile``: an
+    ``AlchemistTracer`` on the interpreter, its store and counters as a
+    report (no wall times)."""
+    if program is None:
+        program = compile_source(source)
+    table = ConstructTable(program)
+    tracer = AlchemistTracer(table, track_war_waw)
+    interp = Interpreter(program, tracer, max_steps)
+    exit_value = interp.run()
+    stats = RunStats(
+        instructions=interp.time,
+        dynamic_instances=tracer.store.dynamic_instances,
+        static_constructs=table.static_count(),
+        max_index_depth=tracer.stack.max_depth,
+        raw_events=tracer.raw_events,
+        war_events=tracer.war_events,
+        waw_events=tracer.waw_events,
+        edges_profiled=tracer.profiler.edges_profiled,
+        pool=tracer.pool.stats,
+    )
+    return ProfileReport(program, table, tracer.store, stats, exit_value,
+                         [tuple(v) for v in interp.output])
 
 
 def compile_ir(source: str):

@@ -43,14 +43,15 @@ from repro.trace.replay import replay_with
 from repro.trace.shards import plan_shards
 from repro.trace.writer import record_source
 from repro.workloads import get
-from tests.core.test_random_programs import (_tracer_digest,
+from tests.core.test_random_programs import (_report_digest,
+                                             _tracer_digest,
                                              record_small_blocks)
 
 
 def _replayed_against_live(source: str, tmp_path, small: bool):
     """Record ``source`` (into 96-byte blocks with ``small``, else the
     default), replay dep over the blocks and assert it equals the live
-    tracer store for store; returns the replayed tracer and program."""
+    tracer store for store; returns the replayed engine and program."""
     program = compile_source(source)
     path = str(tmp_path / "hazard.trace")
     live = AlchemistTracer(ConstructTable(program))
@@ -67,15 +68,16 @@ def _replayed_against_live(source: str, tmp_path, small: bool):
         with TraceReader(path) as reader:
             assert len(list(reader.batches())) == 1
     analyses = make_analyses(["dep"])
-    replay_with(path, analyses, program)
-    tracer = analyses[0].tracer
-    assert _tracer_digest(tracer) == _tracer_digest(live)
-    assert tracer.profiler.updates == live.profiler.updates
-    return tracer, program
+    outcome = replay_with(path, analyses, program)
+    engine = analyses[0].engine
+    assert _report_digest(outcome.reports["dep"].payload) \
+        == _tracer_digest(live)
+    assert engine.updates == live.profiler.updates
+    return engine, program
 
 
-def _names(tracer) -> set:
-    return {edge.var_hint for profile in tracer.store.profiles.values()
+def _names(engine) -> set:
+    return {edge.var_hint for profile in engine.store.profiles.values()
             for edge in profile.edges.values()}
 
 
@@ -154,22 +156,22 @@ class TestNamesAtTheTail:
     whose end state names the address differently."""
 
     def test_retval_read_after_exit_in_one_block(self, tmp_path):
-        tracer, _ = _replayed_against_live(RETVAL, tmp_path, small=False)
-        assert "retval(f)" in _names(tracer)
+        engine, _ = _replayed_against_live(RETVAL, tmp_path, small=False)
+        assert "retval(f)" in _names(engine)
 
     def test_heap_block_recycled_in_one_block(self, tmp_path):
-        tracer, _ = _replayed_against_live(RECYCLED, tmp_path,
+        engine, _ = _replayed_against_live(RECYCLED, tmp_path,
                                            small=False)
-        names = _names(tracer)
+        names = _names(engine)
         assert "heap#1[0]" in names
         assert not any(name.startswith(("heap#2", "heap#3", "heap+"))
                        for name in names)
 
     def test_local_of_frame_entered_and_exited_in_one_block(self,
                                                             tmp_path):
-        tracer, _ = _replayed_against_live(TRANSIENT_FRAME, tmp_path,
+        engine, _ = _replayed_against_live(TRANSIENT_FRAME, tmp_path,
                                            small=False)
-        assert "g.x" in _names(tracer)
+        assert "g.x" in _names(engine)
 
 
 @pytest.mark.parametrize("small", [False, True])
@@ -178,9 +180,9 @@ def test_war_edges_in_first_read_order_then_waw(tmp_path, small):
     r1 — the reverse of their pc order — so the loop's edges on that
     tail go WAR from r2, WAR from r1, then WAW; with 96-byte blocks the
     reads are carried in from earlier blocks."""
-    tracer, program = _replayed_against_live(WAR_ORDER, tmp_path, small)
+    engine, program = _replayed_against_live(WAR_ORDER, tmp_path, small)
     order = []
-    for profile in tracer.store.profiles.values():
+    for profile in engine.store.profiles.values():
         tails = {key[1] for key, edge in profile.edges.items()
                  if edge.var_hint == "x" and key[2] is DepKind.WAW}
         order += [(program.fn_of(key[0]), key[2])
@@ -189,7 +191,7 @@ def test_war_edges_in_first_read_order_then_waw(tmp_path, small):
     assert order == [("r2", DepKind.WAR), ("r1", DepKind.WAR),
                      ("main", DepKind.WAW)]
     reader_pcs = {program.fn_of(pc): pc for profile
-                  in tracer.store.profiles.values()
+                  in engine.store.profiles.values()
                   for pc, _tail, kind in profile.edges
                   if kind is DepKind.WAR}
     assert reader_pcs["r1"] < reader_pcs["r2"]
@@ -303,13 +305,13 @@ def test_instance_rows_bounded_by_references(tmp_path, scale):
     record_source(workload.source, path, filename=workload.name)
     analyses = make_analyses(["dep"])
     replay_with(path, analyses)
-    engine = analyses[0]._block
+    engine = analyses[0].engine
     rows, shadow = engine.rows, engine.shadow
     referenced = len(np.unique(np.concatenate(
         (shadow.writes[3], shadow.reads[3])))) + len(rows.stack)
     assert len(rows) == _reachable(rows, shadow)
     assert len(rows) <= referenced * rows.max_depth
-    assert len(rows) * 10 < analyses[0].tracer.store.dynamic_instances
+    assert len(rows) * 10 < engine.store.dynamic_instances
 
 
 LOOP = """
@@ -347,7 +349,7 @@ def _retained_bytes(tmp_path, trips: int) -> int:
     finally:
         tracemalloc.stop()
     os.remove(path)
-    assert analyses[0]._block is not None
+    assert analyses[0].engine is not None
     return retained
 
 

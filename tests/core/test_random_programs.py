@@ -145,7 +145,7 @@ def _replayed(path, program, war_waw: bool, columnar: bool):
     analyses = make_analyses(["dep"], {"dep": {"track_war_waw": war_waw}})
     outcome = replay_with(path, analyses, program, columnar=columnar)
     return (_dep_digest(outcome.reports["dep"].payload),
-            analyses[0].tracer.profiler.updates)
+            analyses[0].engine.updates)
 
 
 def _parallel_digests(path, war_waw: bool, interval: int) -> list:
@@ -228,6 +228,7 @@ class TestDepKernelEquivalence:
                 track_war_waw=war_waw, max_steps=STEP_CAP)).profile(
                     program=program)
             assert _dep_digest(report) == kernel[0]
+            assert _report_digest(report) == _tracer_digest(live)
 
             interval = max(1, recorded.events // 6)
             for digest in _parallel_digests(path, war_waw, interval):
@@ -246,11 +247,12 @@ class TestDepKernelEquivalence:
         kernel = _replayed(path, program, True, columnar=True)
         assert _replayed(path, program, True, columnar=False) == kernel
         analyses = make_analyses(["dep"])
-        replay_with(path, analyses, program)
+        outcome = replay_with(path, analyses, program)
         hooked = AlchemistTracer(ConstructTable(program))
         with TraceReader(path) as reader:
             ReplayEngine(reader, program).run([hooked])
-        assert _tracer_digest(hooked) == _tracer_digest(analyses[0].tracer)
+        assert _tracer_digest(hooked) == _report_digest(
+            outcome.reports["dep"].payload)
         assert hooked.profiler.updates == kernel[1]
         for digest in _parallel_digests(path, True,
                                         recorded.events // 10):
@@ -341,10 +343,11 @@ class TestDepStoreForStore:
             expected = _tracer_digest(live)
             for columnar in (True, False):
                 analyses = make_analyses(["dep"], options)
-                replay_with(path, analyses, program, columnar=columnar)
-                tracer = analyses[0].tracer
-                assert _tracer_digest(tracer) == expected, columnar
-                assert tracer.profiler.updates == live.profiler.updates
+                outcome = replay_with(path, analyses, program,
+                                      columnar=columnar)
+                assert _report_digest(outcome.reports["dep"].payload) \
+                    == expected, columnar
+                assert analyses[0].engine.updates == live.profiler.updates
             profile_options = ProfileOptions(track_war_waw=war_waw,
                                              max_steps=STEP_CAP)
             report = Alchemist(profile_options).profile(program=program)

@@ -1,8 +1,23 @@
-"""Index-tree recorder tests — the paper's Fig. 4 examples, literally."""
+"""Index-tree recorder tests — the paper's Fig. 4 examples, literally,
+and the recorded tree against the per-event indexing stack's."""
+
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.treedump import record_index_tree
+from repro.analysis.constructs import ConstructTable
+from repro.core.tracer import AlchemistTracer
+from repro.core.treedump import DEFAULT_MAX_NODES, record_index_tree
+from repro.ir.lowering import compile_source
+from repro.lang.errors import SemanticError
+from repro.lang.pretty import pretty_print
+from repro.runtime.errors import MiniCRuntimeError, StepLimitExceeded
+from repro.runtime.interpreter import Interpreter
+from repro.trace import writer
+from tests.core.test_random_programs import (STEP_CAP, _loop_programs,
+                                             _programs)
 
 
 class TestFig4Examples:
@@ -166,13 +181,20 @@ class TestTreeShape:
         assert "truncated" in tree.render()
 
     def test_profile_collected_alongside(self):
-        tree, tracer = record_index_tree("""
+        tree, report = record_index_tree("""
         int g;
         void work() { g++; }
         int main() { work(); return g; }
         """)
-        names = {p.static.name for p in tracer.store.profiles.values()}
+        names = {p.static.name for p in report.store.profiles.values()}
         assert "work" in names
+        assert report.exit_value == 1
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="max_nodes must be >= 1"):
+            record_index_tree("int main() { return 0; }",
+                              max_nodes=budget)
 
     def test_switch_cases_appear(self):
         tree, _ = record_index_tree("""
@@ -192,3 +214,131 @@ class TestTreeShape:
         switches = [n for _, n in tree.root.walk()
                     if n.name.startswith("switch")]
         assert switches
+
+
+#: Recursion (with a return out of the predicate), a goto loop, and a
+#: break and a continue that close a switch and loop iterations early.
+FIXED = [
+    """
+    int g;
+    int f(int n) {
+        g += n;
+        if (n < 2) { return n; }
+        return f(n - 1) + f(n - 2);
+    }
+    int main() { print(f(5)); return 0; }
+    """,
+    """
+    int g;
+    int main() {
+        int i = 0;
+        top:
+        g += i;
+        i++;
+        if (i < 4) { if (i % 2) { goto top; } g--; goto top; }
+        return g;
+    }
+    """,
+    """
+    int g[8];
+    int main() {
+        int s = 0;
+        for (int i = 0; i < 6; i++) {
+            for (int j = 0; j < 5; j++) {
+                if (j == i) { break; }
+                if (j % 2) { continue; }
+                switch (j) { case 0: s += 1; break; default: s += g[j]; }
+            }
+            g[i] = s;
+        }
+        return s;
+    }
+    """,
+]
+
+
+def _frozen(node) -> tuple:
+    """A recorded tree as nested ``(name, Tenter, Texit, children)``."""
+    return (node.name, node.t_enter, node.t_exit,
+            tuple(_frozen(child) for child in node.children))
+
+
+def _reference_tree(program, max_nodes: int):
+    """The tree the per-event ``IndexingStack``'s push and pop
+    observers describe, frozen as :func:`_frozen`, with its node count
+    and whether the budget cut it; ``None`` when the run does not
+    complete."""
+    tracer = AlchemistTracer(ConstructTable(program))
+    recorded: list = []  # [name, Tenter, Texit, children] per node
+    open_nodes: list = []  # a recorded node, or None past the budget
+    cut = []
+
+    def push(static, timestamp):
+        if len(recorded) >= max_nodes:
+            cut.append(True)
+            open_nodes.append(None)
+            return
+        node = [static.name, timestamp, 0, []]
+        parents = [n for n in open_nodes if n is not None]
+        if parents:
+            parents[-1][3].append(node)
+        recorded.append(node)
+        open_nodes.append(node)
+
+    def pop(_node, timestamp):
+        node = open_nodes.pop()
+        if node is not None:
+            node[2] = timestamp
+
+    tracer.stack.push_observer = push
+    tracer.stack.pop_observer = pop
+    try:
+        Interpreter(program, tracer, max_steps=STEP_CAP).run()
+    except (MiniCRuntimeError, StepLimitExceeded):
+        return None
+
+    def freeze(node):
+        return (node[0], node[1], node[2],
+                tuple(freeze(child) for child in node[3]))
+
+    return freeze(recorded[0]), len(recorded), bool(cut)
+
+
+def _recorded(program, max_nodes: int, block_events: int) -> tuple:
+    """``record_index_tree``'s tree, frozen, with its node count and
+    truncation, from a live run cut into ``block_events``-event
+    blocks."""
+    with mock.patch.object(writer, "LIVE_BLOCK_EVENTS", block_events):
+        tree, _ = record_index_tree(program=program, max_nodes=max_nodes)
+    return _frozen(tree.root), tree.node_count, tree.truncated
+
+
+class TestTreeParity:
+    """``record_index_tree`` (the block engine's pushes and pops, across
+    blocks and the instance table's compaction) builds the tree the
+    per-event indexing stack's observers describe: names, timestamps,
+    sibling order, node count and truncation."""
+
+    @given(st.one_of(_programs.map(pretty_print), _loop_programs(),
+                     st.sampled_from(FIXED)),
+           st.one_of(st.integers(1, 40), st.just(DEFAULT_MAX_NODES)),
+           st.sampled_from([7, 64, 8192]))
+    @settings(max_examples=40, deadline=None)
+    def test_same_tree_as_the_indexing_stack(self, source, max_nodes,
+                                              block_events):
+        try:
+            program = compile_source(source)
+        except SemanticError:
+            return
+        expected = _reference_tree(program, max_nodes)
+        if expected is None:
+            return
+        assert _recorded(program, max_nodes, block_events) == expected
+
+    @pytest.mark.parametrize("source", FIXED)
+    @pytest.mark.parametrize("max_nodes", [1, 7, DEFAULT_MAX_NODES])
+    @pytest.mark.parametrize("block_events", [7, 8192])
+    def test_fixed_programs(self, source, max_nodes, block_events):
+        program = compile_source(source)
+        assert _recorded(program, max_nodes, block_events) \
+            == _reference_tree(program, max_nodes)

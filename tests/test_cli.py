@@ -62,3 +62,30 @@ class TestCli:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestTreeBounds:
+    """``tree``'s budget and rendering bounds are checked up front: a
+    bad value is one ``error:`` line and exit 2, not a traceback or a
+    quietly wrong rendering."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--max-nodes", "0"], "--max-nodes must be >= 1, got 0"),
+        (["--max-nodes", "-3"], "--max-nodes must be >= 1, got -3"),
+        (["--children", "0"], "--children must be >= 1, got 0"),
+        (["--children", "-1"], "--children must be >= 1, got -1"),
+        (["--depth", "-1"], "--depth must be >= 0, got -1"),
+    ])
+    def test_bad_bound_exits_2(self, minic_file, capsys, argv, message):
+        assert main(["tree", minic_file, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_smallest_bounds_render(self, minic_file, capsys):
+        assert main(["tree", minic_file, "--max-nodes", "1",
+                     "--children", "1", "--depth", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[0].startswith("main [")
+        assert "truncated at 1 nodes" in captured.out
+        assert "[1 construct instances; truncated]" in captured.err

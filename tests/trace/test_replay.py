@@ -22,6 +22,7 @@ from repro.trace.parallel import run_segment
 from repro.trace.replay import ReplayEngine
 from repro.trace.shards import build_checkpoints, genesis_checkpoint
 from repro.workloads import get
+from tests.conftest import reference_profile
 
 #: Workloads for the replay-vs-live equivalence criterion: an array
 #: workload with rich conflicts, a cipher, and a heap-heavy extra whose
@@ -51,26 +52,28 @@ def profile_signature(report):
 @pytest.mark.parametrize("name", EQUIVALENCE_WORKLOADS)
 class TestReplayEquivalence:
     def test_dependence_profile_identical(self, name, tmp_path):
+        """The per-event reference == ``Alchemist().profile`` (a live
+        block run) == replay."""
         workload = get(name, SCALE)
-        live = Alchemist().profile(workload.source)
+        reference = reference_profile(workload.source)
         path = tmp_path / f"{name}.trace"
         record_source(workload.source, path)
         replayed = replay_trace(str(path), ("dep",)).results["dep"]
-
-        assert profile_signature(live) == profile_signature(replayed)
-        assert live.stats.instructions == replayed.stats.instructions
-        assert (live.stats.dynamic_instances
-                == replayed.stats.dynamic_instances)
-        assert live.stats.raw_events == replayed.stats.raw_events
-        assert live.stats.war_events == replayed.stats.war_events
-        assert live.stats.waw_events == replayed.stats.waw_events
-        assert live.exit_value == replayed.exit_value
-        assert live.output == replayed.output
+        for live in (reference, Alchemist().profile(workload.source)):
+            assert profile_signature(live) == profile_signature(replayed)
+            assert live.stats.instructions == replayed.stats.instructions
+            assert (live.stats.dynamic_instances
+                    == replayed.stats.dynamic_instances)
+            assert live.stats.raw_events == replayed.stats.raw_events
+            assert live.stats.war_events == replayed.stats.war_events
+            assert live.stats.waw_events == replayed.stats.waw_events
+            assert live.exit_value == replayed.exit_value
+            assert live.output == replayed.output
 
     def test_violating_edges_identical(self, name, tmp_path):
         """The paper-facing metric (Fig. 6 / Table IV) survives replay."""
         workload = get(name, SCALE)
-        live = Alchemist().profile(workload.source)
+        live = reference_profile(workload.source)
         path = tmp_path / f"{name}.trace"
         record_source(workload.source, path)
         replayed = replay_trace(str(path), ("dep",)).results["dep"]
@@ -225,9 +228,9 @@ int main() {
 """
         path = tmp_path / "heap.trace"
         record_source(source, path)
-        live = Alchemist().profile(source)
         replayed = replay_trace(str(path), ("dep",)).results["dep"]
-        assert profile_signature(live) == profile_signature(replayed)
+        for live in (reference_profile(source), Alchemist().profile(source)):
+            assert profile_signature(live) == profile_signature(replayed)
 
     def test_corrupt_digest_rejected(self, tmp_path):
         """A header whose digest does not match the embedded source."""
