@@ -7,7 +7,10 @@ Run with::
 Alchemist is one client of the interpreter's tracing interface; this
 example builds another — a tiny memory-access heat map plus an
 execution-index sampler — to show how the pieces compose (useful when
-prototyping a different profiler on the same substrate).
+prototyping a different profiler on the same substrate). The
+interpreter emits records; hooked tracers like these get their hooks
+from the record→hook adapter as each record is emitted, so the heat
+map names addresses from the interpreter's own memory at hook time.
 """
 
 from collections import Counter
@@ -64,10 +67,14 @@ class IndexSampler(AlchemistTracer):
         super().__init__(table)
         self.every = every
         self.samples: list[str] = []
+        self._window = 0
 
     def on_block_enter(self, block_id, timestamp):
         super().on_block_enter(block_id, timestamp)
-        if timestamp // self.every != (timestamp - 1) // self.every:
+        # Block entries rarely land on a multiple of ``every``: sample
+        # at the first one of each new window.
+        if timestamp // self.every != self._window:
+            self._window = timestamp // self.every
             self.samples.append(" > ".join(self.stack.index_of_top()))
 
 

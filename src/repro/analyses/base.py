@@ -252,7 +252,8 @@ class Analysis(Tracer):
     #: requirement.
     supports_segments: bool = False
     #: How the analysis is fed. Left ``None``, by per-event hooks (live,
-    #: the interpreter's own, with its ``Memory``). ``"block"`` (with a
+    #: from the record→hook adapter as the interpreter emits each
+    #: record, with the interpreter's ``Memory``). ``"block"`` (with a
     #: ``consume_batch(batch)`` method taking a
     #: :class:`repro.trace.columnar.EventBatch`) makes every run —
     #: replay with either decoder, each parallel segment, and a live

@@ -240,8 +240,9 @@ def _advise(report: ProfileReport, ctx: AnalysisContext,
                 graph.parallel_fraction(), 6)
             sweep: dict[str, Any] = {}
             best: dict[str, Any] | None = None
+            schedules = FutureSimulator().sweep(graph, worker_counts)
             for workers in worker_counts:
-                schedule = FutureSimulator(workers).schedule(graph)
+                schedule = schedules[workers]
                 point = {
                     "speedup": round(schedule.speedup, 4),
                     "t_seq": schedule.t_seq,

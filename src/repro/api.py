@@ -19,8 +19,8 @@ an explicit ``mode="live"`` — execute the program, and even then one
 interpreter run feeds all of them through a
 :class:`~repro.trace.live.TeeTracer`: block consumers (every bundled
 analysis) get whole blocks through the replay dispatch loop, exactly
-as on a trace, and only hook-only plugins ride the interpreter's
-per-event hooks.
+as on a trace, and only hook-only plugins get per-event hooks, from
+the record→hook adapter on the interpreter's records.
 """
 
 from __future__ import annotations

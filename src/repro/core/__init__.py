@@ -10,7 +10,8 @@ Module map, following the paper's structure:
 * its per-event reference: :mod:`repro.core.node` / :mod:`.pool`
   (instances; Table I's lazy-retirement pool), :mod:`.indexing` (the
   indexing stack), :mod:`.profiler` (the per-edge Table II walk) and
-  :mod:`.tracer`, which glues them to the interpreter's hooks;
+  :mod:`.tracer`, which glues them to the tracer hooks (live, through
+  the record→hook adapter);
 * :mod:`repro.core.profile_data` — per-construct profiles with min-Tdep
   edges;
 * :mod:`repro.core.report` / :mod:`repro.core.advisor` — ranked output

@@ -106,7 +106,9 @@ class Alchemist:
         return report
 
     def baseline_seconds(self, program: ProgramIR) -> float:
-        """Wall time of an uninstrumented run (Table III 'Orig.')."""
+        """Wall time of an uninstrumented run (Table III 'Orig.'): a
+        :class:`NullTracer` run, whose no-op ``emit`` drops each record
+        the interpreter builds."""
         interp = Interpreter(program, NullTracer(), self.options.max_steps)
         start = time.perf_counter()
         interp.run()

@@ -99,14 +99,14 @@ class IndexTree:
                      max_children: int) -> None:
         lines.append(f"{lead}{branch}{node.name} "
                      f"[{node.t_enter}, {node.t_exit}]")
+        child_lead = lead + ("    " if branch in ("", "`- ")
+                             else "|   ")
         if max_depth is not None and max_depth <= 0:
             if node.children:
-                lines.append(f"{lead}    ...")
+                lines.append(f"{child_lead}...")
             return
         shown = node.children[:max_children]
         hidden = len(node.children) - len(shown)
-        child_lead = lead + ("    " if branch in ("", "`- ")
-                             else "|   ")
         next_depth = None if max_depth is None else max_depth - 1
         for i, child in enumerate(shown):
             last = i == len(shown) - 1 and hidden == 0

@@ -1,9 +1,11 @@
-"""Instruction-level MiniC interpreter with instrumentation hooks.
+"""Instruction-level MiniC interpreter that emits trace records.
 
 The interpreter executes the IR with an explicit activation stack (so
 deep MiniC recursion cannot overflow the Python stack), advances a
-timestamp per executed instruction, and reports events to a
-:class:`repro.runtime.tracing.Tracer`.
+timestamp per executed instruction, and reports every event as one
+``(etype, a, b, t)`` record to the sink of its
+:class:`repro.runtime.tracing.Tracer`: a recorder's list, or the
+record→hook adapter for hooked tracers.
 
 Semantics notes:
 
@@ -27,7 +29,10 @@ from repro.ir.cfg import ProgramIR
 from repro.ir.lowering import compile_source
 from repro.runtime.errors import MiniCRuntimeError, StepLimitExceeded
 from repro.runtime.memory import Memory
-from repro.runtime.tracing import NullTracer, Tracer, _takes_blocks
+from repro.runtime.tracing import (EV_ALLOC, EV_BLOCK, EV_BRANCH, EV_ENTER,
+                                   EV_EXIT, EV_FINISH, EV_FREE, EV_READ,
+                                   EV_WRITE, NullTracer, Tracer,
+                                   _takes_blocks)
 
 _MASK = (1 << 64) - 1
 _SIGN = 1 << 63
@@ -90,42 +95,51 @@ class Interpreter:
 
     def run(self) -> int:
         """Run ``main()`` to completion; returns its exit value."""
-        tracer = self.tracer
         memory = self.memory
         program = self.program
         main = program.main
-        tracer.on_start(program, memory)
+        sink = self.tracer.sink(program, memory)
+        emit = sink.emit
+        flush = sink.flush
+        flush_every = sink.flush_every
+        fn_index = {name: i for i, name in enumerate(program.functions)}
         base = memory.push_frame(main)
         frames = [Activation(main, base, None, -1)]
         self.dynamic_calls = 1
-        tracer.on_enter_function(main.name, main.entry_pc, self.time)
+        emit((EV_ENTER, fn_index[main.name], main.entry_pc, self.time))
 
         cells = memory.cells
         blocks_by_id = program.blocks_by_id
         max_steps = self.max_steps
         time = self.time
+        # One clock check per instruction serves the step budget and
+        # the sink's flushes.
+        limit = min(max_steps, flush_every)
 
         while frames:
             act = frames[-1]
             instr = act.block.instrs[act.idx]
             act.idx += 1
             time += 1
-            if time > max_steps:
-                self.time = time
-                raise StepLimitExceeded(
-                    f"instruction budget of {max_steps} exhausted",
-                    instr.pc, instr.line, instr.col, instr.fn_name)
+            if time > limit:
+                if time > max_steps:
+                    self.time = time
+                    raise StepLimitExceeded(
+                        f"instruction budget of {max_steps} exhausted",
+                        instr.pc, instr.line, instr.col, instr.fn_name)
+                flush()
+                limit = min(max_steps, time + flush_every)
             op = instr.opcode
             regs = act.regs
 
             if op == "load":
                 addr = self._resolve(act, instr, instr.index)
-                tracer.on_read(addr, instr.pc, time)
+                emit((EV_READ, addr, instr.pc, time))
                 regs[instr.dst] = cells[addr]
             elif op == "store":
                 addr = self._resolve(act, instr, instr.index)
                 cells[addr] = regs[instr.src]
-                tracer.on_write(addr, instr.pc, time)
+                emit((EV_WRITE, addr, instr.pc, time))
             elif op == "binop":
                 regs[instr.dst] = self._binop(instr, regs[instr.lhs],
                                               regs[instr.rhs])
@@ -134,14 +148,14 @@ class Interpreter:
             elif op == "branch":
                 target = (instr.then_block if regs[instr.cond] != 0
                           else instr.else_block)
-                tracer.on_branch(instr.pc, target, time)
+                emit((EV_BRANCH, instr.pc, target, time))
                 act.block = blocks_by_id[target]
                 act.idx = 0
-                tracer.on_block_enter(target, time)
+                emit((EV_BLOCK, target, 0, time))
             elif op == "jump":
                 act.block = blocks_by_id[instr.target]
                 act.idx = 0
-                tracer.on_block_enter(instr.target, time)
+                emit((EV_BLOCK, instr.target, 0, time))
             elif op == "move":
                 regs[instr.dst] = regs[instr.src]
             elif op == "unop":
@@ -153,7 +167,7 @@ class Interpreter:
                     raise MiniCRuntimeError(
                         f"invalid pointer read at address {addr}",
                         instr.pc, instr.line, instr.col, instr.fn_name)
-                tracer.on_read(addr, instr.pc, time)
+                emit((EV_READ, addr, instr.pc, time))
                 regs[instr.dst] = cells[addr]
             elif op == "storeind":
                 addr = regs[instr.addr]
@@ -163,7 +177,7 @@ class Interpreter:
                         f"invalid pointer write at address {addr}",
                         instr.pc, instr.line, instr.col, instr.fn_name)
                 cells[addr] = regs[instr.src]
-                tracer.on_write(addr, instr.pc, time)
+                emit((EV_WRITE, addr, instr.pc, time))
             elif op == "alloc":
                 size = regs[instr.size]
                 try:
@@ -173,7 +187,7 @@ class Interpreter:
                     raise MiniCRuntimeError(str(exc), instr.pc, instr.line,
                                             instr.col, instr.fn_name)
                 regs[instr.dst] = base
-                tracer.on_heap_alloc(base, size, time)
+                emit((EV_ALLOC, base, size, time))
             elif op == "free":
                 try:
                     lo, hi = memory.heap_free(regs[instr.src])
@@ -181,7 +195,7 @@ class Interpreter:
                     self.time = time
                     raise MiniCRuntimeError(str(exc), instr.pc, instr.line,
                                             instr.col, instr.fn_name)
-                tracer.on_frame_free(lo, hi)
+                emit((EV_FREE, lo, hi - lo, time))
             elif op == "call":
                 callee = self.program.functions[instr.name]
                 try:
@@ -199,28 +213,28 @@ class Interpreter:
                         cells[cbase + info.slot.offset] = regs[arg]
                 frames.append(child)
                 self.dynamic_calls += 1
-                tracer.on_enter_function(callee.name, callee.entry_pc, time)
+                emit((EV_ENTER, fn_index[instr.name], callee.entry_pc,
+                      time))
             elif op == "ret":
                 value = 0
                 if instr.src is not None:
                     value = regs[instr.src]
                     cells[act.base] = value
-                    tracer.on_write(act.base, instr.pc, time)
-                tracer.on_exit_function(act.fn.name, time)
+                    emit((EV_WRITE, act.base, instr.pc, time))
+                emit((EV_EXIT, fn_index[act.fn.name], 0, time))
                 region = memory.pop_frame()
-                tracer.on_frame_free(region.base + 1,
-                                     region.base + region.size)
+                emit((EV_FREE, region.base + 1, region.size - 1, time))
                 frames.pop()
                 if frames:
                     caller = frames[-1]
                     if act.ret_dst is not None:
                         time += 1
-                        tracer.on_read(act.base, act.call_pc, time)
+                        emit((EV_READ, act.base, act.call_pc, time))
                         caller.regs[act.ret_dst] = value
-                        tracer.on_frame_free(act.base, act.base + 1)
+                        emit((EV_FREE, act.base, 1, time))
                 else:
                     if instr.src is not None:
-                        tracer.on_frame_free(act.base, act.base + 1)
+                        emit((EV_FREE, act.base, 1, time))
                     self.exit_value = value
             elif op == "addrof":
                 regs[instr.dst] = self._base_of(act, instr.slot, instr)
@@ -241,7 +255,8 @@ class Interpreter:
                                         instr.line, instr.col, instr.fn_name)
 
         self.time = time
-        tracer.on_finish(time)
+        emit((EV_FINISH, 0, 0, time))
+        sink.finish()
         return self.exit_value if self.exit_value is not None else 0
 
     # -- helpers ------------------------------------------------------------

@@ -1,12 +1,23 @@
 """Tracer interface: the instrumentation surface of the interpreter.
 
-The interpreter calls these hooks as it executes; the per-event
-profiler (:mod:`repro.core.tracer`) and the trace recorder
-(:mod:`repro.trace.writer`) implement them. Timestamps are the number of
-IR instructions executed so far — the reproduction's stand-in for the
-paper's dynamic instruction counts.
+The interpreter reports every event as one record ``(etype, a, b, t)``
+— the trace format's event types and operands, below — through the
+``emit`` of the :class:`Sink` its tracer returns from
+:meth:`Tracer.sink`. A recorder (the trace writer, the live tap)
+returns a sink whose ``emit`` is a list's ``extend``, so a recorded run
+makes no Python call per event; the recorder cuts the list into
+blocks at flushes, which the interpreter paces by its instruction
+clock (:mod:`repro.trace.writer`). Hooked tracers — the
+per-event profilers (:mod:`repro.core.tracer`), hook-only plugins —
+keep their ``on_*`` hooks: :meth:`Tracer.sink` serves them through the
+one record→hook adapter, :func:`hook_sink`, which calls each hook as
+its record is emitted, so a hook still reads the interpreter's own
+memory as of its event. Timestamps are the number of IR instructions
+executed so far — the reproduction's stand-in for the paper's dynamic
+instruction counts.
 
-Hook order guarantees relied on by the profiler:
+Hook order guarantees relied on by the profiler (records come in the
+same order):
 
 * ``on_enter_function`` fires before any instruction of the callee runs;
 * ``on_block_enter`` fires before the first instruction of a block when
@@ -21,12 +32,64 @@ Hook order guarantees relied on by the profiler:
 
 from __future__ import annotations
 
+import sys
+
 from repro.ir.cfg import ProgramIR
 from repro.runtime.memory import Memory
+
+# -- record types: the trace format's event bytes ---------------------------
+
+EV_ENTER = 1    #: a = function index, b = entry pc
+EV_EXIT = 2     #: a = function index
+EV_BLOCK = 3    #: a = block id
+EV_BRANCH = 4   #: a = branch pc, b = chosen target block
+EV_READ = 5     #: a = address, b = pc
+EV_WRITE = 6    #: a = address, b = pc
+EV_ALLOC = 7    #: a = block base, b = size
+#: a = range lo, b = range length (hi - lo). The interpreter stamps
+#: the clock of the free; a recorder stores the clock of the record
+#: before it instead (the format's FREE has no clock of its own).
+EV_FREE = 8
+EV_FINISH = 9   #: end of the run; always the last record
+
+
+class Sink:
+    """Where one run's records go.
+
+    The interpreter calls ``emit(record)`` once per ``(etype, a, b,
+    t)`` record, ``flush()`` between instructions once every
+    ``flush_every`` instructions, and ``finish()`` after FINISH, the
+    last record.
+    """
+
+    __slots__ = ("emit", "flush_every", "flush", "finish")
+
+    def __init__(self, emit, flush_every: int = sys.maxsize,
+                 flush=None, finish=None):
+        self.emit = emit
+        self.flush_every = flush_every
+        self.flush = flush or _nothing
+        self.finish = finish or _nothing
+
+
+def _nothing() -> None:
+    pass
+
+
+#: An ``emit`` that keeps nothing: a builtin takes the record without
+#: the cost of a Python call.
+_discard = len
 
 
 class Tracer:
     """No-op base tracer; subclasses override what they need."""
+
+    def sink(self, program: ProgramIR, memory: Memory) -> Sink:
+        """Start a run and say where its records go: by default
+        :meth:`on_start`, then this tracer's hooks through
+        :func:`hook_sink`."""
+        self.on_start(program, memory)
+        return hook_sink([self], program)
 
     def on_start(self, program: ProgramIR, memory: Memory) -> None:
         """Execution is about to begin (globals already initialized)."""
@@ -67,23 +130,18 @@ class Tracer:
 
 
 class NullTracer(Tracer):
-    """The baseline: no instrumentation (the paper's 'Orig.' runs)."""
+    """The baseline (the paper's 'Orig.' runs): the interpreter builds
+    every record and an ``emit`` that keeps nothing drops it."""
+
+    def sink(self, program: ProgramIR, memory: Memory) -> Sink:
+        return Sink(_discard)
 
 
-#: Every event hook, derived from Tracer so a hook added there is
-#: automatically fanned out by the live tee
-#: (:class:`repro.trace.live.TeeTracer`; on_start is dispatch setup,
-#: not an event). The replay engine's per-event dispatch necessarily
-#: stays hand-written (it decodes trace records), but it reads this
-#: tuple's source of truth via tests.
+#: Every event hook, derived from Tracer: the record→hook adapter and
+#: the replay engine's per-event dispatch (hand-written, it decodes
+#: trace records) must each serve all of them; tests check both.
 TRACER_HOOKS = tuple(name for name in vars(Tracer)
                      if name.startswith("on_") and name != "on_start")
-
-#: The memory-access hooks — the only events a sampling policy may
-#: drop. Everything else (enter/exit, block, branch, alloc, free,
-#: finish) is structural: replay needs the complete stream to
-#: reconstruct frames and the heap, so gates must pass it through.
-MEMORY_HOOKS = ("on_read", "on_write")
 
 
 def _takes_blocks(consumer) -> bool:
@@ -91,8 +149,8 @@ def _takes_blocks(consumer) -> bool:
     and a usable ``consume_batch``? Every other consumer, non-Analysis
     tracers included, gets per-event hooks. The one consumer split of
     every dispatcher: the replay loop and the live tee; the interpreter
-    and the sampling gate, which only call hooks, refuse a block
-    consumer."""
+    and the sampling gate, which hand over records, not blocks, refuse
+    a block consumer."""
     return (getattr(consumer, "batch_kind", None) == "block"
             and getattr(consumer, "consume_batch", None) is not None)
 
@@ -100,7 +158,8 @@ def _takes_blocks(consumer) -> bool:
 def overridden_hooks(tracers: list, hook_name: str) -> list:
     """Bound ``hook_name`` methods that actually override the base
     no-op. Shared by every event dispatcher (the replay engine, the
-    live tee) so a tracer only pays for the events it handles."""
+    record→hook adapter) so a tracer only pays for the events it
+    handles."""
     base = getattr(Tracer, hook_name)
     hooks = []
     for tracer in tracers:
@@ -108,6 +167,84 @@ def overridden_hooks(tracers: list, hook_name: str) -> list:
         if getattr(hook, "__func__", None) is not base:
             hooks.append(hook)
     return hooks
+
+
+def _fan(hooks: list):
+    """One callable that calls each of ``hooks`` in order (the hook
+    itself when there is one)."""
+    if len(hooks) == 1:
+        return hooks[0]
+
+    def dispatch(*args):
+        for hook in hooks:
+            hook(*args)
+    return dispatch
+
+
+def hook_sink(tracers: list, program: ProgramIR) -> Sink:
+    """The record→hook adapter: a sink whose ``emit`` calls, for each
+    record, the matching hook of every tracer in ``tracers`` that
+    overrides it, in order. ENTER/EXIT name their function through the
+    program's function table; FREE's clock is not passed (its hook has
+    none). Hooks are bound now, so start the tracers first: they may
+    rebind their hooks in ``on_start``."""
+    names = list(program.functions)
+    handlers = [_skip] * (EV_FINISH + 1)
+
+    def hooks(name: str):
+        found = overridden_hooks(tracers, name)
+        return _fan(found) if found else None
+
+    for etype, name in ((EV_BRANCH, "on_branch"), (EV_READ, "on_read"),
+                        (EV_WRITE, "on_write"),
+                        (EV_ALLOC, "on_heap_alloc")):
+        hook = hooks(name)
+        if hook is not None:
+            handlers[etype] = hook  # takes (a, b, t) as they come
+    if (enter := hooks("on_enter_function")) is not None:
+        handlers[EV_ENTER] = lambda a, b, t: enter(names[a], b, t)
+    if (exit_ := hooks("on_exit_function")) is not None:
+        handlers[EV_EXIT] = lambda a, b, t: exit_(names[a], t)
+    if (block := hooks("on_block_enter")) is not None:
+        handlers[EV_BLOCK] = lambda a, b, t: block(a, t)
+    if (free := hooks("on_frame_free")) is not None:
+        handlers[EV_FREE] = lambda a, b, t: free(a, a + b)
+    if (finish := hooks("on_finish")) is not None:
+        handlers[EV_FINISH] = lambda a, b, t: finish(t)
+
+    def emit(record) -> None:
+        etype, a, b, t = record
+        handlers[etype](a, b, t)
+    return Sink(emit)
+
+
+def _skip(a, b, t) -> None:
+    pass
+
+
+def join_sinks(sinks: list[Sink]) -> Sink:
+    """One sink feeding each of ``sinks`` every record, in order; a
+    flush, as often as the most frequent one asks, and finish reach
+    them all."""
+    if not sinks:
+        return Sink(_discard)
+    if len(sinks) == 1:
+        return sinks[0]
+    emits = [sink.emit for sink in sinks]
+
+    def emit(record) -> None:
+        for each in emits:
+            each(record)
+
+    def flush() -> None:
+        for sink in sinks:
+            sink.flush()
+
+    def finish() -> None:
+        for sink in sinks:
+            sink.finish()
+    return Sink(emit, min(sink.flush_every for sink in sinks), flush,
+                finish)
 
 
 class CountingTracer(Tracer):

@@ -6,7 +6,8 @@ costs a full re-execution. This package decouples the two:
 
 ``repro.trace.writer``
     :class:`TraceWriter`, a :class:`~repro.runtime.tracing.Tracer` that
-    streams every interpreter event into a compact binary trace file,
+    streams every record the interpreter emits into a compact binary
+    trace file,
     plus :func:`record_source` / :func:`record_program`.
     Recording optionally runs under a sampling policy
     (:mod:`repro.sampling`) that thins the memory-event stream.

@@ -30,8 +30,8 @@ also names the sampling policy the recording ran under (``"full"``
 when every memory event was kept), so consumers can label sampled
 results as lower-confidence hints.
 
-Operands and deltas must fit 32 bits; the writer
-raises :class:`TraceError` otherwise (addresses are word indices, so
+Operands and deltas must fit 32 bits; the recorder and the encoder
+raise :class:`TraceError` otherwise (addresses are word indices, so
 this bounds traced memory at 4G words — far beyond any bundled
 workload).
 """
@@ -44,6 +44,10 @@ import zlib
 from dataclasses import dataclass, field
 from struct import Struct
 
+from repro.runtime.tracing import (EV_ALLOC, EV_BLOCK, EV_BRANCH, EV_ENTER,
+                                   EV_EXIT, EV_FINISH, EV_FREE, EV_READ,
+                                   EV_WRITE)
+
 MAGIC = b"ALCHTRC\0"
 TRAILER = b"ALCHEND\0"
 
@@ -54,16 +58,10 @@ _VERSION_STRUCT = Struct("<H")
 _LEN_STRUCT = Struct("<I")
 
 # -- event type bytes -------------------------------------------------------
+# EV_ENTER .. EV_FINISH are the record types the interpreter emits
+# (repro.runtime.tracing documents their operands); EV_CHECKPOINT is
+# the format's own.
 
-EV_ENTER = 1    #: a = function index, b = entry pc
-EV_EXIT = 2     #: a = function index
-EV_BLOCK = 3    #: a = block id
-EV_BRANCH = 4   #: a = branch pc, b = chosen target block
-EV_READ = 5     #: a = address, b = pc
-EV_WRITE = 6    #: a = address, b = pc
-EV_ALLOC = 7    #: a = block base, b = size
-EV_FREE = 8     #: a = range lo, b = range length (hi - lo); no timestamp
-EV_FINISH = 9   #: end of event stream
 #: Shard seam marker (v2, a = checkpoint ordinal) written by older
 #: recorders, which also embedded the matching snapshot in the footer.
 #: Still read — replay dispatch ignores it and the seam scan counts it
@@ -83,9 +81,6 @@ EVENT_NAMES = {
     EV_FINISH: "finish",
     EV_CHECKPOINT: "checkpoint",
 }
-
-_U32_MAX = (1 << 32) - 1
-
 
 class TraceError(Exception):
     """A malformed, unwritable, or out-of-range trace."""
@@ -177,11 +172,3 @@ def unpack_length(blob: bytes) -> int:
     if len(blob) != _LEN_STRUCT.size:
         raise TraceTruncatedError("trace ends inside a length field")
     return _LEN_STRUCT.unpack(blob)[0]
-
-
-def check_u32(value: int, what: str) -> int:
-    """Writer-side range check for record operands and deltas."""
-    if 0 <= value <= _U32_MAX:
-        return value
-    raise TraceError(f"{what} {value} does not fit the 32-bit "
-                     f"trace record format")

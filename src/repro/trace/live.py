@@ -1,13 +1,17 @@
 """Live runs through the replay dispatch loop.
 
 :class:`TeeTracer` splits one run's consumers the way replay does
-(:func:`~repro.runtime.tracing._takes_blocks`): hooked tracers ride the
-interpreter and see its own ``Memory``; block consumers get a
-``Memory`` of their own and the run's events from a :class:`LiveTap`,
-which records them as the trace writer does and feeds each flushed
-int64 block to the dispatch loop replay uses
-(:func:`~repro.trace.replay.batch_dispatcher`). So a bundled analysis
-has one event path, live or replayed.
+(:func:`~repro.runtime.tracing._takes_blocks`) and picks the run's
+record emitter. Block consumers get a ``Memory`` of their own and the
+run's records from a :class:`LiveTap`, which takes them as the trace
+writer does (both are :class:`~repro.trace.writer.EventRecorder`
+objects sharing one record list) and feeds each int64 block of
+:data:`~repro.trace.writer.LIVE_BLOCK_EVENTS` records to the dispatch
+loop replay uses (:func:`~repro.trace.replay.batch_dispatcher`). So a
+bundled analysis has one event path, live or replayed. Hooked tracers
+ride the record→hook adapter
+(:func:`~repro.runtime.tracing.hook_sink`) and see the interpreter's
+own ``Memory`` at each hook.
 
 :func:`run_live` is the one live run behind ``Session`` (its live
 analyses, and recording in the same run), ``Alchemist().profile`` and
@@ -20,18 +24,18 @@ from repro.analyses.base import AnalysisContext
 from repro.ir.cfg import ProgramIR
 from repro.runtime.interpreter import DEFAULT_MAX_STEPS, Interpreter
 from repro.runtime.memory import Memory
-from repro.runtime.tracing import (TRACER_HOOKS, Tracer, _takes_blocks,
-                                   overridden_hooks)
+from repro.runtime.tracing import (Sink, Tracer, _takes_blocks, hook_sink,
+                                   join_sinks)
 from repro.telemetry import as_telemetry
 from repro.trace.columnar import EventBatch
 from repro.trace.replay import batch_dispatcher
-from repro.trace.writer import EventRecorder
+from repro.trace.writer import EventRecorder, RecordBlocks
 
 
 class LiveTap(EventRecorder):
     """Hands ``feed`` (a :func:`~repro.trace.replay.batch_dispatcher`)
-    each flushed block of the run's records; ``events`` and ``blocks``
-    count them."""
+    each block of the run's records; ``events`` and ``blocks`` count
+    them."""
 
     def __init__(self, feed):
         super().__init__()
@@ -44,42 +48,42 @@ class LiveTap(EventRecorder):
 
 
 class TeeTracer(Tracer):
-    """Fans one interpreter run out to any number of child tracers:
-    hooked children on the interpreter's memory, block consumers on a
-    fresh one behind a :class:`LiveTap` (``tap``, ``None`` without
-    any). Each hook calls only the children that override it; a single
-    interested child is called directly."""
+    """Picks the emitter for one interpreter run of any number of
+    child tracers: recorders (trace writers, and a :class:`LiveTap`
+    — ``tap``, ``None`` without one — for the block consumers, which
+    get a fresh ``Memory``) share one record list; hooked children
+    share one record→hook adapter on the interpreter's memory; any
+    other child (a sampling gate) brings its own sink. With only
+    recorders, ``emit`` is the list's ``extend``."""
 
     def __init__(self, children: list[Tracer]):
         self.children = list(children)
         self.tap: LiveTap | None = None
 
-    def on_start(self, program: ProgramIR, memory: Memory) -> None:
-        hooked = [c for c in self.children if not _takes_blocks(c)]
+    def sink(self, program: ProgramIR, memory: Memory) -> Sink:
+        recorders, hooked, own = [], [], []
         blocks = [c for c in self.children if _takes_blocks(c)]
         replayed = Memory(program, memory.stack_limit)
         for child in self.children:
-            child.on_start(program, replayed if _takes_blocks(child)
-                           else memory)
+            if _takes_blocks(child):
+                child.on_start(program, replayed)
+            elif isinstance(child, EventRecorder):
+                child.on_start(program, memory)
+                recorders.append(child)
+            elif type(child).sink is Tracer.sink:
+                child.on_start(program, memory)
+                hooked.append(child)
+            else:
+                own.append(child)
         if blocks:
             self.tap = LiveTap(batch_dispatcher(
                 blocks, replayed, list(program.functions.values())))
-            self.tap.on_start(program, memory)
-            hooked.append(self.tap)
-        for name in TRACER_HOOKS:
-            hooks = overridden_hooks(hooked, name)
-            if len(hooks) == 1:
-                setattr(self, name, hooks[0])
-            elif hooks:
-                setattr(self, name, _fan(hooks))
-
-
-def _fan(hooks: list):
-    """One hook that calls each of ``hooks`` in order."""
-    def dispatch(*args):
-        for hook in hooks:
-            hook(*args)
-    return dispatch
+            recorders.append(self.tap)
+        sinks = [RecordBlocks(recorders)] if recorders else []
+        if hooked:
+            sinks.append(hook_sink(hooked, program))
+        sinks += [child.sink(program, memory) for child in own]
+        return join_sinks(sinks)
 
 
 def run_live(program: ProgramIR, consumers: list, *,

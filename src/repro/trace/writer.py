@@ -1,22 +1,26 @@
-"""Trace recording: a tracer that streams events to a file.
+"""Trace recording: a tracer that streams a run's records to a file.
 
-:class:`TraceWriter` plugs into the interpreter exactly like the live
-profiler does — it is a :class:`~repro.runtime.tracing.Tracer` — but
-instead of analyzing events it records them into columns and writes
-each flush out as encoded blocks. Recording is therefore far cheaper
-than profiling (no shadow memory, no index tree), and the resulting
-trace can be replayed through any number of analyses without touching
-the interpreter again.
+The interpreter emits every event as an ``(etype, a, b, t)`` record
+(:mod:`repro.runtime.tracing`). :class:`TraceWriter` is an
+:class:`EventRecorder`: its sink's ``emit`` is a list's ``extend``, so
+recording adds no Python call per event. At flushes the list is staged
+into int64 blocks of :data:`LIVE_BLOCK_EVENTS` records, each FREE
+riding the clock of the record before it, and each block is written
+out by :class:`~repro.trace.codec.BlockEncoder` as trace format v2
+(:mod:`repro.trace.codec`): delta/varint records in zlib-compressed
+blocks. Recording is therefore far cheaper than profiling (no shadow
+memory, no index tree), and the resulting trace can be replayed
+through any number of analyses without touching the interpreter again.
+Hooked tracers on the same run are served by the record→hook adapter
+(:func:`~repro.runtime.tracing.hook_sink`).
 
-The on-disk encoding is trace format v2 (:mod:`repro.trace.codec`):
-delta/varint records in zlib-compressed blocks, encoded a flush at a
-time by :class:`~repro.trace.codec.BlockEncoder`. Recording can also
-run under a sampling policy (:mod:`repro.sampling`): the policy gates
-which READ/WRITE events reach the file while every structural event
-(enter/exit, block, branch, alloc, free, finish) is always kept, so a
-sampled trace still replays with exact memory reconstruction — only
-the memory-access stream is thinned. The policy's spec string is embedded in the header
-so consumers can label sampled results as lower-confidence.
+Recording can also run under a sampling policy (:mod:`repro.sampling`):
+the gate filters the records, dropping the READ/WRITE ones the policy
+rejects while every structural record (enter/exit, block, branch,
+alloc, free, finish) is always kept, so a sampled trace still replays
+with exact memory reconstruction — only the memory-access stream is
+thinned. The policy's spec string is embedded in the header so
+consumers can label sampled results as lower-confidence.
 
 The header is written from :meth:`TraceWriter.on_start` (which is the
 first moment the program — and with it the function-name table and
@@ -32,7 +36,6 @@ that sidecar right after recording (``checkpoint_interval=N``).
 from __future__ import annotations
 
 import os
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,118 +44,136 @@ from repro.ir.cfg import ProgramIR
 from repro.ir.lowering import compile_source
 from repro.runtime.interpreter import DEFAULT_MAX_STEPS, Interpreter
 from repro.runtime.memory import Memory
-from repro.runtime.tracing import Tracer
+from repro.runtime.tracing import Sink, Tracer
 from repro.trace.codec import DEFAULT_BLOCK_BYTES, BlockEncoder
 from repro.trace.columnar import EventBatch
-from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH, EV_ENTER,
-                                EV_EXIT, EV_FINISH, EV_FREE, EV_READ,
-                                EV_WRITE, MAGIC, TRAILER, TraceFooter,
-                                TraceHeader, check_u32, pack_length,
+from repro.trace.events import (EV_FREE, MAGIC, TRAILER, TraceError,
+                                TraceFooter, TraceHeader, pack_length,
                                 pack_version, source_digest)
 
 
-#: Events a recorder buffers before a flush hands them on as one
-#: block (about a decoded trace block's worth).
+#: Records a recorder hands on per block (about a decoded trace
+#: block's worth); read when a run starts.
 LIVE_BLOCK_EVENTS = 8192
 
-# Operands are stored as C unsigned ints: the append itself is the
-# [0, 2^32) range check of the record format.
-assert array("I").itemsize == 4
+#: Instructions the interpreter runs between flushes, each staging
+#: the records in the list into the recorders' int64 block. An
+#: instruction emits at most four records, so the list of Python ints
+#: stays small.
+FLUSH_INSTRUCTIONS = 2048
 
 
 class EventRecorder(Tracer):
-    """The one mapping from tracer hooks to trace records ``(etype, a,
-    b, t)``, shared by the trace writer and the live tap
-    (:class:`repro.trace.live.LiveTap`): ENTER and EXIT name their
-    function by its index in the program's function table, and FREE
-    (its hook has no clock) rides at the clock of the record before it.
-
-    The records collect in four columns, flushed as one int64
-    :class:`~repro.trace.columnar.EventBatch` every
-    :data:`LIVE_BLOCK_EVENTS` events and at FINISH (FINISH last);
-    subclasses say where a flush goes (:meth:`_deliver`). An operand
-    outside ``[0, 2^32)`` raises :class:`TraceError` at its own hook.
-    """
-
-    _last_time = 0
+    """A tracer that takes a run's records whole — the trace writer and
+    the live tap (:class:`repro.trace.live.LiveTap`). Its sink
+    (:class:`RecordBlocks`) cuts them into int64
+    :class:`~repro.trace.columnar.EventBatch` blocks of exactly
+    :data:`LIVE_BLOCK_EVENTS` records (the last, ending with FINISH,
+    may be shorter), each handed to :meth:`take`; subclasses say where
+    a block goes (:meth:`_deliver`). ``events`` and ``final_time``
+    count the records taken and the clock of the last."""
 
     def __init__(self) -> None:
-        self._flushed = 0
-        self._start_block()
+        self.events = 0
+        self.final_time = 0
 
-    @property
-    def events(self) -> int:
-        """Records taken so far."""
-        return self._flushed + len(self._etypes)
+    def sink(self, program: ProgramIR, memory: Memory) -> "RecordBlocks":
+        self.on_start(program, memory)
+        return RecordBlocks([self])
 
-    def _start_block(self) -> None:
-        self._etypes = array("B")
-        self._a = array("I")
-        self._b = array("I")
-        self._t = array("q")
-
-    def on_start(self, program: ProgramIR, memory: Memory) -> None:
-        self._fn_index = {name: i for i, name in
-                          enumerate(program.functions)}
-
-    def on_enter_function(self, fn_name: str, entry_pc: int,
-                          timestamp: int) -> None:
-        self._emit(EV_ENTER, self._fn_index[fn_name], entry_pc, timestamp)
-
-    def on_exit_function(self, fn_name: str, timestamp: int) -> None:
-        self._emit(EV_EXIT, self._fn_index[fn_name], 0, timestamp)
-
-    def on_block_enter(self, block_id: int, timestamp: int) -> None:
-        self._emit(EV_BLOCK, block_id, 0, timestamp)
-
-    def on_branch(self, pc: int, target_block: int, timestamp: int) -> None:
-        self._emit(EV_BRANCH, pc, target_block, timestamp)
-
-    def on_read(self, addr: int, pc: int, timestamp: int) -> None:
-        self._emit(EV_READ, addr, pc, timestamp)
-
-    def on_write(self, addr: int, pc: int, timestamp: int) -> None:
-        self._emit(EV_WRITE, addr, pc, timestamp)
-
-    def on_heap_alloc(self, base: int, size: int, timestamp: int) -> None:
-        self._emit(EV_ALLOC, base, size, timestamp)
-
-    def on_frame_free(self, lo: int, hi: int) -> None:
-        self._emit(EV_FREE, lo, hi - lo, self._last_time)
-
-    def on_finish(self, timestamp: int) -> None:
-        self._emit(EV_FINISH, 0, 0, timestamp)
-        self._flush()
-
-    def _emit(self, etype: int, a: int, b: int, timestamp: int) -> None:
-        try:
-            self._a.append(a)
-            self._b.append(b)
-        except OverflowError:
-            check_u32(a, "operand")
-            check_u32(b, "operand")
-            raise
-        self._t.append(timestamp)
-        etypes = self._etypes
-        etypes.append(etype)
-        self._last_time = timestamp
-        if len(etypes) >= LIVE_BLOCK_EVENTS:
-            self._flush()
-
-    def _flush(self) -> None:
-        if not self._etypes:
-            return
-        columns = (np.frombuffer(self._etypes, np.uint8),
-                   np.frombuffer(self._a, np.uint32),
-                   np.frombuffer(self._b, np.uint32),
-                   np.frombuffer(self._t, np.int64))
-        self._flushed += len(self._etypes)
-        self._start_block()
-        self._deliver(EventBatch(*(column.astype(np.int64)
-                                   for column in columns)))
+    def take(self, batch: EventBatch) -> None:
+        self.events += len(batch)
+        self.final_time = int(batch.t[-1])
+        self._deliver(batch)
 
     def _deliver(self, batch: EventBatch) -> None:
         raise NotImplementedError
+
+
+class RecordBlocks(Sink):
+    """The recorders' sink: ``emit`` is ``pending.extend``, so each
+    record lands in the list as four ints. A flush (every
+    :data:`FLUSH_INSTRUCTIONS` instructions) stages the list into one
+    int64 block, giving each FREE the clock of the record before it;
+    once the block holds :data:`LIVE_BLOCK_EVENTS` records it goes to
+    every recorder in ``recorders`` (one list serves the writer and the
+    live tap of a run). ``finish`` hands on the rest. An operand
+    outside ``[0, 2^32)`` raises :class:`TraceError` naming its record's
+    index in the stream, before any block holding it is handed on."""
+
+    def __init__(self, recorders: list[EventRecorder]):
+        self.pending: list[int] = []
+        super().__init__(self.pending.extend, FLUSH_INSTRUCTIONS,
+                         self._stage, self._finish)
+        self.recorders = recorders
+        self._size = LIVE_BLOCK_EVENTS
+        self._columns: list = []
+        self._rows = 0      # records staged in the block
+        self._staged = 0    # records staged so far, all blocks
+        self._time = 0      # clock of the last staged record
+
+    def _stage(self) -> None:
+        pending = self.pending
+        if not pending:
+            return
+        try:
+            rows = np.fromiter(pending, np.int64,
+                               len(pending)).reshape(-1, 4)
+        except OverflowError:  # an operand beyond int64
+            _check_operands(zip(pending[1::4], pending[2::4]), self._staged)
+            raise
+        pending.clear()
+        etypes, a, b, t = rows.T
+        wide = (a | b) >> 32  # anything outside [0, 2^32)
+        if wide.any():
+            i = int(np.flatnonzero(wide)[0])
+            _check_operands([(int(a[i]), int(b[i]))], self._staged + i)
+        free = etypes == EV_FREE
+        if free.any():
+            # FREE rides the clock of the last other record before it.
+            source = np.where(free, -1, np.arange(len(rows)))
+            np.maximum.accumulate(source, out=source)
+            t[free] = np.where(source[free] < 0, self._time,
+                               t[source[free]])
+        self._time = int(t[-1])
+        self._staged += len(rows)
+        while len(rows):
+            at = self._rows
+            if not at:
+                self._columns = [np.empty(self._size, np.int64)
+                                 for _ in range(4)]
+            take = min(self._size - at, len(rows))
+            for column, values in zip(self._columns, rows[:take].T):
+                column[at:at + take] = values
+            rows = rows[take:]
+            self._rows = at + take
+            if self._rows == self._size:
+                self._hand_on()
+
+    def _finish(self) -> None:
+        self._stage()
+        if self._rows:
+            self._hand_on()
+
+    def _hand_on(self) -> None:
+        batch = EventBatch(*(column[:self._rows]
+                             for column in self._columns))
+        self._columns = []
+        self._rows = 0
+        for recorder in self.recorders:
+            recorder.take(batch)
+
+
+def _check_operands(pairs, first: int) -> None:
+    """Raise the :class:`TraceError` of the first operand outside
+    ``[0, 2^32)`` in ``pairs``, the ``(a, b)`` of consecutive records
+    from index ``first`` on."""
+    for k, pair in enumerate(pairs):
+        for value in pair:
+            if not 0 <= value < 1 << 32:
+                raise TraceError(f"event {first + k}: operand {value} "
+                                 "does not fit the 32-bit trace record "
+                                 "format")
 
 
 class TraceWriter(EventRecorder):
@@ -191,7 +212,6 @@ class TraceWriter(EventRecorder):
     # -- lifecycle ---------------------------------------------------------
 
     def on_start(self, program: ProgramIR, memory: Memory) -> None:
-        super().on_start(program, memory)
         header = TraceHeader(
             digest=source_digest(self.source),
             filename=self.filename,
@@ -208,21 +228,11 @@ class TraceWriter(EventRecorder):
         self._handle.write(pack_length(len(blob)))
         self._handle.write(blob)
 
-    @property
-    def final_time(self) -> int:
-        """The clock of the last record: FINISH's, once written."""
-        return self._last_time
-
     def close(self, exit_value: int = 0,
               output: list[tuple[int, ...]] | None = None) -> None:
         """Write the footer and close the file (idempotent)."""
         if self.closed:
             return
-        try:
-            self._flush()
-        except BaseException:
-            self.abort()
-            raise
         self.closed = True
         handle = self._handle
         handle.write(self._block_encoder.finish())

@@ -167,6 +167,22 @@ class TestTreeShape:
         assert "outer" in shallow
         assert "inner" not in shallow
 
+    def test_depth_cut_keeps_later_siblings_bar(self):
+        """A depth-cut node's ``...`` sits under its children's lead,
+        so the bar of its later siblings runs through it."""
+        tree, _ = record_index_tree("""
+        int g;
+        void inner() { g++; }
+        void outer() { inner(); }
+        int main() { outer(); outer(); return 0; }
+        """)
+        lines = tree.render(max_depth=1).splitlines()
+        first = next(i for i, line in enumerate(lines)
+                     if line.startswith("    |- outer"))
+        assert lines[first + 1] == "    |   ..."
+        assert lines[first + 2].startswith("    `- outer")
+        assert lines[first + 3] == "        ..."
+
     def test_truncation_budget(self):
         tree, _ = record_index_tree("""
         int g;

@@ -152,3 +152,42 @@ class TestScheduleInvariants:
         graph = graph_of(durs, deps=deps)
         result = FutureSimulator(4).schedule(graph)
         assert result.makespan == sum(durs)
+
+
+def _random_graph(rng):
+    """A graph with RAW deps, joins, anti-edges and serial gaps, sized so
+    workers are sometimes short and sometimes idle."""
+    n = rng.randint(0, 14)
+    durations = [rng.randint(1, 60) for _ in range(n)]
+    serial = [rng.choice((0, 0, rng.randint(1, 40))) for _ in range(n + 1)]
+
+    def edges(p):
+        return [(i, j) for j in range(n) for i in range(j)
+                if rng.random() < p]
+
+    def claims(p):
+        return {k: {i for i in range(k) if rng.random() < p}
+                for k in range(n + 1)}
+    p = rng.choice((0.0, 0.05, 0.2))
+    return graph_of(durations, serial, edges(p), claims(p / 2),
+                    edges(p), claims(p / 2))
+
+
+def test_sweep_matches_schedule_on_random_graphs():
+    """The sweep, which reuses a schedule no task waited in for every
+    larger count, equals one ``schedule`` per count."""
+    import random
+
+    rng = random.Random(20090314)
+    counts = [1, 2, 3, 4, 6, 8, 12, 16]
+    for _ in range(3000):
+        graph = _random_graph(rng)
+        privatize = rng.random() < 0.5
+        overhead = rng.choice((0, 0, 5))
+        order = rng.sample(counts, len(counts))
+        swept = FutureSimulator(1, privatize, overhead).sweep(graph, order)
+        assert list(swept) == order
+        for workers in order:
+            one = FutureSimulator(workers, privatize,
+                                  overhead).schedule(graph)
+            assert swept[workers] == one, workers

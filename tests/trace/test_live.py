@@ -1,8 +1,8 @@
 """Live runs feed block consumers through the replay dispatch loop.
 
 One interpreter run carries both kinds of consumer: a hook-only plugin
-rides the interpreter's per-event hooks and reads the interpreter's own
-memory values, while every bundled analysis gets whole blocks from the
+gets per-event hooks from the record→hook adapter and reads the
+interpreter's own memory values, while every bundled analysis gets whole blocks from the
 live tap through the same dispatch loop replay uses — so their results
 equal a replay of the recording. A block consumer handed straight to
 the interpreter or the sampling gate would get nothing, so both refuse
@@ -12,6 +12,8 @@ it, and ``LiveSource`` routes even a single tracer through the tee. The
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.analyses import Analysis, AnalysisResult, register, unregister
@@ -20,6 +22,7 @@ from repro.api import Session
 from repro.ir.lowering import compile_source
 from repro.parallel.taskgraph import LiveSource
 from repro.runtime.interpreter import Interpreter, run_source
+from repro.runtime.memory import Memory
 from repro.sampling import IntervalSampling, SampledTracer
 from repro.telemetry import Telemetry
 from repro.trace import writer
@@ -124,20 +127,23 @@ def test_no_block_consumer_counts_nothing(values_plugin, tmp_path):
 
 def test_hook_only_tee_has_no_tap():
     """Without a block consumer nothing is recorded: hooked tracers
-    ride the interpreter alone."""
+    ride the record→hook adapter alone, with no record list."""
     plugin = _WrittenValues()
     tee = TeeTracer([plugin])
-    Interpreter(compile_source(SOURCE), tee).run()
+    program = compile_source(SOURCE)
+    Interpreter(program, tee).run()
     assert tee.tap is None
-    assert tee.on_write == plugin.on_write
     assert len(plugin.values) == 48
+    sink = TeeTracer([_WrittenValues()]).sink(program, Memory(program))
+    assert sink.flush_every == sys.maxsize  # nothing to flush
 
 
 @pytest.mark.parametrize("analysis", [DependenceAnalysis,
                                       CountingAnalysis])
 def test_block_consumer_is_refused_where_no_block_reaches_it(analysis):
-    """The interpreter and the sampling gate only call hooks, so a
-    block consumer handed to either would silently get nothing."""
+    """The interpreter and the sampling gate hand over records, not
+    blocks, so a block consumer handed to either would silently get
+    nothing."""
     with pytest.raises(TypeError, match="TeeTracer"):
         Interpreter(compile_source(SOURCE), analysis())
     with pytest.raises(TypeError, match="whole event blocks"):

@@ -9,7 +9,11 @@ import pytest
 from repro.trace import (TRACE_VERSION_V2, TraceError, TraceReader,
                          TraceTruncatedError, record_source)
 from repro.trace.codec import BLOCK_HEADER, BLOCK_HEADER_SIZE
+from repro.ir.lowering import compile_source
+from repro.runtime.memory import Memory
+from repro.runtime.tracing import EV_BLOCK, EV_FINISH, EV_READ
 from repro.trace.replay import replay_trace
+from repro.trace.writer import LIVE_BLOCK_EVENTS, TraceWriter
 
 SMALL = """
 int a[32];
@@ -46,6 +50,22 @@ int main() {
 #: Bytes per event of the retired fixed-record format (v1): the yard
 #: stick the v2 compression claims are measured against.
 FIXED_RECORD_BYTES = 13
+
+
+def _writer_sink(path):
+    """A writer for SMALL and the sink its run would emit into."""
+    program = compile_source(SMALL)
+    writer = TraceWriter(path, SMALL)
+    return writer, writer.sink(program, Memory(program))
+
+
+def _drive(sink, records) -> None:
+    """Emit ``records`` into ``sink``, flushing as the interpreter does
+    (here a record stands for an instruction)."""
+    for i, record in enumerate(records, 1):
+        sink.emit(record)
+        if i % sink.flush_every == 0:
+            sink.flush()
 
 
 @pytest.fixture
@@ -116,9 +136,7 @@ class TestParity:
     def test_multiple_blocks_roundtrip(self, tmp_path):
         """A tiny block size forces many blocks; decoding still matches
         the single-block stream record for record."""
-        from repro.ir.lowering import compile_source
         from repro.runtime.interpreter import Interpreter
-        from repro.trace.writer import TraceWriter
 
         big = tmp_path / "one-block.trace"
         small = tmp_path / "many-blocks.trace"
@@ -238,15 +256,15 @@ class TestCorruption:
         with pytest.raises(TraceError, match="length mismatch"):
             self._consume(bad)
 
-    @pytest.mark.parametrize("addr", [-1, 1 << 32])
+    @pytest.mark.parametrize("addr", [-1, 1 << 32, 1 << 64])
     def test_writer_rejects_operands_outside_u32(self, tmp_path, addr):
         """The writer's half of the record contract the reader
         enforces: no operand outside [0, 2^32) reaches the stream."""
-        from repro.trace.writer import TraceWriter
-
-        writer = TraceWriter(tmp_path / "w.trace", SMALL)
-        with pytest.raises(TraceError, match="does not fit the 32-bit"):
-            writer.on_read(addr, 0, 1)
+        writer, sink = _writer_sink(tmp_path / "w.trace")
+        _drive(sink, [(EV_READ, addr, 0, 1), (EV_FINISH, 0, 0, 1)])
+        with pytest.raises(TraceError, match=(
+                f"event 0: operand {addr} does not fit the 32-bit")):
+            sink.finish()
         writer.abort()
 
     def test_aborted_recording_is_truncated(self, tmp_path):
@@ -260,12 +278,12 @@ class TestCorruption:
 
 
 class TestWriterErrors:
-    """Where the writer raises: an operand at its own hook, a clock at
-    the flush that takes its record, naming the record's index in the
-    stream; a recording it stops stays truncated."""
+    """Where the writer raises: an operand when its record is staged,
+    a clock when its block is encoded, naming the record's index in
+    the stream; a recording it stops stays truncated."""
 
-    #: Past the first flush, so the index counts records already
-    #: flushed (8192 per flush).
+    #: Past the first block, so the index counts records already
+    #: handed on (8192 per block).
     AT = 9000
 
     def _consume(self, path):
@@ -273,18 +291,31 @@ class TestWriterErrors:
             for _ in reader.events():
                 pass
 
+    @pytest.mark.parametrize("addr", [-1, 1 << 32, 1 << 64])
+    @pytest.mark.parametrize("operand", ["a", "b"])
+    def test_operand_error_names_the_event(self, tmp_path, addr, operand):
+        writer, sink = _writer_sink(tmp_path / "w.trace")
+        bad = (EV_READ, addr, 0, self.AT) if operand == "a" else (
+            EV_READ, 0, addr, self.AT)
+        with pytest.raises(TraceError, match=(
+                f"event {self.AT}: operand {addr} does not fit the "
+                "32-bit trace record format")):
+            _drive(sink, [*((EV_BLOCK, 0, 0, t) for t in range(self.AT)),
+                          bad, (EV_FINISH, 0, 0, self.AT)])
+            sink.finish()
+        assert writer.events < self.AT
+        writer.abort()
+
     @pytest.mark.parametrize("step", [-3, 1 << 32])
     def test_clock_error_names_the_event(self, tmp_path, step):
-        from repro.trace.writer import TraceWriter
-
-        writer = TraceWriter(tmp_path / "w.trace", SMALL)
-        for t in range(self.AT):
-            writer.on_block_enter(0, t)
-        writer.on_block_enter(0, self.AT - 1 + step)
+        writer, sink = _writer_sink(tmp_path / "w.trace")
+        _drive(sink, [*((EV_BLOCK, 0, 0, t) for t in range(self.AT)),
+                      (EV_BLOCK, 0, 0, self.AT - 1 + step),
+                      (EV_FINISH, 0, 0, self.AT + step)])
         with pytest.raises(TraceError, match=(
                 f"event {self.AT}: timestamp delta {step} does not fit "
                 "the 32-bit trace record format")):
-            writer.on_finish(self.AT + step)
+            sink.finish()
         writer.abort()
 
     @pytest.mark.parametrize("step", [-3, 1 << 32])
@@ -295,10 +326,15 @@ class TestWriterErrors:
         at = self.AT
 
         class Skewed(writer_module.TraceWriter):
-            def _emit(self, etype, a, b, timestamp):
-                if self.events == at:
-                    timestamp = self._last_time + step
-                super()._emit(etype, a, b, timestamp)
+            """Moves record ``at`` of the interpreter's stream to
+            ``step`` past the clock of the record before it."""
+
+            def take(self, batch):
+                i = at - self.events
+                if 0 <= i < len(batch):
+                    prev = batch.t[i - 1] if i else self.final_time
+                    batch.t[i] = prev + step
+                super().take(batch)
 
         monkeypatch.setattr(writer_module, "TraceWriter", Skewed)
         path = tmp_path / "skewed.trace"
@@ -309,15 +345,16 @@ class TestWriterErrors:
             self._consume(path)
 
     def test_counts_match_the_stream(self, tmp_path):
-        """``events`` and ``final_time`` count every record taken, flushed
-        or not, as the footer and the decoded stream do."""
-        from repro.trace.writer import TraceWriter
-
-        writer = TraceWriter(tmp_path / "hooks.trace", SMALL)
-        for t in range(self.AT):
-            writer.on_block_enter(0, 2 * t)
-            assert writer.events == t + 1
-        assert writer.final_time == 2 * (self.AT - 1)
+        """``events`` and ``final_time`` count every record taken and
+        the clock of the last, as the footer and the decoded stream
+        do."""
+        writer, sink = _writer_sink(tmp_path / "records.trace")
+        _drive(sink, [*((EV_BLOCK, 0, 0, 2 * t) for t in range(self.AT)),
+                      (EV_FINISH, 0, 0, 2 * self.AT)])
+        assert writer.events == LIVE_BLOCK_EVENTS
+        sink.finish()
+        assert writer.events == self.AT + 1
+        assert writer.final_time == 2 * self.AT
         writer.abort()
 
         path = tmp_path / "clean.trace"
