@@ -1,8 +1,8 @@
 """Alchemist: a transparent dependence distance profiling infrastructure.
 
 Reproduction of Zhang, Navabi & Jagannathan (CGO 2009). The package
-profiles MiniC programs (a C subset executed by an instruction-level
-interpreter) and reports, for every program construct (procedure, loop,
+profiles MiniC programs (a C subset executed by an interpreter that
+translates each basic block into Python code once) and reports, for every program construct (procedure, loop,
 conditional), the minimum time-ordered distance of every RAW/WAR/WAW
 dependence edge that crosses from the construct into its continuation.
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from repro.lang import ast_nodes as ast
 from repro.lang.errors import SemanticError
 from repro.lang.parser import parse_program
+from repro.ir import arith
 from repro.ir import instructions as ins
 from repro.ir.cfg import BasicBlock, FunctionIR, ParamInfo, ProgramIR, VarInfo
 
@@ -756,45 +757,17 @@ class _FunctionLowerer:
 
 
 def _const_eval(expr: ast.Expr, pl: _ProgramLowerer) -> int:
-    """Evaluate a compile-time constant expression (sizes, global inits)."""
+    """Evaluate a compile-time constant expression (sizes, global inits)
+    with the interpreter's arithmetic (:mod:`repro.ir.arith`)."""
     if isinstance(expr, ast.IntLit):
         return expr.value
-    if isinstance(expr, ast.UnOp):
-        value = _const_eval(expr.operand, pl)
-        if expr.op == "-":
-            return -value
-        if expr.op == "~":
-            return ~value
-        if expr.op == "!":
-            return int(value == 0)
-    if isinstance(expr, ast.BinOp):
+    if isinstance(expr, ast.UnOp) and expr.op in arith.UNARY:
+        return arith.UNARY[expr.op](_const_eval(expr.operand, pl))
+    if isinstance(expr, ast.BinOp) and expr.op in arith.BINARY:
         lhs = _const_eval(expr.lhs, pl)
         rhs = _const_eval(expr.rhs, pl)
-        ops = {
-            "+": lambda: lhs + rhs,
-            "-": lambda: lhs - rhs,
-            "*": lambda: lhs * rhs,
-            "/": lambda: _c_div(lhs, rhs),
-            "%": lambda: _c_rem(lhs, rhs),
-            "<<": lambda: lhs << (rhs & 63),
-            ">>": lambda: lhs >> (rhs & 63),
-            "&": lambda: lhs & rhs,
-            "|": lambda: lhs | rhs,
-            "^": lambda: lhs ^ rhs,
-        }
-        if expr.op in ops:
-            return ops[expr.op]()
+        if rhs == 0 and expr.op in ("/", "%"):
+            raise pl.error("division by zero in a constant expression",
+                           expr)
+        return arith.BINARY[expr.op](lhs, rhs)
     raise pl.error("not a constant expression", expr)
-
-
-def _c_div(a: int, b: int) -> int:
-    """C99 division: truncation toward zero."""
-    if b == 0:
-        raise ZeroDivisionError("constant division by zero")
-    quotient = abs(a) // abs(b)
-    return -quotient if (a < 0) != (b < 0) else quotient
-
-
-def _c_rem(a: int, b: int) -> int:
-    """C99 remainder: ``a - (a/b)*b``."""
-    return a - _c_div(a, b) * b

@@ -94,7 +94,8 @@ def run_live(program: ProgramIR, consumers: list, *,
     :class:`TeeTracer` (and, when ``recorder`` is given, the trace
     writer too: aborted if the run raises, else closed with the run's
     exit value and output). The ``live`` span and the context count
-    the events and blocks the run handed block consumers."""
+    the events and blocks the run handed block consumers; the span
+    also carries the interpreter's block translation counters."""
     telemetry = as_telemetry(telemetry)
     tee = TeeTracer(([recorder] if recorder is not None else [])
                     + consumers)
@@ -109,6 +110,7 @@ def run_live(program: ProgramIR, consumers: list, *,
             if recorder is not None:
                 recorder.abort()
             raise
+        span.set(**interp.block_stats())
         tap = tee.tap
         if tap is not None:
             span.set(events=tap.events, blocks=tap.blocks)

@@ -44,7 +44,7 @@ from repro.ir.cfg import ProgramIR
 from repro.ir.lowering import compile_source
 from repro.runtime.interpreter import DEFAULT_MAX_STEPS, Interpreter
 from repro.runtime.memory import Memory
-from repro.runtime.tracing import Sink, Tracer
+from repro.runtime.tracing import Sink, Tracer, _nothing
 from repro.trace.codec import DEFAULT_BLOCK_BYTES, BlockEncoder
 from repro.trace.columnar import EventBatch
 from repro.trace.events import (EV_FREE, MAGIC, TRAILER, TraceError,
@@ -154,6 +154,10 @@ class RecordBlocks(Sink):
         self._stage()
         if self._rows:
             self._hand_on()
+        # The bound methods refer back to this sink: dropping them lets
+        # the run's recorders (and the analyses behind a live tap) go
+        # as soon as the run does, not at the next full collection.
+        self.flush = self.finish = _nothing
 
     def _hand_on(self) -> None:
         batch = EventBatch(*(column[:self._rows]
@@ -291,8 +295,8 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
     finished trace into its ``.ckpt`` shard-seam sidecar, one seam
     every that many events (0: parallel replay builds it on
     first use). ``telemetry`` wraps the run in a ``record`` span with
-    writer and sampling-gate counters (tallies the stage keeps anyway
-    — nothing is added per event).
+    writer, sampling-gate and block translation counters (tallies the
+    stage keeps anyway — nothing is added per event).
     """
     from repro.sampling import SampledTracer, as_policy
     from repro.telemetry import as_telemetry, get_logger
@@ -322,7 +326,8 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
         with tm.span("record.seams", interval=checkpoint_interval):
             checkpoints = len(load_or_build_checkpoints(
                 writer.path, checkpoint_interval))
-    span.set(events=writer.events, checkpoints=checkpoints)
+    span.set(events=writer.events, checkpoints=checkpoints,
+             **interp.block_stats())
     tm.count("trace.events_written", writer.events)
     tm.count("trace.bytes_written", trace_bytes)
     if not policy.is_full and tm.enabled:

@@ -1,12 +1,17 @@
 """Interpreter semantics tests."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.errors import MiniCRuntimeError, StepLimitExceeded
-from repro.runtime.interpreter import c_div, run_source
+from repro.ir.lowering import compile_source
+from repro.ir.arith import c_div
+from repro.runtime.interpreter import Interpreter, run_source
 from tests.conftest import outputs
+from tests.runtime.reference import ReferenceInterpreter
 
 
 def result(expr: str, prelude: str = "") -> int:
@@ -48,6 +53,23 @@ class TestArithmetic:
         assert result(f"{big} + {big} + {big} + {big}") == 0
         assert result(f"{big} * 4") == 0
         assert result(f"({big} * 2 - 1) + 1") == -(1 << 63)
+
+    def test_literals_beyond_int64_wrap_in_every_operator(self):
+        """A literal past int64 stays as written until an operator
+        reduces it, as the reference does, for the operators whose
+        value cannot leave int64 otherwise, too."""
+        big = 1 << 63
+        for expr, value in ((f"{big} & -1", -big), (f"{big} | 0", -big),
+                            (f"{big} ^ 0", -big), (f"{big} >> 0", -big),
+                            (f"~{big}", big - 1), (f"{big} % {big + 5}",
+                                                   -big)):
+            program = compile_source(f"int main() {{ print({expr}); "
+                                     "return 0; }")
+            reference = ReferenceInterpreter(program)
+            reference.run()
+            interp = Interpreter(program)
+            interp.run()
+            assert interp.output == reference.output == [(value,)], expr
 
     def test_shifts(self):
         assert result("1 << 10") == 1024
@@ -337,3 +359,89 @@ class TestDeterminism:
             state = (state * 1103515245 + 12345) % 2147483648
             acc = (acc + state) % 1000000007
         assert printed(source) == [(acc,)]
+
+
+class TestConstantFolding:
+    def test_folded_sums_wrap_like_run_time_sums(self):
+        """A global initializer folds with the interpreter's 64-bit
+        arithmetic: the folded and the computed sum are equal."""
+        assert printed("""
+        int g = 9223372036854775807 + 1;
+        int h = (0 - 7) / 2 + (0 - 7) % 2 + (1 << 65);
+        int main() {
+            int x = 9223372036854775807;
+            x = x + 1;
+            int y = 0 - 7;
+            print(g == x, g, h == y / 2 + y % 2 + (1 << 65));
+            return 0;
+        }
+        """) == [(1, -(1 << 63), 1)]
+
+    def test_constant_division_by_zero_is_a_compile_error(self):
+        from repro.lang.errors import SemanticError
+        with pytest.raises(SemanticError, match="division by zero"):
+            compile_source("int g = 1 / 0;\nint main() { return g; }")
+
+
+#: A failing statement after ten loop iterations (so the failing
+#: instruction's clock is far from 0), one per runtime error kind.
+_LOOP = """
+int g[4];
+int *p;
+int deep(int n) {{ int pad[4000]; pad[0] = n; return deep(n + 1); }}
+int at(int a[], int i) {{ return a[i]; }}
+int main() {{
+    int s = 0;
+    int loc[3];
+    for (int i = 0; i < 10; i++) {{ s = s + i; }}
+    {stmt}
+    return s;
+}}
+"""
+
+ERROR_KINDS = {
+    "global index": ("s = g[s];", "index 45 out of bounds for 'g'[4]"),
+    "local index": ("loc[s] = 1;", "index 45 out of bounds for 'loc'[3]"),
+    "array parameter": ("s = at(g, 4);", "index 4 out of bounds"),
+    "division": ("s = s / (s - 45);", "division by zero"),
+    "remainder": ("s = s % (s - 45);", "remainder by zero"),
+    "assert": ("assert(s == 0);", "assertion failed"),
+    "pointer read": ("s = *p;", "invalid pointer read"),
+    "pointer write": ("*p = s;", "invalid pointer write"),
+    "interior reference": ("p = &g[2]; s = at(p, 100000);",
+                           "points outside live memory"),
+    "malloc size": ("p = malloc(s - 45);", "malloc size must be positive"),
+    "double free": ("p = malloc(2); free(p); free(p);",
+                    "not a live heap block"),
+    "stack overflow": ("s = deep(s);", "stack overflow"),
+}
+
+
+class TestErrorClock:
+    """Every runtime error leaves ``time`` at the failing instruction's
+    clock: the reference's, and the clock at which a budget one
+    instruction shorter stops at the same pc."""
+
+    @pytest.mark.parametrize("kind", sorted(ERROR_KINDS))
+    def test_time_is_the_failing_instructions_clock(self, kind):
+        stmt, message = ERROR_KINDS[kind]
+        program = compile_source(_LOOP.format(stmt=stmt))
+        interp = Interpreter(program)
+        with pytest.raises(MiniCRuntimeError,
+                           match=re.escape(message)) as failed:
+            interp.run()
+        assert type(failed.value) is MiniCRuntimeError
+        assert interp.time > 10
+
+        reference = ReferenceInterpreter(program)
+        with pytest.raises(MiniCRuntimeError) as expected:
+            reference.run()
+        assert (failed.value.message, failed.value.pc) == \
+            (expected.value.message, expected.value.pc)
+        assert interp.time == reference.time
+
+        short = Interpreter(program, max_steps=interp.time - 1)
+        with pytest.raises(StepLimitExceeded) as stopped:
+            short.run()
+        assert stopped.value.pc == failed.value.pc
+        assert short.time == interp.time

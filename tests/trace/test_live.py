@@ -159,3 +159,24 @@ def test_live_source_feeds_a_single_block_consumer(tmp_path):
         replayed = session.analyze(SOURCE, ["counts"], mode="replay")
     assert counts.counts == replayed["counts"].data
     assert counts.counts["reads"] > 0
+
+
+def test_a_finished_run_frees_its_consumers_by_reference_count():
+    """A live run's sink holds the tap and, through it, every block
+    consumer; once the run finishes nothing keeps them, so they go
+    with the run, not at the next full collection."""
+    import gc
+    import weakref
+
+    from repro.trace.live import run_live
+
+    program = compile_source(SOURCE)
+    consumer = CountingAnalysis()
+    gone = weakref.ref(consumer)
+    gc.disable()
+    try:
+        run_live(program, [consumer])
+        del consumer
+        assert gone() is None
+    finally:
+        gc.enable()
