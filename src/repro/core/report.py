@@ -15,6 +15,7 @@ asks:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 from repro.analysis.callgraph import call_sites
@@ -231,10 +232,11 @@ class ProfileReport:
         self.stats = stats
         self.exit_value = exit_value
         self.output = output if output is not None else []
-        self._views: dict[int, ConstructView] = {
-            pc: ConstructView(self, profile)
-            for pc, profile in store.profiles.items()
-        }
+        #: pc -> the view handed out for it, held weakly: a view refers
+        #: to its report, so a strong cache would make each view and its
+        #: report cyclic garbage.
+        self._views: weakref.WeakValueDictionary[int, ConstructView] = \
+            weakref.WeakValueDictionary()
         self._totals: dict[DepKind, int] = {}
         self._pc_block: dict[int, int] | None = None
         self._contained_cache: dict[int, set[str]] = {}
@@ -243,7 +245,7 @@ class ProfileReport:
 
     def constructs(self) -> list[ConstructView]:
         """All executed constructs, largest first."""
-        return sorted(self._views.values(),
+        return sorted(self._all_views(),
                       key=lambda v: (-v.total_duration, v.pc))
 
     def top_constructs(self, count: int = 10,
@@ -255,13 +257,20 @@ class ProfileReport:
         return views[:count]
 
     def view(self, pc: int) -> ConstructView:
-        return self._views[pc]
+        view = self._views.get(pc)
+        if view is None:
+            view = self._views[pc] = ConstructView(self,
+                                                   self.store.profiles[pc])
+        return view
+
+    def _all_views(self) -> list[ConstructView]:
+        return [self.view(pc) for pc in self.store.profiles]
 
     def views_at_line(self, line: int,
                       fn_name: str | None = None) -> list[ConstructView]:
         """Constructs whose head predicate sits on a source line; loops
         first (the paper names parallelized regions by line)."""
-        matches = [v for v in self._views.values()
+        matches = [v for v in self._all_views()
                    if v.line == line
                    and (fn_name is None or v.fn_name == fn_name)]
         order = {ConstructKind.LOOP: 0, ConstructKind.PROCEDURE: 1,
@@ -275,7 +284,7 @@ class ProfileReport:
         total = self._totals.get(kind)
         if total is None:
             total = sum(v.violating_count(kind)
-                        for v in self._views.values())
+                        for v in self._all_views())
             self._totals[kind] = total
         return total
 
@@ -315,9 +324,9 @@ class ProfileReport:
         parallelized, such constructs are "parallelized too" and are
         removed before looking for the next candidate.
         """
-        center = self._views.get(pc)
-        if center is None:
+        if pc not in self.store.profiles:
             return set()
+        center = self.view(pc)
         static = center.static
         # Blocks belonging to the construct.
         if static.kind is ConstructKind.PROCEDURE:
@@ -330,7 +339,7 @@ class ProfileReport:
         contained_fns = self._contained_functions(region)
         pc_block = self._pc_block_map()
         nested: set[int] = set()
-        for view in self._views.values():
+        for view in self._all_views():
             if view.pc == pc:
                 continue
             inside = False

@@ -20,6 +20,7 @@ mis-pairing across a sampling gap)?
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.analysis.callgraph import recursive_functions
@@ -44,8 +45,12 @@ class StaticDepReport:
 
     def __init__(self, program: ProgramIR) -> None:
         self.program = program
-        self.table = ConstructTable(program)
-        self.model = AccessModel(program)
+        # The table and the model read the program only while they are
+        # built, so they refer to it weakly: a report memoised on its
+        # program (report_for) then forms no reference cycle with it.
+        held = weakref.proxy(program)
+        self.table = ConstructTable(held)
+        self.model = AccessModel(held)
         self.recursive: frozenset[str] = frozenset(recursive_functions(program))
         #: construct head pc -> pcs that may execute while an instance
         #: of the construct is live (region + transitive callee bodies).
@@ -252,11 +257,13 @@ def report_for(program: ProgramIR,
                ) -> StaticDepReport:
     """Memoized :func:`analyze_program` — every analysis pass over the
     same compiled program shares one static report. The memo lives on
-    the program (``ProgramIR.memo``), so the report is freed with it; a
-    weak-keyed table would pin both, since the report refers back to
-    its program."""
+    the program (``ProgramIR.memo``) and the memoised report refers to
+    the program weakly, so reference counting frees the program, and
+    the report with it, once its last user lets go; a strong reference
+    back would make the two cyclic garbage until a full collection."""
     report = program.memo.get("static_report")
     if not isinstance(report, StaticDepReport):
         report = analyze_program(program, telemetry)
+        report.program = weakref.proxy(program)
         program.memo["static_report"] = report
     return report

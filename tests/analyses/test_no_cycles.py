@@ -7,6 +7,11 @@ segments run in this process. A reference cycle through an analysis
 (say, a bound method of itself stored on itself) would keep its shadow
 and profile alive until the cyclic collector happens to run, which
 shows up as peak RSS.
+
+The same holds for a compiled program: after a ``Session`` dep run or a
+live ``Alchemist().profile``, with the static report memoised on the
+program and a construct view taken from the report, the program (and
+its block translation) dies once the caller drops the results.
 """
 
 import gc
@@ -16,6 +21,9 @@ import weakref
 import pytest
 
 from repro.analyses import analysis_names, get_analysis, make_analyses
+from repro.api import Session
+from repro.core.alchemist import Alchemist
+from repro.staticdep.report import report_for
 from repro.trace import parallel
 from repro.trace.parallel import parallel_replay, run_segment
 from repro.trace.replay import replay_with
@@ -108,3 +116,55 @@ def test_parallel_replay(trace, instances, monkeypatch):
     assert set(outcome.reports) == set(analysis_names())
     del outcome
     _assert_all_dead(instances[0])
+
+
+# ---------------------------------------------------------------------------
+# Compiled programs
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def no_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _touch(report):
+    """Ask a dep report the questions that hang state on its program
+    or on itself: the memoised static report and a construct view."""
+    program = report.program
+    assert report_for(program).table.static_count()
+    top = report.top_constructs(1)[0]
+    view = report.view(top.pc)
+    assert view.size_fraction() > 0
+    assert view.edge_lines() is not None
+    return weakref.ref(program), weakref.ref(report_for(program))
+
+
+def test_session_dep_frees_its_program(no_collector):
+    """A compiled program, its static report and its block translation
+    die with the last result that refers to them, without the cyclic
+    collector."""
+    with Session() as session:
+        result = session.analyze(get("aes", 0.1).source, ["dep"])
+    program, static = _touch(result["dep"].payload)
+    assert program() is not None
+    del result
+    assert program() is None
+    assert static() is None
+
+
+def test_live_profile_frees_its_program(no_collector):
+    report = Alchemist().profile(get("aes", 0.1).source)
+    program, static = _touch(report)
+    view = report.constructs()[0]
+    del report
+    # A view keeps its report, and so the program, alive.
+    assert program() is not None
+    assert view.instances > 0
+    del view
+    assert program() is None
+    assert static() is None
