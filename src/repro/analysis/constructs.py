@@ -79,15 +79,14 @@ class ConstructTable:
     """All static constructs of a program, plus the runtime lookup maps."""
 
     def __init__(self, program: ProgramIR):
-        self.program = program
         #: Construct head pc -> static construct (procedures + predicates).
         self.by_pc: dict[int, StaticConstruct] = {}
         #: Function name -> procedure construct.
         self.procedures: dict[str, StaticConstruct] = {}
-        self._build()
+        self._build(program)
 
-    def _build(self) -> None:
-        for fn in self.program.functions.values():
+    def _build(self, program: ProgramIR) -> None:
+        for fn in program.functions.values():
             proc = StaticConstruct(
                 pc=fn.entry_pc,
                 kind=ConstructKind.PROCEDURE,

@@ -24,11 +24,15 @@ event for the first time. An event's memo key packs its kind with the
 operands the rules read; operands no construct names share one key,
 since the rules treat them alike. A transition that raises (an EXIT
 with no procedure on the stack, an unknown construct pc) is never
-memoised, so the error comes from the same event every time. The memo
-holds at most :data:`MEMO_CAP` interned states and as many
-transitions: past that it starts afresh from the current stack, so it
-grows with the distinct static stacks a run visits (recursion makes
-many), not with its events.
+memoised, and the table keeps its state from before the block, so the
+error comes from the same event every time. The memo holds at most
+:data:`MEMO_CAP` interned states and as many transitions: past that it
+starts afresh from the current stack, so it grows with the distinct
+static stacks a run visits, not with its events. The memo pays off
+when those stacks repeat: a loop nest revisits a handful (bzip2's run
+visits 18), while each new recursion depth is a new state whose
+transitions are all misses, and a miss costs several times what a
+per-event rule application did.
 
 Rows come after the loop, in numpy: pushes take consecutive rows, and
 each pop closes the latest open push at its depth, or the carried
@@ -36,10 +40,10 @@ stack's entry there, as in matching parentheses. A push is outermost
 when no open instance of its construct encloses it, which its state
 knows from the set of constructs on its stack; the row keeps the flag
 (``outer``), and only the pops of outermost rows fold their durations
-and instance counts into the store (§III-B "Recursion"). The
-:class:`~repro.core.profile_data.ProfileStore`'s recursion nesting
-counters go on counting each construct on the stack. A profile the
-block would create is held back until
+and instance counts into the store (§III-B "Recursion"); the flag
+stands in for the :class:`~repro.core.profile_data.ProfileStore`'s
+recursion nesting counters, which only the indexing stack keeps. A
+profile the block would create is held back until
 :meth:`InstanceTable.create_profiles`, which creates every new profile
 of the block in event order together with the ones the dependence walk
 creates.
@@ -153,10 +157,8 @@ class InstanceTable:
              for block in (c.block_id, c.ipostdom_block, *(c.region or ()),
                            *(c.loop_body or ()))
              if block is not None), default=0)
-        #: Construct head pc -> a dense construct number, and back.
-        self._pcs = list(by_pc)
-        self._dense = np.zeros(self._pc_end, dtype=np.int64)
-        self._dense[self._pcs] = np.arange(len(self._pcs))
+        #: Construct head pc -> its bit in a state's set of constructs.
+        self._bit = {pc: 1 << i for i, pc in enumerate(by_pc)}
         self._start_memo([])
 
     def __len__(self) -> int:
@@ -189,7 +191,7 @@ class InstanceTable:
             self._state = self._new_state(self._state, static)
 
     def _new_state(self, up: int, static) -> int:
-        bit = 1 << int(self._dense[static.pc])
+        bit = self._bit[static.pc]
         held = self._held[up]
         self._up.append(up)
         self._static.append(static)
@@ -301,19 +303,29 @@ class InstanceTable:
         kind, x, y = kinds[control], a[control], b[control]
         codes = []
         append = codes.append
-        memos = self._memo
+        memos = start = self._memo
         state = self._state
         memo = memos[state]
-        for key in self._keys(kind, x, y):
-            try:
-                code, state = memo[key]
-            except KeyError:
-                i = len(codes)
-                code, state = self._learn(state, key, int(kind[i]),
-                                          int(x[i]), int(y[i]))
-                memos = self._memo
-            append(code)
-            memo = memos[state]
+        try:
+            for key in self._keys(kind, x, y):
+                try:
+                    code, state = memo[key]
+                except KeyError:
+                    i = len(codes)
+                    code, state = self._learn(state, key, int(kind[i]),
+                                              int(x[i]), int(y[i]))
+                    memos = self._memo
+                append(code)
+                memo = memos[state]
+        except BaseException:
+            # The rows and the stack are as they were before the block;
+            # a memo reset in it renumbered the states, so start the
+            # memo afresh from the open rows.
+            if self._memo is not start:
+                by_pc = self.constructs.by_pc
+                self._start_memo([by_pc[pc]
+                                  for pc in self.pc[self.stack].tolist()])
+            raise
         self._state = state
         return self._rows(np.array(codes, dtype=np.int64), control,
                           len(etypes), t, first)
@@ -380,7 +392,6 @@ class InstanceTable:
         self.store.dynamic_instances += len(parent)
         if len(push_level):
             self.max_depth = max(self.max_depth, int(push_level.max()) + 1)
-        self._count(self.pc[new_rows], self.pc[popped])
 
         row = np.empty(total, dtype=np.int64)
         row[push_at] = new_rows
@@ -396,21 +407,6 @@ class InstanceTable:
         top[top == -1] = NO_ROW
         payload = top[np.cumsum(np.bincount(at, minlength=events))]
         return BlockRows(payload, row, at, times)
-
-    def _count(self, pushed: np.ndarray, popped: np.ndarray) -> None:
-        """Keep the store's recursion nesting counters — each
-        construct's count on the static stack — over the block's pushes
-        and pops (their pcs)."""
-        size = len(self._pcs)
-        up = np.bincount(self._dense[pushed], minlength=size)
-        down = np.bincount(self._dense[popped], minlength=size)
-        nesting = self.store._nesting
-        pcs = self._pcs
-        touched = np.flatnonzero(up + down)
-        for number, count in zip(touched.tolist(),
-                                 (up - down)[touched].tolist()):
-            pc = pcs[number]
-            nesting[pc] = nesting.get(pc, 0) + count
 
     def _fold(self, outermost: np.ndarray, logged: np.ndarray,
               at: np.ndarray, times: np.ndarray, first: int) -> None:
@@ -480,18 +476,16 @@ class InstanceTable:
         replay): ``entries`` are ``(construct head pc, Tenter)`` bottom to
         top. The rows keep their entry timestamps, so durations of
         constructs that span the seam stay exact; they are pinned (the
-        segment export reports their pops) and the recursion nesting
-        counters count them, so aggregation stays outermost-only. They
-        are not new instances: the segment that entered them counted
-        them. Their static stack is the memo's start state."""
+        segment export reports their pops) and their ``outer`` flags
+        come from the seeded stack, so aggregation stays
+        outermost-only. They are not new instances: the segment that
+        entered them counted them. Their static stack is the memo's
+        start state."""
         if len(self):
             raise RuntimeError("seed() requires an empty instance table")
         by_pc = self.constructs.by_pc
-        nesting = self.store._nesting
         n = len(entries)
         self._start_memo([by_pc[pc] for pc, _t in entries])
-        for pc, _t in entries:
-            nesting[pc] = nesting.get(pc, 0) + 1
         self._append(np.array([pc for pc, _t in entries], dtype=np.int64),
                      np.arange(-1, n - 1, dtype=np.int64),
                      np.array([t for _pc, t in entries], dtype=np.int64),

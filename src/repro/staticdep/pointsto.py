@@ -50,7 +50,6 @@ class AccessModel:
     """Points-to facts and per-pc may-access sets for one program."""
 
     def __init__(self, program: ProgramIR) -> None:
-        self.program = program
         self.reg: dict[tuple[str, int], set[Loc]] = defaultdict(set)
         self.contents: dict[Loc, set[Loc]] = defaultdict(set)
         self.refs: dict[tuple[str, int], set[Loc]] = defaultdict(set)
@@ -58,8 +57,8 @@ class AccessModel:
         self.reads: dict[int, frozenset[Loc]] = {}
         #: traced may-write set per pc (absent pc: no traced write)
         self.writes: dict[int, frozenset[Loc]] = {}
-        self._solve()
-        self._collect_accesses()
+        self._solve(program)
+        self._collect_accesses(program)
 
     # -- fixpoint -----------------------------------------------------
 
@@ -70,13 +69,12 @@ class AccessModel:
             return self.refs[(fn_name, slot.ref_index)]
         return {_slot_loc(slot, fn_name)}
 
-    def _solve(self) -> None:
-        program = self.program
+    def _solve(self, program: ProgramIR) -> None:
         changed = True
         while changed:
             changed = False
             for instr in program.instrs:
-                changed |= self._apply(instr)
+                changed |= self._apply(instr, program)
 
     def _flow(self, dst: set[Loc], src: set[Loc]) -> bool:
         if src <= dst:
@@ -84,7 +82,7 @@ class AccessModel:
         dst |= src
         return True
 
-    def _apply(self, instr: ins.Instr) -> bool:
+    def _apply(self, instr: ins.Instr, program: ProgramIR) -> bool:
         fn = instr.fn_name
         reg, contents, refs = self.reg, self.contents, self.refs
         if isinstance(instr, ins.Move):
@@ -130,7 +128,7 @@ class AccessModel:
             heap = Loc("heap", "", f"heap@{instr.pc}", instr.pc, True)
             return self._flow(reg[(fn, instr.dst)], {heap})
         if isinstance(instr, ins.Call):
-            callee = self.program.functions.get(instr.name)
+            callee = program.functions.get(instr.name)
             if callee is None:
                 return False
             changed = False
@@ -153,8 +151,8 @@ class AccessModel:
 
     # -- traced access sets -------------------------------------------
 
-    def _collect_accesses(self) -> None:
-        for instr in self.program.instrs:
+    def _collect_accesses(self, program: ProgramIR) -> None:
+        for instr in program.instrs:
             fn = instr.fn_name
             if isinstance(instr, ins.Load):
                 self.reads[instr.pc] = frozenset(self._resolve(instr.slot, fn))
@@ -165,7 +163,7 @@ class AccessModel:
             elif isinstance(instr, ins.StoreInd):
                 self.writes[instr.pc] = frozenset(self.reg[(fn, instr.addr)])
             elif isinstance(instr, ins.Call) and instr.dst is not None:
-                if instr.name in self.program.functions:
+                if instr.name in program.functions:
                     self.reads[instr.pc] = frozenset({_ret_loc(instr.name)})
             elif isinstance(instr, ins.Ret) and instr.src is not None:
                 self.writes[instr.pc] = frozenset({_ret_loc(fn)})

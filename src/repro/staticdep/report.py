@@ -45,12 +45,8 @@ class StaticDepReport:
 
     def __init__(self, program: ProgramIR) -> None:
         self.program = program
-        # The table and the model read the program only while they are
-        # built, so they refer to it weakly: a report memoised on its
-        # program (report_for) then forms no reference cycle with it.
-        held = weakref.proxy(program)
-        self.table = ConstructTable(held)
-        self.model = AccessModel(held)
+        self.table = ConstructTable(program)
+        self.model = AccessModel(program)
         self.recursive: frozenset[str] = frozenset(recursive_functions(program))
         #: construct head pc -> pcs that may execute while an instance
         #: of the construct is live (region + transitive callee bodies).

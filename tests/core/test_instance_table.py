@@ -7,14 +7,15 @@ rules one event at a time. On random programs with recursion, goto,
 early returns and breaks, cut into blocks at random sizes and replayed
 from a random seam with a seeded stack, both must produce the same
 rows (pc, parent, Tenter, Texit, exit position), the same per-block
-pushes and pops and payloads, the same recursion nesting counters, and
-the same profiles (durations, instances, creation order).
+pushes and pops and payloads, and the same profiles (durations,
+instances, creation order).
 
 The memo is bounded: with :data:`~repro.core.instances.MEMO_CAP` forced
 tiny it starts afresh over and over, never holds more interned states
 or transitions than the cap, and dep's store does not change. A
-transition that raises is never memoised, so the error comes from the
-same event every time.
+transition that raises is never memoised, and a failing block leaves
+the table as it was before the block, even when the memo was reset in
+it, so the error comes from the same event every time.
 """
 
 import numpy as np
@@ -234,7 +235,6 @@ def _assert_same(table: ConstructTable, columns, seam: int, cuts,
             assert rows.stack == reference.open_rows()
         assert rows.pc[rows.stack].tolist() == [
             node.static.pc for node in reference.stack.stack]
-        assert rows.store._nesting == reference.store._nesting
         assert _profiles(rows.store) == _profiles(reference.store)
         start = end
     assert rows.store.dynamic_instances == reference.store.dynamic_instances
@@ -338,8 +338,7 @@ def test_dep_store_does_not_depend_on_the_cap(name, tmp_path,
     def dep() -> tuple:
         analyses = make_analyses(["dep"])
         outcome = replay_with(path, analyses)
-        return (_report_digest(outcome.reports["dep"].payload),
-                analyses[0].engine.store._nesting)
+        return _report_digest(outcome.reports["dep"].payload)
 
     uncapped = dep()
     seen = _watch_memo(monkeypatch, 3)
@@ -394,6 +393,41 @@ def test_error_raises_at_the_same_event_every_time(cap, monkeypatch):
         with pytest.raises(RuntimeError, match="procedure exit with no"):
             rows.index(etypes[bad - 3:], a[bad - 3:], b[bad - 3:],
                        t[bad - 3:], bad - 3)
+
+
+def test_an_error_after_a_memo_reset_keeps_the_start_state(monkeypatch):
+    """A block that fills the memo and then raises leaves the table in
+    its state before the block: indexing its valid part afterwards
+    gives what a fresh table gives, and the error comes from the same
+    event again."""
+    program = compile_source(get("lisp-cons", 0.05).source)
+    table = ConstructTable(program)
+    (etypes, a, b, t), bad = _bad_exit(program)
+    start = bad - 3
+
+    def prefix() -> InstanceTable:
+        rows = InstanceTable(table, ProfileStore())
+        rows.index(etypes[:start], a[:start], b[:start], t[:start], 0)
+        return rows
+
+    def valid_part(rows: InstanceTable) -> tuple:
+        block = rows.index(etypes[start:bad], a[start:bad], b[start:bad],
+                           t[start:bad], start)
+        return [column.tolist() for column in block], rows.stack
+
+    reference = prefix()
+    expected = valid_part(reference)
+    rows = prefix()
+    # The memo reaches the cap at the bad EXIT, whose stack is not the
+    # block's start stack.
+    assert rows.stack != expected[1]
+    seen = _watch_memo(monkeypatch, reference._transitions)
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="procedure exit with no"):
+            rows.index(etypes[start:bad + 1], a[start:bad + 1],
+                       b[start:bad + 1], t[start:bad + 1], start)
+    assert seen["resets"]
+    assert valid_part(rows) == expected
 
 
 def test_unknown_construct_pc_raises_every_time():
