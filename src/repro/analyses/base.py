@@ -205,12 +205,6 @@ class AnalysisContext:
     events: int | None = None
     wall_seconds: float = 0.0
     mode: str = "live"
-    #: Sampling spec of the trace the events came from, or ``None`` for
-    #: a full-fidelity stream (always ``None`` live — the interpreter
-    #: emits everything; a sampling gate sits in front of individual
-    #: tracers, not the run). Analyses use this to label their results
-    #: as approximate.
-    sampling: str | None = None
     #: Telemetry handle of the engine that drove the events (never
     #: None — defaults to the shared no-op). Plugins emit their own
     #: spans/counters through it (``with ctx.telemetry.span(...)``);

@@ -72,7 +72,6 @@ def profile_summary(report: ProfileReport) -> dict[str, Any]:
 
 
 def _dep_result(report: ProfileReport, track_war_waw: bool,
-                sampling: str | None,
                 telemetry: Any = None) -> AnalysisResult:
     """Shared result rendering for serial ``finish`` and the parallel
     ``finalize_segments`` — one code path, so the two cannot drift."""
@@ -82,19 +81,8 @@ def _dep_result(report: ProfileReport, track_war_waw: bool,
              if track_war_waw else (DepKind.RAW,))
     data = profile_summary(report)
     text = report.to_text(kinds=kinds)
-    if sampling:
-        # A sampled stream distorts the profile in both directions:
-        # dropped events hide dependences (violation counts
-        # under-approximated), and a dropped WRITE re-pairs later
-        # reads with a stale writer (spurious edges, shifted
-        # distances).
-        data["sampled"] = sampling
-        text += (f"\nNOTE: profiled from a sampled trace "
-                 f"({sampling}); dependences may be missed or "
-                 "mis-paired and min distances shifted — treat as "
-                 "lower-confidence hints, not proof.")
     static = report_for(report.program, telemetry)
-    fusion, fusion_lines = fuse_profile(report, static, sampling, telemetry)
+    fusion, fusion_lines = fuse_profile(report, static, telemetry)
     data["static"] = fusion
     text += "\n" + "\n".join(fusion_lines)
     return AnalysisResult(analysis="dep", data=data, text=text,
@@ -118,7 +106,6 @@ def _dep_report(ctx: AnalysisContext, table: ConstructTable, store,
         waw_events=counters["WAW"],
         edges_profiled=counters["edges_profiled"],
         pool=PoolStats(capacity=max_depth, acquires=pushes, grows=pushes),
-        sampling=ctx.sampling,
     )
     return ProfileReport(ctx.program, table, store, stats, ctx.exit_value,
                          [tuple(v) for v in ctx.output])
@@ -193,7 +180,7 @@ class DependenceAnalysis(Analysis):
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
         return _dep_result(self.report(ctx), self.track_war_waw,
-                           ctx.sampling, getattr(ctx, "telemetry", None))
+                           getattr(ctx, "telemetry", None))
 
     # -- segment/merge protocol -------------------------------------------
 
@@ -289,7 +276,7 @@ class DependenceAnalysis(Analysis):
             store.profiles[pc] = profile
         report = _dep_report(ctx, table, store, state["counters"],
                              state["max_depth"], state["pushes"])
-        return _dep_result(report, state["track_war_waw"], ctx.sampling,
+        return _dep_result(report, state["track_war_waw"],
                            getattr(ctx, "telemetry", None))
 
 
@@ -615,14 +602,6 @@ class HotAddressAnalysis(Analysis):
         writes = self._writes
         for addr, count in batch.addr_counts(EV_WRITE):
             writes[addr] = writes.get(addr, 0) + count
-
-    def address_totals(self) -> dict[int, int]:
-        """Full read+write count per address (not just the top rows);
-        the sampling accuracy module compares these across traces."""
-        totals: dict[int, int] = dict(self._reads)
-        for addr, count in self._writes.items():
-            totals[addr] = totals.get(addr, 0) + count
-        return totals
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
         return _hot_result(self._reads, self._writes, self.top, ctx)

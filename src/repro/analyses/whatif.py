@@ -275,8 +275,6 @@ def _advise(report: ProfileReport, ctx: AnalysisContext,
                   **candidates[0]["best"]}
                  if candidates else None),
     }
-    if ctx.sampling:
-        data["sampled"] = ctx.sampling
     return AnalysisResult(analysis=WhatIfAnalysis.name, data=data,
                           text=_render(data), payload=report)
 
@@ -311,9 +309,4 @@ def _render(data: dict[str, Any]) -> str:
         for entry in data["skipped"]:
             lines.append(f"  {entry['name']} (line {entry['line']}) "
                          f"[{entry['verdict']}]: {entry['reason']}")
-    if data.get("sampled"):
-        lines.append(
-            f"NOTE: advised from a sampled trace ({data['sampled']}); "
-            "missed dependences make these predictions optimistic — "
-            "treat as hints, not proof.")
     return "\n".join(lines)

@@ -120,12 +120,10 @@ class Session:
         self.telemetry = as_telemetry(telemetry)
         # Programs are keyed by (digest, filename): same content under a
         # new name recompiles so reports attribute to the right file.
-        # Traces are keyed by (digest, sampling spec) — the event
-        # stream does not depend on the filename, so one recording
-        # serves every alias, but a sampled recording answers different
-        # questions than a full one and must never shadow it.
+        # Traces are keyed by digest alone — the event stream does not
+        # depend on the filename, so one recording serves every alias.
         self._programs: dict[tuple[str, str], ProgramIR] = {}
-        self._traces: dict[tuple[str, str], str] = {}
+        self._traces: dict[str, str] = {}
         # Static dependence reports are execution-free, so they key on
         # the IR digest alone — any filename alias shares one report.
         self._static: dict[str, "StaticDepReport"] = {}
@@ -191,45 +189,32 @@ class Session:
         self._static[digest] = report
         return report
 
-    def _trace_key(self, digest: str) -> tuple[str, str]:
-        """Cache key of a recording under the session's options: one
-        slot per (program, sampling policy)."""
-        return (digest, self.options.sample or "full")
-
     def record(self, source: str, filename: str = "<input>") -> str:
         """Record one execution into the trace cache; returns the path.
 
-        Repeated calls for the same source (any filename) under the
-        same sampling configuration return the cached trace without
-        re-running the program; changing ``options.sample`` records a
-        distinct trace.
+        Repeated calls for the same source (any filename) return the
+        cached trace without re-running the program.
         """
         from repro.trace.writer import record_program
 
         digest = source_digest(source)
-        key = self._trace_key(digest)
-        cached = self._traces.get(key)
+        cached = self._traces.get(digest)
         if cached is not None:
             self.stats.record_hits += 1
             self.telemetry.count("session.trace_cache_hits")
             return cached
         self.telemetry.count("session.trace_cache_misses")
         program = self.compile(source, filename)
-        path = os.path.join(self._trace_dir(), self._trace_name(key))
+        path = self._trace_path(digest)
         record_program(program, path, source=source, filename=filename,
                        max_steps=self.options.max_steps,
-                       sampling=self.options.sample,
                        telemetry=self.telemetry)
-        self._traces[key] = path
+        self._traces[digest] = path
         self.stats.records += 1
         return path
 
-    @staticmethod
-    def _trace_name(key: tuple[str, str]) -> str:
-        digest, spec = key
-        safe_spec = spec.replace(":", "-").replace("/", "-") \
-                        .replace("@", "-")
-        return f"{digest[:16]}-{safe_spec}.trace"
+    def _trace_path(self, digest: str) -> str:
+        return os.path.join(self._trace_dir(), f"{digest[:16]}.trace")
 
     # -- the one entry point ------------------------------------------------
 
@@ -287,8 +272,7 @@ class Session:
             live_ctx: AnalysisContext | None = None
             if replayed:
                 program = self.compile(source, filename)
-                if live and self._trace_key(source_digest(source)) \
-                        not in self._traces:
+                if live and source_digest(source) not in self._traces:
                     # Mixed request on a cold cache: one execution both
                     # records the trace and feeds the live analyses (the
                     # writer is just another tracer on the tee).
@@ -331,7 +315,7 @@ class Session:
         rank candidate constructs by predicted futures speedup.
 
         Thin sugar over ``analyze(source, ["whatif"], ...)`` — the
-        trace cache and the sampling option both apply, and the
+        trace cache applies, and the
         returned :class:`~repro.analyses.AnalysisResult` carries the
         ranked sweep in ``data`` plus the full ``ProfileReport`` as
         ``payload``.
@@ -411,35 +395,19 @@ class Session:
     def _record_and_run_live(self, source: str, filename: str,
                              analyses: list[Analysis]
                              ) -> tuple[str, AnalysisContext]:
-        """Record the trace and feed the live analyses in ONE run.
-
-        The sampling gate wraps only the writer: live analyses on the
-        same tee observe the complete event stream regardless of what
-        the recording keeps.
-        """
-        from repro.sampling.policies import as_policy
-        from repro.sampling.tracer import SampledTracer
+        """Record the trace and feed the live analyses in ONE run."""
         from repro.trace.writer import TraceWriter
 
-        key = self._trace_key(source_digest(source))
-        path = os.path.join(self._trace_dir(), self._trace_name(key))
-        policy = as_policy(self.options.sample)
-        writer = TraceWriter(path, source, filename, sampling=policy.spec)
-        recorder = (writer if policy.is_full
-                    else SampledTracer(policy, writer,
-                                       telemetry=self.telemetry))
-        ctx = self._run_live(source, filename, analyses,
-                             recorder=recorder)
+        digest = source_digest(source)
+        path = self._trace_path(digest)
+        writer = TraceWriter(path, source, filename)
+        ctx = self._run_live(source, filename, analyses, recorder=writer)
         tm = self.telemetry
         if tm.enabled:
             tm.count("session.trace_cache_misses")
             tm.count("trace.events_written", writer.events)
             tm.count("trace.bytes_written", os.path.getsize(writer.path))
-            if not policy.is_full:
-                tm.count("sampling.memory_events_kept", recorder.kept)
-                tm.count("sampling.memory_events_dropped",
-                         recorder.dropped)
-        self._traces[key] = path
+        self._traces[digest] = path
         self.stats.records += 1
         return path, ctx
 

@@ -27,17 +27,16 @@ Subcommands
 ``annotate FILE --line N``
     Render the transformation guidance for the construct at line N as
     an annotated source listing (spawn/join/privatize markers).
-``record FILE -o x.trace [--sample interval:100]``
+``record FILE -o x.trace``
     Execute once under the trace recorder; every interpreter event is
     streamed into a compact self-contained trace file (format v2,
-    block-compressed). ``--sample`` gates the memory-event
-    stream through a sampling policy for much smaller traces.
+    block-compressed).
 ``replay x.trace --analysis dep,locality,hot``
     Thin alias for replaying an existing trace file through registered
     analyses — no re-execution.
 ``info x.trace``
     Inspect a trace without replaying it: format version, header
-    provenance (digest, sampling policy), event counts by type,
+    provenance (program, digest), event counts by type,
     checkpoint seams (from the ``.ckpt`` sidecar, or none yet), and
     compressed vs. uncompressed sizes.
 ``stats m.json``
@@ -179,8 +178,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.raw_only:
         options = {"dep": {"track_war_waw": False}}
     try:
-        session_options = ProfileOptions(sample=args.sample,
-                                         jobs=args.jobs)
+        session_options = ProfileOptions(jobs=args.jobs)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     source = _read(args.file)
@@ -376,35 +374,22 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_sample(spec: str | None):
-    from repro.sampling.policies import parse_sample_spec
-
-    try:
-        return parse_sample_spec(spec)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
 def _cmd_record(args: argparse.Namespace) -> int:
     from repro.trace import record_source
 
     out = args.out or (args.file + ".trace")
-    policy = _parse_sample(args.sample)
     if args.checkpoints < 0:
         raise CliError(f"--checkpoints must be >= 0, "
                        f"got {args.checkpoints}")
     result = record_source(_read(args.file), out, filename=args.file,
-                           sampling=policy,
                            checkpoint_interval=args.checkpoints,
                            telemetry=args.telemetry)
-    sampled = ("" if policy.is_full
-               else f", sampled {policy.spec}")
     seams = (f", {result.checkpoints} checkpoint(s) prebuilt"
              if args.checkpoints else "")
     # The "recorded ... -> path" line is the verb's result: stdout.
     print(f"recorded {result.events} events ({result.trace_bytes} bytes, "
           f"{result.final_time} instructions, format v2"
-          f"{sampled}{seams}) -> {result.path}")
+          f"{seams}) -> {result.path}")
     _progress(args, f"[exit {result.exit_value}; "
                     f"{result.wall_seconds:.3f}s]")
     return 0
@@ -430,7 +415,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print("format:     v2 (delta/varint records, zlib blocks)")
     print(f"program:    {header.filename}")
     print(f"digest:     sha256:{header.digest}")
-    print(f"sampling:   {header.sampling}")
     print(f"functions:  {len(header.functions)} "
           f"({', '.join(header.functions[:8])}"
           f"{', ...' if len(header.functions) > 8 else ''})")
@@ -506,10 +490,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     analyses = tuple(parse_spec(args.analysis))
     for name in analyses:  # fail fast through the registry
         get_analysis(name)
-    policy = _parse_sample(args.sample)
     report = record_replay_many(names, args.out_dir, analyses=analyses,
                                 workers=args.workers, scale=args.scale,
-                                sampling=policy.spec,
                                 telemetry=args.telemetry)
     print(report.describe())
     failed = report.failures()
@@ -613,11 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "a recording")
     p_ana.add_argument("--raw-only", action="store_true",
                        help="skip WAR/WAW tracking (dep analysis)")
-    p_ana.add_argument("--sample", default=None, metavar="SPEC",
-                       help="record the replay trace under a sampling "
-                            "policy (interval:N, burst:K/N, "
-                            "reservoir:K[@SEED]); replayed results "
-                            "become lower-confidence hints")
     p_ana.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="replay through N parallel workers "
                             "(0 = one per CPU; results identical to "
@@ -706,10 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("file")
     p_rec.add_argument("-o", "--out", default=None,
                        help="trace output path (default FILE.trace)")
-    p_rec.add_argument("--sample", default=None, metavar="SPEC",
-                       help="sampling policy for memory events: "
-                            "interval:N, burst:K/N, reservoir:K[@SEED] "
-                            "(default: full fidelity)")
     p_rec.add_argument("--checkpoints", type=int, default=0,
                        metavar="N",
                        help="prebuild the .ckpt shard-seam sidecar for "
@@ -764,9 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--scale", type=float, default=0.5)
     p_batch.add_argument("--json", action="store_true",
                          help="print per-workload payloads as JSON")
-    p_batch.add_argument("--sample", default=None, metavar="SPEC",
-                         help="sampling policy for the record phase "
-                              "(default: full fidelity)")
     _add_observability(p_batch)
     p_batch.set_defaults(func=_cmd_batch)
 

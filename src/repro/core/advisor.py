@@ -29,7 +29,7 @@ if TYPE_CHECKING:
 #: ``must`` — the static pass proves the dynamic verdict (every blocking
 #: RAW edge is a MUST_DEP, or no loop-carried RAW class survives
 #: statically); ``may`` — static analysis leaves room for the dynamic
-#: picture to be incomplete (aliasing, arrays, sampling); ``dynamic-only``
+#: picture to be incomplete (aliasing, arrays, input); ``dynamic-only``
 #: — no static report was supplied.
 CONFIDENCE_MUST = "must"
 CONFIDENCE_MAY = "may"
@@ -196,9 +196,8 @@ class Advisor:
         pass. ``BLOCKED`` is *must*-confident when every blocking RAW
         edge is statically certain (MUST_DEP); ``READY``/``TRANSFORM``
         are *must*-confident when the static pass finds no loop-carried
-        RAW class at all — nothing a different input or a sampling gap
-        could reveal. Anything the static pass cannot pin down stays
-        ``may``.
+        RAW class at all — nothing a different input could reveal.
+        Anything the static pass cannot pin down stays ``may``.
         """
         static = self.static_report
         if static is None:

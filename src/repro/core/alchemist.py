@@ -35,11 +35,6 @@ class ProfileOptions:
     #: Also time an uninstrumented run to report the slowdown factor
     #: (Table III's Orig. column).
     measure_baseline: bool = False
-    #: Sampling policy spec for recordings ("full"/None keeps every
-    #: memory event; e.g. "interval:100", "burst:1000/10000",
-    #: "reservoir:256"). Applies to trace recording only — live
-    #: analyses always see the complete stream.
-    sample: str | None = None
     #: Parallel replay worker count. ``None``/1 = serial; 0 = one per
     #: CPU; N > 1 = that many processes. Replayed analyses that
     #: implement the segment protocol then run as a sharded parallel
@@ -58,16 +53,11 @@ class ProfileOptions:
         if self.max_steps <= 0:
             raise ValueError(
                 f"max_steps must be positive, got {self.max_steps}")
-        from repro.sampling.policies import parse_sample_spec
-
         if self.jobs is not None and self.jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {self.jobs}")
         if self.checkpoints is not None and self.checkpoints < 0:
             raise ValueError(
                 f"checkpoints must be >= 0, got {self.checkpoints}")
-        # Normalize the spec early so equal configs cache-key equally
-        # ("INTERVAL:100 " and "interval:100" are one policy).
-        self.sample = parse_sample_spec(self.sample).spec
 
 
 class Alchemist:

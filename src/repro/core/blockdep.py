@@ -43,7 +43,7 @@ import functools
 import numpy as np
 
 from repro.analysis.constructs import ConstructTable
-from repro.core.instances import BlockRows, InstanceTable
+from repro.core.instances import OPEN, BlockRows, InstanceTable
 from repro.core.profile_data import DepKind, EdgeStats, ProfileStore
 from repro.core.shadow import (BOUNDARY_ID, PAIR_KINDS, ShadowArrays,
                                group_pairs)
@@ -243,15 +243,21 @@ class BlockDependence:
     def _create_profiles(self, construct: np.ndarray,
                          step_order: np.ndarray, at: np.ndarray) -> None:
         """The block's new profiles, in event order: those its pops
-        create and those whose first walk step is here."""
+        create and those whose first walk step is here. Walk steps are
+        at completed rows, so only the constructs of those rows that
+        have no profile yet are looked for among the steps."""
         profiles = self.store.profiles
+        rows = self.rows
         walked = {}
-        for c in np.unique(construct).tolist():
-            if c not in profiles:
+        missing = [pc for pc in rows.constructs.by_pc if pc not in profiles]
+        if missing:
+            done = rows.pc[rows.exit_at != OPEN]
+            for c in np.unique(done[np.isin(done, missing)]).tolist():
                 steps = np.flatnonzero(construct == c)
-                i = steps[np.argmin(step_order[steps])]
-                walked[c] = (int(at[i]), int(step_order[i]))
-        self.rows.create_profiles(walked)
+                if len(steps):
+                    i = steps[np.argmin(step_order[steps])]
+                    walked[c] = (int(at[i]), int(step_order[i]))
+        rows.create_profiles(walked)
 
     def _walk(self, node: np.ndarray, at: np.ndarray) -> tuple:
         """Table II over arrays: for pair i (head instance row

@@ -42,12 +42,6 @@ class RunStats:
     waw_events: int = 0
     edges_profiled: int = 0
     pool: PoolStats = field(default_factory=PoolStats)
-    #: Sampling spec of the event stream this profile was built from
-    #: (None = full fidelity). A sampled profile is a hint: dropped
-    #: events hide dependences, and dropped writes can mis-pair later
-    #: reads with stale writers, so edges and min distances shift in
-    #: both directions.
-    sampling: str | None = None
 
     @property
     def slowdown(self) -> float | None:
@@ -438,6 +432,4 @@ class ProfileReport:
         ]
         if s.slowdown is not None:
             parts.append(f"slowdown={s.slowdown:.1f}x")
-        if s.sampling:
-            parts.append(f"sampling={s.sampling}")
         return " ".join(parts)

@@ -148,9 +148,8 @@ def _takes_blocks(consumer) -> bool:
     """Does ``consumer`` take whole blocks: ``batch_kind = "block"``
     and a usable ``consume_batch``? Every other consumer, non-Analysis
     tracers included, gets per-event hooks. The one consumer split of
-    every dispatcher: the replay loop and the live tee; the interpreter
-    and the sampling gate, which hand over records, not blocks, refuse
-    a block consumer."""
+    every dispatcher: the replay loop and the live tee; the interpreter,
+    which hands over records, not blocks, refuses a block consumer."""
     return (getattr(consumer, "batch_kind", None) == "block"
             and getattr(consumer, "consume_batch", None) is not None)
 

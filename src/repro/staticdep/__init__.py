@@ -9,7 +9,7 @@ Public surface:
 * :func:`analyze_program` / :func:`report_for` — run (or memoize) the
   pass for a compiled :class:`~repro.ir.cfg.ProgramIR`;
 * :func:`fuse_profile` — fold static verdicts into a dynamic dep
-  result (hint upgrades, missed-by-sampling warnings);
+  result (each observed edge classified; contradictions counted);
 * the model types: :class:`StaticVerdict`, :class:`Loc`,
   :class:`StaticClass`.
 """

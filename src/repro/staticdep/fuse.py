@@ -2,20 +2,10 @@
 
 Called from the ``dep`` analysis's result builder (serial finish and
 parallel ``finalize_segments`` alike, so live, replay and parallel modes
-stay byte-identical). Two jobs:
-
-* classify every observed dynamic edge against the static model. On a
-  **full** trace a ``PROVEN_INDEPENDENT`` classification is a
-  *contradiction* — the soundness oracle asserts there are none. On a
-  **sampled** trace the same classification *upgrades* the edge from
-  hint to verdict: the edge is a shadow-memory mis-pairing across a
-  sampling gap, not a real dependence. A ``MUST_DEP`` classification
-  upgrades the hint in the other direction — the dependence is certain
-  even though sampling only glimpsed it.
-* report what sampling never saw: statically possible (MAY/MUST)
-  dependence classes of an executed construct with no observed edge are
-  emitted as ``missed-by-sampling`` warnings instead of being silently
-  absent.
+stay byte-identical). It classifies every observed dynamic edge against
+the static model. A trace holds every event, so a ``PROVEN_INDEPENDENT``
+classification is a *contradiction* — the soundness oracle asserts
+there are none.
 """
 
 from __future__ import annotations
@@ -25,64 +15,38 @@ from typing import TYPE_CHECKING
 from repro.core.profile_data import DepKind
 from repro.core.report import ProfileReport
 
-from repro.staticdep.model import StaticClass, StaticVerdict
+from repro.staticdep.model import StaticVerdict
 from repro.staticdep.report import StaticDepReport, report_for
 
 if TYPE_CHECKING:
     from repro.telemetry.spans import NullTelemetry, Telemetry
-
-#: Cap on rendered missed-by-sampling warning lines (the JSON payload
-#: always carries the full list).
-_MAX_WARN_LINES = 8
 
 
 def _edge_key(head_pc: int, tail_pc: int, kind: DepKind) -> str:
     return f"{head_pc}->{tail_pc}:{kind.value}"
 
 
-def _missed_classes(profile_edges: set[tuple[int, int, DepKind]],
-                    classes: tuple[StaticClass, ...]) -> list[StaticClass]:
-    """Static classes (non-induction, dependence-possible) with no
-    observed edge: kind matches and the observed head pc falls in the
-    class's head set."""
-    missed: list[StaticClass] = []
-    for cls in classes:
-        if cls.induction or cls.call_local:
-            continue
-        covered = any(kind is cls.kind and head in cls.head_pcs
-                      for head, _tail, kind in profile_edges)
-        if not covered:
-            missed.append(cls)
-    return missed
-
-
 def fuse_profile(report: ProfileReport, static: StaticDepReport,
-                 sampling: str | None,
                  telemetry: "Telemetry | NullTelemetry | None" = None,
                  ) -> tuple[dict[str, object], list[str]]:
     """Classify a profile's edges statically; returns the ``static``
     payload for the analysis result plus rendered text lines."""
     from repro.telemetry import as_telemetry
     tm = as_telemetry(telemetry)
-    with tm.span("static.fuse", sampled=bool(sampling)) as span:
-        payload, lines = _fuse(report, static, sampling)
+    with tm.span("static.fuse") as span:
+        payload, lines = _fuse(report, static)
         span.set(edges=payload["edges_checked"],
-                 contradictions=payload["contradictions"],
-                 upgraded=payload["upgraded_hints"])
+                 contradictions=payload["contradictions"])
     return payload, lines
 
 
-def _fuse(report: ProfileReport, static: StaticDepReport,
-          sampling: str | None) -> tuple[dict[str, object], list[str]]:
-    sampled = sampling is not None
+def _fuse(report: ProfileReport, static: StaticDepReport
+          ) -> tuple[dict[str, object], list[str]]:
     constructs: dict[str, dict[str, object]] = {}
     checked = confirmed = possible = refuted = 0
-    missed_total = 0
-    warn_lines: list[str] = []
 
     for view in report.constructs():
         edges: dict[str, str] = {}
-        entry_missed: list[dict[str, str]] = []
         for (head, tail, kind), _stats in sorted(
                 view.profile.edges.items(),
                 key=lambda item: (item[0][0], item[0][1], item[0][2].value)):
@@ -95,55 +59,20 @@ def _fuse(report: ProfileReport, static: StaticDepReport,
                 possible += 1
             else:
                 refuted += 1
-        if sampled:
-            observed = set(view.profile.edges)
-            for cls in _missed_classes(observed,
-                                       static.classes.get(view.pc, ())):
-                entry_missed.append({
-                    "kind": cls.kind.value,
-                    "var": cls.var,
-                    "verdict": cls.verdict.value,
-                })
-                missed_total += 1
-                if len(warn_lines) < _MAX_WARN_LINES:
-                    warn_lines.append(
-                        f"  missed-by-sampling: {view.name} "
-                        f"{cls.kind.value} on {cls.var} "
-                        f"({cls.verdict.value})")
-        if edges or entry_missed:
-            entry: dict[str, object] = {"edges": edges}
-            if sampled:
-                entry["missed_by_sampling"] = entry_missed
-            constructs[str(view.pc)] = entry
+        if edges:
+            constructs[str(view.pc)] = {"edges": edges}
 
-    upgraded = (confirmed + refuted) if sampled else 0
-    contradictions = 0 if sampled else refuted
     payload: dict[str, object] = {
-        "mode": "sampled" if sampled else "full",
         "edges_checked": checked,
         "confirmed_must": confirmed,
         "possible_may": possible,
-        "upgraded_hints": upgraded,
-        "contradictions": contradictions,
-        "missed_by_sampling": missed_total,
+        "contradictions": refuted,
         "constructs": constructs,
     }
-
-    lines: list[str] = []
-    if sampled:
-        lines.append(
-            f"Static fusion: upgraded {upgraded} sampled hint(s) to "
-            f"verdicts ({confirmed} confirmed MUST_DEP, {refuted} proven "
-            f"spurious); {missed_total} statically-possible class(es) "
-            f"missed by sampling.")
-        lines.extend(warn_lines)
-        if missed_total > len(warn_lines):
-            lines.append(f"  ... and {missed_total - len(warn_lines)} more")
-    else:
-        lines.append(
-            f"Static fusion: {checked} edge(s) checked against the static "
-            f"pass; {confirmed} confirmed MUST_DEP, {possible} MAY_DEP, "
-            f"{contradictions} contradiction(s).")
+    lines = [
+        f"Static fusion: {checked} edge(s) checked against the static "
+        f"pass; {confirmed} confirmed MUST_DEP, {possible} MAY_DEP, "
+        f"{refuted} contradiction(s)."]
     return payload, lines
 
 

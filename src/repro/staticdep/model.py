@@ -104,7 +104,7 @@ class StaticClass:
     #: Return-cell classes: the callee's ``Ret`` writes the word and the
     #: call site consumes it immediately, inside one construct instance —
     #: a real dependence, but never a loop-carried one, so construct
-    #: verdicts and missed-by-sampling warnings skip these.
+    #: verdicts skip these.
     call_local: bool = False
 
     def to_dict(self) -> dict[str, object]:

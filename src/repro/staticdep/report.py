@@ -14,8 +14,7 @@ edge: given the ``(head_pc, tail_pc, kind)`` key of an
 (``MUST_DEP``: both end points are must-alias accesses to one word),
 possible (``MAY_DEP``), or impossible (``PROVEN_INDEPENDENT``: the
 may-access sets are disjoint, or the head pc cannot execute inside the
-construct at all — which on a *sampled* trace exposes a shadow-memory
-mis-pairing across a sampling gap)?
+construct at all)?
 """
 
 from __future__ import annotations
@@ -155,7 +154,7 @@ class StaticDepReport:
         inside = self.inside_pcs.get(construct_pc)
         if inside is not None and head_pc not in inside:
             # The head access cannot happen while an instance of this
-            # construct is live: a sampling-gap mis-pairing.
+            # construct is live.
             return StaticVerdict.PROVEN_INDEPENDENT
         if kind is DepKind.RAW:
             head = self.model.writes_at(head_pc)

@@ -18,7 +18,7 @@ its *own* time and memory go. This package is that layer:
 
 Every stage of the pipeline takes an optional ``telemetry`` handle and
 wraps its work in spans: ``Session`` (compile/record/replay/live),
-the trace writer and sampling gate, serial and parallel replay (with
+the trace writer, serial and parallel replay (with
 per-worker spans stitched under the coordinator), the batch driver,
 and the what-if advisor sweep. Plugins receive the same handle via
 ``AnalysisContext.telemetry``.

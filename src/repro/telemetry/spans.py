@@ -8,7 +8,7 @@ A :class:`Telemetry` object collects three kinds of self-observation:
   the tree ``--metrics`` dumps and ``alchemist stats`` renders.
 * **counters** — monotonically accumulated event tallies
   (``tm.count("trace.events_decoded", n)``): decoded events, bytes
-  read/written, cache hits/misses, sampled-out events, …
+  read/written, cache hits/misses, …
 * **gauges** — last-value-wins measurements (``tm.gauge(...)``): pool
   utilization, cache sizes at the end of a run.
 

@@ -9,8 +9,6 @@ costs a full re-execution. This package decouples the two:
     streams every record the interpreter emits into a compact binary
     trace file,
     plus :func:`record_source` / :func:`record_program`.
-    Recording optionally runs under a sampling policy
-    (:mod:`repro.sampling`) that thins the memory-event stream.
 ``repro.trace.codec``
     The event encoding (trace format v2): delta/varint records in
     zlib-compressed blocks, and the one decoder that turns each block

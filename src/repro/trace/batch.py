@@ -44,9 +44,6 @@ class BatchJob:
     workload: str = ""
     scale: float = 1.0
     analyses: tuple[str, ...] = DEFAULT_ANALYSES
-    #: Sampling spec the record phase runs under ("full" = unsampled);
-    #: replay jobs ignore it.
-    sampling: str = "full"
     #: Modules imported in the worker before resolving ``analyses`` —
     #: how user plugins reach the registry of a freshly *spawned*
     #: process (fork-start platforms inherit the parent registry, spawn
@@ -97,14 +94,13 @@ def run_job(job: BatchJob) -> BatchResult:
             workload = get(job.workload or job.name, job.scale)
             result = record_source(
                 workload.source, job.trace_path, filename=workload.name,
-                sampling=job.sampling, telemetry=tm)
+                telemetry=tm)
             payload = {
                 "trace": result.path,
                 "events": result.events,
                 "trace_bytes": result.trace_bytes,
                 "final_time": result.final_time,
                 "exit_value": result.exit_value,
-                "sampling": result.sampling,
             }
         elif job.kind == "replay":
             # Analyses resolve through the shared registry; every
@@ -237,7 +233,6 @@ def record_replay_many(workload_names: list[str], out_dir: str,
                        workers: int | None = None,
                        scale: float = 1.0,
                        plugin_modules: tuple[str, ...] = (),
-                       sampling: str = "full",
                        options: dict | None = None,
                        telemetry=None) -> BatchReport:
     """Record every workload, then replay every trace, both in parallel.
@@ -245,9 +240,8 @@ def record_replay_many(workload_names: list[str], out_dir: str,
     The two phases are separated by a barrier (a replay needs its trace
     on disk); within each phase jobs run concurrently. Pass the modules
     that ``@register`` your custom analyses via ``plugin_modules`` so
-    spawned workers can resolve them too. ``sampling`` configures
-    the record phase (see :func:`repro.trace.record_source`);
-    ``options`` carries per-analysis options into every replay job
+    spawned workers can resolve them too. ``options`` carries
+    per-analysis options into every replay job
     (``{"whatif": {"workers": "2,4"}}``). With an enabled ``telemetry``
     every worker collects its own spans, stitched back under the
     driver's ``batch`` span in submission order.
@@ -261,7 +255,7 @@ def record_replay_many(workload_names: list[str], out_dir: str,
     record_jobs = [
         BatchJob(kind="record", name=name, workload=name, scale=scale,
                  trace_path=os.path.join(out_dir, f"{name}.trace"),
-                 sampling=sampling, telemetry=tm.enabled)
+                 telemetry=tm.enabled)
         for name in workload_names
     ]
     with tm.span("batch", workloads=list(workload_names),

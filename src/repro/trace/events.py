@@ -25,10 +25,10 @@ The header embeds the program source (compressed) plus its SHA-256
 digest, so a trace is self-contained: replay recompiles the embedded
 source and verifies the digest rather than trusting a separate file.
 The function-name table is fixed at record time (compilation order), so
-ENTER/EXIT events carry a small index instead of a string. The header
-also names the sampling policy the recording ran under (``"full"``
-when every memory event was kept), so consumers can label sampled
-results as lower-confidence hints.
+ENTER/EXIT events carry a small index instead of a string. Every
+header carries ``"sampling":"full"``, a constant of the format: a
+trace always holds every event, and a header naming anything else
+(written by a recorder that could drop memory events) is rejected.
 
 Operands and deltas must fit 32 bits; the recorder and the encoder
 raise :class:`TraceError` otherwise (addresses are word indices, so
@@ -111,21 +111,24 @@ class TraceHeader:
     heap_base: int
     #: Function names in compilation order; ENTER/EXIT events index this.
     functions: list[str] = field(default_factory=list)
-    #: Sampling policy spec the recording ran under ("full" = every
-    #: memory event kept).
-    sampling: str = "full"
 
     def to_bytes(self) -> bytes:
-        payload = json.dumps(self.__dict__, separators=(",", ":"))
+        payload = json.dumps({**self.__dict__, "sampling": "full"},
+                             separators=(",", ":"))
         return zlib.compress(payload.encode("utf-8"), 6)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "TraceHeader":
         try:
             data = json.loads(zlib.decompress(blob))
-            return cls(**data)
-        except (zlib.error, ValueError, TypeError) as exc:
+            sampling = data.pop("sampling", "full")
+            header = cls(**data)
+        except (zlib.error, ValueError, TypeError, AttributeError) as exc:
             raise TraceError(f"corrupt trace header: {exc}") from exc
+        if sampling != "full":
+            raise TraceError(f"sampled traces ({sampling}) are no longer "
+                             "supported")
+        return header
 
 
 @dataclass

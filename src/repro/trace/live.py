@@ -52,16 +52,15 @@ class TeeTracer(Tracer):
     child tracers: recorders (trace writers, and a :class:`LiveTap`
     — ``tap``, ``None`` without one — for the block consumers, which
     get a fresh ``Memory``) share one record list; hooked children
-    share one record→hook adapter on the interpreter's memory; any
-    other child (a sampling gate) brings its own sink. With only
-    recorders, ``emit`` is the list's ``extend``."""
+    share one record→hook adapter on the interpreter's memory. With
+    only recorders, ``emit`` is the list's ``extend``."""
 
     def __init__(self, children: list[Tracer]):
         self.children = list(children)
         self.tap: LiveTap | None = None
 
     def sink(self, program: ProgramIR, memory: Memory) -> Sink:
-        recorders, hooked, own = [], [], []
+        recorders, hooked = [], []
         blocks = [c for c in self.children if _takes_blocks(c)]
         replayed = Memory(program, memory.stack_limit)
         for child in self.children:
@@ -70,11 +69,9 @@ class TeeTracer(Tracer):
             elif isinstance(child, EventRecorder):
                 child.on_start(program, memory)
                 recorders.append(child)
-            elif type(child).sink is Tracer.sink:
+            else:
                 child.on_start(program, memory)
                 hooked.append(child)
-            else:
-                own.append(child)
         if blocks:
             self.tap = LiveTap(batch_dispatcher(
                 blocks, replayed, list(program.functions.values())))
@@ -82,7 +79,6 @@ class TeeTracer(Tracer):
         sinks = [RecordBlocks(recorders)] if recorders else []
         if hooked:
             sinks.append(hook_sink(hooked, program))
-        sinks += [child.sink(program, memory) for child in own]
         return join_sinks(sinks)
 
 

@@ -280,7 +280,6 @@ def parallel_replay(path: str | os.PathLike,
         final_memory = restore_memory(
             program, header,
             Checkpoint.from_payload(results[-1]["memory"]))
-        sampling = getattr(header, "sampling", "full")
         wall = _time.perf_counter() - start
         ctx = AnalysisContext(
             program=program,
@@ -291,7 +290,6 @@ def parallel_replay(path: str | os.PathLike,
             events=footer.events,
             wall_seconds=wall,
             mode="replay",
-            sampling=None if sampling in (None, "", "full") else sampling,
             telemetry=tm,
         )
         with tm.span("replay.merge", analyses=list(names)) as merge_span:

@@ -345,7 +345,6 @@ class ReplayEngine:
                     "trace": reader.path, "events": events,
                     "analyses": names,
                     "wall_seconds": round(wall, 6)})
-        sampling = getattr(header, "sampling", "full")
         return AnalysisContext(
             program=program,
             memory=memory,
@@ -356,7 +355,6 @@ class ReplayEngine:
             events=footer.events if footer is not None else 0,
             wall_seconds=wall,
             mode="replay",
-            sampling=None if sampling in (None, "", "full") else sampling,
             telemetry=tm,
         )
 

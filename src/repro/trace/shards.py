@@ -315,16 +315,14 @@ def _checkpoints_digest(payloads: list) -> str:
 
 def _read_sidecar(path: str, interval: int | None) -> dict | None:
     """The sidecar's JSON if it still matches the trace (same schema,
-    size, header digest and sampling), its checkpoints still match
-    their digest and, when ``interval`` is given, it was built at that
-    interval; missing, stale, torn or damaged sidecars all read as
-    ``None``."""
+    size and header digest), its checkpoints still match their digest
+    and, when ``interval`` is given, it was built at that interval;
+    missing, stale, torn or damaged sidecars all read as ``None``."""
     try:
         size = os.path.getsize(path)
         with TraceReader(path) as reader:
             key = {"schema": _SIDECAR_SCHEMA, "size": size,
-                   "digest": reader.header.digest,
-                   "sampling": reader.header.sampling}
+                   "digest": reader.header.digest}
         with open(_sidecar_path(path)) as handle:
             data = json.load(handle)
         if not (isinstance(data, dict)
@@ -426,8 +424,7 @@ def load_or_build_checkpoints(path: str | os.PathLike,
     payloads = [c.to_payload() for c in checkpoints]
     _write_sidecar(_sidecar_path(path), {
         "schema": _SIDECAR_SCHEMA, "size": os.path.getsize(path),
-        "digest": header.digest, "sampling": header.sampling,
-        "interval": interval,
+        "digest": header.digest, "interval": interval,
         "checkpoints_digest": _checkpoints_digest(payloads),
         "checkpoints": payloads})
     return checkpoints

@@ -14,14 +14,6 @@ through any number of analyses without touching the interpreter again.
 Hooked tracers on the same run are served by the record→hook adapter
 (:func:`~repro.runtime.tracing.hook_sink`).
 
-Recording can also run under a sampling policy (:mod:`repro.sampling`):
-the gate filters the records, dropping the READ/WRITE ones the policy
-rejects while every structural record (enter/exit, block, branch,
-alloc, free, finish) is always kept, so a sampled trace still replays
-with exact memory reconstruction — only the memory-access stream is
-thinned. The policy's spec string is embedded in the header so
-consumers can label sampled results as lower-confidence.
-
 The header is written from :meth:`TraceWriter.on_start` (which is the
 first moment the program — and with it the function-name table and
 memory geometry — is known); the footer is written by :meth:`close`,
@@ -192,22 +184,16 @@ class TraceWriter(EventRecorder):
         header together with its digest so the trace is self-contained.
     filename:
         Reported in the header for provenance only.
-    sampling:
-        Spec string recorded in the header (``"full"`` unless the run
-        is gated by a sampling policy — the *gating* itself is the
-        policy's job, via :class:`repro.sampling.SampledTracer`).
     block_bytes:
         Uncompressed bytes buffered per compressed block.
     """
 
     def __init__(self, path: str | os.PathLike, source: str,
                  filename: str = "<input>", *,
-                 sampling: str = "full",
                  block_bytes: int = DEFAULT_BLOCK_BYTES):
         self.path = os.fspath(path)
         self.source = source
         self.filename = filename
-        self.sampling = sampling
         self.closed = False
         super().__init__()
         self._block_encoder = BlockEncoder(block_bytes)
@@ -224,7 +210,6 @@ class TraceWriter(EventRecorder):
             stack_limit=memory.stack_limit,
             heap_base=memory.heap_base,
             functions=list(program.functions),
-            sampling=self.sampling,
         )
         blob = header.to_bytes()
         self._handle.write(MAGIC)
@@ -272,8 +257,6 @@ class RecordResult:
     final_time: int
     trace_bytes: int
     wall_seconds: float
-    #: Sampling spec the run recorded under ("full" = unsampled).
-    sampling: str = "full"
     #: Shard seams prebuilt into the ``.ckpt`` sidecar
     #: (``checkpoint_interval > 0``); 0 = built on first parallel plan.
     checkpoints: int = 0
@@ -282,37 +265,28 @@ class RecordResult:
 def record_program(program: ProgramIR, path: str | os.PathLike, *,
                    source: str, filename: str = "<input>",
                    max_steps: int = DEFAULT_MAX_STEPS,
-                   sampling=None,
                    checkpoint_interval: int = 0,
                    telemetry=None) -> RecordResult:
     """Run ``program`` under a :class:`TraceWriter`; returns the summary.
 
     ``source`` must be the text ``program`` was compiled from — it is
-    embedded in the trace and recompiled at replay time. ``sampling``
-    accepts a spec string (``"interval:100"``) or an instantiated
-    :class:`repro.sampling.SamplingPolicy`; memory events the policy
-    drops never reach the file. ``checkpoint_interval > 0`` scans the
-    finished trace into its ``.ckpt`` shard-seam sidecar, one seam
-    every that many events (0: parallel replay builds it on
-    first use). ``telemetry`` wraps the run in a ``record`` span with
-    writer, sampling-gate and block translation counters (tallies the
-    stage keeps anyway — nothing is added per event).
+    embedded in the trace and recompiled at replay time.
+    ``checkpoint_interval > 0`` scans the finished trace into its
+    ``.ckpt`` shard-seam sidecar, one seam every that many events (0:
+    parallel replay builds it on first use). ``telemetry`` wraps the
+    run in a ``record`` span with writer and block translation counters
+    (tallies the stage keeps anyway — nothing is added per event).
     """
-    from repro.sampling import SampledTracer, as_policy
     from repro.telemetry import as_telemetry, get_logger
 
     if checkpoint_interval < 0:
         raise ValueError(f"checkpoint_interval must be >= 0, "
                          f"got {checkpoint_interval}")
     tm = as_telemetry(telemetry)
-    policy = as_policy(sampling)
-    writer = TraceWriter(path, source, filename, sampling=policy.spec)
-    tracer = (writer if policy.is_full
-              else SampledTracer(policy, writer, telemetry=tm))
-    with tm.span("record", file=filename,
-                 sampling=policy.spec) as span:
+    writer = TraceWriter(path, source, filename)
+    with tm.span("record", file=filename) as span:
         try:
-            interp = Interpreter(program, tracer, max_steps)
+            interp = Interpreter(program, writer, max_steps)
             exit_value = interp.run()
         except BaseException:
             writer.abort()
@@ -330,14 +304,10 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
              **interp.block_stats())
     tm.count("trace.events_written", writer.events)
     tm.count("trace.bytes_written", trace_bytes)
-    if not policy.is_full and tm.enabled:
-        tm.count("sampling.memory_events_kept", tracer.kept)
-        tm.count("sampling.memory_events_dropped", tracer.dropped)
     get_logger(__name__).info(
         "recorded trace", extra={
             "trace": writer.path, "events": writer.events,
             "bytes": trace_bytes,
-            "sampling": policy.spec,
             "wall_seconds": round(span.wall_seconds, 6)})
     return RecordResult(
         path=writer.path,
@@ -346,7 +316,6 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
         final_time=writer.final_time,
         trace_bytes=trace_bytes,
         wall_seconds=span.wall_seconds,
-        sampling=policy.spec,
         checkpoints=checkpoints,
     )
 
@@ -354,7 +323,6 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
 def record_source(source: str, path: str | os.PathLike, *,
                   filename: str = "<input>",
                   max_steps: int = DEFAULT_MAX_STEPS,
-                  sampling=None,
                   checkpoint_interval: int = 0,
                   telemetry=None) -> RecordResult:
     """Compile and record MiniC ``source`` into a trace at ``path``."""
@@ -364,6 +332,6 @@ def record_source(source: str, path: str | os.PathLike, *,
     with tm.span("compile", file=filename):
         program = compile_source(source, filename)
     return record_program(program, path, source=source, filename=filename,
-                          max_steps=max_steps, sampling=sampling,
+                          max_steps=max_steps,
                           checkpoint_interval=checkpoint_interval,
                           telemetry=tm)

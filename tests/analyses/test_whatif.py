@@ -132,15 +132,6 @@ class TestParityAndModes:
             assert session.stats.records == 1
             assert session.stats.record_hits >= 1
 
-    def test_sampled_trace_is_labelled(self, tmp_path):
-        from repro.core.alchemist import ProfileOptions
-
-        options = ProfileOptions(sample="interval:10")
-        with Session(options, cache_dir=str(tmp_path)) as session:
-            result = session.advise(MIXED)
-        assert result.data["sampled"] == "interval:10"
-        assert "sampled trace" in result.to_text()
-
     def test_bad_options_rejected_through_session(self, tmp_path):
         from repro.analyses import AnalysisError
 

@@ -234,30 +234,6 @@ class TestDepKernelEquivalence:
             for digest in _parallel_digests(path, war_waw, interval):
                 assert digest == kernel[0]
 
-    def test_sampled_trace_agrees(self, tmp_path):
-        """A sampled stream re-pairs accesses with stale writers; every
-        replay path must still re-pair them identically. No live run
-        sees the sampled stream, so the per-event reference is a bare
-        ``AlchemistTracer`` replayed as a hooked consumer."""
-        workload = get("wordcount", 0.3)
-        program = compile_source(workload.source)
-        path = str(tmp_path / "sampled.trace")
-        recorded = record_program(program, path, source=workload.source,
-                                  sampling="burst:40/100")
-        kernel = _replayed(path, program, True, columnar=True)
-        assert _replayed(path, program, True, columnar=False) == kernel
-        analyses = make_analyses(["dep"])
-        outcome = replay_with(path, analyses, program)
-        hooked = AlchemistTracer(ConstructTable(program))
-        with TraceReader(path) as reader:
-            ReplayEngine(reader, program).run([hooked])
-        assert _tracer_digest(hooked) == _report_digest(
-            outcome.reports["dep"].payload)
-        assert hooked.profiler.updates == kernel[1]
-        for digest in _parallel_digests(path, True,
-                                        recorded.events // 10):
-            assert digest == kernel[0]
-
 
 #: Small enough that even a fuzzed program spans several blocks.
 SMALL_BLOCKS = 96

@@ -28,7 +28,6 @@ from repro.runtime.interpreter import Interpreter
 from repro.runtime.tracing import (EV_ALLOC, EV_BLOCK, EV_BRANCH, EV_ENTER,
                                    EV_EXIT, EV_FINISH, EV_FREE, EV_READ,
                                    EV_WRITE, TRACER_HOOKS, Tracer)
-from repro.sampling import IntervalSampling, SampledTracer
 from repro.trace import writer
 from repro.trace.live import TeeTracer
 from repro.trace.writer import EventRecorder
@@ -191,29 +190,6 @@ def test_random_programs(source, block_size):
         return
     if _runs(program):
         _check_stream(program, block_size)
-
-
-def test_sampled_records_are_the_oracles_kept_ones(block_size):
-    """The sampling gate filters records: the recorder behind it takes
-    the oracle's stream minus the memory records the policy drops, and
-    a FREE rides the clock of the record kept before it."""
-    program = compile_source(RECURSIVE % (10, 30))
-    sampled, oracle = Blocks(), HookOracle()
-    Interpreter(program, TeeTracer([
-        SampledTracer(IntervalSampling(3), sampled), oracle])).run()
-    kept, memory, last = [], 0, 0
-    for etype, a, b, t in oracle.records:
-        if etype in (EV_READ, EV_WRITE):
-            memory += 1
-            if (memory - 1) % 3:
-                continue
-        if etype == EV_FREE:
-            t = last
-        kept.append((etype, a, b, t))
-        last = t
-    assert sampled.records() == kept
-    sizes = [len(batch) for batch in sampled.batches]
-    assert all(n == block_size for n in sizes[:-1])
 
 
 def test_the_adapter_serves_every_hook():

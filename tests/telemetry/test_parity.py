@@ -108,25 +108,3 @@ def test_parallel_replay_parity_with_telemetry(tmp_path):
         ordinals = sorted(s.attrs["ordinal"] for s in segments)
         assert ordinals == list(range(len(segments)))
 
-
-def test_sampled_record_parity_with_telemetry(tmp_path):
-    """The sampling gate's counting closures are only installed when
-    telemetry is on — they must not change what lands in the trace."""
-    from repro.trace.reader import TraceReader
-    from repro.trace.writer import record_source
-
-    source = get("gzip", 0.25).source
-    plain = str(tmp_path / "plain.trace")
-    counted = str(tmp_path / "counted.trace")
-    record_source(source, plain, sampling="interval:50")
-    tm = Telemetry()
-    record_source(source, counted, sampling="interval:50", telemetry=tm)
-
-    def events(path):
-        with TraceReader(path) as reader:
-            return list(reader.events())
-
-    assert events(counted) == events(plain)
-    kept = tm.counters["sampling.memory_events_kept"]
-    dropped = tm.counters["sampling.memory_events_dropped"]
-    assert kept > 0 and dropped > 0

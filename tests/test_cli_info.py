@@ -1,4 +1,4 @@
-"""CLI: the info verb, the --sample flag, and the exit-2
+"""CLI: the info verb, the retired --sample flag, and the exit-2
 contract on truncated or corrupt traces (no tracebacks, one line)."""
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class TestInfoVerb:
         out = capsys.readouterr().out
         assert "format:" in out and "v2" in out
         assert "digest:     sha256:" in out
-        assert "sampling:   full" in out
+        assert "sampling" not in out
         assert "read=" in out and "write=" in out and "finish=1" in out
         assert "compressed" in out
 
@@ -68,14 +68,6 @@ class TestInfoVerb:
     def test_v1_trace_exits_2(self, tmp_path, capsys, write_v1_trace,
                               verb):
         self._assert_v1_rejected(verb, tmp_path, capsys, write_v1_trace)
-
-    def test_info_sampled_trace(self, prog_file, tmp_path, capsys):
-        out_path = str(tmp_path / "s.trace")
-        assert main(["record", prog_file, "-o", out_path,
-                     "--sample", "interval:5"]) == 0
-        capsys.readouterr()
-        assert main(["info", out_path]) == 0
-        assert "sampling:   interval:5" in capsys.readouterr().out
 
     def test_info_before_any_seams(self, trace_file, capsys):
         capsys.readouterr()
@@ -107,37 +99,20 @@ class TestInfoVerb:
         assert len(err.strip().splitlines()) == 1
 
 
-class TestRecordSampleFlags:
-    def test_record_reports_sampling(self, prog_file, tmp_path, capsys):
-        out_path = str(tmp_path / "s.trace")
-        assert main(["record", prog_file, "-o", out_path,
-                     "--sample", "burst:10/50"]) == 0
-        out = capsys.readouterr().out
-        assert "sampled burst:10/50" in out
-        assert "format v2" in out
-
-    def test_record_bad_spec_exit2(self, prog_file, tmp_path, capsys):
-        assert main(["record", prog_file, "-o",
-                     str(tmp_path / "x.trace"),
-                     "--sample", "interval:banana"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "interval" in err
-
-    def test_sampled_trace_replays(self, prog_file, tmp_path, capsys):
-        out_path = str(tmp_path / "s.trace")
-        assert main(["record", prog_file, "-o", out_path,
-                     "--sample", "interval:5"]) == 0
-        assert main(["replay", out_path,
-                     "--analysis", "dep,counts"]) == 0
-        out = capsys.readouterr().out
-        assert "lower-confidence" in out
-
-    def test_analyze_sample_flag(self, prog_file, capsys):
-        assert main(["analyze", prog_file, "--analysis", "dep",
-                     "--sample", "interval:5", "--json"]) == 0
-        out = capsys.readouterr().out
-        assert '"sampled": "interval:5"' in out
+@pytest.mark.parametrize("verb", [["record", "{prog}", "-o", "{out}"],
+                                  ["analyze", "{prog}"], ["batch"]],
+                         ids=["record", "analyze", "batch"])
+def test_sample_flag_is_an_argparse_error(verb, prog_file, tmp_path,
+                                          capsys):
+    """Traces hold every event: no verb takes ``--sample`` any more, so
+    the flag is an unknown argument (exit 2), not a policy spec."""
+    argv = [arg.format(prog=prog_file, out=tmp_path / "x.trace")
+            for arg in verb]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--sample", "interval:5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sample" in capsys.readouterr().err
+    assert not (tmp_path / "x.trace").exists()
 
 
 class TestCorruptTraceExit2:

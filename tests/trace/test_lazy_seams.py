@@ -58,12 +58,6 @@ class TestWriterBytes:
         record_source(get("bzip2", 1.0).source, path)
         _assert_plain_encoder_stream(path)
 
-    def test_sampled_recording(self, tmp_path):
-        path = str(tmp_path / "sampled.trace")
-        record_source(get("gzip", 0.5).source, path,
-                      sampling="interval:100")
-        _assert_plain_encoder_stream(path)
-
     def test_record_prebuilds_the_sidecar(self, tmp_path):
         path = str(tmp_path / "seamed.trace")
         result = record_source(get("gzip", 0.1).source, path,

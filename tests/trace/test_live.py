@@ -5,8 +5,8 @@ gets per-event hooks from the record→hook adapter and reads the
 interpreter's own memory values, while every bundled analysis gets whole blocks from the
 live tap through the same dispatch loop replay uses — so their results
 equal a replay of the recording. A block consumer handed straight to
-the interpreter or the sampling gate would get nothing, so both refuse
-it, and ``LiveSource`` routes even a single tracer through the tee. The
+the interpreter would get nothing, so the interpreter refuses it, and
+``LiveSource`` routes even a single tracer through the tee. The
 ``live`` span and the live ``AnalysisContext`` count what the tap fed.
 """
 
@@ -23,7 +23,6 @@ from repro.ir.lowering import compile_source
 from repro.parallel.taskgraph import LiveSource
 from repro.runtime.interpreter import Interpreter, run_source
 from repro.runtime.memory import Memory
-from repro.sampling import IntervalSampling, SampledTracer
 from repro.telemetry import Telemetry
 from repro.trace import writer
 from repro.trace.live import TeeTracer
@@ -141,15 +140,12 @@ def test_hook_only_tee_has_no_tap():
 @pytest.mark.parametrize("analysis", [DependenceAnalysis,
                                       CountingAnalysis])
 def test_block_consumer_is_refused_where_no_block_reaches_it(analysis):
-    """The interpreter and the sampling gate hand over records, not
-    blocks, so a block consumer handed to either would silently get
-    nothing."""
+    """The interpreter hands over records, not blocks, so a block
+    consumer handed to it would silently get nothing."""
     with pytest.raises(TypeError, match="TeeTracer"):
         Interpreter(compile_source(SOURCE), analysis())
     with pytest.raises(TypeError, match="whole event blocks"):
         run_source(SOURCE, tracer=analysis())
-    with pytest.raises(TypeError, match="whole event blocks"):
-        SampledTracer(IntervalSampling(4), analysis())
 
 
 def test_live_source_feeds_a_single_block_consumer(tmp_path):

@@ -1,6 +1,6 @@
 """A damaged ``.ckpt`` sidecar is rebuilt, not trusted.
 
-The sidecar's key (schema, trace size, header digest, sampling) can
+The sidecar's key (schema, trace size, header digest) can
 still match after its body was damaged. Before a parallel plan uses it,
 :func:`repro.trace.shards.load_or_build_checkpoints` checks the digest
 of its checkpoints and every value a segment restores: frame and

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import zlib
 
 import pytest
 
 from repro.trace import (TRACE_VERSION_V2, TraceError, TraceReader,
                          TraceTruncatedError, record_source)
+from repro.cli import main
 from repro.trace.codec import BLOCK_HEADER, BLOCK_HEADER_SIZE
+from repro.trace.events import MAGIC, pack_length
 from repro.ir.lowering import compile_source
 from repro.runtime.memory import Memory
 from repro.runtime.tracing import EV_BLOCK, EV_FINISH, EV_READ
@@ -47,6 +50,9 @@ int main() {
 """
 
 
+#: Offset of the header blob: magic, u16 version, u32 header length.
+_HEADER_AT = len(MAGIC) + 2 + 4
+
 #: Bytes per event of the retired fixed-record format (v1): the yard
 #: stick the v2 compression claims are measured against.
 FIXED_RECORD_BYTES = 13
@@ -72,6 +78,26 @@ def _drive(sink, records) -> None:
 def small_trace(tmp_path):
     path = tmp_path / "v2.trace"
     return path, record_source(SMALL, path)
+
+
+def _header_json(path) -> dict:
+    """The decoded JSON of the trace header at ``path``."""
+    blob = open(path, "rb").read()
+    length = int.from_bytes(blob[_HEADER_AT - 4:_HEADER_AT], "little")
+    return json.loads(zlib.decompress(blob[_HEADER_AT:_HEADER_AT + length]))
+
+
+def _rewrite_header(path, out, edit) -> None:
+    """Copy the trace at ``path`` to ``out`` with ``edit`` applied to
+    its header JSON (the events and footer are kept byte for byte)."""
+    blob = open(path, "rb").read()
+    length = int.from_bytes(blob[_HEADER_AT - 4:_HEADER_AT], "little")
+    header = _header_json(path)
+    edit(header)
+    packed = zlib.compress(json.dumps(header).encode("utf-8"), 6)
+    with open(out, "wb") as handle:
+        handle.write(blob[:_HEADER_AT - 4] + pack_length(len(packed))
+                     + packed + blob[_HEADER_AT + length:])
 
 
 def _rows(reader: TraceReader, columnar: bool) -> list:
@@ -105,7 +131,9 @@ class TestParity:
         with TraceReader(path) as reader:
             assert reader.version == 2
             assert reader.header.digest == source_digest(SMALL)
-            assert reader.header.sampling == "full"
+            assert not hasattr(reader.header, "sampling")
+        # The key stays in every header as a constant of the format.
+        assert _header_json(path)["sampling"] == "full"
 
     def test_replay_results_identical(self, small_trace):
         """The analyses cannot tell which decode path fed them."""
@@ -162,6 +190,65 @@ class TestParity:
             first = list(reader.events())
             second = list(reader.events())
         assert first == second
+
+
+class TestSampledHeader:
+    """Traces hold every event. A header naming a sampling policy (a
+    recording that dropped memory events) fails with the same
+    :class:`TraceError` on every path that opens a trace; a header
+    without the key, as written before sampling existed, still reads."""
+
+    MESSAGE = r"sampled traces \(interval:100\) are no longer supported"
+
+    @pytest.fixture
+    def sampled(self, small_trace, tmp_path):
+        path, _ = small_trace
+        out = tmp_path / "sampled.trace"
+        _rewrite_header(path, out,
+                        lambda header: header.update(sampling="interval:100"))
+        return str(out)
+
+    def test_reader(self, sampled):
+        with pytest.raises(TraceError, match=self.MESSAGE):
+            TraceReader(sampled)
+
+    def test_replay(self, sampled):
+        with pytest.raises(TraceError, match=self.MESSAGE):
+            replay_trace(sampled, ("dep", "counts"))
+
+    def test_parallel_replay(self, sampled):
+        from repro.trace.parallel import parallel_replay
+
+        with pytest.raises(TraceError, match=self.MESSAGE):
+            parallel_replay(sampled, ("dep", "counts"), jobs=2)
+
+    def test_checkpoints(self, sampled):
+        from repro.trace.shards import load_or_build_checkpoints
+
+        with pytest.raises(TraceError, match=self.MESSAGE):
+            load_or_build_checkpoints(sampled, 50)
+
+    @pytest.mark.parametrize("verb", [["info"], ["replay"]],
+                             ids=["info", "replay"])
+    def test_cli_exits_2(self, sampled, verb, capsys):
+        assert main([*verb, sampled]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "sampled traces (interval:100) are no longer supported" \
+            in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_header_without_the_key_reads(self, small_trace, tmp_path):
+        path, _ = small_trace
+        old = tmp_path / "old.trace"
+        _rewrite_header(path, old, lambda header: header.pop("sampling"))
+        assert "sampling" not in _header_json(old)
+        with TraceReader(old) as a, TraceReader(path) as b:
+            assert a.header == b.header
+            assert list(a.events()) == list(b.events())
+        assert (replay_trace(str(old), ("dep",)).reports["dep"].to_dict()
+                == replay_trace(str(path), ("dep",)).reports["dep"]
+                .to_dict())
 
 
 class TestCorruption:
