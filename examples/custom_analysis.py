@@ -67,22 +67,25 @@ class BranchBias(Analysis):
 
 def main() -> None:
     with Session() as session:
-        # One call: the program is recorded once, and the custom
-        # analysis shares the replay pass with two builtins.
+        # A cold call: ONE run records the program and feeds the custom
+        # analysis alongside two builtins.
         report = session.analyze(SOURCE,
                                  ["dep", "locality", "branch-bias"])
         print(report.to_text())
         print()
-        print(f"recordings made: {session.stats.records}, "
-              f"replay passes: {session.stats.replay_passes}")
 
-        # The same instance semantics hold live — and the structured
-        # output is identical (the registry parity test asserts this
-        # for every registered analysis).
-        live = session.analyze(SOURCE, ["branch-bias"], mode="live")
-        assert (live["branch-bias"].to_dict()
+        # A second question on the same session replays the recorded
+        # trace instead of executing again — and the structured output
+        # is identical (the registry parity test asserts this for every
+        # registered analysis).
+        again = session.analyze(SOURCE, ["branch-bias", "counts"])
+        assert again.modes["branch-bias"] == "replay"
+        assert (again["branch-bias"].to_dict()
                 == report["branch-bias"].to_dict())
-        print("live run matches the replayed recording, bit for bit")
+        print(f"recordings made: {session.stats.records}, "
+              f"runs: {session.stats.live_runs}, "
+              f"replay passes: {session.stats.replay_passes}")
+        print("the replay matches the recording run, bit for bit")
 
 
 if __name__ == "__main__":

@@ -45,7 +45,8 @@ Subpackages
     baselines, user plugins) as a drop-in module over one event stream.
 ``repro.api``
     :class:`Session`, the single entry point that runs any registered
-    analysis live, from a cached recording, or in batch.
+    analysis: one recording run on a cold call, a replay of the cached
+    trace on a warm one, or live.
 
 Typical use of the unified API::
 

@@ -1,7 +1,6 @@
 """The unified entry point: one ``Session``, every analysis, any mode.
 
-A :class:`Session` answers every analysis, recorded or live, with one
-call::
+A :class:`Session` answers every analysis with one call::
 
     from repro.api import Session
 
@@ -11,12 +10,14 @@ call::
         print(report["dep"].payload.top_constructs(5))
 
 ``analyze`` resolves analyses through the shared plugin registry
-(:mod:`repro.analyses`), records the program **at most once** per
-source digest (compiled IR and recorded traces are both cached on the
-session), and fans the trace out to every requested analysis in a
-single replay pass. Only analyses that declare ``requires_live`` — or
-an explicit ``mode="live"`` — execute the program, and even then one
-interpreter run feeds all of them through a
+(:mod:`repro.analyses`) and caches compiled IR and recorded traces on
+the session, keyed by source digest. One rule decides how a call runs:
+a **cold** call (no cached trace for the source) executes the program
+once, and that run both records the trace and feeds every requested
+analysis; a **warm** call replays the cached trace in one pass
+(sharded per ``ProfileOptions.jobs``), and executes the program only
+for analyses that declare ``requires_live``. ``mode="live"`` executes
+without recording. Every execution feeds its analyses through a
 :class:`~repro.trace.live.TeeTracer`: block consumers (every bundled
 analysis) get whole blocks through the replay dispatch loop, exactly
 as on a trace, and only hook-only plugins get per-event hooks, from
@@ -42,7 +43,7 @@ from repro.trace.events import source_digest
 from repro.trace.live import run_live
 
 #: analyze() run modes.
-MODES = ("auto", "live", "replay")
+MODES = ("auto", "live")
 
 
 @dataclass
@@ -102,10 +103,12 @@ class SessionReport:
 class Session:
     """Owns compiled-IR and recorded-trace caches keyed by source digest.
 
-    Reusable across programs and across ``analyze`` calls; asking new
-    questions about an already-seen source costs one replay pass, never
-    a re-execution. Traces live in ``cache_dir`` (a private temporary
-    directory by default, removed on :meth:`close` / context exit).
+    Reusable across programs and across ``analyze`` calls: the first
+    question about a source records its trace in the run that answers
+    it, and every later question costs one replay pass, not a
+    re-execution (unless an analysis ``requires_live``). Traces live
+    in ``cache_dir`` (a private temporary directory by default,
+    removed on :meth:`close` / context exit).
     """
 
     def __init__(self, options: ProfileOptions | None = None,
@@ -226,14 +229,13 @@ class Session:
                 ) -> SessionReport:
         """Run the named analyses over ``source`` and return all results.
 
-        ``mode="auto"`` (default) records at most once and replays,
-        running live only the analyses that demand it; ``mode="live"``
-        executes the program instead (one interpreter run feeds every
-        analysis); ``mode="replay"`` errors if any analysis demands a
-        live run — note the source is still *recorded* once (one
-        execution) if this session has no cached trace for it yet.
-        Per-analysis options ride in ``options``, e.g.
-        ``{"hot": {"top": 5}}``.
+        ``mode="auto"`` (default): a cold call (no cached trace for this
+        source) runs the program once, recording the trace while it
+        feeds every analysis (all labelled ``"live"``); a warm call
+        replays the cached trace and runs live only the analyses that
+        declare ``requires_live``. ``mode="live"`` executes the program
+        without recording. Per-analysis options ride in ``options``,
+        e.g. ``{"hot": {"top": 5}}``.
         """
         if mode not in MODES:
             raise AnalysisError(
@@ -248,45 +250,32 @@ class Session:
                 + ", ".join(stray))
         merged = self._merge_options(options)
         instances = make_analyses(requested, merged)
+        digest = source_digest(source)
 
         with self.telemetry.span("analyze", file=filename,
                                  analyses=list(requested),
                                  mode=mode) as span:
-            live: list[Analysis] = []
-            replayed: list[Analysis] = []
-            for analysis in instances:
-                if mode == "live" or analysis.requires_live:
-                    live.append(analysis)
-                else:
-                    replayed.append(analysis)
-            if mode == "replay" and live:
-                names = ", ".join(a.name for a in live)
-                raise AnalysisError(
-                    f"analysis requires live execution: {names} "
-                    "(mode='replay' forbids attaching analyses to a live "
-                    "run)")
-
+            # Cold: one run records the trace and feeds every analysis.
+            cold = mode == "auto" and digest not in self._traces
+            live = [a for a in instances
+                    if cold or mode == "live" or a.requires_live]
+            replayed = [a for a in instances if a not in live]
             results: dict[str, AnalysisResult] = {}
             modes: dict[str, str] = {}
             trace_path: str | None = None
-            live_ctx: AnalysisContext | None = None
             if replayed:
                 program = self.compile(source, filename)
-                if live and source_digest(source) not in self._traces:
-                    # Mixed request on a cold cache: one execution both
-                    # records the trace and feeds the live analyses (the
-                    # writer is just another tracer on the tee).
-                    trace_path, live_ctx = self._record_and_run_live(
-                        source, filename, live)
-                else:
-                    trace_path = self.record(source, filename)
+                trace_path = self.record(source, filename)
                 reports, replay_mode = self._replay(trace_path, program,
                                                     replayed, merged)
                 for analysis in replayed:
                     results[analysis.name] = reports[analysis.name]
                     modes[analysis.name] = replay_mode
             if live:
-                if live_ctx is None:
+                if cold:
+                    trace_path, live_ctx = self._record_and_run_live(
+                        source, filename, live)
+                else:
                     live_ctx = self._run_live(source, filename, live)
                 for analysis in live:
                     with self.telemetry.span("analysis.finish",
@@ -300,7 +289,7 @@ class Session:
         ordered = {a.name: results[a.name] for a in instances}
         return SessionReport(
             filename=filename,
-            digest=source_digest(source),
+            digest=digest,
             results=ordered,
             modes={name: modes[name] for name in ordered},
             trace_path=trace_path,
@@ -311,11 +300,11 @@ class Session:
                workers: Iterable[int] | str | None = None,
                top: int | None = None,
                mode: str = "auto") -> AnalysisResult:
-        """The what-if advisor over one program: record once, replay,
-        rank candidate constructs by predicted futures speedup.
+        """The what-if advisor over one program: rank candidate
+        constructs by predicted futures speedup.
 
         Thin sugar over ``analyze(source, ["whatif"], ...)`` — the
-        trace cache applies, and the
+        cold/warm rule and the trace cache apply, and the
         returned :class:`~repro.analyses.AnalysisResult` carries the
         ranked sweep in ``data`` plus the full ``ProfileReport`` as
         ``payload``.
@@ -395,21 +384,17 @@ class Session:
     def _record_and_run_live(self, source: str, filename: str,
                              analyses: list[Analysis]
                              ) -> tuple[str, AnalysisContext]:
-        """Record the trace and feed the live analyses in ONE run."""
-        from repro.trace.writer import TraceWriter
+        """Record the trace and feed every analysis in ONE run."""
+        from repro.trace.writer import TraceWriter, note_recording
 
         digest = source_digest(source)
-        path = self._trace_path(digest)
-        writer = TraceWriter(path, source, filename)
+        self.telemetry.count("session.trace_cache_misses")
+        writer = TraceWriter(self._trace_path(digest), source, filename)
         ctx = self._run_live(source, filename, analyses, recorder=writer)
-        tm = self.telemetry
-        if tm.enabled:
-            tm.count("session.trace_cache_misses")
-            tm.count("trace.events_written", writer.events)
-            tm.count("trace.bytes_written", os.path.getsize(writer.path))
-        self._traces[digest] = path
+        note_recording(writer, self.telemetry, ctx.wall_seconds)
+        self._traces[digest] = writer.path
         self.stats.records += 1
-        return path, ctx
+        return writer.path, ctx
 
     def _attach_baseline(self, results: dict[str, AnalysisResult],
                          live: list[Analysis]) -> None:

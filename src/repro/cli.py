@@ -6,9 +6,9 @@ Subcommands
     Execute a MiniC program (uninstrumented).
 ``analyze FILE --analysis a,b,c [--json]``
     The unified front door: run any set of registered analyses over a
-    program through one :class:`~repro.api.Session` — the program is
-    recorded at most once and the trace fans out to every analysis in
-    a single replay pass (``--live`` executes instead of replaying).
+    program through one :class:`~repro.api.Session` — one run of the
+    program records its trace and feeds every analysis (``--live``
+    runs without recording).
 ``analyses``
     List every registered analysis with its description and options.
 ``profile FILE``
@@ -17,8 +17,8 @@ Subcommands
 ``speedup FILE --line N``
     Simulate parallelizing the construct at line N as futures.
 ``advise FILE [--workers LIST] [--top N] [--json]``
-    The what-if advisor: record the program once, then — entirely from
-    the replayed trace — rank the advisor's candidate constructs by
+    The what-if advisor: from one run of the program (recorded as it
+    goes), rank the advisor's candidate constructs by
     predicted futures speedup across a worker-count sweep, listing the
     privatizations each one needs and why blocked constructs are
     skipped (a Table V reproduction as one command).
@@ -177,12 +177,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     options = None
     if args.raw_only:
         options = {"dep": {"track_war_waw": False}}
-    try:
-        session_options = ProfileOptions(jobs=args.jobs)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     source = _read(args.file)
-    with Session(session_options, telemetry=args.telemetry) as session:
+    with Session(telemetry=args.telemetry) as session:
         report = session.analyze(source, args.analysis,
                                  filename=args.file,
                                  mode="live" if args.live else "auto",
@@ -190,15 +186,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.json:
         print(report.to_json())
         return 0
-    replayed = sum(1 for m in report.modes.values() if m == "replay")
-    live = len(report.modes) - replayed
-    parts = []
-    if replayed:
-        parts.append(f"replayed 1 recording through {replayed}")
-    if live:
-        parts.append(f"ran live for {live}")
-    _progress(args, f"analyzed {args.file}: {' + '.join(parts)} "
-                    f"analysis(es) in {report.wall_seconds:.3f}s")
+    # A fresh session is always cold: one run, recording unless --live.
+    count = f"{len(report.modes)} analysis(es)"
+    how = (f"ran {count} live" if args.live
+           else f"recorded and ran {count} in one run")
+    _progress(args, f"analyzed {args.file}: {how} in "
+                    f"{report.wall_seconds:.3f}s")
     print(report.to_text())
     return 0
 
@@ -591,14 +584,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--json", action="store_true",
                        help="emit the structured report as JSON")
     p_ana.add_argument("--live", action="store_true",
-                       help="execute the program instead of replaying "
-                            "a recording")
+                       help="execute the program without recording a "
+                            "trace")
     p_ana.add_argument("--raw-only", action="store_true",
                        help="skip WAR/WAW tracking (dep analysis)")
-    p_ana.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="replay through N parallel workers "
-                            "(0 = one per CPU; results identical to "
-                            "serial; live analyses are unaffected)")
     _add_observability(p_ana)
     p_ana.set_defaults(func=_cmd_analyze)
 
@@ -632,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_adv = sub.add_parser(
         "advise",
         help="what-if advisor: rank constructs by predicted futures "
-             "speedup from a replayed trace")
+             "speedup")
     p_adv.add_argument("file")
     p_adv.add_argument("--workers", default="2,4,8,16", metavar="LIST",
                        help="comma-separated worker counts to sweep "

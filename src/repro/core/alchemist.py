@@ -35,11 +35,12 @@ class ProfileOptions:
     #: Also time an uninstrumented run to report the slowdown factor
     #: (Table III's Orig. column).
     measure_baseline: bool = False
-    #: Parallel replay worker count. ``None``/1 = serial; 0 = one per
-    #: CPU; N > 1 = that many processes. Replayed analyses that
-    #: implement the segment protocol then run as a sharded parallel
-    #: pass with results identical to serial (live runs are never
-    #: parallelized — there is only one execution).
+    #: Parallel replay worker count for a ``Session``'s warm replays.
+    #: ``None``/1 = serial; 0 = one per CPU; N > 1 = that many
+    #: processes. Replayed analyses that implement the segment protocol
+    #: then run as a sharded parallel pass with results identical to
+    #: serial. A cold call is one run and never replays, and live runs
+    #: are never parallelized (there is only one execution).
     jobs: int | None = None
     #: Events between the shard seams a parallel replay plans with
     #: (built into the trace's ``.ckpt`` sidecar on first use).

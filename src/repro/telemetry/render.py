@@ -104,8 +104,10 @@ def render_metrics(payload: dict[str, Any], *, top: int = 10) -> str:
         derived.append(f"  replay throughput:  {events / replay_wall:,.0f}"
                        f" events/s ({events:,} events in "
                        f"{replay_wall:.3f}s)")
-    record_wall = sum(wall for _, name, _, wall, _, _ in rows
-                      if name == "record")
+    # A cold analyze records inside its ``live`` run.
+    record_wall = sum(wall for _, name, attrs, wall, _, _ in rows
+                      if name == "record"
+                      or (name == "live" and attrs.get("recording")))
     written = counters.get("trace.events_written", 0)
     if written and record_wall > 0:
         derived.append(f"  record throughput:  {written / record_wall:,.0f}"

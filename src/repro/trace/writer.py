@@ -262,6 +262,24 @@ class RecordResult:
     checkpoints: int = 0
 
 
+def note_recording(writer: TraceWriter, telemetry,
+                   wall_seconds: float) -> int:
+    """Count and log one closed recording (``record_program`` and a
+    cold ``Session.analyze`` run alike); returns the trace's size in
+    bytes."""
+    from repro.telemetry import get_logger
+
+    trace_bytes = os.path.getsize(writer.path)
+    telemetry.count("trace.events_written", writer.events)
+    telemetry.count("trace.bytes_written", trace_bytes)
+    get_logger(__name__).info(
+        "recorded trace", extra={
+            "trace": writer.path, "events": writer.events,
+            "bytes": trace_bytes,
+            "wall_seconds": round(wall_seconds, 6)})
+    return trace_bytes
+
+
 def record_program(program: ProgramIR, path: str | os.PathLike, *,
                    source: str, filename: str = "<input>",
                    max_steps: int = DEFAULT_MAX_STEPS,
@@ -277,7 +295,7 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
     run in a ``record`` span with writer and block translation counters
     (tallies the stage keeps anyway — nothing is added per event).
     """
-    from repro.telemetry import as_telemetry, get_logger
+    from repro.telemetry import as_telemetry
 
     if checkpoint_interval < 0:
         raise ValueError(f"checkpoint_interval must be >= 0, "
@@ -292,7 +310,6 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
             writer.abort()
             raise
         writer.close(exit_value, interp.output)
-    trace_bytes = os.path.getsize(writer.path)
     checkpoints = 0
     if checkpoint_interval:
         from repro.trace.shards import load_or_build_checkpoints
@@ -302,13 +319,7 @@ def record_program(program: ProgramIR, path: str | os.PathLike, *,
                 writer.path, checkpoint_interval))
     span.set(events=writer.events, checkpoints=checkpoints,
              **interp.block_stats())
-    tm.count("trace.events_written", writer.events)
-    tm.count("trace.bytes_written", trace_bytes)
-    get_logger(__name__).info(
-        "recorded trace", extra={
-            "trace": writer.path, "events": writer.events,
-            "bytes": trace_bytes,
-            "wall_seconds": round(span.wall_seconds, 6)})
+    trace_bytes = note_recording(writer, tm, span.wall_seconds)
     return RecordResult(
         path=writer.path,
         exit_value=exit_value,

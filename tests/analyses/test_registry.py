@@ -155,8 +155,10 @@ class TestLiveReplayParity:
         with Session(cache_dir=str(tmp_path)) as session:
             live = session.analyze(PARITY_SOURCE, [name],
                                    mode="live")[name]
-            replayed = session.analyze(PARITY_SOURCE, [name],
-                                       mode="replay")[name]
+            session.record(PARITY_SOURCE)
+            report = session.analyze(PARITY_SOURCE, [name])
+        assert report.modes[name] == "replay"
+        replayed = report[name]
         assert live.to_dict() == replayed.to_dict()
         assert live.analysis == replayed.analysis == name
         # The rendered views must agree too (they derive from data).

@@ -1,5 +1,6 @@
-"""Session facade: digest-keyed caching (record at most once), fan-out
-over one replay pass, live mode, and option plumbing."""
+"""Session facade: digest-keyed caching (record at most once), one
+run for a cold call, one replay pass for a warm one, live mode, and
+option plumbing."""
 
 from __future__ import annotations
 
@@ -32,9 +33,37 @@ class TestRecordOnce:
         with Session(cache_dir=str(tmp_path)) as session:
             report = session.analyze(SOURCE, ["dep", "locality", "hot"])
             assert set(report.results) == {"dep", "locality", "hot"}
+            assert set(report.modes.values()) == {"live"}
             assert session.stats.records == 1
-            assert session.stats.live_runs == 0
+            assert session.stats.live_runs == 1
+            assert session.stats.replay_passes == 0
+
+    def test_cold_call_runs_once_and_records_the_same_trace(
+            self, tmp_path, monkeypatch):
+        from repro.runtime.interpreter import Interpreter
+        from repro.trace.writer import record_source
+
+        executions = []
+        original_run = Interpreter.run
+        monkeypatch.setattr(
+            Interpreter, "run",
+            lambda self: (executions.append(1), original_run(self))[1])
+        names = ["dep", "locality", "hot", "counts"]
+        with Session(cache_dir=str(tmp_path / "cache")) as session:
+            cold = session.analyze(SOURCE, names)
+            assert len(executions) == 1
+            assert session.stats.replay_passes == 0
+            with open(cold.trace_path, "rb") as handle:
+                recorded = handle.read()
+            warm = session.analyze(SOURCE, names)
+            assert len(executions) == 1
             assert session.stats.replay_passes == 1
+        reference = tmp_path / "reference.trace"
+        record_source(SOURCE, reference)
+        assert recorded == reference.read_bytes()
+        assert set(warm.modes.values()) == {"replay"}
+        for name in names:
+            assert warm[name].to_dict() == cold[name].to_dict(), name
 
     def test_new_question_reuses_the_recording(self, tmp_path):
         with Session(cache_dir=str(tmp_path)) as session:
@@ -42,7 +71,8 @@ class TestRecordOnce:
             session.analyze(SOURCE, ["locality", "counts"])
             assert session.stats.records == 1
             assert session.stats.record_hits == 1
-            assert session.stats.replay_passes == 2
+            assert session.stats.live_runs == 1
+            assert session.stats.replay_passes == 1
 
     def test_distinct_sources_record_separately(self, tmp_path):
         with Session(cache_dir=str(tmp_path)) as session:
@@ -100,8 +130,9 @@ class TestModes:
 
     def test_unknown_mode_rejected(self):
         with Session() as session:
-            with pytest.raises(AnalysisError, match="unknown mode"):
-                session.analyze(SOURCE, ["dep"], mode="psychic")
+            for mode in ("psychic", "replay"):
+                with pytest.raises(AnalysisError, match="unknown mode"):
+                    session.analyze(SOURCE, ["dep"], mode=mode)
 
     def test_requires_live_forces_execution_in_auto(self, tmp_path,
                                                     monkeypatch):
@@ -123,32 +154,18 @@ class TestModes:
 
         try:
             with Session(cache_dir=str(tmp_path)) as session:
-                report = session.analyze(SOURCE,
-                                         ["needs-live-test", "counts"])
-                assert report.modes["needs-live-test"] == "live"
-                assert report.modes["counts"] == "replay"
-                assert session.stats.live_runs == 1
-                assert session.stats.records == 1
-                # Mixed cold-cache request: ONE execution both records
-                # the trace and feeds the live analysis (teed writer).
+                names = ["needs-live-test", "counts"]
+                # Cold: ONE execution records the trace and feeds both.
+                cold = session.analyze(SOURCE, names)
+                assert set(cold.modes.values()) == {"live"}
                 assert len(executions) == 1
-        finally:
-            unregister("needs-live-test")
-
-    def test_requires_live_rejected_in_replay_mode(self):
-        @register
-        class NeedsLive(Analysis):
-            name = "needs-live-test"
-            requires_live = True
-
-            def finish(self, ctx):
-                return AnalysisResult(self.name, {}, "x")
-
-        try:
-            with Session() as session:
-                with pytest.raises(AnalysisError, match="requires live"):
-                    session.analyze(SOURCE, ["needs-live-test"],
-                                    mode="replay")
+                # Warm: counts replays; the live-only analysis executes.
+                warm = session.analyze(SOURCE, names)
+                assert warm.modes["needs-live-test"] == "live"
+                assert warm.modes["counts"] == "replay"
+                assert session.stats.live_runs == 2
+                assert session.stats.records == 1
+                assert len(executions) == 2
         finally:
             unregister("needs-live-test")
 
@@ -179,8 +196,8 @@ class TestReportShape:
         with Session(cache_dir=str(tmp_path)) as session:
             report = session.analyze(SOURCE, ["dep", "locality"])
         text = report.to_text()
-        assert "== dep (replay) ==" in text
-        assert "== locality (replay) ==" in text
+        assert "== dep (live) ==" in text
+        assert "== locality (live) ==" in text
 
 
 class TestOptionPlumbing:
@@ -239,11 +256,14 @@ class TestAgreementWithLegacyEntryPoints:
 
     def test_measure_baseline_reaches_live_dep(self, tmp_path):
         options = ProfileOptions(measure_baseline=True)
-        with Session(options, cache_dir=str(tmp_path)) as session:
-            report = session.analyze(SOURCE, ["dep"], mode="live")
-        stats = report["dep"].payload.stats
-        assert stats.baseline_seconds is not None
-        assert stats.baseline_seconds > 0
+        for mode in ("live", "auto"):  # "auto" on a cold session
+            with Session(options, cache_dir=str(tmp_path / mode)) \
+                    as session:
+                report = session.analyze(SOURCE, ["dep"], mode=mode)
+            assert report.modes["dep"] == "live"
+            stats = report["dep"].payload.stats
+            assert stats.baseline_seconds is not None
+            assert stats.baseline_seconds > 0
 
     def test_counts_payload_mutation_does_not_corrupt_report(self,
                                                              tmp_path):
@@ -264,7 +284,8 @@ class TestAgreementWithLegacyEntryPoints:
             report = session.analyze(workload.source,
                                      ["dep", "locality", "hot"])
             assert session.stats.records == 1
-            assert session.stats.live_runs == 0
+            assert session.stats.live_runs == 1
+            assert session.stats.replay_passes == 0
         assert set(report.results) == {"dep", "locality", "hot"}
         assert all(r.to_dict() for r in report)
 
@@ -280,6 +301,7 @@ class TestSessionParallelReplay:
                 source, ["dep", "locality", "hot"])
         options = ProfileOptions(jobs=3, checkpoints=800)
         with Session(options) as parallel_session:
+            parallel_session.record(source)  # sharded replay is warm-only
             parallel = parallel_session.analyze(
                 source, ["dep", "locality", "hot"])
             assert parallel_session.stats.parallel_passes == 1
@@ -301,6 +323,7 @@ class TestSessionParallelReplay:
         tm = Telemetry()
         options = ProfileOptions(jobs=2, checkpoints=800)
         with Session(options, telemetry=tm) as session:
+            session.record(source)
             report = session.analyze(source, ["dep"])
         (coordinator,) = tm.find_spans("replay.parallel")
         assert coordinator.attrs["segments"] > 2
@@ -312,7 +335,9 @@ class TestSessionParallelReplay:
 
         options = ProfileOptions(jobs=0, checkpoints=200)
         with Session(options) as session:
+            session.record(SOURCE)
             report = session.analyze(SOURCE, ["counts"])
+        assert report.modes["counts"] in ("parallel", "replay")
         # Tiny program: parallel may or may not engage depending on
         # seam density, but results must be the ordinary ones.
         assert report["counts"].data["reads"] > 0

@@ -53,11 +53,14 @@ class TestMetricsFlag:
         assert payload["exit_code"] == 0
         assert "--metrics" in payload["argv"]
         names = span_names(payload)
-        # The tree covers the whole pipeline stages of this run.
-        for stage in ("analyze", "compile", "record", "replay",
-                      "analysis.finish"):
+        # The tree covers the whole pipeline stages of this run: a
+        # cold analyze records inside its one live run.
+        for stage in ("analyze", "compile", "live", "analysis.finish"):
             assert stage in names, f"missing span {stage!r}"
-        assert payload["counters"]["trace.events_decoded"] > 0
+        assert "replay" not in names
+        (live,) = [span for span in payload["spans"][0]["children"]
+                   if span["name"] == "live"]
+        assert live["attrs"]["recording"] is True
         assert payload["counters"]["trace.events_written"] > 0
 
     def test_record_artifact(self, minic_file, tmp_path):
@@ -104,8 +107,20 @@ class TestStatsVerb:
         out = capsys.readouterr().out
         assert "span tree" in out
         assert "analyze" in out
+        # A cold analyze's recording run counts as record throughput.
+        assert "record throughput:" in out
+
+    def test_renders_replay_throughput(self, minic_file, tmp_path,
+                                       capsys):
+        trace = str(tmp_path / "p.trace")
+        assert main(["record", minic_file, "-o", trace]) == 0
+        metrics = str(tmp_path / "m.json")
+        assert main(["replay", trace, "--metrics", metrics]) == 0
+        capsys.readouterr()
+        assert main(["stats", metrics]) == 0
+        out = capsys.readouterr().out
         assert "trace.events_decoded" in out
-        assert "events/s" in out
+        assert "replay throughput:" in out
 
     def test_rejects_non_json(self, tmp_path, capsys):
         bad = tmp_path / "junk.json"

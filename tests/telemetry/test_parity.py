@@ -6,7 +6,9 @@ matrix with an enabled :class:`Telemetry` threaded through the Session
 and diffs the rendered snapshots against the committed goldens in
 ``tests/golden/`` (the exact files the telemetry-off matrix in
 ``tests/workloads/test_golden_matrix.py`` is held to): the diff must
-be empty. A parallel-replay parity check covers the worker/stitching
+be empty. Each workload is recorded first, so this matrix reaches the
+goldens by replay while the telemetry-off one reaches them through a
+cold analyze's single recording run. A parallel-replay parity check covers the worker/stitching
 path the golden matrix doesn't reach.
 """
 
@@ -38,8 +40,10 @@ def test_golden_matrix_identical_with_telemetry_on(telemetry_session,
     if not path.exists():
         pytest.skip(f"no golden snapshot for {workload!r}")
     names = analysis_names()
-    report = telemetry_session.analyze(get(workload, SCALE).source,
-                                       names, filename=workload)
+    source = get(workload, SCALE).source
+    telemetry_session.record(source, workload)
+    report = telemetry_session.analyze(source, names, filename=workload)
+    assert set(report.modes.values()) == {"replay"}
     payload = {
         "workload": workload,
         "scale": SCALE,

@@ -37,18 +37,18 @@ class TestAnalyzeVerb:
                      "--analysis", "dep,locality,hot"]) == 0
         captured = capsys.readouterr()
         # Progress header on stderr; the report itself on stdout.
-        assert "replayed 1 recording through 3 analysis(es)" \
+        assert "recorded and ran 3 analysis(es) in one run" \
             in captured.err
-        assert "== dep (replay) ==" in captured.out
-        assert "== locality (replay) ==" in captured.out
-        assert "== hot (replay) ==" in captured.out
+        assert "== dep (live) ==" in captured.out
+        assert "== locality (live) ==" in captured.out
+        assert "== hot (live) ==" in captured.out
 
     def test_quiet_suppresses_progress(self, minic_file, capsys):
         assert main(["analyze", minic_file, "--analysis", "dep",
                      "--quiet"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        assert "== dep (replay) ==" in captured.out
+        assert "== dep (live) ==" in captured.out
 
     def test_json_output_shape(self, minic_file, capsys):
         assert main(["analyze", minic_file,
@@ -59,23 +59,32 @@ class TestAnalyzeVerb:
         assert payload["analyses"]["dep"]["constructs"]
         assert payload["analyses"]["locality"]["accesses"] > 0
         assert payload["analyses"]["hot"]["rows"]
-        assert payload["mode"] == {"dep": "replay", "locality": "replay",
-                                   "hot": "replay"}
+        assert payload["mode"] == {"dep": "live", "locality": "live",
+                                   "hot": "live"}
 
     def test_live_flag_skips_recording(self, minic_file, capsys):
         assert main(["analyze", minic_file, "--analysis", "dep,counts",
                      "--live", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
         assert payload["mode"] == {"dep": "live", "counts": "live"}
 
+    def test_live_flag_progress_line(self, minic_file, capsys):
+        assert main(["analyze", minic_file, "--analysis", "dep,counts",
+                     "--live"]) == 0
+        assert "ran 2 analysis(es) live" in capsys.readouterr().err
+
     def test_live_and_replay_json_agree(self, minic_file, capsys):
+        """A recording run and a plain live run give the same results
+        (recording does not perturb them); the trace's replay is held
+        to them by the Session parity tests."""
         assert main(["analyze", minic_file, "--analysis", "dep,locality",
                      "--json"]) == 0
-        replayed = json.loads(capsys.readouterr().out)
+        recorded = json.loads(capsys.readouterr().out)
         assert main(["analyze", minic_file, "--analysis", "dep,locality",
                      "--live", "--json"]) == 0
         live = json.loads(capsys.readouterr().out)
-        assert live["analyses"] == replayed["analyses"]
+        assert live["analyses"] == recorded["analyses"]
 
     def test_baseline_analyses_available(self, minic_file, capsys):
         assert main(["analyze", minic_file,

@@ -149,9 +149,10 @@ class TestParallelReplayCli:
         args = build_parser().parse_args(
             ["record", "f.mc", "--checkpoints", "0"])
         assert args.checkpoints == 0
-        args = build_parser().parse_args(
-            ["analyze", "f.mc", "--jobs", "2"])
-        assert args.jobs == 2
+        # A CLI analyze is always cold (one run), so it takes no --jobs.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["analyze", "f.mc", "--jobs", "2"])
+        assert exit_info.value.code == 2
 
     def test_record_reports_checkpoints(self, minic_file, tmp_path,
                                         capsys):

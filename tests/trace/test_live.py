@@ -101,8 +101,10 @@ def test_one_run_feeds_blocks_and_hooks(values_plugin, small_blocks,
     tm = Telemetry()
     with Session(cache_dir=str(tmp_path), telemetry=tm) as session:
         report = session.analyze(SOURCE, names, mode="live")
-        replayed = session.analyze(SOURCE, BUNDLED, mode="replay")
+        session.record(SOURCE)
+        replayed = session.analyze(SOURCE, BUNDLED)
     assert set(report.modes.values()) == {"live"}
+    assert set(replayed.modes.values()) == {"replay"}
     expected = [i * i + r for r in range(6) for i in range(8)]
     assert report["written-values"].data["values"] == expected
     for name in BUNDLED:
@@ -152,7 +154,9 @@ def test_live_source_feeds_a_single_block_consumer(tmp_path):
     counts = CountingAnalysis()
     LiveSource(compile_source(SOURCE)).drive([counts])
     with Session(cache_dir=str(tmp_path)) as session:
-        replayed = session.analyze(SOURCE, ["counts"], mode="replay")
+        session.record(SOURCE)
+        replayed = session.analyze(SOURCE, ["counts"])
+    assert replayed.modes["counts"] == "replay"
     assert counts.counts == replayed["counts"].data
     assert counts.counts["reads"] > 0
 

@@ -1,8 +1,9 @@
 """Golden workload matrix: every bundled workload × every analysis.
 
-Each workload is recorded once per session (one ``Session.analyze``
-call fans the single trace out to all registered analyses) and every
-``to_dict()`` is compared against a committed golden snapshot under
+Each workload is run once per session: one cold ``Session.analyze``
+call records the trace in the same run that feeds all registered
+analyses (``tests/telemetry/test_parity.py`` reaches the same goldens
+by replaying a recorded trace), and every ``to_dict()`` is compared against a committed golden snapshot under
 ``tests/golden/``. Any drift — a changed dependence edge, a shifted
 min distance, one extra cold miss — fails with a readable unified
 diff, so unintended profile changes cannot slip through a refactor.
@@ -53,6 +54,7 @@ def _snapshot(session: Session, workload: str) -> dict:
                              filename=workload)
     assert session.stats.records <= len(ALL_WORKLOADS), \
         "a workload must be recorded at most once per session"
+    assert set(report.modes.values()) == {"live"}
     return {
         "workload": workload,
         "scale": SCALE,
