@@ -5,14 +5,15 @@ comes from (dependence detection + indexing, per §IV-A) on this
 substrate.
 """
 
+import numpy as np
+
 from repro.analysis.constructs import ConstructTable
 from repro.core.alchemist import Alchemist, ProfileOptions
-from repro.core.node import ConstructNode
 from repro.core.pool import ConstructPool
-from repro.core.shadow import ShadowMemory
+from repro.core.shadow import ShadowArrays
 from repro.ir import compile_source
 from repro.runtime.interpreter import Interpreter
-from repro.runtime.tracing import NullTracer
+from repro.runtime.tracing import EV_READ, EV_WRITE, NullTracer
 
 LOOPY = """
 int a[256];
@@ -102,22 +103,18 @@ def test_pool_acquire_release(benchmark):
 
 
 def test_shadow_read_write(benchmark):
-    """Shadow-memory event cost (the dominant per-instruction work)."""
-    shadow = ShadowMemory()
-    node = ConstructNode()
+    """Shadow-memory cost (the dominant per-instruction work): the pair
+    kernel over one block of 1024 alternating reads and writes of 128
+    cells by 32 pcs."""
+    t = np.arange(1024, dtype=np.int64)
+    etypes = np.where(t & 1, EV_WRITE, EV_READ)
 
-    def events():
-        hits = 0
-        for t in range(1024):
-            addr = t & 127
-            if t & 1:
-                waw, wars = shadow.on_write(addr, t & 31, node, t)
-                hits += waw is not None
-            else:
-                hits += shadow.on_read(addr, t & 31, node, t) is not None
-        return hits
+    def block():
+        _rows, head, _tail, _kind = ShadowArrays().step(etypes, t & 127,
+                                                        t & 31, t)
+        return len(head)
 
-    benchmark(events)
+    assert benchmark(block) > 0
 
 
 def test_construct_table_build(benchmark):

@@ -5,18 +5,18 @@ Run with::
     python examples/custom_tracer.py
 
 Alchemist is one client of the interpreter's tracing interface; this
-example builds another — a tiny memory-access heat map plus an
-execution-index sampler — to show how the pieces compose (useful when
-prototyping a different profiler on the same substrate). The
-interpreter emits records; hooked tracers like these get their hooks
-from the record→hook adapter as each record is emitted, so the heat
-map names addresses from the interpreter's own memory at hook time.
+example builds another — a tiny memory-access heat map — to show how
+the pieces compose (useful when prototyping a different profiler on
+the same substrate), then samples the execution index from the index
+tree the profiler records. The interpreter emits records; a hooked
+tracer like the heat map gets its hooks from the record→hook adapter
+as each record is emitted, so it names addresses from the
+interpreter's own memory at hook time.
 """
 
 from collections import Counter
 
-from repro.analysis.constructs import ConstructTable
-from repro.core.tracer import AlchemistTracer
+from repro.core.treedump import IndexTree, record_index_tree
 from repro.ir import compile_source
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.tracing import Tracer
@@ -59,23 +59,17 @@ class HeatMapTracer(Tracer):
         self.writes[self._memory.addr_to_name(addr).split("[")[0]] += 1
 
 
-class IndexSampler(AlchemistTracer):
-    """Samples the execution index every N instructions — the paper's
-    Fig. 4 index paths, live."""
-
-    def __init__(self, table, every=2000):
-        super().__init__(table)
-        self.every = every
-        self.samples: list[str] = []
-        self._window = 0
-
-    def on_block_enter(self, block_id, timestamp):
-        super().on_block_enter(block_id, timestamp)
-        # Block entries rarely land on a multiple of ``every``: sample
-        # at the first one of each new window.
-        if timestamp // self.every != self._window:
-            self._window = timestamp // self.every
-            self.samples.append(" > ".join(self.stack.index_of_top()))
+def index_samples(tree: IndexTree, every: int = 2000) -> list[str]:
+    """The execution index every ``every`` instructions — the paper's
+    Fig. 4 index paths. Construct entries rarely land on a multiple of
+    ``every``: sample at the first one of each new window (the tree's
+    preorder is entry order)."""
+    samples, window = [], 0
+    for node, index in tree.paths():
+        if node.t_enter // every != window:
+            window = node.t_enter // every
+            samples.append(" > ".join(index))
+    return samples
 
 
 def main() -> None:
@@ -89,11 +83,10 @@ def main() -> None:
     for name, count in heat.writes.most_common(5):
         print(f"writes {name:12s} {count:6d}")
 
-    sampler = IndexSampler(ConstructTable(program))
-    Interpreter(program, sampler).run()
+    tree, _report = record_index_tree(program=program)
     print()
     print("=== Execution index samples (Fig. 4 paths) ===")
-    for sample in sampler.samples[:8]:
+    for sample in index_samples(tree)[:8]:
         print(f"[{sample}]")
 
 

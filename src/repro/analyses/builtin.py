@@ -24,15 +24,14 @@ from repro.analyses.base import (Analysis, AnalysisContext,
                                  AnalysisError, AnalysisResult,
                                  AnalysisSegment, OptionSpec,
                                  SegmentSeed, register)
-from repro.analysis.constructs import ConstructTable
+from repro.analysis.constructs import ConstructTable, construct_table
 from repro.baselines.context_profiler import ContextBlocks, ContextProfile
-from repro.baselines.flat_profiler import FlatProfile, FlatTracer
+from repro.baselines.flat_profiler import FlatBlocks, FlatProfile
 from repro.core.blockdep import BlockDependence
 from repro.core.pool import PoolStats
 from repro.core.profile_data import (ConstructProfile, DepKind,
                                      EdgeStats, ProfileStore)
 from repro.core.report import ProfileReport, RunStats
-from repro.core.shadow import ShadowArrays
 from repro.ir.cfg import ProgramIR
 from repro.runtime.memory import Memory, MemoryNames
 
@@ -120,8 +119,8 @@ class DependenceAnalysis(Analysis):
     :class:`~repro.core.blockdep.BlockDependence` (``engine``) runs the
     indexing rules over instance rows, takes the block's pairs from the
     pair kernel and walks Table II over arrays, on its own store and
-    counters. The per-event :class:`~repro.core.tracer.AlchemistTracer`
-    on the interpreter is the reference it is tested against: the
+    counters. The per-event tracer of ``tests/core/reference.py`` on
+    the interpreter is the reference it is tested against: the
     profile — per-construct edges in insertion order, min-Tdep
     distances, names, durations, instance counts — is *identical*
     (the equivalence tests assert this store for store).
@@ -149,7 +148,7 @@ class DependenceAnalysis(Analysis):
                  construct_stack: list = (), shadow: list = ()) -> None:
         """A fresh block engine; ``construct_stack`` and ``shadow`` seed
         it for a segment."""
-        self.table = ConstructTable(program)
+        self.table = construct_table(program)
         self.engine = BlockDependence(self.table, MemoryNames(memory),
                                       self.track_war_waw, self.recorder,
                                       construct_stack, shadow)
@@ -260,7 +259,7 @@ class DependenceAnalysis(Analysis):
                           ctx: AnalysisContext) -> AnalysisResult:
         if "_recs" not in state:
             state = cls._internalize(state)
-        table = ConstructTable(ctx.program)
+        table = construct_table(ctx.program)
         store = ProfileStore()
         store.dynamic_instances = state["counters"]["dyn"]
         for pc in sorted(state["profile"]):
@@ -736,11 +735,10 @@ def _flat_result(profile: FlatProfile) -> AnalysisResult:
 class FlatDependenceAnalysis(_BlockPairAnalysis):
     """The context-insensitive baseline profiler as a plugin.
 
-    Blocks go to :class:`~repro.baselines.flat_profiler.FlatTracer`,
-    whose per-event hooks are the reference: every dependence is
-    attributed to its static ``(head pc, tail pc)`` pair only — the
-    "traditional profiling" strawman the paper's §III opens with, now
-    comparable against ``dep`` in a single pass.
+    Blocks go to :class:`~repro.baselines.flat_profiler.FlatBlocks`:
+    every dependence is attributed to its static ``(head pc, tail pc)``
+    pair only — the "traditional profiling" strawman the paper's §III
+    opens with, now comparable against ``dep`` in a single pass.
     """
 
     name = "flat"
@@ -749,30 +747,29 @@ class FlatDependenceAnalysis(_BlockPairAnalysis):
     supports_segments = True
 
     def __init__(self) -> None:
-        self.tracer: FlatTracer | None = None
+        self.blocks: FlatBlocks | None = None
 
     def on_start(self, program: ProgramIR, memory: Memory) -> None:
-        self.tracer = self.blocks = FlatTracer(program)
+        self.blocks = FlatBlocks(FlatProfile(program))
 
     @property
     def profile(self) -> FlatProfile:
-        return self.tracer.profile
+        return self.blocks.profile
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
-        return _flat_result(self.tracer.profile)
+        return _flat_result(self.blocks.profile)
 
     # -- segment/merge protocol -------------------------------------------
     # Flat attribution needs only the head's (pc, t), which the
-    # checkpointed shadow carries — so the seeded tracer attributes
+    # checkpointed shadow carries — so the seeded blocks attribute
     # cross-segment pairs locally and nothing is ever deferred.
 
     def begin_segment(self, program: ProgramIR, memory: Memory,
                       seed: SegmentSeed) -> None:
-        self.on_start(program, memory)
-        self.tracer.arrays = ShadowArrays.seed(seed.shadow, 0)
+        self.blocks = FlatBlocks(FlatProfile(program), seed.shadow)
 
     def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
-        profile = self.tracer.profile
+        profile = self.blocks.profile
         return AnalysisSegment(type(self), {
             "edges": {key: [edge.min_tdep, edge.count]
                       for key, edge in profile.edges.items()},
@@ -831,8 +828,7 @@ class ContextDependenceAnalysis(_BlockPairAnalysis):
     """The context-sensitive baseline profiler as a plugin.
 
     Blocks go to :class:`~repro.baselines.context_profiler.
-    ContextBlocks`, whose per-event reference is
-    ``ContextSensitiveTracer``: dependences attributed to the calling
+    ContextBlocks`: dependences attributed to the calling
     contexts of both endpoints — the granularity of the profilers the
     paper's §III-B criticizes, and reproducibly unable to separate
     loop-carried from loop-local dependences.

@@ -170,10 +170,10 @@ def resolve_deferred_dep(deferred: list, frontier: dict,
 
     Each entry is ``(kind, addr, head_pc, head_t, tail_pc, tail_t,
     var_hint)``; the head's chain comes from the running frontier. The
-    walk mirrors ``DependenceProfiler.profile_edge`` exactly, with
+    walk mirrors Table II's per-edge walk exactly, with
     "completed and not recycled" expressed in merge terms: ``Texit``
-    known, ``< Tt``, and covering the head timestamp (nodes are never
-    recycled under the GC allocator, so no staleness cases exist).
+    known, ``< Tt``, and covering the head timestamp (instances are
+    never recycled, so no staleness cases exist).
     """
     for kind, addr, head_pc, head_t, tail_pc, tail_t, hint in deferred:
         rec = frontier_head(frontier, kind, addr, head_pc, head_t)

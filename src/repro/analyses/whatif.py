@@ -98,8 +98,8 @@ def _private_globals(program: ProgramIR,
 class WhatIfAnalysis(DependenceAnalysis):
     """Predicted futures-parallelization speedups per candidate
     construct, grounded in the profiled event stream. A block consumer
-    (inherited from ``dep``), live and on replay, whose graphs have
-    ``TaskGraphTracer`` on the interpreter as per-event reference."""
+    (inherited from ``dep``), live and on replay; the tests hold its
+    graphs to a per-event task-graph tracer on the interpreter."""
 
     name = "whatif"
     description = ("what-if advisor: predicted futures speedup per "

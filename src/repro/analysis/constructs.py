@@ -155,6 +155,15 @@ class ConstructTable:
         return [c for c in self.by_pc.values() if c.is_loop]
 
 
+def construct_table(program: ProgramIR) -> ConstructTable:
+    """The program's construct table, built once and kept in
+    ``ProgramIR.memo`` (the table holds no reference to the program)."""
+    table = program.memo.get("constructs")
+    if not isinstance(table, ConstructTable):
+        table = program.memo["constructs"] = ConstructTable(program)
+    return table
+
+
 def loop_control_stores(blocks, header_block: int, loop) -> list:
     """Local scalar slots stored in a loop's *control blocks* — the
     header and the back-edge sources (a ``for`` step block, a ``while``

@@ -14,24 +14,26 @@
   *iterations* per loop. It covers loops only; Alchemist's
   construct-vs-continuation profile subsumes it.
 
-All three detect dependences on Alchemist's own
-:class:`~repro.core.shadow.ShadowMemory`, so they see the same pairs
-and differ only in how they attribute them.
+All three run on Alchemist's own block engine: they detect dependences
+with the pair kernel of :mod:`repro.core.shadow`, a block at a time,
+so they see the same pairs and differ only in how they attribute them
+(the loop baseline also takes its iterations from dep's instance
+table). Their per-event references — tracers on the interpreter, one
+hooked event at a time — live in ``tests/baselines/reference.py``.
 """
 
-from repro.baselines.context_profiler import (ContextProfile,
-                                              ContextSensitiveTracer)
-from repro.baselines.flat_profiler import FlatProfile, FlatTracer
+from repro.baselines.context_profiler import ContextBlocks, ContextProfile
+from repro.baselines.flat_profiler import FlatBlocks, FlatProfile
 from repro.baselines.min_distance import (LoopDistanceProfile,
-                                          MinDistanceTracer,
+                                          LoopDistances,
                                           profile_loop_distances)
 
 __all__ = [
+    "ContextBlocks",
     "ContextProfile",
-    "ContextSensitiveTracer",
+    "FlatBlocks",
     "FlatProfile",
-    "FlatTracer",
     "LoopDistanceProfile",
-    "MinDistanceTracer",
+    "LoopDistances",
     "profile_loop_distances",
 ]

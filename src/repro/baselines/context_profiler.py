@@ -4,7 +4,7 @@ Attributes every dependence edge to the *calling context* of its head
 access — the chain of function names on the call stack — exactly the
 granularity of context-sensitive profilers ([2], and the dependence
 profilers of [6, 8] the paper discusses). No loop-iteration structure
-is recorded. Detection is :class:`~repro.core.shadow.ShadowMemory`
+is recorded. Detection is the pair kernel of :mod:`repro.core.shadow`
 with the calling context as payload, so the pair stream is exactly
 Alchemist's.
 
@@ -30,12 +30,9 @@ import numpy as np
 
 from repro.core.profile_data import DepKind
 from repro.core.shadow import (BOUNDARY_ID, PAIR_KINDS, ShadowArrays,
-                               ShadowMemory, group_pairs)
-from repro.runtime.tracing import Tracer
+                               group_pairs)
 
 Context = tuple[str, ...]
-
-_RAW, _WAR, _WAW = DepKind.RAW, DepKind.WAR, DepKind.WAW
 
 
 @dataclass
@@ -92,57 +89,6 @@ class ContextProfile:
                 for e in self.edges_between(head_fn, tail_fn)}
 
 
-class ContextSensitiveTracer(Tracer):
-    """Shadow-memory dependence detection with calling-context
-    attribution only: the shadow payload is the calling context.
-
-    The per-event hooks are the live path; :class:`ContextBlocks`
-    replays whole trace blocks into a profile of the same form.
-    """
-
-    def __init__(self) -> None:
-        self.profile = ContextProfile()
-        self._stack: list[str] = []
-        self._context: Context = ()
-        self.shadow = ShadowMemory()
-
-    # -- context maintenance ------------------------------------------------
-
-    def on_enter_function(self, fn_name: str, entry_pc: int,
-                          timestamp: int) -> None:
-        self._stack.append(fn_name)
-        self._context = tuple(self._stack)
-
-    def on_exit_function(self, fn_name: str, timestamp: int) -> None:
-        self._stack.pop()
-        self._context = tuple(self._stack)
-
-    # -- dependence detection ------------------------------------------------
-
-    def on_read(self, addr: int, pc: int, timestamp: int) -> None:
-        write = self.shadow.on_read(addr, pc, self._context, timestamp)
-        if write is not None:
-            self.profile.record(write[1], self._context, write[0], pc,
-                                _RAW, timestamp - write[2])
-
-    def on_write(self, addr: int, pc: int, timestamp: int) -> None:
-        write, reads = self.shadow.on_write(addr, pc, self._context,
-                                            timestamp)
-        record = self.profile.record
-        for read_pc, (read_ctx, read_t) in reads.items():
-            record(read_ctx, self._context, read_pc, pc, _WAR,
-                   timestamp - read_t)
-        if write is not None:
-            record(write[1], self._context, write[0], pc, _WAW,
-                   timestamp - write[2])
-
-    def on_frame_free(self, lo: int, hi: int) -> None:
-        self.shadow.clear_range(lo, hi)
-
-    def on_finish(self, timestamp: int) -> None:
-        self.profile.instructions = timestamp
-
-
 class ContextBlocks:
     """The context baseline over whole trace blocks, into ``profile``:
     the pairs come from the block kernel, with calling contexts as
@@ -186,12 +132,11 @@ class ContextBlocks:
         return self.shadow.frontier(self._contexts.__getitem__)
 
     def consume_block(self, batch, functions: list) -> None:
-        """Every event of one trace block, exactly as the per-event
-        hooks would take them: the calling context of each event comes
-        from the block's ENTER/EXIT rows (callees resolved through
-        ``functions``, the trace's function table), the pairs from the
-        block kernel, and each block's pairs are folded per (head
-        context, tail context, head pc, tail pc, kind)."""
+        """Every event of one trace block: the calling context of each
+        event comes from the block's ENTER/EXIT rows (callees resolved
+        through ``functions``, the trace's function table), the pairs
+        from the block kernel, and each block's pairs are folded per
+        (head context, tail context, head pc, tail pc, kind)."""
         etypes, a, b, t = batch.arrays()
         calls = np.flatnonzero((etypes == EV_ENTER) | (etypes == EV_EXIT))
         ctx = self._ctx

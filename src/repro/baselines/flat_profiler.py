@@ -10,8 +10,8 @@ these two statements, and how close does it get?", but not "does it
 cross the loop boundary?", which is the question parallelization needs
 (the paper's Fig. 4(c) discussion).
 
-Detection is :class:`~repro.core.shadow.ShadowMemory` with a ``None``
-payload, so the pair stream is exactly Alchemist's.
+Detection is the pair kernel of :mod:`repro.core.shadow` with payload
+0, so the pair stream is exactly Alchemist's.
 
 Used by ``benchmarks/bench_baselines.py`` to render the §III-B
 four-case experiment: flat and context-sensitive profiles are
@@ -24,10 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.profile_data import DepKind
-from repro.core.shadow import (PAIR_KINDS, ShadowArrays, ShadowMemory,
-                               group_pairs)
+from repro.core.shadow import PAIR_KINDS, ShadowArrays, group_pairs
 from repro.ir.cfg import ProgramIR
-from repro.runtime.tracing import Tracer
 
 
 @dataclass
@@ -80,50 +78,25 @@ class FlatProfile:
                 for e in self.edges_between(head_fn, tail_fn)}
 
 
-class FlatTracer(Tracer):
-    """Shadow-memory dependence detection, static attribution only.
-
-    The per-event hooks are the live path, on ``shadow``;
-    :meth:`consume_block` replays whole trace blocks through the block
-    kernel, on ``arrays`` (which a parallel segment seeds from its
-    checkpoint).
+class FlatBlocks:
+    """The flat baseline over whole trace blocks, into ``profile``: the
+    pairs come from the block kernel (payload 0), folded per (head pc,
+    tail pc, kind). A parallel segment starts from the checkpoint's
+    ``shadow`` rows: flat attribution needs only the head's pc and
+    time, which they carry, so nothing is deferred.
     """
 
-    def __init__(self, program: ProgramIR) -> None:
-        self.profile = FlatProfile(program)
-        self.shadow = ShadowMemory()
-        self.arrays = ShadowArrays()
-
-    def on_read(self, addr: int, pc: int, timestamp: int) -> None:
-        write = self.shadow.on_read(addr, pc, None, timestamp)
-        if write is not None:
-            self.profile.record(write[0], pc, DepKind.RAW,
-                                timestamp - write[2])
-
-    def on_write(self, addr: int, pc: int, timestamp: int) -> None:
-        write, reads = self.shadow.on_write(addr, pc, None, timestamp)
-        for read_pc, (_p, read_t) in reads.items():
-            self.profile.record(read_pc, pc, DepKind.WAR,
-                                timestamp - read_t)
-        if write is not None:
-            self.profile.record(write[0], pc, DepKind.WAW,
-                                timestamp - write[2])
-
-    def on_frame_free(self, lo: int, hi: int) -> None:
-        self.shadow.clear_range(lo, hi)
-
-    def on_finish(self, timestamp: int) -> None:
-        self.profile.instructions = timestamp
+    def __init__(self, profile: FlatProfile, shadow: list = ()) -> None:
+        self.profile = profile
+        self.arrays = ShadowArrays.seed(shadow, 0)
 
     def consume_block(self, batch, functions: list) -> None:
-        """Every access and free of one trace block, exactly as the
-        per-event hooks would take them: the pairs come from the block
-        kernel and are folded per (head pc, tail pc, kind).
-        ``functions`` is unused (flat ignores calls)."""
+        """Every access and free of one trace block. ``functions`` is
+        unused (flat ignores calls)."""
         etypes, a, b, t = batch.arrays()
         rows, head, tail, kind = self.arrays.step(etypes, a, b, t)
         if len(etypes) and etypes[-1] == EV_FINISH:
-            self.on_finish(int(t[-1]))
+            self.profile.instructions = int(t[-1])
         _addr, pc, ts, _payload = rows
         keys, minima, counts = group_pairs((pc[head], pc[tail], kind),
                                            ts[tail] - ts[head])

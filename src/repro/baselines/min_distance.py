@@ -12,20 +12,25 @@ Alchemist against:
   outer loop's parallelism cannot be judged from the profile of its
   inner loops.
 
-Detection is Alchemist's own :class:`~repro.core.shadow.ShadowMemory`
-with a loop-iteration tag as payload, so both see the same pairs.
+Detection is Alchemist's own: dep's instance table
+(:class:`~repro.core.instances.InstanceTable`) delimits the loop
+iterations and the pair kernel (:meth:`~repro.core.shadow.ShadowArrays.
+step`) pairs the accesses, with a loop-iteration tag as the payload, so
+both see the same pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.constructs import ConstructTable
-from repro.core.profile_data import DepKind
-from repro.core.tracer import AlchemistTracer
+import numpy as np
+
+from repro.analysis.constructs import construct_table
+from repro.core.instances import InstanceTable
+from repro.core.profile_data import DepKind, ProfileStore
+from repro.core.shadow import PAIR_KINDS, ShadowArrays, group_pairs
 from repro.ir.cfg import ProgramIR
 from repro.ir.lowering import compile_source
-from repro.runtime.interpreter import Interpreter
 
 
 @dataclass
@@ -65,124 +70,120 @@ class LoopDistanceProfile:
         raise KeyError(name)
 
 
-class MinDistanceTracer(AlchemistTracer):
-    """Tags accesses with (innermost loop instance, iteration number).
+#: A loop tag packs the activation (from 1) above the iteration.
+_ITERATION_BITS = 32
 
-    Reuses the execution-indexing stack for loop entry/exit/iteration
-    events and the inherited shadow memory, whose payload here is the
-    tag ``(loop_pc, activation, iteration)`` (``None`` outside loops),
-    but replaces Alchemist's construct-walking profile with iteration
-    distances between the tags of each pair.
+
+class LoopDistances:
+    """The TEST baseline over whole blocks, a block consumer of a live
+    run's tap, into ``result``.
+
+    Dep's instance table indexes each block; rule 4 makes every
+    iteration a loop instance of its own. A loop push continues an
+    activation when the same control event popped the same loop's
+    previous iteration (the pop and push of one BRANCH); any other
+    starts a new activation. Each access carries its innermost loop
+    instance's tag, ``activation << 32 | iteration`` (-1 outside
+    loops), as its shadow payload, so a pair whose tags share the
+    activation is ``tail - head`` iterations apart. Pairs at distance
+    >= 1 fold per (loop, head pc, tail pc, kind), new keys in the order
+    the pairs come.
     """
 
-    def __init__(self, table: ConstructTable):
-        super().__init__(table)
+    name = "min-distance"
+    batch_kind = "block"
+
+    def on_start(self, program: ProgramIR, memory) -> None:
+        table = construct_table(program)
         self.result = LoopDistanceProfile()
-        #: Stack of [loop_pc, activation serial, iteration index].
-        self._loops: list[list[int]] = []
-        self._activation_counter = 0
-        #: A just-popped loop entry that may be a rule-4 iteration
-        #: boundary: (loop_pc, timestamp). Rule 4 pops the previous
-        #: iteration and pushes the next at the same timestamp; if the
-        #: matching push never comes, the activation has ended.
-        self._pending_pop: tuple[int, int] | None = None
-        self.stack.push_observer = self._on_push
-        self.stack.pop_observer = self._on_pop
+        self.rows = InstanceTable(table, ProfileStore())
+        self.shadow = ShadowArrays()
+        self._is_loop = np.zeros(max(table.by_pc, default=0) + 1,
+                                 dtype=bool)
+        self._is_loop[[c.pc for c in table.loops()]] = True
+        #: The open loop instances, bottom to top: (loop pc, tag).
+        self._loops: list[tuple[int, int]] = []
+        self._activations = 0
+        self._seen = 0
 
-    # -- loop tracking -------------------------------------------------------
+    def consume_batch(self, batch) -> None:
+        etypes, a, b, t = batch.arrays()
+        block = self.rows.index(etypes, a, b, t, self._seen)
+        self._seen += len(etypes)
+        loop_of, tags = self._innermost_loops(block, len(etypes))
+        (_addr, pc, _t, tag), head, tail, kind, event, rank = \
+            self.shadow.step(etypes, a, b, t, tags, ordered=True)
+        self.rows.compact()
+        distance = tag[tail] - tag[head]
+        # Tags outside loops are -1, an activation no loop has.
+        same = ((tag[head] >> _ITERATION_BITS == tag[tail] >> _ITERATION_BITS)
+                & (distance >= 1))
+        head, tail, kind = head[same], tail[same], kind[same]
+        order = event[same] * len(pc) + rank[same]
+        keys, minima, _counts, firsts = group_pairs(
+            (loop_of[event[same]], pc[head], pc[tail], kind),
+            distance[same], order)
+        loops = self.result.loops
+        new = []
+        for loop, head_pc, tail_pc, k, low, i in zip(*keys, minima, firsts):
+            key = (head_pc, tail_pc, PAIR_KINDS[k])
+            known = loops[loop].min_distance
+            if key in known:
+                known[key] = min(known[key], low)
+            else:
+                new.append((int(order[i]), loop, key, low))
+        for _, loop, key, low in sorted(new):
+            loops[loop].min_distance[key] = low
 
-    def _flush_pending(self) -> None:
-        """Commit a deferred pop: the sibling push never arrived, so the
-        loop activation really ended."""
-        if self._pending_pop is not None:
-            self._pending_pop = None
-            if self._loops:
-                self._loops.pop()
-
-    def _on_push(self, static, timestamp: int) -> None:
-        if not static.is_loop:
-            self._flush_pending()
-            return
-        pending = self._pending_pop
-        self._pending_pop = None
-        if (pending is not None and pending == (static.pc, timestamp)
-                and self._loops and self._loops[-1][0] == static.pc):
-            # Rule-4 pop+push pair: the same activation's next iteration.
-            self._loops[-1][2] += 1
-        else:
-            if pending is not None and self._loops:
-                self._loops.pop()  # the pending pop was a real exit
-            self._activation_counter += 1
-            self._loops.append([static.pc, self._activation_counter, 0])
-        stats = self._stats_for(static)
-        stats.iterations += 1
-
-    def _on_pop(self, node, timestamp: int) -> None:
-        if not node.static.is_loop:
-            return
-        self._flush_pending()
-        if self._loops and self._loops[-1][0] == node.static.pc:
-            self._pending_pop = (node.static.pc, timestamp)
-
-    def _stats_for(self, static) -> LoopStats:
-        stats = self.result.loops.get(static.pc)
-        if stats is None:
-            stats = LoopStats(static.pc, static.name)
-            self.result.loops[static.pc] = stats
-        return stats
-
-    def _tag(self):
-        self._flush_pending()
-        if not self._loops:
-            return None
-        loop_pc, activation, iteration = self._loops[-1]
-        return (loop_pc, activation, iteration)
-
-    # -- dependence detection ----------------------------------------------------
-
-    def on_read(self, addr: int, pc: int, timestamp: int) -> None:
-        tag = self._tag()
-        write = self.shadow.on_read(addr, pc, tag, timestamp)
-        if write is not None:
-            self._note_pair(write[1], tag, write[0], pc, DepKind.RAW)
-
-    def on_write(self, addr: int, pc: int, timestamp: int) -> None:
-        tag = self._tag()
-        write, reads = self.shadow.on_write(addr, pc, tag, timestamp)
-        for read_pc, (read_tag, _t) in reads.items():
-            self._note_pair(read_tag, tag, read_pc, pc, DepKind.WAR)
-        if write is not None:
-            self._note_pair(write[1], tag, write[0], pc, DepKind.WAW)
-
-    def _note_pair(self, head_tag, tail_tag, head_pc: int, tail_pc: int,
-                   kind: DepKind) -> None:
-        if head_tag is None or tail_tag is None:
-            return
-        head_loop, head_act, head_iter = head_tag
-        tail_loop, tail_act, tail_iter = tail_tag
-        if head_loop != tail_loop or head_act != tail_act:
-            return  # TEST: same-loop, same-activation distances only
-        distance = tail_iter - head_iter
-        if distance < 1:
-            return  # intra-iteration
-        stats = self.result.loops.get(head_loop)
-        if stats is not None:
-            stats.record(head_pc, tail_pc, kind, distance)
-
-    def on_finish(self, timestamp: int) -> None:
-        super().on_finish(timestamp)
-        self.result.instructions = timestamp
+    def _innermost_loops(self, block, events: int) -> tuple:
+        """Each event's innermost open loop instance: its loop pc and
+        tag (-1 and -1 outside loops), after the block's loop pushes
+        and pops. Counts the iterations."""
+        rows = self.rows
+        pcs = rows.pc[np.where(block.pushes, block.row, ~block.row)]
+        logged = np.flatnonzero(self._is_loop[pcs])
+        open_loops = self._loops
+        stats = self.result.loops
+        by_pc = rows.constructs.by_pc
+        top = [open_loops[-1] if open_loops else (-1, -1)]
+        popped = None  # (pc, event, tag) of the last loop pop
+        for row, pc, at in zip(block.row[logged].tolist(),
+                               pcs[logged].tolist(),
+                               block.at[logged].tolist()):
+            if row < 0:
+                popped = (pc, at, open_loops.pop()[1])
+            else:
+                if popped is not None and popped[:2] == (pc, at):
+                    tag = popped[2] + 1
+                else:
+                    self._activations += 1
+                    tag = self._activations << _ITERATION_BITS
+                open_loops.append((pc, tag))
+                if pc not in stats:
+                    stats[pc] = LoopStats(pc, by_pc[pc].name)
+                stats[pc].iterations += 1
+            top.append(open_loops[-1] if open_loops else (-1, -1))
+        # An event's innermost loop is the top after the last loop push
+        # or pop at or before it.
+        after = np.cumsum(np.bincount(block.at[logged], minlength=events))
+        top = np.array(top, dtype=np.int64).reshape(-1, 2)[after]
+        return top[:, 0], top[:, 1]
 
 
 def profile_loop_distances(source: str | None = None, *,
                            program: ProgramIR | None = None
                            ) -> LoopDistanceProfile:
-    """Run a program under the TEST-style baseline."""
+    """Run a program under the TEST-style baseline: one live run whose
+    tap feeds :class:`LoopDistances`."""
+    # Imported here: the trace package imports the analyses, which
+    # import the baselines.
+    from repro.trace.live import run_live
+
     if program is None:
         if source is None:
             raise ValueError("need source or program")
         program = compile_source(source)
-    table = ConstructTable(program)
-    tracer = MinDistanceTracer(table)
-    Interpreter(program, tracer).run()
-    return tracer.result
+    distances = LoopDistances()
+    ctx = run_live(program, [distances])
+    distances.result.instructions = ctx.final_time
+    return distances.result

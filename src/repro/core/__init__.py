@@ -7,11 +7,12 @@ Module map, following the paper's structure:
   to a block's events as instance rows, :mod:`repro.core.shadow`'s
   block kernel pairs RAW/WAR/WAW accesses, and Table II's walk runs
   over arrays;
-* its per-event reference: :mod:`repro.core.node` / :mod:`.pool`
-  (instances; Table I's lazy-retirement pool), :mod:`.indexing` (the
-  indexing stack), :mod:`.profiler` (the per-edge Table II walk) and
-  :mod:`.tracer`, which glues them to the tracer hooks (live, through
-  the record→hook adapter);
+* :mod:`repro.core.node` / :mod:`repro.core.pool` — construct
+  instance nodes and Table I's lazy-retirement pool, the paper's
+  allocation discipline as an exposition. The per-event engine that
+  drives them (indexing stack, dict shadow, per-edge Table II walk,
+  tracer hooks) lives in ``tests/core/reference.py`` as the oracle the
+  block engine is tested against;
 * :mod:`repro.core.profile_data` — per-construct profiles with min-Tdep
   edges;
 * :mod:`repro.core.report` / :mod:`repro.core.advisor` — ranked output

@@ -20,8 +20,8 @@ index tree. Per block it
    the :class:`ProfileStore` — existing edges take the count and the
    minimum, new profiles and new edges are created in first-occurrence
    order (the earliest step by pair order, then level), so dict order,
-   ``first_t`` and the names match the per-edge walk
-   (:class:`~repro.core.profiler.DependenceProfiler`) exactly.
+   ``first_t`` and the names match the paper's per-edge walk (the
+   tests' per-event reference) exactly.
 
 A new edge's name, and that of each pair deferred because its head is a
 segment's seeded access (:data:`BOUNDARY_ID`), is the address's name at

@@ -1,10 +1,11 @@
 """Construct instances as table rows: the indexing stack over whole blocks.
 
-:class:`~repro.core.indexing.IndexingStack`, the per-event reference,
-builds the execution index tree one node per instance and event.
-:class:`InstanceTable`, dep's indexing on every path, applies the same
-five rules to a block's ENTER/EXIT/BLOCK/BRANCH rows as a transition
-table and writes each instance as a row of int columns instead:
+The paper's indexing stack builds the execution index tree one node per
+instance and event (the tests keep that stack as the per-event
+reference). :class:`InstanceTable`, dep's indexing on every path,
+applies the same five rules to a block's ENTER/EXIT/BLOCK/BRANCH rows
+as a transition table and writes each instance as a row of int columns
+instead:
 
 * ``pc`` — the static construct's head pc;
 * ``parent`` — the enclosing instance's row (-1 at the root);
@@ -41,8 +42,7 @@ when no open instance of its construct encloses it, which its state
 knows from the set of constructs on its stack; the row keeps the flag
 (``outer``), and only the pops of outermost rows fold their durations
 and instance counts into the store (§III-B "Recursion"); the flag
-stands in for the :class:`~repro.core.profile_data.ProfileStore`'s
-recursion nesting counters, which only the indexing stack keeps. A
+stands in for the per-event stack's recursion nesting counters. A
 profile the block would create is held back until
 :meth:`InstanceTable.create_profiles`, which creates every new profile
 of the block in event order together with the ones the dependence walk
@@ -296,8 +296,8 @@ class InstanceTable:
     def index(self, etypes: np.ndarray, a: np.ndarray, b: np.ndarray,
               t: np.ndarray, first: int) -> BlockRows:
         """Apply the indexing rules to one block's int64 columns, the
-        block starting at event position ``first``; exactly what
-        :class:`~repro.core.indexing.IndexingStack` does per event."""
+        block starting at event position ``first``; exactly what the
+        per-event indexing stack does."""
         kinds = _kinds()[etypes]
         control = np.flatnonzero(kinds >= 0)
         kind, x, y = kinds[control], a[control], b[control]

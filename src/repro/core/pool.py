@@ -15,24 +15,19 @@ stay addressable ("lazy retiring").
 The paper pre-allocates a fixed pool of one million entries; this
 implementation starts smaller and grows on demand, reporting the high
 water mark, which is equivalent in behaviour and friendlier as a
-library default. Drive :class:`ConstructPool` through an
-:class:`~repro.core.indexing.IndexingStack` directly to study the
-paper's fixed-budget recycling (the tracer itself no longer does —
-see below).
+library default.
 
 The pool exists because the paper's C implementation cannot reclaim
 construct instances that shadow memory might still reference; lazy
 retirement is its safe approximation of "free when provably
-unobservable". A garbage-collected runtime gets the exact semantics
-for free: :class:`NodeAllocator` hands out a fresh node per acquire
-and lets the interpreter reclaim nodes once the indexing stack, the
-shadow and the index tree drop their references. Under it a node's
-``Tenter``/``Texit`` are never overwritten by reuse, so dependence
-attribution is a pure function of the event stream — the property the
-sharded parallel replay merge (``repro.trace.parallel``) relies on —
-and the profile equals what an infinitely large ConstructPool would
-produce. :class:`ConstructPool` is kept as the faithful reproduction
-of Table I (and remains drivable through the same interface).
+unobservable". The library's dependence engine needs no pool: its
+instances are rows of :class:`~repro.core.instances.InstanceTable`,
+which keeps exactly the rows the shadow and the open stack still
+reach, so a completed instance's ``Tenter``/``Texit`` are never
+overwritten and the profile equals what an infinitely large pool would
+produce. :class:`ConstructPool` is kept as the faithful reproduction of
+Table I; the tests' per-event indexing stack drives it, and
+:class:`PoolStats` is the shape of a report's allocation figures.
 """
 
 from __future__ import annotations
@@ -130,37 +125,3 @@ class ConstructPool:
             node = node.next
         return count
 
-
-class NodeAllocator:
-    """Garbage-collected "infinite pool": a fresh node per acquire.
-
-    Interface-compatible with :class:`ConstructPool` (the indexing
-    stack drives either). ``release`` only updates accounting — the
-    node is reclaimed by the runtime once nothing references it, so a
-    completed instance stays addressable exactly as long as shadow
-    memory or the index tree can still reach it. Stats map onto
-    :class:`PoolStats`: ``capacity`` is the peak number of
-    simultaneously live (acquired, not yet released) nodes, ``grows``
-    counts allocations, and ``reuses``/scan figures are zero by
-    construction.
-    """
-
-    def __init__(self):
-        self.stats = PoolStats()
-        self._live = 0
-
-    def acquire(self, timestamp: int) -> ConstructNode:
-        stats = self.stats
-        stats.acquires += 1
-        stats.grows += 1
-        self._live += 1
-        if self._live > stats.capacity:
-            stats.capacity = self._live
-        return ConstructNode()
-
-    def release(self, node: ConstructNode) -> None:
-        self._live -= 1
-
-    def live_count(self) -> int:
-        """Nodes acquired and not yet released (the indexing stack)."""
-        return self._live

@@ -5,8 +5,8 @@ here it is :class:`ProfileStore`, a dict keyed the same way. Each profile
 accumulates
 
 * ``total_duration`` / ``instances`` — the paper's ``Ttotal`` and
-  ``inst`` (aggregated with a nesting counter so recursion is not double
-  counted, §III-B "Recursion");
+  ``inst``, folded from outermost instances only so recursion is not
+  double counted (§III-B "Recursion");
 * ``max_duration`` — largest single instance, used as the construct's
   ``Tdur`` in the violation test ``Tdep > Tdur`` (a profile aggregates
   many instances; using the maximum is the conservative choice);
@@ -21,7 +21,6 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.analysis.constructs import StaticConstruct
-from repro.core.node import ConstructNode
 
 
 class DepKind(enum.Enum):
@@ -113,11 +112,10 @@ class ConstructProfile:
 
 
 class ProfileStore:
-    """All construct profiles of a run, plus recursion nesting counters."""
+    """All construct profiles of a run, keyed by head pc."""
 
     def __init__(self) -> None:
         self.profiles: dict[int, ConstructProfile] = {}
-        self._nesting: dict[int, int] = {}
         #: Dynamic construct instances (the paper's Table III 'Dynamic').
         self.dynamic_instances = 0
 
@@ -127,24 +125,3 @@ class ProfileStore:
             profile = ConstructProfile(static)
             self.profiles[static.pc] = profile
         return profile
-
-    # -- called by the indexing stack ------------------------------------------
-
-    def on_construct_enter(self, static: StaticConstruct) -> None:
-        self.dynamic_instances += 1
-        self._nesting[static.pc] = self._nesting.get(static.pc, 0) + 1
-
-    def on_construct_complete(self, node: ConstructNode) -> None:
-        """Table I lines 19-21, guarded by the recursion nesting counter:
-        only the outermost same-pc instance aggregates its duration."""
-        static = node.static
-        depth = self._nesting[static.pc] - 1
-        self._nesting[static.pc] = depth
-        if depth > 0:
-            return
-        profile = self.get_or_create(static)
-        duration = node.t_exit - node.t_enter
-        profile.total_duration += duration
-        profile.instances += 1
-        if duration > profile.max_duration:
-            profile.max_duration = duration

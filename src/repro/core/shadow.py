@@ -1,14 +1,12 @@
 """Shadow memory: the one per-address access history.
 
-Every detector with the paper's §III-B semantics — the Alchemist
-tracer, the flat and context baselines, the TEST-style loop baseline
-and the checkpoint scanner — keeps its history here, per event in a
-:class:`ShadowMemory` or a block at a time in a :class:`ShadowArrays`.
-For every traced address the shadow keeps
+Every detector with the paper's §III-B semantics — dep, the flat,
+context and TEST-style loop baselines, the checkpoint scanner — keeps
+its history here, a block at a time in a :class:`ShadowArrays`. For
+every traced address the shadow keeps
 
 * the last write: ``(pc, payload, timestamp)``;
-* the most recent read per static reader pc since that write:
-  ``{pc: (payload, timestamp)}``.
+* the most recent read per static reader pc since that write.
 
 A read reports a RAW dependence from the last write. A write reports a
 WAR dependence from every recorded read and a WAW dependence from the
@@ -18,183 +16,42 @@ most recent read per static pc preserves the *minimum* Tdep per static
 edge, which is what profiles record). So every detector sees the same
 pair stream; they differ only in how they attribute it.
 
-The *payload* is opaque to the shadow: the construct node for
-Alchemist (its instance row on the block path), the calling context
-for the context baseline, the loop tag for the TEST baseline, ``None``
-(or payload id 0) for the flat baseline and the checkpoint scanner.
-:data:`BOUNDARY_ID` is the payload id of pre-segment state seeded into
-a parallel segment.
-
-``clear_range`` forgets state for deallocated stack frames so address
-reuse across calls cannot fabricate dependences; the return-value cell
-is cleared separately after the caller's read.
-
-Tracked addresses are additionally indexed by bucket (``addr >> 6``,
-64-word granularity). A range wider than one bucket is cleared by
-walking only the buckets it spans — and within them only the addresses
-they hold — so freeing a large heap block costs time proportional to
-its own traced accesses, not to the whole shadow or the whole block.
-Before this index, such a free scanned either the entire range or
-every tracked address, which made teardown quadratic for
-alloc/free-heavy workloads. A range no wider than a bucket (a typical
-stack frame) is cheaper to clear address by address; that path leaves
-the cleared addresses in their bucket, so a bucket holds every tracked
-address of its slice plus possibly some stale ones, which the next
-bucket walk over it drops.
+The *payload* is an int the shadow does not interpret: the construct
+instance row for dep, the calling context's id for the context
+baseline, the loop-iteration tag for the TEST baseline, 0 for the flat
+baseline and the checkpoint scanner. :data:`BOUNDARY_ID` is the payload
+id of pre-segment state seeded into a parallel segment. A FREE row
+forgets the state of its range, so address reuse across calls cannot
+fabricate dependences.
 
 The shadow also owns the seam format of sharded parallel replay:
 :meth:`ShadowArrays.snapshot` writes a checkpoint's ``shadow`` rows
-for the seam scan (:meth:`ShadowMemory.snapshot` writes the same rows
-from the per-event shadow), :meth:`ShadowArrays.seed` reads them back
-under a payload id, and :meth:`ShadowArrays.frontier` exports what a
-segment added on top.
+for the seam scan, :meth:`ShadowArrays.seed` reads them back under a
+payload id, and :meth:`ShadowArrays.frontier` exports what a segment
+added on top.
 
-:class:`ShadowMemory` is the per-event path (the reference tracers
-and the baselines on the interpreter). The block kernel,
-:meth:`ShadowArrays.step`, which dep uses live and replayed, produces
-the same pair stream for a whole block at once, with the same semantics: it sorts
-the block's accesses by address, behind each address's carried write
-and reads; splits every address's accesses into clear epochs at the
-frees that cover it (:func:`mark_clear_epochs`, shared with task-graph
-extraction); and pairs within each (address, epoch) group — a read
-with the latest write before it (RAW), a write with the latest write
-before it (WAW) and with the last read per reader pc since that write
-(WAR). The state it carries between blocks is address-sorted arrays,
-each address's reads in the order the per-event shadow's dict keeps
-them (first read since the last write first), so the kernel can also
-report pairs in the per-event order. Flat, context, dep and the seam
-scan replay whole blocks through it, segments included.
+The block kernel, :meth:`ShadowArrays.step`, reports a whole block's
+pairs at once: it sorts the block's accesses by address, behind each
+address's carried write and reads; splits every address's accesses
+into clear epochs at the frees that cover it (:func:`mark_clear_epochs`,
+shared with task-graph extraction); and pairs within each (address,
+epoch) group — a read with the latest write before it (RAW), a write
+with the latest write before it (WAW) and with the last read per
+reader pc since that write (WAR). The state it carries between blocks
+is address-sorted arrays, each address's reads in first-read order
+since the last write, so the kernel can also report pairs in the order
+a per-event shadow would (the tests keep one, dict-based, as its
+oracle).
 """
 
 from __future__ import annotations
 
 import functools
-from collections import defaultdict
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.core.profile_data import DepKind
-
-#: A recorded access: (pc, payload at access time, timestamp).
-Access = tuple[int, Any, int]
-
-#: Bucket granularity: 2**6 = 64 words per bucket.
-_BUCKET_BITS = 6
-_BUCKET_SIZE = 1 << _BUCKET_BITS
-
-
-class ShadowMemory:
-    """Address -> access history.
-
-    ``entries`` maps addr -> ``[last write | None, {reader pc:
-    (payload, t)}]``, the reads in first-read order since the write.
-    Only the methods here write it; it is public as the per-event
-    reference state that :class:`ShadowArrays` is checked against.
-    """
-
-    __slots__ = ("entries", "_buckets")
-
-    def __init__(self) -> None:
-        self.entries: dict[int, list] = {}
-        # (addr >> _BUCKET_BITS) -> addrs inserted into that bucket: a
-        # superset of its tracked addrs (see the module docstring).
-        self._buckets: defaultdict[int, set[int]] = defaultdict(set)
-
-    def on_read(self, addr: int, pc: int, payload: Any,
-                timestamp: int) -> Access | None:
-        """Record a read; returns the RAW head (the last write), if any."""
-        entry = self.entries.get(addr)
-        if entry is None:
-            self.insert(addr, None, {pc: (payload, timestamp)})
-            return None
-        entry[1][pc] = (payload, timestamp)
-        return entry[0]
-
-    def on_write(self, addr: int, pc: int, payload: Any, timestamp: int
-                 ) -> tuple[Access | None, dict[int, tuple]]:
-        """Record a write; returns (WAW head, WAR heads by reader pc)."""
-        entry = self.entries.get(addr)
-        if entry is None:
-            self.insert(addr, (pc, payload, timestamp), {})
-            return None, {}
-        old_write, reads = entry
-        entry[0] = (pc, payload, timestamp)
-        entry[1] = {}
-        return old_write, reads
-
-    def insert(self, addr: int, write: Access | None,
-               reads: dict[int, tuple]) -> None:
-        """Start tracking ``addr`` with the given last write and per-pc
-        reads."""
-        self.entries[addr] = [write, reads]
-        self._buckets[addr >> _BUCKET_BITS].add(addr)
-
-    def clear_range(self, lo: int, hi: int) -> None:
-        """Forget all state for addresses in ``[lo, hi)``.
-
-        Cost: O(range) up to one bucket's width; beyond it,
-        O(addresses held by the buckets the range touches) plus
-        O(buckets spanned / tracked buckets, whichever is smaller).
-        """
-        if hi <= lo:
-            return
-        pop = self.entries.pop
-        if hi - lo <= _BUCKET_SIZE:
-            for addr in range(lo, hi):
-                pop(addr, None)
-            return
-        buckets = self._buckets
-        lo_bucket = lo >> _BUCKET_BITS
-        hi_bucket = (hi - 1) >> _BUCKET_BITS
-        if hi_bucket - lo_bucket + 1 <= len(buckets):
-            span = range(lo_bucket, hi_bucket + 1)
-        else:
-            # A huge range over a small shadow: walk the tracked
-            # buckets instead of the (mostly empty) bucket range.
-            span = [b for b in buckets if lo_bucket <= b <= hi_bucket]
-        for b in span:
-            bucket = buckets.get(b)
-            if bucket is None:
-                continue
-            if lo <= (b << _BUCKET_BITS) and \
-                    ((b + 1) << _BUCKET_BITS) <= hi:
-                # Bucket fully covered: drop it wholesale.
-                for addr in bucket:
-                    pop(addr, None)
-                del buckets[b]
-            else:
-                # Boundary bucket: filter.
-                doomed = [addr for addr in bucket if lo <= addr < hi]
-                if len(doomed) == len(bucket):
-                    del buckets[b]
-                else:
-                    bucket.difference_update(doomed)
-                for addr in doomed:
-                    pop(addr, None)
-
-    def tracked_addresses(self) -> int:
-        return len(self.entries)
-
-    def last_write(self, addr: int) -> Access | None:
-        entry = self.entries.get(addr)
-        return entry[0] if entry is not None else None
-
-    # -- seam format ---------------------------------------------------
-
-    def snapshot(self) -> list:
-        """The checkpoint rows ``[[addr, wpc, wt, [[rpc, rt], ...]],
-        ...]``, sorted by address and reads by pc; ``wpc == -1`` (with
-        ``wt == 0``) means no write recorded. Payloads are dropped."""
-        rows = []
-        entries = self.entries
-        for addr in sorted(entries):
-            write, reads = entries[addr]
-            wpc, wt = (-1, 0) if write is None else (write[0], write[2])
-            rows.append([addr, wpc, wt,
-                         sorted([pc, t] for pc, (_p, t) in reads.items())])
-        return rows
-
 
 # -- the block kernel --------------------------------------------------------
 
@@ -364,7 +221,7 @@ class ShadowArrays:
     read per (address, reader pc) since that write, each as ``(addr,
     pc, t, payload id)`` int64 columns; writes are sorted by address,
     reads by address and then by each reader pc's first read since the
-    write (:class:`ShadowMemory`'s dict order). Payload ids are the
+    write. Payload ids are the
     caller's (:data:`BOUNDARY_ID` for a seeded access). A parallel
     segment starts from :meth:`seed` and exports :meth:`frontier`.
     """
@@ -407,8 +264,10 @@ class ShadowArrays:
         return out
 
     def snapshot(self) -> list:
-        """:meth:`ShadowMemory.snapshot`'s rows for this state, read
-        straight off the address-sorted columns (payloads dropped)."""
+        """The checkpoint rows ``[[addr, wpc, wt, [[rpc, rt], ...]],
+        ...]`` of this state, sorted by address and reads by pc;
+        ``wpc == -1`` (with ``wt == 0``) means no write recorded.
+        Payloads are dropped."""
         w_addr, w_pc, w_t, _ = self.writes
         r_addr, r_pc, r_t, _ = self.reads
         by_pc = np.lexsort((r_pc, r_addr))
@@ -446,14 +305,13 @@ class ShadowArrays:
         pc, t, payload)`` columns of the carried entries the block
         touches and of its accesses, and pair i runs from row
         ``head[i]`` to row ``tail[i]`` (always an access of the block)
-        with kind ``PAIR_KINDS[kind[i]]`` — exactly the pairs
-        :meth:`ShadowMemory.on_read`/:meth:`~ShadowMemory.on_write`
-        report over the block, FREE ranges clearing like
-        :meth:`~ShadowMemory.clear_range`, in no particular order.
+        with kind ``PAIR_KINDS[kind[i]]`` — every pair the module
+        docstring's rules report over the block, each FREE forgetting
+        its range, in no particular order.
 
         With ``ordered`` two more columns give each pair's tail event
         (its index in the block) and a rank: sorted by (tail event,
-        rank), the pairs come in the order the per-event shadow reports
+        rank), the pairs come in the order a per-event shadow reports
         them — at a write, the WAR heads in their reader pcs' first-read
         order since the last write, then the WAW head.
         """

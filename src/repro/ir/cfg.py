@@ -119,8 +119,9 @@ class ProgramIR:
         self.blocks_by_id: dict[int, BasicBlock] = {}
         #: Block id -> owning function name.
         self.block_fn: dict[int, str] = {}
-        #: Results derived from this program (the static dependence
-        #: report), memoized for the program's own lifetime.
+        #: Results derived from this program (the construct table, the
+        #: block translation, the static dependence report), memoized
+        #: for the program's own lifetime.
         self.memo: dict[str, object] = {}
 
     # -- assembly -----------------------------------------------------

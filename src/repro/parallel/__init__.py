@@ -17,13 +17,11 @@ from repro.parallel.estimator import (EstimatorError, SpeedupResult,
                                       estimate_speedup, find_construct,
                                       simulate_speedup)
 from repro.parallel.simulator import FutureSimulator, ScheduleResult
-from repro.parallel.taskgraph import (LiveSource, TaskGraph,
-                                      TaskGraphTracer, TaskNode,
+from repro.parallel.taskgraph import (LiveSource, TaskGraph, TaskNode,
                                       TraceSource, extract_task_graphs)
 
 __all__ = [
     "TaskGraph",
-    "TaskGraphTracer",
     "TaskNode",
     "LiveSource",
     "TraceSource",

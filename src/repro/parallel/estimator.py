@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.constructs import ConstructKind, ConstructTable
+from repro.analysis.constructs import ConstructKind, construct_table
 from repro.ir.cfg import ProgramIR
 from repro.ir.lowering import compile_source
 from repro.parallel.simulator import FutureSimulator, ScheduleResult
@@ -75,7 +75,7 @@ def find_construct(program: ProgramIR, *, line: int | None = None,
     Raises :class:`EstimatorError` (never a bare ``KeyError``) with the
     valid alternatives listed when the location resolves to nothing.
     """
-    table = ConstructTable(program)
+    table = construct_table(program)
     if pc is not None:
         if pc not in table.by_pc:
             heads = ", ".join(str(p) for p in sorted(table.by_pc)[:12])
@@ -165,7 +165,7 @@ def estimate_speedup(source: str | None = None, *,
     graphs = extract_task_graphs(
         event_source, {target: tuple(private_vars)},
         auto_induction=auto_induction)
-    table = ConstructTable(program)
+    table = construct_table(program)
     return simulate_speedup(graphs[target],
                             target_name=table.by_pc[target].name,
                             workers=workers, privatize=privatize,

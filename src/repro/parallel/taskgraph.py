@@ -50,8 +50,8 @@ once and derives every graph from arrays:
 
 Within a group a read pairs with the previous write (RAW) and with the
 next write (WAR), and a write with the previous write (WAW).
-:class:`TaskGraphTracer` is the per-event reference the kernel is
-tested against: one full tracer and tag shadow per candidate.
+The tests hold the kernel to a per-event reference, one indexing
+tracer and tag shadow per candidate (``tests/parallel/reference.py``).
 """
 
 from __future__ import annotations
@@ -63,30 +63,16 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.analysis.constructs import ConstructTable
+from repro.analysis.constructs import ConstructTable, construct_table
 from repro.core.blockdep import push_bases, replay_names
 from repro.core.instances import BlockRows, InstanceTable
 from repro.core.profile_data import ProfileStore
 from repro.core.shadow import concat_ranges, free_keys, mark_clear_epochs
-from repro.core.tracer import AlchemistTracer
 from repro.ir.cfg import ProgramIR
 from repro.runtime.interpreter import DEFAULT_MAX_STEPS, Interpreter
 from repro.runtime.memory import Memory, MemoryNames
 from repro.runtime.tracing import Tracer
 from repro.telemetry import as_telemetry
-
-#: Tag for "currently in serial segment k": encoded as -(k + 1).
-def _serial_tag(segment: int) -> int:
-    return -(segment + 1)
-
-
-def _is_serial(tag: int) -> bool:
-    return tag < 0
-
-
-def _segment_of(tag: int) -> int:
-    return -tag - 1
-
 
 @dataclass
 class TaskNode:
@@ -131,136 +117,6 @@ class TaskGraph:
         return self.task_time / self.total_time if self.total_time else 0.0
 
 
-class TaskGraphTracer(AlchemistTracer):
-    """Tags every memory access with its task/serial segment and records
-    cross-tag dependences. Reuses the Alchemist indexing machinery to
-    delimit construct instances; the expensive per-construct dependence
-    profiling is replaced by the cheaper tag shadow."""
-
-    def __init__(self, table: ConstructTable, target_pc: int,
-                 skip_global_addrs: frozenset[int] = frozenset(),
-                 induction_offsets: frozenset[int] = frozenset()):
-        super().__init__(table)
-        if target_pc not in table.by_pc:
-            raise KeyError(f"pc {target_pc} is not a construct head")
-        self.target_pc = target_pc
-        #: Privatized globals: accesses to them constrain nothing (the
-        #: paper's per-thread copies of ivec / errors / sample counters).
-        self.skip_global_addrs = skip_global_addrs
-        #: Frame offsets of the loop's induction variables. A compiled
-        #: loop keeps these in registers, and iteration distribution
-        #: rewrites them per-thread; either way they don't serialize.
-        self.induction_offsets = induction_offsets
-        self._skip_addrs: set[int] = set(skip_global_addrs)
-        self.tasks: list[TaskNode] = []
-        self.task_deps: set[tuple[int, int]] = set()
-        self.joins: dict[int, set[int]] = {}
-        self.anti_task_deps: set[tuple[int, int]] = set()
-        self.anti_joins: dict[int, set[int]] = {}
-        self._target_depth = 0
-        self._current = _serial_tag(0)
-        self._open_start = 0
-        # addr -> [write_tag, {read tags}]
-        self._tag_shadow: dict[int, list] = {}
-        self.stack.push_observer = self._on_push
-        self.stack.pop_observer = self._on_pop
-
-    # -- instance boundaries ----------------------------------------------
-
-    def _on_push(self, static, timestamp: int) -> None:
-        if static.pc != self.target_pc:
-            return
-        self._target_depth += 1
-        if self._target_depth == 1:
-            self._current = len(self.tasks)
-            self._open_start = timestamp
-            if self.induction_offsets and self.memory is not None:
-                frames = self.memory.frames
-                if frames:
-                    base = frames[-1].base
-                    self._skip_addrs = set(self.skip_global_addrs)
-                    self._skip_addrs.update(
-                        base + off for off in self.induction_offsets)
-
-    def _on_pop(self, node, timestamp: int) -> None:
-        if node.static.pc != self.target_pc:
-            return
-        self._target_depth -= 1
-        if self._target_depth == 0:
-            index = len(self.tasks)
-            self.tasks.append(TaskNode(index, self._open_start, timestamp))
-            self._current = _serial_tag(index + 1)
-
-    # -- tagged dependence tracking ------------------------------------------
-
-    def on_read(self, addr: int, pc: int, timestamp: int) -> None:
-        if addr in self._skip_addrs:
-            return
-        cur = self._current
-        entry = self._tag_shadow.get(addr)
-        if entry is None:
-            self._tag_shadow[addr] = [None, {cur}]
-            return
-        writer = entry[0]
-        if writer is not None and writer != cur:
-            self._record(writer, cur, anti=False)
-        entry[1].add(cur)
-
-    def on_write(self, addr: int, pc: int, timestamp: int) -> None:
-        if addr in self._skip_addrs:
-            return
-        cur = self._current
-        entry = self._tag_shadow.get(addr)
-        if entry is None:
-            self._tag_shadow[addr] = [cur, set()]
-            return
-        writer, readers = entry
-        for reader in readers:
-            if reader != cur:
-                self._record(reader, cur, anti=True)
-        if writer is not None and writer != cur:
-            self._record(writer, cur, anti=True)
-        entry[0] = cur
-        entry[1] = set()
-
-    def _record(self, src_tag: int, dst_tag: int, anti: bool) -> None:
-        """A dependence from code tagged ``src_tag`` to ``dst_tag``."""
-        deps = self.anti_task_deps if anti else self.task_deps
-        joins = self.anti_joins if anti else self.joins
-        if _is_serial(src_tag):
-            # Serial code runs on the main thread in program order; a
-            # dependence out of it is satisfied by construction.
-            return
-        if _is_serial(dst_tag):
-            joins.setdefault(_segment_of(dst_tag), set()).add(src_tag)
-        elif src_tag < dst_tag:
-            deps.add((src_tag, dst_tag))
-
-    def on_frame_free(self, lo: int, hi: int) -> None:
-        super().on_frame_free(lo, hi)
-        shadow = self._tag_shadow
-        if hi - lo < len(shadow):
-            for addr in range(lo, hi):
-                shadow.pop(addr, None)
-        else:
-            for addr in [a for a in shadow if lo <= a < hi]:
-                del shadow[addr]
-
-    # -- result ---------------------------------------------------------------
-
-    def graph(self) -> TaskGraph:
-        return TaskGraph(
-            target_pc=self.target_pc,
-            total_time=self.final_time,
-            tasks=list(self.tasks),
-            serial=_serial(self.tasks, self.final_time),
-            task_deps=set(self.task_deps),
-            joins={k: set(v) for k, v in self.joins.items()},
-            anti_task_deps=set(self.anti_task_deps),
-            anti_joins={k: set(v) for k, v in self.anti_joins.items()},
-        )
-
-
 def _serial(tasks: list[TaskNode], total: int) -> list[int]:
     """The serial pieces around ``tasks``: the time before each task,
     then the epilogue."""
@@ -282,7 +138,7 @@ def induction_offsets_of(program: ProgramIR, target_pc: int) -> frozenset[int]:
     from repro.analysis.constructs import loop_control_stores
     from repro.analysis.loops import find_loops  # local import: cycle-free
 
-    table = ConstructTable(program)
+    table = construct_table(program)
     static = table.by_pc[target_pc]
     if not static.is_loop:
         return frozenset()
@@ -730,7 +586,7 @@ def extract_task_graphs(source: "LiveSource | TraceSource",
     if not targets:
         return {}
     program = source.program
-    table = ConstructTable(program)
+    table = construct_table(program)
     for pc in targets:
         if pc not in table.by_pc:
             raise KeyError(f"pc {pc} is not a construct head")

@@ -7,14 +7,15 @@ The interpreter reports every event as one record ``(etype, a, b, t)``
 returns a sink whose ``emit`` is a list's ``extend``, so a recorded run
 makes no Python call per event; the recorder cuts the list into
 blocks at flushes, which the interpreter paces by its instruction
-clock (:mod:`repro.trace.writer`). Hooked tracers — the
-per-event profilers (:mod:`repro.core.tracer`), hook-only plugins —
-keep their ``on_*`` hooks: :meth:`Tracer.sink` serves them through the
+clock (:mod:`repro.trace.writer`). Hooked tracers — hook-only
+plugins, the tests' per-event reference profilers — keep their
+``on_*`` hooks: :meth:`Tracer.sink` serves them through the
 one record→hook adapter, :func:`hook_sink`, which calls each hook as
 its record is emitted, so a hook still reads the interpreter's own
-memory as of its event. Timestamps are the number of IR instructions
-executed so far — the reproduction's stand-in for the paper's dynamic
-instruction counts.
+memory as of its event; replay serves hooked consumers through the
+same adapter, from decoded records. Timestamps are the number of IR
+instructions executed so far — the reproduction's stand-in for the
+paper's dynamic instruction counts.
 
 Hook order guarantees relied on by the profiler (records come in the
 same order):
@@ -89,7 +90,7 @@ class Tracer:
         :meth:`on_start`, then this tracer's hooks through
         :func:`hook_sink`."""
         self.on_start(program, memory)
-        return hook_sink([self], program)
+        return hook_sink([self], list(program.functions))
 
     def on_start(self, program: ProgramIR, memory: Memory) -> None:
         """Execution is about to begin (globals already initialized)."""
@@ -137,9 +138,8 @@ class NullTracer(Tracer):
         return Sink(_discard)
 
 
-#: Every event hook, derived from Tracer: the record→hook adapter and
-#: the replay engine's per-event dispatch (hand-written, it decodes
-#: trace records) must each serve all of them; tests check both.
+#: Every event hook, derived from Tracer: the record→hook adapter, live
+#: and replayed, must serve all of them; tests check it.
 TRACER_HOOKS = tuple(name for name in vars(Tracer)
                      if name.startswith("on_") and name != "on_start")
 
@@ -156,9 +156,7 @@ def _takes_blocks(consumer) -> bool:
 
 def overridden_hooks(tracers: list, hook_name: str) -> list:
     """Bound ``hook_name`` methods that actually override the base
-    no-op. Shared by every event dispatcher (the replay engine, the
-    record→hook adapter) so a tracer only pays for the events it
-    handles."""
+    no-op, so a tracer only pays for the events it handles."""
     base = getattr(Tracer, hook_name)
     hooks = []
     for tracer in tracers:
@@ -180,15 +178,16 @@ def _fan(hooks: list):
     return dispatch
 
 
-def hook_sink(tracers: list, program: ProgramIR) -> Sink:
+def hook_sink(tracers: list, names: list[str]) -> Sink:
     """The record→hook adapter: a sink whose ``emit`` calls, for each
     record, the matching hook of every tracer in ``tracers`` that
-    overrides it, in order. ENTER/EXIT name their function through the
-    program's function table; FREE's clock is not passed (its hook has
-    none). Hooks are bound now, so start the tracers first: they may
-    rebind their hooks in ``on_start``."""
-    names = list(program.functions)
-    handlers = [_skip] * (EV_FINISH + 1)
+    overrides it, in order. ENTER/EXIT name their function through
+    ``names``, the function table their index points into (a trace
+    header's, or the program's own order live); FREE's clock is not
+    passed (its hook has none); any other event byte calls nothing.
+    Hooks are bound now, so start the tracers first: they may rebind
+    their hooks in ``on_start``."""
+    handlers = [_skip] * 256
 
     def hooks(name: str):
         found = overridden_hooks(tracers, name)

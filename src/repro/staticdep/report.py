@@ -23,7 +23,8 @@ import weakref
 from typing import TYPE_CHECKING
 
 from repro.analysis.callgraph import recursive_functions
-from repro.analysis.constructs import ConstructKind, ConstructTable, StaticConstruct
+from repro.analysis.constructs import (ConstructKind, StaticConstruct,
+                                       construct_table)
 from repro.core.profile_data import DepKind
 from repro.ir import instructions as ins
 from repro.ir.cfg import ProgramIR
@@ -44,7 +45,7 @@ class StaticDepReport:
 
     def __init__(self, program: ProgramIR) -> None:
         self.program = program
-        self.table = ConstructTable(program)
+        self.table = construct_table(program)
         self.model = AccessModel(program)
         self.recursive: frozenset[str] = frozenset(recursive_functions(program))
         #: construct head pc -> pcs that may execute while an instance

@@ -78,7 +78,7 @@ class TeeTracer(Tracer):
             recorders.append(self.tap)
         sinks = [RecordBlocks(recorders)] if recorders else []
         if hooked:
-            sinks.append(hook_sink(hooked, program))
+            sinks.append(hook_sink(hooked, list(program.functions)))
         return join_sinks(sinks)
 
 

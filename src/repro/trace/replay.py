@@ -36,20 +36,10 @@ from repro.ir import instructions as ins
 from repro.ir.cfg import ProgramIR
 from repro.ir.lowering import compile_source
 from repro.runtime.memory import Memory
-from repro.runtime.tracing import _takes_blocks, overridden_hooks
-from repro.trace.events import (EV_ALLOC, EV_BLOCK, EV_BRANCH, EV_ENTER,
-                                EV_EXIT, EV_FREE, EV_READ, EV_WRITE,
-                                TraceError, source_digest)
+from repro.runtime.tracing import _takes_blocks, hook_sink, overridden_hooks
+from repro.trace.events import (EV_ALLOC, EV_BRANCH, EV_ENTER, EV_EXIT,
+                                EV_FREE, TraceError, source_digest)
 from repro.trace.reader import TraceReader
-
-
-#: Hooks the engine dispatches from trace events. Must cover every
-#: Tracer event hook (``repro.runtime.tracing.TRACER_HOOKS``) — a hook
-#: added to Tracer without a trace event is a live/replay divergence;
-#: the hook-coverage test asserts the two sets stay equal.
-DISPATCHED_HOOKS = ("on_enter_function", "on_exit_function",
-                    "on_block_enter", "on_branch", "on_read", "on_write",
-                    "on_heap_alloc", "on_frame_free", "on_finish")
 
 
 def trace_functions(program: ProgramIR, header) -> list:
@@ -90,9 +80,15 @@ def batch_dispatcher(consumers: list, memory: Memory, functions: list,
       indices resolve through. Every bundled analysis, the seam scan
       and task-graph extraction take whole blocks, whichever decoder
       produced them, in every segment and live;
-    * hooked consumers — every event is dispatched per-hook, the
-      structural ones with memory synchronized exactly as a live run
-      has it (custom plugins keep working unmodified).
+    * hooked consumers — every record goes through the record→hook
+      adapter (:func:`~repro.runtime.tracing.hook_sink`) a live run
+      uses, over the trace's function names, with memory synchronized
+      exactly as a live run has it: an ENTER's hooks run after its
+      frame is pushed, an EXIT's before its frame is popped, FREE and
+      ALLOC hooks after the heap operation (custom plugins keep
+      working unmodified). Only a hooked consumer of reads, writes,
+      block entries or branches makes the loop walk the rows between
+      the structural ones.
 
     ``segment`` flavors the corrupt-trace messages. A structural event
     memory cannot replay (an ENTER of an unknown function, at a pc
@@ -109,21 +105,15 @@ def batch_dispatcher(consumers: list, memory: Memory, functions: list,
     block_consumers = [c for c, b in zip(consumers, blocks) if b]
     hooked = [c for c, b in zip(consumers, blocks) if not b]
 
-    on_enter = overridden_hooks(hooked, "on_enter_function")
-    on_exit = overridden_hooks(hooked, "on_exit_function")
-    on_alloc = overridden_hooks(hooked, "on_heap_alloc")
-    on_free = overridden_hooks(hooked, "on_frame_free")
-    on_finish = overridden_hooks(hooked, "on_finish")
-    on_block = overridden_hooks(hooked, "on_block_enter")
-    on_branch = overridden_hooks(hooked, "on_branch")
-    on_read = overridden_hooks(hooked, "on_read")
-    on_write = overridden_hooks(hooked, "on_write")
+    emit = (hook_sink(hooked, [fn.name for fn in functions]).emit
+            if hooked else None)
     block_feeds = [c.consume_batch for c in block_consumers]
     for consumer in block_consumers:
         bind = getattr(consumer, "bind_functions", None)
         if bind is not None:
             bind(functions)
-    feed_runs = bool(on_read or on_write or on_block or on_branch)
+    feed_runs = any(overridden_hooks(hooked, name) for name in (
+        "on_read", "on_write", "on_block_enter", "on_branch"))
 
     push_frame = memory.push_frame
     pop_frame = memory.pop_frame
@@ -147,22 +137,10 @@ def batch_dispatcher(consumers: list, memory: Memory, functions: list,
         if not frames and len(quiet.access_addrs()):
             raise TraceError(
                 f"corrupt trace{where}: access with no live frame")
-        if not feed_runs:
-            return
-        for etype, a, b, t in quiet.rows():
-            if etype == EV_READ:
-                for hook in on_read:
-                    hook(a, b, t)
-            elif etype == EV_WRITE:
-                for hook in on_write:
-                    hook(a, b, t)
-            elif etype == EV_BLOCK:
-                for hook in on_block:
-                    hook(a, t)
-            elif etype == EV_BRANCH:
-                for hook in on_branch:
-                    hook(a, b, t)
-            # EV_CHECKPOINT: shard seam marker, nothing to dispatch.
+        if feed_runs:
+            # An EV_CHECKPOINT row (a shard seam marker) calls nothing.
+            for record in quiet.rows():
+                emit(record)
 
     def feed(batch) -> int | None:
         finished = None
@@ -197,17 +175,14 @@ def batch_dispatcher(consumers: list, memory: Memory, functions: list,
                     push_frame(fn)
                 except ValueError as exc:
                     raise TraceError(f"corrupt trace{where}: {exc}") from None
-                name = fn.name
-                for hook in on_enter:
-                    hook(name, b, t)
             elif etype == EV_EXIT:
                 if not frames:
                     raise TraceError(
                         f"corrupt trace{where}: EXIT with no live frame")
-                name = frames[-1].fn.name
-                for hook in on_exit:
-                    hook(name, t)
+                if emit is not None:
+                    emit((etype, a, b, t))
                 pop_frame()
+                continue
             elif etype == EV_FREE:
                 # Heap blocks always have size > 0; an empty range is
                 # a degenerate stack-frame free (and could sit exactly
@@ -218,9 +193,6 @@ def batch_dispatcher(consumers: list, memory: Memory, functions: list,
                     except ValueError as exc:
                         raise TraceError(
                             f"corrupt trace{where}: {exc}") from None
-                hi = a + b
-                for hook in on_free:
-                    hook(a, hi)
             elif etype == EV_ALLOC:
                 try:
                     base = heap_alloc(b)
@@ -230,12 +202,10 @@ def batch_dispatcher(consumers: list, memory: Memory, functions: list,
                     raise TraceError(
                         f"heap replay diverged{where}: alloc returned "
                         f"{base}, trace recorded {a}")
-                for hook in on_alloc:
-                    hook(a, b, t)
             else:  # EV_FINISH (the decoder never puts it mid-block)
                 finished = t
-                for hook in on_finish:
-                    hook(t)
+            if emit is not None:
+                emit((etype, a, b, t))
         if pos < len(batch) and (feed_runs or not frames):
             run(batch.slice(pos, len(batch)))
         for consume in block_feeds:

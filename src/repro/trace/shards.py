@@ -60,7 +60,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 
-from repro.analysis.constructs import ConstructTable
+from repro.analysis.constructs import construct_table
 from repro.core.instances import InstanceTable
 from repro.core.profile_data import ProfileStore
 from repro.core.shadow import ShadowArrays
@@ -225,7 +225,7 @@ class _ScanState:
     batch_kind = "block"
 
     def __init__(self, program):
-        self.rows = InstanceTable(ConstructTable(program), ProfileStore())
+        self.rows = InstanceTable(construct_table(program), ProfileStore())
         self.shadow = ShadowArrays()
         self._seen = 0
 
@@ -351,7 +351,7 @@ def _in_range(checkpoints: list[Checkpoint], path: str) -> bool:
     was damaged fails here instead of in a worker."""
     with TraceReader(path) as reader:
         header = reader.header
-    heads = ConstructTable(compiled_program(path, header)).by_pc
+    heads = construct_table(compiled_program(path, header)).by_pc
     n = len(header.functions)
     int64 = 1 << 63
 

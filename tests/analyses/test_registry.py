@@ -84,16 +84,6 @@ class TestRegistration:
                            text="")
 
 
-class TestHookCoverage:
-    def test_replay_dispatch_covers_every_tracer_hook(self):
-        """A hook added to Tracer must reach both engines — otherwise
-        live and replay silently diverge for analyses using it."""
-        from repro.runtime.tracing import TRACER_HOOKS
-        from repro.trace.replay import DISPATCHED_HOOKS
-
-        assert set(DISPATCHED_HOOKS) == set(TRACER_HOOKS)
-
-
 class TestLookup:
     def test_unknown_analysis_lists_every_valid_name(self):
         with pytest.raises(AnalysisError) as excinfo:

@@ -9,11 +9,11 @@ import pytest
 from repro.analysis.constructs import ConstructTable
 from repro.core.alchemist import Alchemist, ProfileOptions
 from repro.core.report import ProfileReport, RunStats
-from repro.core.tracer import AlchemistTracer
 from repro.ir.lowering import compile_source
 from repro.lang import ast_nodes as ast
 from repro.runtime.interpreter import (DEFAULT_MAX_STEPS, Interpreter,
                                        run_source)
+from tests.core.reference import AlchemistTracer
 
 
 def run(source: str, **kwargs):

@@ -32,8 +32,6 @@ import pytest
 from repro.analyses import make_analyses
 from repro.analysis.constructs import ConstructTable
 from repro.core.profile_data import DepKind
-from repro.core.shadow import ShadowMemory
-from repro.core.tracer import AlchemistTracer
 from repro.ir.lowering import compile_source
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.tracing import Tracer
@@ -43,6 +41,7 @@ from repro.trace.replay import replay_with
 from repro.trace.shards import plan_shards
 from repro.trace.writer import record_source
 from repro.workloads import get
+from tests.core.reference import AlchemistTracer, ShadowMemory
 from tests.core.test_random_programs import (_report_digest,
                                              _tracer_digest,
                                              record_small_blocks)

@@ -6,9 +6,9 @@ writes to a designated ``probe`` global.
 """
 
 from repro.analysis.constructs import ConstructTable
-from repro.core.tracer import AlchemistTracer
 from repro.ir.lowering import compile_source
 from repro.runtime.interpreter import Interpreter
+from tests.core.reference import AlchemistTracer
 
 
 class IndexRecorder(AlchemistTracer):

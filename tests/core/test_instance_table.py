@@ -2,7 +2,7 @@
 
 :class:`~repro.core.instances.InstanceTable` memoises the five rules
 as transitions over interned static stacks and assigns rows after each
-block in numpy. :class:`~repro.core.indexing.IndexingStack` applies the
+block in numpy. :class:`~tests.core.reference.IndexingStack` applies the
 rules one event at a time. On random programs with recursion, goto,
 early returns and breaks, cut into blocks at random sizes and replayed
 from a random seam with a seeded stack, both must produce the same
@@ -26,10 +26,8 @@ from hypothesis import strategies as st
 from repro.analyses import make_analyses
 from repro.analysis.constructs import ConstructTable
 from repro.core import instances
-from repro.core.indexing import IndexingStack
 from repro.core.instances import NO_ROW, OPEN, InstanceTable
 from repro.core.pool import ConstructPool
-from repro.core.profile_data import ProfileStore
 from repro.ir.lowering import compile_source
 from repro.lang.errors import SemanticError
 from repro.lang.pretty import pretty_print
@@ -39,6 +37,7 @@ from repro.runtime.tracing import EV_BLOCK, EV_BRANCH, EV_ENTER, EV_EXIT
 from repro.trace.replay import replay_with
 from repro.trace.writer import EventRecorder, record_source
 from repro.workloads import get
+from tests.core.reference import IndexingStack, ProfileStore
 from tests.core.test_random_programs import (STEP_CAP, _loop_programs,
                                              _report_digest)
 from tests.lang.test_pretty import _programs

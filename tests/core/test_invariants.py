@@ -20,12 +20,12 @@ realistic executions rather than unit fixtures:
 import pytest
 
 from repro.analysis.constructs import ConstructTable
-from repro.core.tracer import AlchemistTracer
 from repro.ir import compile_source
 from repro.runtime.errors import MiniCRuntimeError, StepLimitExceeded
 from repro.runtime.interpreter import Interpreter
 from repro.workloads import EXTRA_ORDER, TABLE3_ORDER, get
 from tests.conftest import profile
+from tests.core.reference import AlchemistTracer
 
 ALL_WORKLOADS = TABLE3_ORDER + EXTRA_ORDER
 

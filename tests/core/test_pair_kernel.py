@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.analyses import make_analyses
 from repro.analyses.base import AnalysisContext
 from repro.core.shadow import (BOUNDARY_ID, PAIR_KINDS, ShadowArrays,
-                               ShadowMemory, group_pairs)
+                               group_pairs)
 from repro.ir.lowering import compile_source
 from repro.lang.errors import SemanticError
 from repro.lang.pretty import pretty_print
@@ -38,6 +38,7 @@ from repro.trace.reader import TraceReader
 from repro.trace.replay import replay_with
 from repro.trace.writer import TraceWriter
 from repro.workloads import get
+from tests.core.reference import ShadowMemory
 from tests.core.test_random_programs import STEP_CAP, _loop_programs
 from tests.core.test_shadow import (BOUNDARY, seed_shadow, shadow_entries,
                                     shadow_frontier)

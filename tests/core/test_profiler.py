@@ -2,8 +2,8 @@
 
 from repro.analysis.constructs import ConstructKind, StaticConstruct
 from repro.core.node import ConstructNode
-from repro.core.profile_data import DepKind, ProfileStore
-from repro.core.profiler import DependenceProfiler
+from repro.core.profile_data import DepKind
+from tests.core.reference import DependenceProfiler, ProfileStore
 
 
 def static(pc, kind=ConstructKind.LOOP, name=None):

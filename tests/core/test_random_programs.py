@@ -41,15 +41,13 @@ from repro.analyses.builtin import (_context_result, _flat_result,
                                     profile_summary)
 from repro.analysis.constructs import ConstructTable
 from repro.api import Session
-from repro.baselines import ContextSensitiveTracer, FlatTracer
 from repro.core.alchemist import Alchemist, ProfileOptions
 from repro.core.profile_data import DepKind
-from repro.core.tracer import AlchemistTracer
 from repro.ir.lowering import compile_source, lower_program
 from repro.lang.errors import SemanticError
 from repro.lang.pretty import pretty_print
-from repro.parallel.taskgraph import (LiveSource, TaskGraphTracer,
-                                      TraceSource, extract_task_graphs,
+from repro.parallel.taskgraph import (LiveSource, TraceSource,
+                                      extract_task_graphs,
                                       induction_offsets_of,
                                       resolve_private_globals)
 from repro.runtime.errors import MiniCRuntimeError, StepLimitExceeded
@@ -60,7 +58,10 @@ from repro.trace.reader import TraceReader
 from repro.trace.replay import ReplayEngine, replay_with
 from repro.trace.writer import TraceWriter, record_program
 from repro.workloads import get
+from tests.baselines.reference import ContextSensitiveTracer, FlatTracer
+from tests.core.reference import AlchemistTracer
 from tests.lang.test_pretty import _programs
+from tests.parallel.reference import TaskGraphTracer
 
 #: Generated programs may loop forever; cap them tightly.
 STEP_CAP = 20_000

@@ -3,8 +3,9 @@
 import numpy as np
 
 from repro.core.node import ConstructNode
-from repro.core.shadow import BOUNDARY_ID, ShadowArrays, ShadowMemory
+from repro.core.shadow import BOUNDARY_ID, ShadowArrays
 from repro.trace.events import EV_READ, EV_WRITE
+from tests.core.reference import ShadowMemory
 
 #: The per-event oracle's payload of a seeded, pre-segment access.
 BOUNDARY = type("_Boundary", (), {"__repr__": lambda s: "<boundary>"})()

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.constructs import ConstructTable
-from repro.core.tracer import AlchemistTracer
 from repro.core.treedump import DEFAULT_MAX_NODES, record_index_tree
 from repro.ir.lowering import compile_source
 from repro.lang.errors import SemanticError
@@ -16,6 +15,7 @@ from repro.lang.pretty import pretty_print
 from repro.runtime.errors import MiniCRuntimeError, StepLimitExceeded
 from repro.runtime.interpreter import Interpreter
 from repro.trace import writer
+from tests.core.reference import AlchemistTracer
 from tests.core.test_random_programs import (STEP_CAP, _loop_programs,
                                              _programs)
 

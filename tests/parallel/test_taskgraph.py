@@ -8,13 +8,14 @@ from repro.analysis.constructs import ConstructTable
 from repro.ir import compile_source
 from repro.parallel.estimator import (EstimatorError, estimate_speedup,
                                       find_construct)
-from repro.parallel.taskgraph import (LiveSource, TaskGraphTracer,
-                                      TraceSource, extract_task_graphs,
+from repro.parallel.taskgraph import (LiveSource, TraceSource,
+                                      extract_task_graphs,
                                       induction_offsets_of)
 from repro.runtime.tracing import Tracer
 from repro.telemetry import Telemetry
 from repro.trace.writer import record_program
 from repro.workloads import get, names
+from tests.parallel.reference import TaskGraphTracer
 
 INDEPENDENT = """
 int results[64];

@@ -12,6 +12,12 @@ recorder takes must hold exactly the oracle's records, in blocks of
 exactly ``LIVE_BLOCK_EVENTS`` records but the last, which ends with
 the one FINISH — also when the block size is patched down to 64, so
 runs span many blocks and flushes.
+
+Replay serves hooked consumers through the same adapter, from decoded
+records: replayed from a recorded trace, the oracle must see the hook
+stream of a live run, and each hook the same memory (names of the
+accessed cells, the frame depth at calls, the heap after ALLOC and
+FREE).
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ from repro.runtime.tracing import (EV_ALLOC, EV_BLOCK, EV_BRANCH, EV_ENTER,
                                    EV_WRITE, TRACER_HOOKS, Tracer)
 from repro.trace import writer
 from repro.trace.live import TeeTracer
-from repro.trace.writer import EventRecorder
+from repro.trace.reader import TraceReader
+from repro.trace.replay import ReplayEngine
+from repro.trace.writer import EventRecorder, record_source
 from repro.workloads import get, names
 from tests.core.test_random_programs import (STEP_CAP, _loop_programs,
                                              _programs)
@@ -75,6 +83,39 @@ class HookOracle(Tracer):
 
     def on_finish(self, timestamp):
         self._emit(EV_FINISH, 0, 0, timestamp)
+
+
+class MemoryOracle(HookOracle):
+    """The oracle's records, plus what each hook sees of memory."""
+
+    def on_start(self, program, memory):
+        super().on_start(program, memory)
+        self.memory = memory
+        self.seen: list = []
+
+    def on_enter_function(self, fn_name, entry_pc, timestamp):
+        super().on_enter_function(fn_name, entry_pc, timestamp)
+        self.seen.append(len(self.memory.frames))
+
+    def on_exit_function(self, fn_name, timestamp):
+        super().on_exit_function(fn_name, timestamp)
+        self.seen.append(len(self.memory.frames))
+
+    def on_read(self, addr, pc, timestamp):
+        super().on_read(addr, pc, timestamp)
+        self.seen.append(self.memory.addr_to_name(addr))
+
+    def on_write(self, addr, pc, timestamp):
+        super().on_write(addr, pc, timestamp)
+        self.seen.append(self.memory.addr_to_name(addr))
+
+    def on_heap_alloc(self, base, size, timestamp):
+        super().on_heap_alloc(base, size, timestamp)
+        self.seen.append(self.memory.addr_to_name(base))
+
+    def on_frame_free(self, lo, hi):
+        super().on_frame_free(lo, hi)
+        self.seen.append(self.memory.addr_to_name(lo))
 
 
 class Blocks(EventRecorder):
@@ -190,6 +231,20 @@ def test_random_programs(source, block_size):
         return
     if _runs(program):
         _check_stream(program, block_size)
+
+
+@pytest.mark.parametrize("name", names(include_extra=True))
+def test_replay_serves_the_live_hook_stream(name, tmp_path):
+    source = get(name, 0.1).source
+    live = MemoryOracle()
+    Interpreter(compile_source(source), live).run()
+    path = str(tmp_path / "run.trace")
+    record_source(source, path)
+    replayed = MemoryOracle()
+    with TraceReader(path) as reader:
+        ReplayEngine(reader).run([replayed])
+    assert replayed.records == live.records
+    assert replayed.seen == live.seen
 
 
 def test_the_adapter_serves_every_hook():

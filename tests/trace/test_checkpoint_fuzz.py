@@ -32,10 +32,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.analysis.constructs import ConstructTable
-from repro.core.indexing import IndexingStack
-from repro.core.pool import NodeAllocator
-from repro.core.profile_data import ProfileStore
-from repro.core.shadow import ShadowMemory
 from repro.ir.lowering import compile_source
 from repro.lang.errors import SemanticError
 from repro.lang.pretty import pretty_print
@@ -48,6 +44,8 @@ from repro.trace.reader import TraceReader
 from repro.trace.shards import load_or_build_checkpoints, restore_memory
 from repro.trace.writer import record_source
 from repro.workloads import get
+from tests.core.reference import (IndexingStack, NodeAllocator,
+                                  ProfileStore, ShadowMemory)
 from tests.lang.test_pretty import _programs
 
 
