@@ -46,6 +46,13 @@ and from that moment ``Session.analyze(src, ["branches"])``,
 ``alchemist replay --analysis branches`` all work — including the
 registry-parametrized live-vs-replay parity test, which picks the new
 plugin up automatically.
+
+A plugin says what it consumes by what it defines, and nothing else:
+hooks (``on_branch`` above) get one call per event; a
+``consume_batch(batch)`` method gets whole event blocks instead, live
+and on replay; overriding ``export_segment`` and the classmethod
+``merge_segments`` lets sharded parallel replay run it, and without
+them a parallel request falls back to one serial pass.
 """
 
 from __future__ import annotations
@@ -134,9 +141,6 @@ class SegmentSeed:
     analyses never import the trace layer.
     """
 
-    #: Global event index / clock at the segment's first event.
-    index: int = 0
-    time: int = 0
     #: Shadow rows as the checkpoint stores them (see
     #: :meth:`repro.core.shadow.ShadowArrays.snapshot`); analyses load
     #: them with :meth:`~repro.core.shadow.ShadowArrays.seed`.
@@ -145,43 +149,6 @@ class SegmentSeed:
     construct_stack: list = field(default_factory=list)
     #: Call stack at the seam, function names bottom-to-top.
     call_stack: list = field(default_factory=list)
-    is_first: bool = False
-    is_last: bool = False
-
-
-class AnalysisSegment:
-    """Mergeable partial result of one replayed trace segment.
-
-    ``merge(other)`` is the contract parallel replay is built on: fold
-    the segments of one trace left-to-right (``s0.merge(s1).merge(s2)
-    ...``) and ``finalize`` the result, and you get an
-    :class:`AnalysisResult` equal to what a serial replay's ``finish``
-    produces — including cross-segment dependence pairs, which workers
-    defer and the merge resolves against the accumulated live-writer
-    frontier. The fold is ordered (``other`` must be the segment
-    immediately after ``self``) and not commutative.
-    """
-
-    __slots__ = ("analysis", "cls", "state")
-
-    def __init__(self, cls: type["Analysis"], state: dict):
-        self.analysis = cls.name
-        self.cls = cls
-        self.state = state
-
-    def merge(self, other: "AnalysisSegment") -> "AnalysisSegment":
-        """Fold the next segment's partial state into this one."""
-        if other.cls is not self.cls:
-            raise AnalysisError(
-                f"cannot merge segment of {other.analysis!r} into "
-                f"{self.analysis!r}")
-        return AnalysisSegment(
-            self.cls, self.cls.merge_segment_states(self.state,
-                                                    other.state))
-
-    def finalize(self, ctx: AnalysisContext) -> AnalysisResult:
-        """Turn the folded state into the analysis's final result."""
-        return self.cls.finalize_segments(self.state, ctx)
 
 
 @dataclass
@@ -228,6 +195,25 @@ class Analysis(Tracer):
     analyses that genuinely need a live interpreter (e.g. ones that
     inspect runtime values not present in the event stream); the
     session will then execute the program rather than replay a trace.
+
+    An analysis that defines ``consume_batch(batch)`` takes whole
+    blocks (:class:`repro.trace.columnar.EventBatch`) instead of
+    per-event hooks, in every run: replay with either decoder, each
+    parallel segment, and a live run through the tee. Each block comes
+    once, after the dispatch loop replayed its structural events;
+    ``consume_batch`` must handle *all* event types it cares about from
+    the columns (structural ENTER/EXIT/ALLOC/FREE and FINISH included),
+    and no scalar hooks fire. Only valid for analyses that never read
+    the reconstructed ``Memory`` while consuming; ENTER rows index the
+    program's own function table (``list(program.functions)``), which
+    ``on_start`` receives. ``consume_batch`` must equal a per-event
+    reference tracer on the interpreter — the equivalence suites
+    assert it.
+
+    An analysis that overrides :meth:`export_segment` (and
+    :meth:`merge_segments`) runs under sharded parallel replay; any
+    other falls back to a serial pass — parallel replay is an
+    optimization, never a requirement.
     """
 
     #: Registry key; also the result key in every multi-analysis report.
@@ -238,40 +224,13 @@ class Analysis(Tracer):
     options: tuple[OptionSpec, ...] = ()
     #: True if the analysis cannot run from a recorded trace.
     requires_live: bool = False
-    #: True if the analysis implements the segment/merge protocol
-    #: (``begin_segment`` / ``export_segment`` / ``merge_segment_states``
-    #: / ``finalize_segments``) and can therefore run under sharded
-    #: parallel replay. Analyses that leave it False simply fall back
-    #: to a serial pass — parallel replay is an optimization, never a
-    #: requirement.
-    supports_segments: bool = False
-    #: How the analysis is fed. Left ``None``, by per-event hooks (live,
-    #: from the record→hook adapter as the interpreter emits each
-    #: record, with the interpreter's ``Memory``). ``"block"`` (with a
-    #: ``consume_batch(batch)`` method taking a
-    #: :class:`repro.trace.columnar.EventBatch`) makes every run —
-    #: replay with either decoder, each parallel segment, and a live
-    #: run through the tee — feed whole blocks instead: each block
-    #: once, after the dispatch loop replayed its structural events;
-    #: ``consume_batch`` must handle *all* event types it cares about
-    #: from the columns (structural ENTER/EXIT/ALLOC/FREE and FINISH
-    #: included), and no scalar hooks fire. Only valid for analyses
-    #: that never read the reconstructed ``Memory`` while consuming
-    #: (dep names addresses from the block's own structural rows). One
-    #: that names ENTER's callees defines ``bind_functions(functions)``
-    #: to receive the function table first. ``consume_batch`` must
-    #: equal a per-event reference tracer on the interpreter — the
-    #: equivalence suites assert it.
-    batch_kind: str | None = None
-    #: Overridden (as a method) by analyses that set ``batch_kind``.
-    consume_batch = None
 
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
         """Turn accumulated state into the structured result."""
         raise NotImplementedError(
             f"{type(self).__qualname__} must implement finish()")
 
-    # -- segment/merge protocol (parallel replay) -------------------------
+    # -- segment protocol (parallel replay) -------------------------------
 
     def begin_segment(self, program: ProgramIR, memory: Memory,
                       seed: SegmentSeed) -> None:
@@ -287,30 +246,24 @@ class Analysis(Tracer):
         """
         self.on_start(program, memory)
 
-    def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
-        """Package this segment's partial state for the merge.
+    def export_segment(self, ctx: AnalysisContext) -> dict:
+        """This segment's partial state, a picklable dict.
 
-        Called in the worker after its slice of events (in place of
-        ``finish``); the returned :class:`AnalysisSegment` must be
-        picklable.
+        Called in the worker after its slice of events, in place of
+        ``finish``.
         """
         raise NotImplementedError(
             f"{type(self).__qualname__} does not implement the segment "
             "protocol")
 
     @classmethod
-    def merge_segment_states(cls, acc: dict, part: dict) -> dict:
-        """Fold ``part`` (the next segment) into ``acc``; returns the
-        combined state. Invoked via :meth:`AnalysisSegment.merge`."""
-        raise NotImplementedError(
-            f"{cls.__qualname__} does not implement the segment "
-            "protocol")
-
-    @classmethod
-    def finalize_segments(cls, state: dict,
-                          ctx: AnalysisContext) -> AnalysisResult:
-        """Build the final result from fully folded state; must equal
-        what ``finish`` produces after a serial replay."""
+    def merge_segments(cls, states: list[dict],
+                       ctx: AnalysisContext) -> AnalysisResult:
+        """Fold the segments' :meth:`export_segment` dicts, in trace
+        order, into the result ``finish`` produces after a serial
+        replay — including cross-segment dependence pairs, which
+        workers defer and the fold resolves against the accumulated
+        live-writer frontier (:mod:`repro.analyses.merging`)."""
         raise NotImplementedError(
             f"{cls.__qualname__} does not implement the segment "
             "protocol")

@@ -6,10 +6,10 @@ baselines: each runs live, from a recorded trace, and in batch through
 the same registry, and each is covered by the registry-parametrized
 live-vs-replay parity test.
 
-Every bundled analysis also implements the segment/merge protocol
-(``supports_segments``), so all of them run under sharded parallel
-replay (:mod:`repro.trace.parallel`) with results bit-identical to a
-serial pass; the cross-segment bookkeeping lives in
+Every bundled analysis also implements the segment protocol
+(``export_segment`` / ``merge_segments``), so all of them run under
+sharded parallel replay (:mod:`repro.trace.parallel`) with results
+bit-identical to a serial pass; the cross-segment bookkeeping lives in
 :mod:`repro.analyses.merging`.
 """
 
@@ -21,8 +21,7 @@ from typing import Any
 import numpy as np
 
 from repro.analyses.base import (Analysis, AnalysisContext,
-                                 AnalysisError, AnalysisResult,
-                                 AnalysisSegment, OptionSpec,
+                                 AnalysisResult, OptionSpec,
                                  SegmentSeed, register)
 from repro.analysis.constructs import ConstructTable, construct_table
 from repro.baselines.context_profiler import ContextBlocks, ContextProfile
@@ -73,7 +72,7 @@ def profile_summary(report: ProfileReport) -> dict[str, Any]:
 def _dep_result(report: ProfileReport, track_war_waw: bool,
                 telemetry: Any = None) -> AnalysisResult:
     """Shared result rendering for serial ``finish`` and the parallel
-    ``finalize_segments`` — one code path, so the two cannot drift."""
+    ``merge_segments`` — one code path, so the two cannot drift."""
     from repro.staticdep import fuse_profile, report_for
 
     kinds = ((DepKind.RAW, DepKind.WAW, DepKind.WAR)
@@ -129,8 +128,6 @@ class DependenceAnalysis(Analysis):
     name = "dep"
     description = ("Alchemist dependence profile: min RAW/WAR/WAW "
                    "distance per construct")
-    supports_segments = True
-    batch_kind = "block"
     options = (
         OptionSpec("track_war_waw", bool, True,
                    "also profile WAR/WAW dependences"),
@@ -152,10 +149,6 @@ class DependenceAnalysis(Analysis):
         self.engine = BlockDependence(self.table, MemoryNames(memory),
                                       self.track_war_waw, self.recorder,
                                       construct_stack, shadow)
-
-    def bind_functions(self, functions: list) -> None:
-        """The trace's function table, which ENTER rows index."""
-        self.engine.functions = functions
 
     def consume_batch(self, batch) -> None:
         """One whole trace block through the block engine."""
@@ -190,7 +183,7 @@ class DependenceAnalysis(Analysis):
         any pair whose head lives in an earlier segment."""
         self.on_start(program, memory, seed.construct_stack, seed.shadow)
 
-    def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
+    def export_segment(self, ctx: AnalysisContext) -> dict:
         engine = self.engine
         shadow = engine.shadow
         # The seeded stack's pops complete earlier segments' chains;
@@ -205,7 +198,7 @@ class DependenceAnalysis(Analysis):
                   for key, e in prof.edges.items()}]
             for pc, prof in engine.store.profiles.items()
         }
-        state = {
+        return {
             "profile": profile,
             "counters": self.counters(),
             "max_depth": engine.rows.max_depth,
@@ -215,67 +208,45 @@ class DependenceAnalysis(Analysis):
             "frontier": shadow.frontier(),
             "track_war_waw": self.track_war_waw,
         }
-        return AnalysisSegment(type(self), state)
 
     @classmethod
-    def _internalize(cls, state: dict) -> dict:
+    def merge_segments(cls, states: list[dict],
+                       ctx: AnalysisContext) -> AnalysisResult:
         from repro.analyses import merging
 
-        if state["deferred"]:
-            raise AnalysisError(
-                "first segment deferred a dependence pair — it starts "
-                "from pristine state and has no boundary to defer to")
         recs: dict = {}
-        local = merging.register_nodes(recs, state["nodes"])
         frontier: dict = {}
-        merging.update_frontier(frontier, state["frontier"],
-                                local.__getitem__)
-        kept = ("profile", "counters", "max_depth", "pushes",
-                "track_war_waw")
-        return {**{key: state[key] for key in kept},
-                "_recs": recs, "_frontier": frontier}
-
-    @classmethod
-    def merge_segment_states(cls, acc: dict, part: dict) -> dict:
-        from repro.analyses import merging
-
-        if "_recs" not in acc:
-            acc = cls._internalize(acc)
-        local = merging.register_nodes(acc["_recs"], part["nodes"])
-        merging.resolve_deferred_dep(part["deferred"], acc["_frontier"],
-                                     acc["profile"], acc["counters"])
-        merging.merge_dep_profiles(acc["profile"], part["profile"])
-        for key, value in part["counters"].items():
-            acc["counters"][key] += value
-        if part["max_depth"] > acc["max_depth"]:
-            acc["max_depth"] = part["max_depth"]
-        acc["pushes"] += part["pushes"]
-        merging.update_frontier(acc["_frontier"], part["frontier"],
-                                local.__getitem__)
-        return acc
-
-    @classmethod
-    def finalize_segments(cls, state: dict,
-                          ctx: AnalysisContext) -> AnalysisResult:
-        if "_recs" not in state:
-            state = cls._internalize(state)
+        profile: dict = {}
+        counters = dict.fromkeys(states[0]["counters"], 0)
+        max_depth = pushes = 0
+        for part in states:
+            local = merging.register_nodes(recs, part["nodes"])
+            merging.resolve_deferred_dep(part["deferred"], frontier,
+                                         profile, counters)
+            merging.merge_dep_profiles(profile, part["profile"])
+            for key, value in part["counters"].items():
+                counters[key] += value
+            max_depth = max(max_depth, part["max_depth"])
+            pushes += part["pushes"]
+            merging.update_frontier(frontier, part["frontier"],
+                                    local.__getitem__)
         table = construct_table(ctx.program)
         store = ProfileStore()
-        store.dynamic_instances = state["counters"]["dyn"]
-        for pc in sorted(state["profile"]):
-            dur, inst, max_dur, edges = state["profile"][pc]
-            profile = ConstructProfile(table.by_pc[pc], dur, inst,
-                                       max_dur)
+        store.dynamic_instances = counters["dyn"]
+        for pc in sorted(profile):
+            dur, inst, max_dur, edges = profile[pc]
+            construct = ConstructProfile(table.by_pc[pc], dur, inst,
+                                         max_dur)
             for key in sorted(edges, key=lambda k: (k[0], k[1],
                                                     k[2].value)):
                 min_tdep, count, hint, first_t = edges[key]
-                profile.edges[key] = EdgeStats(
+                construct.edges[key] = EdgeStats(
                     key[0], key[1], key[2], min_tdep, count, hint,
                     first_t=first_t)
-            store.profiles[pc] = profile
-        report = _dep_report(ctx, table, store, state["counters"],
-                             state["max_depth"], state["pushes"])
-        return _dep_result(report, state["track_war_waw"],
+            store.profiles[pc] = construct
+        report = _dep_report(ctx, table, store, counters, max_depth,
+                             pushes)
+        return _dep_result(report, states[0]["track_war_waw"],
                            getattr(ctx, "telemetry", None))
 
 
@@ -399,8 +370,6 @@ class LocalityAnalysis(Analysis):
     name = "locality"
     description = ("Exact LRU reuse-distance histogram over every "
                    "memory access")
-    supports_segments = True
-    batch_kind = "block"
 
     def __init__(self) -> None:
         #: Accesses consumed so far (positions are 1-based).
@@ -485,45 +454,34 @@ class LocalityAnalysis(Analysis):
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
         return _locality_result(self.stats)
 
-    # -- segment/merge protocol -------------------------------------------
+    # -- segment protocol -------------------------------------------------
     # begin_segment: the default (cold start) is exactly right — every
     # intra-segment distance is already exact, and cross-segment reuses
     # are reconstructed by the fold from the exports below.
 
-    def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
-        return AnalysisSegment(type(self), {
+    def export_segment(self, ctx: AnalysisContext) -> dict:
+        return {
             "accesses": self._seq,
             "hist": dict(self.stats.histogram),
             "order": self._cold_order,
             "last": dict(self._last),
-        })
+        }
 
     @classmethod
-    def merge_segment_states(cls, acc: dict, part: dict) -> dict:
+    def merge_segments(cls, states: list[dict],
+                       ctx: AnalysisContext) -> AnalysisResult:
         from repro.analyses.merging import LivePositions, fold_locality
 
-        if "live" not in acc:
-            folded = {"accesses": 0, "offset": 0, "cold": 0, "hist": {},
-                      "last": {}, "live": LivePositions()}
-            fold_locality(folded, acc)
-            acc = folded
-        fold_locality(acc, part)
-        return acc
-
-    @classmethod
-    def finalize_segments(cls, state: dict,
-                          ctx: AnalysisContext) -> AnalysisResult:
-        if "live" not in state:
-            state = cls.merge_segment_states(
-                state, {"accesses": 0, "hist": {}, "order": [],
-                        "last": {}})
-        stats = LocalityResult(
-            accesses=state["accesses"],
-            distinct_addresses=len(state["last"]),
-            cold_misses=state["cold"],
-            histogram=dict(state["hist"]),
-        )
-        return _locality_result(stats)
+        acc = {"accesses": 0, "offset": 0, "cold": 0, "hist": {},
+               "last": {}, "live": LivePositions()}
+        for part in states:
+            fold_locality(acc, part)
+        return _locality_result(LocalityResult(
+            accesses=acc["accesses"],
+            distinct_addresses=len(acc["last"]),
+            cold_misses=acc["cold"],
+            histogram=acc["hist"],
+        ))
 
 
 @dataclass
@@ -581,8 +539,6 @@ class HotAddressAnalysis(Analysis):
 
     name = "hot"
     description = "Hottest addresses by read+write count, with names"
-    supports_segments = True
-    batch_kind = "block"
     options = (
         OptionSpec("top", int, 20, "rows to keep"),
     )
@@ -605,26 +561,23 @@ class HotAddressAnalysis(Analysis):
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
         return _hot_result(self._reads, self._writes, self.top, ctx)
 
-    # -- segment/merge protocol (counters are purely additive) ------------
+    # -- segment protocol (counters are purely additive) ------------------
 
-    def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
-        return AnalysisSegment(type(self), {"reads": self._reads,
-                                            "writes": self._writes,
-                                            "top": self.top})
-
-    @classmethod
-    def merge_segment_states(cls, acc: dict, part: dict) -> dict:
-        for field_name in ("reads", "writes"):
-            mine = acc[field_name]
-            for addr, count in part[field_name].items():
-                mine[addr] = mine.get(addr, 0) + count
-        return acc
+    def export_segment(self, ctx: AnalysisContext) -> dict:
+        return {"reads": self._reads, "writes": self._writes,
+                "top": self.top}
 
     @classmethod
-    def finalize_segments(cls, state: dict,
-                          ctx: AnalysisContext) -> AnalysisResult:
-        return _hot_result(state["reads"], state["writes"],
-                           state["top"], ctx)
+    def merge_segments(cls, states: list[dict],
+                       ctx: AnalysisContext) -> AnalysisResult:
+        reads: dict[int, int] = {}
+        writes: dict[int, int] = {}
+        for part in states:
+            for mine, theirs in ((reads, part["reads"]),
+                                 (writes, part["writes"])):
+                for addr, count in theirs.items():
+                    mine[addr] = mine.get(addr, 0) + count
+        return _hot_result(reads, writes, states[0]["top"], ctx)
 
 
 def _counts_result(counts: dict) -> AnalysisResult:
@@ -642,8 +595,6 @@ class CountingAnalysis(Analysis):
 
     name = "counts"
     description = "Raw event statistics (reads, writes, calls, ...)"
-    supports_segments = True
-    batch_kind = "block"
 
     def __init__(self) -> None:
         self.counts = {"reads": 0, "writes": 0, "calls": 0,
@@ -665,22 +616,19 @@ class CountingAnalysis(Analysis):
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
         return _counts_result(dict(self.counts))
 
-    # -- segment/merge protocol (purely additive) -------------------------
+    # -- segment protocol (purely additive) -------------------------------
 
-    def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
-        return AnalysisSegment(type(self), {"counts": dict(self.counts)})
-
-    @classmethod
-    def merge_segment_states(cls, acc: dict, part: dict) -> dict:
-        mine = acc["counts"]
-        for key, value in part["counts"].items():
-            mine[key] = mine.get(key, 0) + value
-        return acc
+    def export_segment(self, ctx: AnalysisContext) -> dict:
+        return dict(self.counts)
 
     @classmethod
-    def finalize_segments(cls, state: dict,
-                          ctx: AnalysisContext) -> AnalysisResult:
-        return _counts_result(dict(state["counts"]))
+    def merge_segments(cls, states: list[dict],
+                       ctx: AnalysisContext) -> AnalysisResult:
+        counts = dict.fromkeys(states[0], 0)
+        for part in states:
+            for key, value in part.items():
+                counts[key] += value
+        return _counts_result(counts)
 
 
 def _edge_rows(edges: dict, describe, tiekey) -> list[str]:
@@ -697,15 +645,8 @@ class _BlockPairAnalysis(Analysis):
     """The block path shared by the flat and context baselines: each
     block goes to ``blocks.consume_block`` (the block pair kernel)."""
 
-    batch_kind = "block"
-    _functions: list = []
-
-    def bind_functions(self, functions: list) -> None:
-        """The trace's function table, which ENTER rows index."""
-        self._functions = functions
-
     def consume_batch(self, batch) -> None:
-        self.blocks.consume_block(batch, self._functions)
+        self.blocks.consume_block(batch)
 
 
 def _flat_result(profile: FlatProfile) -> AnalysisResult:
@@ -744,7 +685,6 @@ class FlatDependenceAnalysis(_BlockPairAnalysis):
     name = "flat"
     description = ("Baseline: dependences aggregated by static PC "
                    "pair only")
-    supports_segments = True
 
     def __init__(self) -> None:
         self.blocks: FlatBlocks | None = None
@@ -759,7 +699,7 @@ class FlatDependenceAnalysis(_BlockPairAnalysis):
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
         return _flat_result(self.blocks.profile)
 
-    # -- segment/merge protocol -------------------------------------------
+    # -- segment protocol -------------------------------------------------
     # Flat attribution needs only the head's (pc, t), which the
     # checkpointed shadow carries — so the seeded blocks attribute
     # cross-segment pairs locally and nothing is ever deferred.
@@ -768,31 +708,22 @@ class FlatDependenceAnalysis(_BlockPairAnalysis):
                       seed: SegmentSeed) -> None:
         self.blocks = FlatBlocks(FlatProfile(program), seed.shadow)
 
-    def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
-        profile = self.blocks.profile
-        return AnalysisSegment(type(self), {
-            "edges": {key: [edge.min_tdep, edge.count]
-                      for key, edge in profile.edges.items()},
-        })
+    def export_segment(self, ctx: AnalysisContext) -> dict:
+        return {key: [edge.min_tdep, edge.count]
+                for key, edge in self.blocks.profile.edges.items()}
 
     @classmethod
-    def merge_segment_states(cls, acc: dict, part: dict) -> dict:
+    def merge_segments(cls, states: list[dict],
+                       ctx: AnalysisContext) -> AnalysisResult:
         from repro.analyses.merging import fold_edges
-
-        fold_edges(acc["edges"], part["edges"])
-        return acc
-
-    @classmethod
-    def finalize_segments(cls, state: dict,
-                          ctx: AnalysisContext) -> AnalysisResult:
         from repro.baselines.flat_profiler import FlatEdge
 
+        edges: dict = {}
+        for part in states:
+            fold_edges(edges, part)
         profile = FlatProfile(ctx.program)
-        for key in sorted(state["edges"],
-                          key=lambda k: (k[0], k[1], k[2].value)):
-            min_tdep, count = state["edges"][key]
-            profile.edges[key] = FlatEdge(key[0], key[1], key[2],
-                                          min_tdep, count)
+        for key in sorted(edges, key=lambda k: (k[0], k[1], k[2].value)):
+            profile.edges[key] = FlatEdge(*key, *edges[key])
         profile.instructions = ctx.final_time
         return _flat_result(profile)
 
@@ -837,10 +768,13 @@ class ContextDependenceAnalysis(_BlockPairAnalysis):
     name = "context"
     description = ("Baseline: dependences attributed to calling "
                    "contexts")
-    supports_segments = True
 
     def __init__(self) -> None:
-        self.blocks = ContextBlocks(ContextProfile())
+        self.blocks: ContextBlocks | None = None
+
+    def on_start(self, program: ProgramIR, memory: Memory) -> None:
+        self.blocks = ContextBlocks(ContextProfile(),
+                                    list(program.functions))
 
     @property
     def profile(self) -> ContextProfile:
@@ -849,65 +783,43 @@ class ContextDependenceAnalysis(_BlockPairAnalysis):
     def finish(self, ctx: AnalysisContext) -> AnalysisResult:
         return _context_result(self.blocks.profile)
 
-    # -- segment/merge protocol -------------------------------------------
+    # -- segment protocol -------------------------------------------------
 
     def begin_segment(self, program: ProgramIR, memory: Memory,
                       seed: SegmentSeed) -> None:
         """Blocks from the seam's call stack and a shadow seeded with
         boundary payloads: pairs whose head context lives in an
         earlier segment are deferred."""
-        self.blocks = ContextBlocks(self.blocks.profile, seed.call_stack,
-                                    seed.shadow)
+        self.blocks = ContextBlocks(ContextProfile(),
+                                    list(program.functions),
+                                    seed.call_stack, seed.shadow)
 
-    def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
+    def export_segment(self, ctx: AnalysisContext) -> dict:
         blocks = self.blocks
-        return AnalysisSegment(type(self), {
+        return {
             "edges": {key: [edge.min_tdep, edge.count]
                       for key, edge in blocks.profile.edges.items()},
             "deferred": blocks.deferred,
             "frontier": blocks.frontier(),
-        })
+        }
 
     @classmethod
-    def _internalize(cls, state: dict) -> dict:
+    def merge_segments(cls, states: list[dict],
+                       ctx: AnalysisContext) -> AnalysisResult:
         from repro.analyses import merging
-
-        if state["deferred"]:
-            raise AnalysisError(
-                "first segment deferred a dependence pair — it starts "
-                "from pristine state and has no boundary to defer to")
-        frontier: dict = {}
-        merging.update_frontier(frontier, state["frontier"])
-        return {"edges": state["edges"], "_frontier": frontier}
-
-    @classmethod
-    def merge_segment_states(cls, acc: dict, part: dict) -> dict:
-        from repro.analyses import merging
-
-        if "_frontier" not in acc:
-            acc = cls._internalize(acc)
-        merging.resolve_deferred_context(part["deferred"],
-                                         acc["_frontier"], acc["edges"])
-        merging.fold_edges(acc["edges"], part["edges"])
-        merging.update_frontier(acc["_frontier"], part["frontier"])
-        return acc
-
-    @classmethod
-    def finalize_segments(cls, state: dict,
-                          ctx: AnalysisContext) -> AnalysisResult:
         from repro.baselines.context_profiler import ContextEdge
 
-        if "_frontier" not in state:
-            state = cls._internalize(state)
+        frontier: dict = {}
+        edges: dict = {}
+        for part in states:
+            merging.resolve_deferred_context(part["deferred"], frontier,
+                                             edges)
+            merging.fold_edges(edges, part["edges"])
+            merging.update_frontier(frontier, part["frontier"])
         profile = ContextProfile()
-        for key in sorted(state["edges"],
-                          key=lambda k: (k[2], k[3], k[4].value,
-                                         k[0], k[1])):
-            min_tdep, count = state["edges"][key]
-            head_ctx, tail_ctx, head_pc, tail_pc, kind = key
-            profile.edges[key] = ContextEdge(head_ctx, tail_ctx,
-                                             head_pc, tail_pc, kind,
-                                             min_tdep, count)
+        for key in sorted(edges, key=lambda k: (k[2], k[3], k[4].value,
+                                                k[0], k[1])):
+            profile.edges[key] = ContextEdge(*key, *edges[key])
         profile.instructions = ctx.final_time
         return _context_result(profile)
 

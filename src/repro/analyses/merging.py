@@ -12,7 +12,7 @@ which live in the segment that executed the head. Workers therefore
 for every address still tracked at segment end, the in-segment last
 write and per-pc reads, each tagged with its attribution payload
 (index-tree chain / context). The left-to-right fold
-(:meth:`repro.analyses.base.AnalysisSegment.merge`) keeps the running
+(:meth:`repro.analyses.base.Analysis.merge_segments`) keeps the running
 frontier, resolves each segment's deferred pairs against it, and folds
 the partial profiles — producing results bit-identical to a serial
 pass.

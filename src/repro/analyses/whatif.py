@@ -21,7 +21,7 @@ second time, live or from a recording.
 
 The profiling pass is inherited wholesale from
 :class:`~repro.analyses.builtin.DependenceAnalysis` — including its
-segment/merge protocol, so ``whatif`` runs under sharded parallel
+segment protocol, so ``whatif`` runs under sharded parallel
 replay: workers merge the dependence profile exactly as ``dep`` does,
 each segment's log joins the others by position offset, and the sweep
 happens once after the fold. Results are a pure function
@@ -37,7 +37,7 @@ import zlib
 from typing import Any
 
 from repro.analyses.base import (AnalysisContext, AnalysisResult,
-                                 AnalysisSegment, OptionSpec, register)
+                                 OptionSpec, register)
 from repro.analyses.builtin import DependenceAnalysis
 from repro.core.advisor import Advisor, Recommendation, Verdict
 from repro.core.report import ProfileReport
@@ -104,7 +104,6 @@ class WhatIfAnalysis(DependenceAnalysis):
     name = "whatif"
     description = ("what-if advisor: predicted futures speedup per "
                    "candidate construct (Table V sweep)")
-    supports_segments = True  # dep's merge machinery, inherited
     options = (
         OptionSpec("workers", str, DEFAULT_WORKERS,
                    "comma-separated worker counts to sweep"),
@@ -135,54 +134,40 @@ class WhatIfAnalysis(DependenceAnalysis):
         return _advise(report, ctx, self.worker_counts, self.top,
                        self.recorder.take())
 
-    # -- segment/merge protocol -------------------------------------------
+    # -- segment protocol -------------------------------------------------
     #
     # The profile folds exactly as `dep`'s; each segment's index log
-    # and the sweep options ride in its state so the classmethod
-    # finalize can rebuild them (segment workers run in other
-    # processes — `self` is long gone by merge time).
-
-    def export_segment(self, ctx: AnalysisContext) -> AnalysisSegment:
-        segment = super().export_segment(ctx)
-        segment.state["whatif"] = self._sweep_options()
-        log = pickle.dumps(self.recorder.take(), pickle.HIGHEST_PROTOCOL)
-        segment.state["index"] = [zlib.compress(log, 1)]
-        return segment
-
-    # A segment ships its log compressed and finalize inflates it:
+    # and the sweep options ride in its state so the classmethod merge
+    # can rebuild them (segment workers run in other processes — `self`
+    # is long gone by merge time).
+    #
+    # A segment ships its log compressed and the merge inflates it:
     # megabytes unpickled on the pool's result thread stay in that
-    # thread's malloc arena and raise the parent's peak RSS. The logs
-    # move from state to state, so finalize frees them once joined.
+    # thread's malloc arena and raise the parent's peak RSS. The merge
+    # pops each compressed log as it inflates it, so none outlives its
+    # join.
+
+    def export_segment(self, ctx: AnalysisContext) -> dict:
+        state = super().export_segment(ctx)
+        state["whatif"] = self._sweep_options()
+        log = pickle.dumps(self.recorder.take(), pickle.HIGHEST_PROTOCOL)
+        state["index"] = zlib.compress(log, 1)
+        return state
 
     @classmethod
-    def _internalize(cls, state: dict) -> dict:
-        internal = super()._internalize(state)
-        internal["whatif"] = state["whatif"]
-        internal["index"] = state.pop("index")
-        return internal
-
-    @classmethod
-    def merge_segment_states(cls, acc: dict, part: dict) -> dict:
-        acc = super().merge_segment_states(acc, part)
-        acc["index"] += part.pop("index")
-        return acc
-
-    @classmethod
-    def finalize_segments(cls, state: dict,
-                          ctx: AnalysisContext) -> AnalysisResult:
-        if "_recs" not in state:  # one segment: nothing was merged
-            state = cls._internalize(state)
-        sweep = state["whatif"]
-        dep_result = super().finalize_segments(state, ctx)
-        return _advise(dep_result.payload, ctx,
-                       tuple(sweep["workers"]), sweep["top"],
+    def merge_segments(cls, states: list[dict],
+                       ctx: AnalysisContext) -> AnalysisResult:
+        sweep = states[0]["whatif"]
+        report = super().merge_segments(states, ctx).payload
+        return _advise(report, ctx, tuple(sweep["workers"]),
+                       sweep["top"],
                        IndexLog.concat([
-                           pickle.loads(zlib.decompress(packed))
-                           for packed in state.pop("index")]))
+                           pickle.loads(zlib.decompress(state.pop("index")))
+                           for state in states]))
 
 
 # ---------------------------------------------------------------------------
-# The sweep itself — shared by finish() and finalize_segments()
+# The sweep itself — shared by finish() and merge_segments()
 # ---------------------------------------------------------------------------
 
 def _advise(report: ProfileReport, ctx: AnalysisContext,

@@ -329,29 +329,27 @@ class Session:
                 merged_options: Mapping) -> tuple[dict, str]:
         """One replay pass over every replayed analysis.
 
-        With ``options.jobs`` set (and every requested analysis
-        implementing the segment protocol), the pass runs as a sharded
-        parallel replay — results are identical to serial, so callers
-        only see the mode label and the wall clock change.
+        With ``options.jobs`` set, the pass runs as a sharded parallel
+        replay — results are identical to serial, so callers only see
+        the mode label and the wall clock change; one that falls back
+        (an analysis without the segment protocol, no usable seams) is
+        labelled ``"replay"``.
         """
         jobs = self.options.jobs
         self.stats.replay_passes += 1
         if jobs is not None and jobs != 1:
-            from repro.trace.parallel import (parallel_replay,
-                                              unsupported_analyses)
+            from repro.trace.parallel import parallel_replay
 
             names = [analysis.name for analysis in replayed]
-            if not unsupported_analyses(names):
-                outcome = parallel_replay(
-                    trace_path, names, jobs=jobs,
-                    options={name: dict(merged_options.get(name, {}))
-                             for name in names},
-                    interval=self.options.checkpoints or None,
-                    telemetry=self.telemetry)
-                if outcome.mode == "parallel":
-                    self.stats.parallel_passes += 1
-                    return outcome.reports, "parallel"
-                return outcome.reports, "replay"
+            outcome = parallel_replay(
+                trace_path, names, jobs=jobs,
+                options={name: dict(merged_options.get(name, {}))
+                         for name in names},
+                telemetry=self.telemetry)
+            if outcome.mode == "parallel":
+                self.stats.parallel_passes += 1
+                return outcome.reports, "parallel"
+            return outcome.reports, "replay"
         from repro.trace.replay import replay_with
 
         outcome = replay_with(trace_path, replayed, program,

@@ -92,7 +92,8 @@ class ContextProfile:
 class ContextBlocks:
     """The context baseline over whole trace blocks, into ``profile``:
     the pairs come from the block kernel, with calling contexts as
-    interned ids riding as the shadow payload.
+    interned ids riding as the shadow payload. ``functions`` names the
+    program's functions in order, the table ENTER rows index.
 
     A parallel segment starts from ``call_stack`` (the seam's function
     names, bottom to top) and the checkpoint's ``shadow`` rows, whose
@@ -103,9 +104,10 @@ class ContextBlocks:
     defers.
     """
 
-    def __init__(self, profile: ContextProfile,
+    def __init__(self, profile: ContextProfile, functions: list[str],
                  call_stack: Iterable[str] = (), shadow: list = ()):
         self.profile = profile
+        self.functions = functions
         self.shadow = ShadowArrays.seed(shadow)
         self.deferred: list[tuple] = []
         # The interned contexts: id -> tuple, id -> parent id, (parent
@@ -131,10 +133,10 @@ class ContextBlocks:
         id decoded to its calling context."""
         return self.shadow.frontier(self._contexts.__getitem__)
 
-    def consume_block(self, batch, functions: list) -> None:
+    def consume_block(self, batch) -> None:
         """Every event of one trace block: the calling context of each
-        event comes from the block's ENTER/EXIT rows (callees resolved
-        through ``functions``, the trace's function table), the pairs
+        event comes from the block's ENTER/EXIT rows (callees named
+        through ``functions``), the pairs
         from the block kernel, and each block's pairs are folded per
         (head context, tail context, head pc, tail pc, kind)."""
         etypes, a, b, t = batch.arrays()
@@ -143,10 +145,11 @@ class ContextBlocks:
         if len(calls):
             ids = [ctx]
             parents, callee = self._parents, self._callee
+            functions = self.functions
             for etype, index in zip(etypes[calls].tolist(),
                                     a[calls].tolist()):
                 if etype == EV_ENTER:
-                    ctx = callee(ctx, functions[index].name)
+                    ctx = callee(ctx, functions[index])
                 else:
                     ctx = parents[ctx]
                 ids.append(ctx)

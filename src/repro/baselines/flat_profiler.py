@@ -90,9 +90,9 @@ class FlatBlocks:
         self.profile = profile
         self.arrays = ShadowArrays.seed(shadow, 0)
 
-    def consume_block(self, batch, functions: list) -> None:
-        """Every access and free of one trace block. ``functions`` is
-        unused (flat ignores calls)."""
+    def consume_block(self, batch) -> None:
+        """Every access and free of one trace block (flat ignores
+        calls)."""
         etypes, a, b, t = batch.arrays()
         rows, head, tail, kind = self.arrays.step(etypes, a, b, t)
         if len(etypes) and etypes[-1] == EV_FINISH:

@@ -91,7 +91,6 @@ class LoopDistances:
     """
 
     name = "min-distance"
-    batch_kind = "block"
 
     def on_start(self, program: ProgramIR, memory) -> None:
         table = construct_table(program)

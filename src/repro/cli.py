@@ -438,10 +438,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    if args.parallel or args.jobs is not None:
+    if args.jobs is not None:
         from repro.trace.parallel import parallel_replay
 
-        if args.jobs is not None and args.jobs < 0:
+        if args.jobs < 0:
             raise CliError(f"--jobs must be >= 0, got {args.jobs}")
         outcome = parallel_replay(args.trace, args.analysis,
                                   jobs=args.jobs,
@@ -686,13 +686,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--analysis", default="dep",
                        help="comma-separated registered analyses "
                             "(default: dep)")
-    p_rep.add_argument("--parallel", action="store_true",
-                       help="shard the replay across worker processes "
-                            "(results identical to serial; falls back "
-                            "to one pass when the trace has no seams)")
     p_rep.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker count for --parallel (implies it; "
-                            "0 = one per CPU)")
+                       help="shard the replay across N worker processes "
+                            "(0 = one per CPU; results identical to "
+                            "serial; falls back to one pass when "
+                            "sharding cannot help)")
     _add_observability(p_rep)
     p_rep.set_defaults(func=_cmd_replay)
 

@@ -42,11 +42,6 @@ class ProfileOptions:
     #: serial. A cold call is one run and never replays, and live runs
     #: are never parallelized (there is only one execution).
     jobs: int | None = None
-    #: Events between the shard seams a parallel replay plans with
-    #: (built into the trace's ``.ckpt`` sidecar on first use).
-    #: ``None``/0 = an existing sidecar at any interval, else the
-    #: default interval.
-    checkpoints: int | None = None
 
     def __post_init__(self) -> None:
         # Fail at construction: a non-positive step budget would
@@ -56,9 +51,6 @@ class ProfileOptions:
                 f"max_steps must be positive, got {self.max_steps}")
         if self.jobs is not None and self.jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {self.jobs}")
-        if self.checkpoints is not None and self.checkpoints < 0:
-            raise ValueError(
-                f"checkpoints must be >= 0, got {self.checkpoints}")
 
 
 class Alchemist:

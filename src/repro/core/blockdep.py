@@ -64,7 +64,7 @@ def _structural() -> tuple[np.ndarray, int, int, int, int]:
 
 
 def replay_names(names: MemoryNames, etypes: np.ndarray, a: np.ndarray,
-                 b: np.ndarray, functions: list, requests: list
+                 b: np.ndarray, requests: list
                  ) -> tuple[dict, np.ndarray, np.ndarray]:
     """Advance ``names`` over one block's ENTER/EXIT/ALLOC/FREE rows.
 
@@ -87,7 +87,7 @@ def replay_names(names: MemoryNames, etypes: np.ndarray, a: np.ndarray,
             named[request] = names.name(request[1])
             request = next(pending, None)
         if etype == ev_enter:
-            names.enter(functions[x])
+            names.enter(x)
         elif etype == ev_exit:
             names.exit()
         elif etype == ev_alloc:
@@ -122,16 +122,14 @@ class BlockDependence:
     ``deferred``. ``recorder`` is an optional
     :class:`~repro.parallel.taskgraph.BoundaryRecorder` that each
     block's pushes, pops, accesses and frees are logged to (the index
-    tree's :class:`~repro.core.treedump.IndexTreeRecorder` is another);
-    ``functions`` is the trace's function table, which ENTER rows
-    index. Without ``track_war_waw`` only RAW pairs are profiled."""
+    tree's :class:`~repro.core.treedump.IndexTreeRecorder` is another).
+    Without ``track_war_waw`` only RAW pairs are profiled."""
 
     def __init__(self, constructs: ConstructTable, names: MemoryNames,
                  track_war_waw: bool = True, recorder=None,
                  construct_stack: list = (), shadow: list = ()):
         self.names = names
         self.track_war_waw = track_war_waw
-        self.functions: list = []
         self.recorder = recorder
         self.store = ProfileStore()
         #: Dependence pairs profiled, by kind.
@@ -218,7 +216,7 @@ class BlockDependence:
                     for *_, j in new_edges}
         requests.update((pair[6], pair[1]) for pair in deferred)
         named, calls, bases = replay_names(
-            self.names, etypes, a, b, self.functions, sorted(requests))
+            self.names, etypes, a, b, sorted(requests))
         new_edges.sort(key=lambda edge: edge[0])
         for _, c, key, low, count, j in new_edges:
             tail_row = tail[j]

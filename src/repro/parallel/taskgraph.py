@@ -281,20 +281,14 @@ class _IndexPass(Tracer):
     :class:`InstanceTable` of its own (the rules ``dep`` runs), which
     no dependence profile rides, fed whole blocks."""
 
-    batch_kind = "block"
-
     def __init__(self, table: ConstructTable):
         self.recorder = BoundaryRecorder()
         self._rows = InstanceTable(table, ProfileStore())
-        self._functions: list = []
         self._seen = 0
         self.final_time = 0
 
     def on_start(self, program: ProgramIR, memory: Memory) -> None:
         self._names = MemoryNames(memory)
-
-    def bind_functions(self, functions: list) -> None:
-        self._functions = functions
 
     def consume_batch(self, batch) -> None:
         from repro.trace.events import EV_FINISH
@@ -303,8 +297,7 @@ class _IndexPass(Tracer):
         rows = self._rows
         block = rows.index(etypes, a, b, t, self._seen)
         rows.create_profiles({})
-        _, calls, bases = replay_names(self._names, etypes, a, b,
-                                       self._functions, [])
+        _, calls, bases = replay_names(self._names, etypes, a, b, [])
         self.recorder.record_block(rows, block, etypes, a, b,
                                    push_bases(block, calls, bases))
         rows.compact()

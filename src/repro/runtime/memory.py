@@ -294,13 +294,15 @@ class MemoryNames:
     """A memory's naming state — live frames, the last popped frame and
     the ``heap#N`` names of live heap blocks — advanced by structural
     events alone (:meth:`enter`, :meth:`exit`, :meth:`alloc`,
-    :meth:`free`), with no cells. Block-replayed analyses use it to
+    :meth:`free`), with no cells; ENTER names its function by index
+    into the program's function table. Block-replayed analyses use it to
     name an address as it was at an event inside a block, after the
     replay engine has moved the real :class:`Memory` past the block.
     """
 
     def __init__(self, memory: Memory):
         self.program = memory.program
+        self.functions = list(memory.program.functions.values())
         self.heap_base = memory.heap_base
         self.frames: list[FrameRegion] = list(memory.frames)
         self.last_popped = memory.last_popped
@@ -309,7 +311,8 @@ class MemoryNames:
         self._bases = sorted(self._blocks)
         self._next_id = memory._next_heap_id
 
-    def enter(self, fn: FunctionIR) -> None:
+    def enter(self, index: int) -> None:
+        fn = self.functions[index]
         frames = self.frames
         top = (frames[-1].base + frames[-1].size if frames
                else self.program.globals_size)

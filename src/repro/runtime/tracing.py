@@ -90,7 +90,7 @@ class Tracer:
         :meth:`on_start`, then this tracer's hooks through
         :func:`hook_sink`."""
         self.on_start(program, memory)
-        return hook_sink([self], list(program.functions))
+        return hook_sink([self], program)
 
     def on_start(self, program: ProgramIR, memory: Memory) -> None:
         """Execution is about to begin (globals already initialized)."""
@@ -145,13 +145,12 @@ TRACER_HOOKS = tuple(name for name in vars(Tracer)
 
 
 def _takes_blocks(consumer) -> bool:
-    """Does ``consumer`` take whole blocks: ``batch_kind = "block"``
-    and a usable ``consume_batch``? Every other consumer, non-Analysis
-    tracers included, gets per-event hooks. The one consumer split of
-    every dispatcher: the replay loop and the live tee; the interpreter,
+    """Does ``consumer`` take whole blocks, that is, define
+    ``consume_batch``? Every other consumer, non-Analysis tracers
+    included, gets per-event hooks. The one consumer split of every
+    dispatcher: the replay loop and the live tee; the interpreter,
     which hands over records, not blocks, refuses a block consumer."""
-    return (getattr(consumer, "batch_kind", None) == "block"
-            and getattr(consumer, "consume_batch", None) is not None)
+    return hasattr(consumer, "consume_batch")
 
 
 def overridden_hooks(tracers: list, hook_name: str) -> list:
@@ -178,15 +177,15 @@ def _fan(hooks: list):
     return dispatch
 
 
-def hook_sink(tracers: list, names: list[str]) -> Sink:
+def hook_sink(tracers: list, program: ProgramIR) -> Sink:
     """The record→hook adapter: a sink whose ``emit`` calls, for each
     record, the matching hook of every tracer in ``tracers`` that
-    overrides it, in order. ENTER/EXIT name their function through
-    ``names``, the function table their index points into (a trace
-    header's, or the program's own order live); FREE's clock is not
-    passed (its hook has none); any other event byte calls nothing.
-    Hooks are bound now, so start the tracers first: they may rebind
-    their hooks in ``on_start``."""
+    overrides it, in order. ENTER/EXIT name their function by its
+    index into ``program``'s function table, live and replayed; FREE's
+    clock is not passed (its hook has none); any other event byte calls
+    nothing. Hooks are bound now, so start the tracers first: they may
+    rebind their hooks in ``on_start``."""
+    names = list(program.functions)
     handlers = [_skip] * 256
 
     def hooks(name: str):

@@ -1,7 +1,7 @@
 """Fusing the static pass into dynamic dependence results.
 
 Called from the ``dep`` analysis's result builder (serial finish and
-parallel ``finalize_segments`` alike, so live, replay and parallel modes
+parallel ``merge_segments`` alike, so live, replay and parallel modes
 stay byte-identical). It classifies every observed dynamic edge against
 the static model. A trace holds every event, so a ``PROVEN_INDEPENDENT``
 classification is a *contradiction* — the soundness oracle asserts

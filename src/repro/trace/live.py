@@ -73,12 +73,11 @@ class TeeTracer(Tracer):
                 child.on_start(program, memory)
                 hooked.append(child)
         if blocks:
-            self.tap = LiveTap(batch_dispatcher(
-                blocks, replayed, list(program.functions.values())))
+            self.tap = LiveTap(batch_dispatcher(blocks, replayed))
             recorders.append(self.tap)
         sinks = [RecordBlocks(recorders)] if recorders else []
         if hooked:
-            sinks.append(hook_sink(hooked, list(program.functions)))
+            sinks.append(hook_sink(hooked, program))
         return join_sinks(sinks)
 
 

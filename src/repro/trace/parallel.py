@@ -7,11 +7,11 @@ independently replayable segments (:mod:`repro.trace.shards`), runs
 the full registered-analysis set over each segment in a worker
 process — each worker seeks straight to its seam, reconstructs memory
 and decoder state from the checkpoint, and replays only its slice —
-then folds the per-segment :class:`~repro.analyses.base.AnalysisSegment`
-results left-to-right via their ``merge(other)`` contract and
-finalizes. The merged results are bit-identical to a serial pass (the
-differential parity suite asserts ``to_dict()`` equality for every
-registered analysis on every bundled workload).
+then hands each analysis's per-segment exports, in trace order, to
+its :meth:`~repro.analyses.base.Analysis.merge_segments`. The merged
+results are bit-identical to a serial pass (the differential parity
+suite asserts ``to_dict()`` equality for every registered analysis on
+every bundled workload).
 
 Fallbacks are graceful and explicit: a trace with no usable seams, a
 single-job request, or an analysis that does not implement the segment
@@ -33,15 +33,15 @@ import multiprocessing
 import os
 import time as _time
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Iterable
 
-from repro.analyses import (AnalysisContext, AnalysisResult,
+from repro.analyses import (Analysis, AnalysisContext, AnalysisResult,
                             get_analysis, make_analyses, parse_spec)
-from repro.analyses.base import AnalysisSegment, SegmentSeed
+from repro.analyses.base import SegmentSeed
 from repro.trace.events import TraceError
 from repro.trace.reader import TraceReader
-from repro.trace.replay import (dispatch_batches, replay_with,
-                                trace_functions)
+from repro.trace.replay import (ReplayOutcome, check_functions,
+                                dispatch_batches, replay_with)
 from repro.trace.shards import (Checkpoint, ShardPlan, compiled_program,
                                 plan_shards, restore_memory,
                                 snapshot_memory)
@@ -49,9 +49,11 @@ from repro.util import effective_cpus
 
 
 def unsupported_analyses(names: Iterable[str]) -> list[str]:
-    """Requested analyses that cannot run under sharded replay."""
+    """Requested analyses that cannot run under sharded replay: those
+    that do not override :meth:`Analysis.export_segment`."""
     return [name for name in parse_spec(names)
-            if not get_analysis(name).supports_segments]
+            if get_analysis(name).export_segment
+            is Analysis.export_segment]
 
 
 def run_segment(job: dict) -> dict:
@@ -111,18 +113,14 @@ def _replay_segment(job: dict, reader: TraceReader,
     header = reader.header
     with tm.span("segment.restore"):
         program = compiled_program(path, header)
+        check_functions(program, header)
         memory = restore_memory(program, header, checkpoint)
-        functions = trace_functions(program, header)
         seed = SegmentSeed(
-            index=checkpoint.index,
-            time=checkpoint.time,
             shadow=checkpoint.shadow,
             construct_stack=[tuple(entry)
                              for entry in checkpoint.cstack],
             call_stack=[header.functions[i]
                         for i in checkpoint.frames],
-            is_first=checkpoint.index == 0,
-            is_last=job["end_index"] is None,
         )
         analyses = make_analyses(job["analyses"], job.get("options"))
         for analysis in analyses:
@@ -137,7 +135,7 @@ def _replay_segment(job: dict, reader: TraceReader,
             reader.batches_from(checkpoint.offset,
                                 checkpoint.decoder_state(),
                                 columnar=job["columnar"]),
-            analyses, memory, functions, budget=budget, segment=True)
+            analyses, memory, budget=budget, segment=True)
     finally:
         replay_span.__exit__(None, None, None)
     replay_span.set(events=consumed)
@@ -173,17 +171,11 @@ class ParallelOutcome:
     #: Per-segment worker CPU time (excludes time-slicing waits when
     #: workers outnumber cores; what capacity planning should use).
     segment_cpu_seconds: list[float] = field(default_factory=list)
-    #: Parent-side fold + finalize time (the serial tail of the run).
+    #: Parent-side merge time (the serial tail of the run).
     merge_seconds: float = 0.0
 
-    @property
-    def results(self) -> dict[str, Any]:
-        return {name: report.payload if report.payload is not None
-                else report.data
-                for name, report in self.reports.items()}
-
-    def describe(self) -> str:
-        return "\n\n".join(report.text for report in self.reports.values())
+    results = ReplayOutcome.results
+    describe = ReplayOutcome.describe
 
 
 def parallel_replay(path: str | os.PathLike,
@@ -295,10 +287,8 @@ def parallel_replay(path: str | os.PathLike,
         with tm.span("replay.merge", analyses=list(names)) as merge_span:
             reports: dict[str, AnalysisResult] = {}
             for name in names:
-                folded: AnalysisSegment = results[0]["exports"][name]
-                for result in results[1:]:
-                    folded = folded.merge(result["exports"][name])
-                reports[name] = folded.finalize(ctx)
+                reports[name] = get_analysis(name).merge_segments(
+                    [result["exports"][name] for result in results], ctx)
         merge_seconds = merge_span.wall_seconds
         wall = _time.perf_counter() - start
         ctx.wall_seconds = wall
@@ -330,7 +320,9 @@ def _serial_fallback(path: str, names: list[str], options: dict | None,
                      reason: str, telemetry=None,
                      columnar: bool = True) -> ParallelOutcome:
     instances = make_analyses(names, options)
-    outcome = replay_with(path, instances, telemetry=telemetry,
+    with TraceReader(path) as reader:
+        program = compiled_program(path, reader.header)
+    outcome = replay_with(path, instances, program, telemetry=telemetry,
                           columnar=columnar)
     wall = _time.perf_counter() - start
     outcome.context.wall_seconds = wall

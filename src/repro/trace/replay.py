@@ -42,22 +42,17 @@ from repro.trace.events import (EV_ALLOC, EV_BRANCH, EV_ENTER, EV_EXIT,
 from repro.trace.reader import TraceReader
 
 
-def trace_functions(program: ProgramIR, header) -> list:
-    """The program's function for each index of the trace header's
-    function table; a name the program lacks is a source/trace
-    mismatch."""
-    functions = []
-    for name in header.functions:
-        try:
-            functions.append(program.functions[name])
-        except KeyError:
-            raise TraceError(
-                f"trace names function {name!r} missing from the "
-                "program (source/trace mismatch)") from None
-    return functions
+def check_functions(program: ProgramIR, header) -> None:
+    """ENTER and EXIT index the program's own function table: a trace
+    header that lists other functions, or the same ones in another
+    order, is a source/trace mismatch."""
+    if header.functions != list(program.functions):
+        raise TraceError(
+            f"trace names functions {header.functions}, the program "
+            f"{list(program.functions)} (source/trace mismatch)")
 
 
-def batch_dispatcher(consumers: list, memory: Memory, functions: list,
+def batch_dispatcher(consumers: list, memory: Memory,
                      segment: bool = False):
     """The event-dispatch loop, one batch at a time: returns
     ``feed(batch)``, which drives one decoded
@@ -69,20 +64,20 @@ def batch_dispatcher(consumers: list, memory: Memory, functions: list,
     :func:`dispatch_batches`; a live run feeds it the blocks its
     :class:`~repro.trace.live.LiveTap` records.
 
+    ENTER indices resolve through the function table of
+    ``memory.program`` (:func:`check_functions` holds a trace to it).
     Consumers split two ways by
     :func:`~repro.runtime.tracing._takes_blocks`:
 
     * block consumers — ``consume_batch`` sees each whole block once,
       after the loop has replayed the block's structural events, and
       no per-event hooks fire for it (valid only for consumers that
-      never consult :class:`Memory`); one that defines
-      ``bind_functions`` first receives ``functions``, the table ENTER
-      indices resolve through. Every bundled analysis, the seam scan
-      and task-graph extraction take whole blocks, whichever decoder
-      produced them, in every segment and live;
+      never consult :class:`Memory`). Every bundled analysis, the seam
+      scan and task-graph extraction take whole blocks, whichever
+      decoder produced them, in every segment and live;
     * hooked consumers — every record goes through the record→hook
       adapter (:func:`~repro.runtime.tracing.hook_sink`) a live run
-      uses, over the trace's function names, with memory synchronized
+      uses, over the program's function names, with memory synchronized
       exactly as a live run has it: an ENTER's hooks run after its
       frame is pushed, an EXIT's before its frame is popped, FREE and
       ALLOC hooks after the heap operation (custom plugins keep
@@ -101,17 +96,11 @@ def batch_dispatcher(consumers: list, memory: Memory, functions: list,
     ENTER and after its EXIT, so only the runs of events there are
     searched for accesses.
     """
-    blocks = [_takes_blocks(c) for c in consumers]
-    block_consumers = [c for c, b in zip(consumers, blocks) if b]
-    hooked = [c for c, b in zip(consumers, blocks) if not b]
-
-    emit = (hook_sink(hooked, [fn.name for fn in functions]).emit
-            if hooked else None)
-    block_feeds = [c.consume_batch for c in block_consumers]
-    for consumer in block_consumers:
-        bind = getattr(consumer, "bind_functions", None)
-        if bind is not None:
-            bind(functions)
+    program = memory.program
+    functions = list(program.functions.values())
+    block_feeds = [c.consume_batch for c in consumers if _takes_blocks(c)]
+    hooked = [c for c in consumers if not _takes_blocks(c)]
+    emit = hook_sink(hooked, program).emit if hooked else None
     feed_runs = any(overridden_hooks(hooked, name) for name in (
         "on_read", "on_write", "on_block_enter", "on_branch"))
 
@@ -216,7 +205,7 @@ def batch_dispatcher(consumers: list, memory: Memory, functions: list,
 
 
 def dispatch_batches(batches, consumers: list, memory: Memory,
-                     functions: list, budget: int | None = None,
+                     budget: int | None = None,
                      segment: bool = False) -> tuple[int, int]:
     """Drive decoded batches through :func:`batch_dispatcher` over
     ``consumers``. ``budget`` caps the number of events consumed (the
@@ -224,7 +213,7 @@ def dispatch_batches(batches, consumers: list, memory: Memory,
     the corrupt-trace messages. Returns ``(final_time,
     events_consumed)``.
     """
-    feed = batch_dispatcher(consumers, memory, functions, segment)
+    feed = batch_dispatcher(consumers, memory, segment)
     final_time = 0
     consumed = 0
     for batch in batches:
@@ -278,8 +267,8 @@ class ReplayEngine:
         reader = self.reader
         header = reader.header
         program = self.program
+        check_functions(program, header)
         memory = Memory(program, header.stack_limit)
-        functions = trace_functions(program, header)
 
         tm = self.telemetry
         # Consumers are usually Analysis plugins, but anything with the
@@ -294,8 +283,7 @@ class ReplayEngine:
             # Hooks are bound inside the loop — after ``on_start``, where
             # analyses may rebind them.
             final_time, _ = dispatch_batches(
-                reader.batches(columnar=self.columnar), consumers, memory,
-                functions)
+                reader.batches(columnar=self.columnar), consumers, memory)
         wall = span.wall_seconds
         footer = reader.footer
         if tm.enabled:

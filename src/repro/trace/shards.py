@@ -65,9 +65,9 @@ from repro.core.instances import InstanceTable
 from repro.core.profile_data import ProfileStore
 from repro.core.shadow import ShadowArrays
 from repro.runtime.memory import Memory
-from repro.trace.events import TraceError
+from repro.trace.events import TraceError, source_digest
 from repro.trace.reader import TraceReader
-from repro.trace.replay import dispatch_batches, trace_functions
+from repro.trace.replay import check_functions, dispatch_batches
 
 #: Events between scan-built checkpoints unless the caller asks for
 #: another interval.
@@ -92,12 +92,17 @@ _PROGRAM_CACHE_LIMIT = 16
 
 def compiled_program(path: str, header):
     """The program embedded in the trace at ``path``, compiled once per
-    process."""
+    process; embedded source that does not match the header digest is
+    a corrupt trace."""
     from repro.ir.lowering import compile_source
 
     key = (path, header.digest)
     program = _PROGRAM_CACHE.get(key)
     if program is None:
+        if source_digest(header.source) != header.digest:
+            raise TraceError(
+                f"{path}: embedded source does not match the header "
+                "digest (corrupt trace)")
         program = compile_source(header.source, header.filename)
         if len(_PROGRAM_CACHE) >= _PROGRAM_CACHE_LIMIT:
             _PROGRAM_CACHE.pop(next(iter(_PROGRAM_CACHE)))
@@ -166,7 +171,7 @@ def restore_memory(program, header, checkpoint: Checkpoint):
     instance exactly like the serial engine drives a fresh one.
     """
     memory = Memory(program, header.stack_limit)
-    fns = trace_functions(program, header)
+    fns = list(program.functions.values())
     for fn_index in checkpoint.frames:
         memory.push_frame(fns[fn_index])
     heap = checkpoint.heap
@@ -222,8 +227,6 @@ class _ScanState:
     table (the profiles its store folds are never read) and its
     pair-kernel shadow (payload 0)."""
 
-    batch_kind = "block"
-
     def __init__(self, program):
         self.rows = InstanceTable(construct_table(program), ProfileStore())
         self.shadow = ShadowArrays()
@@ -263,6 +266,7 @@ def build_checkpoints(path: str | os.PathLike,
     with TraceReader(path) as reader:
         header = reader.header
         program = compiled_program(os.fspath(path), header)
+        check_functions(program, header)
         memory = Memory(program, header.stack_limit)
         scan = _ScanState(program)
         block: dict = {}
@@ -298,8 +302,7 @@ def build_checkpoints(path: str | os.PathLike,
                     yield batch.slice(pos, len(batch))
                     time = int(batch.t[-1])
 
-        dispatch_batches(cut_at_seams(), [scan], memory,
-                         trace_functions(program, header))
+        dispatch_batches(cut_at_seams(), [scan], memory)
     return checkpoints
 
 

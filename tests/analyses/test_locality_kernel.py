@@ -3,9 +3,10 @@
 Random address streams are cut into random chunks, each fed as one
 ``consume_batch`` block (scalar-decoded lists or numpy columns), so
 chunk boundaries and carried state land at arbitrary places. Every case must equal a brute-force distinct
-count, and ``export_segment()`` folded over random seam cuts must
-equal the serial result. A last test pins the memory bound: the
-carried state is O(distinct addresses), not O(accesses).
+count, and ``merge_segments()`` over the ``export_segment()`` dicts
+of random seam cuts must equal the serial result. A last test pins
+the memory bound: the carried state is O(distinct addresses), not
+O(accesses).
 """
 
 from __future__ import annotations
@@ -122,12 +123,9 @@ class TestLocalityKernel:
                     segments[-1].append((how, []))
                 segments[-1][-1][1].append(addr)
                 at += 1
-        exports = [_feed(parts).export_segment(None)
-                   for parts in segments]
-        folded = exports[0]
-        for part in exports[1:]:
-            folded = folded.merge(part)
-        merged = folded.finalize(None)
+        merged = LocalityAnalysis.merge_segments(
+            [_feed(parts).export_segment(None) for parts in segments],
+            None)
         assert merged.to_dict() == serial.to_dict()
         assert merged.text == serial.text
 

@@ -20,12 +20,13 @@ import weakref
 
 import pytest
 
-from repro.analyses import analysis_names, get_analysis, make_analyses
+from repro.analyses import analysis_names, make_analyses
 from repro.api import Session
 from repro.core.alchemist import Alchemist
 from repro.staticdep.report import report_for
 from repro.trace import parallel
-from repro.trace.parallel import parallel_replay, run_segment
+from repro.trace.parallel import (parallel_replay, run_segment,
+                                  unsupported_analyses)
 from repro.trace.replay import replay_with
 from repro.trace.shards import load_or_build_checkpoints
 from repro.trace.writer import record_source
@@ -80,7 +81,7 @@ def test_parallel_segment(trace, instances):
     checkpoints = load_or_build_checkpoints(trace, INTERVAL)
     middle = checkpoints[len(checkpoints) // 2]
     names = [name for name in analysis_names()
-             if get_analysis(name).supports_segments]
+             if not unsupported_analyses([name])]
     result = run_segment({
         "path": trace, "ordinal": 1,
         "checkpoint": middle.to_payload(),

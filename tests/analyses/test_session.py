@@ -12,6 +12,7 @@ from repro.analyses import (Analysis, AnalysisError, AnalysisResult,
                             register, unregister)
 from repro.api import Session, analyze
 from repro.core.alchemist import Alchemist, ProfileOptions
+from repro.trace.shards import load_or_build_checkpoints
 from tests.conftest import reference_profile
 
 SOURCE = """
@@ -299,9 +300,10 @@ class TestSessionParallelReplay:
         with Session() as serial_session:
             serial = serial_session.analyze(
                 source, ["dep", "locality", "hot"])
-        options = ProfileOptions(jobs=3, checkpoints=800)
+        options = ProfileOptions(jobs=3)
         with Session(options) as parallel_session:
-            parallel_session.record(source)  # sharded replay is warm-only
+            # Sharded replay is warm-only.
+            load_or_build_checkpoints(parallel_session.record(source), 800)
             parallel = parallel_session.analyze(
                 source, ["dep", "locality", "hot"])
             assert parallel_session.stats.parallel_passes == 1
@@ -309,10 +311,10 @@ class TestSessionParallelReplay:
             assert parallel.modes[name] == "parallel"
             assert parallel[name].to_dict() == serial[name].to_dict()
 
-    def test_checkpoints_option_sets_the_seam_interval(self):
-        """The session's checkpoint interval reaches the shard planner
-        (it used to be dropped, so every session planned at the 50k
-        default — one or two segments on a small trace)."""
+    def test_prebuilt_sidecar_sets_the_seam_interval(self):
+        """A session plans its shards on the trace's existing sidecar,
+        at whatever interval built it (not the 50k default — one or
+        two segments on a small trace)."""
         from repro.core.alchemist import ProfileOptions
         from repro.telemetry import Telemetry
         from repro.workloads import get
@@ -321,9 +323,9 @@ class TestSessionParallelReplay:
         with Session() as serial_session:
             serial = serial_session.analyze(source, ["dep"])
         tm = Telemetry()
-        options = ProfileOptions(jobs=2, checkpoints=800)
+        options = ProfileOptions(jobs=2)
         with Session(options, telemetry=tm) as session:
-            session.record(source)
+            load_or_build_checkpoints(session.record(source), 800)
             report = session.analyze(source, ["dep"])
         (coordinator,) = tm.find_spans("replay.parallel")
         assert coordinator.attrs["segments"] > 2
@@ -333,19 +335,49 @@ class TestSessionParallelReplay:
     def test_jobs_zero_means_auto(self):
         from repro.core.alchemist import ProfileOptions
 
-        options = ProfileOptions(jobs=0, checkpoints=200)
+        options = ProfileOptions(jobs=0)
         with Session(options) as session:
-            session.record(SOURCE)
+            load_or_build_checkpoints(session.record(SOURCE), 200)
             report = session.analyze(SOURCE, ["counts"])
         assert report.modes["counts"] in ("parallel", "replay")
         # Tiny program: parallel may or may not engage depending on
         # seam density, but results must be the ordinary ones.
         assert report["counts"].data["reads"] > 0
 
+    def test_analysis_without_segments_replays_serially(self):
+        """A hook-only plugin has no segment protocol: the sharded
+        replay falls back to one serial pass for the whole request."""
+        from repro.workloads import get
+
+        class Reads(Analysis):
+            name = "session-reads-test"
+
+            def __init__(self):
+                self.reads = 0
+
+            def on_read(self, addr, pc, timestamp):
+                self.reads += 1
+
+            def finish(self, ctx):
+                return AnalysisResult(analysis=self.name,
+                                      data={"reads": self.reads}, text="")
+
+        register(Reads)
+        try:
+            source = get("gzip", 0.2).source
+            with Session(ProfileOptions(jobs=2)) as session:
+                load_or_build_checkpoints(session.record(source), 800)
+                report = session.analyze(
+                    source, ["counts", "session-reads-test"])
+                assert session.stats.parallel_passes == 0
+        finally:
+            unregister("session-reads-test")
+        assert set(report.modes.values()) == {"replay"}
+        assert report["session-reads-test"].data["reads"] == \
+            report["counts"].data["reads"] > 0
+
     def test_negative_jobs_rejected(self):
         from repro.core.alchemist import ProfileOptions
 
         with pytest.raises(ValueError):
             ProfileOptions(jobs=-1)
-        with pytest.raises(ValueError):
-            ProfileOptions(checkpoints=-5)

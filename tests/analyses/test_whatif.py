@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.analyses.whatif import parse_worker_counts
+from repro.analyses.whatif import WhatIfAnalysis, parse_worker_counts
 from repro.api import Session
 from repro.ir.lowering import compile_source
 from repro.parallel.estimator import estimate_speedup, simulate_speedup
@@ -240,8 +240,8 @@ class TestOnePass:
 
 
     def test_one_segment_finalizes_to_the_serial_result(self, tmp_path):
-        """A segment export finalized without any merge (the whole
-        trace as one segment) carries its own index log."""
+        """The whole trace as one segment: its export merged alone
+        carries its own index log."""
         from repro.trace.parallel import run_segment
         from repro.trace.replay import replay_trace
         from repro.trace.shards import plan_shards
@@ -256,7 +256,8 @@ class TestOnePass:
             "end_index": None, "analyses": ["whatif"], "options": None,
             "columnar": True})
         serial = replay_trace(path, ["whatif"])
-        finalized = result["exports"]["whatif"].finalize(serial.context)
+        finalized = WhatIfAnalysis.merge_segments(
+            [result["exports"]["whatif"]], serial.context)
         assert finalized.data["candidates"]
         assert finalized.to_dict() == serial.reports["whatif"].to_dict()
 

@@ -2,6 +2,7 @@
 
 from repro.baselines import profile_loop_distances
 from repro.core.profile_data import DepKind
+from repro.ir.lowering import compile_source
 
 
 class TestDistances:
@@ -73,9 +74,10 @@ class TestDistances:
         assert loop.iterations == 7
 
     def test_separate_activations_do_not_mix(self):
-        """Distances never span two activations of the same loop (the
-        write in call 1 and read in call 2 are not 'iterations apart')."""
-        profile = profile_loop_distances("""
+        """Distances never span two activations of the same loop: the
+        ``a[i] = i`` write of ``touch(0)`` and the ``x = a[i]`` read of
+        ``touch(1)`` are not 'iterations apart', so no key links them."""
+        source = """
         int a[8];
         void touch(int round) {
             for (int i = 0; i < 8; i++) {
@@ -84,16 +86,25 @@ class TestDistances:
             }
         }
         int main() { touch(0); touch(1); return 0; }
-        """)
+        """
+        program = compile_source(source)
+        profile = profile_loop_distances(program=program)
         loop = next(s for s in profile.loops.values()
                     if s.iterations == 16)
-        cross = {k: v for k, v in loop.min_distance.items()
-                 if k[2] is DepKind.RAW and "a[" not in str(k)}
-        # The a[i] write (activation 1) and read (activation 2) happen in
-        # the same iteration index — distance would be 0 across
-        # activations and must not be recorded at all.
-        for (head, tail, kind), dist in loop.min_distance.items():
-            assert dist >= 1
+
+        def line_of(text):
+            return next(n for n, line in enumerate(source.splitlines(), 1)
+                        if text in line)
+
+        write_line, read_line = line_of("a[i] = i"), line_of("x = a[i]")
+        lines = {program.loc_of(pc)[0] for pc in range(len(program.instrs))}
+        assert {write_line, read_line} <= lines
+        linked = [(head, tail, kind)
+                  for head, tail, kind in loop.min_distance
+                  if program.loc_of(head)[0] == write_line
+                  and program.loc_of(tail)[0] == read_line]
+        assert not linked
+        assert all(dist >= 1 for dist in loop.min_distance.values())
 
 
 class TestGeneralityGap:

@@ -269,7 +269,7 @@ def test_segment_defers_with_names_at_the_tail(tmp_path):
             "checkpoint": segment.checkpoint.to_payload(),
             "end_index": segment.end_index, "analyses": ["dep"],
             "options": None, "columnar": True})
-        deferred = result["exports"]["dep"].state["deferred"]
+        deferred = result["exports"]["dep"]["deferred"]
         assert deferred == [pair for head, tail, pair in log.pairs
                             if head < start <= tail < end]
         names += [pair[-1] for pair in deferred]

@@ -190,7 +190,7 @@ class TestParallelMetrics:
         assert main(["record", minic_file, "-o", trace,
                      "--checkpoints", "40", "-q"]) == 0
         metrics = str(tmp_path / "m.json")
-        assert main(["replay", trace, "--parallel", "--jobs", "2",
+        assert main(["replay", trace, "--jobs", "2",
                      "--metrics", metrics, "-q"]) == 0
         payload = validate_metrics(json.load(open(metrics)))
         names = span_names(payload)

@@ -63,7 +63,7 @@ class TestInfoVerb:
                                  write_v1_trace)
 
     @pytest.mark.parametrize("verb", [["replay"],
-                                      ["replay", "--parallel"]],
+                                      ["replay", "--jobs", "2"]],
                              ids=["replay", "replay-parallel"])
     def test_v1_trace_exits_2(self, tmp_path, capsys, write_v1_trace,
                               verb):

@@ -144,8 +144,9 @@ class TestParallelReplayCli:
 
     def test_parser_wiring(self):
         args = build_parser().parse_args(
-            ["replay", "x.trace", "--parallel", "--jobs", "4"])
-        assert args.parallel and args.jobs == 4
+            ["replay", "x.trace", "--jobs", "4"])
+        assert args.jobs == 4
+        assert build_parser().parse_args(["replay", "x.trace"]).jobs is None
         args = build_parser().parse_args(
             ["record", "f.mc", "--checkpoints", "0"])
         assert args.checkpoints == 0
@@ -198,7 +199,7 @@ class TestParallelReplayCli:
         assert main(["replay", seamed_trace,
                      "--analysis", "dep,locality,counts"]) == 0
         serial = capsys.readouterr().out
-        assert main(["replay", seamed_trace, "--parallel", "--jobs", "3",
+        assert main(["replay", seamed_trace, "--jobs", "3",
                      "--analysis", "dep,locality,counts"]) == 0
         captured = capsys.readouterr()
         assert "across" in captured.err and "segment(s)" in captured.err
@@ -213,10 +214,17 @@ class TestParallelReplayCli:
         capsys.readouterr()
         # The tiny trace still parallelizes via the scan builder or
         # falls back serially; either way it must succeed and say how.
-        assert main(["replay", out, "--parallel", "--jobs", "2",
+        assert main(["replay", out, "--jobs", "2",
                      "--analysis", "counts"]) == 0
         assert "analysis(es)" in capsys.readouterr().err
 
     def test_negative_jobs_rejected(self, seamed_trace, capsys):
         assert main(["replay", seamed_trace, "--jobs", "-1"]) == 2
         assert "--jobs" in capsys.readouterr().err
+
+    def test_parallel_flag_is_gone(self, seamed_trace, capsys):
+        """``--jobs N`` alone asks for sharded replay."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["replay", seamed_trace, "--parallel"])
+        assert exit_info.value.code == 2
+        assert "--parallel" in capsys.readouterr().err

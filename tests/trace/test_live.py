@@ -180,3 +180,44 @@ def test_a_finished_run_frees_its_consumers_by_reference_count():
         assert gone() is None
     finally:
         gc.enable()
+
+
+class _BlockOnly(Analysis):
+    """A plugin that declares nothing but ``consume_batch``: it takes
+    whole blocks, and the read hook it also defines never fires."""
+
+    name = "block-only"
+
+    def __init__(self):
+        self.blocks = 0
+        self.events = 0
+        self.hooked = 0
+
+    def consume_batch(self, batch):
+        self.blocks += 1
+        self.events += len(batch)
+
+    def on_read(self, addr, pc, timestamp):
+        self.hooked += 1
+
+    def finish(self, ctx):
+        return AnalysisResult(analysis=self.name,
+                              data={"events": self.events}, text="")
+
+
+@pytest.mark.parametrize("mode", ["live", "replay"])
+def test_consume_batch_alone_takes_blocks(small_blocks, tmp_path, mode):
+    from repro.trace.live import run_live
+    from repro.trace.replay import replay_with
+
+    program = compile_source(SOURCE)
+    path = str(tmp_path / "block-only.trace")
+    events = record_source(SOURCE, path).events
+    plugin = _BlockOnly()
+    if mode == "live":
+        ctx = run_live(program, [plugin])
+    else:
+        ctx = replay_with(path, [plugin], program).context
+    assert plugin.hooked == 0
+    assert plugin.blocks
+    assert plugin.events == ctx.events == events

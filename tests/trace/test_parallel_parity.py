@@ -7,8 +7,9 @@ trace format the reader accepts, on the vectorized and on the
 reference (``columnar=False``) decode path.
 Parametrization goes through the live registry, so an analysis
 registered later is automatically held to the same standard
-(or must explicitly opt out of ``supports_segments``, in which case
-the driver's serial fallback is asserted instead).
+(or, by not overriding ``export_segment``, opts out of the segment
+protocol, in which case the driver's serial fallback is asserted
+instead).
 """
 
 import os
@@ -47,8 +48,9 @@ INTERVAL = 1200
 
 
 def _segmented_names():
-    return sorted(name for name, cls in registry().items()
-                  if cls.supports_segments)
+    names = sorted(registry())
+    unsupported = unsupported_analyses(names)
+    return [name for name in names if name not in unsupported]
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +187,30 @@ class TestFallbacks:
             assert outcome.reports["counts"].data["reads"] > 0
         finally:
             unregister("parity-stub")
+
+    def test_fallback_replays_the_planned_program(self, tmp_path,
+                                                  monkeypatch):
+        """A trace too short for a seam falls back after the plan's
+        scan compiled its program; the serial pass replays that same
+        program instead of compiling it again."""
+        import repro.ir.lowering as lowering
+        import repro.trace.replay as replay
+
+        path = str(tmp_path / "short.trace")
+        record_source(get("gzip", 0.1).source, path)
+        compiles = []
+        real = lowering.compile_source
+
+        def counted(*args, **kwargs):
+            compiles.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lowering, "compile_source", counted)
+        monkeypatch.setattr(replay, "compile_source", counted)
+        outcome = parallel_replay(path, ["counts"], jobs=2)
+        assert outcome.mode == "serial"
+        assert "seams" in outcome.fallback_reason
+        assert len(compiles) == 1
 
     def test_trace_without_seams_falls_back(self, tmp_path):
         workload = get("gzip", 0.1)

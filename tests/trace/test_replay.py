@@ -18,7 +18,7 @@ from repro.trace.events import (EV_ALLOC, EV_BRANCH, EV_ENTER, EV_EXIT,
                                 EV_FREE, EV_READ, EV_WRITE, TRAILER,
                                 pack_length)
 from repro.trace.live import TeeTracer
-from repro.trace.parallel import run_segment
+from repro.trace.parallel import parallel_replay, run_segment
 from repro.trace.replay import ReplayEngine
 from repro.trace.shards import build_checkpoints, genesis_checkpoint
 from repro.workloads import get
@@ -250,6 +250,34 @@ int main() {
         bad.write_bytes(forged)
         with pytest.raises(TraceError, match="digest"):
             replay_trace(str(bad), ("counts",))
+        with pytest.raises(TraceError, match="digest"):
+            parallel_replay(str(bad), ("counts",), jobs=2)
+
+    def test_reordered_function_table_rejected(self, tmp_path):
+        """ENTER indexes the program's own function table: a header
+        listing the same functions in another order is a mismatch,
+        on serial replay, the seam scan and a parallel segment."""
+        from repro.trace.events import MAGIC, pack_length
+
+        source = ("int twice(int v) { return v * 2; }\n"
+                  "int main() { print(twice(3)); return 0; }\n")
+        path = tmp_path / "x.trace"
+        record_source(source, path)
+        blob = path.read_bytes()
+        with TraceReader(str(path)) as reader:
+            header = reader.header
+            events_start = reader._events_start
+        assert header.functions == ["twice", "main"]
+        header.functions = ["main", "twice"]
+        new_blob = header.to_bytes()
+        bad = tmp_path / "reordered.trace"
+        bad.write_bytes(blob[:len(MAGIC) + 2] + pack_length(len(new_blob))
+                        + new_blob + blob[events_start:])
+        for run in (lambda: replay_trace(str(bad), ("counts",)),
+                    lambda: build_checkpoints(str(bad), 10),
+                    lambda: _segment(str(bad), "counts")):
+            with pytest.raises(TraceError, match="source/trace mismatch"):
+                run()
 
     def test_engine_runs_with_no_consumers(self, tmp_path):
         path = tmp_path / "x.trace"
