@@ -210,24 +210,26 @@ def _advise(report: ProfileReport, ctx: AnalysisContext,
 
     candidates: list[dict[str, Any]] = []
     with tm.span("advisor.sweep", candidates=len(simulate),
-                 workers=list(worker_counts)):
+                 workers=list(worker_counts)) as span:
+        schedules = 0
         for rec in simulate:
             graph = graphs[rec.view.pc]
             entry = rec.summary()
             entry["privatized_globals"] = list(targets[rec.view.pc])
-            if not graph.tasks:
+            if not graph.task_count:
                 entry["reason"] = ("construct executed no instances — "
                                    "nothing to schedule")
                 skipped.append(entry)
                 continue
-            entry["tasks"] = len(graph.tasks)
+            entry["tasks"] = graph.task_count
             entry["parallel_fraction"] = round(
                 graph.parallel_fraction(), 6)
             sweep: dict[str, Any] = {}
             best: dict[str, Any] | None = None
-            schedules = FutureSimulator().sweep(graph, worker_counts)
+            points, runs = FutureSimulator().sweep(graph, worker_counts)
+            schedules += runs
             for workers in worker_counts:
-                schedule = schedules[workers]
+                schedule = points[workers]
                 point = {
                     "speedup": round(schedule.speedup, 4),
                     "t_seq": schedule.t_seq,
@@ -240,6 +242,7 @@ def _advise(report: ProfileReport, ctx: AnalysisContext,
             entry["speedups"] = sweep
             entry["best"] = best
             candidates.append(entry)
+        span.set(schedules=schedules)
     tm.count("advisor.candidates_swept", len(candidates))
 
     # Rank by payoff: best predicted speedup first; ties fall back to

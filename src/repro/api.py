@@ -345,7 +345,7 @@ class Session:
                 trace_path, names, jobs=jobs,
                 options={name: dict(merged_options.get(name, {}))
                          for name in names},
-                telemetry=self.telemetry)
+                telemetry=self.telemetry, program=program)
             if outcome.mode == "parallel":
                 self.stats.parallel_passes += 1
                 return outcome.reports, "parallel"

@@ -271,7 +271,7 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from None
     print(result.describe())
     graph = result.graph
-    print(f"tasks={len(graph.tasks)} serial={graph.serial_time} "
+    print(f"tasks={graph.task_count} serial={graph.serial_time} "
           f"parallel_fraction={graph.parallel_fraction():.2f} "
           f"task_deps={len(graph.task_deps)}")
     return 0

@@ -16,18 +16,19 @@ showing why those transformations matter.
 from repro.parallel.estimator import (EstimatorError, SpeedupResult,
                                       estimate_speedup, find_construct,
                                       simulate_speedup)
-from repro.parallel.simulator import FutureSimulator, ScheduleResult
-from repro.parallel.taskgraph import (LiveSource, TaskGraph, TaskNode,
-                                      TraceSource, extract_task_graphs)
+from repro.parallel.simulator import (FutureSimulator, ScheduleResult,
+                                      SweepPoint)
+from repro.parallel.taskgraph import (LiveSource, TaskGraph, TraceSource,
+                                      extract_task_graphs)
 
 __all__ = [
     "TaskGraph",
-    "TaskNode",
     "LiveSource",
     "TraceSource",
     "extract_task_graphs",
     "FutureSimulator",
     "ScheduleResult",
+    "SweepPoint",
     "SpeedupResult",
     "EstimatorError",
     "estimate_speedup",

@@ -61,7 +61,7 @@ class SpeedupResult:
     def describe(self) -> str:
         return (f"{self.target_name}: T_seq={self.t_seq} "
                 f"T_par={self.t_par} x{self.speedup:.2f} "
-                f"({len(self.graph.tasks)} tasks on "
+                f"({self.graph.task_count} tasks on "
                 f"{self.workers} workers)")
 
 
@@ -114,7 +114,7 @@ def simulate_speedup(graph: TaskGraph, *, target_name: str,
     construct that executed no instances has nothing to schedule, and
     reporting "x1.00" for it would be a silent lie.
     """
-    if not graph.tasks:
+    if not graph.task_count:
         raise EstimatorError(
             f"construct {target_name!r} executed no instances — "
             "nothing to schedule (pick a construct the profiled run "

@@ -14,20 +14,21 @@ All times are in instructions, the same clock the profiler uses, so
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.parallel.taskgraph import TaskGraph
 
 
 @dataclass
-class ScheduleResult:
-    """Outcome of one simulated schedule."""
+class SweepPoint:
+    """One worker count's outcome: what the advisor reads of a
+    schedule."""
 
     workers: int
     t_seq: int
     makespan: int
-    task_start: list[int] = field(default_factory=list)
-    task_finish: list[int] = field(default_factory=list)
     #: Instructions the main thread spent blocked on joins.
     join_stall: int = 0
 
@@ -37,6 +38,14 @@ class ScheduleResult:
         # serial work). The honest answer is 0.0, not a fabricated
         # "x1.00" — estimate_speedup refuses such graphs up front.
         return self.t_seq / self.makespan if self.makespan else 0.0
+
+
+@dataclass
+class ScheduleResult(SweepPoint):
+    """Outcome of one simulated schedule, task by task."""
+
+    task_start: list[int] = field(default_factory=list)
+    task_finish: list[int] = field(default_factory=list)
 
 
 class FutureSimulator:
@@ -55,106 +64,129 @@ class FutureSimulator:
         self.spawn_overhead = spawn_overhead
 
     def schedule(self, graph: TaskGraph) -> ScheduleResult:
-        return self._run(self._inputs(graph), self.workers)[0]
+        return self._run(self._inputs(graph), self.workers)
 
-    def sweep(self, graph: TaskGraph,
-              worker_counts: list[int]) -> dict[int, ScheduleResult]:
-        """Schedule the same graph for several worker counts (keyed in
-        the order given), building the per-graph inputs once. Counts
-        run in ascending order; once no task at count K waited for a
-        worker, K's schedule is every larger count's too. That is
-        exact: a larger count's heap of worker free times always holds
-        the smaller one's entries, so no worker it pops frees later and
-        every task starts as it did at K."""
+    def sweep(self, graph: TaskGraph, worker_counts: list[int]
+              ) -> tuple[dict[int, SweepPoint], int]:
+        """Each worker count's :class:`SweepPoint` (keyed in the order
+        given), and how many list schedules that took.
+
+        Makespan and join stall never grow with the worker count: the
+        heap of worker free times always holds the largest finishes so
+        far, so a task pops a free time no later with more workers and
+        every start and finish is pointwise no later. With unbounded
+        workers no task waits, which bounds both from below. So counts
+        run in ascending order only until a schedule reaches the
+        unbounded one's (makespan, join stall); every larger count's
+        point is that one's."""
         inputs = self._inputs(graph)
-        results: dict[int, ScheduleResult] = {}
-        settled: ScheduleResult | None = None
+        bound = self._unbounded(inputs)
+        points: dict[int, SweepPoint] = {}
+        schedules = 0
+        settled = False
         for workers in sorted(set(worker_counts)):
             if workers < 1:
                 raise ValueError("need at least one worker")
-            if settled is None:
-                result, waited = self._run(inputs, workers)
-                if not waited:
-                    settled = result
-            else:
-                result = replace(settled, workers=workers,
-                                 task_start=list(settled.task_start),
-                                 task_finish=list(settled.task_finish))
-            results[workers] = result
-        return {workers: results[workers] for workers in worker_counts}
+            if not settled:
+                result = self._run(inputs, workers)
+                schedules += 1
+                settled = (result.makespan, result.join_stall) == bound
+            points[workers] = SweepPoint(workers, result.t_seq,
+                                         result.makespan, result.join_stall)
+        return {workers: points[workers]
+                for workers in worker_counts}, schedules
 
     def _inputs(self, graph: TaskGraph) -> tuple:
         """What a schedule reads of ``graph``: task durations, each
-        task's producers, each serial segment's joins (anti-edges
-        added without privatization), the serial lengths and T_seq."""
-        count = len(graph.tasks)
-        deps = set(graph.task_deps)
-        joins = {k: set(v) for k, v in graph.joins.items()}
+        task's producers and each serial segment's joins (anti-edges
+        added without privatization; ``None`` for a graph with no
+        edges), the serial lengths and T_seq."""
+        deps, joins = graph.task_deps, graph.joins
         if not self.privatize:
-            deps |= graph.anti_task_deps
-            for segment, producers in graph.anti_joins.items():
-                joins.setdefault(segment, set()).update(producers)
-        producers_of: list[list[int]] = [[] for _ in range(count)]
-        for src, dst in deps:
-            producers_of[dst].append(src)
-        joins_of = [tuple(joins.get(k, ())) for k in range(count + 1)]
-        return ([task.duration for task in graph.tasks],
-                [tuple(p) for p in producers_of], joins_of,
-                graph.serial, graph.total_time)
+            deps = np.concatenate((deps, graph.anti_task_deps))
+            joins = np.concatenate((joins, graph.anti_joins))
+        count = graph.task_count
+        producers_of = joins_of = None
+        if len(deps) or len(joins):
+            producers_of = [[] for _ in range(count)]
+            for src, dst in deps.tolist():
+                producers_of[dst].append(src)
+            joins_of = [[] for _ in range(count + 1)]
+            for task, segment in joins.tolist():
+                joins_of[segment].append(task)
+        return ((graph.end - graph.start).tolist(), producers_of, joins_of,
+                graph.serial.tolist(), graph.total_time)
 
-    def _run(self, inputs: tuple,
-             workers: int) -> tuple[ScheduleResult, bool]:
-        """One schedule on ``workers`` workers, and whether any task
-        waited for a free worker."""
+    def _unbounded(self, inputs: tuple) -> tuple[int, int]:
+        """``(makespan, join_stall)`` with a worker for every task: each
+        task starts at its spawn or its producers' finish, whichever is
+        later (in numpy for a graph with no edges)."""
+        durations, producers_of, _, serial, _ = inputs
+        if producers_of is not None:
+            result = self._run(inputs, None)
+            return result.makespan, result.join_stall
+        count = len(durations)
+        spawn = np.cumsum(np.asarray(serial[:count], np.int64)
+                          + self.spawn_overhead)
+        main_clock = (int(spawn[-1]) if count else 0) + serial[count]
+        if count:
+            main_clock = max(main_clock, int((spawn + durations).max()))
+        return main_clock, 0
+
+    def _run(self, inputs: tuple, workers: int | None) -> ScheduleResult:
+        """One schedule on ``workers`` workers (``None``: one per task,
+        so no task waits and no heap is kept)."""
         durations, producers_of, joins_of, serial, t_seq = inputs
         count = len(durations)
+        linked = producers_of is not None
         spawn_overhead = self.spawn_overhead
         finish = [0] * count
         start = [0] * count
         # Workers as a min-heap of free times.
-        worker_free = [0] * workers
+        worker_free = [0] * workers if workers else None
         main_clock = 0
         join_stall = 0
-        waited = False
 
         for k in range(count):
             # Serial segment k runs first; it may join on earlier tasks.
             ready = main_clock
-            for producer in joins_of[k]:  # claim points
-                if finish[producer] > ready:
-                    ready = finish[producer]
-            join_stall += ready - main_clock
+            if linked:
+                for producer in joins_of[k]:  # claim points
+                    if finish[producer] > ready:
+                        ready = finish[producer]
+                join_stall += ready - main_clock
             main_clock = ready + serial[k]
             # Spawn task k.
             main_clock += spawn_overhead
             earliest = main_clock
-            for producer in producers_of[k]:
-                if finish[producer] > earliest:
-                    earliest = finish[producer]
-            free = heapq.heappop(worker_free)
-            if free > earliest:
-                waited = True
-                earliest = free
+            if linked:
+                for producer in producers_of[k]:
+                    if finish[producer] > earliest:
+                        earliest = finish[producer]
+            if worker_free is not None and worker_free[0] > earliest:
+                earliest = worker_free[0]
             end = earliest + durations[k]
-            heapq.heappush(worker_free, end)
+            if worker_free is not None:
+                heapq.heapreplace(worker_free, end)
             start[k] = earliest
             finish[k] = end
 
         # Epilogue: the final serial segment, joining as required.
         ready = main_clock
-        for producer in joins_of[count]:
-            if finish[producer] > ready:
-                ready = finish[producer]
-        join_stall += ready - main_clock
+        if linked:
+            for producer in joins_of[count]:
+                if finish[producer] > ready:
+                    ready = finish[producer]
+            join_stall += ready - main_clock
         main_clock = ready + serial[count]
         # The program is done when the main thread and every future are.
-        makespan = max([main_clock] + finish) if count else main_clock
+        makespan = max(main_clock, max(finish)) if count else main_clock
 
         return ScheduleResult(
             workers=workers,
             t_seq=t_seq,
             makespan=makespan,
+            join_stall=join_stall,
             task_start=start,
             task_finish=finish,
-            join_stall=join_stall,
-        ), waited
+        )

@@ -40,7 +40,10 @@ once and derives every graph from arrays:
   instance boundaries before its event position (even: serial
   segment, odd: task), so an access that shares a timestamp with a
   boundary lands on the right side of it (a callee's return-value
-  write at its EXIT's timestamp, just before the EXIT);
+  write at its EXIT's timestamp, just before the EXIT). Tags are
+  looked up, not searched: every access's log-row rank is counted
+  once, and a candidate's tag is a table over the ranks
+  (:meth:`IndexLog.tags`);
 * **clear epochs** — a frame or heap free forgets the freed cells'
   history, so accesses pair only within one (address, epoch) group;
 * **per-instance induction skip windows** — the loop's induction
@@ -49,7 +52,9 @@ once and derives every graph from arrays:
   globals are skipped everywhere.
 
 Within a group a read pairs with the previous write (RAW) and with the
-next write (WAR), and a write with the previous write (WAW).
+next write (WAR), and a write with the previous write (WAW). The pairs
+do not depend on the candidate, so they are found once; a candidate
+that skips accesses pairs again only the groups it skips in.
 The tests hold the kernel to a per-event reference, one indexing
 tracer and tag shadow per candidate (``tests/parallel/reference.py``).
 """
@@ -59,7 +64,7 @@ from __future__ import annotations
 import os
 from array import array
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -74,55 +79,60 @@ from repro.runtime.memory import Memory, MemoryNames
 from repro.runtime.tracing import Tracer
 from repro.telemetry import as_telemetry
 
-@dataclass
-class TaskNode:
-    """One instance of the parallelized construct."""
-
-    index: int
-    start: int
-    end: int
-
-    @property
-    def duration(self) -> int:
-        return self.end - self.start
-
-
-@dataclass
+@dataclass(eq=False)
 class TaskGraph:
-    """Everything the simulator needs."""
+    """Everything the simulator needs, as columns.
+
+    Task k (the k-th outermost instance) runs from ``start[k]`` to
+    ``end[k]``; ``serial[k]`` is the instruction count before task k
+    and ``serial[n]`` the epilogue, derived from the two. Edges are
+    ``(m, 2)`` int64 arrays of distinct rows in ascending order:
+    ``task_deps`` rows are (earlier task, later task) RAW precedences,
+    ``joins`` rows (task, serial segment) — the segment joins on the
+    task before it may run. The ``anti_`` counterparts are the WAR/WAW
+    edges, enforced only without privatization. Any sequence converts.
+    """
 
     target_pc: int
     total_time: int
-    tasks: list[TaskNode] = field(default_factory=list)
-    #: serial[k] is the instruction count before task k; serial[n] is the
-    #: epilogue. len(serial) == len(tasks) + 1.
-    serial: list[int] = field(default_factory=list)
-    #: (earlier task, later task) RAW precedence edges.
-    task_deps: set[tuple[int, int]] = field(default_factory=set)
-    #: serial segment k joins on these tasks before it may run.
-    joins: dict[int, set[int]] = field(default_factory=dict)
-    #: WAR/WAW counterparts, enforced only without privatization.
-    anti_task_deps: set[tuple[int, int]] = field(default_factory=set)
-    anti_joins: dict[int, set[int]] = field(default_factory=dict)
+    start: np.ndarray = ()
+    end: np.ndarray = ()
+    task_deps: np.ndarray = ()
+    joins: np.ndarray = ()
+    anti_task_deps: np.ndarray = ()
+    anti_joins: np.ndarray = ()
+    serial: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.start = np.asarray(self.start, np.int64)
+        self.end = np.asarray(self.end, np.int64)
+        for name in ("task_deps", "joins", "anti_task_deps", "anti_joins"):
+            setattr(self, name,
+                    np.asarray(getattr(self, name), np.int64).reshape(-1, 2))
+        self.serial = (np.append(self.start, self.total_time)
+                       - np.concatenate(([0], self.end)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TaskGraph):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, column.name),
+                                  getattr(other, column.name))
+                   for column in fields(self))
+
+    @property
+    def task_count(self) -> int:
+        return len(self.start)
 
     @property
     def task_time(self) -> int:
-        return sum(t.duration for t in self.tasks)
+        return int((self.end - self.start).sum())
 
     @property
     def serial_time(self) -> int:
-        return sum(self.serial)
+        return int(self.serial.sum())
 
     def parallel_fraction(self) -> float:
         return self.task_time / self.total_time if self.total_time else 0.0
-
-
-def _serial(tasks: list[TaskNode], total: int) -> list[int]:
-    """The serial pieces around ``tasks``: the time before each task,
-    then the epilogue."""
-    ends = [0] + [task.end for task in tasks]
-    return ([task.start - end for task, end in zip(tasks, ends)]
-            + [total - ends[-1]])
 
 
 def induction_offsets_of(program: ProgramIR, target_pc: int) -> frozenset[int]:
@@ -217,6 +227,18 @@ class IndexLog:
         depth = np.cumsum(np.where(push, 1, -1))
         return rows[push & (depth == 1)], rows[~push & (depth == 0)]
 
+    def tags(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """The tag of an access by its row rank (how many log rows come
+        at or before its event position, :func:`count_at_or_before`):
+        entry r counts the instance boundaries that :meth:`outermost`
+        found among the first r rows. Rows are in stream order, so that
+        is the number of boundaries at or before the access. Even means
+        serial segment tag // 2, odd means task tag // 2."""
+        tags = np.zeros(len(self.pcs) + 1, np.int32)
+        tags[starts + 1] = 1
+        tags[ends + 1] = 1
+        return np.cumsum(tags, out=tags)
+
 
 class BoundaryRecorder:
     """Records an :class:`IndexLog` block by block from the
@@ -310,10 +332,21 @@ class _IndexPass(Tracer):
 # The per-candidate kernel
 # ---------------------------------------------------------------------------
 
+class _Pairs(NamedTuple):
+    """Dependent access pairs that a boundary may split: the source's
+    index in sorted order (which tells its group) and both ends' row
+    ranks (which give their tags)."""
+
+    src: np.ndarray
+    src_row: np.ndarray
+    dst_row: np.ndarray
+
+
 class _AccessOrder:
     """The work every candidate shares: the accesses stably sorted by
     address (so in event order within an address), with their event
-    positions and their (address, clear epoch) group numbers. The
+    positions, their (address, clear epoch) group numbers and their
+    row ranks, and the pairs within each group (:func:`_pairs`). The
     distinct addresses (``cells``) and where each one's accesses start
     (``cell_start``) replace a per-access address column."""
 
@@ -342,6 +375,19 @@ class _AccessOrder:
                               free_keys(self.cells, log.frees, span),
                               span)
         self.group = np.cumsum(new_group, dtype=np.int32)
+        del new_group
+        #: Log rows at or before each access's event position: every
+        #: candidate's tag of the access is a function of this rank.
+        self.row = count_at_or_before(log.at, n)[self.at]
+        raw, anti = _pairs(self.write, self.group)
+        self.pairs = self._split(*raw), self._split(*anti)
+
+    def _split(self, src: np.ndarray, dst: np.ndarray) -> _Pairs:
+        """The index pairs ``(src, dst)`` that a log row separates; no
+        candidate's boundary splits the others."""
+        src_row, dst_row = self.row[src], self.row[dst]
+        split = src_row != dst_row
+        return _Pairs(src[split], src_row[split], dst_row[split])
 
     def ranges(self, cells: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -354,36 +400,92 @@ class _AccessOrder:
         rank = rank[found]
         return self.cell_start[rank], self.cell_start[rank + 1], found
 
+    def kept_pairs(self, drop: np.ndarray) -> tuple[_Pairs, _Pairs]:
+        """:attr:`pairs` with the accesses in ``drop`` left out. Pairs
+        never cross a group, so only the groups holding a dropped
+        access are paired again; every other group keeps its shared
+        pairs."""
+        hit = np.zeros(int(self.group[-1]) + 1, dtype=bool)
+        hit[self.group[drop]] = True
+        touched = hit[self.group]
+        redo = np.flatnonzero(touched & ~drop).astype(self.at.dtype)
+        kept = []
+        for shared, (src, dst) in zip(self.pairs, _pairs(self.write[redo],
+                                                         self.group[redo])):
+            again = self._split(redo[src], redo[dst])
+            keep = ~touched[shared.src]
+            kept.append(_Pairs(*(np.concatenate((column[keep], more))
+                                 for column, more in zip(shared, again))))
+        return kept[0], kept[1]
+
+
+def _pairs(write: np.ndarray, group: np.ndarray
+           ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The RAW and the anti ``(src, dst)`` index pairs of accesses
+    within a group: a read pairs with the previous write (RAW) and the
+    next write (WAR), a write with the previous write (WAW); WAW and
+    WAR are the anti pairs."""
+    m = len(write)
+    if m < 2:
+        empty = np.empty(0, np.int32)
+        return (empty, empty), (empty, empty)
+    index = np.arange(m, dtype=np.int32)
+    # Access i + 1's previous write (-1: none).
+    prev = np.where(write, index, -1)
+    np.maximum.accumulate(prev, out=prev)
+    prev = prev[:-1]
+    pair = prev >= 0
+    np.maximum(prev, 0, out=prev)
+    pair &= group[prev] == group[1:]
+    raw = pair & ~write[1:]
+    pair &= write[1:]
+    raw_dst = np.flatnonzero(raw).astype(np.int32) + 1
+    waw_dst = np.flatnonzero(pair).astype(np.int32) + 1
+    raw_src, waw_src = prev[raw_dst - 1], prev[waw_dst - 1]
+    del prev, pair, raw
+    # Access i's next write (m: none).
+    following = np.where(write, index, m)
+    del index
+    np.minimum.accumulate(following[::-1], out=following[::-1])
+    following = following[1:]
+    war = (following < m) & ~write[:-1]
+    np.minimum(following, m - 1, out=following)
+    war &= group[following] == group[:-1]
+    war_src = np.flatnonzero(war).astype(np.int32)
+    return (raw_src, raw_dst), (np.concatenate((waw_src, war_src)),
+                                np.concatenate((waw_dst,
+                                                following[war_src])))
+
 
 def _candidate_graph(pc: int, order: _AccessOrder, log: IndexLog,
                      skip: frozenset[int], induction: frozenset[int],
                      total: int) -> TaskGraph:
     starts, ends = log.outermost(pc)
-    tasks = [TaskNode(index, start, end) for index, (start, end)
-             in enumerate(zip(log.times[starts].tolist(),
-                              log.times[ends].tolist()))]
-    graph = TaskGraph(target_pc=pc, total_time=total, tasks=tasks,
-                      serial=_serial(tasks, total))
+    graph = TaskGraph(target_pc=pc, total_time=total,
+                      start=log.times[starts[:len(ends)]],
+                      end=log.times[ends])
     if not len(starts) or not len(order.at):
         return graph  # every access is serial[0]: nothing crosses
-    bounds = np.empty(len(starts) + len(ends), np.int64)
-    bounds[0::2] = log.at[starts]
-    bounds[1::2] = log.at[ends]
-    # Boundaries at or before an access's event position: even means
-    # serial segment tag // 2, odd means task tag // 2.
-    tag = np.searchsorted(bounds, order.at, side="right").astype(np.int32)
-    write, group = order.write, order.group
+    tags = log.tags(starts, ends)
     # The frame base at each start: the induction cells' anchor.
     bases = log.bases[np.cumsum(log.pcs >= 0)[starts] - 1]
-    drop = _skipped(order, tag, bases, skip, induction)
-    if drop is not None:
-        keep = ~drop
-        tag, write, group = tag[keep], write[keep], group[keep]
-    _fold_edges(graph, tag, write, group, len(bounds) + 1)
+    drop = _skipped(order, tags, bases, skip, induction)
+    raw, anti = order.pairs if drop is None else order.kept_pairs(drop)
+    span = len(starts) + len(ends) + 1
+    graph.task_deps, graph.joins = _edges(tags, raw, span)
+    graph.anti_task_deps, graph.anti_joins = _edges(tags, anti, span)
     return graph
 
 
-def _skipped(order: _AccessOrder, tag: np.ndarray, bases: np.ndarray,
+def count_at_or_before(bounds: np.ndarray, accesses: int) -> np.ndarray:
+    """For each event position (0..``accesses``), how many of
+    ``bounds`` (ascending, repeats allowed) lie at or before it: an
+    access at a bound's own position comes after that bound."""
+    return np.cumsum(np.bincount(bounds, minlength=accesses + 1),
+                     dtype=np.int32)
+
+
+def _skipped(order: _AccessOrder, tags: np.ndarray, bases: np.ndarray,
              skip: frozenset[int],
              induction: frozenset[int]) -> np.ndarray | None:
     """Accesses the candidate ignores (sorted order), or ``None``:
@@ -394,7 +496,7 @@ def _skipped(order: _AccessOrder, tag: np.ndarray, bases: np.ndarray,
     if skip:
         first, stop, _ = order.ranges(np.array(sorted(skip), np.int64))
         if len(first):
-            mark = np.zeros(len(tag) + 1, dtype=np.int32)
+            mark = np.zeros(len(order.at) + 1, dtype=np.int32)
             np.add.at(mark, first, 1)
             np.add.at(mark, stop, -1)
             drop = np.cumsum(mark[:-1], dtype=np.int32) > 0
@@ -405,84 +507,36 @@ def _skipped(order: _AccessOrder, tag: np.ndarray, bases: np.ndarray,
         if len(first):
             sizes = stop - first
             at = concat_ranges(first, sizes)
-            window = (tag[at].astype(np.int64) - 1) // 2  # -1: before any
+            # -1: before any instance
+            window = (tags[order.row[at]].astype(np.int64) - 1) // 2
             hit = (window >= 0) & np.isin(
                 np.repeat(cells[found], sizes)
                 - bases[np.maximum(window, 0)], offsets)
             if hit.any():
                 if drop is None:
-                    drop = np.zeros(len(tag), dtype=bool)
+                    drop = np.zeros(len(order.at), dtype=bool)
                 drop[at[hit]] = True
     return drop
 
 
-def _fold_edges(graph: TaskGraph, tag: np.ndarray, write: np.ndarray,
-                group: np.ndarray, span: int) -> None:
-    """RAW/WAR/WAW pairs within each group -> the graph's edge sets.
-
-    A read pairs with the previous write (RAW) and the next write
-    (WAR), a write with the previous write (WAW); only pairs whose
-    source is a task and whose tags differ constrain the schedule.
-    """
-    m = len(tag)
-    if m < 2:
-        return
-
-    def keys(src_tags, dst_tags):
-        return src_tags.astype(np.int64) * span + dst_tags
-
-    index = np.arange(m, dtype=np.int32)
-    # Access i + 1's previous write (-1: none), as a view.
-    prev = np.where(write, index, -1)
-    np.maximum.accumulate(prev, out=prev)
-    prev = prev[:-1]
-    later_tag, later_write = tag[1:], write[1:]
-    pair = prev >= 0
-    np.maximum(prev, 0, out=prev)
-    pair &= group[prev] == group[1:]
-    src = tag[prev]
-    del prev
-    pair &= (src != later_tag) & ((src & 1) == 1)
-    raw = pair & ~later_write
-    pair &= later_write
-    raw_keys = keys(src[raw], later_tag[raw])
-    anti_keys = [keys(src[pair], later_tag[pair])]
-    del src, raw, pair
-
-    # Access i's next write (m: none), as a view.
-    following = np.where(write, index, m)
-    del index
-    np.minimum.accumulate(following[::-1], out=following[::-1])
-    following = following[1:]
-    earlier_tag = tag[:-1]
-    war = (following < m) & ~write[:-1] & ((earlier_tag & 1) == 1)
-    np.minimum(following, m - 1, out=following)
-    war &= group[following] == group[:-1]
-    dst = tag[following]
-    del following
-    war &= dst != earlier_tag
-    anti_keys.append(keys(earlier_tag[war], dst[war]))
-
-    _add_edges(np.unique(raw_keys), span, graph.task_deps, graph.joins)
-    _add_edges(np.unique(np.concatenate(anti_keys)), span,
-               graph.anti_task_deps, graph.anti_joins)
-
-
-def _add_edges(keys: np.ndarray, span: int, deps: set,
-               joins: dict[int, set[int]]) -> None:
-    """Decode ``src_tag * span + dst_tag`` keys into task edges and
-    serial-segment joins."""
-    if not len(keys):
-        return
+def _edges(tags: np.ndarray, pairs: _Pairs,
+           span: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(task edges, joins)`` of dependent access pairs: only
+    pairs whose source is a task and whose tags differ constrain the
+    schedule. Pairs are in event order, so a source tag never exceeds
+    its destination's, and the keys ``src_tag * span + dst_tag`` sort
+    the rows as the graph keeps them."""
+    src_tag, dst_tag = tags[pairs.src_row], tags[pairs.dst_row]
+    keep = (src_tag != dst_tag) & ((src_tag & 1) == 1)
+    keys = np.unique(src_tag[keep].astype(np.int64) * span
+                     + dst_tag[keep])
     task = (keys // span - 1) // 2
-    dst = keys % span
-    into_task = (dst & 1) == 1
-    deps.update(zip(task[into_task].tolist(),
-                    ((dst[into_task] - 1) // 2).tolist()))
+    dst_tag = keys % span
+    into_task = (dst_tag & 1) == 1
     into_serial = ~into_task
-    for segment, src in zip((dst[into_serial] // 2).tolist(),
-                            task[into_serial].tolist()):
-        joins.setdefault(segment, set()).add(src)
+    return (np.column_stack((task[into_task],
+                             (dst_tag[into_task] - 1) // 2)),
+            np.column_stack((task[into_serial], dst_tag[into_serial] // 2)))
 
 
 # ---------------------------------------------------------------------------

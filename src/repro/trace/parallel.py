@@ -38,6 +38,7 @@ from typing import Iterable
 from repro.analyses import (Analysis, AnalysisContext, AnalysisResult,
                             get_analysis, make_analyses, parse_spec)
 from repro.analyses.base import SegmentSeed
+from repro.ir.cfg import ProgramIR
 from repro.trace.events import TraceError
 from repro.trace.reader import TraceReader
 from repro.trace.replay import (ReplayOutcome, check_functions,
@@ -186,7 +187,8 @@ def parallel_replay(path: str | os.PathLike,
                     plugin_modules: tuple[str, ...] = (),
                     allow_scan: bool = True,
                     telemetry=None,
-                    columnar: bool = True) -> ParallelOutcome:
+                    columnar: bool = True,
+                    program: ProgramIR | None = None) -> ParallelOutcome:
     """Replay ``path`` through the named analyses across ``jobs``
     workers; falls back to one serial pass when sharding cannot help
     (and says so in the outcome).
@@ -201,10 +203,17 @@ def parallel_replay(path: str | os.PathLike,
     ``columnar=False`` decodes every segment with the scalar reference
     decoder. ``jobs`` of None or 0
     means one worker per usable CPU (:func:`repro.util.effective_cpus`).
+    A caller that already compiled the trace's source passes it as
+    ``program``, as to :func:`~repro.trace.replay.replay_with`, and the
+    plan, the merge and a serial fallback use it instead of compiling
+    their own.
     """
     from repro.telemetry import as_telemetry
 
     path = os.fspath(path)
+    if program is not None:
+        with TraceReader(path) as reader:
+            compiled_program(path, reader.header, program)
     names = parse_spec(analyses)
     if jobs is None or jobs <= 0:
         jobs = effective_cpus()

@@ -90,23 +90,26 @@ _PROGRAM_CACHE: dict[tuple[str, str], object] = {}
 _PROGRAM_CACHE_LIMIT = 16
 
 
-def compiled_program(path: str, header):
+def compiled_program(path: str, header, program=None):
     """The program embedded in the trace at ``path``, compiled once per
-    process; embedded source that does not match the header digest is
-    a corrupt trace."""
+    process unless the caller hands it over as ``program`` (already
+    compiled from that source); embedded source that does not match
+    the header digest is a corrupt trace either way."""
     from repro.ir.lowering import compile_source
 
     key = (path, header.digest)
-    program = _PROGRAM_CACHE.get(key)
+    cached = _PROGRAM_CACHE.get(key)
+    if cached is not None:
+        return cached
+    if source_digest(header.source) != header.digest:
+        raise TraceError(
+            f"{path}: embedded source does not match the header "
+            "digest (corrupt trace)")
     if program is None:
-        if source_digest(header.source) != header.digest:
-            raise TraceError(
-                f"{path}: embedded source does not match the header "
-                "digest (corrupt trace)")
         program = compile_source(header.source, header.filename)
-        if len(_PROGRAM_CACHE) >= _PROGRAM_CACHE_LIMIT:
-            _PROGRAM_CACHE.pop(next(iter(_PROGRAM_CACHE)))
-        _PROGRAM_CACHE[key] = program
+    if len(_PROGRAM_CACHE) >= _PROGRAM_CACHE_LIMIT:
+        _PROGRAM_CACHE.pop(next(iter(_PROGRAM_CACHE)))
+    _PROGRAM_CACHE[key] = program
     return program
 
 

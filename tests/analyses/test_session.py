@@ -344,6 +344,51 @@ class TestSessionParallelReplay:
         # seam density, but results must be the ordinary ones.
         assert report["counts"].data["reads"] > 0
 
+    def test_sharded_replay_reuses_the_session_program(self, tmp_path,
+                                                       monkeypatch):
+        """The first 2-job advise after ``record`` plans, scans, merges
+        and sweeps on the program the session compiled for the
+        recording: nothing is compiled again. A trace whose header
+        digest was forged still raises with a program handed over."""
+        from repro.ir import lowering
+        from repro.trace import replay
+        from repro.trace.events import MAGIC, TraceError, pack_length
+        from repro.trace.parallel import parallel_replay
+        from repro.trace.reader import TraceReader
+        from repro.workloads import get
+
+        source = get("bzip2", 0.5).source
+        compiles = []
+        real = lowering.compile_source
+
+        def counted(*args, **kwargs):
+            compiles.append(args)
+            return real(*args, **kwargs)
+
+        with Session(ProfileOptions(jobs=2), cache_dir=str(tmp_path)) \
+                as session:
+            path = session.record(source, "bzip2")
+            monkeypatch.setattr(lowering, "compile_source", counted)
+            monkeypatch.setattr(replay, "compile_source", counted)
+            report = session.analyze(source, ["whatif"], filename="bzip2")
+            assert report.modes["whatif"] == "parallel"
+            assert compiles == []
+            program = session.compile(source, "bzip2")
+
+        blob = open(path, "rb").read()
+        with TraceReader(path) as reader:
+            header = reader.header
+            events_start = reader._events_start
+        header.digest = "0" * 64
+        forged_header = header.to_bytes()
+        forged = tmp_path / "forged.trace"
+        forged.write_bytes(blob[:len(MAGIC) + 2]
+                           + pack_length(len(forged_header))
+                           + forged_header + blob[events_start:])
+        with pytest.raises(TraceError, match="digest"):
+            parallel_replay(str(forged), ["counts"], jobs=2,
+                            program=program)
+
     def test_analysis_without_segments_replays_serially(self):
         """A hook-only plugin has no segment protocol: the sharded
         replay falls back to one serial pass for the whole request."""

@@ -12,9 +12,17 @@ candidate's graph from one pass's log.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.analysis.constructs import ConstructTable
-from repro.parallel.taskgraph import TaskGraph, TaskNode, _serial
+from repro.parallel.taskgraph import TaskGraph
 from tests.core.reference import AlchemistTracer
+
+
+def edge_rows(pairs) -> np.ndarray:
+    """``pairs`` as a task graph keeps its edges: distinct ``(m, 2)``
+    int64 rows in ascending order."""
+    return np.array(sorted(set(pairs)), np.int64).reshape(-1, 2)
 
 
 #: Tag for "currently in serial segment k": encoded as -(k + 1).
@@ -51,7 +59,8 @@ class TaskGraphTracer(AlchemistTracer):
         #: rewrites them per-thread; either way they don't serialize.
         self.induction_offsets = induction_offsets
         self._skip_addrs: set[int] = set(skip_global_addrs)
-        self.tasks: list[TaskNode] = []
+        #: (start, end) of each finished outermost instance.
+        self.tasks: list[tuple[int, int]] = []
         self.task_deps: set[tuple[int, int]] = set()
         self.joins: dict[int, set[int]] = {}
         self.anti_task_deps: set[tuple[int, int]] = set()
@@ -87,7 +96,7 @@ class TaskGraphTracer(AlchemistTracer):
         self._target_depth -= 1
         if self._target_depth == 0:
             index = len(self.tasks)
-            self.tasks.append(TaskNode(index, self._open_start, timestamp))
+            self.tasks.append((self._open_start, timestamp))
             self._current = _serial_tag(index + 1)
 
     # -- tagged dependence tracking ------------------------------------------
@@ -151,10 +160,16 @@ class TaskGraphTracer(AlchemistTracer):
         return TaskGraph(
             target_pc=self.target_pc,
             total_time=self.final_time,
-            tasks=list(self.tasks),
-            serial=_serial(self.tasks, self.final_time),
-            task_deps=set(self.task_deps),
-            joins={k: set(v) for k, v in self.joins.items()},
-            anti_task_deps=set(self.anti_task_deps),
-            anti_joins={k: set(v) for k, v in self.anti_joins.items()},
+            start=[start for start, _ in self.tasks],
+            end=[end for _, end in self.tasks],
+            task_deps=edge_rows(self.task_deps),
+            joins=edge_rows(join_rows(self.joins)),
+            anti_task_deps=edge_rows(self.anti_task_deps),
+            anti_joins=edge_rows(join_rows(self.anti_joins)),
         )
+
+
+def join_rows(joins: dict[int, set[int]]) -> list[tuple[int, int]]:
+    """``{segment: tasks}`` as (task, segment) edge rows."""
+    return [(task, segment) for segment, tasks in joins.items()
+            for task in tasks]

@@ -102,7 +102,7 @@ class TestZeroInstances:
             estimate_speedup(program=program, fn_name="never_called")
 
     def test_simulate_speedup_rejects_empty_graph(self):
-        graph = TaskGraph(target_pc=0, total_time=0, serial=[0])
+        graph = TaskGraph(target_pc=0, total_time=0)
         with pytest.raises(EstimatorError, match="no instances"):
             simulate_speedup(graph, target_name="ghost")
 
@@ -111,7 +111,7 @@ class TestZeroInstances:
         assert result.speedup == 0.0
 
     def test_empty_graph_schedules_to_zero_speedup(self):
-        graph = TaskGraph(target_pc=0, total_time=0, serial=[0])
+        graph = TaskGraph(target_pc=0, total_time=0)
         result = FutureSimulator(4).schedule(graph)
         assert result.makespan == 0
         assert result.speedup == 0.0
@@ -132,9 +132,7 @@ class TestTraceGroundedEstimation:
         assert replayed.t_seq == live.t_seq
         assert replayed.t_par == live.t_par
         assert replayed.speedup == live.speedup
-        assert len(replayed.graph.tasks) == len(live.graph.tasks)
-        assert replayed.graph.task_deps == live.graph.task_deps
-        assert replayed.graph.joins == live.graph.joins
+        assert replayed.graph == live.graph
 
     def test_trace_with_private_vars(self, tmp_path):
         from repro.trace.writer import record_source
@@ -189,11 +187,7 @@ class TestMultiTargetExtraction:
                                          {pc: ()})[pc]
             multi = combined[pc]
             assert multi.total_time == single.total_time
-            assert [t.duration for t in multi.tasks] == \
-                [t.duration for t in single.tasks]
-            assert multi.task_deps == single.task_deps
-            assert multi.joins == single.joins
-            assert multi.anti_task_deps == single.anti_task_deps
+            assert multi == single
 
     def test_empty_target_set(self, program):
         from repro.parallel.taskgraph import (LiveSource,

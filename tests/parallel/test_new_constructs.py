@@ -84,7 +84,7 @@ class TestGotoLoopSimulation:
         program = compile_source(GOTO_LOOP)
         line = line_of(GOTO_LOOP, "if (t < 8)")
         result = estimate_speedup(program=program, line=line, workers=4)
-        assert len(result.graph.tasks) == 7
+        assert result.graph.task_count == 7
         assert result.speedup > 2.0
 
     def test_worker_monotonicity(self):

@@ -1,34 +1,40 @@
 """Schedule simulator unit tests and invariants."""
 
+import random
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.simulator import FutureSimulator
-from repro.parallel.taskgraph import TaskGraph, TaskNode
+from repro.parallel.simulator import FutureSimulator, SweepPoint
+from repro.parallel.taskgraph import TaskGraph
+from tests.parallel.reference import edge_rows, join_rows
 
 
 def graph_of(durations, serial=None, deps=(), joins=None,
              anti_deps=(), anti_joins=None):
-    tasks = []
+    start, end = [], []
     clock = 0
     serial = serial if serial is not None else [0] * (len(durations) + 1)
-    segments = []
     for k, dur in enumerate(durations):
         clock += serial[k]
-        tasks.append(TaskNode(k, clock, clock + dur))
+        start.append(clock)
+        end.append(clock + dur)
         clock += dur
     clock += serial[len(durations)]
-    return TaskGraph(
+    graph = TaskGraph(
         target_pc=0,
         total_time=clock,
-        tasks=tasks,
-        serial=list(serial),
-        task_deps=set(deps),
-        joins={k: set(v) for k, v in (joins or {}).items()},
-        anti_task_deps=set(anti_deps),
-        anti_joins={k: set(v) for k, v in (anti_joins or {}).items()},
+        start=start,
+        end=end,
+        task_deps=edge_rows(deps),
+        joins=edge_rows(join_rows(joins or {})),
+        anti_task_deps=edge_rows(anti_deps),
+        anti_joins=edge_rows(join_rows(anti_joins or {})),
     )
+    assert graph.serial.tolist() == list(serial)
+    return graph
 
 
 class TestBasicSchedules:
@@ -99,7 +105,7 @@ class TestBasicSchedules:
 
     def test_sweep(self):
         graph = graph_of([100] * 8)
-        results = FutureSimulator(1).sweep(graph, [1, 2, 4])
+        results, _ = FutureSimulator(1).sweep(graph, [1, 2, 4])
         assert results[1].makespan >= results[2].makespan >= \
             results[4].makespan
 
@@ -173,21 +179,82 @@ def _random_graph(rng):
                     edges(p), claims(p / 2))
 
 
-def test_sweep_matches_schedule_on_random_graphs():
-    """The sweep, which reuses a schedule no task waited in for every
-    larger count, equals one ``schedule`` per count."""
-    import random
-
+def _random_cases(count=3000):
+    """``count`` random graphs, each with a privatization choice and a
+    spawn overhead."""
     rng = random.Random(20090314)
-    counts = [1, 2, 3, 4, 6, 8, 12, 16]
-    for _ in range(3000):
-        graph = _random_graph(rng)
-        privatize = rng.random() < 0.5
-        overhead = rng.choice((0, 0, 5))
-        order = rng.sample(counts, len(counts))
-        swept = FutureSimulator(1, privatize, overhead).sweep(graph, order)
+    for _ in range(count):
+        yield (_random_graph(rng), rng.random() < 0.5,
+               rng.choice((0, 0, 5)), rng)
+
+
+COUNTS = [1, 2, 3, 4, 6, 8, 12, 16]
+
+
+def test_sweep_matches_schedule_on_random_graphs():
+    """The sweep, which stops scheduling once a count reaches the
+    unbounded schedule, equals one ``schedule`` per count on every
+    field it returns, keyed in the order given."""
+    for graph, privatize, overhead, rng in _random_cases():
+        order = rng.sample(COUNTS, len(COUNTS))
+        swept, schedules = FutureSimulator(1, privatize,
+                                           overhead).sweep(graph, order)
         assert list(swept) == order
+        assert 1 <= schedules <= len(COUNTS)
         for workers in order:
             one = FutureSimulator(workers, privatize,
                                   overhead).schedule(graph)
-            assert swept[workers] == one, workers
+            point = swept[workers]
+            assert type(point) is SweepPoint
+            for column in fields(SweepPoint):
+                assert getattr(point, column.name) == \
+                    getattr(one, column.name), (workers, column.name)
+
+
+def test_more_workers_never_delay_and_unbounded_is_the_floor():
+    """The settle rule's premises: every task start and finish, the
+    makespan and the join stall are non-increasing in the worker
+    count, and never below the unbounded schedule (a worker per task,
+    computed without a heap)."""
+    for graph, privatize, overhead, _ in _random_cases():
+        sim = FutureSimulator(1, privatize, overhead)
+        floor = sim._unbounded(sim._inputs(graph))
+        every = FutureSimulator(max(graph.task_count, 1), privatize,
+                                overhead).schedule(graph)
+        assert floor == (every.makespan, every.join_stall)
+        previous = None
+        for workers in COUNTS:
+            result = FutureSimulator(workers, privatize,
+                                     overhead).schedule(graph)
+            assert result.makespan >= floor[0]
+            assert result.join_stall >= floor[1]
+            if previous is not None:
+                assert result.makespan <= previous.makespan
+                assert result.join_stall <= previous.join_stall
+                assert all(a <= b for a, b in zip(result.task_start,
+                                                  previous.task_start))
+                assert all(a <= b for a, b in zip(result.task_finish,
+                                                  previous.task_finish))
+            previous = result
+
+
+def test_main_bound_graph_schedules_once():
+    """bzip2's loop graphs: no edges, mostly zero serial gaps, so tasks
+    wait for a worker at every count, yet the main thread's serial
+    chain sets the makespan from two workers on. One list schedule
+    settles the whole sweep."""
+    durations = [7, 13, 5, 11] * 50
+    serial = ([0] * 19 + [9]) * 10 + [5000]
+    graph = graph_of(durations, serial)
+    assert not len(graph.task_deps) and not len(graph.joins)
+    counts = [2, 4, 8, 16]
+    for workers in counts:
+        result = FutureSimulator(workers).schedule(graph)
+        spawn, clock = [], 0
+        for k in range(len(durations)):
+            clock += serial[k]
+            spawn.append(clock)
+        assert any(s > t for s, t in zip(result.task_start, spawn))
+    swept, schedules = FutureSimulator().sweep(graph, counts)
+    assert schedules == 1
+    assert {point.makespan for point in swept.values()} == {sum(serial)}

@@ -2,13 +2,15 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.analysis.constructs import ConstructTable
 from repro.ir import compile_source
 from repro.parallel.estimator import (EstimatorError, estimate_speedup,
                                       find_construct)
-from repro.parallel.taskgraph import (LiveSource, TraceSource,
+from repro.parallel.taskgraph import (IndexLog, LiveSource, TraceSource,
+                                      count_at_or_before,
                                       extract_task_graphs,
                                       induction_offsets_of)
 from repro.runtime.tracing import Tracer
@@ -58,39 +60,39 @@ class TestExtraction:
         program = compile_source(INDEPENDENT)
         pc = find_construct(program, line=INDEPENDENT_LOOP_LINE)
         graph = extract_task_graphs(LiveSource(program), {pc: ()})[pc]
-        assert len(graph.tasks) == 12
+        assert graph.task_count == 12
         assert len(graph.serial) == 13
         covered = graph.task_time + graph.serial_time
         assert covered == graph.total_time
-        for earlier, later in zip(graph.tasks, graph.tasks[1:]):
-            assert earlier.end <= later.start
+        assert (graph.end[:-1] <= graph.start[1:]).all()
 
     def test_independent_iterations_have_no_task_deps(self):
         program = compile_source(INDEPENDENT)
         pc = find_construct(program, line=INDEPENDENT_LOOP_LINE)
         graph = extract_task_graphs(LiveSource(program), {pc: ()})[pc]
-        assert graph.task_deps == set()
+        assert graph.task_deps.shape == (0, 2)
 
     def test_epilogue_joins_on_producing_tasks(self):
         program = compile_source(INDEPENDENT)
         pc = find_construct(program, line=INDEPENDENT_LOOP_LINE)
         graph = extract_task_graphs(LiveSource(program), {pc: ()})[pc]
-        epilogue = len(graph.tasks)
+        epilogue = graph.task_count
         # The summation loop reads every results[f].
-        assert graph.joins.get(epilogue) == set(range(12))
+        tasks, segments = graph.joins.T
+        assert tasks[segments == epilogue].tolist() == list(range(12))
 
     def test_chained_iterations_form_a_chain(self):
         program = compile_source(CHAINED)
         pc = find_construct(program, line=9)
         graph = extract_task_graphs(LiveSource(program), {pc: ()})[pc]
         chain = {(k, k + 1) for k in range(11)}
-        assert chain <= graph.task_deps
+        assert chain <= set(map(tuple, graph.task_deps.tolist()))
 
     def test_procedure_target_instances_are_calls(self):
         program = compile_source(INDEPENDENT)
         pc = find_construct(program, fn_name="work")
         graph = extract_task_graphs(LiveSource(program), {pc: ()})[pc]
-        assert len(graph.tasks) == 12
+        assert graph.task_count == 12
 
     def test_induction_detection_for_for_loop(self):
         program = compile_source(INDEPENDENT)
@@ -223,7 +225,8 @@ def test_kernel_matches_per_event_tracer(workload, tmp_path):
     assert extract_task_graphs(LiveSource(program), heads) == reference
 
     boundaries = {t for graph in reference.values()
-                  for task in graph.tasks for t in (task.start, task.end)}
+                  for column in (graph.start, graph.end)
+                  for t in column.tolist()}
     assert any(t in boundaries for t in hazards.times)
     assert hazards.reused
 
@@ -250,12 +253,111 @@ def test_extraction_spans_and_counts(tmp_path):
         assert child.attrs["frees"] == len(frees)
 
 
+#: A recursive call runs the loop first and writes the caller's
+#: induction variable through a pointer in each of its iterations.
+#: The caller's cell is skipped only in the caller's own instances, so
+#: its group keeps the callee-instance writes, which depend on each
+#: other: the kernel must pair that group again without the skipped
+#: accesses instead of reusing the pairs it shares across candidates.
+POINTER_TO_INDUCTION = """
+int f(int depth, int *p) {
+    int i;
+    int s = 0;
+    if (depth > 0) {
+        f(depth - 1, &i);
+    }
+    for (i = 0; i < 4; i++) {
+        s = s + i;
+        if (depth == 0) {
+            *p = s;
+        }
+    }
+    return s;
+}
+int main() {
+    int x;
+    print(f(1, &x));
+    return 0;
+}
+"""
+
+
+def test_skip_window_keeps_the_other_accesses_of_its_group():
+    program = compile_source(POINTER_TO_INDUCTION)
+    table = ConstructTable(program)
+    (pc,) = [c.pc for c in table.by_pc.values() if c.is_loop]
+    induction = induction_offsets_of(program, pc)
+    assert induction
+    tracer = TaskGraphTracer(table, pc, frozenset(), induction)
+    LiveSource(program).drive([tracer])
+    reference = tracer.graph()
+    assert len(reference.anti_task_deps)
+    assert extract_task_graphs(LiveSource(program), [pc])[pc] == reference
+
+
+def _random_log(rng) -> IndexLog:
+    """Pushes and pops of two constructs (pc 7 nests in itself) at
+    non-decreasing event positions that often repeat, so instances
+    holding no access and boundaries sharing a position are common."""
+    accesses = int(rng.integers(0, 12))
+    pcs, at = [], []
+    depth = {7: 0, 9: 0}
+    position = 0
+    for _ in range(int(rng.integers(0, 24))):
+        position = min(accesses, position + int(rng.choice([0, 0, 1, 2])))
+        pc = int(rng.choice([7, 7, 9]))
+        if depth[pc] and rng.random() < 0.5:
+            depth[pc] -= 1
+            pcs.append(~pc)
+        else:
+            depth[pc] += 1
+            pcs.append(pc)
+        at.append(position)
+    rows = len(pcs)
+    return IndexLog(pcs=np.array(pcs, np.int64),
+                    at=np.array(at, np.int64),
+                    times=np.arange(rows, dtype=np.int64),
+                    bases=np.zeros(sum(pc >= 0 for pc in pcs), np.int64),
+                    addr=np.zeros(accesses, np.int64),
+                    write=np.zeros(accesses, bool),
+                    frees=np.empty((0, 3), np.int64))
+
+
+def test_tag_lookup_matches_searchsorted():
+    """The two lookups (event position -> log-row rank, shared by all
+    candidates, then row rank -> the candidate's tag) give every event
+    position the tag the boundaries' ``searchsorted(..., side="right")``
+    gives it: an access at a boundary's own position is after it, and
+    repeated boundaries (an instance with no access, an end and the
+    next start together) are all counted."""
+    rng = np.random.default_rng(20090314)
+    seen = {"empty instance": 0, "repeated bound": 0, "access at bound": 0}
+    for _ in range(3000):
+        log = _random_log(rng)
+        rank = count_at_or_before(log.at, log.accesses)
+        for pc in (7, 9):
+            starts, ends = log.outermost(pc)
+            bounds = np.empty(len(starts) + len(ends), np.int64)
+            bounds[0::2] = log.at[starts]
+            bounds[1::2] = log.at[ends]
+            positions = np.arange(log.accesses + 1)
+            expected = np.searchsorted(bounds, positions, side="right")
+            assert log.tags(starts, ends)[rank].tolist() == \
+                expected.tolist(), (bounds, log.accesses)
+            seen["empty instance"] += int(
+                (log.at[starts[:len(ends)]] == log.at[ends]).any())
+            seen["repeated bound"] += int((np.diff(bounds) == 0).any())
+            seen["access at bound"] += int(
+                (bounds < log.accesses).any())
+    assert all(seen.values()), seen
+
+
 #: Traced peak of one extraction per recorded access: bzip2 at scale
 #: 1 (169 109 accesses), every construct head (19) as a candidate.
-#: Measured 141 B/access, most of it the returned graphs (two loops
-#: with 12 121 tasks each); the bound leaves about 50 % headroom. One
-#: leftover int64 copy per candidate alone would add 8 B/access x 19.
-PEAK_BYTES_PER_ACCESS = 210
+#: Measured 81 B/access (141 when each task was an object); the bound
+#: leaves about 50 % headroom. One leftover int64 copy per candidate
+#: alone would add 8 B/access x 19.
+PEAK_BYTES_PER_ACCESS = 125
 
 
 def test_extraction_memory_per_access(tmp_path):

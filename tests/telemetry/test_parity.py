@@ -82,6 +82,14 @@ def test_session_recorded_spans_for_every_workload(telemetry_session):
             assert kernel.attrs["frees"] == counts["frees"]
             checked += 1
     assert checked
+    # The sweep runs at most one list schedule per candidate and
+    # worker count, fewer once a count reaches the unbounded schedule.
+    sweeps = tm.find_spans("advisor.sweep")
+    for sweep in sweeps:
+        attrs = sweep.attrs
+        assert attrs["schedules"] <= \
+            attrs["candidates"] * len(attrs["workers"]), attrs
+    assert sum(sweep.attrs["schedules"] for sweep in sweeps) > 0
     assert tm.counters["trace.events_written"] > 0
 
 
